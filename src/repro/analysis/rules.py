@@ -392,9 +392,8 @@ def rule_unsorted_listdir(tree: ast.AST, path: str) -> Iterator[RuleHit]:
 
 
 #: Engine internals whose layout is a private contract of the event
-#: loop: the shard coordinator manipulates them under documented
-#: invariants, but any other reader couples itself to heap-tuple layout
-#: and the zero-delay fast path, both of which are allowed to change.
+#: loop: any outside reader couples itself to heap-tuple layout and the
+#: zero-delay fast path, both of which are allowed to change.
 _ENGINE_INTERNALS = {"_heap", "_now_queue", "_seq"}
 
 
@@ -404,8 +403,7 @@ _ENGINE_INTERNALS = {"_heap", "_now_queue", "_seq"}
     "repro.sim; schedule through the public Engine API",
 )
 def rule_engine_internal_access(tree: ast.AST, path: str) -> Iterator[RuleHit]:
-    # The kernel package owns these fields (the shard coordinator in
-    # repro.sim.shard reaches into member engines by design).
+    # The kernel package owns these fields.
     normalized = path.replace("\\", "/")
     if "repro/sim/" in normalized or normalized.endswith("repro/sim"):
         return
@@ -421,7 +419,7 @@ def rule_engine_internal_access(tree: ast.AST, path: str) -> Iterator[RuleHit]:
                 f"{base}.{node.attr} reaches into the event-loop "
                 "internals; their layout (heap tuples, the zero-delay "
                 "fast path) is private to repro.sim — use the public "
-                "Engine API (schedule/process/peek/run_window)",
+                "Engine API (schedule/process/peek)",
             )
 
 

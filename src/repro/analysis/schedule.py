@@ -1,7 +1,7 @@
 """Controlled-scheduler shim for the model checker.
 
 The engine's optional ``scheduler`` hook (see
-:meth:`repro.sim.engine.Engine._step_controlled`) surfaces every
+:meth:`repro.sim.engine.Engine._take_tied`) surfaces every
 dispatch tie — events ready at equal ``(time, priority)`` — and lets a
 callback pick which fires first.  :class:`ScheduleController` is that
 callback packaged as a replayable *schedule*: a tuple of choice indices

@@ -10,10 +10,6 @@ byte-identical).
 ``--jobs N`` fans seeded runs out over a process pool (see
 ``repro.bench.harness.parallel_map``); output is identical to serial.
 
-``--shards N`` exports ``REPRO_SHARDS=N`` so every cluster the
-experiments build runs on a sharded engine (``repro.sim.shard``);
-artifacts are byte-identical to serial runs (test-enforced).
-
 ``--obs`` additionally runs the instrumented observability probe
 (``repro.obs.probe``) and writes ``OBS_report.json`` /
 ``OBS_breakdown.csv`` next to the experiment artifacts.  The
@@ -31,7 +27,6 @@ Subcommands:
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -46,18 +41,6 @@ WALLCLOCK_ARTIFACT = "BENCH_wallclock.json"
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--shards" in argv:
-        # Accepted anywhere (also ahead of the ``micro`` subcommand):
-        # exported as REPRO_SHARDS so clusters built inside experiments
-        # — including in ``--jobs`` worker processes — shard themselves.
-        idx = argv.index("--shards")
-        try:
-            shards = int(argv[idx + 1])
-        except (IndexError, ValueError):
-            print("--shards requires an integer argument", file=sys.stderr)
-            return 2
-        del argv[idx : idx + 2]
-        os.environ["REPRO_SHARDS"] = str(shards)
     if argv and argv[0] == "compare":
         return _compare(argv[1:])
     if argv and argv[0] == "micro":

@@ -46,10 +46,7 @@ def _cluster(
     journal: bool = True,
     dispatch: int = 40,
     materialize: bool = False,
-    shards: int = None,
 ) -> Cluster:
-    # ``shards=None`` defers to REPRO_SHARDS (the ``--shards`` flag),
-    # so seeded worker processes shard themselves consistently.
     return Cluster(
         mds_config=MDSConfig(
             journal_enabled=journal,
@@ -57,7 +54,6 @@ def _cluster(
             materialize=materialize,
         ),
         seed=seed,
-        shards=shards,
     )
 
 

@@ -3,7 +3,7 @@
 The experiment runners report *simulated* time; this module reports how
 fast the **host** chews through simulator work, so performance changes
 to the engine and the bench harness are visible as a tracked trajectory
-instead of anecdotes.  Seven throughput probes:
+instead of anecdotes.  Nine throughput probes:
 
 * ``engine_heap_events`` — timeout chains with nonzero delays (the
   heap + pooled-timeout path).
@@ -19,14 +19,10 @@ instead of anecdotes.  Seven throughput probes:
   mechanism (journal snapshot + simulated disk write + bookkeeping).
 * ``segment_scan_events`` — events/s through segment encode plus the
   verifying recovery scan (the checksummed-recovery hot loop).
-* ``actors_10k_serial`` / ``actors_10k_sharded`` and
-  ``actors_100k_serial`` / ``actors_100k_sharded`` — events/s through a
-  population of 10^4 / 10^5 independent timer actors on one serial
-  engine vs. a window-mode :class:`~repro.sim.shard.ShardedEngine`
-  (``REPRO_SHARDS`` shards if >= 2, else 8).  The serial-vs-sharded
-  ratio at each population size is the headline number for the sharded
-  core (docs/PERFORMANCE.md); actor counts are fixed across scales so
-  baselines stay comparable — only the hops-per-actor depth scales.
+* ``actors_10k_serial`` / ``actors_100k_serial`` — events/s through a
+  population of 10^4 / 10^5 independent timer actors: the only probes
+  of the kernel with a deep heap.  Actor counts and hops-per-actor are
+  fixed across scales so baselines stay comparable.
 
 Every probe runs ``repeat`` times and keeps the best wall time (least
 host noise).  ``compare_micro`` is the regression gate: it diffs two
@@ -47,11 +43,10 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.bench.scales import Scale, get_scale
-from repro.cluster import Cluster, _shards_from_env
+from repro.cluster import Cluster
 from repro.core.mechanisms import MechanismContext, run_mechanism
 from repro.mds.server import MDSConfig
 from repro.sim.engine import Engine
-from repro.sim.shard import ShardedEngine
 
 __all__ = [
     "MicroResult",
@@ -87,8 +82,7 @@ def _timed(fn: Callable[[], Union[int, Tuple[int, float]]], repeat: int) -> Tupl
 
     A probe may return ``(n, wall_s)`` to report a self-measured phase
     instead of its whole body — the actor-scale probes do this to time
-    dispatch only, excluding the population spawn that is identical
-    setup work in the serial and sharded variants.
+    dispatch only, excluding the population spawn.
     """
     best = float("inf")
     n = 0
@@ -193,50 +187,23 @@ def _bench_segment_scan(ops: int) -> int:
     return ops
 
 
-#: Default shard count for the sharded actor probes when REPRO_SHARDS
-#: does not choose one.  The speedup grows with shard count well past
-#: the core count on this workload (smaller heaps, not parallelism, are
-#: what pays — see docs/PERFORMANCE.md), so the default sits where the
-#: measured curve comfortably clears the serial baseline.
-DEFAULT_PROBE_SHARDS = 32
-
-
 def _actor_body(engine: Engine, period: float, hops: int):
     for _ in range(hops):
         yield engine.sleep(period)
 
 
-def _spawn_actors(engine_for, actors: int, hops: int) -> None:
+def _bench_actors(actors: int, hops: int) -> Tuple[int, float]:
     """``actors`` independent timer processes with staggered periods (so
     the heap carries the whole population, like an open-loop client
     fleet idling between requests)."""
-    for i in range(actors):
-        engine = engine_for(i)
-        engine.process(_actor_body(engine, ((i % 97) + 1) * 1e-5, hops))
-
-
-def _bench_actors_serial(actors: int, hops: int) -> Tuple[int, float]:
     engine = Engine()
-    _spawn_actors(lambda i: engine, actors, hops)
+    for i in range(actors):
+        engine.process(_actor_body(engine, ((i % 97) + 1) * 1e-5, hops))
     # simlint: ignore[wall-clock] host throughput measurement is the point
     t0 = time.perf_counter()
     engine.run()
     # simlint: ignore[wall-clock] host throughput measurement is the point
     return actors * hops, time.perf_counter() - t0
-
-
-def _bench_actors_sharded(actors: int, hops: int) -> Tuple[int, float]:
-    shards = _shards_from_env() or DEFAULT_PROBE_SHARDS
-    sharded = ShardedEngine(shards, mode="window")
-    _spawn_actors(lambda i: sharded.shard(i % shards), actors, hops)
-    # simlint: ignore[wall-clock] host throughput measurement is the point
-    t0 = time.perf_counter()
-    sharded.run()
-    # simlint: ignore[wall-clock] host throughput measurement is the point
-    wall = time.perf_counter() - t0
-    dispatched = sum(sharded.events_dispatched)
-    assert dispatched >= actors * hops, dispatched
-    return actors * hops, wall
 
 
 def run_micro(
@@ -263,18 +230,14 @@ def run_micro(
     ]
     # The actor probes are fixed-size at every scale: the point is the
     # 10^4/10^5 population sizes, and a shallow per-actor depth would
-    # measure generator spawn/teardown churn (identical in both
-    # variants) instead of steady-state dispatch.
+    # measure generator spawn/teardown churn instead of steady-state
+    # dispatch.
     hops = 10
     probes.extend([
         ("actors_10k_serial", "events",
-         lambda: _bench_actors_serial(10_000, hops)),
-        ("actors_10k_sharded", "events",
-         lambda: _bench_actors_sharded(10_000, hops)),
+         lambda: _bench_actors(10_000, hops)),
         ("actors_100k_serial", "events",
-         lambda: _bench_actors_serial(100_000, hops)),
-        ("actors_100k_sharded", "events",
-         lambda: _bench_actors_sharded(100_000, hops)),
+         lambda: _bench_actors(100_000, hops)),
     ])
     results = []
     for name, unit, fn in probes:

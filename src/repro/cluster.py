@@ -11,23 +11,10 @@ substrate for that exploration, :class:`Cluster` optionally hosts
 several MDS daemons with static subtree partitioning: the monitor's MDS
 map assigns subtrees to ranks and clients route per path
 (:meth:`assign_subtree_mds`, :meth:`mds_for`).
-
-Sharded simulation (``shards=N`` / ``REPRO_SHARDS``)
-----------------------------------------------------
-``Cluster(shards=N)`` (or ``REPRO_SHARDS=N`` in the environment, the
-lever for drivers that build clusters internally, e.g. the conformance
-runner) partitions the *simulation itself* across N per-rank event
-loops (:class:`~repro.sim.shard.ShardedEngine`): MDS rank r lives on
-shard ``r % N``, OSD i on shard ``i % N``, the monitor on shard 0, and
-clients round-robin.  Because the client<->MDS RPC links are
-zero-latency by calibration, the shards run in *lockstep* — dispatch
-order, and therefore every artifact, is byte-identical to a serial run
-(test-enforced).  The serial single-loop engine stays the default.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional
 
 from repro import calibration as cal
@@ -37,24 +24,9 @@ from repro.mds.server import MDSConfig, MetadataServer
 from repro.mon.monitor import Monitor
 from repro.rados.cluster import ObjectStore
 from repro.sim.engine import Engine
-from repro.sim.network import Network, ShardRouter
-from repro.sim.shard import ShardedEngine
+from repro.sim.network import Network
 
 __all__ = ["Cluster"]
-
-
-def _shards_from_env() -> Optional[int]:
-    """``REPRO_SHARDS`` as a shard count; None (serial) unless it parses
-    to an int >= 2 — an unset/garbage/1 value must never change the
-    engine under an unsuspecting driver."""
-    raw = os.environ.get("REPRO_SHARDS", "").strip()
-    if not raw:
-        return None
-    try:
-        count = int(raw)
-    except ValueError:
-        return None
-    return count if count >= 2 else None
 
 
 class Cluster:
@@ -67,25 +39,15 @@ class Cluster:
         mds_config: Optional[MDSConfig] = None,
         num_mds: int = 1,
         seed: int = 0,
-        shards: Optional[int] = None,
     ):
         if num_mds < 1:
             raise ValueError("need at least one MDS")
         self.seed = seed
-        resolved = shards if shards is not None else _shards_from_env()
-        if resolved is not None and resolved >= 2:
-            self.engine = ShardedEngine(resolved)
-            self.shard_router: Optional[ShardRouter] = ShardRouter(self.engine)
-            self.num_shards = resolved
-        else:
-            self.engine = Engine()
-            self.shard_router = None
-            self.num_shards = 1
+        self.engine = Engine()
         self.network = Network(
             self.engine,
             latency_s=cal.NET_LATENCY_S,
             bandwidth_bps=cal.NET_BANDWIDTH_BPS,
-            router=self.shard_router,
         )
         self.objstore = ObjectStore(
             self.engine,
@@ -94,25 +56,12 @@ class Cluster:
             replication=min(replication, num_osds),
             disk_bandwidth_bps=cal.DISK_BANDWIDTH_BPS,
             disk_seek_s=cal.DISK_SEEK_S,
-            engine_for=(
-                None if self.shard_router is None
-                else lambda i: self._shard_engine(i)
-            ),
         )
-        if self.shard_router is not None:
-            for osd in self.objstore.osds:
-                self.shard_router.assign(osd.name, osd.osd_id % self.num_shards)
         cfg = mds_config or MDSConfig()
         cfg.seed = seed
-        if self.shard_router is not None:
-            # Assign before construction: links are placed on the
-            # destination's shard when first created, which can happen
-            # inside a daemon's own __init__.
-            for rank in range(num_mds):
-                self.shard_router.assign(f"mds{rank}", rank % self.num_shards)
         self.mds_list: List[MetadataServer] = [
             MetadataServer(
-                self._shard_engine(rank), self.objstore, self.network,
+                self.engine, self.objstore, self.network,
                 self._rank_config(cfg, rank), name=f"mds{rank}",
             )
             for rank in range(num_mds)
@@ -141,13 +90,6 @@ class Cluster:
         #: Observability (set by ``repro.obs.Observability.attach``);
         #: propagated to clients created after attachment.
         self.obs = None
-
-    def _shard_engine(self, index: int) -> Engine:
-        """The engine actor ``index`` lives on: shard ``index % N`` of a
-        sharded cluster, the single engine otherwise."""
-        if self.shard_router is None:
-            return self.engine
-        return self.engine.shard(index % self.num_shards)
 
     @staticmethod
     def _rank_config(cfg: MDSConfig, rank: int) -> MDSConfig:
@@ -185,26 +127,10 @@ class Cluster:
         """The MDS authoritative for ``path`` (nearest assigned ancestor)."""
         return self.mds_list[self.mon.authority_of(path)]
 
-    def move_endpoint_shard(self, endpoint: str, shard: int) -> None:
-        """Re-pin a network endpoint to another shard (no-op on a serial
-        cluster).  Subtree migration uses this to co-locate a redirected
-        client with its new authority; the endpoint's cached links are
-        retired and re-created lazily on the new shard."""
-        if self.shard_router is None:
-            return
-        self.shard_router.reassign(endpoint, shard % self.num_shards)
-        self.network.rehome(endpoint)
-
     # -- client factories ---------------------------------------------------
     def new_client(self, retry=None) -> Client:
-        if self.shard_router is not None:
-            # Before construction: Client.__init__ creates its MDS links.
-            self.shard_router.assign(
-                f"client{len(self._clients) + 1}",
-                len(self._clients) % self.num_shards,
-            )
         client = Client(
-            self._shard_engine(len(self._clients)),
+            self.engine,
             client_id=len(self._clients) + 1, mds=self.mds,
             network=self.network,
             router=self.mds_for if len(self.mds_list) > 1 else None,
@@ -221,7 +147,7 @@ class Cluster:
         self, persist_each: bool = False, persist_backend: str = "disk"
     ) -> DecoupledClient:
         client = DecoupledClient(
-            self._shard_engine(len(self._dclients)),
+            self.engine,
             client_id=1000 + len(self._dclients) + 1,
             persist_each=persist_each,
             persist_backend=persist_backend,

@@ -144,18 +144,15 @@ def migrate_subtree(
     subtree: str,
     dst_rank: int,
     phase_hook: Optional[Callable[[str], None]] = None,
-    rehome: Sequence[str] = (),
 ) -> Generator[Event, None, MigrationResult]:
     """Migrate ``subtree`` to MDS rank ``dst_rank`` (process body).
 
     ``phase_hook(phase)`` is called immediately before each protocol
     phase (see :data:`PHASES`) — the crash-mid-migration fault matrix
-    uses it to fail a rank at exact handoff points.  ``rehome`` names
-    network endpoints (typically the subtree's clients) to co-locate
-    with the new authority on sharded clusters; serial clusters ignore
-    it.  Returns a :class:`MigrationResult`; never raises for rank
-    crashes — those abort (or, post-IMPORT_COMMIT, complete) the
-    handoff as the protocol prescribes.
+    uses it to fail a rank at exact handoff points.  Returns a
+    :class:`MigrationResult`; never raises for rank crashes — those
+    abort (or, post-IMPORT_COMMIT, complete) the handoff as the
+    protocol prescribes.
     """
     subtree = _normalize(subtree)
     if subtree == "/":
@@ -354,8 +351,6 @@ def migrate_subtree(
             rec,
         )
         src.unfreeze_subtree(subtree)
-    for endpoint in rehome:
-        cluster.move_endpoint_shard(endpoint, dst_rank)
     return _finish("done")
 
 

@@ -72,11 +72,6 @@ class Observability:
     def _daemons(self):
         cluster = self.cluster
         yield cluster
-        # A sharded engine reports per-shard dispatch counters and sync
-        # stalls at run end (repro.sim.shard); a serial Engine has no
-        # ``obs`` slot, so only the facade is wired.
-        if hasattr(cluster.engine, "_flush_obs_counters"):
-            yield cluster.engine
         for mds in cluster.mds_list:
             yield mds
             yield mds.journal

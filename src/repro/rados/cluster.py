@@ -11,7 +11,7 @@ ack-on-all-replicas write semantics).
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional
 
 from repro.sim.engine import AllOf, Engine, Event
 from repro.sim.network import Network
@@ -56,17 +56,14 @@ class ObjectStore:
         replication: int = 3,
         disk_bandwidth_bps: float = 500e6,
         disk_seek_s: float = 100e-6,
-        engine_for: Optional[Callable[[int], Engine]] = None,
     ):
         if num_osds < 1:
             raise ValueError("need at least one OSD")
         self.engine = engine
         self.network = network
-        # ``engine_for(i)`` places OSD i on a shard of a sharded engine
-        # (repro.sim.shard); the default keeps every OSD on ``engine``.
         self.osds: List[OSD] = [
             OSD(
-                engine if engine_for is None else engine_for(i),
+                engine,
                 i,
                 disk_bandwidth_bps=disk_bandwidth_bps,
                 disk_seek_s=disk_seek_s,

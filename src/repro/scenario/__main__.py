@@ -1,9 +1,8 @@
 """Command line: ``python -m repro.scenario <command> ...``.
 
-* ``run FILE [--seeds N] [--jobs N] [--shards N] [--out FILE]`` — run a
-  scenario file, print its SLO report, and with ``--out`` write the JSON
-  artifact (byte-identical across serial / ``--jobs`` / ``--shards``
-  runs).
+* ``run FILE [--seeds N] [--jobs N] [--out FILE]`` — run a scenario
+  file, print its SLO report, and with ``--out`` write the JSON artifact
+  (byte-identical across serial / ``--jobs`` runs).
 * ``compare BASE.json CAND.json [tolerance]`` — regression-diff two
   artifacts of the same scenario; exits 1 on divergence.
 * ``validate FILE ...`` — load + validate scenario files without
@@ -12,7 +11,6 @@
 
 from __future__ import annotations
 
-import os
 import sys
 
 from repro.scenario.report import (
@@ -37,15 +35,12 @@ def _pop_option(argv, flag):
 
 
 def _run(argv) -> int:
-    shards = _pop_option(argv, "--shards")
-    if shards is not None:
-        os.environ["REPRO_SHARDS"] = shards
     seeds = _pop_option(argv, "--seeds")
     jobs = _pop_option(argv, "--jobs")
     out = _pop_option(argv, "--out")
     if len(argv) != 1:
-        print("usage: run FILE [--seeds N] [--jobs N] [--shards N] "
-              "[--out FILE]", file=sys.stderr)
+        print("usage: run FILE [--seeds N] [--jobs N] [--out FILE]",
+              file=sys.stderr)
         return 2
     try:
         spec = load_spec(argv[0])

@@ -5,8 +5,8 @@ Aggregation across seeds reports mean, sample standard deviation and a
 values baked in — no scipy dependency; seed counts are small, so the
 normal approximation would understate the interval).  The artifact is
 ``json.dumps(..., indent=2, sort_keys=True)`` of plain numbers — no
-wall-clock stamps, no host info — so serial, ``--jobs N`` and
-``REPRO_SHARDS`` runs emit byte-identical files.
+wall-clock stamps, no host info — so serial and ``--jobs N`` runs emit
+byte-identical files.
 
 :func:`compare_artifacts` mirrors ``repro.bench compare``: it diffs the
 aggregate means of two artifacts of the same scenario and flags any

@@ -26,9 +26,8 @@ Determinism
 -----------
 Per-seed runs are self-contained and picklable, so ``--jobs N`` fans
 them over :func:`~repro.bench.harness.parallel_map` with byte-identical
-results, and the sharded engine's lockstep dispatch keeps
-``REPRO_SHARDS`` runs identical too (both test-enforced).  Nothing here
-reads wall-clock time or iterates an unordered container.
+results (test-enforced).  Nothing here reads wall-clock time or iterates
+an unordered container.
 """
 
 from __future__ import annotations

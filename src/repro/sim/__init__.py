@@ -21,8 +21,7 @@ paper's normalized slowdowns/speedups are ratios of simulated durations.
 
 from repro.sim.engine import Engine, Process, Timeout, Event, Interrupt, AllOf, AnyOf
 from repro.sim.resources import Resource, Store, Semaphore
-from repro.sim.network import Network, Link, ShardRouter
-from repro.sim.shard import ShardedEngine, ShardChannel, run_shards_parallel
+from repro.sim.network import Network, Link
 from repro.sim.disk import Disk
 from repro.sim.stats import Counter, TimeSeries, UtilizationTracker, StatsRegistry
 from repro.sim.rng import RngStream
@@ -41,10 +40,6 @@ __all__ = [
     "Semaphore",
     "Network",
     "Link",
-    "ShardRouter",
-    "ShardedEngine",
-    "ShardChannel",
-    "run_shards_parallel",
     "Disk",
     "Counter",
     "TimeSeries",

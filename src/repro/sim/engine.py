@@ -70,6 +70,8 @@ _PROCESSED = 2  # callbacks have run
 #: Default scheduling priority; lower values run first at equal times.
 _DEFAULT_PRIORITY = 1
 
+_INF = float("inf")
+
 
 class Event:
     """A one-shot occurrence in simulated time.
@@ -473,14 +475,13 @@ class Engine:
         #: path to a single predictable branch.
         self.sleep_hook = None
         #: Optional ready-set scheduler ``hook(events) -> index``.  When
-        #: set, dispatch goes through :meth:`_step_controlled`: at every
-        #: instant where more than one event is tied for dispatch at
-        #: equal ``(time, priority)``, the hook is shown the tied events
-        #: (in default seq order) and picks which fires next.  Choosing
-        #: index 0 everywhere reproduces the default schedule exactly.
-        #: None (the default) keeps the inlined hot loop untouched —
-        #: this is the model checker's entry point (repro.analysis.model)
-        #: and costs nothing in production runs.
+        #: set, at every instant where more than one event is tied for
+        #: dispatch at equal ``(time, priority)``, the hook is shown the
+        #: tied events (in default seq order) and picks which fires next
+        #: (see :meth:`_take_tied`).  Choosing index 0 everywhere
+        #: reproduces the default schedule exactly.  This is the model
+        #: checker's entry point (repro.analysis.model); None (the
+        #: default) costs production runs one branch per event.
         self.scheduler = None
 
     @property
@@ -554,99 +555,91 @@ class Engine:
         heapq.heappush(self._heap, (self._now + delay, priority, next(self._seq), event))
 
     # -- running ----------------------------------------------------------
-    def _pick(self, events: list) -> Event:
-        """Let the scheduler hook choose among tied events."""
-        if len(events) == 1:
-            return events[0]
-        return events[self.scheduler(events)]
+    def _take_tied(self, scheduler) -> Event:
+        """Remove and return the event ``scheduler`` picks among those
+        tied for dispatch, advancing the clock to it.
 
-    def _step_controlled(self) -> None:
-        """One dispatch step under the pluggable ready-set scheduler.
-
-        Dispatch semantics match :meth:`step` exactly, except that ties —
-        events dispatchable at the same ``(time, priority)`` — are
-        resolved by ``self.scheduler`` instead of arrival (seq) order.
-        Events at different priorities are never offered together: their
-        relative order is a modeled guarantee, not a schedule artifact.
-        Choosing index 0 at every decision point reproduces the default
-        schedule event-for-event.
+        Tied means dispatchable next at equal ``(time, priority)``; the
+        hook sees them in default (seq) order, so index 0 everywhere
+        reproduces the default schedule.  Events at different priorities
+        are never offered together: their relative order is a modeled
+        guarantee, not a schedule artifact.
         """
         queue = self._now_queue
         heap = self._heap
-        if queue:
-            if heap and heap[0][1] < _DEFAULT_PRIORITY and heap[0][0] <= self._now:
-                # Same-instant higher-priority heap entries outrank the
-                # FIFO; only entries at that priority are tied.
-                tied = sorted(
-                    (e for e in heap
-                     if e[0] == heap[0][0] and e[1] == heap[0][1]),
-                    key=lambda e: e[2],
-                )
-                event = self._pick([e[3] for e in tied])
-                if event is tied[0][3]:
-                    heapq.heappop(heap)
-                else:
-                    heap.remove(next(e for e in tied if e[3] is event))
-                    heapq.heapify(heap)
-            else:
-                # FIFO entries were all appended before any same-instant
-                # default-priority heap entry could be pushed (the append
-                # guard forbids coexistence in the other order), so the
-                # default order is queue first, then heap entries by seq.
-                tied = sorted(
-                    (e for e in heap
-                     if e[0] <= self._now and e[1] == _DEFAULT_PRIORITY),
-                    key=lambda e: e[2],
-                )
-                event = self._pick(list(queue) + [e[3] for e in tied])
-                try:
-                    queue.remove(event)
-                except ValueError:
-                    heap.remove(next(e for e in tied if e[3] is event))
-                    heapq.heapify(heap)
+        if queue and not (
+            heap and heap[0][1] < _DEFAULT_PRIORITY and heap[0][0] <= self._now
+        ):
+            # FIFO entries were all appended before any same-instant
+            # default-priority heap entry could be pushed (the append
+            # guard forbids coexistence in the other order), so the
+            # default order is queue first, then heap entries by seq.
+            when, prio, fifo = self._now, _DEFAULT_PRIORITY, len(queue)
+            tied = list(queue)
         else:
-            when, prio = heap[0][0], heap[0][1]
-            tied = sorted(
-                (e for e in heap if e[0] == when and e[1] == prio),
-                key=lambda e: e[2],
+            # The heap head leads: it is either alone in the schedule or
+            # a same-instant higher-priority entry outranking the FIFO.
+            when, prio, fifo = heap[0][0], heap[0][1], 0
+            tied = []
+        entries = sorted(e for e in heap if e[0] == when and e[1] == prio)
+        tied.extend(e[3] for e in entries)
+        index = scheduler(tied) if len(tied) > 1 else 0
+        if not 0 <= index < len(tied):
+            raise SimulationError(
+                f"scheduler chose index {index} of {len(tied)} tied events"
             )
-            event = self._pick([e[3] for e in tied])
-            self._now = when
-            if event is tied[0][3]:
-                heapq.heappop(heap)
+        if index < fifo:
+            del queue[index]
+        elif entries[index - fifo] is heap[0]:
+            heapq.heappop(heap)
+        else:
+            heap.remove(entries[index - fifo])
+            heapq.heapify(heap)
+        self._now = when
+        return tied[index]
+
+    def _dispatch(self, until: float = _INF, count: Optional[int] = None) -> None:
+        """The kernel: process pending events in order, stopping before
+        the first one later than ``until`` (inclusive bound) or after
+        ``count`` dispatches (None: unbounded).
+
+        The ``scheduler`` hook is read once here; ``trace`` is read per
+        event so instrumentation may attach or detach mid-run.
+        """
+        queue = self._now_queue
+        heap = self._heap
+        heappop = heapq.heappop
+        scheduler = self.scheduler
+        for _ in itertools.repeat(None) if count is None else range(count):
+            if not queue and (not heap or heap[0][0] > until):
+                return
+            if scheduler is not None:
+                event = self._take_tied(scheduler)
+            elif not queue:
+                item = heappop(heap)
+                self._now = item[0]
+                event = item[3]
+            elif heap and heap[0][1] < _DEFAULT_PRIORITY and heap[0][0] <= self._now:
+                # A same-instant, higher-priority heap entry outranks the
+                # FIFO (the fast path never admits those).
+                event = heappop(heap)[3]
             else:
-                heap.remove(next(e for e in tied if e[3] is event))
-                heapq.heapify(heap)
-        if self.trace is not None:
-            self.trace(self._now, event)
-        event._process_callbacks()
+                event = queue.popleft()
+            if self.trace is not None:
+                self.trace(self._now, event)
+            event._process_callbacks()
 
     def step(self) -> None:
         """Advance the clock to, and process, the next scheduled event."""
-        if self.scheduler is not None:
-            self._step_controlled()
-            return
-        queue = self._now_queue
-        if queue:
-            heap = self._heap
-            if heap and heap[0][1] < _DEFAULT_PRIORITY and heap[0][0] <= self._now:
-                # A same-instant, higher-priority heap entry outranks the
-                # FIFO (the fast path never admits those).
-                event = heapq.heappop(heap)[3]
-            else:
-                event = queue.popleft()
-        else:
-            when, _prio, _seq, event = heapq.heappop(self._heap)
-            self._now = when
-        if self.trace is not None:
-            self.trace(self._now, event)
-        event._process_callbacks()
+        if not (self._now_queue or self._heap):
+            raise SimulationError("step from an empty schedule")
+        self._dispatch(count=1)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         if self._now_queue:
             return self._now
-        return self._heap[0][0] if self._heap else float("inf")
+        return self._heap[0][0] if self._heap else _INF
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queues drain or the clock passes ``until``.
@@ -654,76 +647,10 @@ class Engine:
         When ``until`` is given the clock is left exactly at ``until``
         (standard DES semantics), even if no event fires there.
         """
-        if until is not None and until < self._now:
-            raise SimulationError(f"until={until} is in the past (now={self._now})")
-        queue = self._now_queue
-        heap = self._heap
-        if self.scheduler is not None:
-            while queue or heap:
-                if until is not None and not queue and heap[0][0] > until:
-                    break
-                self._step_controlled()
-            if until is not None:
-                self._now = until
-            return
         if until is None:
-            # Hot loop: Engine.step inlined minus the dead branches (the
-            # now-queue never holds non-default priorities, so the only
-            # check needed against the heap is done at append time).
-            heappop = heapq.heappop
-            while queue or heap:
-                if queue:
-                    if heap and heap[0][1] < _DEFAULT_PRIORITY and heap[0][0] <= self._now:
-                        event = heappop(heap)[3]
-                    else:
-                        event = queue.popleft()
-                else:
-                    item = heappop(heap)
-                    self._now = item[0]
-                    event = item[3]
-                if self.trace is not None:
-                    self.trace(self._now, event)
-                event._process_callbacks()
+            self._dispatch()
             return
-        while queue or heap:
-            if not queue and heap[0][0] > until:
-                self._now = until
-                return
-            self.step()
+        if until < self._now:
+            raise SimulationError(f"until={until} is in the past (now={self._now})")
+        self._dispatch(until)
         self._now = until
-
-    def run_window(self, horizon: float) -> int:
-        """Process every pending event with time strictly below ``horizon``
-        and return how many were dispatched.
-
-        The sharded coordinator's per-round entry point
-        (:mod:`repro.sim.shard`): unlike :meth:`run`, the clock is *not*
-        advanced to the horizon — it stays at the last dispatched event,
-        so a later window (or a cross-shard delivery between windows)
-        continues from real simulated time.  ``horizon=inf`` drains the
-        engine and counts dispatches.  Not integrated with the
-        ``scheduler`` ready-set hook, which is serial-only.
-        """
-        queue = self._now_queue
-        heap = self._heap
-        heappop = heapq.heappop
-        count = 0
-        while True:
-            if queue:
-                # Queue entries are due at _now, which is inside the
-                # window by construction (they were admitted while an
-                # in-window event was being processed).
-                if heap and heap[0][1] < _DEFAULT_PRIORITY and heap[0][0] <= self._now:
-                    event = heappop(heap)[3]
-                else:
-                    event = queue.popleft()
-            elif heap and heap[0][0] < horizon:
-                item = heappop(heap)
-                self._now = item[0]
-                event = item[3]
-            else:
-                return count
-            if self.trace is not None:
-                self.trace(self._now, event)
-            event._process_callbacks()
-            count += 1

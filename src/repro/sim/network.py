@@ -15,7 +15,7 @@ from typing import Dict, FrozenSet, Generator, Set, Tuple
 from repro.sim.engine import Engine, Event
 from repro.sim.resources import Resource
 
-__all__ = ["Link", "Network", "PartitionError", "ShardRouter"]
+__all__ = ["Link", "Network", "PartitionError"]
 
 
 class PartitionError(ConnectionError):
@@ -66,55 +66,6 @@ class Link:
         yield self.engine.sleep(self.latency_s)
 
 
-class ShardRouter:
-    """Endpoint -> shard-rank assignment for a sharded simulation.
-
-    The partition map for :class:`~repro.sim.shard.ShardedEngine`
-    clusters: each endpoint name (``mds1``, ``osd2``, ``client7``, ...)
-    is pinned to a shard rank, and the directed link ``src -> dst``
-    lives on the *destination's* shard — a transfer completes by waking
-    the receiver, so delivery-side placement keeps a shard's inbound
-    traffic on its own heap.  Unassigned endpoints default to shard 0
-    (the facade), which is always a correct (if unbalanced) placement
-    in lockstep mode.
-
-    Also the cross-shard traffic ledger: :meth:`Network.send` accounts
-    every transfer whose endpoints sit on different shards, which is
-    what the sharded-core docs use to show how chatty a partition is.
-    """
-
-    def __init__(self, sharded: Engine):
-        #: The sharded engine (duck-typed: anything with ``shard(rank)``).
-        self.sharded = sharded
-        self._assignment: Dict[str, int] = {}
-        self.cross_shard_messages = 0
-        self.cross_shard_bytes = 0
-
-    def assign(self, endpoint: str, rank: int) -> None:
-        self._assignment[endpoint] = rank
-
-    def reassign(self, endpoint: str, rank: int) -> None:
-        """Move a live endpoint to another shard (subtree migration
-        co-locates a redirected client with its new authority).  Only
-        future link *creation* consults the map, so pair this with
-        :meth:`Network.rehome` to drop the endpoint's cached links;
-        in lockstep mode the move is order-neutral — recreated links
-        stamp events from the shared global sequence counter."""
-        self._assignment[endpoint] = rank
-
-    def shard_of(self, endpoint: str) -> int:
-        return self._assignment.get(endpoint, 0)
-
-    def engine_for_link(self, src: str, dst: str) -> Engine:
-        """The engine a ``src -> dst`` link's events belong on."""
-        return self.sharded.shard(self.shard_of(dst))
-
-    def account(self, src: str, dst: str, nbytes: int) -> None:
-        if self._assignment.get(src, 0) != self._assignment.get(dst, 0):
-            self.cross_shard_messages += 1
-            self.cross_shard_bytes += nbytes
-
-
 class Network:
     """A mesh of named endpoints with per-pair links created on demand."""
 
@@ -123,55 +74,28 @@ class Network:
         engine: Engine,
         latency_s: float = 50e-6,
         bandwidth_bps: float = 10e9 / 8,
-        router: "ShardRouter" = None,
     ):
         self.engine = engine
         self.default_latency_s = latency_s
         self.default_bandwidth_bps = bandwidth_bps
-        #: Shard placement for links (sharded clusters only); None keeps
-        #: every link on the network's own engine.
-        self.router = router
         self._links: Dict[Tuple[str, str], Link] = {}
         #: Severed endpoint pairs (undirected); see :meth:`partition`.
         self._partitions: Set[FrozenSet[str]] = set()
         self.messages_dropped = 0
-        # Traffic carried by links that were since retired by
-        # :meth:`rehome`; folded into the network-wide totals.
-        self._retired_bytes = 0
-        self._retired_messages = 0
 
     def link(self, src: str, dst: str) -> Link:
         """Get (creating if needed) the directed link ``src -> dst``."""
         key = (src, dst)
         lk = self._links.get(key)
         if lk is None:
-            engine = (
-                self.engine if self.router is None
-                else self.router.engine_for_link(src, dst)
-            )
             lk = Link(
-                engine,
+                self.engine,
                 latency_s=self.default_latency_s,
                 bandwidth_bps=self.default_bandwidth_bps,
                 name=f"{src}->{dst}",
             )
             self._links[key] = lk
         return lk
-
-    def rehome(self, endpoint: str) -> None:
-        """Retire every cached link touching ``endpoint``.
-
-        After a :meth:`ShardRouter.reassign` the endpoint's links must
-        be re-created lazily so they land on the new shard's engine;
-        transfers already in flight keep their (old) link object and
-        complete normally.  Retired links' traffic is folded into the
-        network totals so accounting survives the move.
-        """
-        for key in sorted(self._links):
-            if endpoint in key:
-                lk = self._links.pop(key)
-                self._retired_bytes += lk.bytes_sent
-                self._retired_messages += lk.messages_sent
 
     # -- fault injection ---------------------------------------------------
     def partition(self, a: str, b: str) -> None:
@@ -198,18 +122,12 @@ class Network:
         if self.is_partitioned(src, dst):
             self.messages_dropped += 1
             raise PartitionError(f"network partition between {src} and {dst}")
-        if self.router is not None:
-            self.router.account(src, dst, nbytes)
         yield from self.link(src, dst).transmit(nbytes)
 
     @property
     def total_bytes(self) -> int:
-        return self._retired_bytes + sum(
-            self._links[k].bytes_sent for k in sorted(self._links)
-        )
+        return sum(self._links[k].bytes_sent for k in sorted(self._links))
 
     @property
     def total_messages(self) -> int:
-        return self._retired_messages + sum(
-            self._links[k].messages_sent for k in sorted(self._links)
-        )
+        return sum(self._links[k].messages_sent for k in sorted(self._links))

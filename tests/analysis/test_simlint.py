@@ -136,7 +136,7 @@ def test_cli_rules_and_usage(capsys):
 def test_engine_internal_access_exempt_inside_sim_kernel():
     src = "def f(engine):\n    return engine._heap[0]\n"
     # The kernel package owns the fields; everyone else is flagged.
-    assert lint_source(src, "src/repro/sim/shard.py").ok
+    assert lint_source(src, "src/repro/sim/engine.py").ok
     report = lint_source(src, "src/repro/mds/server.py")
     assert [f.rule for f in report.findings] == ["engine-internal-access"]
 

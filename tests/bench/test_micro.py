@@ -24,9 +24,7 @@ _EXPECTED = [
     "local_persist_events",
     "segment_scan_events",
     "actors_10k_serial",
-    "actors_10k_sharded",
     "actors_100k_serial",
-    "actors_100k_sharded",
 ]
 
 

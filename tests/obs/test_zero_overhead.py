@@ -95,6 +95,7 @@ def test_attach_detach_restores_hooks():
     obs = Observability(cluster, profile=True).attach()
     assert cluster.obs is obs
     assert cluster.mds.obs is obs
+    assert not hasattr(cluster.engine, "obs")  # the engine is not a daemon
     assert cluster.engine.sleep_hook is not None
     with pytest.raises(RuntimeError):
         obs.attach()

@@ -114,16 +114,6 @@ def test_parallel_jobs_byte_identical():
     )
 
 
-def test_sharded_engine_byte_identical(monkeypatch):
-    serial = run_seed((dict(DRIFT), 0))
-    monkeypatch.setenv("REPRO_SHARDS", "2")
-    sharded = run_seed((dict(DRIFT), 0))
-    assert (
-        json.dumps(serial, sort_keys=True)
-        == json.dumps(sharded, sort_keys=True)
-    )
-
-
 def test_artifact_shape():
     spec = ScenarioSpec.from_dict(SMALL)
     artifact = run_scenario(spec, seeds=2)

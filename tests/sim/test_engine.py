@@ -313,6 +313,11 @@ def test_peek_reports_next_event_time():
     assert eng.peek() == pytest.approx(9.0)
 
 
+def test_step_from_an_empty_schedule_is_a_typed_error():
+    with pytest.raises(SimulationError, match="step from an empty schedule"):
+        Engine().step()
+
+
 def test_engine_helpers_build_objects():
     eng = Engine()
     assert isinstance(eng.timeout(1.0), Timeout)

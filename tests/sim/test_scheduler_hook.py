@@ -7,9 +7,11 @@ scheduler that returns 0 at every decision reproduces the default
 seq-order run event-for-event.
 """
 
+import pytest
+
 from repro.cluster import Cluster
 from repro.conformance.recorder import HistoryRecorder
-from repro.sim.engine import Engine, Event, Timeout
+from repro.sim.engine import Engine, SimulationError, Timeout
 
 
 def _workload(eng, log):
@@ -26,6 +28,11 @@ def _workload(eng, log):
         yield Timeout(eng, 1.0)
         log.append((eng.now, "set"))
         gate.succeed()
+        # A same-instant priority-0 heap entry: outranks the now-queue.
+        urgent = eng.event()
+        urgent.add_callback(lambda _e: log.append((eng.now, "urgent")))
+        urgent._state = 1  # _TRIGGERED, as succeed() would set
+        eng._schedule(urgent, 0.0, priority=0)
 
     def waiter():
         yield gate
@@ -38,14 +45,28 @@ def _workload(eng, log):
     eng.process(waiter(), name="waiter")
 
 
-def _trace_run(scheduler):
+def _run_in_slices(eng):
+    # 1.0 and 1.5 land exactly on event times (the bound is inclusive);
+    # 0.5 and 1.25 fall between events.
+    for until in (0.5, 1.0, 1.25, 1.5):
+        eng.run(until=until)
+        assert eng.now == until
+    assert eng.peek() == float("inf")
+
+
+def _step_to_end(eng):
+    while eng.peek() != float("inf"):
+        eng.step()
+
+
+def _trace_run(scheduler, drive=Engine.run):
     eng = Engine()
     log = []
     trace = []
     eng.trace = lambda t, ev: trace.append((t, type(ev).__name__))
     _workload(eng, log)
     eng.scheduler = scheduler
-    eng.run()
+    drive(eng)
     return log, trace, eng.now
 
 
@@ -53,12 +74,17 @@ def test_scheduler_defaults_to_none():
     assert Engine().scheduler is None
 
 
-def test_zero_scheduler_reproduces_default_run_event_for_event():
+@pytest.mark.parametrize("scheduler", [None, lambda events: 0],
+                         ids=["default", "zero-scheduler"])
+@pytest.mark.parametrize("drive", [Engine.run, _run_in_slices, _step_to_end])
+def test_every_kernel_entry_point_dispatches_the_same_run(scheduler, drive):
     base_log, base_trace, base_now = _trace_run(None)
-    ctrl_log, ctrl_trace, ctrl_now = _trace_run(lambda events: 0)
-    assert ctrl_log == base_log
-    assert ctrl_trace == base_trace
-    assert ctrl_now == base_now
+    assert (base_now, base_log[-1][0]) == (1.5, 1.5)
+    assert (1.0, "urgent") in base_log
+    log, trace, now = _trace_run(scheduler, drive)
+    assert log == base_log
+    assert trace == base_trace
+    assert now == base_now
 
 
 def test_scheduler_sees_only_genuine_ties():
@@ -82,6 +108,23 @@ def test_last_index_scheduler_still_fires_everything():
     # Same multiset of observations (nothing lost, nothing invented),
     # possibly in a different same-instant order.
     assert sorted(alt_log) == sorted(base_log)
+
+
+def test_out_of_range_scheduler_choice_is_a_typed_error():
+    eng = Engine()
+    Timeout(eng, 1.0)
+    Timeout(eng, 1.0)
+    eng.scheduler = lambda events: 5
+    with pytest.raises(SimulationError,
+                       match="scheduler chose index 5 of 2 tied events"):
+        eng.run()
+
+
+def test_controlled_step_from_an_empty_schedule_is_a_typed_error():
+    eng = Engine()
+    eng.scheduler = lambda events: 0
+    with pytest.raises(SimulationError, match="step from an empty schedule"):
+        eng.step()
 
 
 def test_controlled_run_respects_until():
