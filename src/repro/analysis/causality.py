@@ -14,10 +14,9 @@ Clock discipline
 * Every :class:`~repro.sim.engine.Process` owns one component, assigned
   on first sight.
 * ``Event.succeed``/``Event.fail`` are wrapped (class-level, attach/
-  detach — same opt-in pattern as ``RadosObject.on_mutate``) to stamp
-  the event with the *triggerer's clock at trigger time*.  Stamping at
-  dispatch time instead would fold in whatever the triggerer did after
-  calling ``succeed`` and hide real races.
+  detach) to stamp the event with the *triggerer's clock at trigger
+  time*.  Stamping at dispatch time instead would fold in whatever the
+  triggerer did after calling ``succeed`` and hide real races.
 * When an event resumes a process, the process clock becomes
   ``merge(own, event stamp)`` then ticks its own component.  The merge
   is applied eagerly from the engine trace hook for ordinary resumes
@@ -120,8 +119,7 @@ class CausalityTracker:
     """Opt-in engine instrumentation maintaining vector clocks.
 
     Exactly one tracker is attached process-wide at a time (the
-    wrappers live on the :class:`Event` class, like the conformance
-    recorder's ``RadosObject.on_mutate`` hook); attaching a new tracker
+    wrappers live on the :class:`Event` class); attaching a new tracker
     automatically releases a stale one from a finished engine.  Events
     on other engines pass straight through the wrappers.
     """

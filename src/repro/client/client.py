@@ -98,11 +98,9 @@ class Client:
         self.stats = StatsRegistry(engine, self.name)
         self.retry = retry or RetryPolicy()
         self.up = True
-        #: Conformance history recorder (see ``repro.conformance``);
+        #: Observer tap (set by the Cluster; see ``repro.obs.tap``);
         #: None keeps the hot path unobserved.
-        self.recorder = None
-        #: Observability (see ``repro.obs``); same None-guarded pattern.
-        self.obs = None
+        self.tap = None
         #: Optional per-path MDS routing (multi-MDS subtree partitioning);
         #: ``router(path) -> MetadataServer``.  None pins to ``mds``.
         self.router = router
@@ -134,16 +132,16 @@ class Client:
         self.up = False
         self.cache = ClientCache(self.client_id)
         self.stats.counter("crashes").incr()
-        if self.recorder is not None:
-            self.recorder.record_crash(self.name)
+        if self.tap is not None:
+            self.tap.mark("crash", self.name)
 
     def recover(self) -> None:
         if self.up:
             return
         self.up = True
         self.stats.counter("recoveries").incr()
-        if self.recorder is not None:
-            self.recorder.record_recover(self.name, mode="rpc")
+        if self.tap is not None:
+            self.tap.mark("recover", self.name, mode="rpc")
 
     # -- plumbing -----------------------------------------------------------
     def _exchange(
@@ -180,21 +178,15 @@ class Client:
         if not self.up:
             raise OSError(f"{self.name} is crashed")
         mds = self._target(request.path)
-        rec = self.recorder
-        obs = self.obs
-        span = None
-        if obs is not None:
-            span = obs.tracer.start(
-                "client.rpc", daemon=self.name, mechanism="rpc",
-                op=request.op,
+        tap = self.tap
+        section = None
+        if tap is not None:
+            section = tap.begin(
+                "client.rpc", self.name, "rpc",
+                op=request.op, count=op_count, request=request,
             )
+        response = None
         try:
-            op_ids = None
-            if rec is not None:
-                op_ids = rec.record_invoke(
-                    self.name, request.op, rec.request_paths(request),
-                    self.client_id,
-                )
             yield self.engine.sleep(op_count * cal.CLIENT_OP_OVERHEAD_S)
             attempt = 0
             backoff = self.retry.base_backoff_s
@@ -208,10 +200,6 @@ class Client:
                         response = Response(
                             ok=False, error=f"ETIMEDOUT: {exc}", rpcs=1
                         )
-                        if rec is not None:
-                            rec.record_complete(
-                                self.name, op_ids, False, error=response.error
-                            )
                         return response
                     attempt += 1
                     self.stats.counter("rpc_retries").incr()
@@ -229,10 +217,6 @@ class Client:
                     self.stats.counter("redirects").incr()
                     if attempt >= self.retry.max_retries:
                         self.stats.counter("rpc_giveups").incr()
-                        if rec is not None:
-                            rec.record_complete(
-                                self.name, op_ids, False, error=response.error
-                            )
                         return response
                     attempt += 1
                     yield self.engine.sleep(backoff)
@@ -249,19 +233,16 @@ class Client:
                 self.cache.note_lookup(local=False)
             else:
                 self.cache.note_lookup(local=True)
-            if rec is not None:
-                rec.record_complete(self.name, op_ids, response.ok, error=response.error)
             return response
+        except BaseException:
+            response = None  # unwound, maybe mid-retry: nothing was acked
+            raise
         finally:
-            if span is not None:
-                obs.tracer.end(span)
-                obs.hub.histogram(
-                    "op_latency_s", daemon=self.name, mechanism="rpc",
-                    op=request.op,
-                ).observe(span.duration_s)
-                obs.hub.counter(
-                    "ops", daemon=self.name, mechanism="rpc", op=request.op
-                ).incr(op_count)
+            if section is not None:
+                if response is None:
+                    tap.end(section)
+                else:
+                    tap.end(section, ok=response.ok, error=response.error)
 
     # -- operations ------------------------------------------------------------
     def mkdir(self, path: str) -> Generator[Event, None, Response]:

@@ -84,11 +84,9 @@ class DecoupledClient:
         #: One-shot armed corruption for the next local persist:
         #: ``(mode, seed)`` per :mod:`repro.faults.corrupt`.
         self._armed_persist_fault: Optional[tuple] = None
-        #: Conformance history recorder (see ``repro.conformance``);
+        #: Observer tap (set by the Cluster; see ``repro.obs.tap``);
         #: None keeps the append path unobserved.
-        self.recorder = None
-        #: Observability (see ``repro.obs``); same None-guarded pattern.
-        self.obs = None
+        self.tap = None
 
     # -- inode provisioning -------------------------------------------------
     def assign_inodes(self, ino_range) -> None:
@@ -115,20 +113,6 @@ class DecoupledClient:
             per_op += cal.LOCAL_PERSIST_RECORD_S
         return n * per_op
 
-    def _obs_record(self, op: str, n: int, t0: float) -> None:
-        """Record one append-path op batch (no-op when obs is off)."""
-        obs = self.obs
-        if obs is None:
-            return
-        obs.hub.histogram(
-            "op_latency_s", daemon=self.name,
-            mechanism="append_client_journal", op=op,
-        ).observe(self.engine.now - t0)
-        obs.hub.counter(
-            "ops", daemon=self.name, mechanism="append_client_journal",
-            op=op,
-        ).incr(n)
-
     # -- operations (process bodies) ---------------------------------------
     def create_many(
         self,
@@ -136,128 +120,92 @@ class DecoupledClient:
         names_or_count: Union[int, Sequence[str]],
     ) -> Generator[Event, None, int]:
         """Append creates for many files; returns ops recorded."""
-        obs = self.obs
-        span = None
-        if obs is not None:
-            span = obs.tracer.start(
-                "client.append", daemon=self.name,
-                mechanism="append_client_journal", op="create",
+        if isinstance(names_or_count, int):
+            n, paths = names_or_count, None
+        else:
+            base = dir_path.rstrip("/")
+            paths = [f"{base}/{name}" for name in names_or_count]
+            n = len(paths)
+        tap = self.tap
+        section = None
+        if tap is not None:
+            section = tap.begin(
+                "client.append", self.name, "append_client_journal",
+                op="create", count=n, paths=paths, client=self.client_id,
             )
-        t0 = self.engine.now
+        appended = None
         try:
-            if isinstance(names_or_count, int):
-                n = names_or_count
-                yield self.engine.sleep(self._op_time(n))
+            yield self.engine.sleep(self._op_time(n))
+            if paths is None:
                 self.counted_ops += n
-                if self.persist_each:
-                    yield from self.persist_device.write(n * WIRE_EVENT_BYTES)
-                    self.note_local_persist()
-                self.stats.counter("ops").incr(n)
-                self._obs_record("create", n, t0)
-                return n
-            names = list(names_or_count)
-            rec = self.recorder
-            op_ids = None
-            if rec is not None:
-                base = dir_path.rstrip("/")
-                op_ids = rec.record_invoke(
-                    self.name, "create", [f"{base}/{n}" for n in names],
-                    self.client_id,
-                )
-            yield self.engine.sleep(self._op_time(len(names)))
-            appended = []
-            for name in names:
-                path = dir_path.rstrip("/") + "/" + name
-                appended.append(self.journal.append(
-                    JournalEvent(
-                        EventType.CREATE,
-                        path,
-                        ino=self._next_ino(),
-                        mtime=self.engine.now,
-                        client_id=self.client_id,
+            else:
+                appended = [
+                    self.journal.append(
+                        JournalEvent(
+                            EventType.CREATE,
+                            path,
+                            ino=self._next_ino(),
+                            mtime=self.engine.now,
+                            client_id=self.client_id,
+                        )
                     )
-                ))
-            if rec is not None:
-                rec.record_complete(self.name, op_ids, True, events=appended)
+                    for path in paths
+                ]
             if self.persist_each:
-                yield from self.persist_device.write(len(names) * WIRE_EVENT_BYTES)
+                yield from self.persist_device.write(n * WIRE_EVENT_BYTES)
                 self.note_local_persist()
-            self.stats.counter("ops").incr(len(names))
-            self._obs_record("create", len(names), t0)
-            return len(names)
-        finally:
-            if span is not None:
-                obs.tracer.end(span)
+            self.stats.counter("ops").incr(n)
+        except BaseException:
+            if section is not None:
+                tap.end(section)
+            raise
+        if section is not None:
+            tap.end(section, ok=True, events=appended)
+        return n
+
+    def _append_one(
+        self, op: EventType, path: str, new_ino: bool = False, **attrs
+    ) -> Generator[Event, None, JournalEvent]:
+        """Append one ``op`` record for ``path`` (``attrs`` are further
+        :class:`JournalEvent` fields; ``new_ino`` draws the next
+        provisioned inode once the append cost is paid)."""
+        tap = self.tap
+        section = None
+        if tap is not None:
+            section = tap.begin(
+                "client.append_op", self.name, "append_client_journal",
+                op=op.name.lower(), count=1, paths=[path],
+                client=self.client_id,
+            )
+        yield self.engine.sleep(self._op_time(1))
+        if new_ino:
+            attrs["ino"] = self._next_ino()
+        ev = self.journal.append(
+            JournalEvent(
+                op, path, mtime=self.engine.now, client_id=self.client_id,
+                **attrs,
+            )
+        )
+        if self.persist_each:
+            yield from self.persist_device.write(WIRE_EVENT_BYTES)
+            self.note_local_persist()
+        self.stats.counter("ops").incr(1)
+        if section is not None:
+            tap.end(section, ok=True, events=[ev])
+        return ev
 
     def mkdir(self, path: str) -> Generator[Event, None, JournalEvent]:
-        rec = self.recorder
-        op_ids = None
-        if rec is not None:
-            op_ids = rec.record_invoke(self.name, "mkdir", [path], self.client_id)
-        t0 = self.engine.now
-        yield self.engine.sleep(self._op_time(1))
-        ev = self.journal.append(
-            JournalEvent(
-                EventType.MKDIR,
-                path,
-                ino=self._next_ino(),
-                mode=0o755,
-                mtime=self.engine.now,
-                client_id=self.client_id,
-            )
-        )
-        if rec is not None:
-            rec.record_complete(self.name, op_ids, True, events=[ev])
-        if self.persist_each:
-            yield from self.persist_device.write(WIRE_EVENT_BYTES)
-            self.note_local_persist()
-        self.stats.counter("ops").incr(1)
-        self._obs_record("mkdir", 1, t0)
-        return ev
+        return (yield from self._append_one(
+            EventType.MKDIR, path, new_ino=True, mode=0o755
+        ))
 
     def unlink(self, path: str) -> Generator[Event, None, JournalEvent]:
-        rec = self.recorder
-        op_ids = None
-        if rec is not None:
-            op_ids = rec.record_invoke(self.name, "unlink", [path], self.client_id)
-        t0 = self.engine.now
-        yield self.engine.sleep(self._op_time(1))
-        ev = self.journal.append(
-            JournalEvent(
-                EventType.UNLINK, path, mtime=self.engine.now,
-                client_id=self.client_id,
-            )
-        )
-        if rec is not None:
-            rec.record_complete(self.name, op_ids, True, events=[ev])
-        if self.persist_each:
-            yield from self.persist_device.write(WIRE_EVENT_BYTES)
-            self.note_local_persist()
-        self.stats.counter("ops").incr(1)
-        self._obs_record("unlink", 1, t0)
-        return ev
+        return (yield from self._append_one(EventType.UNLINK, path))
 
     def rename(self, src: str, dst: str) -> Generator[Event, None, JournalEvent]:
-        rec = self.recorder
-        op_ids = None
-        if rec is not None:
-            op_ids = rec.record_invoke(self.name, "rename", [src], self.client_id)
-        t0 = self.engine.now
-        yield self.engine.sleep(self._op_time(1))
-        ev = self.journal.append(
-            JournalEvent(
-                EventType.RENAME, src, target_path=dst,
-                mtime=self.engine.now, client_id=self.client_id,
-            )
-        )
-        if rec is not None:
-            rec.record_complete(self.name, op_ids, True, events=[ev])
-        if self.persist_each:
-            yield from self.persist_device.write(WIRE_EVENT_BYTES)
-            self.note_local_persist()
-        self.stats.counter("ops").incr(1)
-        self._obs_record("rename", 1, t0)
-        return ev
+        return (yield from self._append_one(
+            EventType.RENAME, src, target_path=dst
+        ))
 
     # -- bookkeeping --------------------------------------------------------
     @property
@@ -289,16 +237,15 @@ class DecoupledClient:
         self._persisted_counted = self.counted_ops
         self._persisted_image = None
         self.stats.counter("local_persists").incr()
-        if self.recorder is not None:
-            self.recorder.record_local_persist(self)
+        if self.tap is not None:
+            self.tap.mark(
+                "persisted", self.name, scope="local",
+                events=self.journal.events, client=self.client_id,
+            )
         if self._armed_persist_fault is not None:
             mode, seed = self._armed_persist_fault
             self._armed_persist_fault = None
             self._apply_persist_fault(mode, seed)
-        if self.obs is not None:
-            self.obs.hub.counter(
-                "local_persists", daemon=self.name, mechanism="local_persist"
-            ).incr()
 
     def _apply_persist_fault(self, mode: str, seed: int) -> None:
         """The armed crash fired mid-persist: what reached the disk is a
@@ -313,9 +260,10 @@ class DecoupledClient:
         self._persisted_image = damaged
         self._persisted_events = list(scan.events)
         self.stats.counter("persist_faults").incr()
-        if self.recorder is not None:
-            self.recorder.record_persist_fault(
-                self, scope="local", mode=mode, scan=scan
+        if self.tap is not None:
+            self.tap.mark(
+                "persist-fault", self.name, scope="local", mode=mode,
+                scan=scan, client=self.client_id,
             )
 
     def crash(self, lose_disk: bool = False) -> int:
@@ -339,36 +287,35 @@ class DecoupledClient:
             self._persisted_counted = 0
             self._persisted_image = None
         self.stats.counter("crashes").incr()
-        if self.recorder is not None:
-            self.recorder.record_crash(self.name, lose_disk=lose_disk, lost=lost)
+        if self.tap is not None:
+            self.tap.mark("crash", self.name, lose_disk=lose_disk, lost=lost)
         return lost
 
     # -- recovery (process bodies) ------------------------------------------
     def _scan_image(self, data: bytes, source: str):
         """Run the verifying recovery scan over a persisted image (the
-        only thing recovery may trust), instrumented when obs is on."""
+        only thing recovery may trust)."""
         from repro.journal.format import JournalCodec
 
-        obs = self.obs
-        span = None
-        if obs is not None:
-            span = obs.tracer.start(
-                "recover.scan", daemon=self.name, mechanism="recovery",
-                source=source,
+        tap = self.tap
+        section = None
+        if tap is not None:
+            section = tap.begin(
+                "recover.scan", self.name, "recovery", source=source
             )
         scan = JournalCodec.scan_stream(data)
-        if span is not None:
-            obs.tracer.end(span)
-            obs.hub.histogram(
-                "recovery_scan_events", daemon=self.name,
-                mechanism="recovery", source=source,
-            ).observe(len(scan.events))
-            if scan.damage is not None:
-                obs.hub.counter(
-                    "recovery_scan_damage", daemon=self.name,
-                    mechanism="recovery", damage=scan.damage,
-                ).incr()
+        if section is not None:
+            tap.end(section, events=len(scan.events), damage=scan.damage)
         return scan
+
+    def _mark_recovered(self, mode: str) -> None:
+        """Recovery finished: the journal now holds exactly what the
+        recovery source gave back."""
+        if self.tap is not None:
+            self.tap.mark(
+                "recover", self.name, mode=mode,
+                events=self.journal.events, client=self.client_id,
+            )
 
     def recover_local(self) -> Generator[Event, None, int]:
         """Re-read the locally persisted journal image from disk.
@@ -387,8 +334,7 @@ class DecoupledClient:
         self.journal.restore(self._persisted_events)
         self.counted_ops = self._persisted_counted
         self.stats.counter("recoveries").incr()
-        if self.recorder is not None:
-            self.recorder.record_client_recover(self, mode="local")
+        self._mark_recovered("local")
         return n
 
     def recover_global(self, striper) -> Generator[Event, None, int]:
@@ -406,6 +352,5 @@ class DecoupledClient:
         recovered.restore(scan.events)
         self.journal = recovered
         self.stats.counter("recoveries").incr()
-        if self.recorder is not None:
-            self.recorder.record_client_recover(self, mode="global")
+        self._mark_recovered("global")
         return len(recovered)

@@ -83,13 +83,11 @@ class Cluster:
             self.mon.subscribe(osd.name)
         self._clients: List[Client] = []
         self._dclients: List[DecoupledClient] = []
-        #: Conformance history recorder (set by
-        #: ``repro.conformance.HistoryRecorder.attach``); propagated to
-        #: clients created after attachment.
-        self.recorder = None
-        #: Observability (set by ``repro.obs.Observability.attach``);
-        #: propagated to clients created after attachment.
-        self.obs = None
+        #: The observer tap (:mod:`repro.obs.tap`) every daemon of this
+        #: cluster reports through; None — and no tap allocated — while
+        #: nothing observes.  Clients created later inherit it.
+        self.tap = None
+        self._observers: list = []
 
     @staticmethod
     def _rank_config(cfg: MDSConfig, rank: int) -> MDSConfig:
@@ -136,10 +134,7 @@ class Cluster:
             router=self.mds_for if len(self.mds_list) > 1 else None,
             retry=retry,
         )
-        if self.recorder is not None:
-            client.recorder = self.recorder
-        if self.obs is not None:
-            client.obs = self.obs
+        client.tap = self.tap
         self._clients.append(client)
         return client
 
@@ -152,16 +147,37 @@ class Cluster:
             persist_each=persist_each,
             persist_backend=persist_backend,
         )
-        if self.recorder is not None:
-            client.recorder = self.recorder
-        if self.obs is not None:
-            client.obs = self.obs
+        client.tap = self.tap
         self._dclients.append(client)
         return client
 
     @property
     def clients(self) -> List[Client]:
         return list(self._clients)
+
+    # -- observers ----------------------------------------------------------
+    def attach_observer(self, subscriber) -> None:
+        """Subscribe ``subscriber`` (see :mod:`repro.obs.tap`) to every
+        daemon of this cluster."""
+        if subscriber in self._observers:
+            raise RuntimeError("observer is already attached")
+        self._set_observers(self._observers + [subscriber])
+
+    def detach_observer(self, subscriber) -> None:
+        self._set_observers(
+            [sub for sub in self._observers if sub is not subscriber]
+        )
+
+    def _set_observers(self, observers: list) -> None:
+        # Observation is opt-in: nothing of repro.obs loads before this.
+        from repro.obs.tap import Tap
+
+        self._observers = observers
+        self.tap = tap = Tap(observers) if observers else None
+        for mds in self.mds_list:
+            mds.tap = mds.journal.tap = tap
+        for daemon in (*self.objstore.osds, *self._clients, *self._dclients):
+            daemon.tap = tap
 
     # -- convenience ----------------------------------------------------------
     def run(self, gen=None, until: Optional[float] = None):

@@ -28,6 +28,7 @@ byte-identical across repeats and across ``--jobs`` fan-out
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.harness import parallel_map
@@ -106,6 +107,39 @@ def _crash_recover(cluster, target: str, mode: str,
     cluster.run()
 
 
+@contextmanager
+def _observed(cluster, with_obs: bool):
+    """Attach the history recorder — plus observability when the cell
+    runs instrumented (``None`` otherwise) — for the duration of a cell."""
+    recorder = HistoryRecorder.attach(cluster)
+    obs = None
+    if with_obs:
+        from repro.obs import Observability
+
+        obs = Observability(cluster).attach()
+    try:
+        yield recorder, obs
+    finally:
+        if obs is not None:
+            obs.detach()
+        recorder.detach()
+
+
+def _cell_result(verdict: Dict, recorder, obs) -> Dict:
+    """A cell's output: verdict, canonical history and — instrumented
+    cells only — the ``obs`` summary."""
+    result = {"verdict": verdict, "history": recorder.history.canonical()}
+    if obs is not None:
+        from repro.obs.report import breakdown_rows
+
+        result["obs"] = {
+            "breakdown": breakdown_rows(obs.hub),
+            "span_count": len(obs.tracer.spans),
+            "metric_count": len(obs.hub),
+        }
+    return result
+
+
 def run_cell(task: Tuple) -> Dict:
     """Run one (consistency, durability, seed[, obs[, migrate]])
     scenario; returns a dict with the checker ``verdict`` and the
@@ -131,15 +165,7 @@ def run_cell(task: Tuple) -> Dict:
     )
     if migrate:
         cluster.assign_subtree_mds(SUBTREE, 0)
-    recorder = HistoryRecorder.attach(cluster)
-    obs = None
-    if with_obs:
-        # Attach after the recorder so the object-store hook chains;
-        # detach (below) before the recorder for the same reason.
-        from repro.obs import Observability
-
-        obs = Observability(cluster).attach()
-    try:
+    with _observed(cluster, with_obs) as (recorder, obs):
         cudele = Cudele(cluster)
         boot = cluster.new_client()
         cluster.run(boot.mkdir(SUBTREE))
@@ -190,20 +216,7 @@ def run_cell(task: Tuple) -> Dict:
             subtree=SUBTREE, owner=owner,
         )
         verdict["seed"] = seed
-        result = {"verdict": verdict, "history": recorder.history.canonical()}
-        if obs is not None:
-            from repro.obs.report import breakdown_rows
-
-            result["obs"] = {
-                "breakdown": breakdown_rows(obs.hub),
-                "span_count": len(obs.tracer.spans),
-                "metric_count": len(obs.hub),
-            }
-        return result
-    finally:
-        if obs is not None:
-            obs.detach()
-        recorder.detach()
+        return _cell_result(verdict, recorder, obs)
 
 
 def run_corruption_cell(task: Tuple) -> Dict:
@@ -222,13 +235,7 @@ def run_corruption_cell(task: Tuple) -> Dict:
     cluster = Cluster(
         seed=seed, mds_config=MDSConfig(segment_events=SEGMENT_EVENTS)
     )
-    recorder = HistoryRecorder.attach(cluster)
-    obs = None
-    if with_obs:
-        from repro.obs import Observability
-
-        obs = Observability(cluster).attach()
-    try:
+    with _observed(cluster, with_obs) as (recorder, obs):
         cudele = Cudele(cluster)
         boot = cluster.new_client()
         cluster.run(boot.mkdir(SUBTREE))
@@ -264,20 +271,7 @@ def run_corruption_cell(task: Tuple) -> Dict:
         )
         verdict["seed"] = seed
         verdict["fault_mode"] = mode
-        result = {"verdict": verdict, "history": recorder.history.canonical()}
-        if obs is not None:
-            from repro.obs.report import breakdown_rows
-
-            result["obs"] = {
-                "breakdown": breakdown_rows(obs.hub),
-                "span_count": len(obs.tracer.spans),
-                "metric_count": len(obs.hub),
-            }
-        return result
-    finally:
-        if obs is not None:
-            obs.detach()
-        recorder.detach()
+        return _cell_result(verdict, recorder, obs)
 
 
 def run_corruption_drill(
@@ -319,7 +313,7 @@ def run_matrix(
     """Check every requested cell under one seed; returns the report.
 
     With ``obs=True`` each cell also runs instrumented (metrics + span
-    tracing chained over the history recorder) and the report gains a
+    tracing beside the history recorder) and the report gains a
     per-cell ``obs`` section.  Verdicts and histories are identical
     either way — observation is pure host-side bookkeeping.
 

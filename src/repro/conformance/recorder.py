@@ -1,48 +1,51 @@
 """History recording: lightweight hooks over a live cluster.
 
-``HistoryRecorder.attach(cluster)`` wires itself into every component
-that can witness a consistency- or durability-relevant transition:
+``HistoryRecorder.attach(cluster)`` subscribes to the cluster's
+observer tap (:mod:`repro.obs.tap`; vocabulary in
+``docs/OBSERVABILITY.md``) and turns what the daemons report into
+history events:
 
-* clients (``repro.client.client.Client``) and decoupled clients
-  (``repro.client.decoupled.DecoupledClient``) report operation
-  invocations/completions, crashes, recoveries and local persists;
-* the MDS (``repro.mds.server.MetadataServer``) reports the moment a
-  mutation becomes globally visible (its authoritative store changed),
-  merge windows (Volatile Apply) and journal-replay recoveries;
-* the object layer (``repro.rados.objects.RadosObject.on_mutate``)
-  reports bytes landing in the object store, which the recorder
+* the ``client.rpc`` / ``client.append`` / ``client.append_op``
+  sections become operation invocations and completions;
+* clients and the MDS mark crashes, recoveries, local persists and
+  persist faults; the MDS marks the moment a mutation becomes globally
+  visible (its authoritative store changed), merge windows (Volatile
+  Apply), what it journaled and what a migration lifted back out;
+* each OSD marks bytes landing in an object, which the recorder
   interprets into *global* persistence events for client and MDS
   journals.
 
-Recording is pure observation: no hook touches the DES engine, so an
-instrumented run is simulation-identical to a bare one.  Only one
-recorder may be attached per process at a time (the object-layer hook
-is a class attribute); :meth:`detach` releases it.
+Recording is pure observation: no handler touches the DES engine, so an
+instrumented run is simulation-identical to a bare one.
 """
 
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro.conformance.history import History, HistoryEvent
 from repro.journal.events import EventType, JournalEvent
-from repro.rados.objects import RadosObject
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.client.decoupled import DecoupledClient
     from repro.cluster import Cluster
-    from repro.mds.server import MetadataServer, Request
+    from repro.mds.server import MetadataServer
 
 __all__ = ["HistoryRecorder"]
 
 #: Striped journal object names: "<owner>.journal.<hex stripe index>"
 #: (see :meth:`repro.rados.striper.Striper.object_name`).
 _JOURNAL_OBJECT = re.compile(r"^(?P<owner>[A-Za-z0-9_]+)\.journal\.[0-9a-f]+$")
+#: History op names, by journal op code (an ``EventType`` or its int).
+_OP_NAMES = {op: op.name.lower() for op in EventType}
 
 
 class HistoryRecorder:
-    """Builds a :class:`~repro.conformance.history.History` from hooks."""
+    """Builds a :class:`~repro.conformance.history.History` from what
+    the cluster's daemons report through the observer tap."""
+
+    #: The tap sections that are client operations.
+    tap_sections = ("client.rpc", "client.append", "client.append_op")
 
     def __init__(self, cluster: "Cluster"):
         self.cluster = cluster
@@ -62,81 +65,80 @@ class HistoryRecorder:
         #: Mutation-only persisted seq per MDS (protocol markers ride in
         #: the journal but carry no namespace update to persist).
         self._mds_persisted_muts: Dict[str, int] = {}
+        self.tap_marks = {
+            "visible": self._on_visible,
+            "journaled": self._on_journaled,
+            "exported": self._on_exported,
+            "persisted": self._on_persisted,
+            "persist-fault": self._on_persist_fault,
+            "object-written": self._on_object_written,
+            "crash": self._on_crash,
+            "recover": self._on_recover,
+            "merge": self._on_merge,
+            "migrate": self._on_migrate,
+        }
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     @classmethod
     def attach(cls, cluster: "Cluster") -> "HistoryRecorder":
-        """Create a recorder and hook it into ``cluster``."""
+        """Create a recorder and subscribe it to ``cluster``'s tap."""
         recorder = cls(cluster)
-        if RadosObject.on_mutate is not None:
-            raise RuntimeError(
-                "another HistoryRecorder is already attached in this process"
-            )
-        cluster.recorder = recorder
-        for mds in cluster.mds_list:
-            mds.recorder = recorder
-        for client in cluster._clients:
-            client.recorder = recorder
-        for dclient in cluster._dclients:
-            dclient.recorder = recorder
-        RadosObject.on_mutate = recorder._on_object_mutate
+        cluster.attach_observer(recorder)
         recorder._attached = True
         return recorder
 
     def detach(self) -> None:
-        """Release every hook (idempotent)."""
+        """Unsubscribe (idempotent)."""
         if not self._attached:
             return
         self._attached = False
-        RadosObject.on_mutate = None
-        self.cluster.recorder = None
-        for mds in self.cluster.mds_list:
-            mds.recorder = None
-        for client in self.cluster._clients:
-            client.recorder = None
-        for dclient in self.cluster._dclients:
-            dclient.recorder = None
+        self.cluster.detach_observer(self)
 
     def _emit(self, **kw) -> HistoryEvent:
         return self.history.append(HistoryEvent(t=self.engine.now, **kw))
 
     # ------------------------------------------------------------------
-    # client-side hooks (invocations and completions)
+    # sections: client operations (invocations and completions)
     # ------------------------------------------------------------------
-    def record_invoke(
-        self,
-        actor: str,
-        op: str,
-        paths: Sequence[str],
-        client_id: int,
-    ) -> List[int]:
-        """One ``invoke`` per affected path; returns their op ids."""
-        ids = []
+    def begin(self, name: str, daemon: str, mechanism: str, fields: dict):
+        """An operation was invoked: one ``invoke`` per affected path
+        (an RPC names them through its request; counted appends name
+        none).  Returns the actor and the op ids :meth:`end` completes."""
+        request = fields.get("request")
+        if request is None:
+            paths, client_id = fields["paths"] or (), fields["client"]
+        else:
+            client_id = request.client_id
+            if request.names is not None:
+                base = request.path.rstrip("/")
+                paths = [f"{base}/{name}" for name in request.names]
+            else:
+                paths = [request.path]
+        op = fields["op"]
+        op_ids = []
         for path in paths:
             op_id = self._next_op_id
             self._next_op_id += 1
             self._emit(
-                kind="invoke", actor=actor, op=op, path=path,
+                kind="invoke", actor=daemon, op=op, path=path,
                 op_id=op_id, client=client_id,
             )
-            ids.append(op_id)
-        return ids
+            op_ids.append(op_id)
+        return daemon, op_ids
 
-    def record_complete(
-        self,
-        actor: str,
-        op_ids: Sequence[int],
-        ok: bool,
-        error: Optional[str] = None,
-        events: Optional[Sequence[JournalEvent]] = None,
-    ) -> None:
-        """Completions for earlier invokes.
-
-        ``events`` (decoupled appends) carries the journal records the
-        acknowledgement covers, aligning seq/ino per op id.
+    def end(self, token, result: dict) -> None:
+        """The operation was acknowledged (``ok`` in the result; a
+        section unwound by an exception carries none and completes
+        nothing).  ``events`` (decoupled appends) carries the journal
+        records the acknowledgement covers, aligning seq/ino per op id.
         """
+        if "ok" not in result:
+            return
+        actor, op_ids = token
+        ok, error = result["ok"], result.get("error")
+        events = result.get("events")
         for i, op_id in enumerate(op_ids):
             extra = {}
             if events is not None and i < len(events):
@@ -146,65 +148,43 @@ class HistoryRecorder:
                 ok=ok, error=error, **extra,
             )
 
-    @staticmethod
-    def request_paths(request: "Request") -> List[str]:
-        """The full paths one MDS request touches."""
-        if request.names is not None:
-            base = request.path.rstrip("/")
-            return [f"{base}/{name}" for name in request.names]
-        return [request.path]
-
     # ------------------------------------------------------------------
-    # MDS-side hooks (visibility, merges, recovery)
+    # marks: MDS side (visibility, merges, journal mirror, migration)
     # ------------------------------------------------------------------
-    def record_visible(
-        self,
-        actor: str,
-        op: str,
-        path: str,
-        ino: int = 0,
-        client_id: int = 0,
-        target: Optional[str] = None,
-    ) -> None:
+    def _on_visible(self, actor: str, d: dict) -> None:
         self._emit(
-            kind="visible", actor=actor, op=op, path=path,
-            ino=ino or None, client=client_id, target=target,
+            kind="visible", actor=actor,
+            op=_OP_NAMES[d["op"]], path=d["path"],
+            ino=d.get("ino") or None, client=d["client"],
+            target=d.get("target"),
         )
 
-    def record_merge_begin(self, actor: str, subtree: str, client_id: int,
-                           count: int) -> None:
+    def _on_merge(self, actor: str, d: dict) -> None:
+        if d["phase"] == "begin":
+            detail = {"count": d["count"]}
+        else:
+            detail = {"applied": d["applied"], "conflicts": d["conflicts"]}
         self._emit(
-            kind="merge_begin", actor=actor, path=subtree, client=client_id,
-            detail={"count": count},
+            kind=f"merge_{d['phase']}", actor=actor, path=d["subtree"],
+            client=d["client"], detail=detail,
         )
 
-    def record_merge_end(self, actor: str, subtree: str, client_id: int,
-                         applied: int, conflicts: int) -> None:
-        self._emit(
-            kind="merge_end", actor=actor, path=subtree, client=client_id,
-            detail={"applied": applied, "conflicts": conflicts},
-        )
-
-    def note_mds_journaled(
-        self, mds: "MetadataServer", events: Sequence[JournalEvent]
-    ) -> None:
+    def _on_journaled(self, actor: str, d: dict) -> None:
         """The MDS appended real events to its (segmented) journal; they
         become *globally persisted* when their segment's object write
-        lands (seen via the object-layer hook)."""
-        self._mds_journaled.setdefault(mds.name, []).extend(events)
+        lands (seen through the OSD's ``object-written`` mark)."""
+        self._mds_journaled.setdefault(actor, []).extend(d["events"])
 
-    def note_mds_export(
-        self, mds: "MetadataServer", removed: Sequence[JournalEvent]
-    ) -> None:
-        """A subtree migration lifted undispatched events out of
-        ``mds``'s open segment; drop their mirror entries.  Extraction
+    def _on_exported(self, actor: str, d: dict) -> None:
+        """A subtree migration lifted undispatched events out of the
+        MDS's open segment; drop their mirror entries.  Extraction
         only ever touches the open segment, which is the tail of the
         mirrored list — always beyond the persisted prefix, so earlier
         ``persisted`` records never referenced these entries."""
-        if not removed:
+        pending = list(d["events"])
+        if not pending:
             return
-        journaled = self._mds_journaled.get(mds.name, [])
-        pending = list(removed)
+        journaled = self._mds_journaled.get(actor, [])
         idx = len(journaled) - 1
         while pending and idx >= 0:
             ev = journaled[idx]
@@ -221,148 +201,130 @@ class HistoryRecorder:
             idx -= 1
         if pending:
             raise RuntimeError(
-                f"{mds.name}: {len(pending)} exported journal events have "
+                f"{actor}: {len(pending)} exported journal events have "
                 "no mirror entry; persist accounting would desynchronize"
             )
 
-    def record_migrate(
-        self,
-        subtree: str,
-        src: str,
-        dst: str,
-        phase: str,
-        epoch: int,
-        **extra,
-    ) -> None:
-        """One phase transition of a live subtree migration.
-
-        ``phase`` is ``begin`` (source froze the subtree), ``commit``
-        (authority switched to the destination) or ``abort`` (the
-        handoff unwound; the source keeps authority).
-        """
-        detail = {"phase": phase, "src": src, "dst": dst, "epoch": epoch}
-        for k, v in sorted(extra.items()):
-            detail[k] = v
-        self._emit(kind="migrate", actor=src, path=subtree, detail=detail)
-
-    def record_mds_recover(
-        self, mds: "MetadataServer", events: Sequence[JournalEvent]
-    ) -> None:
-        # Replayed events are numbered by journal position (matching the
-        # global-persist records, which index the same log) — MDS-side
-        # JournalEvents carry no client-journal seq of their own.
-        idx = 0
-        for ev in events:
-            if not ev.is_mutation:
-                continue
-            idx += 1
-            self._emit(
-                kind="recovered", actor=mds.name,
-                op=EventType(ev.op).name.lower(), path=ev.path,
-                ino=ev.ino or None, seq=idx, client=ev.client_id,
-                target=ev.target_path,
-            )
-        self._emit(
-            kind="recover", actor=mds.name,
-            detail={"mode": "journal-replay", "restored": len(events)},
-        )
+    def _on_migrate(self, actor: str, d: dict) -> None:
+        """One phase transition of a live subtree migration, marked by
+        the source rank: ``begin`` (source froze the subtree),
+        ``commit`` (authority switched to the destination) or ``abort``
+        (the handoff unwound; the source keeps authority)."""
+        detail = dict(d, src=actor)
+        subtree = detail.pop("subtree")
+        self._emit(kind="migrate", actor=actor, path=subtree, detail=detail)
 
     # ------------------------------------------------------------------
-    # crash / recovery markers (repro.faults drives these paths)
+    # marks: crash / recovery (repro.faults drives these paths)
     # ------------------------------------------------------------------
-    def record_crash(self, actor: str, **detail) -> None:
-        self._emit(kind="crash", actor=actor,
-                   detail={k: v for k, v in sorted(detail.items())})
+    def _on_crash(self, actor: str, d: dict) -> None:
+        self._emit(kind="crash", actor=actor, detail=dict(d))
         # An MDS crash drops its open (undispatched) segment: trim the
         # same events off the journal mirror's tail so a later segment
         # land never claims the lost events were persisted.  In-flight
         # segments sit earlier in the mirror and are allowed to land.
-        lost = detail.get("journal_events_lost", 0)
+        lost = d.get("journal_events_lost", 0)
         journaled = self._mds_journaled.get(actor)
         if journaled is not None and lost:
             del journaled[max(0, len(journaled) - lost):]
 
-    def record_client_recover(
-        self, dclient: "DecoupledClient", mode: str
-    ) -> None:
-        """A decoupled client finished recovery: its journal now holds
-        exactly what the recovery source gave back."""
-        for ev in dclient.journal.events:
+    def _on_recover(self, actor: str, d: dict) -> None:
+        """A daemon finished recovery.  ``events`` is what came back: a
+        decoupled client's journal (it names the ``client``; the events
+        carry their own seq) or the MDS's replayed log, numbered by
+        journal position over mutations (matching the global-persist
+        records, which index the same log) — MDS-side JournalEvents
+        carry no client-journal seq of their own.  An RPC client
+        restores nothing."""
+        events = d.get("events")
+        if events is None:
+            self._emit(kind="recover", actor=actor, detail=dict(d))
+            return
+        if "client" in d:
+            numbered = [(ev.seq, d["client"], ev) for ev in events]
+        else:
+            mutations = [ev for ev in events if ev.is_mutation]
+            numbered = [
+                (i, ev.client_id, ev) for i, ev in enumerate(mutations, 1)
+            ]
+        for seq, client_id, ev in numbered:
             self._emit(
-                kind="recovered", actor=dclient.name,
-                op=EventType(ev.op).name.lower(), path=ev.path,
-                ino=ev.ino or None, seq=ev.seq, client=dclient.client_id,
+                kind="recovered", actor=actor,
+                op=_OP_NAMES[ev.op], path=ev.path,
+                ino=ev.ino or None, seq=seq, client=client_id,
                 target=ev.target_path,
             )
         self._emit(
-            kind="recover", actor=dclient.name,
-            detail={"mode": mode, "restored": len(dclient.journal)},
+            kind="recover", actor=actor,
+            detail={"mode": d["mode"], "restored": len(events)},
         )
 
-    def record_recover(self, actor: str, **detail) -> None:
-        self._emit(kind="recover", actor=actor,
-                   detail={k: v for k, v in sorted(detail.items())})
-
     # ------------------------------------------------------------------
-    # persistence
+    # marks: persistence
     # ------------------------------------------------------------------
-    def record_local_persist(self, dclient: "DecoupledClient") -> None:
-        """Local Persist landed: journal events up to the current tail
-        are now safe on the client's own disk."""
-        self._record_journal_persist(dclient, scope="local")
+    def _on_persisted(self, actor: str, d: dict) -> None:
+        """Local Persist landed: the client's journal events up to the
+        current tail are now safe on its own disk."""
+        self._record_journal_persist(
+            actor, d["events"], d["client"], d["scope"]
+        )
 
-    def _record_journal_persist(self, dclient, scope: str) -> None:
-        mark = self._persist_marks.get((dclient.name, scope), 0)
-        for ev in dclient.journal.events:
+    def _record_journal_persist(
+        self, actor: str, events: Sequence[JournalEvent], client_id: int,
+        scope: str,
+    ) -> None:
+        mark = self._persist_marks.get((actor, scope), 0)
+        for ev in events:
             if ev.seq <= mark:
                 continue
             self._emit(
-                kind="persisted", actor=dclient.name, scope=scope,
-                op=EventType(ev.op).name.lower(), path=ev.path,
-                ino=ev.ino or None, seq=ev.seq, client=dclient.client_id,
+                kind="persisted", actor=actor, scope=scope,
+                op=_OP_NAMES[ev.op], path=ev.path,
+                ino=ev.ino or None, seq=ev.seq, client=client_id,
             )
             mark = ev.seq
-        self._persist_marks[(dclient.name, scope)] = mark
+        self._persist_marks[(actor, scope)] = mark
 
-    def record_persist_fault(
-        self, dclient: "DecoupledClient", scope: str, mode: str, scan
-    ) -> None:
+    def _on_persist_fault(self, actor: str, d: dict) -> None:
         """A persist landed damaged: the on-media image verifies only up
         to ``scan``'s valid prefix.  Caps the just-recorded persisted
         claims and rolls the scope's watermark back so a later *clean*
         persist re-claims the updates the damaged image lost."""
+        scope, scan = d["scope"], d["scan"]
         events = scan.events
         valid_seq = events[-1].seq if events else 0
         self._emit(
-            kind="persist_fault", actor=dclient.name, scope=scope,
-            client=dclient.client_id,
+            kind="persist_fault", actor=actor, scope=scope,
+            client=d["client"],
             detail={
                 "damage": scan.damage,
-                "mode": mode,
+                "mode": d["mode"],
                 "valid_events": len(events),
                 "valid_seq": valid_seq,
             },
         )
-        mark = self._persist_marks.get((dclient.name, scope), 0)
+        mark = self._persist_marks.get((actor, scope), 0)
         if valid_seq < mark:
-            self._persist_marks[(dclient.name, scope)] = valid_seq
+            self._persist_marks[(actor, scope)] = valid_seq
 
-    # -- object layer ------------------------------------------------------
-    def _on_object_mutate(self, obj: RadosObject, action: str, nbytes: int) -> None:
-        """Bytes landed in (an OSD's copy of) an object.
+    def _on_object_written(self, actor: str, d: dict) -> None:
+        """Bytes landed in (OSD ``actor``'s copy of) an object.
 
         Journal objects are interpreted into per-update global-persist
         records; everything else is ignored (data-pool traffic carries
-        no metadata semantics).  Replica writes re-fire the hook; the
-        per-owner watermark keeps records unique.
+        no metadata semantics).  Every replica's OSD marks its own
+        write; the per-owner watermark keeps records unique.
         """
-        match = _JOURNAL_OBJECT.match(obj.name)
+        match = _JOURNAL_OBJECT.match(d["obj"])
         if match is None:
             return
         owner = match.group("owner")
         for dclient in self.cluster._dclients:
             if dclient.name == owner:
-                self._record_journal_persist(dclient, scope="global")
+                self._record_journal_persist(
+                    owner, dclient.journal.events, dclient.client_id,
+                    scope="global",
+                )
                 return
         for mds in self.cluster.mds_list:
             if mds.name == owner:
@@ -388,7 +350,7 @@ class HistoryRecorder:
             mut_seq += 1
             self._emit(
                 kind="persisted", actor=mds.name, scope="global",
-                op=EventType(ev.op).name.lower(), path=ev.path,
+                op=_OP_NAMES[ev.op], path=ev.path,
                 ino=ev.ino or None, seq=mut_seq, client=ev.client_id,
             )
         self._mds_persisted[mds.name] = durable

@@ -260,10 +260,11 @@ def run_mechanism(
 ) -> Generator[Event, None, None]:
     """Dispatch one mechanism by name (process body).
 
-    When observability is attached to the cluster, every mechanism run
-    gets a ``mech.<name>`` span and a ``mechanism_latency_s`` sample —
-    all completion paths (``CompositionPlan.execute``, retarget,
-    recouple) flow through here, so this one hook covers them all.
+    Every run is one ``mech`` section on the cluster's observer tap
+    (a ``mech.<name>`` span and a ``mechanism_latency_s`` sample under
+    ``repro.obs``) — all completion paths (``CompositionPlan.execute``,
+    retarget, recouple) flow through here, so this one site covers
+    them all.
     """
     try:
         impl = MECHANISMS[name]
@@ -271,21 +272,12 @@ def run_mechanism(
         raise KeyError(
             f"unknown mechanism {name!r}; known: {sorted(MECHANISMS)}"
         ) from None
-    obs = getattr(ctx.cluster, "obs", None)
-    if obs is None:
-        yield from impl(ctx)
-        return
-    span = obs.tracer.start(
-        f"mech.{name}", daemon="cudele", mechanism=name,
-        subtree=ctx.subtree,
-    )
+    tap = ctx.cluster.tap
+    section = None
+    if tap is not None:
+        section = tap.begin("mech", "cudele", name, subtree=ctx.subtree)
     try:
         yield from impl(ctx)
     finally:
-        obs.tracer.end(span)
-        obs.hub.histogram(
-            "mechanism_latency_s", daemon="cudele", mechanism=name
-        ).observe(span.duration_s)
-        obs.hub.counter(
-            "mechanism_runs", daemon="cudele", mechanism=name
-        ).incr()
+        if section is not None:
+            tap.end(section)

@@ -172,9 +172,9 @@ class FaultInjector:
         """Callback the OSD write path fires after storing the corrupted
         object.  Every replica stores the same damaged bytes and fires
         it; the *last* replica's call scans what landed and reports the
-        surviving valid prefix to the history recorder — after all the
-        replica mutate hooks have emitted their (idempotent) persisted
-        claims, so the fault record lands once, at the end."""
+        surviving valid prefix to the cluster's observers — after every
+        replica's ``object-written`` mark has produced its (idempotent)
+        persisted claims, so the fault record lands once, at the end."""
         calls: List[str] = []
 
         def notify(name: str, stored: bytes) -> None:
@@ -183,14 +183,15 @@ class FaultInjector:
                 self.cluster.objstore.placement("metadata", name)
             ):
                 return
-            recorder = getattr(self.cluster, "recorder", None)
-            if recorder is None:
+            tap = self.cluster.tap
+            if tap is None:
                 return
             from repro.journal.format import JournalCodec
 
-            scan = JournalCodec.scan_stream(stored)
-            recorder.record_persist_fault(
-                dclient, scope="global", mode=mode, scan=scan
+            tap.mark(
+                "persist-fault", dclient.name, scope="global", mode=mode,
+                scan=JournalCodec.scan_stream(stored),
+                client=dclient.client_id,
             )
 
         return notify

@@ -28,9 +28,6 @@ conformance durability checkers hold recovery to exactly its verdict.
 Per-event CRCs are retained inside payloads so a damaged segment still
 yields its longest valid event prefix (CephFS journal recovery keeps
 per-entry granularity the same way).
-
-Version 1 streams (header + bare event frames, no segment headers) are
-still decoded; new streams are always written as version 2.
 """
 
 from __future__ import annotations
@@ -53,8 +50,6 @@ __all__ = [
 JOURNAL_MAGIC = b"CUDELEJ\x00"
 SEGMENT_MAGIC = b"CSEG"
 JOURNAL_VERSION = 2
-#: Oldest version the decoder still reads.
-JOURNAL_VERSION_LEGACY = 1
 
 _HEADER = struct.Struct("<8sHH")
 _SEGMENT = struct.Struct("<4sIIII")  # smagic seq count length pcrc (hcrc follows)
@@ -288,8 +283,6 @@ class JournalCodec:
             scan.damage_offset = 0
             return scan
         scan.version = version
-        if version == JOURNAL_VERSION_LEGACY:
-            return cls._scan_legacy(data, scan)
         if version != JOURNAL_VERSION:
             scan.damage = "segment-corrupt"
             scan.damage_offset = 0
@@ -371,31 +364,10 @@ class JournalCodec:
         return scan
 
     @classmethod
-    def _scan_legacy(cls, data: bytes, scan: JournalScan) -> JournalScan:
-        """Version-1 scan: bare event frames after the header."""
-        offset = _HEADER.size
-        scan.valid_bytes = offset
-        while offset < len(data):
-            try:
-                event, offset = cls.decode_event(data, offset)
-            except JournalFormatError:
-                frame_fits = (
-                    offset + _EVENT_PREFIX.size <= len(data)
-                    and offset + _EVENT_PREFIX.size
-                    + _EVENT_PREFIX.unpack_from(data, offset)[0] <= len(data)
-                )
-                scan.damage = "segment-corrupt" if frame_fits else "torn-tail"
-                scan.damage_offset = offset
-                return scan
-            scan.events.append(event)
-            scan.valid_bytes = offset
-        return scan
-
-    @classmethod
     def decode_stream(
         cls, data: bytes, tolerate_truncation: bool = False
     ) -> List[JournalEvent]:
-        """Decode a full stream (either supported version).
+        """Decode a full stream.
 
         With ``tolerate_truncation`` decoding returns the checksummed
         valid prefix and stops cleanly at the first damage (journal
@@ -410,7 +382,7 @@ class JournalCodec:
             magic, version, _ = _HEADER.unpack_from(data, 0)
             if magic != JOURNAL_MAGIC:
                 raise JournalFormatError(f"bad magic {magic!r}")
-            if version not in (JOURNAL_VERSION, JOURNAL_VERSION_LEGACY):
+            if version != JOURNAL_VERSION:
                 raise JournalFormatError(
                     f"unsupported journal version {version}"
                 )
@@ -431,15 +403,12 @@ class JournalCodec:
     ) -> bytes:
         """Extend an existing encoded stream (creating it if empty).
 
-        Version-2 streams gain new checksummed segments numbered after
-        the existing tail; legacy version-1 streams keep their bare
-        event framing (append must not mix formats mid-stream).
+        The stream gains new checksummed segments numbered after the
+        existing tail.
         """
         if not stream:
             return cls.encode_stream(events, segment_events=segment_events)
         scan = cls.scan_stream(stream)
-        if scan.version == JOURNAL_VERSION_LEGACY:
-            return stream + b"".join(cls.encode_event(e) for e in events)
         evs = list(events)
         if not evs:
             return stream

@@ -49,9 +49,9 @@ class MDSJournal:
         self.dispatch_size = dispatch_size
         self.segment_events = segment_events
         self.src = src
-        #: Observability (see ``repro.obs``); None keeps dispatch
-        #: unobserved (same pattern as the conformance recorder).
-        self.obs = None
+        #: Observer tap (set by the Cluster; see ``repro.obs.tap``);
+        #: None keeps dispatch unobserved.
+        self.tap = None
         self._journaler = Journaler(
             engine, striper, segment_events=segment_events, src=src
         )
@@ -118,20 +118,17 @@ class MDSJournal:
         )
 
     def _flush_real(self, segment) -> Generator[Event, None, None]:
-        obs = self.obs
-        span = None
-        if obs is not None:
-            span = obs.tracer.start(
-                "journal.dispatch", daemon=self.src, mechanism="stream"
-            )
+        tap = self.tap
+        section = None
+        if tap is not None:
+            section = tap.begin("journal.dispatch", self.src, "stream")
         try:
             yield self.engine.process(self._journaler.dispatch_segment(segment))
         finally:
             self.segments_in_flight -= 1
             self._window.release()
-            if span is not None:
-                obs.tracer.end(span)
-                self._note_dispatch(obs, span)
+            if section is not None:
+                tap.end(section)
 
     def _dispatch_counted(self, n: int) -> Generator[Event, None, None]:
         yield from self._acquire_slot()
@@ -145,12 +142,10 @@ class MDSJournal:
         self._inflight.append(proc)
 
     def _flush_counted(self, n: int) -> Generator[Event, None, None]:
-        obs = self.obs
-        span = None
-        if obs is not None:
-            span = obs.tracer.start(
-                "journal.dispatch", daemon=self.src, mechanism="stream"
-            )
+        tap = self.tap
+        section = None
+        if tap is not None:
+            section = tap.begin("journal.dispatch", self.src, "stream")
         try:
             # One placeholder byte carries the full simulated wire cost.
             yield self.engine.process(
@@ -164,17 +159,8 @@ class MDSJournal:
         finally:
             self.segments_in_flight -= 1
             self._window.release()
-            if span is not None:
-                obs.tracer.end(span)
-                self._note_dispatch(obs, span)
-
-    def _note_dispatch(self, obs, span) -> None:
-        obs.hub.histogram(
-            "dispatch_latency_s", daemon=self.src, mechanism="stream"
-        ).observe(span.duration_s)
-        obs.hub.counter(
-            "segments_dispatched", daemon=self.src, mechanism="stream"
-        ).incr()
+            if section is not None:
+                tap.end(section)
 
     def flush(self) -> Generator[Event, None, None]:
         """Flush any partial segment and wait for every in-flight

@@ -52,7 +52,7 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 from repro import calibration as cal
 from repro.journal.events import EventType, JournalEvent, WIRE_EVENT_BYTES
 from repro.mds.mdstore import FsError
-from repro.mds.server import MDSDownError, MetadataServer, Request
+from repro.mds.server import MDSDownError, Request
 from repro.sim.engine import Event
 from repro.sim.network import PartitionError
 
@@ -126,19 +126,6 @@ def _synthesize_rows(
     return events
 
 
-def _journal_marked(
-    mds: MetadataServer, events: List[JournalEvent], recorder
-) -> Generator[Event, None, None]:
-    """Journal ``events`` at ``mds`` with the recorder's mirror kept in
-    step (the persist-accounting invariant: every ``log_events`` call is
-    paired with ``note_mds_journaled``)."""
-    if not events or not mds.journal.enabled:
-        return
-    if recorder is not None:
-        recorder.note_mds_journaled(mds, events)
-    yield from mds.journal.log_events(events=events)
-
-
 def migrate_subtree(
     cluster,
     subtree: str,
@@ -161,8 +148,7 @@ def migrate_subtree(
         raise ValueError(f"no MDS rank {dst_rank}")
     src = cluster.mds_for(subtree)
     dst = cluster.mds_list[dst_rank]
-    rec = cluster.recorder
-    obs = cluster.obs
+    tap = cluster.tap
     result = MigrationResult(
         subtree=subtree, src=src.name, dst=dst.name, status="noop"
     )
@@ -173,45 +159,35 @@ def migrate_subtree(
             "subtree migration requires materialized metadata stores"
         )
 
-    span = None
-    if obs is not None:
-        span = obs.tracer.start(
-            "mds.migrate", daemon=src.name, mechanism="migrate",
-            subtree=subtree, dst=dst.name,
+    section = None
+    if tap is not None:
+        section = tap.begin(
+            "mds.migrate", src.name, "migrate", subtree=subtree, dst=dst.name
         )
+
+    def _mark_phase(phase: str, epoch: int, **extra) -> None:
+        if tap is not None:
+            tap.mark(
+                "migrate", src.name, subtree=subtree, dst=dst.name,
+                phase=phase, epoch=epoch, **extra,
+            )
 
     def _finish(status: str, reason: str = "") -> MigrationResult:
         result.status = status
         result.reason = reason
-        if obs is not None:
-            obs.tracer.end(span)
-            obs.hub.counter(
-                "mds.migrate.count", daemon=src.name, mechanism="migrate",
-                status=status,
-            ).incr()
-            obs.hub.histogram(
-                "migrate_latency_s", daemon=src.name, mechanism="migrate",
-            ).observe(span.duration_s)
+        if section is not None:
             if status == "done":
-                obs.hub.histogram(
-                    "mds.migrate.frozen_s", daemon=src.name,
-                    mechanism="migrate",
-                ).observe(result.frozen_s)
-                obs.hub.histogram(
-                    "mds.migrate.rows", daemon=src.name, mechanism="migrate",
-                ).observe(float(result.rows))
-                obs.hub.histogram(
-                    "mds.migrate.moved_events", daemon=src.name,
-                    mechanism="migrate",
-                ).observe(float(result.moved_events))
+                tap.end(
+                    section, status=status, frozen_s=result.frozen_s,
+                    rows=float(result.rows),
+                    moved_events=float(result.moved_events),
+                )
+            else:
+                tap.end(section, status=status)
         return result
 
     def _abort(reason: str) -> MigrationResult:
-        if rec is not None:
-            rec.record_migrate(
-                subtree, src.name, dst.name, "abort",
-                cluster.mon.mds_epoch, reason=reason,
-            )
+        _mark_phase("abort", cluster.mon.mds_epoch, reason=reason)
         return _finish("aborted", reason)
 
     # -- phase 1: EXPORT_PREP (freeze + intent marker at the source) -----
@@ -226,10 +202,7 @@ def migrate_subtree(
         return _finish("aborted", f"prep-refused: {resp.error}")
     freeze_start = cluster.engine.now
     result.timings["prep_s"] = freeze_start - t0
-    if rec is not None:
-        rec.record_migrate(
-            subtree, src.name, dst.name, "begin", cluster.mon.mds_epoch
-        )
+    _mark_phase("begin", cluster.mon.mds_epoch)
 
     # -- phase 2: frozen-window state transfer ---------------------------
     if phase_hook is not None:
@@ -257,8 +230,8 @@ def migrate_subtree(
     # them consumed on import).
     ino_floor = src.mdstore.inotable.next_free
     moved = src.journal.extract_open(subtree)
-    if rec is not None:
-        rec.note_mds_export(src, moved)
+    if tap is not None:
+        tap.mark("exported", src.name, events=moved)
     result.rows = len(rows)
     result.caps = len(caps_bundle)
     result.ino_ranges = len(ino_bundle["ranges"]) if ino_bundle else 0
@@ -285,7 +258,7 @@ def migrate_subtree(
     except PartitionError:
         if src.up:
             _reinstall_src()
-            yield from _journal_marked(src, moved, rec)
+            yield from src.journal_events(moved)
             src.unfreeze_subtree(subtree)
         return _abort("partitioned-in-transfer")
 
@@ -295,7 +268,7 @@ def migrate_subtree(
     if not dst.up:
         if src.up:
             _reinstall_src()
-            yield from _journal_marked(src, moved, rec)
+            yield from src.journal_events(moved)
             src.unfreeze_subtree(subtree)
         return _abort("dst-crashed-before-import")
     if ino_bundle is not None:
@@ -310,7 +283,7 @@ def migrate_subtree(
         JournalEvent(EventType.IMPORT_COMMIT, subtree, ino=ino_floor,
                      mtime=dst.engine.now)
     ]
-    yield from _journal_marked(dst, import_events, rec)
+    yield from dst.journal_events(import_events)
 
     # -- phase 4: IMPORT_ACK + authority flip ----------------------------
     if phase_hook is not None:
@@ -322,7 +295,7 @@ def migrate_subtree(
         # and is rebuilt foreign on its recovery).
         if src.up:
             _reinstall_src()
-            yield from _journal_marked(src, moved, rec)
+            yield from src.journal_events(moved)
             src.unfreeze_subtree(subtree)
         return _abort("dst-crashed-before-flip")
     try:
@@ -334,21 +307,15 @@ def migrate_subtree(
     result.frozen_s = cluster.engine.now - freeze_start
     # The flip is the linearization point: record the commit here, so
     # the checkers judge any later crash against the new authority.
-    if rec is not None:
-        rec.record_migrate(
-            subtree, src.name, dst.name, "commit", epoch,
-            rows=result.rows, moved=result.moved_events,
-        )
+    _mark_phase("commit", epoch, rows=result.rows, moved=result.moved_events)
 
     # -- phase 5: EXPORT_COMMIT + release --------------------------------
     if phase_hook is not None:
         phase_hook("commit")
     if src.up:
-        yield from _journal_marked(
-            src,
+        yield from src.journal_events(
             [JournalEvent(EventType.EXPORT_COMMIT, subtree,
-                          mtime=src.engine.now)],
-            rec,
+                          mtime=src.engine.now)]
         )
         src.unfreeze_subtree(subtree)
     return _finish("done")
@@ -357,16 +324,19 @@ def migrate_subtree(
 class HotspotDetector:
     """Propose migrations from the ``subtree_ops`` per-subtree counters.
 
-    The MDS serve loop (behind its single ``obs is not None`` branch)
-    counts handled ops per governing subtree; the detector aggregates
+    With observability attached, every handled op is counted per
+    governing subtree in ``hub``; the detector aggregates
     those counters per rank and proposes moving the hottest subtree of
     the busiest rank to the least-loaded rank.  Pure host-side reading
     — no engine events — and fully deterministic (sorted iteration,
     lowest rank wins ties).
     """
 
-    def __init__(self, cluster, threshold_ops: int = 100):
+    def __init__(self, cluster, hub, threshold_ops: int = 100):
         self.cluster = cluster
+        #: The :class:`~repro.obs.metrics.MetricsHub` of the
+        #: ``Observability`` attached to ``cluster``.
+        self.hub = hub
         self.threshold_ops = threshold_ops
 
     def _scan(self) -> Tuple[Dict[int, int], Dict[Tuple[int, str], int]]:
@@ -374,12 +344,9 @@ class HotspotDetector:
             rank: 0 for rank in range(len(self.cluster.mds_list))
         }
         per_subtree: Dict[Tuple[int, str], int] = {}
-        obs = self.cluster.obs
-        if obs is None:
-            return per_rank, per_subtree
         names = {mds.name: rank
                  for rank, mds in enumerate(self.cluster.mds_list)}
-        for metric in obs.hub.metrics():
+        for metric in self.hub.metrics():
             if metric.kind != "counter" or metric.name != "subtree_ops":
                 continue
             rank = names.get(metric.daemon)

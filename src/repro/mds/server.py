@@ -161,9 +161,13 @@ class MetadataServer:
         #: Cudele namespace API); returns None for plain POSIX subtrees.
         self.policy_resolver: Optional[Callable[[str], Any]] = None
         #: Resolves a path to its ``(subtree_root, policy)`` map entry;
-        #: consulted only inside the ``obs is not None`` branch to label
+        #: consulted only by observers (``repro.obs``) to label
         #: per-subtree op counters (hotspot detection, repro.mds.migrate).
         self.subtree_resolver: Optional[Callable[[str], Any]] = None
+        #: Directory numbers for non-materialized runs, interned in
+        #: first-seen order; like the paths they name, they survive a
+        #: crash.
+        self._synthetic_inos: Dict[str, int] = {}
         #: Synthetic per-directory entry counts for non-materialized runs.
         self._synthetic_sizes: Dict[int, int] = {}
         #: Files currently open for writing: path -> (client_id, size_getter).
@@ -171,11 +175,9 @@ class MetadataServer:
         #: buffering capability); recalls consult it (paper §II-B).
         self._open_writers: Dict[str, tuple] = {}
         self._cpu_util = self.stats.utilization("cpu", capacity=1.0)
-        #: Conformance history recorder (see ``repro.conformance``);
+        #: Observer tap (set by the Cluster; see ``repro.obs.tap``);
         #: None keeps the request loop unobserved.
-        self.recorder = None
-        #: Observability (see ``repro.obs``); same None-guarded pattern.
-        self.obs = None
+        self.tap = None
         self._loop = engine.process(self._serve_loop(), name=f"{name}.loop")
         self.running = True
         self.up = True
@@ -199,11 +201,8 @@ class MetadataServer:
         if not self.up:
             done.fail(MDSDownError(f"{self.name} is down"))
             return done
-        obs = self.obs
-        if obs is not None and request.span is None:
-            # Stamp the submitter's span onto the request — trace context
-            # in the RPC header, carried across the queue hop.
-            request.span = obs.tracer.current()
+        if self.tap is not None:
+            self.tap.mark("submit", self.name, request=request)
         self._queue.put((request, done))
         return done
 
@@ -231,12 +230,13 @@ class MetadataServer:
                     return
                 self._current = (request, done)
                 self._cpu_util.set_level(1.0)
-                obs = self.obs
-                span = None
-                if obs is not None:
-                    span = obs.tracer.start(
-                        "mds.handle", daemon=self.name, mechanism="rpc",
-                        parent=request.span, op=request.op,
+                tap = self.tap
+                section = None
+                if tap is not None:
+                    section = tap.begin(
+                        "mds.handle", self.name, "rpc",
+                        op=request.op, count=request.count,
+                        path=request.path, mds=self, parent=request.span,
                     )
                 try:
                     response, commit_latency = yield from self._handle(request)
@@ -249,25 +249,8 @@ class MetadataServer:
                     )
                 finally:
                     self._cpu_util.set_level(0.0)
-                    if span is not None:
-                        obs.tracer.end(span)
-                        obs.hub.histogram(
-                            "handle_latency_s", daemon=self.name,
-                            mechanism="rpc", op=request.op,
-                            policy=obs.mds_policy_tag(self, request.path),
-                        ).observe(span.duration_s)
-                        obs.hub.counter(
-                            "requests", daemon=self.name, mechanism="rpc",
-                            op=request.op,
-                        ).incr(request.count)
-                        entry = (
-                            self.subtree_resolver(request.path)
-                            if self.subtree_resolver is not None else None
-                        )
-                        obs.hub.counter(
-                            "subtree_ops", daemon=self.name, mechanism="rpc",
-                            subtree=entry[0] if entry is not None else "/",
-                        ).incr(request.count)
+                    if section is not None:
+                        tap.end(section)
                 self._current = None
                 if not self.up:
                     # Crashed while the handler was unwinding: the reply
@@ -345,37 +328,26 @@ class MetadataServer:
         self._synthetic_sizes.clear()
         self._cpu_util.set_level(0.0)
         self.stats.counter("requests_failed").incr(failed)
-        if self.recorder is not None:
-            self.recorder.record_crash(
-                self.name, journal_events_lost=lost_open,
+        if self.tap is not None:
+            self.tap.mark(
+                "crash", self.name, journal_events_lost=lost_open,
                 requests_failed=failed,
             )
         return {"journal_events_lost": lost_open, "requests_failed": failed}
 
     def _recover_scan(self) -> Generator[Event, None, list]:
         """Read the streamed journal back through the verifying scan
-        (process body); instrumented like the client's recovery scan
-        when observability is attached.  Returns the salvaged events —
-        the checksummed-valid prefix of what is in the object store."""
-        obs = self.obs
-        span = None
-        if obs is not None:
-            span = obs.tracer.start(
-                "recover.scan", daemon=self.name, mechanism="recovery",
-                source="mds-journal",
+        (process body).  Returns the salvaged events — the
+        checksummed-valid prefix of what is in the object store."""
+        tap = self.tap
+        section = None
+        if tap is not None:
+            section = tap.begin(
+                "recover.scan", self.name, "recovery", source="mds-journal"
             )
         scan = yield self.engine.process(self.journal.read_scan(dst=self.name))
-        if span is not None:
-            obs.tracer.end(span)
-            obs.hub.histogram(
-                "recovery_scan_events", daemon=self.name,
-                mechanism="recovery", source="mds-journal",
-            ).observe(len(scan.events))
-            if scan.damage is not None:
-                obs.hub.counter(
-                    "recovery_scan_damage", daemon=self.name,
-                    mechanism="recovery", damage=scan.damage,
-                ).incr()
+        if section is not None:
+            tap.end(section, events=len(scan.events), damage=scan.damage)
         return scan.events
 
     def recover(self) -> Generator[Event, None, int]:
@@ -410,8 +382,10 @@ class MetadataServer:
         )
         self.running = True
         self.stats.counter("recoveries").incr()
-        if self.recorder is not None:
-            self.recorder.record_mds_recover(self, events)
+        if self.tap is not None:
+            self.tap.mark(
+                "recover", self.name, mode="journal-replay", events=events
+            )
         return len(events)
 
     def _maybe_auto_checkpoint(self) -> None:
@@ -455,8 +429,10 @@ class MetadataServer:
         yield from self._cpu(len(events) * cal.VOLATILE_APPLY_S)
         if self.config.materialize:
             JournalTool.apply(events, self.mdstore, skip_errors=True)
-        if self.recorder is not None:
-            self.recorder.record_mds_recover(self, events)
+        if self.tap is not None:
+            self.tap.mark(
+                "recover", self.name, mode="journal-replay", events=events
+            )
         self.up = True
         if not self.running:
             self._loop = self.engine.process(
@@ -554,8 +530,22 @@ class MetadataServer:
     def _dir_ino(self, path: str) -> int:
         if self.config.materialize:
             return self.mdstore.resolve(path).ino
-        # Non-materialized runs key capability state by path hash.
-        return ROOT_INO + (hash(path) & 0x7FFFFFFF) + 1
+        # Non-materialized runs key capability state by interned path.
+        inos = self._synthetic_inos
+        ino = inos.get(path)
+        if ino is None:
+            ino = inos[path] = ROOT_INO + 1 + len(inos)
+        return ino
+
+    def journal_events(
+        self, events: List[JournalEvent]
+    ) -> Generator[Event, None, None]:
+        """Journal real ``events`` (process body), marking them for
+        observers first — the recorder's persist accounting mirrors
+        every real event that enters the journal."""
+        if self.tap is not None and self.journal.enabled:
+            self.tap.mark("journaled", self.name, events=events)
+        yield from self.journal.log_events(events=events)
 
     # -- mutations --------------------------------------------------------
     def _op_create(self, request: Request):
@@ -592,12 +582,12 @@ class MetadataServer:
         yield from self._cpu(cpu)
 
         created, errors = [], []
-        rec = self.recorder
-        obs = self.obs
-        apply_span = None
-        if obs is not None:
-            apply_span = obs.tracer.start(
-                "mds.apply", daemon=self.name, mechanism="volatile_apply",
+        tap = self.tap
+        section = None
+        if tap is not None:
+            section = tap.begin(
+                "mds.apply", self.name, "volatile_apply",
+                count=request.count,
             )
         events: Optional[List[JournalEvent]] = None
         if self.config.materialize and request.names is not None:
@@ -625,11 +615,11 @@ class MetadataServer:
                             client_id=request.client_id,
                         )
                     )
-                    if rec is not None:
-                        rec.record_visible(
-                            self.name, op.name.lower(), path,
+                    if tap is not None:
+                        tap.mark(
+                            "visible", self.name, op=op, path=path,
                             ino=inode.ino if inode else 0,
-                            client_id=request.client_id,
+                            client=request.client_id,
                         )
                 except FsError as exc:
                     errors.append(f"{name}: {exc}")
@@ -637,32 +627,20 @@ class MetadataServer:
             self._synthetic_sizes[dir_ino] = (
                 self._synthetic_sizes.get(dir_ino, 0) + request.count
             )
-        if apply_span is not None:
-            obs.tracer.end(apply_span)
-            obs.hub.counter(
-                "applied_events", daemon=self.name,
-                mechanism="volatile_apply",
-            ).incr(request.count)
-
-        journal_span = None
-        if obs is not None:
-            journal_span = obs.tracer.start(
-                "mds.journal.append", daemon=self.name, mechanism="stream",
-            )
+        if section is not None:
+            tap.end(section)
+        if tap is not None:
+            section = tap.begin("mds.journal.append", self.name, "stream")
         try:
             if events is not None:
-                if rec is not None and self.journal.enabled:
-                    rec.note_mds_journaled(self, events)
+                if tap is not None and self.journal.enabled:
+                    tap.mark("journaled", self.name, events=events)
                 yield from self.journal.log_events(events=events)
             else:
                 yield from self.journal.log_events(count=request.count)
         finally:
-            if journal_span is not None:
-                obs.tracer.end(journal_span)
-                obs.hub.histogram(
-                    "journal_append_latency_s", daemon=self.name,
-                    mechanism="stream",
-                ).observe(journal_span.duration_s)
+            if section is not None:
+                tap.end(section)
 
         latency = request.count * self.journal.commit_latency_s()
         ok = not errors
@@ -697,14 +675,12 @@ class MetadataServer:
                    if k in ("mode", "uid", "gid")},
             )
         ]
-        if self.recorder is not None:
-            self.recorder.record_visible(
-                self.name, "setattr", request.path,
-                client_id=request.client_id,
+        if self.tap is not None:
+            self.tap.mark(
+                "visible", self.name, op=EventType.SETATTR,
+                path=request.path, client=request.client_id,
             )
-            if self.journal.enabled:
-                self.recorder.note_mds_journaled(self, events)
-        yield from self.journal.log_events(events=events)
+        yield from self.journal_events(events)
         return Response(ok=True), self.journal.commit_latency_s()
 
     def _op_rename(self, request: Request):
@@ -724,14 +700,13 @@ class MetadataServer:
                 client_id=request.client_id,
             )
         ]
-        if self.recorder is not None:
-            self.recorder.record_visible(
-                self.name, "rename", request.path,
-                client_id=request.client_id, target=request.payload,
+        if self.tap is not None:
+            self.tap.mark(
+                "visible", self.name, op=EventType.RENAME,
+                path=request.path, client=request.client_id,
+                target=request.payload,
             )
-            if self.journal.enabled:
-                self.recorder.note_mds_journaled(self, events)
-        yield from self.journal.log_events(events=events)
+        yield from self.journal_events(events)
         return Response(ok=True), self.journal.commit_latency_s()
 
     # -- write-buffering capabilities (open files) -------------------------
@@ -771,15 +746,12 @@ class MetadataServer:
                 self.mdstore.setattr(request.path, size=size)
             except FsError as exc:
                 return Response(ok=False, error=str(exc)), 0.0
-            events = [
+            yield from self.journal_events([
                 JournalEvent(
                     EventType.SETATTR, request.path,
                     mtime=self.engine.now, client_id=request.client_id,
                 )
-            ]
-            if self.recorder is not None and self.journal.enabled:
-                self.recorder.note_mds_journaled(self, events)
-            yield from self.journal.log_events(events=events)
+            ])
         return Response(ok=True, value=size), self.journal.commit_latency_s()
 
     def _recall_writer(self, path: str):
@@ -890,12 +862,9 @@ class MetadataServer:
         if path in self._frozen:
             return Response(ok=False, error="EBUSY: subtree already frozen"), 0.0
         self._frozen[path] = self.engine.event()
-        events = [
+        yield from self.journal_events([
             JournalEvent(EventType.EXPORT_PREP, path, mtime=self.engine.now)
-        ]
-        if self.recorder is not None and self.journal.enabled:
-            self.recorder.note_mds_journaled(self, events)
-        yield from self.journal.log_events(events=events)
+        ])
         return Response(ok=True), self.journal.commit_latency_s()
 
     # -- Cudele support ------------------------------------------------------
@@ -924,10 +893,11 @@ class MetadataServer:
             events = list(payload)
             n = len(events)
         yield from self._cpu(n * cal.VOLATILE_APPLY_S)
-        rec = self.recorder
-        if rec is not None:
-            rec.record_merge_begin(
-                self.name, request.path, request.client_id, count=n
+        tap = self.tap
+        if tap is not None:
+            tap.mark(
+                "merge", self.name, phase="begin", subtree=request.path,
+                client=request.client_id, count=n,
             )
         applied = n
         conflicts = 0
@@ -951,19 +921,20 @@ class MetadataServer:
                         owner = self.mdstore.inotable.owner_of(ev.ino)
                         if owner is not None and not self.mdstore.inotable.is_consumed(ev.ino):
                             self.mdstore.inotable.mark_consumed(ev.ino)
-                    if rec is not None:
-                        rec.record_visible(
-                            self.name, EventType(ev.op).name.lower(), ev.path,
-                            ino=ev.ino, client_id=ev.client_id,
+                    if tap is not None:
+                        tap.mark(
+                            "visible", self.name, op=ev.op, path=ev.path,
+                            ino=ev.ino, client=ev.client_id,
                             target=ev.target_path,
                         )
                 except FsError:
                     conflicts += 1
         self.stats.counter("merged_events").incr(n)
-        if rec is not None:
-            rec.record_merge_end(
-                self.name, request.path, request.client_id,
-                applied=applied, conflicts=conflicts,
+        if tap is not None:
+            tap.mark(
+                "merge", self.name, phase="end", subtree=request.path,
+                client=request.client_id, applied=applied,
+                conflicts=conflicts,
             )
         return Response(ok=True, value={"applied": applied, "conflicts": conflicts}), 0.0
 

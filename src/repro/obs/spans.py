@@ -140,8 +140,20 @@ class Tracer:
         pass an explicit span for cross-queue hops (or ``None`` to root
         a new trace).
         """
+        return self.open(
+            name, daemon, mechanism,
+            tuple(sorted((k, str(v)) for k, v in tags.items())), parent,
+        )
+
+    def open(
+        self, name: str, daemon: str, mechanism: str, tags: tuple,
+        parent=_INHERIT,
+    ) -> Span:
+        """:meth:`start` with ``tags`` already in span form: a tuple of
+        ``(key, str(value))`` pairs sorted by key."""
+        current = self.current()
         if parent is _INHERIT:
-            parent = self.current()
+            parent = current
         span = Span(
             self._next_id,
             parent.span_id if parent is not None else 0,
@@ -149,11 +161,11 @@ class Tracer:
             daemon,
             mechanism,
             self.engine.now,
-            tuple(sorted((k, str(v)) for k, v in tags.items())),
+            tags,
         )
         self._next_id += 1
         self.spans.append(span)
-        span._prev = self.current()
+        span._prev = current
         self._set_current(span)
         return span
 

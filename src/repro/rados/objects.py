@@ -15,18 +15,9 @@ class RadosObject:
 
     Versions increase on every mutation; replication copies carry the
     version so tests can check replica convergence.
-
-    :attr:`on_mutate` is an optional process-wide observation hook,
-    ``hook(obj, action, nbytes)``, fired after every mutation — the
-    conformance recorder uses it to witness journal bytes reaching the
-    object store (global persistence).  It must never mutate the object
-    or touch the simulation.
     """
 
     __slots__ = ("name", "data", "version")
-
-    #: Optional ``hook(obj, action, nbytes)`` called after each mutation.
-    on_mutate = None
 
     def __init__(self, name: str, data: bytes = b""):
         if not name:
@@ -46,9 +37,6 @@ class RadosObject:
             raise TypeError("object data must be bytes")
         self.data = bytes(data)
         self.version += 1
-        hook = RadosObject.on_mutate
-        if hook is not None:
-            hook(self, "write_full", len(data))
 
     def append(self, data: bytes) -> None:
         """Append to the object (journal tail writes)."""
@@ -56,9 +44,6 @@ class RadosObject:
             raise TypeError("object data must be bytes")
         self.data += bytes(data)
         self.version += 1
-        hook = RadosObject.on_mutate
-        if hook is not None:
-            hook(self, "append", len(data))
 
     def read(self, offset: int = 0, length: int | None = None) -> bytes:
         """Read ``length`` bytes from ``offset`` (to the end if None)."""

@@ -48,8 +48,9 @@ class OSD:
         )
         self.objects: Dict[str, RadosObject] = {}
         self.stats = StatsRegistry(engine, self.name)
-        #: Observability (see ``repro.obs``); None keeps I/O unobserved.
-        self.obs = None
+        #: Observer tap (set by the Cluster; see ``repro.obs.tap``);
+        #: None keeps I/O unobserved.
+        self.tap = None
         self.up = True
         #: Bumped on every crash; an I/O that started under an older
         #: epoch fails even if the OSD recovered while it was in flight.
@@ -127,27 +128,20 @@ class OSD:
         self._check_up()
         epoch = self._epoch
         self.stats.counter("writes").incr()
-        obs = self.obs
-        span = None
-        if obs is not None:
-            span = obs.tracer.start(
-                "osd.write", daemon=self.name, mechanism="rados", obj=name
+        charged = len(data) if charge_bytes is None else charge_bytes
+        tap = self.tap
+        section = None
+        if tap is not None:
+            section = tap.begin(
+                "osd.write", self.name, "rados",
+                obj=name, op="write", nbytes=int(charged),
             )
         try:
-            yield from self.disk.write(
-                len(data) if charge_bytes is None else charge_bytes
-            )
+            yield from self.disk.write(charged)
             self._check_survived(epoch, "write", name)
         finally:
-            if span is not None:
-                obs.tracer.end(span)
-                obs.hub.histogram(
-                    "io_latency_s", daemon=self.name, mechanism="rados",
-                    op="write",
-                ).observe(span.duration_s)
-                obs.hub.counter(
-                    "bytes_written", daemon=self.name, mechanism="rados"
-                ).incr(int(len(data) if charge_bytes is None else charge_bytes))
+            if section is not None:
+                tap.end(section)
         if self._write_fault is not None and name.startswith(self._write_fault[2]):
             mode, fault_seed, _match, fault_notify = self._write_fault
             self._write_fault = None
@@ -165,6 +159,12 @@ class OSD:
             obj.append(data)
         else:
             obj.write_full(data)
+        if self.tap is not None:
+            self.tap.mark(
+                "object-written", self.name, obj=name,
+                action="append" if append else "write_full",
+                nbytes=len(data),
+            )
         if fault_notify is not None:
             fault_notify(name, data)
         return obj
@@ -184,27 +184,20 @@ class OSD:
             raise KeyError(f"{self.name}: no such object {name!r}")
         data = obj.read(offset, length)
         self.stats.counter("reads").incr()
-        obs = self.obs
-        span = None
-        if obs is not None:
-            span = obs.tracer.start(
-                "osd.read", daemon=self.name, mechanism="rados", obj=name
+        charged = len(data) if charge_bytes is None else charge_bytes
+        tap = self.tap
+        section = None
+        if tap is not None:
+            section = tap.begin(
+                "osd.read", self.name, "rados",
+                obj=name, op="read", nbytes=int(charged),
             )
         try:
-            yield from self.disk.read(
-                len(data) if charge_bytes is None else charge_bytes
-            )
+            yield from self.disk.read(charged)
             self._check_survived(epoch, "read", name)
         finally:
-            if span is not None:
-                obs.tracer.end(span)
-                obs.hub.histogram(
-                    "io_latency_s", daemon=self.name, mechanism="rados",
-                    op="read",
-                ).observe(span.duration_s)
-                obs.hub.counter(
-                    "bytes_read", daemon=self.name, mechanism="rados"
-                ).incr(int(len(data) if charge_bytes is None else charge_bytes))
+            if section is not None:
+                tap.end(section)
         return data
 
     def remove_object(self, name: str) -> None:

@@ -165,7 +165,9 @@ def _scenario_body(
 
     def migration_driver():
         am = spec.auto_migrate
-        detector = HotspotDetector(cluster, threshold_ops=am.threshold_ops)
+        detector = HotspotDetector(
+            cluster, obs.hub, threshold_ops=am.threshold_ops
+        )
         while not stop_driver[0]:
             yield engine.sleep(am.check_interval_s)
             if stop_driver[0]:

@@ -25,7 +25,6 @@ from repro.sim.network import Network, Link
 from repro.sim.disk import Disk
 from repro.sim.stats import Counter, TimeSeries, UtilizationTracker, StatsRegistry
 from repro.sim.rng import RngStream
-from repro.sim.trace import Tracer, TraceRecord
 
 __all__ = [
     "Engine",
@@ -46,6 +45,4 @@ __all__ = [
     "UtilizationTracker",
     "StatsRegistry",
     "RngStream",
-    "Tracer",
-    "TraceRecord",
 ]

@@ -457,8 +457,8 @@ class Engine:
         #: in host-driver context).  Maintained by Process._step.
         self._active: Optional[Process] = None
         #: Optional ``hook(t, event)`` called as each event is processed
-        #: (see :mod:`repro.sim.trace`); None keeps the hot loop branch-
-        #: predictable and cheap.
+        #: (:class:`repro.analysis.causality.CausalityTracker` sets
+        #: it); None keeps the hot loop branch-predictable and cheap.
         self.trace = None
         #: Free list for :meth:`sleep`; instrumentation that inspects
         #: events after dispatch (e.g. the race detector) sets

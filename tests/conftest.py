@@ -42,3 +42,14 @@ def mds_nojournal(engine, objstore, network):
     return MetadataServer(
         engine, objstore, network, MDSConfig(journal_enabled=False)
     )
+
+
+def tap_holders(cluster):
+    """Everything in ``cluster`` that reports to an observer tap."""
+    yield cluster
+    for mds in cluster.mds_list:
+        yield mds
+        yield mds.journal
+    yield from cluster.objstore.osds
+    yield from cluster._clients
+    yield from cluster._dclients

@@ -50,11 +50,16 @@ def test_short_stream_rejected():
         JournalCodec.decode_stream(b"xx")
 
 
-def test_bad_version_rejected():
-    data = bytearray(JournalCodec.encode_stream([]))
-    data[8] = 99  # version field
-    with pytest.raises(JournalFormatError):
+@pytest.mark.parametrize("version", [99, 1])  # 1: the retired bare-frame format
+def test_bad_version_rejected(version):
+    data = bytearray(JournalCodec.encode_stream([ev("/f")]))
+    data[8] = version  # version field
+    with pytest.raises(JournalFormatError,
+                       match=f"unsupported journal version {version}"):
         JournalCodec.decode_stream(bytes(data))
+    scan = JournalCodec.scan_stream(bytes(data))
+    assert (scan.damage, scan.damage_offset) == ("segment-corrupt", 0)
+    assert scan.events == []
 
 
 def test_truncated_tail_strict_raises():

@@ -12,7 +12,7 @@ from repro.cluster import Cluster
 from repro.mds.caps import CapState
 from repro.mds.migrate import HotspotDetector, migrate_subtree
 from repro.mds.server import MDSConfig
-from repro.obs import Observability
+from repro.obs import MetricsHub, Observability
 
 SUBTREE = "/job"
 
@@ -158,7 +158,7 @@ def test_traffic_during_handoff_stalls_but_never_fails():
 
 def test_hotspot_detector_proposes_the_hot_subtree():
     cluster = Cluster(num_mds=2, seed=0)
-    with Observability(cluster):
+    with Observability(cluster) as obs:
         cluster.assign_subtree_mds("/hot", 0)
         cluster.assign_subtree_mds("/cold", 0)
         client = cluster.new_client()
@@ -183,25 +183,27 @@ def test_hotspot_detector_proposes_the_hot_subtree():
             assert resp.ok
 
         cluster.run(trickle())
-        detector = HotspotDetector(cluster, threshold_ops=10)
+        detector = HotspotDetector(cluster, obs.hub, threshold_ops=10)
         proposal = detector.propose()
         assert proposal is not None
         assert proposal["subtree"] == "/hot"
         assert proposal["src_rank"] == 0 and proposal["dst_rank"] == 1
         assert proposal["ops"] >= 64
         # Balanced-enough load proposes nothing.
-        assert HotspotDetector(cluster, threshold_ops=10**6).propose() is None
+        assert HotspotDetector(
+            cluster, obs.hub, threshold_ops=10**6
+        ).propose() is None
 
 
-def test_hotspot_detector_without_obs_is_silent():
+def test_hotspot_detector_on_an_empty_hub_is_silent():
     cluster = Cluster(num_mds=2, seed=0)
-    assert HotspotDetector(cluster).propose() is None
+    assert HotspotDetector(cluster, MetricsHub()).propose() is None
 
 
 def test_hotspot_proposal_closes_the_loop():
     """The detector's proposal is directly executable and rebalances."""
     cluster = Cluster(num_mds=2, seed=0)
-    with Observability(cluster):
+    with Observability(cluster) as obs:
         cluster.assign_subtree_mds("/hot", 0)
         client = cluster.new_client()
 
@@ -214,7 +216,9 @@ def test_hotspot_proposal_closes_the_loop():
             assert resp.ok
 
         cluster.run(story())
-        proposal = HotspotDetector(cluster, threshold_ops=10).propose()
+        proposal = HotspotDetector(
+            cluster, obs.hub, threshold_ops=10
+        ).propose()
         assert proposal is not None
         result = cluster.run(
             migrate_subtree(cluster, proposal["subtree"],

@@ -291,3 +291,49 @@ def test_namespace_size_materialized_and_synthetic(engine, objstore, network):
     )
     submit(engine, mds_s, Request("create", "/d", 1, count=50))
     assert mds_s.namespace_size() == 50
+
+
+_HASHSEED_PROBE = """
+import json
+from repro.cluster import Cluster
+from repro.mds.server import MDSConfig
+
+cluster = Cluster(seed=5, mds_config=MDSConfig(materialize=False))
+a, b = cluster.new_client(), cluster.new_client()
+dirs = [f"/run/d{i}" for i in range(6)]
+for d in dirs:
+    cluster.run(a.create_many(d, 40))
+    cluster.run(b.create_many(d, 3))  # revokes a's cap: per-dir state matters
+    cluster.run(b.ls(d))
+mds = cluster.mds
+before = {d: mds._dir_ino(d) for d in dirs}
+mds.crash()
+cluster.run(mds.recover())
+after = {d: mds._dir_ino(d) for d in dirs}
+print(json.dumps({"before": before, "after": after, "end": cluster.now}))
+"""
+
+
+def test_non_materialized_dir_numbers_ignore_pythonhashseed():
+    """Directory numbers of non-materialized runs come from an intern
+    table, not ``hash(path)``: the same run under two hash seeds keys
+    the same capability state and ends at the same simulated time."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    outputs = []
+    for hashseed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASHSEED_PROBE],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0] == outputs[1]
+    numbers = outputs[0]["before"]
+    assert len(set(numbers.values())) == len(numbers)  # no two dirs merged
+    assert outputs[0]["after"] == numbers  # a crash keeps the numbering

@@ -145,6 +145,6 @@ def test_attached_shows_client_redirect_trace():
 def test_detached_migration_leaves_no_observer_state():
     cluster = Cluster(num_mds=2, seed=0)
     _drive_handoff(cluster)
-    assert cluster.obs is None
+    assert cluster.tap is None
     for mds in cluster.mds_list:
-        assert mds.obs is None
+        assert mds.tap is None

@@ -13,7 +13,8 @@ from repro.cluster import Cluster
 from repro.core.namespace_api import Cudele
 from repro.core.policy import SubtreePolicy
 from repro.obs import Observability, observe
-from repro.rados.objects import RadosObject
+
+from tests.conftest import tap_holders
 
 
 @pytest.fixture(autouse=True)
@@ -91,32 +92,49 @@ def test_conformance_cell_identical_under_obs():
 
 def test_attach_detach_restores_hooks():
     cluster = Cluster(seed=1)
-    prev_mutate = RadosObject.on_mutate
+    cluster.new_client()
+    cluster.new_decoupled_client()
     obs = Observability(cluster, profile=True).attach()
-    assert cluster.obs is obs
-    assert cluster.mds.obs is obs
-    assert not hasattr(cluster.engine, "obs")  # the engine is not a daemon
+    # One observer attribute per daemon: the tap.  Observers subscribe
+    # to it; they assign nothing else anywhere.
+    for holder in tap_holders(cluster):
+        assert holder.tap is cluster.tap is not None
+        assert not hasattr(holder, "obs")
+        assert not hasattr(holder, "recorder")
+    assert not hasattr(cluster.engine, "tap")  # the engine is not a daemon
     assert cluster.engine.sleep_hook is not None
     with pytest.raises(RuntimeError):
         obs.attach()
     obs.detach()
-    assert RadosObject.on_mutate is prev_mutate
     assert cluster.engine.sleep_hook is None
-    assert cluster.obs is None
-    assert cluster.mds.obs is None
-    assert cluster.objstore.osds[0].obs is None
+    for holder in tap_holders(cluster):
+        assert holder.tap is None
     obs.detach()  # idempotent
 
 
-def test_clients_created_after_attach_inherit_obs():
+def test_clients_created_after_attach_inherit_the_tap():
     cluster = Cluster(seed=1)
-    with Observability(cluster) as obs:
+    with Observability(cluster):
         client = cluster.new_client()
         dclient = cluster.new_decoupled_client()
-        assert client.obs is obs
-        assert dclient.obs is obs
-    assert client.obs is None
-    assert dclient.obs is None
+        assert client.tap is dclient.tap is cluster.tap is not None
+    assert client.tap is None
+    assert dclient.tap is None
+
+
+def test_idle_cluster_observes_nothing_of_another_clusters_run():
+    """Observation is per cluster: an Observability on an idle cluster
+    sees no object-store traffic of a second cluster in the process."""
+    idle = Cluster(seed=1)
+    with Observability(idle) as obs:
+        busy = Cluster(seed=2)
+        client = busy.new_client()
+        busy.run(client.mkdir("/d"))
+        busy.run(client.create_many("/d", [f"f{i}" for i in range(50)]))
+        busy.run(busy.mds.journal.flush())
+        assert busy.mds.journal.segments_dispatched > 0
+        assert len(obs.hub) == 0
+        assert obs.tracer.spans == []
 
 
 def test_corruption_cell_identical_under_obs():

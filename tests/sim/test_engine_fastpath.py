@@ -10,7 +10,6 @@ import pytest
 
 from repro.analysis.races import RaceDetector
 from repro.sim.engine import Engine, Event, SimulationError, Timeout
-from repro.sim.trace import Tracer
 
 
 def test_zero_delay_chain_runs_in_fifo_order():
@@ -151,7 +150,8 @@ def test_pool_limit_zero_disables_recycling():
 
 def test_trace_hook_suppresses_recycling_and_sees_fastpath_events():
     eng = Engine()
-    tracer = Tracer.attach(eng)
+    traced = []
+    eng.trace = lambda t, event: traced.append((t, event))
     fired = []
 
     def proc():
@@ -163,11 +163,11 @@ def test_trace_hook_suppresses_recycling_and_sees_fastpath_events():
 
     eng.process(proc())
     eng.run()
-    tracer.detach(eng)
+    eng.trace = None
     assert fired == [False]  # not recycled while tracing
     # The trace saw the fast-path (now-queue) events too, not just
     # heap-dispatched ones: process init + two sleeps at minimum.
-    assert len(tracer.records) >= 3
+    assert len(traced) >= 3
 
 
 def test_race_detector_disables_pooling():
