@@ -93,18 +93,28 @@ class DecoupledClient:
         self.ino_range = ino_range
         self._next_ino_offset = 0
 
-    def _next_ino(self) -> int:
+    def _take_inos(self, n: int) -> Sequence[int]:
+        """Inode numbers for the next ``n`` creates: fewer than ``n``
+        when the provisioned range runs out first."""
         if self.ino_range is None:
-            return 0
-        if self._next_ino_offset >= self.ino_range.count:
-            raise RuntimeError(
-                f"{self.name} exhausted its provisioned inode range "
-                f"({self.ino_range.count} inodes) — the Allocated Inodes "
-                "contract was undersized"
-            )
-        ino = self.ino_range.start + self._next_ino_offset
-        self._next_ino_offset += 1
-        return ino
+            return [0] * n
+        first = self.ino_range.start + self._next_ino_offset
+        n = min(n, self.ino_range.count - self._next_ino_offset)
+        self._next_ino_offset += n
+        return range(first, first + n)
+
+    def _range_exhausted(self) -> RuntimeError:
+        return RuntimeError(
+            f"{self.name} exhausted its provisioned inode range "
+            f"({self.ino_range.count} inodes) — the Allocated Inodes "
+            "contract was undersized"
+        )
+
+    def _next_ino(self) -> int:
+        inos = self._take_inos(1)
+        if not inos:
+            raise self._range_exhausted()
+        return inos[0]
 
     # -- per-op cost -----------------------------------------------------------
     def _op_time(self, n: int) -> float:
@@ -139,18 +149,20 @@ class DecoupledClient:
             if paths is None:
                 self.counted_ops += n
             else:
-                appended = [
-                    self.journal.append(
-                        JournalEvent(
-                            EventType.CREATE,
-                            path,
-                            ino=self._next_ino(),
-                            mtime=self.engine.now,
-                            client_id=self.client_id,
-                        )
+                # Built with their sequence numbers in place, so the
+                # journal takes them without a stamping copy.
+                now, client_id = self.engine.now, self.client_id
+                appended = self.journal.extend([
+                    JournalEvent(
+                        EventType.CREATE, path, ino=ino, mtime=now, seq=seq,
+                        client_id=client_id,
                     )
-                    for path in paths
-                ]
+                    for seq, (path, ino) in enumerate(
+                        zip(paths, self._take_inos(n)), self.journal.next_seq
+                    )
+                ])
+                if len(appended) < n:
+                    raise self._range_exhausted()
             if self.persist_each:
                 yield from self.persist_device.write(n * WIRE_EVENT_BYTES)
                 self.note_local_persist()

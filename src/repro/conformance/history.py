@@ -50,7 +50,7 @@ to check into golden-history regression tests.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 __all__ = ["HistoryEvent", "History", "KINDS", "MUTATION_OPS"]
@@ -104,7 +104,13 @@ class HistoryEvent:
             )
 
     def to_dict(self) -> Dict[str, Any]:
-        out = {k: v for k, v in asdict(self).items() if v not in (None, {})}
+        """Field name -> value, ``None`` / ``{}`` dropped.  ``detail`` is
+        shared with the event, not copied."""
+        out = {}
+        for name in _FIELD_NAMES:
+            value = getattr(self, name)
+            if value is not None and value != {}:
+                out[name] = value
         return out
 
     @classmethod
@@ -121,6 +127,9 @@ class HistoryEvent:
         if self.path:
             bits.append(self.path)
         return " ".join(bits)
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(HistoryEvent))
 
 
 class History:

@@ -13,7 +13,7 @@ instead of the encoded length.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["EventType", "JournalEvent", "WIRE_EVENT_BYTES"]
@@ -22,6 +22,10 @@ __all__ = ["EventType", "JournalEvent", "WIRE_EVENT_BYTES"]
 #: measures "about 2.5KB" of storage per journal update (Section V.A),
 #: hence 678 MB journals for ~278K updates in Figure 6c.
 WIRE_EVENT_BYTES = 2560
+
+
+_new = object.__new__
+_set = object.__setattr__  # the dataclass is frozen
 
 
 class EventType(enum.IntEnum):
@@ -78,18 +82,50 @@ class JournalEvent:
     client_id: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.op, EventType):
-            object.__setattr__(self, "op", EventType(self.op))
-        if not self.path.startswith("/"):
+        if self.op.__class__ is not EventType:
+            _set(self, "op", EventType(self.op))
+        if self.path[:1] != "/":
             raise ValueError(f"event path must be absolute, got {self.path!r}")
-        if self.op == EventType.RENAME and not self.target_path:
+        if self.op is EventType.RENAME and not self.target_path:
             raise ValueError("RENAME events require target_path")
         if self.ino < 0:
             raise ValueError("inode numbers are non-negative")
 
+    @staticmethod
+    def trusted(
+        op: EventType,
+        path: str,
+        ino: int,
+        mode: int,
+        uid: int,
+        gid: int,
+        mtime: float,
+        target_path: Optional[str],
+        seq: int,
+        client_id: int,
+    ) -> "JournalEvent":
+        """Build an event from fields that are already known to satisfy
+        the constructor's checks (a validated event being re-stamped, or
+        a frame the codec has checked); nothing is validated again."""
+        ev = _new(JournalEvent)
+        _set(ev, "op", op)
+        _set(ev, "path", path)
+        _set(ev, "ino", ino)
+        _set(ev, "mode", mode)
+        _set(ev, "uid", uid)
+        _set(ev, "gid", gid)
+        _set(ev, "mtime", mtime)
+        _set(ev, "target_path", target_path)
+        _set(ev, "seq", seq)
+        _set(ev, "client_id", client_id)
+        return ev
+
     def with_seq(self, seq: int) -> "JournalEvent":
         """Copy of this event with its journal sequence number set."""
-        return replace(self, seq=seq)
+        return JournalEvent.trusted(
+            self.op, self.path, self.ino, self.mode, self.uid, self.gid,
+            self.mtime, self.target_path, seq, self.client_id,
+        )
 
     @property
     def is_mutation(self) -> bool:

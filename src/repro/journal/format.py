@@ -55,7 +55,14 @@ _HEADER = struct.Struct("<8sHH")
 _SEGMENT = struct.Struct("<4sIIII")  # smagic seq count length pcrc (hcrc follows)
 _SEGMENT_HCRC = struct.Struct("<I")
 _EVENT_PREFIX = struct.Struct("<II")  # length, crc32 of body
-_BODY_FIXED = struct.Struct("<BQQIIIId")  # op seq ino mode uid gid client mtime
+# op seq ino mode uid gid client mtime path_len
+_BODY_HEAD = struct.Struct("<BQQIIIIdH")
+_U16 = struct.Struct("<H")
+_NO_TARGET = _U16.pack(0)
+_PREFIX_SIZE = _EVENT_PREFIX.size
+_BODY_HEAD_SIZE = _BODY_HEAD.size
+_EVENT_TYPES = {int(op): op for op in EventType}
+_crc32 = zlib.crc32
 
 #: Full byte size of one segment header.
 SEGMENT_HEADER_SIZE = _SEGMENT.size + _SEGMENT_HCRC.size
@@ -102,83 +109,106 @@ class JournalCodec:
     @staticmethod
     def encode_event(event: JournalEvent) -> bytes:
         path_b = event.path.encode("utf-8")
-        target_b = (event.target_path or "").encode("utf-8")
-        if len(path_b) > 0xFFFF:
+        path_len = len(path_b)
+        if path_len > 0xFFFF:
             raise JournalFormatError(
-                f"path too long for wire format ({len(path_b)} bytes > "
+                f"path too long for wire format ({path_len} bytes > "
                 f"{0xFFFF})"
             )
-        if len(target_b) > 0xFFFF:
-            raise JournalFormatError(
-                f"target_path too long for wire format ({len(target_b)} "
-                f"bytes > {0xFFFF})"
-            )
-        body = (
-            _BODY_FIXED.pack(
-                int(event.op),
-                event.seq,
-                event.ino,
-                event.mode,
-                event.uid,
-                event.gid,
-                event.client_id,
-                event.mtime,
-            )
-            + struct.pack("<H", len(path_b))
-            + path_b
-            + struct.pack("<H", len(target_b))
-            + target_b
-        )
-        return _EVENT_PREFIX.pack(len(body), zlib.crc32(body)) + body
+        target = event.target_path
+        if target:
+            target_b = target.encode("utf-8")
+            if len(target_b) > 0xFFFF:
+                raise JournalFormatError(
+                    f"target_path too long for wire format ({len(target_b)} "
+                    f"bytes > {0xFFFF})"
+                )
+            tail = _U16.pack(len(target_b)) + target_b
+        else:
+            tail = _NO_TARGET
+        body = _BODY_HEAD.pack(
+            event.op,
+            event.seq,
+            event.ino,
+            event.mode,
+            event.uid,
+            event.gid,
+            event.client_id,
+            event.mtime,
+            path_len,
+        ) + path_b + tail
+        return _EVENT_PREFIX.pack(len(body), _crc32(body)) + body
 
     @staticmethod
-    def decode_event(data: bytes, offset: int = 0) -> Tuple[JournalEvent, int]:
-        """Decode one event at ``offset``; returns ``(event, next_offset)``."""
-        if offset + _EVENT_PREFIX.size > len(data):
+    def _decode_frame(
+        data: bytes, offset: int, end: int
+    ) -> Tuple[JournalEvent, int]:
+        """Decode the event frame at ``offset``, reading in place and
+        never past ``end``; returns ``(event, next_offset)``.
+
+        The one decoder: it rejects everything bytes can get wrong (a
+        frame or field overrunning its container, a CRC mismatch, bad
+        UTF-8, an unknown op, a relative path, a RENAME without target)
+        and builds the event without validating anything twice.
+        """
+        body_start = offset + _PREFIX_SIZE
+        if body_start > end:
             raise JournalFormatError("truncated event prefix")
         length, crc = _EVENT_PREFIX.unpack_from(data, offset)
-        body_start = offset + _EVENT_PREFIX.size
-        body = data[body_start : body_start + length]
-        if len(body) != length:
+        body_end = body_start + length
+        if body_end > end:
             raise JournalFormatError("truncated event body")
-        if zlib.crc32(body) != crc:
+        if _crc32(data[body_start:body_end]) != crc:
             raise JournalFormatError("event CRC mismatch")
         # The CRC can coincidentally match garbage (e.g. crc32(b"") == 0),
         # so the body structure is still validated defensively.
+        path_start = body_start + _BODY_HEAD_SIZE
+        if path_start > body_end:
+            raise JournalFormatError("malformed event body: fixed fields cut")
+        op, seq, ino, mode, uid, gid, client, mtime, path_len = (
+            _BODY_HEAD.unpack_from(data, body_start)
+        )
+        target_start = path_start + path_len + 2
+        if target_start > body_end:
+            raise JournalFormatError("path overruns event body")
+        # target_len is the u16 after the path, read without a call.
+        target_end = target_start + (
+            data[target_start - 2] | data[target_start - 1] << 8
+        )
+        if target_end > body_end:
+            raise JournalFormatError("target overruns event body")
         try:
-            op, seq, ino, mode, uid, gid, client, mtime = _BODY_FIXED.unpack_from(
-                body, 0
+            path = data[path_start : target_start - 2].decode("utf-8")
+            target = (
+                data[target_start:target_end].decode("utf-8")
+                if target_end > target_start else None
             )
-            pos = _BODY_FIXED.size
-            (path_len,) = struct.unpack_from("<H", body, pos)
-            pos += 2
-            if pos + path_len + 2 > len(body):
-                raise JournalFormatError("path overruns event body")
-            path = body[pos : pos + path_len].decode("utf-8")
-            pos += path_len
-            (target_len,) = struct.unpack_from("<H", body, pos)
-            pos += 2
-            if pos + target_len > len(body):
-                raise JournalFormatError("target overruns event body")
-            target = body[pos : pos + target_len].decode("utf-8") or None
-        except (struct.error, UnicodeDecodeError) as exc:
+        except UnicodeDecodeError as exc:
             raise JournalFormatError(f"malformed event body: {exc}") from exc
-        try:
-            event = JournalEvent(
-                op=EventType(op),
-                path=path,
-                ino=ino,
-                mode=mode,
-                uid=uid,
-                gid=gid,
-                mtime=mtime,
-                target_path=target,
-                seq=seq,
-                client_id=client,
+        op = _EVENT_TYPES.get(op)
+        if op is None:
+            raise JournalFormatError("invalid event payload: unknown op")
+        if path[:1] != "/":
+            raise JournalFormatError(
+                f"invalid event payload: path must be absolute, got {path!r}"
             )
-        except ValueError as exc:
-            raise JournalFormatError(f"invalid event payload: {exc}") from exc
-        return event, body_start + length
+        if op is EventType.RENAME and not target:
+            raise JournalFormatError(
+                "invalid event payload: RENAME events require target_path"
+            )
+        return (
+            JournalEvent.trusted(
+                op, path, ino, mode, uid, gid, mtime, target, seq, client
+            ),
+            body_end,
+        )
+
+    @classmethod
+    def decode_event(
+        cls, data: bytes, offset: int = 0
+    ) -> Tuple[JournalEvent, int]:
+        """Decode one event at ``offset``; returns ``(event, next_offset)``."""
+        return cls._decode_frame(data, offset, len(data))
 
     # ---- segments -------------------------------------------------------
     @classmethod
@@ -186,7 +216,7 @@ class JournalCodec:
         """One checksummed segment carrying ``events``."""
         if seq < 1:
             raise JournalFormatError("segment seq starts at 1")
-        payload = b"".join(cls.encode_event(e) for e in events)
+        payload = b"".join(map(cls.encode_event, events))
         head = _SEGMENT.pack(
             SEGMENT_MAGIC, seq, len(events), len(payload), zlib.crc32(payload)
         )
@@ -199,13 +229,15 @@ class JournalCodec:
         """Best-effort event scan of ``[offset, end)``; stops at the
         first frame that fails its own length/CRC check."""
         events: List[JournalEvent] = []
-        while offset < end and (limit is None or len(events) < limit):
-            try:
-                event, nxt = JournalCodec.decode_event(data[:end], offset)
-            except JournalFormatError:
-                break
-            events.append(event)
-            offset = nxt
+        append = events.append
+        decode = JournalCodec._decode_frame
+        try:
+            # `limit=None` never equals a length: the scan runs to `end`.
+            while offset < end and len(events) != limit:
+                event, offset = decode(data, offset, end)
+                append(event)
+        except JournalFormatError:
+            pass
         return events, offset
 
     # ---- streams ---------------------------------------------------------
@@ -290,6 +322,7 @@ class JournalCodec:
         offset = _HEADER.size
         scan.valid_bytes = offset
         expected_seq = 1
+        view = memoryview(data)  # whole-payload CRCs without a copy
         while offset < len(data):
             remaining = len(data) - offset
             if remaining < SEGMENT_HEADER_SIZE:
@@ -337,8 +370,7 @@ class JournalCodec:
                 scan.events.extend(events)
                 return scan
             payload_end = payload_start + length
-            payload = data[payload_start:payload_end]
-            if zlib.crc32(payload) != pcrc:
+            if _crc32(view[payload_start:payload_end]) != pcrc:
                 scan.damage = "segment-corrupt"
                 scan.damage_offset = offset
                 events, _ = cls._scan_events(

@@ -55,9 +55,22 @@ class LocalJournal:
         self.events.append(stamped)
         return stamped
 
-    def extend(self, events) -> None:
-        for ev in events:
-            self.append(ev)
+    @property
+    def next_seq(self) -> int:
+        """The sequence number the next appended event will carry."""
+        return self._next_seq
+
+    def extend(self, events) -> List[JournalEvent]:
+        """Append many events; returns them as stamped.  Events built
+        with their numbers already in place (counting up from
+        :attr:`next_seq`) are taken as they are."""
+        stamped = [
+            ev if ev.seq == seq else ev.with_seq(seq)
+            for seq, ev in enumerate(events, self._next_seq)
+        ]
+        self.events.extend(stamped)
+        self._next_seq += len(stamped)
+        return stamped
 
     def clear(self) -> None:
         self.events.clear()

@@ -9,8 +9,9 @@ subtree, and the merge skips inodes the client consumed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 __all__ = ["InoRange", "InoTable"]
 
@@ -42,6 +43,12 @@ class InoTable:
             raise ValueError("first_free must leave room for system inodes")
         self._next = first_free
         self._ranges: Dict[int, List[InoRange]] = {}
+        #: ``(starts, [(end, client_id), ...])`` over every provisioned
+        #: range, sorted by start (ranges never overlap); built on demand
+        #: by :meth:`owner_of`, dropped by whatever changes ``_ranges``.
+        self._owner_index: Optional[
+            Tuple[List[int], List[Tuple[int, int]]]
+        ] = None
         self._consumed: Set[int] = set()
 
     def reserve_floor(self, first_free: int) -> None:
@@ -71,6 +78,7 @@ class InoTable:
         rng = InoRange(self._next, count)
         self._next += count
         self._ranges.setdefault(client_id, []).append(rng)
+        self._owner_index = None
         return rng
 
     def ranges_for(self, client_id: int) -> List[InoRange]:
@@ -78,8 +86,22 @@ class InoTable:
 
     def owner_of(self, ino: int) -> int | None:
         """Which client (if any) holds the range containing ``ino``."""
-        for client_id, ranges in self._ranges.items():
-            if any(ino in r for r in ranges):
+        index = self._owner_index
+        if index is None:
+            spans = sorted(
+                (rng.start, rng.end, client_id)
+                for client_id, ranges in self._ranges.items()
+                for rng in ranges
+            )
+            index = self._owner_index = (
+                [start for start, _, _ in spans],
+                [(end, client_id) for _, end, client_id in spans],
+            )
+        starts, owners = index
+        at = bisect_right(starts, ino) - 1
+        if at >= 0:
+            end, client_id = owners[at]
+            if ino < end:
                 return client_id
         return None
 
@@ -113,6 +135,7 @@ class InoTable:
         this just clears the reservation bookkeeping.
         """
         ranges = self._ranges.pop(client_id, [])
+        self._owner_index = None
         reclaimed = 0
         for rng in ranges:
             for ino in range(rng.start, rng.end):
@@ -126,6 +149,7 @@ class InoTable:
         marks inside them) for a subtree handoff.  The bundle round-trips
         through :meth:`install_client` on the destination table."""
         ranges = self._ranges.pop(client_id, [])
+        self._owner_index = None
         consumed = sorted(
             ino for ino in self._consumed
             if any(ino in rng for rng in ranges)
@@ -164,6 +188,7 @@ class InoTable:
                     )
         if incoming:
             self._ranges.setdefault(client_id, []).extend(incoming)
+            self._owner_index = None
         for ino in bundle["consumed"]:
             self._consumed.add(ino)
         top = max((rng.end for rng in incoming), default=0)

@@ -49,6 +49,12 @@ class MetadataStore:
         self.inodes[ROOT_INO] = root
         self.dirfrags[ROOT_INO] = DirFragment(ROOT_INO)
         self.events_applied = 0
+        #: Directory cursor: the spelling (up to and including the last
+        #: ``/``) and inode of the parent directory :meth:`resolve_parent`
+        #: resolved last, so a run of operations on siblings walks from
+        #: ``/`` once.  Dropped (None) by every operation that can unlink
+        #: or move a directory: rmdir, rename, export_subtree.
+        self._cursor: Optional[Tuple[str, Inode]] = None
 
     # -- path resolution -----------------------------------------------------
     def resolve(self, path: str) -> Inode:
@@ -66,6 +72,11 @@ class MetadataStore:
 
     def resolve_parent(self, path: str) -> Tuple[Inode, str]:
         """Resolve the parent directory of ``path``; returns (inode, name)."""
+        cut = path.rfind("/") + 1
+        head, name = path[:cut], path[cut:]
+        cursor = self._cursor
+        if name and cursor is not None and cursor[0] == head:
+            return cursor[1], name
         parts = _split(path)
         if not parts:
             raise FsError("EINVAL", "cannot operate on /")
@@ -73,14 +84,17 @@ class MetadataStore:
         parent = self.resolve(parent_path)
         if not parent.is_dir:
             raise FsError("ENOTDIR", parent_path)
+        if name:  # no trailing slash, so `head` spells the parent
+            self._cursor = (head, parent)
         return parent, parts[-1]
 
     def exists(self, path: str) -> bool:
         try:
-            self.resolve(path)
-            return True
+            parent, name = self.resolve_parent(path)
         except FsError:
-            return False
+            # No parent to look in: "/" itself, or a broken ancestor chain.
+            return path.startswith("/") and not path.strip("/")
+        return name in self.dirfrags[parent.ino].entries
 
     def path_of(self, ino: int) -> Optional[str]:
         """Reverse lookup (test/debug helper; O(tree))."""
@@ -101,7 +115,7 @@ class MetadataStore:
     ) -> Inode:
         parent, name = self.resolve_parent(path)
         frag = self.dirfrags[parent.ino]
-        if name in frag:
+        if name in frag.entries:
             raise FsError("EEXIST", path)
         new_ino = ino if ino is not None else self.inotable.allocate()
         if new_ino in self.inodes:
@@ -119,7 +133,7 @@ class MetadataStore:
     ) -> Inode:
         parent, name = self.resolve_parent(path)
         frag = self.dirfrags[parent.ino]
-        if name in frag:
+        if name in frag.entries:
             raise FsError("EEXIST", path)
         new_ino = ino if ino is not None else self.inotable.allocate()
         if new_ino in self.inodes:
@@ -156,6 +170,7 @@ class MetadataStore:
         frag.unlink(name)
         del self.dirfrags[child_ino]
         del self.inodes[child_ino]
+        self._cursor = None
 
     def rename(self, src: str, dst: str) -> None:
         src_parent, src_name = self.resolve_parent(src)
@@ -178,6 +193,7 @@ class MetadataStore:
                 probe = self.resolve_parent(probe_path)[0].ino
         src_frag.unlink(src_name)
         dst_frag.link(dst_name, moving)
+        self._cursor = None
 
     def setattr(self, path: str, **attrs) -> Inode:
         inode = self.resolve(path)
@@ -267,6 +283,7 @@ class MetadataStore:
         walk(norm, root_inode.ino)
         parent, name = self.resolve_parent(norm)
         self.dirfrags[parent.ino].unlink(name)
+        self._cursor = None
         for _path, inode in rows:
             self.inodes.pop(inode.ino, None)
             if inode.is_dir:

@@ -913,14 +913,21 @@ class MetadataServer:
                 pass
         if events is not None and self.config.materialize:
             applied = 0
+            apply_event = self.mdstore.apply_event
+            inotable = self.mdstore.inotable
+            is_consumed = inotable.is_consumed
             for ev in events:
                 try:
-                    self.mdstore.apply_event(ev)
+                    apply_event(ev)
                     applied += 1
-                    if ev.ino:
-                        owner = self.mdstore.inotable.owner_of(ev.ino)
-                        if owner is not None and not self.mdstore.inotable.is_consumed(ev.ino):
-                            self.mdstore.inotable.mark_consumed(ev.ino)
+                    # Replaying a CREATE/MKDIR already consumed its
+                    # inode, so the range lookup is the rare case.
+                    if (
+                        ev.ino
+                        and not is_consumed(ev.ino)
+                        and inotable.owner_of(ev.ino) is not None
+                    ):
+                        inotable.mark_consumed(ev.ino)
                     if tap is not None:
                         tap.mark(
                             "visible", self.name, op=ev.op, path=ev.path,

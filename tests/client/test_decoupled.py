@@ -56,6 +56,18 @@ def test_inode_exhaustion_raises(engine):
         drive(engine, c.create_many("/sub", ["c"]))
 
 
+def test_inode_exhaustion_mid_batch_keeps_what_fitted(engine):
+    c = DecoupledClient(engine, 1)
+    c.assign_inodes(InoRange(5000, 2))
+    with pytest.raises(RuntimeError, match="exhausted"):
+        drive(engine, c.create_many("/sub", ["a", "b", "c"]))
+    assert [(e.path, e.ino, e.seq) for e in c.journal.events] == [
+        ("/sub/a", 5000, 1), ("/sub/b", 5001, 2),
+    ]
+    with pytest.raises(RuntimeError, match="exhausted"):
+        drive(engine, c.mkdir("/sub/d"))
+
+
 def test_without_provision_ino_zero(engine):
     c = DecoupledClient(engine, 1)
     drive(engine, c.create_many("/sub", ["a"]))

@@ -10,8 +10,16 @@ invariants and hammered by Hypothesis:
 * the fault injector's :func:`~repro.faults.corrupt.corrupt_stream` is
   a pure function of ``(data, mode, seed)`` — the serial/parallel
   byte-identity guarantee for the corruption drill;
-* an undamaged stream scans clean: every event back, no damage report.
+* an undamaged stream scans clean: every event back, no damage report;
+* damage *inside* a segment whose own checksums were re-sealed (inner
+  event CRC, ``elen``, header ``count``) is pinned to one exact verdict,
+  so a rewrite of the scanner cannot move it;
+* arbitrary bytes never raise and never hang; a truncated frame is
+  always a :class:`JournalFormatError`.
 """
+
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +27,11 @@ from hypothesis import strategies as st
 
 from repro.faults.corrupt import PERSIST_FAULT_MODES, corrupt_stream
 from repro.journal.events import EventType, JournalEvent
-from repro.journal.format import JournalCodec
+from repro.journal.format import (
+    SEGMENT_HEADER_SIZE,
+    JournalCodec,
+    JournalFormatError,
+)
 
 pytestmark = pytest.mark.faults
 
@@ -153,3 +165,96 @@ def test_property_clean_stream_round_trips_byte_identically(n, seg):
     assert scan.events == events
     assert scan.valid_bytes == len(data)
     assert JournalCodec.encode_stream(scan.events, segment_events=seg) == data
+
+
+def _reseal(data, start, count=None):
+    """Recompute segment ``start``'s payload and header CRCs over its
+    (tampered) bytes, optionally lying about ``count``: the damage now
+    hides behind valid segment checksums."""
+    smagic, seq, old_count, length, _ = struct.unpack_from("<4sIIII", data, start)
+    payload = bytes(data[start + SEGMENT_HEADER_SIZE:
+                         start + SEGMENT_HEADER_SIZE + length])
+    head = struct.pack(
+        "<4sIIII", smagic, seq, old_count if count is None else count,
+        length, zlib.crc32(payload),
+    )
+    data[start: start + SEGMENT_HEADER_SIZE] = head + struct.pack(
+        "<I", zlib.crc32(head)
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=24),
+    seg=st.integers(min_value=1, max_value=8),
+    pick=st.integers(min_value=0, max_value=2**31 - 1),
+    kind=st.sampled_from(
+        ["event-crc", "elen-long", "elen-short", "count-high", "count-low"]
+    ),
+)
+def test_property_resealed_inner_damage_has_one_verdict(n, seg, pick, kind):
+    events = _events(n)
+    data = bytearray(JournalCodec.encode_stream(events, segment_events=seg))
+    spans = JournalCodec.segment_spans(bytes(data))
+    k = pick % len(spans)
+    start, end = spans[k]
+    in_segment = events[k * seg: (k + 1) * seg]
+    # Frame offsets of this segment's events.
+    frames, offset = [], start + SEGMENT_HEADER_SIZE
+    while offset < end:
+        frames.append(offset)
+        _, offset = JournalCodec.decode_event(bytes(data), offset)
+    j = (pick // len(spans)) % len(frames)
+    if kind == "event-crc":
+        data[frames[j] + 8] ^= 0x01  # first body byte; event CRC now wrong
+        _reseal(data, start)
+        salvaged = j
+    elif kind in ("elen-long", "elen-short"):
+        (elen,) = struct.unpack_from("<I", data, frames[j])
+        struct.pack_into(
+            "<I", data, frames[j], elen + (1 if kind == "elen-long" else -1)
+        )
+        _reseal(data, start)
+        salvaged = j
+    elif kind == "count-high":
+        _reseal(data, start, count=len(in_segment) + 1)
+        salvaged = len(in_segment)
+    else:
+        _reseal(data, start, count=len(in_segment) - 1)
+        salvaged = len(in_segment) - 1
+    scan = JournalCodec.scan_stream(bytes(data))
+    assert scan.damage == "segment-corrupt"
+    assert scan.damage_offset == start
+    assert scan.valid_segments == k
+    assert scan.valid_bytes == start
+    assert scan.events == events[: k * seg + salvaged]
+
+
+@settings(max_examples=200, deadline=None)
+@given(noise=st.binary(max_size=400), after_header=st.booleans())
+def test_property_arbitrary_bytes_never_raise(noise, after_header):
+    header = JournalCodec.encode_stream([])
+    data = header + noise if after_header else noise
+    scan = JournalCodec.scan_stream(data)  # returning at all is the check
+    assert scan.valid_bytes <= len(data)
+    if after_header and noise:
+        assert scan.damage is not None and scan.damage_offset == len(header)
+    # Whatever was salvaged passed the constructor's own checks.
+    for event in scan.events:
+        assert JournalEvent(**vars(event)) == event
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    path=st.text(min_size=0, max_size=12).map(lambda s: "/" + s),
+    target=st.one_of(st.none(), st.text(min_size=1, max_size=12)),
+)
+def test_property_every_frame_prefix_is_a_format_error(path, target):
+    op = EventType.RENAME if target else EventType.CREATE
+    frame = JournalCodec.encode_event(
+        JournalEvent(op, path, ino=9, target_path=target, seq=3)
+    )
+    for cut in range(len(frame)):
+        with pytest.raises(JournalFormatError):
+            JournalCodec.decode_event(frame[:cut])
+    assert JournalCodec.decode_event(frame)[1] == len(frame)

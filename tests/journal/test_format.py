@@ -1,5 +1,7 @@
 """Codec tests: round-trips, corruption detection, recovery semantics."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,3 +209,31 @@ def test_multibyte_path_overflow_reports_encoded_bytes():
     with pytest.raises(JournalFormatError, match=r"^path too long") as exc:
         JournalCodec.encode_event(ev("/" + "書" * 22000))
     assert str(1 + 3 * 22000) in str(exc.value)
+
+
+def _best_scan_s(data, repeats=3):
+    """Fastest of ``repeats`` verifying scans (host noise only slows)."""
+    best, scan = float("inf"), None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        scan = JournalCodec.scan_stream(data)
+        best = min(best, time.perf_counter() - t0)
+    return best, scan
+
+
+def test_scan_cost_does_not_depend_on_segmentation():
+    # The scanner used to copy the stream prefix once per event, so 64-
+    # event segments (the `segment_scan` micro probe's shape; the MDS's
+    # own journal dispatches 1024-event ones) scanned ~25x slower than
+    # one big segment at this size.  After the in-place decoder: ~1x.
+    events = [
+        ev(f"/micro/f{i}", ino=i + 1, seq=i + 1) for i in range(50_000)
+    ]
+    segmented = JournalCodec.encode_stream(events, segment_events=64)
+    single = JournalCodec.encode_stream(events, segment_events=None)
+    single_s, single_scan = _best_scan_s(single)
+    segmented_s, segmented_scan = _best_scan_s(segmented)
+    assert single_scan.ok and segmented_scan.ok
+    assert segmented_scan.events == single_scan.events == events
+    assert segmented_scan.valid_segments == -(-len(events) // 64)
+    assert segmented_s <= 3 * single_s, (segmented_s, single_s)

@@ -137,6 +137,62 @@ def test_rename_dir_moves_subtree(md):
     assert md.exists("/dst/moved/f")
 
 
+# -- the directory cursor must never outlive the directory it names --------
+def _create_under_a_b(md):
+    md.mkdir("/a")
+    md.mkdir("/a/b")
+    md.create("/a/b/seed")  # resolve_parent now remembers /a/b
+
+
+def test_create_after_parent_renamed_away(md):
+    _create_under_a_b(md)
+    md.rename("/a/b", "/a/c")
+    with pytest.raises(FsError) as e:
+        md.create("/a/b/x")
+    assert e.value.code == "ENOENT"
+    assert not md.exists("/a/b/seed") and md.exists("/a/c/seed")
+    moved = md.resolve("/a/c")
+    md.create("/a/c/y")
+    assert md.listdir("/a/c") == ["seed", "y"]
+    assert md.dirfrags[moved.ino].lookup("y") == md.resolve("/a/c/y").ino
+
+
+def test_create_after_parent_replaced_by_a_file(md):
+    _create_under_a_b(md)
+    md.unlink("/a/b/seed")
+    md.rmdir("/a/b")
+    assert not md.exists("/a/b/seed")
+    md.create("/a/b")
+    with pytest.raises(FsError) as e:
+        md.create("/a/b/x")
+    assert e.value.code == "ENOTDIR"
+    assert not md.exists("/a/b/x")
+
+
+def test_create_after_parent_exported(md):
+    _create_under_a_b(md)
+    rows = md.export_subtree("/a/b")
+    assert [path for path, _ in rows] == ["/a/b", "/a/b/seed"]
+    with pytest.raises(FsError) as e:
+        md.create("/a/b/x")
+    assert e.value.code == "ENOENT"
+    assert not md.exists("/a/b/seed")
+    md.import_subtree(rows)
+    md.create("/a/b/x")
+    assert md.listdir("/a/b") == ["seed", "x"]
+
+
+def test_sibling_paths_spelled_differently_share_one_parent(md):
+    _create_under_a_b(md)
+    md.create("/a//b/t")      # another spelling of the same parent
+    md.create("/a/b/u/")      # trailing slash: the name is still "u"
+    assert md.listdir("/a/b") == ["seed", "t", "u"]
+    assert md.exists("/a/b/u") and md.exists("/") and not md.exists("a/b/u")
+    with pytest.raises(FsError) as e:
+        md.create("b/v")      # relative, even with the cursor on a parent
+    assert e.value.code == "EINVAL"
+
+
 def test_setattr(md):
     md.create("/f")
     md.setattr("/f", mode=0o600, uid=5, gid=6, mtime=1.5, size=100)

@@ -1,7 +1,8 @@
 """Model-based testing: MetadataStore against a dict oracle.
 
 Hypothesis drives random op sequences (mkdir/create/unlink/rmdir/
-rename) against both the real metadata store and a trivial
+rename/exists, some renames aimed at the directory just created
+under) against both the real metadata store and a trivial
 path-set oracle; after every step the visible namespace must match.
 """
 
@@ -50,6 +51,17 @@ class NamespaceOracle:
             raise FsError("ENOTEMPTY", path)
         del self.kind[path]
 
+    def rename(self, src, dst):
+        if src == "/" or src not in self.kind:
+            raise FsError("ENOENT", src)
+        if dst in self.kind or not self.parent_ok(dst):
+            raise FsError("EEXIST", dst)
+        if (dst + "/").startswith(src + "/"):
+            raise FsError("EINVAL", f"cannot move {src} into itself")
+        moved = [p for p in self.kind if p == src or p.startswith(src + "/")]
+        for p in moved:
+            self.kind[dst + p[len(src):]] = self.kind.pop(p)
+
 
 class MetadataStoreMachine(RuleBasedStateMachine):
     def __init__(self):
@@ -57,19 +69,20 @@ class MetadataStoreMachine(RuleBasedStateMachine):
         self.md = MetadataStore()
         self.oracle = NamespaceOracle()
 
-    def both(self, fn_md, fn_oracle, path):
+
+    def both(self, fn_md, fn_oracle, *paths):
         """Apply to both; they must agree on success/failure."""
         md_err = oracle_err = None
         try:
-            fn_md(path)
+            fn_md(*paths)
         except FsError:
             md_err = True
         try:
-            fn_oracle(path)
+            fn_oracle(*paths)
         except FsError:
             oracle_err = True
         assert md_err == oracle_err, (
-            f"divergence on {path}: store_err={md_err} oracle_err={oracle_err}"
+            f"divergence on {paths}: store_err={md_err} oracle_err={oracle_err}"
         )
 
     @rule(d=st.sampled_from(DIRS), name=st.sampled_from(NAMES))
@@ -81,6 +94,38 @@ class MetadataStoreMachine(RuleBasedStateMachine):
     def do_create(self, d, name):
         path = ("/" + d + "/" + name).replace("//", "/")
         self.both(self.md.create, self.oracle.create, path)
+
+    @rule(sd=st.sampled_from(DIRS), sname=st.sampled_from(NAMES),
+          dd=st.sampled_from(DIRS), dname=st.sampled_from(NAMES))
+    def do_rename(self, sd, sname, dd, dname):
+        src = ("/" + sd + "/" + sname).replace("//", "/")
+        dst = ("/" + dd + "/" + dname).replace("//", "/")
+        self.both(self.md.rename, self.oracle.rename, src, dst)
+
+    @rule(d=st.sampled_from(DIRS), name=st.sampled_from(NAMES),
+          dd=st.sampled_from(DIRS), other=st.sampled_from(NAMES),
+          how=st.sampled_from(["out", "into", "itself"]))
+    def do_rename_under_cursor(self, d, name, dd, other, how):
+        """Create under a directory (parking the store's directory cursor
+        there), move an entry out of / into it or move the directory
+        itself, then create under its old spelling again."""
+        parent = "/" + d
+        inside = (parent + "/" + name).replace("//", "/")
+        elsewhere = ("/" + dd + "/" + other).replace("//", "/")
+        self.both(self.md.create, self.oracle.create, inside)
+        src, dst = {
+            "out": (inside, elsewhere),
+            "into": (elsewhere, inside),
+            "itself": (parent, elsewhere),
+        }[how]
+        self.both(self.md.rename, self.oracle.rename, src, dst)
+        again = (parent + "/" + other).replace("//", "/")
+        self.both(self.md.create, self.oracle.create, again)
+
+    @rule(d=st.sampled_from(DIRS), name=st.sampled_from(NAMES))
+    def do_exists(self, d, name):
+        path = ("/" + d + "/" + name).replace("//", "/")
+        assert self.md.exists(path) == (path in self.oracle.kind), path
 
     @rule(d=st.sampled_from(DIRS), name=st.sampled_from(NAMES))
     def do_unlink(self, d, name):
