@@ -7,15 +7,19 @@
   ``fig2``, ``fig3a``, ``fig3b``, ``fig3c``, ``fig5``, ``fig6a``,
   ``fig6b``, ``fig6c``, ``table1``.
 * :mod:`~repro.bench.report` — ASCII rendering of results.
-* :mod:`~repro.bench.micro` — simulator host-throughput probes and the
-  ``BENCH_micro.json`` regression gate (see docs/PERFORMANCE.md).
+* :mod:`~repro.bench.compare` — the relative-tolerance regression diff
+  behind ``python -m repro.bench compare`` and
+  ``python -m repro.scenario compare``.
+
+Host-side performance (how fast the simulator itself runs) is measured
+by the ledger under ``perf/``, not here (see docs/PERFORMANCE.md).
 
 Run from the command line::
 
     python -m repro.bench fig5
     python -m repro.bench --jobs 4            # parallel seeded runs
     REPRO_SCALE=paper python -m repro.bench fig6a
-    python -m repro.bench micro --json out/
+    python -m repro.bench compare base/fig5.json cand/fig5.json
 """
 
 from repro.bench.harness import (

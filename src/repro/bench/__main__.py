@@ -16,12 +16,8 @@ byte-identical).
 experiments themselves always run uninstrumented, so every ``BENCH_*``
 artifact is byte-identical with and without the flag (test-enforced).
 
-Subcommands:
-
-* ``compare BASE.json CAND.json [tolerance]`` — regression-diff two
-  experiment artifacts.
-* ``micro ...`` — the simulator microbenchmark suite
-  (``repro.bench.micro``).
+Subcommand: ``compare BASE.json CAND.json [tolerance]`` —
+regression-diff two experiment artifacts.
 """
 
 from __future__ import annotations
@@ -43,10 +39,6 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "compare":
         return _compare(argv[1:])
-    if argv and argv[0] == "micro":
-        from repro.bench.micro import main as micro_main
-
-        return micro_main(argv[1:])
     json_dir = None
     if "--json" in argv:
         idx = argv.index("--json")

@@ -1,29 +1,37 @@
-"""Compare two experiment artifacts (regression detection).
+"""Compare two artifacts of the same run (regression detection).
 
-``python -m repro.bench`` writes JSON artifacts with ``--json``;
-this module diffs two artifacts of the same experiment and flags series
-points whose relative change exceeds a tolerance — the building block
-for tracking the reproduction across code changes.
+One relative-tolerance diff over a flat ``{metric: value}`` map,
+:func:`compare_flat`, serves every artifact kind; a kind contributes
+only how it flattens and its same-run name check.  Experiment
+artifacts (``python -m repro.bench --json``) flatten to one
+``"<series> @ <x>"`` entry per data point here; scenario artifacts
+flatten in :mod:`repro.scenario.report`.
+
+A metric of the baseline that the candidate lacks fails the comparison
+just as a moved one does: a run that lost data points has not been
+shown to be unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Union
+from typing import Dict, List, Union
 
 from repro.bench.harness import ExperimentResult
 from repro.bench.report import load_json
 
-__all__ = ["Divergence", "ComparisonReport", "compare_results", "compare_files"]
+__all__ = [
+    "Divergence", "ComparisonReport", "compare_flat", "compare_results",
+    "compare_files",
+]
 
 
 @dataclass(frozen=True)
 class Divergence:
-    """One data point that moved more than the tolerance."""
+    """One metric that moved more than the tolerance."""
 
-    series: str
-    x: object
+    metric: str
     baseline: float
     candidate: float
 
@@ -35,35 +43,62 @@ class Divergence:
 
     def __str__(self) -> str:
         return (
-            f"{self.series} @ {self.x}: {self.baseline:.4g} -> "
+            f"{self.metric}: {self.baseline:.4g} -> "
             f"{self.candidate:.4g} ({self.rel_change:+.1%})"
         )
 
 
 @dataclass
 class ComparisonReport:
-    """Outcome of diffing two runs of the same experiment."""
+    """Outcome of diffing two runs of ``subject``."""
 
-    exp_id: str
+    subject: str
     tolerance: float
     divergences: List[Divergence] = field(default_factory=list)
-    missing_series: List[str] = field(default_factory=list)
-    missing_points: int = 0
+    #: Baseline metrics the candidate does not have.
+    missing: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.divergences and not self.missing_series
+        return not self.divergences and not self.missing
 
     def __str__(self) -> str:
         lines = [
-            f"compare {self.exp_id} (tolerance {self.tolerance:.0%}): "
+            f"compare {self.subject} (tolerance {self.tolerance:.0%}): "
             + ("OK" if self.ok else "DIVERGED")
         ]
-        lines.extend(f"  missing series: {m}" for m in self.missing_series)
-        if self.missing_points:
-            lines.append(f"  {self.missing_points} x-points not in both runs")
+        lines.extend(f"  missing: {m}" for m in self.missing)
         lines.extend(f"  {d}" for d in self.divergences)
         return "\n".join(lines)
+
+
+def compare_flat(
+    subject: str,
+    baseline: Dict[str, float],
+    candidate: Dict[str, float],
+    tolerance: float = 0.05,
+) -> ComparisonReport:
+    """Diff ``candidate`` against every metric of ``baseline``, in the
+    baseline's order; a zero baseline is judged on the absolute change."""
+    if tolerance < 0:
+        raise ValueError("tolerance must be >= 0")
+    report = ComparisonReport(subject, tolerance)
+    for metric, base in baseline.items():
+        if metric not in candidate:
+            report.missing.append(metric)
+            continue
+        cand = candidate[metric]
+        if abs(cand - base) / (abs(base) or 1.0) > tolerance:
+            report.divergences.append(Divergence(metric, base, cand))
+    return report
+
+
+def _flatten_result(result: ExperimentResult) -> Dict[str, float]:
+    return {
+        f"{series.label} @ {x}": y
+        for series in result.series
+        for x, y in zip(series.x, series.y)
+    }
 
 
 def compare_results(
@@ -76,27 +111,10 @@ def compare_results(
         raise ValueError(
             f"different experiments: {baseline.exp_id} vs {candidate.exp_id}"
         )
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
-    report = ComparisonReport(baseline.exp_id, tolerance)
-    for base_series in baseline.series:
-        try:
-            cand_series = candidate.get(base_series.label)
-        except KeyError:
-            report.missing_series.append(base_series.label)
-            continue
-        cand_points = dict(zip(cand_series.x, cand_series.y))
-        for x, y in zip(base_series.x, base_series.y):
-            if x not in cand_points:
-                report.missing_points += 1
-                continue
-            cand_y = cand_points[x]
-            denom = abs(y) if y else 1.0
-            if abs(cand_y - y) / denom > tolerance:
-                report.divergences.append(
-                    Divergence(base_series.label, x, y, cand_y)
-                )
-    return report
+    return compare_flat(
+        baseline.exp_id, _flatten_result(baseline),
+        _flatten_result(candidate), tolerance,
+    )
 
 
 def compare_files(

@@ -75,7 +75,6 @@ class Cluster:
         for rank, mds in enumerate(self.mds_list):
             self.mon.subscribe(mds.name)
             mds.policy_resolver = self.mon.resolve
-            mds.subtree_resolver = self.mon.subtree_entry
             mds.rank = rank
             if num_mds > 1:
                 mds.authority_resolver = self.mon.authority_of

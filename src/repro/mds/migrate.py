@@ -38,8 +38,9 @@ completes even if the source dies — the destination's journal holds the
 subtree.  Either way exactly one rank serves the subtree, which the
 conformance checkers verify from the recorded ``migrate`` phases.
 
-:class:`HotspotDetector` closes the loop policy-side: it reads the
-``subtree_ops`` per-subtree counters that ``repro.obs`` collects and
+:class:`HotspotDetector` closes the loop policy-side: attached to the
+cluster's observer tap it counts the ops each rank handles per subtree
+— the MDS's own load report, nothing of ``repro.obs`` involved — and
 proposes moving the hottest subtree of the busiest rank to the
 least-loaded rank.
 """
@@ -322,22 +323,35 @@ def migrate_subtree(
 
 
 class HotspotDetector:
-    """Propose migrations from the ``subtree_ops`` per-subtree counters.
+    """Propose migrations from the ops each rank handles per subtree.
 
-    With observability attached, every handled op is counted per
-    governing subtree in ``hub``; the detector aggregates
-    those counters per rank and proposes moving the hottest subtree of
-    the busiest rank to the least-loaded rank.  Pure host-side reading
-    — no engine events — and fully deterministic (sorted iteration,
-    lowest rank wins ties).
+    A tap subscriber (``cluster.attach_observer(detector)``; see
+    :mod:`repro.obs.tap`): every request an MDS finishes handling adds
+    its ``count`` to ``(daemon, governing subtree)``.  Ops handled while
+    the detector is not attached are not seen.  :meth:`propose`
+    aggregates the counts per rank and proposes moving the hottest
+    subtree of the busiest rank to the least-loaded rank.  Pure
+    host-side bookkeeping — no engine events — and fully deterministic
+    (lowest rank, then lowest path, wins ties).
     """
 
-    def __init__(self, cluster, hub, threshold_ops: int = 100):
+    tap_sections = ("mds.handle",)
+
+    def __init__(self, cluster, threshold_ops: int = 100):
         self.cluster = cluster
-        #: The :class:`~repro.obs.metrics.MetricsHub` of the
-        #: ``Observability`` attached to ``cluster``.
-        self.hub = hub
         self.threshold_ops = threshold_ops
+        self.tap_marks: Dict[str, Callable] = {}
+        #: ``(MDS daemon name, subtree root or "/")`` -> ops handled.
+        self.ops: Dict[Tuple[str, str], int] = {}
+
+    def begin(self, name: str, daemon: str, mechanism: str, fields: dict):
+        return daemon, fields
+
+    def end(self, token, result: dict) -> None:
+        daemon, fields = token
+        entry = self.cluster.mon.subtree_entry(fields["path"])
+        key = (daemon, entry[0] if entry is not None else "/")
+        self.ops[key] = self.ops.get(key, 0) + fields["count"]
 
     def _scan(self) -> Tuple[Dict[int, int], Dict[Tuple[int, str], int]]:
         per_rank: Dict[int, int] = {
@@ -346,17 +360,11 @@ class HotspotDetector:
         per_subtree: Dict[Tuple[int, str], int] = {}
         names = {mds.name: rank
                  for rank, mds in enumerate(self.cluster.mds_list)}
-        for metric in self.hub.metrics():
-            if metric.kind != "counter" or metric.name != "subtree_ops":
-                continue
-            rank = names.get(metric.daemon)
-            if rank is None:
-                continue
-            sub = dict(metric.tags).get("subtree", "/")
-            per_rank[rank] += metric.value
+        for (daemon, sub), ops in self.ops.items():
+            rank = names[daemon]
+            per_rank[rank] += ops
             if sub != "/":
-                key = (rank, sub)
-                per_subtree[key] = per_subtree.get(key, 0) + metric.value
+                per_subtree[(rank, sub)] = ops
         return per_rank, per_subtree
 
     def propose(self) -> Optional[Dict[str, object]]:

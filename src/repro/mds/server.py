@@ -160,10 +160,6 @@ class MetadataServer:
         #: Resolves a path to the governing subtree policy (wired by the
         #: Cudele namespace API); returns None for plain POSIX subtrees.
         self.policy_resolver: Optional[Callable[[str], Any]] = None
-        #: Resolves a path to its ``(subtree_root, policy)`` map entry;
-        #: consulted only by observers (``repro.obs``) to label
-        #: per-subtree op counters (hotspot detection, repro.mds.migrate).
-        self.subtree_resolver: Optional[Callable[[str], Any]] = None
         #: Directory numbers for non-materialized runs, interned in
         #: first-seen order; like the paths they name, they survive a
         #: crash.
@@ -236,7 +232,7 @@ class MetadataServer:
                     section = tap.begin(
                         "mds.handle", self.name, "rpc",
                         op=request.op, count=request.count,
-                        path=request.path, mds=self, parent=request.span,
+                        path=request.path, parent=request.span,
                     )
                 try:
                     response, commit_latency = yield from self._handle(request)
@@ -570,7 +566,6 @@ class MetadataServer:
         self.stats.counter("rpcs").incr(request.count * outcome.rpcs)
         if outcome.rpcs > 1:
             self.stats.counter("lookups").incr(request.count)
-        self.stats.series("ops").record(self.engine.now, float(request.count))
         self.stats.counter("creates").incr(request.count)
 
         cpu = self._service_time(request.count * outcome.rpcs)

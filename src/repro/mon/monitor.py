@@ -192,9 +192,10 @@ class Monitor:
     def subtree_entry(self, path: str) -> Optional[Tuple[str, Any]]:
         """The governing subtree entry for ``path``: the nearest
         decoupled policy if one applies, else the nearest MDS authority
-        assignment.  Observability attributes per-subtree op counters
-        with this, so authority-pinned (but not decoupled) subtrees are
-        visible to the hotspot detector and the migration drill."""
+        assignment.  The hotspot detector and observability attribute
+        per-subtree op counts with this, so authority-pinned (but not
+        decoupled) subtrees are visible to the balancer and the
+        migration drill."""
         return self.resolve_entry(path) or self.authority_entry(path)
 
     def exact(self, path: str) -> Optional[Any]:

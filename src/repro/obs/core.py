@@ -68,8 +68,9 @@ _OP_FEEDS = (
 #: Section name -> span tags and the metrics the section feeds.  Every
 #: metric is identified by ``(name, daemon, mechanism=…, <tag fields>)``
 #: with daemon and mechanism taken from the section.  ``mds.handle``
-#: additionally derives ``policy`` and ``subtree`` from its ``mds`` and
-#: ``path`` fields; ``mech`` spans are named ``mech.<mechanism>``.
+#: additionally derives ``policy`` and ``subtree`` from its ``path``
+#: field through the monitor's maps; ``mech`` spans are named
+#: ``mech.<mechanism>``.
 SECTION_TABLE = {
     "client.rpc": _Section(("op",), _OP_FEEDS),
     "client.append": _Section(("op",), _OP_FEEDS),
@@ -202,13 +203,10 @@ class Observability:
             duration_s = span.t_end - t_begin
         ctx = {**fields, **result} if result else fields
         if name == "mds.handle":
-            mds, path = ctx["mds"], ctx["path"]
-            resolver = mds.policy_resolver
-            policy = resolver(path) if resolver is not None else None
-            resolver = mds.subtree_resolver
-            entry = resolver(path) if resolver is not None else None
+            mon, path = self.cluster.mon, ctx["path"]
+            entry = mon.subtree_entry(path)
             ctx = dict(
-                ctx, policy=policy_tag(policy),
+                ctx, policy=policy_tag(mon.resolve(path)),
                 subtree=entry[0] if entry is not None else "/",
             )
         key = (name, daemon, mechanism, *map(ctx.get, _TAG_FIELDS[name]))

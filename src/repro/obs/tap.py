@@ -16,9 +16,9 @@ cluster's :class:`Tap`.  An instrumented site is one branch::
 A daemon never imports this module and never knows who listens.  The
 cluster owns the tap (``Cluster.attach_observer`` /
 ``detach_observer``) and rebuilds it whenever the set of observers
-changes; :class:`~repro.obs.core.Observability` and
-:class:`~repro.conformance.recorder.HistoryRecorder` are the two
-subscribers.
+changes; :class:`~repro.obs.core.Observability`,
+:class:`~repro.conformance.recorder.HistoryRecorder` and
+:class:`~repro.mds.migrate.HotspotDetector` are the three subscribers.
 
 Vocabulary
 ----------

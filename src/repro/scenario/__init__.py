@@ -14,7 +14,6 @@ run by ``python -m repro.scenario run <file>``.
 
 from repro.scenario.population import Arrival, PopulationModel
 from repro.scenario.report import (
-    ScenarioComparison,
     aggregate_seeds,
     build_artifact,
     compare_artifacts,
@@ -28,7 +27,6 @@ from repro.scenario.spec import ScenarioSpec, load_spec
 __all__ = [
     "Arrival",
     "PopulationModel",
-    "ScenarioComparison",
     "ScenarioSpec",
     "aggregate_seeds",
     "build_artifact",

@@ -8,22 +8,23 @@ normal approximation would understate the interval).  The artifact is
 wall-clock stamps, no host info — so serial and ``--jobs N`` runs emit
 byte-identical files.
 
-:func:`compare_artifacts` mirrors ``repro.bench compare``: it diffs the
-aggregate means of two artifacts of the same scenario and flags any
-metric whose relative change exceeds the tolerance.
+:func:`compare_artifacts` is ``repro.bench compare``'s diff
+(:func:`repro.bench.compare.compare_flat`) over the aggregate means of
+two artifacts of the same scenario: any metric whose relative change
+exceeds the tolerance, or that the candidate lacks, fails the gate.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Union
 
+from repro.bench.compare import ComparisonReport, compare_flat
+
 __all__ = [
     "SCHEMA",
-    "ScenarioComparison",
     "aggregate_seeds",
     "build_artifact",
     "compare_artifacts",
@@ -189,53 +190,9 @@ def format_report(artifact: Dict) -> str:
 # -- regression gate -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetricDivergence:
-    """One aggregate metric outside the comparison tolerance."""
-
-    metric: str
-    baseline: float
-    candidate: float
-
-    @property
-    def rel_change(self) -> float:
-        if self.baseline == 0:
-            return float("inf") if self.candidate else 0.0
-        return self.candidate / self.baseline - 1.0
-
-    def __str__(self) -> str:
-        return (
-            f"{self.metric}: {self.baseline:.4g} -> {self.candidate:.4g} "
-            f"({self.rel_change:+.1%})"
-        )
-
-
-@dataclass
-class ScenarioComparison:
-    """Outcome of diffing two artifacts of the same scenario."""
-
-    name: str
-    tolerance: float
-    divergences: List[MetricDivergence] = field(default_factory=list)
-    missing_metrics: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences and not self.missing_metrics
-
-    def __str__(self) -> str:
-        lines = [
-            f"compare scenario {self.name} "
-            f"(tolerance {self.tolerance:.0%}): "
-            + ("OK" if self.ok else "DIVERGED")
-        ]
-        lines.extend(f"  missing metric: {m}" for m in self.missing_metrics)
-        lines.extend(f"  {d}" for d in self.divergences)
-        return "\n".join(lines)
-
-
 def _flatten_aggregate(agg: Dict) -> Dict[str, float]:
-    """Aggregate means as a flat ``metric-path -> value`` mapping."""
+    """Aggregate means as a flat ``metric-path -> value`` mapping,
+    sorted by metric path."""
     flat: Dict[str, float] = {}
     for key in (
         "offered_rate_hz", "achieved_rate_hz", "makespan_s",
@@ -247,12 +204,12 @@ def _flatten_aggregate(agg: Dict) -> Dict[str, float]:
             flat[f"latency.{op}.{quantile}"] = (
                 agg["latency"][op][quantile]["mean"]
             )
-    return flat
+    return dict(sorted(flat.items()))
 
 
 def compare_artifacts(
     baseline: Dict, candidate: Dict, tolerance: float = 0.05
-) -> ScenarioComparison:
+) -> ComparisonReport:
     """Diff the aggregate means of two runs of the same scenario."""
     base_name = baseline["scenario"]["name"]
     cand_name = candidate["scenario"]["name"]
@@ -260,30 +217,19 @@ def compare_artifacts(
         raise ValueError(
             f"different scenarios: {base_name!r} vs {cand_name!r}"
         )
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
-    report = ScenarioComparison(base_name, tolerance)
-    base_flat = _flatten_aggregate(baseline["aggregate"])
-    cand_flat = _flatten_aggregate(candidate["aggregate"])
-    for metric in sorted(base_flat):
-        if metric not in cand_flat:
-            report.missing_metrics.append(metric)
-            continue
-        base_value = base_flat[metric]
-        cand_value = cand_flat[metric]
-        denom = abs(base_value) if base_value else 1.0
-        if abs(cand_value - base_value) / denom > tolerance:
-            report.divergences.append(
-                MetricDivergence(metric, base_value, cand_value)
-            )
-    return report
+    return compare_flat(
+        f"scenario {base_name}",
+        _flatten_aggregate(baseline["aggregate"]),
+        _flatten_aggregate(candidate["aggregate"]),
+        tolerance,
+    )
 
 
 def compare_files(
     baseline_path: Union[str, Path],
     candidate_path: Union[str, Path],
     tolerance: float = 0.05,
-) -> ScenarioComparison:
+) -> ComparisonReport:
     """Diff two scenario artifacts on disk."""
     return compare_artifacts(
         load_artifact(baseline_path), load_artifact(candidate_path),

@@ -16,11 +16,14 @@ plus however long the op sat in the backlog.
 
 Auto-migration
 --------------
-With ``auto_migrate`` configured, a driver process periodically asks
-the :class:`~repro.mds.migrate.HotspotDetector` for a proposal (fed by
-the ``subtree_ops`` counters the attached observability collects) and
+With ``auto_migrate`` configured, a
+:class:`~repro.mds.migrate.HotspotDetector` is attached to the
+cluster's observer tap before any traffic (the setup ``mkdir``s count
+as load) and a driver process periodically asks it for a proposal and
 runs :func:`~repro.mds.migrate.migrate_subtree` on it — the full
-detect -> decide -> move loop under live traffic.
+detect -> decide -> move loop under live traffic.  Nothing else
+observes the run: a scenario without ``auto_migrate`` runs with the tap
+detached.
 
 Determinism
 -----------
@@ -40,7 +43,7 @@ from repro.cluster import Cluster
 from repro.core.policy import SubtreePolicy
 from repro.mds.migrate import HotspotDetector, migrate_subtree
 from repro.mds.server import MDSConfig
-from repro.obs import Observability
+from repro.obs.metrics import Histogram
 from repro.scenario.population import PopulationModel
 from repro.scenario.report import build_artifact
 from repro.scenario.spec import ScenarioSpec
@@ -90,7 +93,7 @@ def _dispatch(client, op: str, path: str):
 def _scenario_body(
     cluster: Cluster,
     spec: ScenarioSpec,
-    obs: Observability,
+    detector: Optional[HotspotDetector],
     seed: int,
 ) -> Generator[Event, None, Dict]:
     engine = cluster.engine
@@ -121,6 +124,7 @@ def _scenario_body(
     completed = {op: 0 for op in OPS}
     errors = {op: 0 for op in OPS}
     peak_backlog = [0]
+    latencies = {op: Histogram("scenario_latency_s") for op in OPS + ("all",)}
     migrations: List[Dict] = []
     stop_driver = [False]
 
@@ -150,12 +154,8 @@ def _scenario_body(
                 if not resp.ok:
                     errors[op] += 1
                 latency = engine.now - t_offered
-                obs.hub.histogram(
-                    "scenario_latency_s", daemon="scenario", op=op
-                ).observe(latency)
-                obs.hub.histogram(
-                    "scenario_latency_s", daemon="scenario", op="all"
-                ).observe(latency)
+                latencies[op].observe(latency)
+                latencies["all"].observe(latency)
             elif source_done[0]:
                 return
             else:
@@ -165,9 +165,6 @@ def _scenario_body(
 
     def migration_driver():
         am = spec.auto_migrate
-        detector = HotspotDetector(
-            cluster, obs.hub, threshold_ops=am.threshold_ops
-        )
         while not stop_driver[0]:
             yield engine.sleep(am.check_interval_s)
             if stop_driver[0]:
@@ -203,7 +200,7 @@ def _scenario_body(
     ]
     driver_proc = (
         engine.process(migration_driver(), name="scenario-migrator")
-        if spec.auto_migrate is not None
+        if detector is not None
         else None
     )
     yield engine.all_of([source_proc] + worker_procs)
@@ -216,9 +213,8 @@ def _scenario_body(
     total_offered = sum(offered[op] for op in OPS)
     total_completed = sum(completed[op] for op in OPS)
     latency: Dict[str, Dict[str, float]] = {}
-    for op in OPS + ("all",):
-        hist = obs.hub.get("scenario_latency_s", daemon="scenario", op=op)
-        if hist is None or hist.count == 0:
+    for op, hist in latencies.items():
+        if hist.count == 0:
             continue
         latency[op] = {
             "count": hist.count,
@@ -266,11 +262,17 @@ def run_seed(task: Tuple[Dict, int]) -> Dict:
         num_mds=spec.cluster.num_mds,
         seed=seed,
     )
-    obs = Observability(cluster).attach()
+    detector = None
+    if spec.auto_migrate is not None:
+        detector = HotspotDetector(
+            cluster, threshold_ops=spec.auto_migrate.threshold_ops
+        )
+        cluster.attach_observer(detector)
     try:
-        return cluster.run(_scenario_body(cluster, spec, obs, seed))
+        return cluster.run(_scenario_body(cluster, spec, detector, seed))
     finally:
-        obs.detach()
+        if detector is not None:
+            cluster.detach_observer(detector)
 
 
 def run_scenario(

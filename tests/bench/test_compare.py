@@ -30,7 +30,7 @@ def test_divergence_flagged():
     assert not r.ok
     assert len(r.divergences) == 1
     d = r.divergences[0]
-    assert d.x == 1 and d.rel_change == pytest.approx(0.2)
+    assert d.metric == "s @ 1" and d.rel_change == pytest.approx(0.2)
     assert "DIVERGED" in str(r)
     assert "+20.0%" in str(r)
 
@@ -52,8 +52,26 @@ def test_missing_series_and_points():
         "e", "t", "x", "y", series=[Series("a", [1], [1.0])]
     )
     r = compare_results(base, cand)
-    assert r.missing_series == ["b"]
-    assert r.missing_points == 1
+    assert r.missing == ["a @ 2", "b @ 1"]
+    assert not r.divergences
+
+
+def test_lost_data_point_fails_the_gate(tmp_path, capsys):
+    """A candidate that dropped a baseline point has not been shown to
+    be unchanged: not ok, and ``compare`` exits 1."""
+    from repro.bench.__main__ import main
+
+    r = compare_results(result([1.0, 2.0]), result([1.0]))
+    assert r.missing == ["s @ 1"] and not r.divergences
+    assert not r.ok
+    assert "DIVERGED" in str(r) and "missing: s @ 1" in str(r)
+    # Points only the candidate has are not the baseline's business.
+    assert compare_results(result([1.0]), result([1.0, 2.0])).ok
+
+    base = dump_json(result([1.0, 2.0]), tmp_path / "base.json")
+    cand = dump_json(result([1.0]), tmp_path / "cand.json")
+    assert main(["compare", str(base), str(cand)]) == 1
+    assert "missing: s @ 1" in capsys.readouterr().out
 
 
 def test_mismatched_experiments_rejected():

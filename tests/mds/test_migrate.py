@@ -12,7 +12,7 @@ from repro.cluster import Cluster
 from repro.mds.caps import CapState
 from repro.mds.migrate import HotspotDetector, migrate_subtree
 from repro.mds.server import MDSConfig
-from repro.obs import MetricsHub, Observability
+from repro.obs import Observability
 
 SUBTREE = "/job"
 
@@ -157,7 +157,12 @@ def test_traffic_during_handoff_stalls_but_never_fails():
 
 
 def test_hotspot_detector_proposes_the_hot_subtree():
+    """Differential: attached next to ``Observability``, the detector
+    counts exactly what the hub's ``subtree_ops`` counters hold, and
+    proposes what the hub-fed detector it replaces proposed."""
     cluster = Cluster(num_mds=2, seed=0)
+    detector = HotspotDetector(cluster, threshold_ops=10)
+    cluster.attach_observer(detector)
     with Observability(cluster) as obs:
         cluster.assign_subtree_mds("/hot", 0)
         cluster.assign_subtree_mds("/cold", 0)
@@ -183,49 +188,53 @@ def test_hotspot_detector_proposes_the_hot_subtree():
             assert resp.ok
 
         cluster.run(trickle())
-        detector = HotspotDetector(cluster, obs.hub, threshold_ops=10)
-        proposal = detector.propose()
-        assert proposal is not None
-        assert proposal["subtree"] == "/hot"
-        assert proposal["src_rank"] == 0 and proposal["dst_rank"] == 1
-        assert proposal["ops"] >= 64
-        # Balanced-enough load proposes nothing.
-        assert HotspotDetector(
-            cluster, obs.hub, threshold_ops=10**6
-        ).propose() is None
+    cluster.detach_observer(detector)
+    assert detector.ops == {
+        (m.daemon, dict(m.tags)["subtree"]): m.value
+        for m in obs.hub.metrics() if m.name == "subtree_ops"
+    }
+    assert detector.ops[("mds0", "/hot")] == 64
+    assert detector.propose() == {
+        "subtree": "/hot", "src_rank": 0, "dst_rank": 1, "ops": 64,
+    }
+    # Balanced-enough load proposes nothing.
+    detector.threshold_ops = 10**6
+    assert detector.propose() is None
 
 
-def test_hotspot_detector_on_an_empty_hub_is_silent():
+def test_hotspot_detector_never_attached_is_silent():
     cluster = Cluster(num_mds=2, seed=0)
-    assert HotspotDetector(cluster, MetricsHub()).propose() is None
+    detector = HotspotDetector(cluster)
+    client = cluster.new_client()
+    cluster.run(client.mkdir("/unseen"))
+    assert cluster.tap is None
+    assert detector.ops == {} and detector.propose() is None
 
 
 def test_hotspot_proposal_closes_the_loop():
     """The detector's proposal is directly executable and rebalances."""
     cluster = Cluster(num_mds=2, seed=0)
-    with Observability(cluster) as obs:
-        cluster.assign_subtree_mds("/hot", 0)
-        client = cluster.new_client()
+    detector = HotspotDetector(cluster, threshold_ops=10)
+    cluster.attach_observer(detector)
+    cluster.assign_subtree_mds("/hot", 0)
+    client = cluster.new_client()
 
-        def story():
-            resp = yield cluster.engine.process(client.mkdir("/hot"))
-            assert resp.ok
-            resp = yield cluster.engine.process(
-                client.create_many("/hot", [f"f{i}" for i in range(32)])
-            )
-            assert resp.ok
-
-        cluster.run(story())
-        proposal = HotspotDetector(
-            cluster, obs.hub, threshold_ops=10
-        ).propose()
-        assert proposal is not None
-        result = cluster.run(
-            migrate_subtree(cluster, proposal["subtree"],
-                            proposal["dst_rank"])
+    def story():
+        resp = yield cluster.engine.process(client.mkdir("/hot"))
+        assert resp.ok
+        resp = yield cluster.engine.process(
+            client.create_many("/hot", [f"f{i}" for i in range(32)])
         )
-        assert result.status == "done"
-        assert cluster.mon.authority_of("/hot") == proposal["dst_rank"]
+        assert resp.ok
+
+    cluster.run(story())
+    proposal = detector.propose()
+    assert proposal is not None
+    result = cluster.run(
+        migrate_subtree(cluster, proposal["subtree"], proposal["dst_rank"])
+    )
+    assert result.status == "done"
+    assert cluster.mon.authority_of("/hot") == proposal["dst_rank"]
 
 
 def test_round_trip_never_reallocates_burned_inodes():

@@ -102,6 +102,13 @@ def test_compare_ok_and_divergence():
     metrics = [d.metric for d in report.divergences]
     assert "latency.all.p99_s" in metrics
     assert "DIVERGED" in str(report)
+    assert str(report).startswith("compare scenario agg (tolerance 10%)")
+
+    # A metric the candidate lost fails the gate like a moved one.
+    del same["aggregate"]["latency"]["all"]
+    report = compare_artifacts(base, same)
+    assert not report.ok and not report.divergences
+    assert "latency.all.p99_s" in report.missing
 
 
 def test_compare_rejects_different_scenarios():

@@ -1,9 +1,15 @@
 """End-to-end scenario runs: accounting, auto-migration, determinism."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.cluster import Cluster
+from repro.mds.migrate import HotspotDetector
+from repro.obs.spans import Tracer
+from repro.scenario import runner
 from repro.scenario.report import build_artifact
 from repro.scenario.runner import run_scenario, run_seed
 from repro.scenario.spec import ScenarioSpec
@@ -133,3 +139,85 @@ def test_artifact_identical_with_args(tmp_path):
     spec = ScenarioSpec.from_dict(SMALL)
     per_seed = [run_seed((spec.to_dict(), s)) for s in range(2)]
     assert build_artifact(spec, per_seed) == build_artifact(spec, per_seed)
+
+
+# -- observation is opt-in on the scenario path ----------------------------
+
+
+@pytest.fixture
+def observed(monkeypatch):
+    """Spy on the cluster ``run_seed`` builds: every subscriber attached
+    and the tap in force while the body ran."""
+    seen = {"attached": [], "clusters": [], "tap_during_run": []}
+    attach, run = Cluster.attach_observer, Cluster.run
+
+    def spy_attach(cluster, subscriber):
+        seen["attached"].append(subscriber)
+        attach(cluster, subscriber)
+
+    def spy_run(cluster, *args, **kwargs):
+        seen["clusters"].append(cluster)
+        seen["tap_during_run"].append(cluster.tap)
+        return run(cluster, *args, **kwargs)
+
+    monkeypatch.setattr(Cluster, "attach_observer", spy_attach)
+    monkeypatch.setattr(Cluster, "run", spy_run)
+    return seen
+
+
+def test_plain_scenario_attaches_no_observer(observed):
+    run_seed((dict(SMALL), 0))
+    assert observed["attached"] == []
+    assert observed["tap_during_run"] == [None]
+    assert observed["clusters"][0].tap is None
+
+
+def test_auto_migrate_attaches_only_the_detector(observed):
+    run_seed((dict(DRIFT), 0))
+    (detector,) = observed["attached"]
+    assert isinstance(detector, HotspotDetector)
+    assert detector.tap_sections == ("mds.handle",)
+    assert detector.tap_marks == {}
+    assert observed["tap_during_run"][0] is not None
+    assert observed["clusters"][0].tap is None
+
+
+def test_detector_is_detached_when_the_body_raises(observed, monkeypatch):
+    def broken(spec):
+        raise RuntimeError("population exploded")
+
+    monkeypatch.setattr(runner, "PopulationModel", broken)
+    with pytest.raises(RuntimeError, match="population exploded"):
+        run_seed((dict(DRIFT), 0))
+    assert len(observed["attached"]) == 1
+    assert observed["clusters"][0].tap is None
+
+
+def test_scenario_run_never_opens_a_span(monkeypatch):
+    def no_spans(*args, **kwargs):
+        raise AssertionError("a scenario run opened a span")
+
+    monkeypatch.setattr(Tracer, "open", no_spans)
+    result = run_seed((dict(DRIFT), 0))
+    assert result["migrations_done"] >= 1
+
+
+def test_scenario_and_mds_import_no_observer_machinery():
+    """The only thing the scenario and MDS packages take from
+    ``repro.obs`` is the runner's ``Histogram``."""
+    src = Path(runner.__file__).parents[1]
+    found = []
+    for path in sorted([*(src / "scenario").glob("*.py"),
+                        *(src / "mds").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            found += [
+                (path.name, name) for name in names
+                if name.split(".")[:2] == ["repro", "obs"]
+            ]
+    assert found == [("runner.py", "repro.obs.metrics.Histogram")]
