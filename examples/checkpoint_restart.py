@@ -12,7 +12,7 @@ while Local Persist makes them recoverable.
 Run:  python examples/checkpoint_restart.py
 """
 
-from repro import Cluster, Cudele, SubtreePolicy
+from repro import Cluster, Cudele
 from repro.client.decoupled import DecoupledClient
 from repro.journal.journaler import LocalJournal
 from repro.mds.server import MDSConfig

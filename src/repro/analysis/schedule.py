@@ -208,33 +208,6 @@ class ScheduleController:
         self._orig_process = None
 
     # -- scheduler hook --------------------------------------------------
-    def _delivery_tag(self, proc: Process) -> Optional[str]:
-        """Best-effort attribution of an untagged delivery process.
-
-        Reply deliveries (``MetadataServer._delayed_reply`` and kin)
-        are spawned by untagged daemon loops but exist solely to
-        succeed one client's pending ``done`` event — which sits in
-        the generator frame, with the waiting client process already
-        registered on its callbacks.  Attributing the delivery to that
-        client lets the reduction see it as part of the client's RPC
-        conversation instead of an opaque always-dependent action.
-        Purely analysis-side and fail-open: anything unexpected just
-        yields no tag.
-        """
-        frame = getattr(getattr(proc, "generator", None), "gi_frame", None)
-        if frame is None:
-            return None
-        done = frame.f_locals.get("done")
-        if not isinstance(done, Event):
-            return None
-        for cb in done.callbacks:
-            waiter = getattr(cb, "__self__", None)
-            if isinstance(waiter, Process):
-                tag = self._tags.get(waiter)
-                if tag is not None:
-                    return tag
-        return None
-
     def _describe(self, event: Event) -> Alternative:
         proc: Optional[Process] = None
         if isinstance(event, Process):
@@ -246,8 +219,6 @@ class ScheduleController:
                     proc = owner
                     break
         tag = self._tags.get(proc) if proc is not None else None
-        if tag is None and proc is not None:
-            tag = self._delivery_tag(proc)
         name = proc.name if proc is not None else type(event).__name__
         path, rpc = self._targets.get(tag, (None, False)) \
             if tag is not None else (None, False)

@@ -31,7 +31,7 @@ from repro.mds.journal import MDSJournal
 from repro.mds.mdstore import FsError, MetadataStore
 from repro.rados.cluster import ObjectStore
 from repro.rados.striper import Striper
-from repro.sim.engine import Engine, Event, Interrupt, Timeout
+from repro.sim.engine import Engine, Event, Interrupt
 from repro.sim.network import Network
 from repro.sim.resources import Store
 from repro.sim.rng import RngStream
@@ -260,17 +260,9 @@ class MetadataServer:
     def _reply(self, done: Event, response: Response, latency: float) -> None:
         if done.triggered:  # crashed and already failed by crash()
             return
-        if latency > 0:
-            self.engine.process(self._delayed_reply(done, response, latency))
-        else:
-            done.succeed(response)
-
-    def _delayed_reply(
-        self, done: Event, response: Response, latency: float
-    ) -> Generator[Event, None, None]:
-        yield self.engine.sleep(latency)
-        if not done.triggered:
-            done.succeed(response)
+        # The journal-commit latency is pipelined (it delays the reply,
+        # not the CPU), so it is the reply event's own delay.
+        done.succeed(response, delay=latency)
 
     def shutdown(self) -> Event:
         """Stop the serve loop after the queue drains."""
@@ -303,6 +295,11 @@ class MetadataServer:
             if done is not None and not done.triggered:
                 done.fail(MDSDownError(f"{self.name} crashed"))
                 failed += 1
+        # Interrupt before draining: a request the queue already handed
+        # to the parked loop, but that the loop has not picked up yet,
+        # comes back to the head of the queue and is failed with the rest.
+        if self._loop.is_alive:
+            self._loop.interrupt("mds-crash")
         while True:
             item = self._queue.try_get()
             if item is None:
@@ -311,8 +308,6 @@ class MetadataServer:
             if done is not None and not done.triggered:
                 done.fail(MDSDownError(f"{self.name} crashed"))
                 failed += 1
-        if self._loop.is_alive:
-            self._loop.interrupt("mds-crash")
         self.running = False
         # Release any export freeze: the frozen-window state lived in
         # MDS memory, and a crashed source's migration aborts anyway.

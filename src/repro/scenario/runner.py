@@ -149,7 +149,7 @@ def _scenario_body(
         while True:
             if backlog:
                 t_offered, op, path = backlog.popleft()
-                resp = yield engine.process(_dispatch(client, op, path))
+                resp = yield from _dispatch(client, op, path)
                 completed[op] += 1
                 if not resp.ok:
                     errors[op] += 1

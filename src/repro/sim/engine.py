@@ -23,6 +23,12 @@ Design notes
   ``(time, priority, seq)`` heap would have produced — the contract is
   preserved, the ``heappush``/``heappop`` round trip is not paid (see
   docs/PERFORMANCE.md).
+* An engine event exists only where simulated time passes or another
+  process hands something over.  A wait that is already satisfied when
+  it is issued (``Resource.request`` with a free slot, ``Store.get``
+  with an item queued, ``Semaphore.acquire`` with a token left) comes
+  back *already processed*, and a process that yields a processed event
+  continues inline, in a loop, without a dispatch.
 * Events may have multiple waiters (processes and derived events), each
   notified in subscription order.
 * :class:`Interrupt` supports SimPy-style process interruption, used by
@@ -169,6 +175,22 @@ class Event:
         self.engine._schedule(self, delay)
         return self
 
+    def _satisfy(self, value: Any = None) -> None:
+        """Succeed *already processed*: the wait was over when it was
+        issued (a free slot, a queued item, a spare token), so no engine
+        event is dispatched for it — the process that yields this event
+        carries on inline (see :meth:`Process._step`)."""
+        self._state = _PROCESSED
+        self._value = value
+
+    def _abandon(self) -> None:
+        """The process waiting on this event was interrupted before the
+        event reached it.  Events that reserve something for their
+        waiter — a resource slot, a store item, a semaphore token —
+        override this to hand it back, whether the event is still
+        pending or already triggered but not yet dispatched; a plain
+        event reserves nothing."""
+
     # -- engine internals ----------------------------------------------
     def _process_callbacks(self) -> None:
         self._state = _PROCESSED
@@ -300,8 +322,10 @@ class Process(Event):
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 
-        If the process was queued on a resource, its pending request is
-        cancelled so the slot is not granted to a dead waiter.
+        The event the process was waiting on is told it lost its waiter
+        (:meth:`Event._abandon`), so a slot, item or token it holds for
+        the process — queued for, or granted but not yet delivered —
+        goes to the next waiter instead of a dead one.
         """
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt finished process {self.name}")
@@ -315,12 +339,7 @@ class Process(Event):
                 # so the interrupt is discarded in favour of the failure.
                 return
             target._discard_callback(self._bound_resume)
-            resource = getattr(target, "resource", None)
-            if resource is not None and not target.triggered:
-                resource.release(target)  # cancel the queued request
-            store = getattr(target, "store", None)
-            if store is not None and not target.triggered:
-                store.cancel(target)  # forget the queued getter
+            target._abandon()
             self._waiting_on = None
         wake = Event(self.engine)
 
@@ -353,24 +372,36 @@ class Process(Event):
         prev_active = engine._active
         engine._active = self
         try:
-            try:
-                target = advance(arg)
-            except StopIteration as stop:
-                self.succeed(stop.value)
-                return
-            except BaseException as exc:  # noqa: BLE001 - propagate as failure
-                self.fail(exc)
-                return
-            if not isinstance(target, Event):
-                self.fail(
-                    TypeError(
-                        f"process {self.name!r} yielded {target!r}; "
-                        "processes must yield Event instances"
+            while True:
+                try:
+                    target = advance(arg)
+                except StopIteration as stop:
+                    self.succeed(stop.value)
+                    return
+                except BaseException as exc:  # noqa: BLE001 - propagate as failure
+                    self.fail(exc)
+                    return
+                if not isinstance(target, Event):
+                    self.fail(
+                        TypeError(
+                            f"process {self.name!r} yielded {target!r}; "
+                            "processes must yield Event instances"
+                        )
                     )
-                )
-                return
-            self._waiting_on = target
-            target.add_callback(self._bound_resume)
+                    return
+                if target._state != _PROCESSED:
+                    self._waiting_on = target
+                    target.add_callback(self._bound_resume)
+                    return
+                # A wait that is already over is not an event: carry on
+                # in this loop (not through add_callback -> _resume ->
+                # _step, which would recurse once per such yield).
+                self.last_resumed_by = target
+                if target._ok:
+                    advance = self.generator.send
+                else:
+                    advance = self.generator.throw
+                arg = target._value
         finally:
             engine._active = prev_active
 

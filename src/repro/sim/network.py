@@ -51,7 +51,8 @@ class Link:
 
         Latency overlaps with other transfers (it models propagation and
         protocol overhead), while the ``nbytes / bandwidth`` portion is
-        serialized on the pipe.
+        serialized on the pipe.  A zero-latency link (every client<->MDS
+        link, by calibration) has no propagation wait to schedule.
         """
         if nbytes < 0:
             raise ValueError("cannot transmit a negative byte count")
@@ -63,7 +64,8 @@ class Link:
             yield self.engine.sleep(nbytes / self.bandwidth_bps)
         finally:
             self._pipe.release(req)
-        yield self.engine.sleep(self.latency_s)
+        if self.latency_s > 0:
+            yield self.engine.sleep(self.latency_s)
 
 
 class Network:

@@ -20,13 +20,19 @@ __all__ = ["Resource", "Store", "StoreGet", "Semaphore", "Request"]
 
 
 class Request(Event):
-    """Event returned by :meth:`Resource.request`; fires on acquisition."""
+    """Event returned by :meth:`Resource.request`; fires on acquisition
+    (already processed when a slot was free)."""
 
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
         super().__init__(resource.engine)
         self.resource = resource
+
+    def _abandon(self) -> None:
+        # Queued: leave the queue.  Granted but not yet delivered: the
+        # slot goes to the next waiter instead of leaking.
+        self.resource.release(self)
 
 
 class Resource:
@@ -95,7 +101,7 @@ class Resource:
         if self._in_use < self.capacity:
             self._account()
             self._in_use += 1
-            req.succeed(self)
+            req._satisfy(self)
         else:
             self._queue.append(req)
         return req
@@ -119,11 +125,12 @@ class Resource:
 
 
 class StoreGet(Event):
-    """Event returned by :meth:`Store.get`; fires with the next item.
+    """Event returned by :meth:`Store.get`; fires with the next item
+    (already processed when one was queued).
 
-    Carries a ``store`` back-reference so :meth:`Process.interrupt` can
-    cancel a queued getter — otherwise a dead waiter (e.g. a crashed
-    daemon's request loop) would silently swallow the next ``put``.
+    Carries a ``store`` back-reference so an interrupted getter can be
+    cancelled — otherwise a dead waiter (e.g. a crashed daemon's request
+    loop) would silently swallow the next ``put``.
     """
 
     __slots__ = ("store",)
@@ -131,6 +138,9 @@ class StoreGet(Event):
     def __init__(self, store: "Store"):
         super().__init__(store.engine)
         self.store = store
+
+    def _abandon(self) -> None:
+        self.store.cancel(self)
 
 
 class Store:
@@ -156,7 +166,7 @@ class Store:
         """Event that fires with the next item (immediately if available)."""
         ev = StoreGet(self)
         if self._items:
-            ev.succeed(self._items.popleft())
+            ev._satisfy(self._items.popleft())
         else:
             self._getters.append(ev)
         return ev
@@ -168,11 +178,40 @@ class Store:
         return None
 
     def cancel(self, getter: Event) -> None:
-        """Forget a queued getter (its process was interrupted/crashed)."""
+        """Forget a getter whose process was interrupted/crashed.
+
+        A getter that ``put`` already handed an item to, but whose event
+        has not been dispatched yet, gives the item back: to the next
+        parked getter, else to the head of the queue, where the next
+        ``get`` / ``try_get`` finds it.
+        """
+        if getter.triggered and not getter.processed:
+            if self._getters:
+                self._getters.popleft().succeed(getter.value)
+            else:
+                self._items.appendleft(getter.value)
+            return
         try:
             self._getters.remove(getter)
         except ValueError:
             pass
+
+
+class _Acquire(Event):
+    """Event returned by :meth:`Semaphore.acquire`; fires with a token
+    (already processed when one was left)."""
+
+    __slots__ = ("semaphore",)
+
+    def __init__(self, semaphore: "Semaphore"):
+        super().__init__(semaphore.engine)
+        self.semaphore = semaphore
+
+    def _abandon(self) -> None:
+        if self.triggered:  # token granted but not yet delivered
+            self.semaphore.release()
+        else:
+            self.semaphore._waiters.remove(self)
 
 
 class Semaphore:
@@ -191,10 +230,10 @@ class Semaphore:
         return self._tokens
 
     def acquire(self) -> Event:
-        ev = Event(self.engine)
+        ev = _Acquire(self)
         if self._tokens > 0:
             self._tokens -= 1
-            ev.succeed()
+            ev._satisfy()
         else:
             self._waiters.append(ev)
         return ev

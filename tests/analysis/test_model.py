@@ -11,7 +11,6 @@ from repro.analysis.model import (
     explore_matrix,
     model_report_json,
     run_schedule,
-    state_fingerprint,
     variant_name,
 )
 from repro.conformance.driver import CELLS

@@ -91,6 +91,49 @@ def test_crash_fails_pending_requests_with_mds_down():
         assert isinstance(done.value, MDSDownError)
 
 
+def test_crash_between_handoff_and_pickup_fails_the_request():
+    """On an idle MDS ``submit`` hands the request straight to the
+    parked serve loop; a crash before the loop picks it up must still
+    fail the reply (regression: the request was neither current nor
+    queued, so ``done`` never fired and the client hung forever)."""
+    cluster = Cluster(seed=0)
+    cluster.engine.run()  # the serve loop is parked on its queue
+    done = cluster.mds.submit(Request("create", "/", 1, names=["f"]))
+    summary = cluster.mds.crash()
+    assert summary["requests_failed"] == 1
+    cluster.engine.run()
+    assert done.triggered and not done.ok
+    assert isinstance(done.value, MDSDownError)
+
+
+def test_client_retries_a_request_lost_in_the_handoff_window(monkeypatch):
+    """The same window seen from a client: the default retry policy has
+    no reply timeout, so only the failed ``done`` gets it to retry."""
+    cluster = Cluster(seed=0)
+    client = cluster.new_client(retry=RetryPolicy())
+    cluster.run(client.mkdir("/d"))
+    cluster.run(cluster.mds.journal.flush())
+    mds, submit = cluster.mds, cluster.mds.submit
+
+    def submit_then_crash(request):
+        done = submit(request)
+        if not mds.stats.counter("crashes").value:
+            mds.crash()  # first attempt only; retries go through
+            cluster.engine.process(recover_later())
+        return done
+
+    def recover_later():
+        yield cluster.engine.timeout(0.015)
+        yield cluster.engine.process(mds.recover())
+
+    monkeypatch.setattr(mds, "submit", submit_then_crash)
+    resp = cluster.run(client.create("/d/f"))
+    assert resp.ok
+    assert mds.mdstore.exists("/d/f")
+    assert client.stats.counter("rpc_retries").value >= 1
+    assert mds.stats.counter("requests_failed").value == 1
+
+
 def test_submit_to_crashed_mds_fails_immediately():
     cluster = Cluster(seed=0)
     cluster.mds.crash()

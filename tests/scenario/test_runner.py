@@ -193,6 +193,19 @@ def test_detector_is_detached_when_the_body_raises(observed, monkeypatch):
     assert observed["clusters"][0].tap is None
 
 
+def test_failing_op_fails_the_session_worker(monkeypatch):
+    """A session worker runs its op inline (``yield from``), not as a
+    child process; an op whose client generator raises must still take
+    the worker — and the run — down with that exception."""
+    def exploding_stat(self, path):
+        yield self.engine.timeout(1e-3)
+        raise RuntimeError("client exploded mid-op")
+
+    monkeypatch.setattr("repro.client.client.Client.stat", exploding_stat)
+    with pytest.raises(RuntimeError, match="client exploded mid-op"):
+        run_seed((dict(SMALL), 0))
+
+
 def test_scenario_run_never_opens_a_span(monkeypatch):
     def no_spans(*args, **kwargs):
         raise AssertionError("a scenario run opened a span")

@@ -7,7 +7,6 @@ import pytest
 from repro.scenario.spec import (
     AutoMigrateSpec,
     BurstSpec,
-    ClusterSpec,
     DiurnalSpec,
     DriftSpec,
     PopulationSpec,

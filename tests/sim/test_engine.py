@@ -205,6 +205,53 @@ def test_callback_after_processing_runs_immediately():
     assert seen == ["v"]
 
 
+def test_yielding_processed_events_continues_iteratively():
+    """A wait that is already over continues inline, in a loop: ten
+    thousand in a row must not recurse once per yield (regression:
+    ``RecursionError`` escaped ``engine.run()`` after a few thousand)."""
+    eng = Engine()
+    fired = Event(eng)
+    fired.succeed("v")
+    eng.run()
+    assert fired.processed
+    seen = []
+
+    def body():
+        for _ in range(10_000):
+            seen.append((yield fired))
+        return len(seen)
+
+    dispatched = []
+    eng.trace = lambda t, ev: dispatched.append(ev)
+    proc = eng.process(body())
+    eng.run()
+    assert proc.ok and proc.value == 10_000
+    assert seen == ["v"] * 10_000
+    assert proc.last_resumed_by is fired
+    assert len(dispatched) == 2  # the process's start and completion
+
+
+def test_failed_processed_event_still_raises_in_the_generator():
+    eng = Engine()
+    failed = Event(eng)
+    failed.fail(ValueError("long gone"))
+    eng.run()
+    assert failed.processed
+    caught = []
+
+    def body():
+        try:
+            yield failed
+        except ValueError as exc:
+            caught.append(str(exc))
+        return (yield Timeout(eng, 1.0, value="then carries on"))
+
+    proc = eng.process(body())
+    eng.run()
+    assert caught == ["long gone"]
+    assert proc.value == "then carries on"
+
+
 def test_allof_collects_values_in_order():
     eng = Engine()
 
