@@ -44,7 +44,7 @@ class EventType(enum.IntEnum):
     EXPORT_COMMIT = 11  # migration: source released authority
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JournalEvent:
     """A single serialized-able metadata update.
 

@@ -62,6 +62,16 @@ _NO_TARGET = _U16.pack(0)
 _PREFIX_SIZE = _EVENT_PREFIX.size
 _BODY_HEAD_SIZE = _BODY_HEAD.size
 _EVENT_TYPES = {int(op): op for op in EventType}
+#: The modes this code base itself mints (file and directory defaults):
+#: a decoded event takes the shared object, not one ``int`` per frame.
+#: A literal, never written to — a journal cannot grow it.
+_MODES = {0o644: 0o644, 0o755: 0o755}
+#: ``_BODY_HEAD`` integer fields and their widths, for naming the one
+#: that does not fit.
+_FIELD_BITS = (
+    ("seq", 64), ("ino", 64), ("mode", 32), ("uid", 32), ("gid", 32),
+    ("client_id", 32),
+)
 _crc32 = zlib.crc32
 
 #: Full byte size of one segment header.
@@ -70,6 +80,19 @@ SEGMENT_HEADER_SIZE = _SEGMENT.size + _SEGMENT_HCRC.size
 
 class JournalFormatError(ValueError):
     """Raised for malformed journal streams."""
+
+
+def _unencodable(event: JournalEvent) -> str:
+    """Name the fixed-width field of ``event`` that ``_BODY_HEAD``
+    refused (called only once ``pack`` has already failed)."""
+    for name, bits in _FIELD_BITS:
+        value = getattr(event, name)
+        if not (isinstance(value, int) and 0 <= value < 1 << bits):
+            return (
+                f"{name}={value!r} does not fit the wire format "
+                f"(unsigned {bits}-bit)"
+            )
+    return f"mtime={event.mtime!r} does not fit the wire format (float64)"
 
 
 @dataclass
@@ -126,22 +149,26 @@ class JournalCodec:
             tail = _U16.pack(len(target_b)) + target_b
         else:
             tail = _NO_TARGET
-        body = _BODY_HEAD.pack(
-            event.op,
-            event.seq,
-            event.ino,
-            event.mode,
-            event.uid,
-            event.gid,
-            event.client_id,
-            event.mtime,
-            path_len,
-        ) + path_b + tail
+        try:
+            head = _BODY_HEAD.pack(
+                event.op,
+                event.seq,
+                event.ino,
+                event.mode,
+                event.uid,
+                event.gid,
+                event.client_id,
+                event.mtime,
+                path_len,
+            )
+        except (struct.error, OverflowError) as exc:
+            raise JournalFormatError(_unencodable(event)) from exc
+        body = head + path_b + tail
         return _EVENT_PREFIX.pack(len(body), _crc32(body)) + body
 
     @staticmethod
     def _decode_frame(
-        data: bytes, offset: int, end: int
+        data: bytes, offset: int, end: int, last_mtime: float = 0.0
     ) -> Tuple[JournalEvent, int]:
         """Decode the event frame at ``offset``, reading in place and
         never past ``end``; returns ``(event, next_offset)``.
@@ -150,6 +177,9 @@ class JournalCodec:
         frame or field overrunning its container, a CRC mismatch, bad
         UTF-8, an unknown op, a relative path, a RENAME without target)
         and builds the event without validating anything twice.
+
+        ``last_mtime`` is the previous frame's timestamp: an equal one
+        is reused, so the events of one batch share one ``float``.
         """
         body_start = offset + _PREFIX_SIZE
         if body_start > end:
@@ -196,6 +226,11 @@ class JournalCodec:
             raise JournalFormatError(
                 "invalid event payload: RENAME events require target_path"
             )
+        if mode in _MODES:
+            mode = _MODES[mode]
+        # Not for zero: 0.0 == -0.0, and the sign bit must survive.
+        if mtime == last_mtime and mtime:
+            mtime = last_mtime
         return (
             JournalEvent.trusted(
                 op, path, ino, mode, uid, gid, mtime, target, seq, client
@@ -231,11 +266,13 @@ class JournalCodec:
         events: List[JournalEvent] = []
         append = events.append
         decode = JournalCodec._decode_frame
+        mtime = 0.0
         try:
             # `limit=None` never equals a length: the scan runs to `end`.
             while offset < end and len(events) != limit:
-                event, offset = decode(data, offset, end)
+                event, offset = decode(data, offset, end, mtime)
                 append(event)
+                mtime = event.mtime
         except JournalFormatError:
             pass
         return events, offset

@@ -27,8 +27,13 @@ ROOT_INO = 1
 _S_IFDIR = 0o040000
 _S_IFREG = 0o100000
 
+#: The typed modes this code base itself mints (file and directory
+#: defaults): an inode takes the shared object, not one ``int`` each.
+#: A literal, never written to.
+_MODES = {0o100644: 0o100644, 0o040755: 0o040755}
 
-@dataclass
+
+@dataclass(slots=True)
 class Inode:
     """One file or directory.
 
@@ -61,11 +66,17 @@ class Inode:
 
     @classmethod
     def directory(cls, ino: int, mode: int = 0o755, **kw) -> "Inode":
-        return cls(ino=ino, mode=(mode & 0o7777) | _S_IFDIR, **kw)
+        mode = (mode & 0o7777) | _S_IFDIR
+        if mode in _MODES:
+            mode = _MODES[mode]
+        return cls(ino=ino, mode=mode, **kw)
 
     @classmethod
     def regular(cls, ino: int, mode: int = 0o644, **kw) -> "Inode":
-        return cls(ino=ino, mode=(mode & 0o7777) | _S_IFREG, **kw)
+        mode = (mode & 0o7777) | _S_IFREG
+        if mode in _MODES:
+            mode = _MODES[mode]
+        return cls(ino=ino, mode=mode, **kw)
 
     @property
     def footprint_bytes(self) -> int:

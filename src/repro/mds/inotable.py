@@ -9,11 +9,13 @@ subtree, and the merge skips inodes the client consumed.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["InoRange", "InoTable"]
+
+_NO_LIMIT = float("inf")
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,71 @@ class InoRange:
         return self.start + self.count
 
 
+class _Runs:
+    """A set of inode numbers kept as sorted, disjoint, non-adjacent
+    half-open runs.
+
+    Allocation and journal replay consume numbers in order, so a
+    million marks are a handful of runs, and everything a handoff asks
+    (which marks lie inside a range?) is a bisect, not a walk.
+
+    ``bounds`` is the runs flattened — ``[s0, e0, s1, e1, ...]``,
+    strictly increasing — so a number is in the set iff an odd count of
+    boundaries lies at or below it.  ``at`` indexes the end of the run
+    :meth:`add` touched last (always an end boundary while there are
+    any): consuming in order grows that run in place, without a search,
+    for as long as it stays below ``_limit``, the start of the next run.
+    """
+
+    __slots__ = ("bounds", "at", "_limit")
+
+    def __init__(self) -> None:
+        self.bounds: List[int] = []
+        self.at = -1
+        self._limit = 0  # nothing is below it: the first add searches
+
+    def __contains__(self, ino: int) -> bool:
+        return bisect_right(self.bounds, ino) & 1 == 1
+
+    def add(self, start: int, end: int) -> None:
+        """Mark ``[start, end)``; already-marked numbers stay marked."""
+        bounds = self.bounds
+        if end < self._limit and bounds[self.at] == start:
+            bounds[self.at] = end
+            return
+        lo = bisect_left(bounds, start)
+        hi = bisect_right(bounds, end)
+        # An even index lies outside every run: the new boundary is
+        # real there, and swallowed by an existing run otherwise.
+        bounds[lo:hi] = (
+            ([] if lo & 1 else [start]) + ([] if hi & 1 else [end])
+        )
+        self.at = at = lo | 1
+        self._limit = bounds[at + 1] if at + 1 < len(bounds) else _NO_LIMIT
+
+    def remove(self, start: int, end: int) -> None:
+        """Unmark ``[start, end)``."""
+        bounds = self.bounds
+        lo = bisect_left(bounds, start)
+        hi = bisect_right(bounds, end)
+        bounds[lo:hi] = (
+            ([start] if lo & 1 else []) + ([end] if hi & 1 else [])
+        )
+        self.at = -1
+        self._limit = 0
+
+    def within(self, start: int, end: int) -> List[Tuple[int, int]]:
+        """The marked runs inside ``[start, end)``, clipped to it."""
+        bounds = self.bounds
+        lo = bisect_right(bounds, start)
+        hi = bisect_left(bounds, end)
+        cut = (
+            ([start] if lo & 1 else []) + bounds[lo:hi]
+            + ([end] if hi & 1 else [])
+        )
+        return list(zip(cut[::2], cut[1::2]))
+
+
 class InoTable:
     """Allocates inode numbers; supports client range provisioning."""
 
@@ -49,7 +116,7 @@ class InoTable:
         self._owner_index: Optional[
             Tuple[List[int], List[Tuple[int, int]]]
         ] = None
-        self._consumed: Set[int] = set()
+        self._consumed = _Runs()
 
     def reserve_floor(self, first_free: int) -> None:
         """Raise the allocation floor (never lowers it).  Multi-rank
@@ -62,7 +129,7 @@ class InoTable:
     def allocate(self) -> int:
         ino = self._next
         self._next += 1
-        self._consumed.add(ino)
+        self._consumed.add(ino, ino + 1)
         return ino
 
     # -- client provisioning (decoupled namespaces) -----------------------
@@ -114,17 +181,23 @@ class InoTable:
         """
         if ino in self._consumed:
             raise ValueError(f"inode {ino} consumed twice")
-        self._consumed.add(ino)
+        self._consumed.add(ino, ino + 1)
 
     def is_consumed(self, ino: int) -> bool:
-        return ino in self._consumed
+        # A merge asks about the inode it has just replayed, which sits
+        # in the run marked last: answer that without a search.
+        runs = self._consumed
+        bounds, at = runs.bounds, runs.at
+        if bounds and bounds[at - 1] <= ino < bounds[at]:
+            return True
+        return ino in runs
 
     def note_external(self, ino: int) -> None:
         """Record an inode minted elsewhere (journal replay, recovery).
 
         Keeps future allocations clear of replayed numbers; idempotent.
         """
-        self._consumed.add(ino)
+        self._consumed.add(ino, ino + 1)
         if ino >= self._next:
             self._next = ino + 1
 
@@ -138,9 +211,10 @@ class InoTable:
         self._owner_index = None
         reclaimed = 0
         for rng in ranges:
-            for ino in range(rng.start, rng.end):
-                if ino not in self._consumed:
-                    reclaimed += 1
+            reclaimed += rng.count - sum(
+                end - start
+                for start, end in self._consumed.within(rng.start, rng.end)
+            )
         return reclaimed
 
     # -- migration ---------------------------------------------------------
@@ -150,12 +224,10 @@ class InoTable:
         through :meth:`install_client` on the destination table."""
         ranges = self._ranges.pop(client_id, [])
         self._owner_index = None
-        consumed = sorted(
-            ino for ino in self._consumed
-            if any(ino in rng for rng in ranges)
-        )
-        for ino in consumed:
-            self._consumed.discard(ino)
+        consumed: List[Tuple[int, int]] = []
+        for rng in ranges:
+            consumed += self._consumed.within(rng.start, rng.end)
+            self._consumed.remove(rng.start, rng.end)
         return {
             "client_id": client_id,
             "ranges": list(ranges),
@@ -180,17 +252,17 @@ class InoTable:
                             f"range [{held.start},{held.end}) held by client "
                             f"{other_id}"
                         )
-            for ino in range(rng.start, rng.end):
-                if ino in self._consumed:
-                    raise ValueError(
-                        f"inode {ino} inside an incoming range is already "
-                        "consumed on this rank"
-                    )
+            taken = self._consumed.within(rng.start, rng.end)
+            if taken:
+                raise ValueError(
+                    f"inode {taken[0][0]} inside an incoming range is "
+                    "already consumed on this rank"
+                )
         if incoming:
             self._ranges.setdefault(client_id, []).extend(incoming)
             self._owner_index = None
-        for ino in bundle["consumed"]:
-            self._consumed.add(ino)
+        for start, end in bundle["consumed"]:
+            self._consumed.add(start, end)
         top = max((rng.end for rng in incoming), default=0)
         if top > self._next:
             self._next = top

@@ -18,6 +18,7 @@ invariants and hammered by Hypothesis:
   always a :class:`JournalFormatError`.
 """
 
+import dataclasses
 import struct
 import zlib
 
@@ -241,7 +242,7 @@ def test_property_arbitrary_bytes_never_raise(noise, after_header):
         assert scan.damage is not None and scan.damage_offset == len(header)
     # Whatever was salvaged passed the constructor's own checks.
     for event in scan.events:
-        assert JournalEvent(**vars(event)) == event
+        assert JournalEvent(**dataclasses.asdict(event)) == event
 
 
 @settings(max_examples=60, deadline=None)
@@ -258,3 +259,35 @@ def test_property_every_frame_prefix_is_a_format_error(path, target):
         with pytest.raises(JournalFormatError):
             JournalCodec.decode_event(frame[:cut])
     assert JournalCodec.decode_event(frame)[1] == len(frame)
+
+
+_INT_FIELDS = ("ino", "mode", "uid", "gid", "seq", "client_id")
+_any_int = st.one_of(
+    st.integers(min_value=0, max_value=2**32 - 1),  # fits every field
+    st.integers(),
+    st.sampled_from([-1, 2**32, 2**64 - 1, 2**64]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.tuples(*[_any_int] * len(_INT_FIELDS)))
+def test_property_any_integer_field_round_trips_or_is_a_format_error(values):
+    # `trusted`: the question is what the codec does with a value the
+    # constructor never saw (it only checks `ino >= 0`).
+    fields = dict(zip(_INT_FIELDS, values))
+    event = JournalEvent.trusted(
+        EventType.CREATE, "/p/f", fields["ino"], fields["mode"],
+        fields["uid"], fields["gid"], 1.5, None, fields["seq"],
+        fields["client_id"],
+    )
+    try:
+        frame = JournalCodec.encode_event(event)
+    except JournalFormatError as exc:
+        widths = {"ino": 64, "seq": 64}
+        misfits = [
+            name for name in _INT_FIELDS
+            if not 0 <= fields[name] < 1 << widths.get(name, 32)
+        ]
+        assert misfits and str(exc).split("=")[0] in misfits
+    else:
+        assert JournalCodec.decode_event(frame) == (event, len(frame))

@@ -1,5 +1,8 @@
 """Tests for journal event value objects."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.journal.events import EventType, JournalEvent, WIRE_EVENT_BYTES
@@ -66,3 +69,29 @@ def test_events_hashable_and_equal():
     b = JournalEvent(EventType.CREATE, "/f", ino=1)
     assert a == b
     assert hash(a) == hash(b)
+
+
+def test_events_are_slot_backed_and_still_plain_values():
+    # No per-instance __dict__ (the bulk of an event's weight), and the
+    # change of representation shows nowhere else.
+    ev = JournalEvent(EventType.RENAME, "/a", ino=7, target_path="/b",
+                      mtime=1.5, seq=3, client_id=2)
+    assert not hasattr(ev, "__dict__")
+    with pytest.raises((AttributeError, TypeError)):
+        ev.scratch = 1  # type: ignore[attr-defined]
+    with pytest.raises(AttributeError):
+        ev.seq = 9  # type: ignore[misc]
+    assert repr(ev) == (
+        "JournalEvent(op=<EventType.RENAME: 5>, path='/a', ino=7, mode=420, "
+        "uid=0, gid=0, mtime=1.5, target_path='/b', seq=3, client_id=2)"
+    )
+    for clone in (
+        pickle.loads(pickle.dumps(ev)),  # results cross processes (--jobs)
+        copy.deepcopy(ev),
+        copy.copy(ev),
+        ev.with_seq(3),
+        JournalEvent.trusted(EventType.RENAME, "/a", 7, 0o644, 0, 0, 1.5,
+                             "/b", 3, 2),
+    ):
+        assert clone == ev and hash(clone) == hash(ev)
+        assert type(clone) is JournalEvent

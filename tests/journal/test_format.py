@@ -211,6 +211,66 @@ def test_multibyte_path_overflow_reports_encoded_bytes():
     assert str(1 + 3 * 22000) in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("uid", -1),
+        ("mode", 2**40),
+        ("ino", 2**64),
+        ("seq", -5),
+        ("client_id", 2**40),
+    ],
+)
+def test_out_of_range_field_is_a_typed_error_naming_the_field(field, value):
+    # Used to surface as an untyped struct.error, from inside Global
+    # Persist, long after the append that introduced the value.
+    bad = ev("/a", **{field: value})
+    with pytest.raises(JournalFormatError, match=rf"^{field}={value} "):
+        JournalCodec.encode_event(bad)
+    with pytest.raises(JournalFormatError, match=rf"^{field}="):
+        JournalCodec.encode_stream([ev("/ok"), bad])
+
+
+def test_widest_values_of_every_field_still_round_trip():
+    e = ev("/a", ino=2**64 - 1, mode=2**32 - 1, uid=2**32 - 1,
+           gid=2**32 - 1, seq=2**64 - 1, client_id=2**32 - 1)
+    decoded, _ = JournalCodec.decode_event(JournalCodec.encode_event(e))
+    assert decoded == e
+
+
+def test_decoded_events_share_mode_and_batch_mtime():
+    # One create_many batch: every event has the default mode and one
+    # timestamp, and after a scan they point at one object each.
+    batch = [ev(f"/d/f{i}", ino=i + 1, seq=i + 1, mtime=12.25)
+             for i in range(50)]
+    later = [ev("/d/g", ino=99, seq=51, mtime=13.5, mode=0o755)]
+    decoded = JournalCodec.decode_stream(
+        JournalCodec.encode_stream(batch + later, segment_events=16)
+    )
+    assert decoded == batch + later  # equal to events built one by one
+    assert len({id(e.mode) for e in decoded[:50]}) == 1
+    assert len({id(e.mtime) for e in decoded[:16]}) == 1
+    assert decoded[50].mtime == 13.5 and decoded[50].mode == 0o755
+
+
+def test_shared_mtime_keeps_the_sign_of_zero():
+    # 0.0 == -0.0, but they are different bytes on the wire.
+    events = [ev("/a", seq=1, mtime=0.0), ev("/b", seq=2, mtime=-0.0),
+              ev("/c", seq=3, mtime=0.0)]
+    data = JournalCodec.encode_stream(events)
+    assert JournalCodec.encode_stream(JournalCodec.decode_stream(data)) == data
+
+
+def test_mode_table_is_fixed_whatever_a_journal_carries():
+    from repro.journal import format as codec
+
+    before = dict(codec._MODES)
+    events = [ev(f"/m/f{i}", seq=i + 1, mode=1000 + i) for i in range(10_000)]
+    decoded = JournalCodec.decode_stream(JournalCodec.encode_stream(events))
+    assert [e.mode for e in decoded] == [1000 + i for i in range(10_000)]
+    assert codec._MODES == before and len(before) == 2
+
+
 def _best_scan_s(data, repeats=3):
     """Fastest of ``repeats`` verifying scans (host noise only slows)."""
     best, scan = float("inf"), None

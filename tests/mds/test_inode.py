@@ -1,5 +1,8 @@
 """Tests for inodes and directory fragments."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.mds.inode import INODE_BYTES, DirFragment, Inode
@@ -24,6 +27,31 @@ def test_mode_bits_preserved():
     assert d.mode & 0o7777 == 0o700
     f = Inode.regular(11, mode=0o600)
     assert f.mode & 0o7777 == 0o600
+
+
+def test_inodes_are_slot_backed_and_still_plain_values():
+    f = Inode.regular(11, uid=3, mtime=2.5)
+    assert not hasattr(f, "__dict__")
+    with pytest.raises(AttributeError):
+        f.scratch = 1
+    f.size = 4096  # fields stay assignable: setattr / close update in place
+    assert repr(f) == (
+        "Inode(ino=11, mode=33188, uid=3, gid=0, size=4096, mtime=2.5, "
+        "nlink=1, policy_blob=None)"
+    )
+    for clone in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert clone == f and clone is not f
+    assert f != Inode.regular(12, uid=3, mtime=2.5)
+
+
+def test_minted_modes_are_shared_and_other_modes_kept():
+    # Every default-mode inode points at one mode object; an unusual
+    # mode is stored as given.
+    assert Inode.regular(5).mode is Inode.regular(6).mode
+    assert Inode.directory(5).mode is Inode.directory(6).mode
+    assert Inode.regular(5).mode == 0o100644
+    assert Inode.directory(5).mode == 0o040755
+    assert Inode.regular(7, mode=0o7777 | 0o100000).mode == 0o107777
 
 
 def test_footprint_is_about_1400_bytes():
