@@ -25,11 +25,7 @@ class PosixFileSystem:
         self.engine = client.engine
 
     def _run(self, gen) -> Response:
-        proc = self.engine.process(gen)
-        self.engine.run()
-        if not proc.ok:
-            raise proc.value
-        return proc.value
+        return self.engine._drive(gen)
 
     def _check(self, resp: Response) -> Response:
         if not resp.ok:

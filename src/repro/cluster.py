@@ -181,15 +181,15 @@ class Cluster:
     # -- convenience ----------------------------------------------------------
     def run(self, gen=None, until: Optional[float] = None):
         """Run the simulation; with ``gen``, drive that process body and
-        return its value (raising its failure)."""
+        return its value (raising its failure).
+
+        A body the schedule drains under raises ``SimulationError``;
+        with ``until``, an unfinished body returns None and carries on
+        at the next ``run``."""
         if gen is None:
             self.engine.run(until=until)
             return None
-        proc = self.engine.process(gen)
-        self.engine.run(until=until)
-        if proc.triggered and not proc.ok:
-            raise proc.value
-        return proc.value if proc.triggered else None
+        return self.engine._drive(gen, until)
 
     @property
     def now(self) -> float:

@@ -29,6 +29,10 @@ Design notes
   with an item queued, ``Semaphore.acquire`` with a token left) comes
   back *already processed*, and a process that yields a processed event
   continues inline, in a loop, without a dispatch.
+* The host is not a process: a body driven from the host
+  (:meth:`Engine._drive`, behind ``Cluster.run``) starts inline when its
+  start would be the next dispatch anyway and finishes without a
+  completion event, since nothing but the driver can be waiting on it.
 * Events may have multiple waiters (processes and derived events), each
   notified in subscription order.
 * :class:`Interrupt` supports SimPy-style process interruption, used by
@@ -406,6 +410,40 @@ class Process(Event):
             engine._active = prev_active
 
 
+class _HostProcess(Process):
+    """The body a host drive steps (:meth:`Engine._drive`).
+
+    The host is not a process, so neither end of this one is an engine
+    event.  It starts inline when its start would be the next dispatch
+    anyway, and otherwise stays queued behind what is due first.  It
+    finishes by marking itself processed: only the driver holds a
+    reference to it, so nothing can be waiting on it.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, engine: "Engine", generator: Generator[Event, Any, Any]):
+        queue = engine._now_queue
+        idle = not queue
+        super().__init__(engine, generator)
+        if idle and queue:
+            # The fast path admitted the start with nothing ahead of
+            # it: it is the next dispatch anyway, so step the body now.
+            queue.pop()
+            self._step(generator.send, None)
+
+    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
+        self._state = _PROCESSED
+        self._value = value
+        return self
+
+    def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
+        self._state = _PROCESSED
+        self._value = exc
+        self._ok = False
+        return self
+
+
 class AllOf(Event):
     """Fires when every child event has fired; value is a list of values.
 
@@ -685,3 +723,33 @@ class Engine:
             raise SimulationError(f"until={until} is in the past (now={self._now})")
         self._dispatch(until)
         self._now = until
+
+    def _drive(
+        self, generator: Generator[Event, Any, Any], until: Optional[float] = None
+    ) -> Any:
+        """Drive a process body from the host (``Cluster.run``, the
+        ``PosixFileSystem`` facade): run the schedule and return the
+        body's value, raising its failure.
+
+        A body still waiting when the schedule drains raises
+        :class:`SimulationError`; with ``until`` the caller asked for a
+        bounded run, so an unfinished body returns None and carries on
+        at the next :meth:`run`.
+        """
+        if until is not None and until < self._now:
+            # Refused before the body exists: its start must not stay
+            # queued for the next run.
+            raise SimulationError(f"until={until} is in the past (now={self._now})")
+        self.processes_started += 1
+        proc = _HostProcess(self, generator)
+        self.run(until)
+        if proc._state != _PROCESSED:
+            if until is not None:
+                return None
+            raise SimulationError(
+                f"host-driven body {proc.name!r} did not finish: "
+                "the schedule drained while it waited"
+            )
+        if not proc._ok:
+            raise proc._value
+        return proc._value

@@ -5,6 +5,7 @@ import pytest
 from repro.client.client import Client
 from repro.client.fs import PosixFileSystem
 from repro.mds.server import MDSConfig, MetadataServer
+from repro.sim.engine import SimulationError
 
 from tests.conftest import drive
 
@@ -146,6 +147,17 @@ def test_posix_facade_errors_raise(engine, client):
     fs.makedirs("/x")  # idempotent
     fs.create_many("/x", ["1", "2"])
     assert fs.ls("/x") == ["1", "2"]
+
+
+def test_posix_facade_names_a_body_that_can_never_finish(engine, client):
+    fs = PosixFileSystem(client)
+    never = engine.event()
+
+    def stuck():
+        yield never
+
+    with pytest.raises(SimulationError, match="'stuck' did not finish"):
+        fs._run(stuck())
 
 
 def test_rmdir_through_stack(engine, client):

@@ -4,8 +4,10 @@ Host seconds drift with the machine; the number of events the engine
 dispatches does not.  The kernel's rule is that an event exists only
 where simulated time passes or another process hands something over —
 a free slot, a queued item, a spare token and a zero-length delay all
-continue inline.  These tests count dispatches through the public
-``engine.trace`` hook (the one the perf ledger's ``events_per_op`` uses)
+continue inline, and the host is not a process, so a body driven by
+``Cluster.run`` starts and finishes without a dispatch.  These tests
+count dispatches through the public ``engine.trace`` hook (the one the
+perf ledger's ``events_per_op`` uses)
 and pin the count, the order and the timestamps, so a satisfied wait
 creeping back onto the queue fails here, exactly, on any runner — and
 so does an "optimisation" that drops an event contention still needs.
@@ -43,11 +45,10 @@ def _traced(engine):
 # (i) one create on an idle cluster: what is left, in order, and when
 # ---------------------------------------------------------------------------
 
-#: Dispatch times of the six events between the driver process's start
-#: and completion (seed 0, after one ``mkdir``).  These are the times
-#: the same six waits had when the round trip still cost fifteen
-#: dispatches: only zero-delay events went away, so no clock reading
-#: could move.
+#: Dispatch times of the six waits of one create (seed 0, after one
+#: ``mkdir``).  These are the times the same six waits had when the
+#: round trip still cost fifteen dispatches: only zero-delay events and
+#: the host's two ends went away, so no clock reading could move.
 T_OVERHEAD = 0.0030044651004963053
 T_REQUEST_ON_WIRE = 0.0030048747004963053
 T_CPU_DONE = 0.00334486798229639
@@ -55,7 +56,7 @@ T_REPLY_DUE = 0.003619438642895289
 T_REPLY_ON_WIRE = 0.003619848242895289
 
 
-def test_one_create_on_an_idle_cluster_is_eight_events():
+def test_one_create_on_an_idle_cluster_is_six_events():
     cluster = Cluster(seed=0, mds_config=MDSConfig(materialize=True))
     client = cluster.new_client()
     cluster.run(client.mkdir("/d"))
@@ -64,12 +65,10 @@ def test_one_create_on_an_idle_cluster_is_eight_events():
     cluster.engine.trace = None
     assert resp.ok
 
-    assert len(seen) == 8  # 15 before satisfied waits continued inline
-    start, *waits, completion = seen
-    # The two ends belong to the host driving the generator as a process.
-    assert start[2] == ["create"]
-    assert completion[1] is Process and completion[0] == T_REPLY_ON_WIRE
-    assert waits == [
+    # 15 before satisfied waits continued inline, 8 while the host still
+    # drove the body as a process: a start and a completion event.
+    assert len(seen) == 6
+    assert seen == [
         (T_OVERHEAD, Event, ["create"]),  # client overhead
         (T_REQUEST_ON_WIRE, Event, ["create"]),  # request serialisation
         (T_REQUEST_ON_WIRE, StoreGet, ["mds0.loop"]),  # queue hand-off

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.mds.server import MDSConfig
+from repro.sim.engine import SimulationError
 
 
 def test_default_deployment_matches_paper():
@@ -74,6 +75,32 @@ def test_run_until_leaves_process_pending():
 
     assert cluster.run(body(), until=1.0) is None
     assert cluster.now == pytest.approx(1.0)
+
+
+def test_run_refused_for_a_past_until_leaves_no_body_behind():
+    cluster = Cluster()
+    client = cluster.new_client()
+    cluster.run(client.mkdir("/d"))
+    engine = cluster.engine
+    queued = (list(engine._now_queue), list(engine._heap))
+    with pytest.raises(SimulationError, match="in the past"):
+        cluster.run(client.mkdir("/zombie"), until=cluster.now / 2)
+    assert (list(engine._now_queue), list(engine._heap)) == queued
+    cluster.run()
+    assert not cluster.run(client.stat("/zombie")).ok
+
+
+def test_run_names_a_body_that_can_never_finish():
+    cluster = Cluster()
+    never = cluster.engine.event()
+
+    def stuck():
+        yield never
+
+    with pytest.raises(SimulationError, match="'stuck' did not finish"):
+        cluster.run(stuck())
+    # A bounded run asked for a bounded answer: no raise.
+    assert cluster.run(stuck(), until=cluster.now + 1.0) is None
 
 
 def test_replication_capped_by_osd_count():
