@@ -131,7 +131,9 @@ class DirFragment:
         return self.entries.get(name)
 
     def items(self) -> Iterator[Tuple[str, int]]:
-        return iter(sorted(self.entries.items()))
+        """Dentries in name order (names are unique, so no pair compare)."""
+        entries = self.entries
+        return ((name, entries[name]) for name in sorted(entries))
 
     # -- object-store representation ----------------------------------------
     def object_name(self) -> str:

@@ -49,34 +49,48 @@ class MetadataStore:
         self.inodes[ROOT_INO] = root
         self.dirfrags[ROOT_INO] = DirFragment(ROOT_INO)
         self.events_applied = 0
-        #: Directory cursor: the spelling (up to and including the last
-        #: ``/``) and inode of the parent directory :meth:`resolve_parent`
-        #: resolved last, so a run of operations on siblings walks from
-        #: ``/`` once.  Dropped (None) by every operation that can unlink
-        #: or move a directory: rmdir, rename, export_subtree.
-        self._cursor: Optional[Tuple[str, Inode]] = None
+        #: Directory map: head spelling (a path's text up to and
+        #: including its last ``/``) -> the directory inode it resolved
+        #: to, so each directory is walked from ``/`` once however
+        #: requests interleave.  Only directories are entered.  Cleared
+        #: by every operation that can unlink or move a directory:
+        #: rmdir, rename, export_subtree.
+        self._dirs: Dict[str, Inode] = {}
 
     # -- path resolution -----------------------------------------------------
     def resolve(self, path: str) -> Inode:
         """Walk ``path`` to its inode, raising ENOENT/ENOTDIR."""
-        ino = ROOT_INO
-        for name in _split(path):
+        cut = path.rfind("/") + 1
+        head, name = path[:cut], path[cut:]
+        parent = self._dirs.get(head)
+        if parent is not None:
+            if not name:
+                return parent
+            child = self.dirfrags[parent.ino].entries.get(name)
+            if child is None:
+                raise FsError("ENOENT", path)
+            return self.inodes[child]
+        ino = parent_ino = ROOT_INO
+        for part in _split(path):
             inode = self.inodes[ino]
             if not inode.is_dir:
                 raise FsError("ENOTDIR", path)
-            child = self.dirfrags[ino].lookup(name)
+            child = self.dirfrags[ino].lookup(part)
             if child is None:
                 raise FsError("ENOENT", path)
-            ino = child
+            parent_ino, ino = ino, child
+        if name:  # no trailing slash, so `head` spells the last parent
+            self._dirs[head] = self.inodes[parent_ino]
         return self.inodes[ino]
 
     def resolve_parent(self, path: str) -> Tuple[Inode, str]:
         """Resolve the parent directory of ``path``; returns (inode, name)."""
         cut = path.rfind("/") + 1
         head, name = path[:cut], path[cut:]
-        cursor = self._cursor
-        if name and cursor is not None and cursor[0] == head:
-            return cursor[1], name
+        if name:
+            parent = self._dirs.get(head)
+            if parent is not None:
+                return parent, name
         parts = _split(path)
         if not parts:
             raise FsError("EINVAL", "cannot operate on /")
@@ -85,7 +99,7 @@ class MetadataStore:
         if not parent.is_dir:
             raise FsError("ENOTDIR", parent_path)
         if name:  # no trailing slash, so `head` spells the parent
-            self._cursor = (head, parent)
+            self._dirs[head] = parent
         return parent, parts[-1]
 
     def exists(self, path: str) -> bool:
@@ -170,7 +184,7 @@ class MetadataStore:
         frag.unlink(name)
         del self.dirfrags[child_ino]
         del self.inodes[child_ino]
-        self._cursor = None
+        self._dirs.clear()
 
     def rename(self, src: str, dst: str) -> None:
         src_parent, src_name = self.resolve_parent(src)
@@ -193,7 +207,7 @@ class MetadataStore:
                 probe = self.resolve_parent(probe_path)[0].ino
         src_frag.unlink(src_name)
         dst_frag.link(dst_name, moving)
-        self._cursor = None
+        self._dirs.clear()
 
     def setattr(self, path: str, **attrs) -> Inode:
         inode = self.resolve(path)
@@ -212,7 +226,7 @@ class MetadataStore:
         inode = self.resolve(path)
         if not inode.is_dir:
             raise FsError("ENOTDIR", path)
-        return [name for name, _ in self.dirfrags[inode.ino].items()]
+        return sorted(self.dirfrags[inode.ino].entries)
 
     def set_policy(self, path: str, policy_blob: Optional[str]) -> Inode:
         """Store a Cudele policy in the subtree root's (large) inode."""
@@ -283,7 +297,7 @@ class MetadataStore:
         walk(norm, root_inode.ino)
         parent, name = self.resolve_parent(norm)
         self.dirfrags[parent.ino].unlink(name)
-        self._cursor = None
+        self._dirs.clear()
         for _path, inode in rows:
             self.inodes.pop(inode.ino, None)
             if inode.is_dir:

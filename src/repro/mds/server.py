@@ -505,17 +505,24 @@ class MetadataServer:
         return result
 
     def _interfere_blocked(self, request: Request) -> bool:
-        if self.policy_resolver is None:
+        if self.policy_resolver is None or request.op not in (
+            "create", "mkdir", "unlink", "rmdir", "setattr", "rename"
+        ):
             return False
-        policy = self.policy_resolver(request.path)
-        if policy is None:
-            return False
-        interfere = getattr(policy, "interfere", "allow")
-        owner = getattr(policy, "owner_client", None)
-        if interfere == "block" and owner is not None and owner != request.client_id:
-            return request.op in (
-                "create", "mkdir", "unlink", "rmdir", "setattr", "rename"
-            )
+        # A rename mutates both ends: its target may lie in a blocked
+        # subtree its source does not.
+        paths = [request.path]
+        if request.op == "rename":
+            paths.append(request.payload)
+        for path in paths:
+            policy = self.policy_resolver(path)
+            if policy is None:
+                continue
+            interfere = getattr(policy, "interfere", "allow")
+            owner = getattr(policy, "owner_client", None)
+            if (interfere == "block" and owner is not None
+                    and owner != request.client_id):
+                return True
         return False
 
     def _dir_ino(self, path: str) -> int:
@@ -623,9 +630,7 @@ class MetadataServer:
             section = tap.begin("mds.journal.append", self.name, "stream")
         try:
             if events is not None:
-                if tap is not None and self.journal.enabled:
-                    tap.mark("journaled", self.name, events=events)
-                yield from self.journal.log_events(events=events)
+                yield from self.journal_events(events)
             else:
                 yield from self.journal.log_events(count=request.count)
         finally:

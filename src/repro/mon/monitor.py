@@ -169,6 +169,8 @@ class Monitor:
 
     def resolve_entry(self, path: str) -> Optional[Tuple[str, Any]]:
         """Like :meth:`resolve` but also returns the subtree root path."""
+        if not self._policies:
+            return None
         norm = _normalize(path)
         probe = norm
         while True:

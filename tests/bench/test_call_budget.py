@@ -1,12 +1,15 @@
-"""A deterministic cost gate on the decoupled journal path.
+"""Deterministic cost gates on the decoupled journal path and the RPC path.
 
 Host seconds drift with the machine; the number of calls the
-interpreter makes does not.  This runs the paper's headline path —
-append, Local Persist, Global Persist, node loss, recovery scan, merge —
-for explicit-name creates on a materialized MDS under ``cProfile`` and
-bounds the calls per create, so a per-event helper creeping back into
-the append / encode / scan / apply loops fails here, exactly, on any
-runner.
+interpreter makes does not.  The first gate runs the paper's headline
+path — append, Local Persist, Global Persist, node loss, recovery scan,
+merge — for explicit-name creates on a materialized MDS under
+``cProfile`` and bounds the calls per create, so a per-event helper
+creeping back into the append / encode / scan / apply loops fails here,
+exactly, on any runner.  The second bounds the calls per op of per-op
+RPCs from clients interleaving creates and listings across their own
+directories, so an MDS that walks from ``/`` per request again (or
+sorts ``(name, ino)`` pairs to list) fails here too.
 """
 
 import cProfile
@@ -22,6 +25,14 @@ CREATES = 2000
 #: Achieved: 34.7 on CPython 3.11 (110.7 before the one-pass journal
 #: path); the budget leaves 10 % for interpreter differences.
 CALLS_PER_CREATE_BUDGET = 38
+
+RPC_CLIENTS = 4
+RPC_ROUNDS = 200
+
+#: Calls per RPC op (create or ls), end to end.  Achieved: 221.0 on
+#: CPython 3.11 (247.5 when each interleaved request walked from ``/``);
+#: the budget leaves 10 %.
+CALLS_PER_RPC_OP_BUDGET = 243
 
 
 def test_decoupled_path_stays_within_its_call_budget():
@@ -52,3 +63,36 @@ def test_decoupled_path_stays_within_its_call_budget():
     assert cluster.mds.mdstore.file_count == CREATES
     calls_per_create = pstats.Stats(profile).total_calls / CREATES
     assert calls_per_create <= CALLS_PER_CREATE_BUDGET, calls_per_create
+
+
+def test_interleaved_rpc_path_stays_within_its_call_budget():
+    cluster = Cluster(seed=0, mds_config=MDSConfig(materialize=True))
+    admin = cluster.new_client()
+    cluster.run(admin.mkdir("/budget"))
+    dirs = [f"/budget/o{i}" for i in range(RPC_CLIENTS)]
+    for d in dirs:
+        cluster.run(admin.mkdir(d))
+    owners = [cluster.new_client() for _ in dirs]
+
+    def rounds():
+        listed = 0
+        for r in range(RPC_ROUNDS):
+            for client, d in zip(owners, dirs):
+                resp = yield from client.create_many(d, [f"f{r}"], batch=1)
+                assert resp.ok
+            for client, d in zip(owners, dirs):
+                resp = yield from client.ls(d)
+                listed += len(resp.value)
+        return listed
+
+    profile = cProfile.Profile()
+    profile.enable()
+    listed = cluster.run(rounds())
+    profile.disable()
+
+    n = RPC_ROUNDS
+    assert listed == RPC_CLIENTS * n * (n + 1) // 2
+    assert cluster.mds.mdstore.file_count == RPC_CLIENTS * n
+    ops = 2 * RPC_CLIENTS * RPC_ROUNDS
+    calls_per_op = pstats.Stats(profile).total_calls / ops
+    assert calls_per_op <= CALLS_PER_RPC_OP_BUDGET, calls_per_op

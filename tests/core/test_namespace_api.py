@@ -97,6 +97,30 @@ def test_interfere_block_enforced_via_monitor(cluster, cudele):
     assert done.value.error == "EBUSY"
 
 
+def test_interfere_block_rejects_a_rename_into_the_subtree(cluster, cudele):
+    cluster.run(
+        cudele.decouple(
+            "/job",
+            SubtreePolicy(
+                consistency="append_client_journal",
+                durability="none",
+                interfere="block",
+            ),
+        )
+    )
+    mds = cluster.mds
+    for request in (Request("mkdir", "/", 999, names=["other"]),
+                    Request("create", "/other", 999, names=["f"])):
+        done = mds.submit(request)
+        cluster.run()
+        assert done.value.ok
+    done = mds.submit(Request("rename", "/other/f", 999, payload="/job/g"))
+    cluster.run()
+    assert done.value.error == "EBUSY"
+    assert mds.mdstore.listdir("/job") == []
+    assert mds.mdstore.exists("/other/f")
+
+
 def test_semantics_inference(cluster, cudele):
     ns = cluster.run(
         cudele.decouple(

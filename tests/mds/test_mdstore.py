@@ -137,7 +137,7 @@ def test_rename_dir_moves_subtree(md):
     assert md.exists("/dst/moved/f")
 
 
-# -- the directory cursor must never outlive the directory it names --------
+# -- the directory map must never outlive a directory it names -------------
 def _create_under_a_b(md):
     md.mkdir("/a")
     md.mkdir("/a/b")
@@ -189,8 +189,25 @@ def test_sibling_paths_spelled_differently_share_one_parent(md):
     assert md.listdir("/a/b") == ["seed", "t", "u"]
     assert md.exists("/a/b/u") and md.exists("/") and not md.exists("a/b/u")
     with pytest.raises(FsError) as e:
-        md.create("b/v")      # relative, even with the cursor on a parent
+        md.create("b/v")      # relative, even with the map holding a parent
     assert e.value.code == "EINVAL"
+
+
+def test_rmdir_of_one_mapped_directory_keeps_the_other_usable(md):
+    md.mkdir("/p")
+    md.mkdir("/q")
+    md.create("/p/x")
+    md.create("/q/y")
+    assert md._dirs["/p/"] is md.resolve("/p")
+    assert md._dirs["/q/"] is md.resolve("/q")
+    md.unlink("/p/x")
+    md.rmdir("/p")
+    md.create("/q/z")
+    assert md.listdir("/q") == ["y", "z"]
+    with pytest.raises(FsError) as e:
+        md.create("/p/w")
+    assert e.value.code == "ENOENT"
+    assert "/p/" not in md._dirs
 
 
 def test_setattr(md):

@@ -2,18 +2,31 @@
 
 Hypothesis drives random op sequences (mkdir/create/unlink/rmdir/
 rename/exists, some renames aimed at the directory just created
-under) against both the real metadata store and a trivial
-path-set oracle; after every step the visible namespace must match.
+under, creates interleaved round robin across directories) against
+both the real metadata store and a trivial path-set oracle; after every
+step the visible namespace must match, and every entry of the store's
+directory map must name the live directory a walk from ``/`` finds.
 """
 
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.mds.inode import ROOT_INO
 from repro.mds.mdstore import FsError, MetadataStore
 
 NAMES = ["a", "b", "c", "d"]
 DIRS = ["", "a", "b"]  # relative container dirs under /
+
+
+def _walk(md, path):
+    """Resolve ``path`` from ``/`` through the dentries, bypassing the
+    store's directory map."""
+    ino = ROOT_INO
+    for name in path.split("/"):
+        if name:
+            ino = md.dirfrags[ino].entries[name]
+    return md.inodes[ino]
 
 
 class NamespaceOracle:
@@ -105,9 +118,9 @@ class MetadataStoreMachine(RuleBasedStateMachine):
     @rule(d=st.sampled_from(DIRS), name=st.sampled_from(NAMES),
           dd=st.sampled_from(DIRS), other=st.sampled_from(NAMES),
           how=st.sampled_from(["out", "into", "itself"]))
-    def do_rename_under_cursor(self, d, name, dd, other, how):
-        """Create under a directory (parking the store's directory cursor
-        there), move an entry out of / into it or move the directory
+    def do_rename_under_mapped_dir(self, d, name, dd, other, how):
+        """Create under a directory (entering it in the store's directory
+        map), move an entry out of / into it or move the directory
         itself, then create under its old spelling again."""
         parent = "/" + d
         inside = (parent + "/" + name).replace("//", "/")
@@ -121,6 +134,15 @@ class MetadataStoreMachine(RuleBasedStateMachine):
         self.both(self.md.rename, self.oracle.rename, src, dst)
         again = (parent + "/" + other).replace("//", "/")
         self.both(self.md.create, self.oracle.create, again)
+
+    @rule(names=st.lists(st.sampled_from(NAMES), min_size=1, max_size=4))
+    def do_create_interleaved(self, names):
+        """One create into each container directory per round, round
+        robin, as interleaved RPC clients do."""
+        for name in names:
+            for d in DIRS:
+                path = ("/" + d + "/" + name).replace("//", "/")
+                self.both(self.md.create, self.oracle.create, path)
 
     @rule(d=st.sampled_from(DIRS), name=st.sampled_from(NAMES))
     def do_exists(self, d, name):
@@ -153,6 +175,13 @@ class MetadataStoreMachine(RuleBasedStateMachine):
             if ino != 1
         }
         assert store_paths == set(self.oracle.kind) - {"/"}
+
+    @invariant()
+    def map_names_live_directories(self):
+        for head, inode in self.md._dirs.items():
+            assert self.md.inodes.get(inode.ino) is inode, head
+            assert inode.is_dir, head
+            assert _walk(self.md, head) is inode, head
 
     @invariant()
     def listings_match(self):
