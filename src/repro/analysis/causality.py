@@ -13,16 +13,21 @@ Clock discipline
 ----------------
 * Every :class:`~repro.sim.engine.Process` owns one component, assigned
   on first sight.
-* ``Event.succeed``/``Event.fail`` are wrapped (class-level, attach/
+* ``Event._trigger`` — the one routine behind ``Event.succeed``,
+  ``Event.fail`` and ``Engine.sleep`` — is wrapped (class-level, attach/
   detach) to stamp the event with the *triggerer's clock at trigger
   time*.  Stamping at dispatch time instead would fold in whatever the
   triggerer did after calling ``succeed`` and hide real races.
 * When an event resumes a process, the process clock becomes
   ``merge(own, event stamp)`` then ticks its own component.  The merge
-  is applied eagerly from the engine trace hook for ordinary resumes
-  and lazily (from ``Process.last_resumed_by``) for resume paths the
-  hook cannot see: ``Interrupt`` delivery closures and already-processed
-  events whose callback runs inside ``add_callback``.
+  is applied eagerly from the engine trace hook for dispatched resumes
+  (an ``Interrupt`` included: its wake is a failed event that resumes
+  the process directly) and lazily (from ``Process.last_resumed_by``)
+  for resumes the hook cannot see: already-processed events the
+  process carries on past inline, and a host-driven body started inline
+  from its start event.
+* Every scheduling path at default priority goes through
+  ``Event._trigger``, so every dispatched event has a stamp.
 * Triggers from host/callback context (``active_process is None``)
   inherit the stamp of the event currently being dispatched — this is
   how causality flows through derived events (``AllOf``/``AnyOf``,
@@ -139,8 +144,7 @@ class CausalityTracker:
         self._merged_resume: Dict[Process, Optional[Event]] = {}
         self._current_event: Optional[Event] = None
         self._prev_trace = None
-        self._orig_succeed = None
-        self._orig_fail = None
+        self._orig_trigger = None
 
     # -- attach / detach -------------------------------------------------
     def attach(self) -> "CausalityTracker":
@@ -160,34 +164,23 @@ class CausalityTracker:
         self.engine._timeout_pool.clear()
         self._prev_trace = self.engine.trace
         self.engine.trace = self._on_trace
-        self._orig_succeed = Event.succeed
-        self._orig_fail = Event.fail
+        self._orig_trigger = orig_trigger = Event._trigger
         tracker = self
-        orig_succeed = self._orig_succeed
-        orig_fail = self._orig_fail
 
-        def succeed(ev, value=None, delay=0.0):
-            orig_succeed(ev, value, delay=delay)
+        def _trigger(ev, value, ok, delay):
+            orig_trigger(ev, value, ok, delay)
             if ev.engine is tracker.engine:
                 tracker._stamp(ev)
             return ev
 
-        def fail(ev, exc, delay=0.0):
-            orig_fail(ev, exc, delay=delay)
-            if ev.engine is tracker.engine:
-                tracker._stamp(ev)
-            return ev
-
-        Event.succeed = succeed
-        Event.fail = fail
+        Event._trigger = _trigger
         return self
 
     def detach(self) -> None:
         if CausalityTracker._attached is not self:
             return
         CausalityTracker._attached = None
-        Event.succeed = self._orig_succeed
-        Event.fail = self._orig_fail
+        Event._trigger = self._orig_trigger
         self.engine.trace = self._prev_trace
         self._prev_trace = None
 
@@ -242,9 +235,10 @@ class CausalityTracker:
         self._current_event = event
         stamp = self._event_clocks.get(event)
         if stamp is not None:
-            # Eagerly merge into every process this event will resume;
-            # _deliver closures and immediate add_callback resumes are
-            # caught lazily via last_resumed_by in clock_of().
+            # Eagerly merge into every process this event will resume
+            # (interrupt wakes too: their callback is the process's own
+            # resume); inline resumes are caught lazily via
+            # last_resumed_by in clock_of().
             for cb in event.callbacks:
                 proc = getattr(cb, "__self__", None)
                 if not isinstance(proc, Process):

@@ -151,9 +151,13 @@ class Client:
         yield from self.network.send(self.name, mds.name, cal.RPC_MESSAGE_BYTES)
         done = mds.submit(request)
         if self.retry.reply_timeout_s is not None:
-            idx, value = yield AnyOf(
-                self.engine, [done, Timeout(self.engine, self.retry.reply_timeout_s)]
-            )
+            timer = Timeout(self.engine, self.retry.reply_timeout_s)
+            try:
+                idx, value = yield AnyOf(self.engine, [done, timer])
+            finally:
+                # Whatever won, the timer must not stay armed: every
+                # later drain would run the clock on to it.
+                timer.cancel()
             if idx == 1:
                 raise RpcTimeout(
                     f"{self.name}: no reply from {mds.name} within "
@@ -177,7 +181,7 @@ class Client:
         """
         if not self.up:
             raise OSError(f"{self.name} is crashed")
-        mds = self._target(request.path)
+        mds = self.mds if self.router is None else self._target(request.path)
         tap = self.tap
         section = None
         if tap is not None:

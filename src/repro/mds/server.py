@@ -49,6 +49,11 @@ class MDSDownError(ConnectionError):
 #: "notoriously heavy-weight" (§V-B3) and scales with directory size.
 LS_ENTRY_S = 2e-6
 
+#: The ops an ``interfere: block`` subtree policy can refuse.
+_MUTATING_OPS = frozenset(
+    ("create", "mkdir", "unlink", "rmdir", "setattr", "rename")
+)
+
 
 @dataclass
 class MDSConfig:
@@ -79,7 +84,7 @@ class MDSConfig:
     ino_base: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """One client->MDS message (possibly batching ``count`` like ops)."""
 
@@ -101,7 +106,7 @@ class Request:
             raise ValueError("request count must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class Response:
     """Reply to one request."""
 
@@ -193,7 +198,7 @@ class MetadataServer:
         with a :class:`~repro.client.client.RetryPolicy` back off and
         retry instead of deadlocking.
         """
-        done = self.engine.event()
+        done = Event(self.engine)
         if not self.up:
             done.fail(MDSDownError(f"{self.name} is down"))
             return done
@@ -496,8 +501,7 @@ class MetadataServer:
                     ),
                     0.0,
                 )
-        blocked = self._interfere_blocked(request)
-        if blocked:
+        if request.op in _MUTATING_OPS and self._interfere_blocked(request):
             self.stats.counter("rejects").incr(request.count)
             yield from self._cpu(cal.REJECT_CPU_S * request.count)
             return Response(ok=False, error="EBUSY", rpcs=1), 0.0
@@ -505,9 +509,9 @@ class MetadataServer:
         return result
 
     def _interfere_blocked(self, request: Request) -> bool:
-        if self.policy_resolver is None or request.op not in (
-            "create", "mkdir", "unlink", "rmdir", "setattr", "rename"
-        ):
+        """Whether an ``interfere: block`` subtree refuses this mutating
+        request (:data:`_MUTATING_OPS`; reads are never judged)."""
+        if self.policy_resolver is None:
             return False
         # A rename mutates both ends: its target may lie in a blocked
         # subtree its source does not.

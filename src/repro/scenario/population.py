@@ -26,8 +26,8 @@ hotspot detector plus live migration is meant to chase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from bisect import bisect_right
+from typing import Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -37,9 +37,9 @@ from repro.sim.rng import RngStream
 __all__ = ["Arrival", "PopulationModel"]
 
 
-@dataclass(frozen=True)
-class Arrival:
-    """One offered operation: when, what, where."""
+class Arrival(NamedTuple):
+    """One offered operation: when, what, where.  A named tuple, the
+    cheapest immutable record to build once per offered op."""
 
     t: float
     op: str
@@ -57,10 +57,12 @@ class PopulationModel:
         self.subtrees: List[str] = [s.path for s in spec.subtrees]
         self.total_dirs = len(self.subtrees) * pop.dirs_per_subtree
         self._weights = self._zipf_weights(pop.zipf_s, self.total_dirs)
-        self._cum_weights = np.cumsum(self._weights)
+        # Cumulative weights as Python floats: a pick is one bisect_right
+        # over the same doubles, without numpy's per-call dispatch.
+        self._cum_weights = np.cumsum(self._weights).tolist()
         mix = spec.mix.probabilities()
         self._op_names = [name for name, _p in mix]
-        self._cum_ops = np.cumsum([p for _name, p in mix])
+        self._cum_ops = np.cumsum([p for _name, p in mix]).tolist()
 
     @staticmethod
     def _zipf_weights(zipf_s: float, total_dirs: int) -> np.ndarray:
@@ -135,30 +137,43 @@ class PopulationModel:
 
     # -- sampling --------------------------------------------------------
     def arrivals(self, rng: RngStream) -> Iterator[Arrival]:
-        """Yield the run's arrivals in time order (thinning sampler)."""
+        """Yield the run's arrivals in time order (thinning sampler).
+
+        Each candidate draws, in this order: its gap, its thinning
+        uniform, then (if accepted) an op uniform and a directory
+        uniform, each picked by ``bisect_right`` over the cumulative
+        weights.
+        """
         lam_max = self.max_rate()
         if lam_max <= 0:
             return
         duration = self.spec.duration_s
         mean_gap = 1.0 / lam_max
+        pop = self.spec.population
+        # With no diurnal swing and no burst, rate_at(t) is the base
+        # rate at every t (times 1.0, twice), so thinning needs no call.
+        flat = (pop.diurnal is None or pop.diurnal.amplitude == 0) and not pop.bursts
+        base = self.base_rate_hz
+        cum_ops, op_names = self._cum_ops, self._op_names
+        last_op = len(op_names) - 1
+        cum_weights, last_rank = self._cum_weights, self.total_dirs - 1
+        # Without drift a rank names the same directory all run long.
+        dirs = (
+            [self.dir_path(rank, 0.0) for rank in range(self.total_dirs)]
+            if pop.drift is None else None
+        )
         t = 0.0
         while True:
             t += rng.exponential(mean_gap)
             if t >= duration:
                 return
-            if rng.uniform(0.0, lam_max) > self.rate_at(t):
+            if rng.uniform(0.0, lam_max) > (base if flat else self.rate_at(t)):
                 continue  # thinned: candidate rejected
-            yield Arrival(t, self._pick_op(rng), self._pick_path(rng, t))
-
-    def _pick_op(self, rng: RngStream) -> str:
-        u = rng.uniform(0.0, 1.0)
-        idx = int(np.searchsorted(self._cum_ops, u, side="right"))
-        return self._op_names[min(idx, len(self._op_names) - 1)]
-
-    def _pick_path(self, rng: RngStream, t: float) -> str:
-        u = rng.uniform(0.0, 1.0)
-        rank = int(np.searchsorted(self._cum_weights, u, side="right"))
-        return self.dir_path(min(rank, self.total_dirs - 1), t)
+            op = op_names[min(bisect_right(cum_ops, rng.uniform(0.0, 1.0)), last_op)]
+            rank = min(bisect_right(cum_weights, rng.uniform(0.0, 1.0)), last_rank)
+            yield Arrival(
+                t, op, self.dir_path(rank, t) if dirs is None else dirs[rank]
+            )
 
     # -- introspection ---------------------------------------------------
     def expected_ops(self) -> float:

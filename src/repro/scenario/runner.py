@@ -131,12 +131,13 @@ def _scenario_body(
     t_start = engine.now
 
     def source():
-        for arrival in model.arrivals(arrivals_rng):
-            due = t_start + arrival.t
-            if due > engine.now:
-                yield engine.sleep(due - engine.now)
-            backlog.append((due, arrival.op, arrival.path))
-            offered[arrival.op] += 1
+        for t, op, path in model.arrivals(arrivals_rng):
+            due = t_start + t
+            now = engine.now
+            if due > now:
+                yield engine.sleep(due - now)
+            backlog.append((due, op, path))
+            offered[op] += 1
             if len(backlog) > peak_backlog[0]:
                 peak_backlog[0] = len(backlog)
             if waiters:
@@ -159,7 +160,7 @@ def _scenario_body(
             elif source_done[0]:
                 return
             else:
-                park = engine.event()
+                park = Event(engine)
                 waiters.append(park)
                 yield park
 

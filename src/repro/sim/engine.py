@@ -142,48 +142,50 @@ class Event:
     # -- triggering ----------------------------------------------------
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         """Schedule this event to fire successfully after ``delay``."""
+        return self._trigger(value, True, delay)
+
+    def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
+        """Schedule this event to fire as a failure carrying ``exc``."""
+        return self._trigger(exc, False, delay)
+
+    def _trigger(self, value: Any, ok: bool, delay: float) -> "Event":
+        """Trigger at default priority: the one scheduling rule behind
+        :meth:`succeed`, :meth:`fail` and :meth:`Engine.sleep` (see
+        :meth:`Engine._schedule` for other priorities).  Analysis tools
+        that stamp every trigger wrap this method
+        (:class:`repro.analysis.causality.CausalityTracker`)."""
         if self._state != _PENDING:
             raise SimulationError("event already triggered")
+        if not ok and not isinstance(value, BaseException):
+            raise TypeError("fail() requires an exception instance")
         self._state = _TRIGGERED
         self._value = value
-        self._ok = True
+        self._ok = ok
         engine = self.engine
         self.triggered_by = engine._active
-        # Inlined Engine._schedule fast path: succeed() is the hottest
-        # call in the simulator (every resume/grant/completion goes
-        # through it), so the zero-delay case avoids the extra frame.
+        heap = engine._heap
         if delay == 0.0:
-            heap = engine._heap
+            # Due now: the event may jump the heap only if nothing on
+            # the heap is also due now — a new event always holds the
+            # largest seq, so anything already heaped at this instant
+            # (at default-or-better priority) sorts first.
             if not heap or heap[0][0] > engine._now or (
                 heap[0][0] == engine._now and heap[0][1] > _DEFAULT_PRIORITY
             ):
                 engine._now_queue.append(self)
                 return self
-            heapq.heappush(
-                heap, (engine._now, _DEFAULT_PRIORITY, next(engine._seq), self)
-            )
-            return self
-        engine._schedule(self, delay)
-        return self
-
-    def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
-        """Schedule this event to fire as a failure carrying ``exc``."""
-        if self._state != _PENDING:
-            raise SimulationError("event already triggered")
-        if not isinstance(exc, BaseException):
-            raise TypeError("fail() requires an exception instance")
-        self._state = _TRIGGERED
-        self._value = exc
-        self._ok = False
-        self.triggered_by = self.engine._active
-        self.engine._schedule(self, delay)
+        elif delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        heapq.heappush(
+            heap, (engine._now + delay, _DEFAULT_PRIORITY, next(engine._seq), self)
+        )
         return self
 
     def _satisfy(self, value: Any = None) -> None:
         """Succeed *already processed*: the wait was over when it was
         issued (a free slot, a queued item, a spare token), so no engine
         event is dispatched for it — the process that yields this event
-        carries on inline (see :meth:`Process._step`)."""
+        carries on inline (see :meth:`Process._resume`)."""
         self._state = _PROCESSED
         self._value = value
 
@@ -251,6 +253,18 @@ class Timeout(Event):
         super().__init__(engine)
         self.delay = float(delay)
         self.succeed(value, delay=self.delay)
+
+    def cancel(self) -> None:
+        """Disarm the timeout if it has not fired: it leaves the
+        schedule, so a run that drains no longer carries the clock on to
+        it, and nothing waiting on it is ever resumed.  Only the owner
+        of a timer it alone waits on (directly or through an
+        :class:`AnyOf`) should cancel it."""
+        if self._state != _TRIGGERED:
+            return
+        self._cb = None
+        self._cbs = None
+        self.engine._unschedule(self)
 
 
 class _PooledTimeout(Event):
@@ -345,47 +359,44 @@ class Process(Event):
             target._discard_callback(self._bound_resume)
             target._abandon()
             self._waiting_on = None
+        # The wake fails with the Interrupt, so resuming from it throws
+        # the Interrupt in like any other failed event.
         wake = Event(self.engine)
-
-        def _deliver(ev: Event) -> None:
-            self.last_resumed_by = ev
-            self._throw(Interrupt(cause))
-
-        wake._cb = _deliver
-        wake.succeed()
+        wake._cb = self._bound_resume
+        wake.fail(Interrupt(cause))
 
     # -- stepping --------------------------------------------------------
     def _resume(self, event: Event) -> None:
+        """Advance the generator from ``event`` (its value sent in, or
+        its exception thrown in) until it yields an event still to
+        come; the one stepping routine, for every kind of wake-up."""
         if self._state != _PENDING:
             return
         self._waiting_on = None
-        self.last_resumed_by = event
-        if event._ok:
-            self._step(self.generator.send, event._value)
-        else:
-            self._step(self.generator.throw, event._value)
-
-    def _throw(self, exc: BaseException) -> None:
-        if self._state != _PENDING:
-            return
-        self._waiting_on = None
-        self._step(self.generator.throw, exc)
-
-    def _step(self, advance: Callable[[Any], Any], arg: Any) -> None:
         engine = self.engine
         prev_active = engine._active
         engine._active = self
+        generator = self.generator
         try:
             while True:
+                self.last_resumed_by = event
                 try:
-                    target = advance(arg)
+                    if event._ok:
+                        target = generator.send(event._value)
+                    else:
+                        target = generator.throw(event._value)
                 except StopIteration as stop:
                     self.succeed(stop.value)
                     return
                 except BaseException as exc:  # noqa: BLE001 - propagate as failure
                     self.fail(exc)
                     return
-                if not isinstance(target, Event):
+                try:
+                    # Only events have a state (a try costs nothing
+                    # unless it raises; an isinstance check per yield
+                    # would be a call).
+                    state = target._state
+                except AttributeError:
                     self.fail(
                         TypeError(
                             f"process {self.name!r} yielded {target!r}; "
@@ -393,19 +404,17 @@ class Process(Event):
                         )
                     )
                     return
-                if target._state != _PROCESSED:
+                if state != _PROCESSED:
                     self._waiting_on = target
-                    target.add_callback(self._bound_resume)
+                    if target._cb is None:
+                        target._cb = self._bound_resume
+                    else:
+                        target.add_callback(self._bound_resume)
                     return
                 # A wait that is already over is not an event: carry on
-                # in this loop (not through add_callback -> _resume ->
-                # _step, which would recurse once per such yield).
-                self.last_resumed_by = target
-                if target._ok:
-                    advance = self.generator.send
-                else:
-                    advance = self.generator.throw
-                arg = target._value
+                # in this loop (not through a callback that would recurse
+                # once per such yield).
+                event = target
         finally:
             engine._active = prev_active
 
@@ -428,9 +437,9 @@ class _HostProcess(Process):
         super().__init__(engine, generator)
         if idle and queue:
             # The fast path admitted the start with nothing ahead of
-            # it: it is the next dispatch anyway, so step the body now.
-            queue.pop()
-            self._step(generator.send, None)
+            # it: it is the next dispatch anyway, so resume the body
+            # from it now.
+            self._resume(queue.pop())
 
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         self._state = _PROCESSED
@@ -523,7 +532,7 @@ class Engine:
         self._seq = itertools.count()
         self.processes_started = 0
         #: The process currently being stepped (None between steps /
-        #: in host-driver context).  Maintained by Process._step.
+        #: in host-driver context).  Maintained by Process._resume.
         self._active: Optional[Process] = None
         #: Optional ``hook(t, event)`` called as each event is processed
         #: (:class:`repro.analysis.causality.CausalityTracker` sets
@@ -581,15 +590,13 @@ class Engine:
             self.sleep_hook(delay)
         pool = self._timeout_pool
         if pool:
+            # A recycled timeout comes back with no waiter and ok set:
+            # only its pending state needs restoring.
             ev = pool.pop()
             ev._state = _PENDING
-            ev._cb = None
-            ev._cbs = None
-            ev._ok = True
         else:
             ev = _PooledTimeout(self)
-        ev.succeed(value, delay=delay)
-        return ev
+        return ev._trigger(value, True, delay)
 
     def event(self) -> Event:
         return Event(self)
@@ -608,20 +615,27 @@ class Engine:
 
     # -- scheduling -------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
+        """Heap a triggered ``event`` at ``priority``.  Default-priority
+        triggers go through :meth:`Event._trigger`, which alone may
+        admit an event due now to the FIFO."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        if delay == 0.0 and priority == _DEFAULT_PRIORITY:
-            # Fast path: the event is due *now*.  It may jump the heap
-            # only if nothing on the heap is also due now — a new event
-            # always holds the largest seq, so anything already heaped at
-            # this instant (and default-or-better priority) sorts first.
-            heap = self._heap
-            if not heap or heap[0][0] > self._now or (
-                heap[0][0] == self._now and heap[0][1] > priority
-            ):
-                self._now_queue.append(event)
-                return
         heapq.heappush(self._heap, (self._now + delay, priority, next(self._seq), event))
+
+    def _unschedule(self, event: Event) -> None:
+        """Take a triggered, not yet dispatched ``event`` off the
+        schedule (:meth:`Timeout.cancel`): a linear search, paid only by
+        the rare caller, so the dispatch loop carries no tombstone
+        check."""
+        heap = self._heap
+        for i, entry in enumerate(heap):
+            if entry[3] is event:
+                heap[i] = heap[-1]
+                heap.pop()
+                heapq.heapify(heap)
+                return
+        if event in self._now_queue:
+            self._now_queue.remove(event)
 
     # -- running ----------------------------------------------------------
     def _take_tied(self, scheduler) -> Event:

@@ -121,10 +121,13 @@ class Network:
         message is charged nothing and dropped (fail-fast; retry policy
         is the caller's concern, see ``repro.client.client.RetryPolicy``).
         """
-        if self.is_partitioned(src, dst):
+        # The steady state (nothing severed, the link already made)
+        # makes no call here: every RPC message passes this way twice.
+        if self._partitions and self.is_partitioned(src, dst):
             self.messages_dropped += 1
             raise PartitionError(f"network partition between {src} and {dst}")
-        yield from self.link(src, dst).transmit(nbytes)
+        link = self._links.get((src, dst)) or self.link(src, dst)
+        yield from link.transmit(nbytes)
 
     @property
     def total_bytes(self) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Optional
 
-from repro.sim.engine import Engine, Event, SimulationError
+from repro.sim.engine import _PENDING, Engine, Event, SimulationError
 
 __all__ = ["Resource", "Store", "StoreGet", "Semaphore", "Request"]
 
@@ -62,7 +62,7 @@ class Resource:
 
     # -- accounting -----------------------------------------------------
     def _account(self) -> None:
-        now = self.engine.now
+        now = self.engine._now
         self._busy_time += self._in_use * (now - self._last_change)
         self._last_change = now
 
@@ -107,7 +107,7 @@ class Resource:
         return req
 
     def release(self, req: Request) -> None:
-        if not req.triggered:
+        if req._state == _PENDING:
             # Cancelled while still queued.
             try:
                 self._queue.remove(req)

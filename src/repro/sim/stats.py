@@ -98,7 +98,7 @@ class UtilizationTracker:
     def set_level(self, level: float) -> None:
         if level < 0:
             raise ValueError("busy level cannot be negative")
-        now = self.engine.now
+        now = self.engine._now
         if self._breakpoints and self._breakpoints[-1][0] == now:
             self._breakpoints[-1] = (now, level)
         else:
@@ -148,9 +148,10 @@ class StatsRegistry:
         self._utils: Dict[str, UtilizationTracker] = {}
 
     def counter(self, name: str) -> Counter:
-        if name not in self._counters:
-            self._counters[name] = Counter(f"{self.owner}.{name}")
-        return self._counters[name]
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(f"{self.owner}.{name}")
+        return counter
 
     def series(self, name: str) -> TimeSeries:
         if name not in self._series:

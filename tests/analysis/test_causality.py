@@ -1,7 +1,8 @@
 """Vector clocks and the engine-attached causality tracker."""
 
 from repro.analysis.causality import CausalityTracker, VectorClock
-from repro.sim.engine import Engine, Event, Timeout
+from repro.sim.engine import AllOf, Engine, Event, Interrupt, Timeout
+from repro.sim.resources import Store
 
 
 # -- VectorClock algebra ----------------------------------------------------
@@ -156,10 +157,13 @@ def test_detach_restores_engine_hooks():
     eng = Engine()
     before_trace = eng.trace
     before_succeed = Event.succeed
+    before_trigger = Event._trigger
     tracker = CausalityTracker(eng).attach()
+    assert Event._trigger is not before_trigger
     tracker.detach()
     assert eng.trace is before_trace
     assert Event.succeed is before_succeed
+    assert Event._trigger is before_trigger
 
     # The engine still runs normally after detach.
     done = []
@@ -171,3 +175,65 @@ def test_detach_restores_engine_hooks():
     eng.process(prog(), name="p")
     eng.run()
     assert done == [True]
+
+
+def test_every_traced_event_carries_a_stamp():
+    """The tracker stamps events by wrapping ``Event._trigger`` at class
+    level, so a scheduling path that went around it would dispatch an
+    unstamped event.  Sleeps (pooled and plain), a Store hand-off to a
+    parked getter, an AllOf over two children and an interrupt all go
+    through it."""
+    eng = Engine()
+    store = Store(eng)
+    traced = []
+    eng.trace = lambda t, ev: traced.append(ev)
+    tracker = CausalityTracker(eng).attach()
+    stamps = {}
+
+    def consumer():
+        item = yield store.get()  # parked: the put hands it over
+        stamps["consumed"] = (item, tracker.observe(eng.active_process))
+
+    def producer():
+        yield eng.sleep(1.0)
+        yield Timeout(eng, 0.5)
+        stamps["produced"] = tracker.observe(eng.active_process)
+        store.put("x")
+
+    def child(delay):
+        yield eng.sleep(delay)
+        return delay
+
+    def joiner():
+        values = yield AllOf(eng, [eng.process(child(1.0)),
+                                   eng.process(child(2.0))])
+        stamps["joined"] = values
+
+    def sleeper():
+        try:
+            yield Timeout(eng, 100.0)
+        except Interrupt:
+            stamps["woken"] = tracker.observe(eng.active_process)
+        yield eng.sleep(1.0)
+
+    eng.process(consumer(), name="consumer")
+    eng.process(producer(), name="producer")
+    eng.process(joiner(), name="joiner")
+    target = eng.process(sleeper(), name="sleeper")
+
+    def interrupter():
+        yield eng.sleep(3.0)
+        stamps["interrupting"] = tracker.observe(eng.active_process)
+        target.interrupt("revoke")
+
+    eng.process(interrupter(), name="interrupter")
+    eng.run()
+    tracker.detach()
+
+    assert stamps["joined"] == [1.0, 2.0]
+    item, consumed = stamps["consumed"]
+    assert item == "x" and stamps["produced"].precedes(consumed)
+    assert stamps["interrupting"].precedes(stamps["woken"])
+    assert len(traced) >= 12
+    unstamped = [ev for ev in traced if tracker.event_clock(ev) is None]
+    assert unstamped == []

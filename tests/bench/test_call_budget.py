@@ -6,18 +6,33 @@ path — append, Local Persist, Global Persist, node loss, recovery scan,
 merge — for explicit-name creates on a materialized MDS under
 ``cProfile`` and bounds the calls per create, so a per-event helper
 creeping back into the append / encode / scan / apply loops fails here,
-exactly, on any runner.  The second bounds the calls per op of per-op
+exactly, on any runner of the interpreter the budgets are calibrated on
+(CPython 3.11: call counts differ between interpreter versions, e.g.
+3.12 inlines comprehensions, so other versions skip these gates).  The
+second bounds the calls per op of per-op
 RPCs from clients interleaving creates and listings across their own
 directories, so an MDS that walks from ``/`` per request again (or
-sorts ``(name, ino)`` pairs to list) fails here too.
+sorts ``(name, ino)`` pairs to list) fails here too.  The third bounds
+the calls per op of the open-loop scenario path (``run_seed``: arrival
+sampling, session workers, RPCs), so a numpy call back on a per-op draw
+or a second frame back on the engine's resume path fails here.
 """
 
 import cProfile
 import pstats
+import sys
+
+import pytest
 
 from repro.cluster import Cluster
 from repro.core import Cudele, MechanismContext, SubtreePolicy, run_mechanism
 from repro.mds.server import MDSConfig
+from repro.scenario.runner import run_seed
+
+pytestmark = pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="call budgets are calibrated on CPython 3.11",
+)
 
 CREATES = 2000
 
@@ -29,10 +44,43 @@ CALLS_PER_CREATE_BUDGET = 38
 RPC_CLIENTS = 4
 RPC_ROUNDS = 200
 
-#: Calls per RPC op (create or ls), end to end.  Achieved: 221.0 on
-#: CPython 3.11 (247.5 when each interleaved request walked from ``/``);
+#: Calls per RPC op (create or ls), end to end.  Achieved: 187.5 on
+#: CPython 3.11 (221.0 with numpy-dispatched draws and a two-frame
+#: resume path, 247.5 when each interleaved request walked from ``/``);
 #: the budget leaves 10 %.
-CALLS_PER_RPC_OP_BUDGET = 243
+CALLS_PER_RPC_OP_BUDGET = 206
+
+USERS = 1_000_000
+
+#: The ``openloop_ladder`` ledger workload's middle step, shortened:
+#: 1 600 ops/s offered by 10^6 Zipf users for 0.5 simulated seconds.
+LADDER_SPEC = {
+    "name": "budget-ladder",
+    "duration_s": 0.5,
+    "seeds": 1,
+    "sessions": 6,
+    "population": {
+        "users": USERS,
+        "rate_per_user_hz": 1600 / USERS,
+        "zipf_s": 1.0,
+        "dirs_per_subtree": 4,
+    },
+    "mix": {"create": 2, "lookup": 1, "stat": 4, "ls": 1},
+    "cluster": {
+        "num_mds": 1, "num_osds": 3, "materialize": True, "journal": True,
+    },
+    "subtrees": [
+        {"path": "/ladder/strong", "rank": 0,
+         "policy": {"consistency": "strong", "durability": "global"}},
+        {"path": "/ladder/plain", "rank": 0},
+    ],
+}
+
+#: Calls per open-loop op, end to end (after one warm-up run, so lazy
+#: imports do not count).  Achieved: 219.7 on CPython 3.11 (275.1 with
+#: numpy-dispatched scalar draws and a two-frame resume path); the
+#: budget leaves 10 %.
+CALLS_PER_OPENLOOP_OP_BUDGET = 242
 
 
 def test_decoupled_path_stays_within_its_call_budget():
@@ -96,3 +144,18 @@ def test_interleaved_rpc_path_stays_within_its_call_budget():
     ops = 2 * RPC_CLIENTS * RPC_ROUNDS
     calls_per_op = pstats.Stats(profile).total_calls / ops
     assert calls_per_op <= CALLS_PER_RPC_OP_BUDGET, calls_per_op
+
+
+def test_open_loop_path_stays_within_its_call_budget():
+    run_seed((LADDER_SPEC, 0))  # warm-up: imports and first-use caches
+
+    profile = cProfile.Profile()
+    profile.enable()
+    result = run_seed((LADDER_SPEC, 0))
+    profile.disable()
+
+    ops = sum(result["completed"].values())
+    assert ops == sum(result["offered"].values()) == 774
+    assert not any(result["errors"].values())
+    calls_per_op = pstats.Stats(profile).total_calls / ops
+    assert calls_per_op <= CALLS_PER_OPENLOOP_OP_BUDGET, calls_per_op

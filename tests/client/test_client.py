@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.client.client import Client
+from repro import calibration as cal
+from repro.client.client import Client, RetryPolicy, RpcTimeout
 from repro.client.fs import PosixFileSystem
-from repro.mds.server import MDSConfig, MetadataServer
+from repro.cluster import Cluster
+from repro.mds.server import MDSConfig, MetadataServer, Request
 from repro.sim.engine import SimulationError
 
 from tests.conftest import drive
@@ -170,3 +172,56 @@ def test_rmdir_through_stack(engine, client):
     fs.create("/a/f")
     with pytest.raises(OSError):  # ENOTEMPTY
         fs.rmdir("/a")
+
+
+# -- reply timeouts -----------------------------------------------------------
+
+
+def test_a_reply_that_beats_its_timeout_disarms_the_timer():
+    """The timer raced against a reply must not stay on the schedule
+    once the reply wins: every later drain would run the clock on to it
+    (it used to leave ``now`` at 1.0012 s after a 1.8 ms mkdir)."""
+    ends = []
+    for retry in (None, RetryPolicy(reply_timeout_s=1.0)):
+        cluster = Cluster(seed=0)
+        client = cluster.new_client(retry=retry)
+        assert cluster.run(client.mkdir("/a")).ok
+        ends.append(cluster.engine.now)
+    assert ends[0] < 0.01
+    assert ends[1] == ends[0]
+
+
+def test_a_reply_slower_than_its_timeout_raises_and_retries():
+    cluster = Cluster(seed=0)
+    admin = cluster.new_client()
+    assert cluster.run(admin.mkdir("/busy")).ok
+
+    # One attempt on its own: the reply is slower than the timeout.
+    hasty = cluster.new_client(retry=RetryPolicy(reply_timeout_s=1e-6))
+    with pytest.raises(RpcTimeout, match="no reply from mds0 within 1e-06s"):
+        cluster.run(hasty._exchange(cluster.mds, Request("stat", "/", 2)))
+
+    # Through the retry loop: a 600-create batch holds the MDS for
+    # ~0.2 s, so the first attempts time out and a later one succeeds.
+    busy = cluster.mds.submit(
+        Request("create", "/busy", admin.client_id, count=600)
+    )
+    client = cluster.new_client(
+        retry=RetryPolicy(reply_timeout_s=0.05, max_retries=6)
+    )
+    t0 = cluster.engine.now
+    resp = cluster.run(client.stat("/busy"))
+    assert resp.ok and busy.value.ok
+    counters = client.stats.counters()
+    assert counters["rpc_retries"] == counters["rpc_failures"] >= 2
+    assert "rpc_giveups" not in counters
+    assert cluster.engine.now - t0 > 600 * cal.MDS_SERVICE_S
+
+    # With no retry left, the timeout surfaces as the error response.
+    spent = cluster.new_client(
+        retry=RetryPolicy(reply_timeout_s=1e-6, max_retries=1)
+    )
+    resp = cluster.run(spent.stat("/busy"))
+    assert not resp.ok
+    assert resp.error.startswith("ETIMEDOUT: ") and "no reply" in resp.error
+    assert spent.stats.counters()["rpc_giveups"] == 1

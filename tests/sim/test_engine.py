@@ -347,6 +347,27 @@ def test_interrupt_finished_process_raises():
         p.interrupt()
 
 
+def test_cancelled_timeout_leaves_the_schedule():
+    """A cancelled timer never fires and never carries the clock on to
+    its instant, whether it sat on the heap or in the zero-delay queue;
+    cancelling one that already fired does nothing."""
+    eng = Engine()
+    fired = []
+    later = Timeout(eng, 5.0)
+    later.add_callback(lambda ev: fired.append("later"))
+    now = Timeout(eng, 0.0)
+    now.add_callback(lambda ev: fired.append("now"))
+    other = Timeout(eng, 2.0)
+    other.add_callback(lambda ev: fired.append("other"))
+    later.cancel()
+    now.cancel()
+    eng.run()
+    assert fired == ["other"] and eng.now == 2.0
+    assert later.triggered and not later.processed
+    other.cancel()
+    assert other.processed and other.ok
+
+
 def test_peek_reports_next_event_time():
     eng = Engine()
 
@@ -536,6 +557,68 @@ def test_interrupt_still_lands_while_waiting_on_timeout():
     eng.process(killer())
     eng.run()
     assert outcome == [("interrupt", "wake up")]
+
+
+def test_interrupt_delivers_its_cause_object_through_a_failed_wake():
+    """The Interrupt carries the very ``cause`` object passed to
+    ``interrupt``, and the process's ``last_resumed_by`` is the wake
+    event: a failed event whose value is the Interrupt it caught."""
+    eng = Engine()
+    cause = object()
+    seen = {}
+
+    def sleeper():
+        try:
+            yield Timeout(eng, 10.0)
+        except Interrupt as exc:
+            seen["exc"] = exc
+            seen["wake"] = eng.active_process.last_resumed_by
+        yield Timeout(eng, 1.0)
+        return "finished"
+
+    proc = eng.process(sleeper())
+
+    def killer():
+        yield Timeout(eng, 2.0)
+        proc.interrupt(cause)
+
+    eng.process(killer())
+    eng.run()
+    assert seen["exc"].cause is cause
+    wake = seen["wake"]
+    assert isinstance(wake, Event) and not isinstance(wake, Timeout)
+    assert wake.processed and not wake.ok
+    assert wake.value is seen["exc"]
+    # The abandoned 10 s timeout did not resume it a second time.
+    assert proc.value == "finished" and eng.now == 10.0
+
+
+def test_interrupt_at_an_already_failed_event_leaves_no_wake_behind():
+    """The discarded interrupt schedules nothing: after handling the
+    original failure the process sleeps on, undisturbed."""
+    eng = Engine()
+    evt = eng.event()
+    outcome = []
+
+    def waiter():
+        try:
+            yield evt
+        except ValueError as exc:
+            outcome.append(str(exc))
+        yield Timeout(eng, 5.0)
+        outcome.append(eng.now)
+
+    proc = eng.process(waiter())
+
+    def killer():
+        yield Timeout(eng, 1.0)
+        evt.fail(ValueError("disk died"))
+        proc.interrupt("crash")
+
+    eng.process(killer())
+    eng.run()
+    assert outcome == ["disk died", 6.0]
+    assert proc.ok
 
 
 def test_interrupted_store_get_does_not_swallow_next_put():

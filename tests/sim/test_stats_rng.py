@@ -1,5 +1,6 @@
 """Tests for the stats recorders and deterministic RNG streams."""
 
+import numpy as np
 import pytest
 
 from repro.sim.engine import Engine, Timeout
@@ -171,3 +172,116 @@ def test_rng_helpers():
     shuffled = list(seq)
     r.shuffle(shuffled)
     assert sorted(shuffled) == seq
+
+
+# -- RngStream is numpy's Generator, draw for draw ---------------------------
+
+DIFFERENTIAL_SEEDS = range(20)
+DRAWS_PER_SEED = 10_000
+
+
+def _twin(stream: RngStream) -> np.random.Generator:
+    """A fresh ``numpy.random.Generator`` at the stream's exact state."""
+    twin = np.random.Generator(np.random.PCG64())
+    twin.bit_generator.state = stream._gen.bit_generator.state
+    return twin
+
+
+def _numpy_lognormal(twin, mean, cv):
+    # The expressions RngStream.lognormal_service evaluated through
+    # numpy before it drew from the primitives.
+    if cv == 0:
+        return mean
+    sigma2 = np.log(1.0 + cv * cv)
+    mu = np.log(mean) - sigma2 / 2.0
+    return float(twin.lognormal(mu, np.sqrt(sigma2)))
+
+
+@pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
+def test_scalar_draws_equal_numpy_bit_for_bit(seed):
+    """Every scalar draw equals the matching Generator method on a twin
+    generator, over interleaved calls with varied arguments (integer
+    bounds included); the list/shuffle helpers interleave too, so both
+    streams must also stay in lockstep."""
+    stream = RngStream(seed, "differential")
+    twin = _twin(stream)
+    plan = np.random.default_rng(10_000 + seed)
+    kinds = plan.integers(0, 8, DRAWS_PER_SEED).tolist()
+    a = (plan.standard_normal(DRAWS_PER_SEED) * 10.0 ** plan.integers(
+        -6, 7, DRAWS_PER_SEED)).tolist()
+    b = plan.exponential(1.0, DRAWS_PER_SEED).tolist()
+    cvs = plan.uniform(0.0, 2.0, DRAWS_PER_SEED).tolist()
+    ours, theirs = [], []
+    for kind, x, y, cv in zip(kinds, a, b, cvs):
+        if kind == 0:
+            ours.append(stream.uniform())
+            theirs.append(float(twin.uniform()))
+        elif kind == 1:
+            ours.append(stream.uniform(x, x + y))
+            theirs.append(float(twin.uniform(x, x + y)))
+        elif kind == 2:
+            # Integer bounds, some past 2**53: numpy converts each bound
+            # to a double before subtracting, and so must the stream.
+            lo = int(x) << (40 if y > 1.0 else 0)
+            hi = lo + 1 + int(y * 100)
+            ours.append(stream.uniform(lo, hi))
+            theirs.append(float(twin.uniform(lo, hi)))
+        elif kind == 3:
+            ours.append(stream.exponential(y + 1e-9))
+            theirs.append(float(twin.exponential(y + 1e-9)))
+        elif kind == 4:
+            ours.append(stream.normal(x, y))
+            theirs.append(float(twin.normal(x, y)))
+        elif kind == 5:
+            mean = y + 1e-9
+            ours.append(stream.lognormal_service(mean, cv))
+            theirs.append(_numpy_lognormal(twin, mean, cv))
+        elif kind == 6:
+            # The MDS's own parameters, a zero CV among them.
+            cv = (0.1, 0.1 / 10 ** 0.5, 0.0)[int(y) % 3]
+            ours.append(stream.lognormal_service(1.0 / 3_000, cv))
+            theirs.append(_numpy_lognormal(twin, 1.0 / 3_000, cv))
+        else:
+            ours.append(float(stream.integers(0, 1000)))
+            theirs.append(float(twin.integers(0, 1000)))
+    assert all(type(v) is float for v in ours)
+    got = np.array(ours).view(np.int64)
+    want = np.array(theirs).view(np.int64)
+    mismatches = np.flatnonzero(got != want)
+    assert mismatches.size == 0, (
+        f"first mismatch at draw {mismatches[:1]}: "
+        f"{ours[mismatches[0]]!r} != {theirs[mismatches[0]]!r}"
+    )
+    assert stream._gen.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("call, exc", [
+    (lambda r: r.uniform(1.0, 0.0), ValueError),
+    (lambda r: r.uniform(0.0, -0.0), ValueError),
+    (lambda r: r.uniform(0.0, float("inf")), OverflowError),
+    (lambda r: r.uniform(-1e308, 1e308), OverflowError),
+    (lambda r: r.uniform(float("nan"), 0.0), OverflowError),
+])
+def test_argument_errors_match_numpy_and_draw_nothing(call, exc):
+    stream = RngStream(5, "errors")
+    twin = _twin(stream)
+    with pytest.raises(exc):
+        call(stream)
+    with pytest.raises(exc):
+        call(twin)
+    assert stream.uniform() == float(twin.uniform())
+
+
+@pytest.mark.parametrize("call", [
+    lambda r: r.exponential(0.0),
+    lambda r: r.exponential(-1.0),
+    lambda r: r.lognormal_service(0.0),
+    lambda r: r.lognormal_service(-1.0),
+    lambda r: r.lognormal_service(1.0, cv=-0.5),
+])
+def test_parameter_errors_are_value_errors_and_draw_nothing(call):
+    stream = RngStream(5, "errors")
+    twin = _twin(stream)
+    with pytest.raises(ValueError):
+        call(stream)
+    assert stream.uniform() == float(twin.uniform())
