@@ -6,9 +6,6 @@ machine-checked (see ``docs/ANALYSIS.md``):
 * :mod:`repro.analysis.simlint` — AST determinism lint over the source
   tree (wall clocks, global RNGs, hash-order iteration, yieldless
   process bodies, shared mutable state),
-* :mod:`repro.analysis.races` — opt-in same-instant race detection over
-  registered shared resources (metadata stores, inode tables, the
-  object store, client journals),
 * :mod:`repro.analysis.checker` — composition/policy static checking
   against the mechanism dependency DAG before anything executes,
 * :mod:`repro.analysis.model` — exhaustive small-scope model checker
@@ -32,7 +29,6 @@ from repro.analysis.checker import (
     PolicySetError,
     check_inotable,
     check_plan,
-    check_policy,
     check_policy_set,
     parse_policy_set,
     policy_set_warnings,
@@ -50,19 +46,11 @@ from repro.analysis.model import (
     run_schedule,
     state_fingerprint,
 )
-from repro.analysis.races import (
-    Access,
-    Race,
-    RaceDetector,
-    RaceError,
-    watch_cluster,
-)
 from repro.analysis.rules import RULES, register_rule, rule_catalog
 from repro.analysis.schedule import Alternative, Decision, ScheduleController
 from repro.analysis.simlint import LintReport, lint_paths, lint_source
 
 __all__ = [
-    "Access",
     "Alternative",
     "CausalityTracker",
     "CheckError",
@@ -75,9 +63,6 @@ __all__ = [
     "Mutation",
     "PolicySet",
     "PolicySetError",
-    "Race",
-    "RaceDetector",
-    "RaceError",
     "RULES",
     "RunResult",
     "ScheduleController",
@@ -85,7 +70,6 @@ __all__ = [
     "VectorClock",
     "check_inotable",
     "check_plan",
-    "check_policy",
     "check_policy_set",
     "crash_variants",
     "explore_cell",
@@ -99,5 +83,4 @@ __all__ = [
     "rule_catalog",
     "run_schedule",
     "state_fingerprint",
-    "watch_cluster",
 ]

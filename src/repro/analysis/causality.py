@@ -1,13 +1,11 @@
 """Vector-clock happens-before over engine causality breadcrumbs.
 
-One causality core shared by the race detector (:mod:`repro.analysis.races`)
-and the model checker's commutativity reduction (:mod:`repro.analysis.model`):
-a :class:`CausalityTracker` attached to an engine maintains a vector clock
-per process and stamps every triggered event with the clock of whoever
-triggered it, so "did A happen-before B, or could a different schedule
-reorder them?" becomes a pointwise clock comparison instead of the old
-name-chain walk (which could not express joins and missed transitive
-edges through derived events).
+The causality core behind the model checker's commutativity reduction
+(:mod:`repro.analysis.model`): a :class:`CausalityTracker` attached to an
+engine maintains a vector clock per process and stamps every triggered
+event with the clock of whoever triggered it, so "did A happen-before B,
+or could a different schedule reorder them?" becomes a pointwise clock
+comparison.
 
 Clock discipline
 ----------------
@@ -17,7 +15,8 @@ Clock discipline
   ``Event.fail`` and ``Engine.sleep`` — is wrapped (class-level, attach/
   detach) to stamp the event with the *triggerer's clock at trigger
   time*.  Stamping at dispatch time instead would fold in whatever the
-  triggerer did after calling ``succeed`` and hide real races.
+  triggerer did after calling ``succeed`` and order events that a
+  different schedule could swap.
 * When an event resumes a process, the process clock becomes
   ``merge(own, event stamp)`` then ticks its own component.  The merge
   is applied eagerly from the engine trace hook for dispatched resumes
@@ -34,15 +33,14 @@ Clock discipline
   store wakeups) that succeed follow-on events from plain callbacks.
 
 The relation is deliberately *under*-approximated where the breadcrumbs
-run out (an unstamped pre-attach event contributes the empty clock):
-missing edges can only make the race detector report a schedule-artifact
-pair that is actually ordered, and can only make the model checker
-explore an order it could have pruned — both sound directions.
+run out (an unstamped pre-attach event contributes the empty clock): a
+missing edge can only make the model checker explore an order it could
+have pruned, which is the sound direction.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.sim.engine import Engine, Event, Process
 
@@ -52,16 +50,11 @@ __all__ = ["VectorClock", "CausalityTracker"]
 class VectorClock:
     """An immutable mapping ``pid -> counter`` with pointwise ordering."""
 
-    __slots__ = ("_c", "_hash")
+    __slots__ = ("_c",)
 
-    def __init__(self, items: Any = ()):
-        # Zero components are the implicit default everywhere (`get`
-        # returns 0 for absent pids); storing them explicitly would
-        # break value equality and the strict-precedence test.
-        self._c: Dict[int, int] = {
-            p: n for p, n in dict(items).items() if n
-        }
-        self._hash: Optional[int] = None
+    def __init__(self, counters: Optional[Dict[int, int]] = None):
+        # Absent pids read as 0; tick and merge never store a zero.
+        self._c: Dict[int, int] = counters or {}
 
     def tick(self, pid: int) -> "VectorClock":
         """A copy with ``pid``'s component incremented."""
@@ -88,33 +81,12 @@ class VectorClock:
                 return False
         return True
 
-    def precedes(self, other: "VectorClock") -> bool:
-        """Strict happens-before: ``self <= other`` and ``self != other``."""
-        return self.leq(other) and self._c != other._c
-
     def concurrent(self, other: "VectorClock") -> bool:
         """Neither clock is pointwise below the other."""
         return not self.leq(other) and not other.leq(self)
 
     def get(self, pid: int) -> int:
         return self._c.get(pid, 0)
-
-    def items(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted(self._c.items()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VectorClock):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._c.items()))
-        return self._hash
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        inner = ", ".join(f"{p}:{n}" for p, n in self.items())
-        return f"VectorClock({{{inner}}})"
 
 
 EMPTY_CLOCK = VectorClock()
@@ -154,7 +126,7 @@ class CausalityTracker:
         if prev is not None:
             # A tracker from an earlier (finished) engine is still
             # holding the class-level wrappers; replace it rather than
-            # fail, so short-lived detectors need no explicit lifecycle.
+            # fail, so short-lived trackers need no explicit lifecycle.
             prev.detach()
         CausalityTracker._attached = self
         # Recycled pooled timeouts would alias event stamps from earlier
@@ -206,12 +178,6 @@ class CausalityTracker:
                 clock = clock.merge(stamp)
             self._proc_clocks[proc] = clock.tick(self._pids[proc])
         return self._proc_clocks[proc]
-
-    def observe(self, proc: Process) -> VectorClock:
-        """Advance and return the process clock for one observable access."""
-        clock = self.clock_of(proc).tick(self._pids[proc])
-        self._proc_clocks[proc] = clock
-        return clock
 
     def event_clock(self, event: Event) -> Optional[VectorClock]:
         """The stamp recorded when ``event`` was triggered (or None)."""

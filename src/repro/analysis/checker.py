@@ -30,7 +30,6 @@ __all__ = [
     "PolicySetError",
     "MECHANISM_DEPENDENCIES",
     "check_plan",
-    "check_policy",
     "PolicySet",
     "SubtreeEntry",
     "parse_policy_set",
@@ -185,13 +184,6 @@ def check_plan(
     if raise_on_error and errors:
         raise CompositionError(errors)
     return errors
-
-
-def check_policy(
-    policy: SubtreePolicy, raise_on_error: bool = False
-) -> List[CheckError]:
-    """Validate one subtree policy's combined composition."""
-    return check_plan(policy.plan, raise_on_error=raise_on_error)
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from repro.bench.harness import (
     Series,
     aggregate,
     parallel_map,
-    run_seeds,
     set_default_jobs,
 )
 from repro.bench.scales import PAPER, SMALL, TINY, Scale, get_scale
@@ -40,7 +39,6 @@ __all__ = [
     "Series",
     "aggregate",
     "parallel_map",
-    "run_seeds",
     "set_default_jobs",
     "Scale",
     "TINY",

@@ -25,7 +25,6 @@ __all__ = [
     "Series",
     "ExperimentResult",
     "aggregate",
-    "run_seeds",
     "parallel_map",
     "get_default_jobs",
     "set_default_jobs",
@@ -112,7 +111,7 @@ class Series:
         self._reindex()
 
     def _reindex(self) -> None:
-        """(Re)build the x -> index map used by :meth:`at`/:meth:`err_at`.
+        """(Re)build the x -> index map used by :meth:`at`.
 
         First occurrence wins, matching ``list.index``.  Call again if
         ``x`` is mutated in place after construction.
@@ -139,9 +138,6 @@ class Series:
     def at(self, x_value: Any) -> float:
         return self.y[self._position(x_value)]
 
-    def err_at(self, x_value: Any) -> float:
-        return self.yerr[self._position(x_value)]
-
 
 @dataclass
 class ExperimentResult:
@@ -164,10 +160,6 @@ class ExperimentResult:
             f"have {[s.label for s in self.series]}"
         )
 
-    @property
-    def labels(self) -> List[str]:
-        return [s.label for s in self.series]
-
 
 def aggregate(per_seed: Sequence[Sequence[float]]) -> Tuple[List[float], List[float]]:
     """Mean and population standard deviation across seeds.
@@ -179,16 +171,3 @@ def aggregate(per_seed: Sequence[Sequence[float]]) -> Tuple[List[float], List[fl
         raise ValueError("per_seed must be a 2-D [seed][x] array")
     return list(arr.mean(axis=0)), list(arr.std(axis=0))
 
-
-def run_seeds(
-    fn: Callable[[int], List[float]], seeds: int, jobs: Optional[int] = None
-) -> Tuple[List[float], List[float]]:
-    """Run ``fn(seed)`` for each seed and aggregate the results.
-
-    With ``jobs > 1`` (or a process-wide default from ``--jobs`` /
-    ``REPRO_JOBS``) the seeds run in a process pool; results are merged
-    in seed order, so the aggregate is identical to a serial run.
-    """
-    if seeds < 1:
-        raise ValueError("need at least one seed")
-    return aggregate(parallel_map(fn, range(seeds), jobs=jobs))

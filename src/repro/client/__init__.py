@@ -11,13 +11,10 @@
   (:mod:`repro.core`).
 * :class:`~repro.client.cache.ClientCache` — client-side capability
   mirror (whether creates can skip the existence ``lookup``).
-* :class:`~repro.client.fs.PosixFileSystem` — a small convenience
-  facade used by the examples.
 """
 
 from repro.client.cache import ClientCache
 from repro.client.client import Client
 from repro.client.decoupled import DecoupledClient
-from repro.client.fs import PosixFileSystem
 
-__all__ = ["Client", "DecoupledClient", "ClientCache", "PosixFileSystem"]
+__all__ = ["Client", "DecoupledClient", "ClientCache"]

@@ -41,13 +41,3 @@ class ClientCache:
             self.local_lookups += 1
         else:
             self.remote_lookups += 1
-
-    def drop(self, dir_path: str) -> None:
-        self._cached_dirs.discard(dir_path)
-
-    def clear(self) -> None:
-        self._cached_dirs.clear()
-
-    @property
-    def cached_dir_count(self) -> int:
-        return len(self._cached_dirs)

@@ -120,14 +120,6 @@ class HistoryEvent:
             raise ValueError(f"unknown history event fields {sorted(unknown)}")
         return cls(**data)
 
-    def __str__(self) -> str:
-        bits = [f"[{self.t:.6f}] {self.kind} {self.actor}"]
-        if self.op:
-            bits.append(self.op)
-        if self.path:
-            bits.append(self.path)
-        return " ".join(bits)
-
 
 _FIELD_NAMES = tuple(f.name for f in fields(HistoryEvent))
 
@@ -152,9 +144,6 @@ class History:
     def of_kind(self, *kinds: str) -> List[HistoryEvent]:
         return [e for e in self.events if e.kind in kinds]
 
-    def by_actor(self, actor: str) -> List[HistoryEvent]:
-        return [e for e in self.events if e.actor == actor]
-
     # -- serialization ----------------------------------------------------
     def canonical(self) -> str:
         """Canonical JSON-lines form (sorted keys, compact separators).
@@ -175,10 +164,6 @@ class History:
             if line.strip()
         ]
         return cls(events)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.canonical())
 
     @classmethod
     def load(cls, path) -> "History":

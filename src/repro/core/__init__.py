@@ -29,7 +29,7 @@ from repro.core.policy import (
     composition_for,
     composition_warnings,
 )
-from repro.core.policyfile import PolicyFileError, dumps_policies, parse_policies
+from repro.core.policyfile import PolicyFileError, parse_policies
 from repro.core.mechanisms import MechanismContext, MECHANISMS, run_mechanism
 from repro.core.namespace_api import Cudele, DecoupledNamespace, EmbeddingError
 from repro.core.merge import resolve_conflicts, merge_journal
@@ -48,7 +48,6 @@ __all__ = [
     "composition_warnings",
     "PolicyFileError",
     "parse_policies",
-    "dumps_policies",
     "MechanismContext",
     "MECHANISMS",
     "run_mechanism",

@@ -16,7 +16,7 @@ from typing import Dict, Union
 
 from repro.core.policy import SubtreePolicy
 
-__all__ = ["PolicyFileError", "parse_policies", "dumps_policies"]
+__all__ = ["PolicyFileError", "parse_policies"]
 
 _KEYS = {
     "consistency": str,
@@ -123,14 +123,3 @@ def parse_policies(text: str) -> SubtreePolicy:
         return SubtreePolicy(**kwargs)  # type: ignore[arg-type]
     except ValueError as exc:
         raise PolicyFileError(str(exc)) from exc
-
-
-def dumps_policies(policy: SubtreePolicy) -> str:
-    """Serialize a policy back to the file format."""
-    return (
-        f"consistency: \"{policy.consistency}\"\n"
-        f"durability: \"{policy.durability}\"\n"
-        f"allocated_inodes: {policy.allocated_inodes}\n"
-        f"interfere: {policy.interfere}\n"
-        f"read_lazy: {'true' if policy.read_lazy else 'false'}\n"
-    )

@@ -121,7 +121,6 @@ class FaultInjector:
         self.stats.counter("recoveries").incr()
         crashed_at = self._down_since.pop(fault.target, t0)
         latency = self.engine.now - crashed_at
-        self.stats.series("recovery_latency_s").record(self.engine.now, latency)
         self.recoveries.append((fault.target, crashed_at, self.engine.now))
         self._log(fault, f"{detail} latency={latency:.6f}")
 
@@ -233,7 +232,7 @@ class FaultInjector:
 
     def report(self, components: Optional[List] = None) -> str:
         """Canonical text record of the run: the executed fault log plus
-        the injector's (and optionally each component's) stats.  Same
+        the injector's (and optionally each component's) counters.  Same
         seed + same schedule must reproduce this byte for byte."""
         lines = ["# fault log"]
         lines.extend(entry for _, entry in self.log)

@@ -73,9 +73,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.faults)
 
-    def __iter__(self):
-        return iter(self.sorted_faults())
-
     def _add(self, time: float, action: str, target: str, **params) -> "FaultPlan":
         self.faults.append(
             Fault(time, action, target, dict(params), seq=len(self.faults))

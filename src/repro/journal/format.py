@@ -463,33 +463,6 @@ class JournalCodec:
             )
         return scan.events
 
-    @classmethod
-    def append_events(
-        cls,
-        stream: bytes,
-        events: Iterable[JournalEvent],
-        segment_events: Optional[int] = None,
-    ) -> bytes:
-        """Extend an existing encoded stream (creating it if empty).
-
-        The stream gains new checksummed segments numbered after the
-        existing tail.
-        """
-        if not stream:
-            return cls.encode_stream(events, segment_events=segment_events)
-        scan = cls.scan_stream(stream)
-        evs = list(events)
-        if not evs:
-            return stream
-        return stream + cls.encode_stream(
-            evs, segment_events=segment_events,
-            first_seq=scan.valid_segments + 1,
-        )[_HEADER.size:]
-
     @staticmethod
     def header_size() -> int:
         return _HEADER.size
-
-    @staticmethod
-    def segment_header_size() -> int:
-        return SEGMENT_HEADER_SIZE

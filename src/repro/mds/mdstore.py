@@ -381,12 +381,3 @@ class MetadataStore:
     def file_count(self) -> int:
         # simlint: ignore[float-accum] integer count; order cannot reach output
         return sum(1 for i in self.inodes.values() if i.is_file)
-
-    @property
-    def dir_count(self) -> int:
-        # simlint: ignore[float-accum] integer count; order cannot reach output
-        return sum(1 for i in self.inodes.values() if i.is_dir)
-
-    def memory_bytes(self) -> int:
-        """Simulated resident size of the in-memory metadata store."""
-        return sum(self.inodes[ino].footprint_bytes for ino in sorted(self.inodes))

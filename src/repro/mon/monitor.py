@@ -157,10 +157,6 @@ class Monitor:
         yield from self._distribute()
         return self.mds_epoch
 
-    @property
-    def authority_paths(self) -> List[str]:
-        return sorted(self._authority)
-
     # -- resolution ------------------------------------------------------
     def resolve(self, path: str) -> Optional[Any]:
         """Policy governing ``path``: nearest ancestor's assignment."""

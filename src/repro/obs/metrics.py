@@ -53,10 +53,6 @@ class _Metric:
         self.daemon = daemon
         self.tags = tags
 
-    @property
-    def key(self) -> tuple:
-        return (self.name, self.daemon, self.tags)
-
     def _base_dict(self) -> dict:
         return {
             "kind": self.kind,

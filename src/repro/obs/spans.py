@@ -202,9 +202,6 @@ class Tracer:
             out.append(cur)
         return out
 
-    def roots(self) -> List[Span]:
-        return [s for s in self.spans if s.parent_id == 0]
-
     def to_dicts(self) -> List[dict]:
         return [s.to_dict() for s in self.spans]
 

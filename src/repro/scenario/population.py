@@ -176,9 +176,5 @@ class PopulationModel:
             )
 
     # -- introspection ---------------------------------------------------
-    def expected_ops(self) -> float:
-        """Rough offered-op count (base rate x duration; bursts extra)."""
-        return self.base_rate_hz * self.spec.duration_s
-
     def weights(self) -> Tuple[float, ...]:
         return tuple(float(w) for w in self._weights)

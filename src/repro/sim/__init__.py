@@ -11,7 +11,7 @@ style of SimPy, written from scratch:
   FIFO stores and semaphores.
 * :mod:`~repro.sim.network` — latency/bandwidth links between daemons.
 * :mod:`~repro.sim.disk` — a simple bandwidth/seek disk model.
-* :mod:`~repro.sim.stats` — time-series and utilization recorders used by
+* :mod:`~repro.sim.stats` — counter and utilization recorders used by
   the benchmark harness.
 * :mod:`~repro.sim.rng` — deterministic per-component random streams.
 
@@ -23,7 +23,7 @@ from repro.sim.engine import Engine, Process, Timeout, Event, Interrupt, AllOf, 
 from repro.sim.resources import Resource, Store, Semaphore
 from repro.sim.network import Network, Link
 from repro.sim.disk import Disk
-from repro.sim.stats import Counter, TimeSeries, UtilizationTracker, StatsRegistry
+from repro.sim.stats import Counter, UtilizationTracker, StatsRegistry
 from repro.sim.rng import RngStream
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "Link",
     "Disk",
     "Counter",
-    "TimeSeries",
     "UtilizationTracker",
     "StatsRegistry",
     "RngStream",

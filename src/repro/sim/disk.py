@@ -66,9 +66,6 @@ class Disk:
         self.bytes_read += nbytes
         yield from self._io(nbytes)
 
-    def utilization(self, since: float = 0.0) -> float:
-        return self._queue.utilization(since)
-
     def busy_seconds(self) -> float:
         """Cumulative busy integral (for windowed utilization deltas)."""
         return self._queue.busy_seconds()

@@ -95,8 +95,7 @@ class Event:
     waiter, and the inline slot avoids allocating a list per event.
     """
 
-    __slots__ = ("engine", "_state", "_value", "_ok", "_cb", "_cbs",
-                 "triggered_by")
+    __slots__ = ("engine", "_state", "_value", "_ok", "_cb", "_cbs")
 
     def __init__(self, engine: "Engine"):
         self.engine = engine
@@ -105,10 +104,6 @@ class Event:
         self._ok = True
         self._cb: Optional[Callable[["Event"], None]] = None
         self._cbs: Optional[list] = None
-        #: The process that triggered this event (None for host context).
-        #: Gives analysis tooling (repro.analysis.races) the causality
-        #: edge "whoever succeeded the event happens-before its waiters".
-        self.triggered_by: Optional["Process"] = None
 
     # -- inspection ----------------------------------------------------
     @property
@@ -162,7 +157,6 @@ class Event:
         self._value = value
         self._ok = ok
         engine = self.engine
-        self.triggered_by = engine._active
         heap = engine._heap
         if delay == 0.0:
             # Due now: the event may jump the heap only if nothing on
@@ -275,8 +269,8 @@ class _PooledTimeout(Event):
     zero event allocations.  Contract: the caller ``yield``s it exactly
     once and never retains a reference (see docs/PERFORMANCE.md).
     Recycling is suppressed while a trace hook is attached or pooling is
-    disabled (``Engine.pool_limit = 0``, e.g. by the race detector,
-    whose causality walk may hold events across instants).
+    disabled (``Engine.pool_limit = 0``, e.g. by the causality tracker,
+    whose stamps are keyed by event identity across instants).
     """
 
     __slots__ = ()
@@ -287,7 +281,6 @@ class _PooledTimeout(Event):
         pool = engine._timeout_pool
         if engine.trace is None and len(pool) < engine.pool_limit:
             self._value = None
-            self.triggered_by = None
             pool.append(self)
 
 
@@ -315,8 +308,7 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Optional[Event] = None
         #: The event whose firing most recently resumed this process;
-        #: with Event.triggered_by this forms the happens-before chain
-        #: the same-instant race detector walks.
+        #: the causality tracker merges its stamp on an inline resume.
         self.last_resumed_by: Optional[Event] = None
         # One bound method reused for every wait registration (a fresh
         # bound-method object per step would be allocation churn).
@@ -539,7 +531,7 @@ class Engine:
         #: it); None keeps the hot loop branch-predictable and cheap.
         self.trace = None
         #: Free list for :meth:`sleep`; instrumentation that inspects
-        #: events after dispatch (e.g. the race detector) sets
+        #: events after dispatch (e.g. the causality tracker) sets
         #: ``pool_limit = 0`` to disable recycling.
         self._timeout_pool: list[_PooledTimeout] = []
         self.pool_limit = self.DEFAULT_POOL_LIMIT
@@ -741,9 +733,8 @@ class Engine:
     def _drive(
         self, generator: Generator[Event, Any, Any], until: Optional[float] = None
     ) -> Any:
-        """Drive a process body from the host (``Cluster.run``, the
-        ``PosixFileSystem`` facade): run the schedule and return the
-        body's value, raising its failure.
+        """Drive a process body from the host (``Cluster.run``): run
+        the schedule and return the body's value, raising its failure.
 
         A body still waiting when the schedule drains raises
         :class:`SimulationError`; with ``until`` the caller asked for a

@@ -108,9 +108,6 @@ class Network:
         """Restore connectivity between ``a`` and ``b``."""
         self._partitions.discard(frozenset((a, b)))
 
-    def heal_all(self) -> None:
-        self._partitions.clear()
-
     def is_partitioned(self, src: str, dst: str) -> bool:
         return bool(self._partitions) and frozenset((src, dst)) in self._partitions
 

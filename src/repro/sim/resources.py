@@ -66,34 +66,14 @@ class Resource:
         self._busy_time += self._in_use * (now - self._last_change)
         self._last_change = now
 
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
     def busy_seconds(self) -> float:
         """Cumulative slot-busy integral since the start of the run.
 
         Windowed utilization is a delta of this quantity divided by the
-        window length (see Disk.utilization users).
+        window length and the capacity.
         """
         self._account()
         return self._busy_time
-
-    def utilization(self, since: float = 0.0) -> float:
-        """Average fraction of slots busy over the whole run.
-
-        ``since`` only shortens the divisor (legacy behaviour); for true
-        windows take :meth:`busy_seconds` deltas.
-        """
-        self._account()
-        elapsed = self.engine.now - since
-        if elapsed <= 0:
-            return 0.0
-        return self._busy_time / (elapsed * self.capacity)
 
     # -- acquire / release ------------------------------------------------
     def request(self) -> Request:

@@ -2,20 +2,17 @@
 
 Figure 2 of the paper plots MDS CPU/network/disk utilization over the
 phases of a kernel compile; Figures 3 and 6 plot throughputs, slowdowns
-and standard deviations.  These recorders collect exactly that: counters,
-(t, value) time series and windowed utilization.
+and standard deviations.  These recorders collect the per-daemon side of
+that: counters and windowed utilization.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, Iterable, List, Tuple
-
-import numpy as np
+from typing import Dict, List, Tuple
 
 from repro.sim.engine import Engine
 
-__all__ = ["Counter", "TimeSeries", "UtilizationTracker", "StatsRegistry"]
+__all__ = ["Counter", "UtilizationTracker", "StatsRegistry"]
 
 
 class Counter:
@@ -35,46 +32,6 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"Counter({self.name}={self.value})"
-
-
-class TimeSeries:
-    """Append-only series of ``(time, value)`` samples."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.times: List[float] = []
-        self.values: List[float] = []
-
-    def record(self, t: float, value: float) -> None:
-        if self.times and t < self.times[-1]:
-            raise ValueError("time series samples must be appended in time order")
-        self.times.append(t)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def window(self, t0: float, t1: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Samples in the half-open window ``t0 <= t < t1``.
-
-        Half-open on the right so adjacent phase windows partition the
-        timeline: a sample landing exactly on a phase boundary belongs
-        to the *later* phase only (Figure-2-style per-phase breakdowns
-        previously double-counted boundary samples into both phases).
-        """
-        lo = bisect_left(self.times, t0)
-        hi = bisect_left(self.times, t1)
-        return np.asarray(self.times[lo:hi]), np.asarray(self.values[lo:hi])
-
-    def rate(self, t0: float, t1: float) -> float:
-        """Events per second over ``[t0, t1)``, treating values as counts."""
-        if t1 <= t0:
-            return 0.0
-        _, vals = self.window(t0, t1)
-        return float(vals.sum()) / (t1 - t0)
-
-    def mean(self) -> float:
-        return float(np.mean(self.values)) if self.values else 0.0
 
 
 class UtilizationTracker:
@@ -138,13 +95,13 @@ class UtilizationTracker:
 
 
 class StatsRegistry:
-    """Namespace of counters and series owned by a simulated daemon."""
+    """Namespace of counters and utilization trackers owned by a
+    simulated daemon."""
 
     def __init__(self, engine: Engine, owner: str):
         self.engine = engine
         self.owner = owner
         self._counters: Dict[str, Counter] = {}
-        self._series: Dict[str, TimeSeries] = {}
         self._utils: Dict[str, UtilizationTracker] = {}
 
     def counter(self, name: str) -> Counter:
@@ -152,11 +109,6 @@ class StatsRegistry:
         if counter is None:
             counter = self._counters[name] = Counter(f"{self.owner}.{name}")
         return counter
-
-    def series(self, name: str) -> TimeSeries:
-        if name not in self._series:
-            self._series[name] = TimeSeries(f"{self.owner}.{name}")
-        return self._series[name]
 
     def utilization(self, name: str, capacity: float = 1.0) -> UtilizationTracker:
         if name not in self._utils:
@@ -168,25 +120,16 @@ class StatsRegistry:
     def counters(self) -> Dict[str, int]:
         return {k: c.value for k, c in self._counters.items()}
 
-    def names(self) -> Iterable[str]:
-        yield from self._counters
-        yield from self._series
-        yield from self._utils
-
     def snapshot(self) -> Dict[str, float]:
         """Deterministic flat dump of this registry's state.
 
-        Counters by value, series by length and sum — sorted by name so
-        two identically-seeded runs render byte-identical output (the
-        fault injector's reproducibility contract leans on this).
+        Counters by value, sorted by name so two identically-seeded runs
+        render byte-identical output (the fault injector's
+        reproducibility contract leans on this).
         """
         out: Dict[str, float] = {}
         for name in sorted(self._counters):
             out[f"counter.{name}"] = float(self._counters[name].value)
-        for name in sorted(self._series):
-            s = self._series[name]
-            out[f"series.{name}.n"] = float(len(s))
-            out[f"series.{name}.sum"] = float(sum(s.values))
         return out
 
     def render(self) -> str:

@@ -51,15 +51,6 @@ class CompilePhase:
     net_bytes: int
     disk_util: float
 
-    @property
-    def net_mbps(self) -> float:
-        return self.net_bytes / max(self.duration_s, 1e-9) / 1e6
-
-    @property
-    def combined_utilization(self) -> float:
-        """CPU + disk utilization (the 'combined resource usage' notion)."""
-        return self.mds_cpu_util + self.disk_util
-
 
 @dataclass
 class CompileResult:

@@ -5,6 +5,11 @@ from repro.sim.engine import AllOf, Engine, Event, Interrupt, Timeout
 from repro.sim.resources import Store
 
 
+def precedes(a, b):
+    """Strict happens-before: ``a <= b`` pointwise and not ``b <= a``."""
+    return a.leq(b) and not b.leq(a)
+
+
 # -- VectorClock algebra ----------------------------------------------------
 
 
@@ -25,17 +30,18 @@ def test_merge_takes_componentwise_max():
     m = a.merge(b)
     assert m.get(1) == 2 and m.get(2) == 1
     # Merge is commutative.
-    assert b.merge(a) == m
+    n = b.merge(a)
+    assert n.leq(m) and m.leq(n)
 
 
-def test_precedes_is_strict_happens_before():
+def test_leq_is_pointwise_and_reflexive():
     a = VectorClock().tick(1)
     b = a.merge(VectorClock().tick(2)).tick(2)
-    assert a.precedes(b)
-    assert not b.precedes(a)
-    # Not reflexive: equal clocks do not strictly precede.
-    assert not a.precedes(a)
+    assert a.leq(b)
+    assert not b.leq(a)
+    # Reflexive: equal clocks are ordered, and neither strictly precedes.
     assert a.leq(a)
+    assert not precedes(a, a)
 
 
 def test_concurrent_iff_neither_precedes():
@@ -44,14 +50,6 @@ def test_concurrent_iff_neither_precedes():
     assert a.concurrent(b) and b.concurrent(a)
     merged = a.merge(b).tick(2)
     assert not a.concurrent(merged)
-
-
-def test_equality_and_hash_ignore_zero_entries():
-    a = VectorClock({1: 1})
-    b = VectorClock({1: 1, 2: 0})
-    assert a == b
-    assert hash(a) == hash(b)
-    assert len({a, b}) == 1
 
 
 # -- CausalityTracker over the engine ---------------------------------------
@@ -63,14 +61,17 @@ def test_sequential_steps_of_one_process_are_ordered():
     stamps = []
 
     def prog():
-        stamps.append(tracker.observe(eng.active_process))
+        stamps.append(tracker.clock_of(eng.active_process))
         yield Timeout(eng, 1.0)
-        stamps.append(tracker.observe(eng.active_process))
+        stamps.append(tracker.clock_of(eng.active_process))
+        yield eng.sleep(0.0)  # a zero-delay step orders the same way
+        stamps.append(tracker.clock_of(eng.active_process))
 
     eng.process(prog(), name="p")
     eng.run()
     tracker.detach()
-    assert stamps[0].precedes(stamps[1])
+    assert precedes(stamps[0], stamps[1])
+    assert precedes(stamps[1], stamps[2])
 
 
 def test_independent_processes_are_concurrent():
@@ -80,7 +81,7 @@ def test_independent_processes_are_concurrent():
 
     def prog(tag):
         yield Timeout(eng, 1.0)
-        stamps[tag] = tracker.observe(eng.active_process)
+        stamps[tag] = tracker.clock_of(eng.active_process)
 
     eng.process(prog("a"), name="a")
     eng.process(prog("b"), name="b")
@@ -97,18 +98,67 @@ def test_event_wakeup_merges_triggerer_into_waiter():
 
     def setter():
         yield Timeout(eng, 1.0)
-        stamps["before-set"] = tracker.observe(eng.active_process)
+        stamps["before-set"] = tracker.clock_of(eng.active_process)
         gate.succeed()
 
     def waiter():
         yield gate
-        stamps["after-wait"] = tracker.observe(eng.active_process)
+        stamps["after-wait"] = tracker.clock_of(eng.active_process)
 
     eng.process(waiter(), name="waiter")
     eng.process(setter(), name="setter")
     eng.run()
     tracker.detach()
-    assert stamps["before-set"].precedes(stamps["after-wait"])
+    assert precedes(stamps["before-set"], stamps["after-wait"])
+
+
+def test_happens_before_is_transitive_through_chained_events():
+    eng = Engine()
+    tracker = CausalityTracker(eng).attach()
+    first, second = Event(eng), Event(eng)
+    stamps = {}
+
+    def head():
+        yield Timeout(eng, 1.0)
+        stamps["head"] = tracker.clock_of(eng.active_process)
+        first.succeed()
+
+    def middle():
+        yield first
+        second.succeed()
+
+    def tail():
+        yield second
+        stamps["tail"] = tracker.clock_of(eng.active_process)
+
+    eng.process(head(), name="head")
+    eng.process(middle(), name="middle")
+    eng.process(tail(), name="tail")
+    eng.run()
+    tracker.detach()
+    assert precedes(stamps["head"], stamps["tail"])
+
+
+def test_zero_delay_chains_stay_concurrent():
+    """Two processes meet at one instant, one of them after riding the
+    zero-delay queue: only seq tie-breaking orders them, so no edge may
+    appear between them."""
+    eng = Engine()
+    tracker = CausalityTracker(eng).attach()
+    stamps = {}
+
+    def toucher(hops):
+        yield Timeout(eng, 0.5)
+        yield Timeout(eng, 0.5)
+        for _ in range(hops):
+            yield eng.sleep(0.0)
+        stamps[hops] = tracker.clock_of(eng.active_process)
+
+    eng.process(toucher(0), name="direct")
+    eng.process(toucher(2), name="hopping")
+    eng.run()
+    tracker.detach()
+    assert stamps[0].concurrent(stamps[2])
 
 
 def test_spawned_child_inherits_parent_clock():
@@ -117,19 +167,19 @@ def test_spawned_child_inherits_parent_clock():
     stamps = {}
 
     def child():
-        stamps["child"] = tracker.observe(eng.active_process)
+        stamps["child"] = tracker.clock_of(eng.active_process)
         yield Timeout(eng, 0.5)
 
     def parent():
         yield Timeout(eng, 1.0)
-        stamps["parent"] = tracker.observe(eng.active_process)
+        stamps["parent"] = tracker.clock_of(eng.active_process)
         eng.process(child(), name="child")
         yield Timeout(eng, 1.0)
 
     eng.process(parent(), name="parent")
     eng.run()
     tracker.detach()
-    assert stamps["parent"].precedes(stamps["child"])
+    assert precedes(stamps["parent"], stamps["child"])
 
 
 def test_event_clock_stamped_on_succeed():
@@ -192,12 +242,12 @@ def test_every_traced_event_carries_a_stamp():
 
     def consumer():
         item = yield store.get()  # parked: the put hands it over
-        stamps["consumed"] = (item, tracker.observe(eng.active_process))
+        stamps["consumed"] = (item, tracker.clock_of(eng.active_process))
 
     def producer():
         yield eng.sleep(1.0)
         yield Timeout(eng, 0.5)
-        stamps["produced"] = tracker.observe(eng.active_process)
+        stamps["produced"] = tracker.clock_of(eng.active_process)
         store.put("x")
 
     def child(delay):
@@ -213,7 +263,7 @@ def test_every_traced_event_carries_a_stamp():
         try:
             yield Timeout(eng, 100.0)
         except Interrupt:
-            stamps["woken"] = tracker.observe(eng.active_process)
+            stamps["woken"] = tracker.clock_of(eng.active_process)
         yield eng.sleep(1.0)
 
     eng.process(consumer(), name="consumer")
@@ -223,7 +273,7 @@ def test_every_traced_event_carries_a_stamp():
 
     def interrupter():
         yield eng.sleep(3.0)
-        stamps["interrupting"] = tracker.observe(eng.active_process)
+        stamps["interrupting"] = tracker.clock_of(eng.active_process)
         target.interrupt("revoke")
 
     eng.process(interrupter(), name="interrupter")
@@ -232,8 +282,8 @@ def test_every_traced_event_carries_a_stamp():
 
     assert stamps["joined"] == [1.0, 2.0]
     item, consumed = stamps["consumed"]
-    assert item == "x" and stamps["produced"].precedes(consumed)
-    assert stamps["interrupting"].precedes(stamps["woken"])
+    assert item == "x" and precedes(stamps["produced"], consumed)
+    assert precedes(stamps["interrupting"], stamps["woken"])
     assert len(traced) >= 12
     unstamped = [ev for ev in traced if tracker.event_clock(ev) is None]
     assert unstamped == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import ExperimentResult, Series, aggregate, run_seeds
+from repro.bench.harness import ExperimentResult, Series, aggregate
 from repro.bench.report import format_result, format_table
 from repro.bench.scales import PAPER, SMALL, TINY, get_scale
 
@@ -19,7 +19,6 @@ def test_series_validation():
 def test_series_at():
     s = Series("s", ["a", "b"], [1.0, 2.0], [0.1, 0.2])
     assert s.at("b") == 2.0
-    assert s.err_at("a") == 0.1
     with pytest.raises(ValueError):
         s.at("c")
 
@@ -32,20 +31,12 @@ def test_aggregate_mean_std():
         aggregate([1.0, 2.0])  # type: ignore[list-item]
 
 
-def test_run_seeds():
-    means, stds = run_seeds(lambda seed: [float(seed), float(seed * 2)], 3)
-    assert means == [1.0, 2.0]
-    with pytest.raises(ValueError):
-        run_seeds(lambda s: [0.0], 0)
-
-
 def test_experiment_result_get():
     r = ExperimentResult(
         "x", "t", "clients", "slowdown",
         series=[Series("a", [1], [1.0])],
     )
     assert r.get("a").y == [1.0]
-    assert r.labels == ["a"]
     with pytest.raises(KeyError):
         r.get("zz")
 

@@ -2,8 +2,7 @@
 
 The tentpole guarantee: ``--jobs N`` (process-pool fan-out) produces
 byte-identical JSON artifacts to a serial run.  These tests pin the
-fan-out primitive (`parallel_map`), the seed aggregator (`run_seeds`)
-and the CLI end-to-end.
+fan-out primitive (`parallel_map`) and the CLI end-to-end.
 """
 
 import json
@@ -14,7 +13,6 @@ from repro.bench import harness
 from repro.bench.harness import (
     get_default_jobs,
     parallel_map,
-    run_seeds,
     set_default_jobs,
 )
 
@@ -33,10 +31,6 @@ def _square(x):
 
 def _boom(x):
     raise RuntimeError(f"boom {x}")
-
-
-def _seed_row(seed):
-    return [float(seed), float(seed * 3)]
 
 
 def test_parallel_map_serial_matches_comprehension():
@@ -81,12 +75,6 @@ def test_default_jobs_resolution(monkeypatch):
     assert get_default_jobs() == 5
     set_default_jobs(0)  # clamped to serial
     assert get_default_jobs() == 1
-
-
-def test_run_seeds_parallel_identical_to_serial():
-    serial = run_seeds(_seed_row, 4, jobs=1)
-    pooled = run_seeds(_seed_row, 4, jobs=2)
-    assert serial == pooled
 
 
 def _artifacts(dir_path):

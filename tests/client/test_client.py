@@ -1,10 +1,9 @@
-"""Tests for the RPC client and the filesystem facade."""
+"""Tests for the RPC client."""
 
 import pytest
 
 from repro import calibration as cal
 from repro.client.client import Client, RetryPolicy, RpcTimeout
-from repro.client.fs import PosixFileSystem
 from repro.cluster import Cluster
 from repro.mds.server import MDSConfig, MetadataServer, Request
 from repro.sim.engine import SimulationError
@@ -125,53 +124,52 @@ def test_rpc_counter(engine, client):
     assert client.stats.counter("rpcs_sent").value >= 3
 
 
-# -- facade ---------------------------------------------------------------
+# -- driven from the host -----------------------------------------------------
 
 
-def test_posix_facade(engine, client):
-    fs = PosixFileSystem(client)
-    fs.makedirs("/a/b/c")
-    fs.create("/a/b/c/file")
-    assert fs.exists("/a/b/c/file")
-    assert fs.ls("/a/b/c") == ["file"]
-    fs.rename("/a/b/c/file", "/a/b/c/renamed")
-    fs.setattr("/a/b/c/renamed", mode=0o600)
-    assert fs.stat("/a/b/c/renamed").mode & 0o7777 == 0o600
-    fs.unlink("/a/b/c/renamed")
-    assert not fs.exists("/a/b/c/renamed")
+def test_rename_setattr_unlink_through_stack(engine, client):
+    for d in ("/a", "/a/b", "/a/b/c"):
+        assert drive(engine, client.mkdir(d)).ok
+    assert drive(engine, client.create("/a/b/c/file")).ok
+    assert drive(engine, client.ls("/a/b/c")).value == ["file"]
+    assert drive(engine, client.rename("/a/b/c/file", "/a/b/c/renamed")).ok
+    assert drive(engine, client.setattr("/a/b/c/renamed", mode=0o600)).ok
+    st = drive(engine, client.stat("/a/b/c/renamed"))
+    assert st.ok and st.value.mode & 0o7777 == 0o600
+    assert not drive(engine, client.stat("/a/b/c/file")).ok
+    assert drive(engine, client.unlink("/a/b/c/renamed")).ok
+    assert not drive(engine, client.stat("/a/b/c/renamed")).ok
 
 
-def test_posix_facade_errors_raise(engine, client):
-    fs = PosixFileSystem(client)
-    with pytest.raises(OSError):
-        fs.create("/missing/f")
-    fs.makedirs("/x")
-    fs.makedirs("/x")  # idempotent
-    fs.create_many("/x", ["1", "2"])
-    assert fs.ls("/x") == ["1", "2"]
+def test_missing_parent_and_repeated_mkdir_through_stack(engine, client):
+    resp = drive(engine, client.create("/missing/f"))
+    assert not resp.ok and resp.error
+    assert drive(engine, client.mkdir("/x")).ok
+    again = drive(engine, client.mkdir("/x"))
+    assert not again.ok and "EEXIST" in again.error
+    assert drive(engine, client.create_many("/x", ["1", "2"])).ok
+    assert drive(engine, client.ls("/x")).value == ["1", "2"]
 
 
-def test_posix_facade_names_a_body_that_can_never_finish(engine, client):
-    fs = PosixFileSystem(client)
+def test_host_driver_names_a_body_that_can_never_finish(engine, client):
     never = engine.event()
 
     def stuck():
         yield never
 
     with pytest.raises(SimulationError, match="'stuck' did not finish"):
-        fs._run(stuck())
+        engine._drive(stuck())
 
 
 def test_rmdir_through_stack(engine, client):
-    fs = PosixFileSystem(client)
-    fs.makedirs("/a/b")
-    fs.rmdir("/a/b")
-    assert not fs.exists("/a/b")
-    with pytest.raises(OSError):
-        fs.rmdir("/a/missing")
-    fs.create("/a/f")
-    with pytest.raises(OSError):  # ENOTEMPTY
-        fs.rmdir("/a")
+    assert drive(engine, client.mkdir("/a")).ok
+    assert drive(engine, client.mkdir("/a/b")).ok
+    assert drive(engine, client.rmdir("/a/b")).ok
+    assert not drive(engine, client.stat("/a/b")).ok
+    assert not drive(engine, client.rmdir("/a/missing")).ok
+    assert drive(engine, client.create("/a/f")).ok
+    resp = drive(engine, client.rmdir("/a"))
+    assert not resp.ok and "ENOTEMPTY" in resp.error
 
 
 # -- reply timeouts -----------------------------------------------------------

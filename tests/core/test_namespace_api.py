@@ -6,7 +6,9 @@ from repro.cluster import Cluster
 from repro.core.namespace_api import Cudele
 from repro.core.policy import SubtreePolicy
 from repro.core.semantics import Consistency, Durability
+from repro.journal.events import WIRE_EVENT_BYTES
 from repro.mds.server import Request
+from repro.sim.disk import NVRam
 
 
 @pytest.fixture
@@ -219,3 +221,91 @@ def test_nested_subtrees_nearest_policy_wins(cluster, cudele):
     )
     assert cudele.policy_of("/proj/data") is outer.policy
     assert cudele.policy_of("/proj/scratch/tmp") is inner.policy
+
+
+# -- mds_rank placement --------------------------------------------------------
+
+
+def _two_ranks(populated):
+    cluster = Cluster(seed=0, num_mds=2)
+    if populated:
+        admin = cluster.new_client()
+        assert cluster.run(admin.mkdir("/job")).ok
+        assert cluster.run(admin.create_many("/job", ["pre0", "pre1"])).ok
+    return cluster, Cudele(cluster)
+
+
+def _weak_local(**kw):
+    return SubtreePolicy.from_semantics("weak", "local", **kw)
+
+
+@pytest.mark.parametrize("populated", [False, True],
+                         ids=["static-assign", "live-migration"])
+def test_decouple_places_the_subtree_on_the_named_rank(populated):
+    cluster, cudele = _two_ranks(populated)
+    assert cluster.mon.authority_of("/job") == 0
+    ns = cluster.run(cudele.decouple("/job", _weak_local(mds_rank=1)))
+    assert cluster.mon.authority_of("/job") == 1
+    assert cluster.mon.mds_epoch == 1
+    cluster.run(ns.create_many(["a", "b", "c"]))
+    cluster.run(ns.finalize())
+    mds0, mds1 = cluster.mds_list
+    # An unpopulated subtree is assigned statically: nothing ever exists
+    # on rank 0.  A populated one moves its rows by live migration.
+    pre = ["pre0", "pre1"] if populated else []
+    assert mds1.mdstore.listdir("/job") == sorted(["a", "b", "c", *pre])
+    assert not mds0.mdstore.exists("/job")
+    assert mds1.stats.counters()["merged_events"] == 3
+    assert "merged_events" not in mds0.stats.counters()
+
+
+def test_decouple_rejects_a_rank_that_does_not_exist():
+    cluster, cudele = _two_ranks(populated=False)
+    with pytest.raises(ValueError, match="MDS rank 2"):
+        cluster.run(cudele.decouple("/job", _weak_local(mds_rank=2)))
+    assert cluster.mon.authority_of("/job") == 0
+
+
+def test_retarget_with_a_new_rank_moves_the_live_subtree():
+    cluster, cudele = _two_ranks(populated=False)
+    ns = cluster.run(cudele.decouple("/job", _weak_local()))
+    assert cluster.mon.authority_of("/job") == 0
+    cluster.run(ns.create_many(["a", "b"]))
+    ns = cluster.run(cudele.retarget(ns, _weak_local(mds_rank=1)))
+    assert cluster.mon.authority_of("/job") == 1
+    assert cudele.policy_of("/job") is ns.policy
+    cluster.run(ns.finalize())
+    mds0, mds1 = cluster.mds_list
+    assert mds1.mdstore.listdir("/job") == ["a", "b"]
+    assert not mds0.mdstore.exists("/job")
+
+
+# -- persist_backend -----------------------------------------------------------
+
+
+def _local_persist(backend, creates=1000):
+    cluster = Cluster(seed=0)
+    policy = SubtreePolicy.from_semantics(
+        "invisible", "local", persist_backend=backend, allocated_inodes=creates
+    )
+    ns = cluster.run(Cudele(cluster).decouple("/job", policy))
+    cluster.run(ns.create_many([f"f{i}" for i in range(creates)]))
+    return cluster, ns.dclient, cluster.run(ns.finalize())["local_persist"]
+
+
+def test_nvram_local_persist_pays_one_flush_barrier_per_write():
+    _, on_disk, disk_s = _local_persist("disk")
+    cluster, client, nvram_s = _local_persist("nvram")
+    device = client.persist_device
+    nbytes = 1000 * WIRE_EVENT_BYTES
+    assert isinstance(device, NVRam) and client.disk.bytes_written == 0
+    assert device.flushes == 1 and device.bytes_written == nbytes
+    # The persist differs from the disk one only in the device write:
+    # NVRAM access + transfer, plus the writeback/fence barrier.
+    assert disk_s - nvram_s == pytest.approx(
+        on_disk.persist_device.io_time(nbytes)
+        - (device.io_time(nbytes) + device.flush_s)
+    )
+    assert client.crash() == 1000
+    assert cluster.run(client.recover_local()) == 1000
+    assert len(client.journal) == 1000

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.policyfile import PolicyFileError, dumps_policies, parse_policies
-from repro.core.policy import SubtreePolicy
+from repro.core.policyfile import PolicyFileError, parse_policies
 
 
 def test_empty_file_gives_defaults():
@@ -84,17 +83,3 @@ def test_bad_interfere_value_surfaces():
 def test_bad_mechanism_surfaces():
     with pytest.raises(Exception):
         parse_policies('consistency: "rpcs+warp_drive"\n')
-
-
-def test_dumps_round_trip():
-    p = SubtreePolicy(
-        consistency="append_client_journal",
-        durability="global_persist",
-        allocated_inodes=5000,
-        interfere="block",
-    )
-    text = dumps_policies(p)
-    q = parse_policies(text)
-    assert (q.consistency, q.durability, q.allocated_inodes, q.interfere) == (
-        p.consistency, p.durability, p.allocated_inodes, p.interfere
-    )

@@ -112,12 +112,11 @@ def test_writers_own_stat_never_recalls():
     assert cluster.mds.stats.counter("wb_recalls").value == 0
 
 
-def test_policy_file_read_lazy_round_trip():
-    from repro.core.policyfile import dumps_policies, parse_policies
+def test_policy_file_read_lazy_key():
+    from repro.core.policyfile import parse_policies
 
-    p = parse_policies("read_lazy: true\n")
-    assert p.read_lazy
-    q = parse_policies(dumps_policies(p))
-    assert q.read_lazy
+    assert parse_policies("read_lazy: true\n").read_lazy
+    assert not parse_policies("read_lazy: no\n").read_lazy
+    assert not parse_policies("").read_lazy
     with pytest.raises(Exception):
         parse_policies("read_lazy: maybe\n")

@@ -92,18 +92,6 @@ def test_corrupt_body_detected_by_crc():
     assert [e.path for e in recovered] == ["/good"]
 
 
-def test_append_events_to_existing_stream():
-    first = JournalCodec.encode_stream([ev("/one")])
-    combined = JournalCodec.append_events(first, [ev("/two")])
-    assert [e.path for e in JournalCodec.decode_stream(combined)] == ["/one", "/two"]
-
-
-def test_append_events_to_empty_creates_header():
-    data = JournalCodec.append_events(b"", [ev("/x")])
-    assert data.startswith(JOURNAL_MAGIC)
-    assert len(JournalCodec.decode_stream(data)) == 1
-
-
 def test_overlong_path_rejected():
     with pytest.raises(JournalFormatError):
         JournalCodec.encode_event(ev("/" + "a" * 70000))

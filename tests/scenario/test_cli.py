@@ -40,7 +40,7 @@ def test_run_writes_artifact_and_report(tmp_path, capsys):
     assert len(artifact["per_seed"]) == 1
 
 
-def test_run_seeds_override(tmp_path, capsys):
+def test_seeds_override(tmp_path, capsys):
     spec_file = _tiny_spec_file(tmp_path)
     out = tmp_path / "artifact.json"
     assert main(

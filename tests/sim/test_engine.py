@@ -466,8 +466,8 @@ def test_interrupt_cancels_queued_resource_request():
     eng.process(interrupter())
     eng.run()
     assert order == ["waiter-interrupted", "holder-done", "late-granted"]
-    assert res.in_use == 0
-    assert res.queue_length == 0
+    assert res._in_use == 0
+    assert len(res._queue) == 0
 
 
 def test_interrupt_while_holding_resource_is_callers_problem():
@@ -498,7 +498,7 @@ def test_interrupt_while_holding_resource_is_callers_problem():
     eng.process(interrupter())
     eng.run()
     assert log == ["interrupted"]
-    assert res.in_use == 0
+    assert res._in_use == 0
 
 
 # ---------------------------------------------------------------------------

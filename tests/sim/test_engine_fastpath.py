@@ -8,7 +8,7 @@ observable consequences; docs/PERFORMANCE.md explains the argument.
 
 import pytest
 
-from repro.analysis.races import RaceDetector
+from repro.analysis.causality import CausalityTracker
 from repro.sim.engine import Engine, Event, SimulationError, Timeout
 
 
@@ -170,11 +170,8 @@ def test_trace_hook_suppresses_recycling_and_sees_fastpath_events():
     assert len(traced) >= 3
 
 
-def test_race_detector_disables_pooling():
+def test_causality_tracker_disables_pooling():
     eng = Engine()
-    assert eng.pool_limit > 0
-    RaceDetector(eng)
-    assert eng.pool_limit == 0
 
     def proc():
         yield eng.sleep(0.1)
@@ -182,6 +179,16 @@ def test_race_detector_disables_pooling():
 
     eng.process(proc())
     eng.run()
+    assert eng.pool_limit > 0 and eng._timeout_pool != []
+    # Attaching drains the warm pool and stops further recycling, so a
+    # stamp keyed by event identity never aliases across instants.
+    tracker = CausalityTracker(eng).attach()
+    assert eng.pool_limit == 0
+    assert eng._timeout_pool == []
+
+    eng.process(proc())
+    eng.run()
+    tracker.detach()
     assert eng._timeout_pool == []
 
 
@@ -195,10 +202,10 @@ def test_pooled_timeout_keeps_causality_breadcrumbs_until_reuse():
     p = eng.process(proc())
     eng.run()
     resumed_by.append(p.last_resumed_by)
-    # The recycled event cleared its own triggered_by on return to the
-    # pool; the process breadcrumb still points at the event object.
+    # The recycled event is back on the free list; the process
+    # breadcrumb still points at that event object.
     assert resumed_by[0] is not None
-    assert resumed_by[0].triggered_by is None
+    assert resumed_by[0] in eng._timeout_pool
 
 
 def test_mixed_delay_workload_is_deterministic():

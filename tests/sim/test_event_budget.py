@@ -201,4 +201,4 @@ def test_interrupt_while_holding_an_inline_slot_releases_it():
     eng.process(interrupter())
     eng.run()
     assert log == [("interrupted", 1), ("granted", 1)]
-    assert res.in_use == 0 and res.busy_seconds() == 1.0
+    assert res._in_use == 0 and res.busy_seconds() == 1.0

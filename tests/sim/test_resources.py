@@ -93,11 +93,11 @@ def test_resource_queue_length_and_in_use():
     eng.process(holder())
     eng.process(waiter())
     eng.run(until=5)
-    assert res.in_use == 1
-    assert res.queue_length == 1
+    assert res._in_use == 1
+    assert len(res._queue) == 1
     eng.run()
-    assert res.in_use == 0
-    assert res.queue_length == 0
+    assert res._in_use == 0
+    assert len(res._queue) == 0
 
 
 def test_resource_utilization_integral():
@@ -114,7 +114,7 @@ def test_resource_utilization_integral():
     eng.process(holder())
     eng.run()
     assert eng.now == pytest.approx(10)
-    assert res.utilization() == pytest.approx(0.4)
+    assert res.busy_seconds() / eng.now == pytest.approx(0.4)
 
 
 def test_release_unrequested_raises():
@@ -133,9 +133,9 @@ def test_release_queued_request_cancels():
     queued = res.request()
     assert not queued.triggered
     res.release(queued)  # cancel while waiting
-    assert res.queue_length == 0
+    assert len(res._queue) == 0
     res.release(first)
-    assert res.in_use == 0
+    assert res._in_use == 0
 
 
 def test_store_put_then_get():
@@ -285,7 +285,7 @@ def test_interrupt_between_grant_and_delivery_passes_the_slot_on():
         ("doomed", "interrupted", 1.0),
         ("late", "granted", 2.0),
     ]
-    assert res.in_use == 0 and res.queue_length == 0
+    assert res._in_use == 0 and len(res._queue) == 0
 
 
 def test_interrupt_between_put_and_delivery_returns_the_item():
@@ -438,7 +438,7 @@ def _run_script(resource_cls, capacity, script):
         if interrupt_at is not None:
             eng.process(interrupter(proc, interrupt_at))
     eng.run()
-    assert res.in_use == 0 and res.queue_length == 0
+    assert res._in_use == 0 and len(res._queue) == 0
     return finished, res.busy_seconds()
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.sim.engine import Engine, Timeout
 from repro.sim.rng import RngStream
-from repro.sim.stats import Counter, StatsRegistry, TimeSeries, UtilizationTracker
+from repro.sim.stats import Counter, StatsRegistry, UtilizationTracker
 
 
 def test_counter_increments():
@@ -19,31 +19,6 @@ def test_counter_rejects_negative():
     c = Counter("ops")
     with pytest.raises(ValueError):
         c.incr(-1)
-
-
-def test_timeseries_ordering_enforced():
-    ts = TimeSeries("x")
-    ts.record(1.0, 10)
-    with pytest.raises(ValueError):
-        ts.record(0.5, 5)
-
-
-def test_timeseries_window_and_rate():
-    ts = TimeSeries("ops")
-    for t in range(10):
-        ts.record(float(t), 2.0)
-    times, vals = ts.window(2.0, 5.0)
-    # Half-open [t0, t1): the sample at 5.0 belongs to the next window.
-    assert list(times) == [2.0, 3.0, 4.0]
-    assert ts.rate(0.0, 10.0) == pytest.approx(2.0)
-    assert ts.mean() == pytest.approx(2.0)
-    assert len(ts) == 10
-
-
-def test_timeseries_empty_stats():
-    ts = TimeSeries("empty")
-    assert ts.mean() == 0.0
-    assert ts.rate(0, 1) == 0.0
 
 
 def test_utilization_tracker_half_busy():
@@ -112,11 +87,9 @@ def test_registry_reuses_named_objects():
     eng = Engine()
     reg = StatsRegistry(eng, "mds0")
     assert reg.counter("rpcs") is reg.counter("rpcs")
-    assert reg.series("tput") is reg.series("tput")
     assert reg.utilization("cpu") is reg.utilization("cpu")
     reg.counter("rpcs").incr(3)
     assert reg.counters() == {"rpcs": 3}
-    assert set(reg.names()) == {"rpcs", "tput", "cpu"}
 
 
 def test_rng_deterministic_per_name():

@@ -1,85 +1,15 @@
 """Windowing semantics of the measurement primitives.
 
-Pins the half-open ``[t0, t1)`` contract of ``TimeSeries.window`` (a
-boundary sample belongs to exactly one phase) and property-tests
-``UtilizationTracker.utilization`` against a brute-force step-function
-integrator.
+Property-tests ``UtilizationTracker.utilization`` against a brute-force
+step-function integrator.
 """
-
-from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Engine, Timeout
-from repro.sim.stats import TimeSeries, UtilizationTracker
-
-
-# ---------------------------------------------------------------------------
-# TimeSeries windows
-# ---------------------------------------------------------------------------
-
-def _closed_window_sum(ts: TimeSeries, t0: float, t1: float) -> float:
-    """The pre-fix closed-interval [t0, t1] semantics, for contrast."""
-    lo = bisect_left(ts.times, t0)
-    hi = bisect_right(ts.times, t1)
-    return float(sum(ts.values[lo:hi]))
-
-
-def test_boundary_sample_counted_in_exactly_one_phase():
-    """A sample landing exactly on a phase boundary must not be charged
-    to both adjacent phases (the Figure-2 per-phase breakdown bug)."""
-    ts = TimeSeries("ops")
-    for t in (0.0, 2.5, 5.0, 7.5):
-        ts.record(t, 1.0)
-    # Old closed-interval behavior: the t=5.0 sample lands in BOTH
-    # [0, 5] and [5, 10] — four samples counted five times.
-    old_total = _closed_window_sum(ts, 0.0, 5.0) + _closed_window_sum(ts, 5.0, 10.0)
-    assert old_total == 5.0
-    # New half-open behavior: adjacent windows partition the timeline.
-    _, phase1 = ts.window(0.0, 5.0)
-    _, phase2 = ts.window(5.0, 10.0)
-    assert list(phase1) == [1.0, 1.0]          # t=0.0, t=2.5
-    assert list(phase2) == [1.0, 1.0]          # t=5.0, t=7.5
-    assert float(phase1.sum() + phase2.sum()) == 4.0
-    # rate() over the two phases therefore sums each sample once.
-    assert ts.rate(0.0, 5.0) + ts.rate(5.0, 10.0) == pytest.approx(4.0 / 5.0)
-
-
-def test_adjacent_windows_partition_any_split():
-    ts = TimeSeries("ops")
-    for t in range(11):
-        ts.record(float(t), 1.0)
-    for split in (0.0, 3.0, 3.5, 10.0):
-        _, a = ts.window(0.0, split)
-        _, b = ts.window(split, 11.0)
-        assert len(a) + len(b) == 11
-
-
-def test_zero_width_window_is_empty():
-    ts = TimeSeries("ops")
-    ts.record(3.0, 7.0)
-    times, vals = ts.window(3.0, 3.0)
-    assert len(times) == 0 and len(vals) == 0
-    assert ts.rate(3.0, 3.0) == 0.0
-
-
-def test_rate_over_empty_window():
-    ts = TimeSeries("ops")
-    ts.record(1.0, 5.0)
-    ts.record(9.0, 5.0)
-    assert ts.rate(2.0, 8.0) == 0.0       # span with no samples
-    assert TimeSeries("none").rate(0.0, 10.0) == 0.0
-
-
-def test_window_excludes_endpoint_includes_start():
-    ts = TimeSeries("ops")
-    ts.record(1.0, 1.0)
-    ts.record(2.0, 2.0)
-    times, vals = ts.window(1.0, 2.0)
-    assert list(times) == [1.0]
-    assert list(vals) == [1.0]
+from repro.sim.stats import UtilizationTracker
 
 
 # ---------------------------------------------------------------------------
