@@ -1,9 +1,10 @@
 """Shared fixtures for the benchmark suite.
 
-Each ``test_bench_*`` file regenerates one of the paper's tables or
-figures.  ``REPRO_SCALE`` picks the sizing preset (default ``small``;
-``paper`` for full-scale runs).  Benchmarks print their result tables —
-run with ``pytest benchmarks/ --benchmark-only -s`` to see them.
+``test_bench_figures.py`` regenerates every one of the paper's tables
+and figures; each ``test_bench_ablation_*`` file runs one ablation.
+``REPRO_SCALE`` picks the sizing preset (default ``small``; ``paper``
+for full-scale runs).  Benchmarks print their result tables — run with
+``pytest benchmarks/ --benchmark-only -s`` to see them.
 """
 
 import pytest

@@ -3,9 +3,14 @@
 * :mod:`~repro.bench.scales` — experiment sizing presets (``tiny`` for
   tests, ``small`` for quick benches, ``paper`` for full-scale runs).
 * :mod:`~repro.bench.harness` — result containers and seed aggregation.
-* :mod:`~repro.bench.experiments` — one runner per experiment:
-  ``fig2``, ``fig3a``, ``fig3b``, ``fig3c``, ``fig5``, ``fig6a``,
-  ``fig6b``, ``fig6c``, ``table1``.
+* :mod:`~repro.bench.experiments` — one declaration per experiment
+  (``fig2``, ``fig3a``, ``fig3b``, ``fig3c``, ``fig5``, ``fig6a``,
+  ``fig6b``, ``fig6c``, ``table1``, ``faults``, ``migrate``) and the one
+  runner they share.
+* :mod:`~repro.bench.paper` — the paper's numbers (anchors with
+  tolerances) and each figure's shape claims; the tests, the figure
+  benchmark and EXPERIMENTS.md's headline table read it.  Not imported
+  here.
 * :mod:`~repro.bench.report` — ASCII rendering of results.
 * :mod:`~repro.bench.compare` — the relative-tolerance regression diff
   behind ``python -m repro.bench compare`` and

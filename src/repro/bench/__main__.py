@@ -61,18 +61,22 @@ def main(argv=None) -> int:
     if with_obs:
         argv.remove("--obs")
     names = argv or list(ALL_EXPERIMENTS)
+    # Validate before touching the filesystem: a typo'd experiment name
+    # or scale must not leave an empty --json directory behind.
     unknown = [n for n in names if n not in ALL_EXPERIMENTS]
     if unknown:
-        # Validate before touching the filesystem: a typo'd experiment
-        # name must not leave an empty --json directory behind.
         print(f"unknown experiments: {unknown}; "
               f"available: {sorted(ALL_EXPERIMENTS)}", file=sys.stderr)
+        return 2
+    try:
+        scale = get_scale()
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
         return 2
     if json_dir is not None:
         json_dir.mkdir(parents=True, exist_ok=True)
     if jobs is not None:
         set_default_jobs(jobs)
-    scale = get_scale()
     print(f"scale preset: {scale.name} "
           f"(ops/client={scale.ops_per_client}, seeds={scale.seeds})\n")
     wallclock = {}

@@ -14,6 +14,7 @@ shown to be unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Union
@@ -79,7 +80,8 @@ def compare_flat(
     tolerance: float = 0.05,
 ) -> ComparisonReport:
     """Diff ``candidate`` against every metric of ``baseline``, in the
-    baseline's order; a zero baseline is judged on the absolute change."""
+    baseline's order; a zero baseline is judged on the absolute change,
+    and a NaN on exactly one side always diverges."""
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
     report = ComparisonReport(subject, tolerance)
@@ -88,7 +90,8 @@ def compare_flat(
             report.missing.append(metric)
             continue
         cand = candidate[metric]
-        if abs(cand - base) / (abs(base) or 1.0) > tolerance:
+        if (math.isnan(cand) != math.isnan(base)
+                or abs(cand - base) / (abs(base) or 1.0) > tolerance):
             report.divergences.append(Divergence(metric, base, cand))
     return report
 

@@ -1,23 +1,24 @@
-"""Experiment runners: one function per paper table/figure.
+"""Experiments as data: one declaration per paper table/figure, one runner.
 
-Every runner builds fresh clusters (one per seeded run), drives the
-relevant workload, and returns an :class:`~repro.bench.harness.
-ExperimentResult` whose series carry the same labels the paper's figure
-uses.  Normalizations follow the paper exactly; see EXPERIMENTS.md for
-the paper-vs-measured record.
-
-Seeded runs never share state, so each runner flattens its
-``configs x seeds`` sweep into a list of self-contained tasks and fans
-them out through :func:`~repro.bench.harness.parallel_map` (serial by
-default; ``--jobs N`` / ``REPRO_JOBS`` runs them in a process pool).
-The task functions are module-level so they pickle, and results are
-merged in task order — a parallel run is byte-identical to a serial
-one (see docs/PERFORMANCE.md).
+An :class:`Experiment` holds what a figure *is* — its labels, note,
+series, the x-values it sweeps and the module-level task function that
+runs one (config, seed) cell on fresh clusters.  Calling it is the one
+runner they share: it flattens the ``configs x seeds`` sweep into
+self-contained tasks, fans them out through
+:func:`~repro.bench.harness.parallel_map` (serial by default;
+``--jobs N`` / ``REPRO_JOBS`` runs them in a process pool), aggregates
+each series over its seeds and assembles the
+:class:`~repro.bench.harness.ExperimentResult`.  Task functions are
+module-level so they pickle, and results are merged in task order — a
+parallel run is byte-identical to a serial one (see docs/PERFORMANCE.md).
+Normalizations follow the paper exactly; :mod:`repro.bench.paper` holds
+the paper's numbers and each figure's shape claims.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.harness import ExperimentResult, Series, aggregate, parallel_map
 from repro.bench.scales import Scale, get_scale
@@ -36,9 +37,68 @@ from repro.workloads.createheavy import (
 from repro.workloads.interference import run_interference
 
 __all__ = [
+    "Experiment",
     "fig2", "fig3a", "fig3b", "fig3c", "fig5", "fig6a", "fig6b", "fig6c",
     "table1", "faults", "migrate", "ALL_EXPERIMENTS",
 ]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One paper table/figure as data; calling it runs it.
+
+    ``task`` gets ``(seed, scale)``, or ``(config, seed, scale)`` when
+    ``configs`` is set, and returns its rows: one per series the config
+    feeds (a bare row when that is one series).  ``rows`` reads them from
+    a task output that carries more.  The series of config *i* take the
+    next labels of ``series`` in order.
+    """
+
+    exp_id: str
+    title: str
+    x_label: str
+    y_label: str
+    note: str
+    series: Tuple[str, ...]
+    #: ``(scale, task outputs) -> x values`` shared by every series;
+    #: longer rows are cut to it.
+    x: Callable[[Scale, list], Sequence]
+    task: Callable
+    configs: Optional[Tuple] = None
+    #: Runs per config when not ``scale.seeds``.
+    seeds: Optional[int] = None
+    rows: Optional[Callable[[Any], Sequence]] = None
+    #: ``(scale, task outputs, series) -> meta`` entries after ``scale``.
+    meta: Optional[Callable[[Scale, list, List[Series]], Dict]] = None
+
+    def __call__(self, scale: Optional[Scale] = None) -> ExperimentResult:
+        """The runner: fan the configs x seeds sweep out, aggregate each
+        series over its seeds and assemble the result."""
+        scale = scale or get_scale()
+        configs = self.configs or (None,)
+        seeds = self.seeds or scale.seeds
+        outs = parallel_map(self.task, [
+            (seed, scale) if config is None else (config, seed, scale)
+            for config in configs
+            for seed in range(seeds)
+        ])
+        x = list(self.x(scale, outs))
+        width = len(self.series) // len(configs)
+        rows = self.rows or (lambda out: [out] if width == 1 else out)
+        labels = iter(self.series)
+        series = []
+        for idx in range(len(configs)):
+            runs = [rows(out) for out in outs[idx * seeds:(idx + 1) * seeds]]
+            for col in range(width):
+                mean, std = aggregate([r[col][:len(x)] for r in runs])
+                series.append(Series(next(labels), x, mean, std))
+        meta = {"scale": scale.name}
+        if self.meta is not None:
+            meta.update(self.meta(scale, outs, series))
+        return ExperimentResult(
+            self.exp_id, self.title, self.x_label, self.y_label,
+            series=series, notes=[self.note], meta=meta,
+        )
 
 
 def _cluster(
@@ -79,33 +139,17 @@ def _fig2_seed(task: Tuple[int, Scale]) -> Tuple[List[float], List[float], List[
     return cpu, net, disk
 
 
-def fig2(scale: Optional[Scale] = None) -> ExperimentResult:
-    """MDS CPU/network/disk utilization per compile phase.
-
-    The claim reproduced: the create-heavy *untar* phase has the highest
-    combined resource usage on the metadata server.
-    """
-    scale = scale or get_scale()
-    rows = parallel_map(_fig2_seed, [(s, scale) for s in range(scale.seeds)])
-    cpu_m, cpu_s = aggregate([r[0] for r in rows])
-    net_m, net_s = aggregate([r[1] for r in rows])
-    disk_m, disk_s = aggregate([r[2] for r in rows])
-    return ExperimentResult(
-        exp_id="fig2",
-        title="MDS resource utilization during a compile (untar/configure/make)",
-        x_label="phase",
-        y_label="utilization (fraction) / network (MB/s)",
-        series=[
-            Series("mds cpu", _PHASE_NAMES, cpu_m, cpu_s),
-            Series("network MB/s", _PHASE_NAMES, net_m, net_s),
-            Series("objstore disk", _PHASE_NAMES, disk_m, disk_s),
-        ],
-        notes=[
-            "paper: the untar (create-heavy) phase dominates MDS "
-            "disk/network/CPU usage",
-        ],
-        meta={"scale": scale.name},
-    )
+# The claim reproduced: the create-heavy *untar* phase has the highest
+# combined resource usage on the metadata server.
+fig2 = Experiment(
+    "fig2", "MDS resource utilization during a compile (untar/configure/make)",
+    "phase", "utilization (fraction) / network (MB/s)",
+    note="paper: the untar (create-heavy) phase dominates MDS "
+         "disk/network/CPU usage",
+    series=("mds cpu", "network MB/s", "objstore disk"),
+    x=lambda *_: _PHASE_NAMES,
+    task=_fig2_seed,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +157,9 @@ def fig2(scale: Optional[Scale] = None) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _fig3a_seed(task: Tuple[int, bool, int, Scale]) -> List[float]:
+def _fig3a_seed(task: Tuple[Tuple[bool, int], int, Scale]) -> List[float]:
     """One config at one seed: slowdown over the sweep of client counts."""
-    seed, journal, dispatch, scale = task
+    (journal, dispatch), seed, scale = task
     base_cluster = _cluster(seed, journal=False)
     base = base_cluster.run(
         parallel_creates_rpc(
@@ -134,46 +178,23 @@ def _fig3a_seed(task: Tuple[int, bool, int, Scale]) -> List[float]:
     return row
 
 
-def fig3a(scale: Optional[Scale] = None) -> ExperimentResult:
-    """Slowdown of the slowest client vs #clients for journal configs.
-
-    Normalized to 1 client with journaling off (paper: ~654 creates/s).
-    """
-    scale = scale or get_scale()
-    configs: List[tuple] = [
-        ("no journal", False, 40),
-        ("segments=1", True, 1),
-        ("segments=10", True, 10),
-        ("segments=30", True, 30),
-        ("segments=40", True, 40),
-    ]
-    tasks = [
-        (seed, journal, dispatch, scale)
-        for _label, journal, dispatch in configs
-        for seed in range(scale.seeds)
-    ]
-    rows = parallel_map(_fig3a_seed, tasks)
-    series = []
-    for idx, (label, _journal, _dispatch) in enumerate(configs):
-        per_seed = rows[idx * scale.seeds:(idx + 1) * scale.seeds]
-        mean, std = aggregate(per_seed)
-        series.append(Series(label, list(scale.clients), mean, std))
-    return ExperimentResult(
-        exp_id="fig3a",
-        title="Effect of journaling: dispatch-size slowdown scaling clients",
-        x_label="clients",
-        y_label="slowdown vs 1 client, journal off",
-        series=series,
-        notes=[
-            "paper: mid dispatch sizes (10-30) degrade most under load; "
-            "dispatch 1 tracks 'no journal'; 40 sits between",
-        ],
-        meta={"scale": scale.name},
-    )
+# Slowdown of the slowest client vs #clients for journal configs,
+# normalized to 1 client with journaling off (paper: ~654 creates/s).
+fig3a = Experiment(
+    "fig3a", "Effect of journaling: dispatch-size slowdown scaling clients",
+    "clients", "slowdown vs 1 client, journal off",
+    note="paper: mid dispatch sizes (10-30) degrade most under load; "
+         "dispatch 1 tracks 'no journal'; 40 sits between",
+    series=("no journal", "segments=1", "segments=10", "segments=30",
+            "segments=40"),
+    configs=((False, 40), (True, 1), (True, 10), (True, 30), (True, 40)),
+    x=lambda scale, _: scale.clients,
+    task=_fig3a_seed,
+)
 
 
 # ---------------------------------------------------------------------------
-# Figure 3b: interference slowdown vs clients
+# Figures 3b and 6b: interference slowdown vs clients
 # ---------------------------------------------------------------------------
 
 
@@ -200,48 +221,59 @@ def _interference_seed(task: Tuple[str, int, Scale]) -> List[float]:
     return row
 
 
-def _interference_sweep(
-    scale: Scale, modes: List[str]
-) -> Dict[str, tuple]:
-    tasks = [
-        (mode, seed, scale) for mode in modes for seed in range(scale.seeds)
-    ]
-    rows = parallel_map(_interference_seed, tasks)
-    out: Dict[str, tuple] = {}
-    for idx, mode in enumerate(modes):
-        out[mode] = aggregate(rows[idx * scale.seeds:(idx + 1) * scale.seeds])
-    return out
+# Slowdown (and variability) with an interfering client, normalized to
+# 1 client creating in isolation with the journal on (paper: ~513
+# creates/s).
+fig3b = Experiment(
+    "fig3b", "Interference hurts throughput and variability",
+    "clients", "slowdown of slowest client vs 1 isolated client",
+    note="paper: interference raises both the slowdown and the "
+         "run-to-run standard deviation",
+    series=("no interference", "interference"),
+    configs=("none", "allow"),
+    x=lambda scale, _: scale.clients,
+    task=_interference_seed,
+)
 
 
-def fig3b(scale: Optional[Scale] = None) -> ExperimentResult:
-    """Slowdown (and variability) with an interfering client.
+def _fig6b_summary(_scale, _outs, series: List[Series]) -> Dict[str, float]:
+    """Summary metrics in the spirit of the paper's "slowdown per client"
+    / sigma quotes (exact definitions differ; see EXPERIMENTS.md): the
+    mean slowdown across the sweep and the mean run-to-run standard
+    deviation."""
+    meta = {}
+    for s in series:
+        meta[f"mean_slowdown[{s.label}]"] = sum(s.y) / len(s.y)
+        meta[f"sigma[{s.label}]"] = sum(s.yerr) / len(s.yerr)
+    return meta
 
-    Normalized to 1 client creating in isolation with the journal on
-    (paper: ~513 creates/s).
-    """
-    scale = scale or get_scale()
-    sweeps = _interference_sweep(scale, ["none", "allow"])
-    series = [
-        Series("no interference", list(scale.clients), *sweeps["none"]),
-        Series("interference", list(scale.clients), *sweeps["allow"]),
-    ]
-    return ExperimentResult(
-        exp_id="fig3b",
-        title="Interference hurts throughput and variability",
-        x_label="clients",
-        y_label="slowdown of slowest client vs 1 isolated client",
-        series=series,
-        notes=[
-            "paper: interference raises both the slowdown and the "
-            "run-to-run standard deviation",
-        ],
-        meta={"scale": scale.name},
-    )
+
+# Interference isolation via the allow/block API.
+fig6b = Experiment(
+    "fig6b", "Blocking interference isolates performance",
+    "clients", "slowdown of slowest client vs 1 isolated client",
+    note="paper: block tracks no-interference at scale (slowdown/client "
+         "1.34x vs 1.42x; sigma 0.09 vs 0.06) while allow degrades "
+         "(1.67x, sigma 0.44)",
+    series=("no interference", "interference", "block interference"),
+    configs=("none", "allow", "block"),
+    x=lambda scale, _: scale.clients,
+    task=_interference_seed,
+    meta=_fig6b_summary,
+)
 
 
 # ---------------------------------------------------------------------------
 # Figure 3c: cap revocation makes lookups go remote
 # ---------------------------------------------------------------------------
+
+
+def _fig3c_params(scale: Scale) -> Tuple[int, int, int, float]:
+    """(ops, batch, interferer ops, sample interval) for one trace."""
+    ops = max(scale.ops_per_client, 5_000)
+    expected = ops / 520.0
+    return (ops, min(scale.batch, 50), max(scale.interfere_ops, ops // 10),
+            expected / 25.0)
 
 
 def _fig3c_diff_rate(samples, sample_interval: float) -> List[float]:
@@ -252,9 +284,10 @@ def _fig3c_diff_rate(samples, sample_interval: float) -> List[float]:
     ]
 
 
-def _fig3c_run(task: Tuple[str, int, int, int, float]):
-    mode, ops, batch, interfere_ops, sample = task
-    cluster = _cluster(0)
+def _fig3c_run(task: Tuple[str, int, Scale]):
+    mode, seed, scale = task
+    ops, batch, interfere_ops, sample = _fig3c_params(scale)
+    cluster = _cluster(seed)
     res = cluster.run(
         run_interference(
             cluster, 1, ops, mode=mode,
@@ -270,40 +303,29 @@ def _fig3c_run(task: Tuple[str, int, int, int, float]):
     )
 
 
-def fig3c(scale: Optional[Scale] = None) -> ExperimentResult:
-    """Client behaviour around the interference point: creates/s on y1,
-    remote lookups/s on y2 (cumulative lookups differenced)."""
-    scale = scale or get_scale()
-    ops = max(scale.ops_per_client, 5_000)
-    batch = min(scale.batch, 50)
-    expected = ops / 520.0
-    sample = expected / 25.0
-    interfere_ops = max(scale.interfere_ops, ops // 10)
+def _fig3c_times(_scale, outs) -> List[float]:
+    """The interference trace's sample times, cut to the shorter trace."""
+    return outs[0][0][:min(len(times) for times, _, _ in outs)]
 
-    runs = parallel_map(
-        _fig3c_run,
-        [(mode, ops, batch, interfere_ops, sample) for mode in ("allow", "none")],
-    )
-    (t_i, ops_i, lk_i), (t_n, ops_n, lk_n) = runs
-    m = min(len(t_i), len(t_n))
-    return ExperimentResult(
-        exp_id="fig3c",
-        title="Interference revokes caps: lookups go remote",
-        x_label="time (s)",
-        y_label="ops/s (creates on y1, lookups on y2)",
-        series=[
-            Series("creates/s (interference)", t_i[:m], ops_i[:m]),
-            Series("lookups/s (interference)", t_i[:m], lk_i[:m]),
-            Series("creates/s (no interference)", t_i[:m], ops_n[:m]),
-            Series("lookups/s (no interference)", t_i[:m], lk_n[:m]),
-        ],
-        notes=[
-            "paper: after the interferer arrives, the client sends a "
-            "lookup per create; MDS throughput (y1) rises while client "
-            "goodput falls",
-        ],
-        meta={"scale": scale.name, "sample_interval_s": sample},
-    )
+
+# Client behaviour around the interference point: one trace per mode
+# with creates/s on y1 and remote lookups/s on y2 (cumulative lookups
+# differenced).
+fig3c = Experiment(
+    "fig3c", "Interference revokes caps: lookups go remote",
+    "time (s)", "ops/s (creates on y1, lookups on y2)",
+    note="paper: after the interferer arrives, the client sends a "
+         "lookup per create; MDS throughput (y1) rises while client "
+         "goodput falls",
+    series=("creates/s (interference)", "lookups/s (interference)",
+            "creates/s (no interference)", "lookups/s (no interference)"),
+    configs=("allow", "none"),
+    seeds=1,
+    x=_fig3c_times,
+    task=_fig3c_run,
+    rows=lambda out: out[1:],
+    meta=lambda scale, *_: {"sample_interval_s": _fig3c_params(scale)[3]},
+)
 
 
 # ---------------------------------------------------------------------------
@@ -367,24 +389,18 @@ def _fig5_seed(task: Tuple[int, Scale]) -> List[float]:
     return [times[label] / base for label in _FIG5_LABELS]
 
 
-def fig5(scale: Optional[Scale] = None) -> ExperimentResult:
-    """Overhead of each mechanism (and real-system compositions),
-    normalized to Append Client Journal."""
-    scale = scale or get_scale()
-    per_seed = parallel_map(_fig5_seed, [(s, scale) for s in range(scale.seeds)])
-    mean, std = aggregate(per_seed)
-    return ExperimentResult(
-        exp_id="fig5",
-        title="Overhead of processing create events per mechanism",
-        x_label="mechanism / system",
-        y_label="overhead (x append client journal)",
-        series=[Series("overhead", _FIG5_LABELS, mean, std)],
-        notes=[
-            "paper anchors: rpcs ~17.9x, rpcs ~19.9x volatile_apply, "
-            "nonvolatile_apply ~78x, stream ~2.4x, global ~0.2x over local",
-        ],
-        meta={"scale": scale.name, "ops": scale.fig5_ops},
-    )
+# Overhead of each mechanism (and real-system compositions), normalized
+# to Append Client Journal.
+fig5 = Experiment(
+    "fig5", "Overhead of processing create events per mechanism",
+    "mechanism / system", "overhead (x append client journal)",
+    note="paper anchors: rpcs ~17.9x, rpcs ~19.9x volatile_apply, "
+         "nonvolatile_apply ~78x, stream ~2.4x, global ~0.2x over local",
+    series=("overhead",),
+    x=lambda *_: _FIG5_LABELS,
+    task=_fig5_seed,
+    meta=lambda scale, *_: {"ops": scale.fig5_ops},
+)
 
 
 # ---------------------------------------------------------------------------
@@ -424,74 +440,19 @@ def _fig6a_seed(task: Tuple[str, int, Scale]) -> List[float]:
     ]
 
 
-def fig6a(scale: Optional[Scale] = None) -> ExperimentResult:
-    """Total-job speedup over 1-client RPCs for the three subtrees."""
-    scale = scale or get_scale()
-    labels = ["rpcs", "decoupled: create", "decoupled: create+merge"]
-    tasks = [
-        (label, seed, scale)
-        for label in labels
-        for seed in range(scale.seeds)
-    ]
-    rows = parallel_map(_fig6a_seed, tasks)
-    series = []
-    for idx, label in enumerate(labels):
-        per_seed = rows[idx * scale.seeds:(idx + 1) * scale.seeds]
-        mean, std = aggregate(per_seed)
-        series.append(Series(label, list(scale.clients), mean, std))
-    return ExperimentResult(
-        exp_id="fig6a",
-        title="Parallel creates: decoupled namespaces scale past RPCs",
-        x_label="clients",
-        y_label="job-throughput speedup vs 1-client RPCs",
-        series=series,
-        notes=[
-            "paper: at 20 clients RPCs flattens ~4.5x, create+merge ~15x "
-            "(3.37x over RPCs), decoupled create ~91.7x and linear",
-        ],
-        meta={"scale": scale.name},
-    )
+_FIG6A_KINDS = ("rpcs", "decoupled: create", "decoupled: create+merge")
 
-
-# ---------------------------------------------------------------------------
-# Figure 6b: blocking interfering clients
-# ---------------------------------------------------------------------------
-
-
-def fig6b(scale: Optional[Scale] = None) -> ExperimentResult:
-    """Interference isolation via the allow/block API."""
-    scale = scale or get_scale()
-    sweeps = _interference_sweep(scale, ["none", "allow", "block"])
-    label_map = {
-        "none": "no interference",
-        "allow": "interference",
-        "block": "block interference",
-    }
-    series = [
-        Series(label_map[m], list(scale.clients), *sweeps[m])
-        for m in ("none", "allow", "block")
-    ]
-    result = ExperimentResult(
-        exp_id="fig6b",
-        title="Blocking interference isolates performance",
-        x_label="clients",
-        y_label="slowdown of slowest client vs 1 isolated client",
-        series=series,
-        notes=[
-            "paper: block tracks no-interference at scale (slowdown/client "
-            "1.34x vs 1.42x; sigma 0.09 vs 0.06) while allow degrades "
-            "(1.67x, sigma 0.44)",
-        ],
-        meta={"scale": scale.name},
-    )
-    # Summary metrics in the spirit of the paper's "slowdown per
-    # client" / sigma quotes (exact definitions differ; see
-    # EXPERIMENTS.md): the mean slowdown across the sweep and the mean
-    # run-to-run standard deviation.
-    for s in result.series:
-        result.meta[f"mean_slowdown[{s.label}]"] = sum(s.y) / len(s.y)
-        result.meta[f"sigma[{s.label}]"] = sum(s.yerr) / len(s.yerr)
-    return result
+# Total-job speedup over 1-client RPCs for the three subtrees.
+fig6a = Experiment(
+    "fig6a", "Parallel creates: decoupled namespaces scale past RPCs",
+    "clients", "job-throughput speedup vs 1-client RPCs",
+    note="paper: at 20 clients RPCs flattens ~4.5x, create+merge ~15x "
+         "(3.37x over RPCs), decoupled create ~91.7x and linear",
+    series=_FIG6A_KINDS,
+    configs=_FIG6A_KINDS,
+    x=lambda scale, _: scale.clients,
+    task=_fig6a_seed,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -514,27 +475,25 @@ def _fig6c_seed(task: Tuple[int, Scale]) -> Tuple[List[float], Dict[float, int]]
     return row, largest
 
 
-def fig6c(scale: Optional[Scale] = None) -> ExperimentResult:
-    """Overhead of syncing partial updates at different intervals."""
-    scale = scale or get_scale()
-    rows = parallel_map(_fig6c_seed, [(s, scale) for s in range(scale.seeds)])
-    per_seed = [r[0] for r in rows]
+def _fig6c_largest(_scale, outs, _series) -> Dict[str, Dict[float, int]]:
     largest: Dict[float, int] = {}
-    for _row, seed_largest in rows:  # merge in seed order (last wins)
+    for _row, seed_largest in outs:  # merge in seed order (last wins)
         largest.update(seed_largest)
-    mean, std = aggregate(per_seed)
-    return ExperimentResult(
-        exp_id="fig6c",
-        title="Namespace sync: overhead vs sync interval",
-        x_label="sync interval (s)",
-        y_label="overhead (%) vs never syncing",
-        series=[Series("overhead %", list(scale.sync_intervals), mean, std)],
-        notes=[
-            "paper: ~9% at 1 s, ~2% minimum at 10 s, rising toward 25 s "
-            "(each 25 s sync writes ~278K updates, ~678 MB)",
-        ],
-        meta={"scale": scale.name, "largest_batch": largest},
-    )
+    return {"largest_batch": largest}
+
+
+# Overhead of syncing partial updates at different intervals.
+fig6c = Experiment(
+    "fig6c", "Namespace sync: overhead vs sync interval",
+    "sync interval (s)", "overhead (%) vs never syncing",
+    note="paper: ~9% at 1 s, ~2% minimum at 10 s, rising toward 25 s "
+         "(each 25 s sync writes ~278K updates, ~678 MB)",
+    series=("overhead %",),
+    x=lambda scale, _outs: scale.sync_intervals,
+    task=_fig6c_seed,
+    rows=lambda out: out[:1],
+    meta=_fig6c_largest,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -545,11 +504,15 @@ _FAULT_POLICIES = ["none", "local", "global"]
 _FAULT_DOWNTIME_S = 0.05
 
 
+def _fault_ops(scale: Scale) -> int:
+    return max(64, min(scale.fig5_ops // 40, 1000))
+
+
 def _faults_seed(task: Tuple[int, Scale]) -> Tuple[List[float], List[float]]:
     from repro.faults import FaultInjector, FaultPlan
 
     seed, scale = task
-    ops = max(64, min(scale.fig5_ops // 40, 1000))
+    ops = _fault_ops(scale)
     lost_row, latency_row = [], []
     for policy in _FAULT_POLICIES:
         cluster = _cluster(seed)
@@ -575,38 +538,24 @@ def _faults_seed(task: Tuple[int, Scale]) -> Tuple[List[float], List[float]]:
     return lost_row, latency_row
 
 
-def faults(scale: Optional[Scale] = None) -> ExperimentResult:
-    """Crash a decoupled client after a create burst under each
-    durability policy and measure what comes back.
-
-    The paper's durability spectrum (§III-B) made measurable: 'none'
-    loses the whole burst, 'local' recovers it from the client's disk,
-    'global' recovers it from the object store.  Recovery latency is the
-    simulated time from the crash to the component serving again
-    (downtime plus the replay I/O), as recorded by the
-    :class:`~repro.faults.injector.FaultInjector`.
-    """
-    scale = scale or get_scale()
-    ops = max(64, min(scale.fig5_ops // 40, 1000))
-    rows = parallel_map(_faults_seed, [(s, scale) for s in range(scale.seeds)])
-    lost_m, lost_s = aggregate([r[0] for r in rows])
-    lat_m, lat_s = aggregate([r[1] for r in rows])
-    return ExperimentResult(
-        exp_id="faults",
-        title="Durability spectrum under a client crash",
-        x_label="durability policy",
-        y_label="ops lost / recovery latency (s)",
-        series=[
-            Series("ops lost", _FAULT_POLICIES, lost_m, lost_s),
-            Series("recovery latency (s)", _FAULT_POLICIES, lat_m, lat_s),
-        ],
-        notes=[
-            "paper §III-B: none loses the burst; local recovers from the "
-            "client's disk; global recovers from the object store",
-        ],
-        meta={"scale": scale.name, "ops": ops,
-              "downtime_s": _FAULT_DOWNTIME_S},
-    )
+# Crash a decoupled client after a create burst under each durability
+# policy and measure what comes back: the paper's durability spectrum
+# (§III-B) made measurable.  'none' loses the whole burst, 'local'
+# recovers it from the client's disk, 'global' from the object store.
+# Recovery latency is the simulated time from the crash to the component
+# serving again (downtime plus the replay I/O), as recorded by the
+# :class:`~repro.faults.injector.FaultInjector`.
+faults = Experiment(
+    "faults", "Durability spectrum under a client crash",
+    "durability policy", "ops lost / recovery latency (s)",
+    note="paper §III-B: none loses the burst; local recovers from the "
+         "client's disk; global recovers from the object store",
+    series=("ops lost", "recovery latency (s)"),
+    x=lambda *_: _FAULT_POLICIES,
+    task=_faults_seed,
+    meta=lambda scale, *_: {"ops": _fault_ops(scale),
+                            "downtime_s": _FAULT_DOWNTIME_S},
+)
 
 
 # ---------------------------------------------------------------------------
@@ -689,43 +638,34 @@ def _migrate_seed(task: Tuple[int, Scale]) -> Tuple[List[List[float]], Dict]:
     return rows, handoff
 
 
-def migrate(scale: Optional[Scale] = None) -> ExperimentResult:
-    """Client-observed create latency before/during/after a live
-    subtree migration between MDS ranks.
+def _migrate_meta(_scale, outs, _series) -> Dict:
+    handoffs = [h for _rows, h in outs]
+    return {
+        "frozen_s": [h["frozen_s"] for h in handoffs],
+        "window_ops": handoffs[0]["window_ops"],
+        "rows_transferred": handoffs[0]["rows"],
+        "moved_journal_events": handoffs[0]["moved_events"],
+    }
 
-    A closed-loop client streams creates into ``/hot`` on rank 0; a
-    third of the way in, the subtree migrates to rank 1 while the
-    stream keeps running.  The 'during' window (export freeze, state
-    transfer, redirect-and-retry) pays a bounded latency spike; 'after'
-    returns to the baseline on the new authority — traffic never stops.
-    """
-    scale = scale or get_scale()
-    runs = parallel_map(_migrate_seed, [(s, scale) for s in range(scale.seeds)])
-    series = []
-    for idx, (label, _q) in enumerate(_MIGRATE_QUANTILES):
-        per_seed = [rows[idx] for rows, _handoff in runs]
-        mean, std = aggregate(per_seed)
-        series.append(Series(label, list(_MIGRATE_WINDOWS), mean, std))
-    handoffs = [h for _rows, h in runs]
-    result = ExperimentResult(
-        exp_id="migrate",
-        title="Create latency through a live subtree migration",
-        x_label="handoff window",
-        y_label="latency (ms)",
-        series=series,
-        notes=[
-            "the frozen window is bounded: p99 spikes only in 'during'; "
-            "'after' matches 'before' on the destination rank",
-        ],
-        meta={
-            "scale": scale.name,
-            "frozen_s": [h["frozen_s"] for h in handoffs],
-            "window_ops": handoffs[0]["window_ops"],
-            "rows_transferred": handoffs[0]["rows"],
-            "moved_journal_events": handoffs[0]["moved_events"],
-        },
-    )
-    return result
+
+# Client-observed create latency before/during/after a live subtree
+# migration between MDS ranks.  A closed-loop client streams creates
+# into ``/hot`` on rank 0; a third of the way in, the subtree migrates
+# to rank 1 while the stream keeps running.  The 'during' window
+# (export freeze, state transfer, redirect-and-retry) pays a bounded
+# latency spike; 'after' returns to the baseline on the new authority —
+# traffic never stops.
+migrate = Experiment(
+    "migrate", "Create latency through a live subtree migration",
+    "handoff window", "latency (ms)",
+    note="the frozen window is bounded: p99 spikes only in 'during'; "
+         "'after' matches 'before' on the destination rank",
+    series=tuple(label for label, _q in _MIGRATE_QUANTILES),
+    x=lambda *_: _MIGRATE_WINDOWS,
+    task=_migrate_seed,
+    rows=lambda out: out[0],
+    meta=_migrate_meta,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -733,11 +673,14 @@ def migrate(scale: Optional[Scale] = None) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
+def _table1_labels(*_) -> List[str]:
+    return [f"{c.value}/{d.value}" for d in Durability for c in Consistency]
+
+
 def _table1_seed(task: Tuple[int, Scale]) -> List[float]:
     seed, scale = task
     ops = scale.fig5_ops
     cells = [(c, d) for d in Durability for c in Consistency]
-    labels = [f"{c.value}/{d.value}" for c, d in cells]
     row = []
     for c, d in cells:
         policy = SubtreePolicy.from_semantics(c, d, allocated_inodes=0)
@@ -749,41 +692,25 @@ def _table1_seed(task: Tuple[int, Scale]) -> List[float]:
         cluster.run(ns.create_many(ops))
         cluster.run(ns.finalize())
         row.append(cluster.now - t0)
-    base = row[labels.index("invisible/none")]
+    base = row[_table1_labels().index("invisible/none")]
     return [t / base for t in row]
 
 
-def table1(scale: Optional[Scale] = None) -> ExperimentResult:
-    """Workload+completion time for all nine Table I cells, normalized
-    to the weakest cell (invisible/none)."""
-    scale = scale or get_scale()
-    cells = [(c, d) for d in Durability for c in Consistency]
-    labels = [f"{c.value}/{d.value}" for c, d in cells]
-    per_seed = parallel_map(_table1_seed, [(s, scale) for s in range(scale.seeds)])
-    mean, std = aggregate(per_seed)
-    return ExperimentResult(
-        exp_id="table1",
-        title="Table I: cost of each consistency/durability cell",
-        x_label="consistency/durability",
-        y_label="time normalized to invisible/none",
-        series=[Series("relative cost", labels, mean, std)],
-        notes=[
-            "stronger guarantees cost monotonically more along each axis",
-        ],
-        meta={"scale": scale.name, "ops": scale.fig5_ops},
-    )
+# Workload+completion time for all nine Table I cells, normalized to the
+# weakest cell (invisible/none).
+table1 = Experiment(
+    "table1", "Table I: cost of each consistency/durability cell",
+    "consistency/durability", "time normalized to invisible/none",
+    note="stronger guarantees cost monotonically more along each axis",
+    series=("relative cost",),
+    x=_table1_labels,
+    task=_table1_seed,
+    meta=lambda scale, *_: {"ops": scale.fig5_ops},
+)
 
 
-ALL_EXPERIMENTS: Dict[str, Callable[[Optional[Scale]], ExperimentResult]] = {
-    "fig2": fig2,
-    "fig3a": fig3a,
-    "fig3b": fig3b,
-    "fig3c": fig3c,
-    "fig5": fig5,
-    "fig6a": fig6a,
-    "fig6b": fig6b,
-    "fig6c": fig6c,
-    "table1": table1,
-    "faults": faults,
-    "migrate": migrate,
+ALL_EXPERIMENTS: Dict[str, Experiment] = {
+    e.exp_id: e
+    for e in (fig2, fig3a, fig3b, fig3c, fig5, fig6a, fig6b, fig6c, table1,
+              faults, migrate)
 }

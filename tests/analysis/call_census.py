@@ -97,9 +97,14 @@ KEEP: Dict[str, str] = {
     "repro.bench.harness:set_default_jobs": (
         "`--jobs N`; the census runs serially so the hook sees every seed"),
     "repro.bench.harness:ExperimentResult.get": (
-        "benchmarks/ reads figure series through it"),
+        "the claims and anchors in repro.bench.paper read series through it"),
     "repro.bench.harness:Series": (
-        "point lookups benchmarks/ asserts figure values through"),
+        "point lookups the claims and anchors in repro.bench.paper read "
+        "figure values through"),
+    "repro.bench.paper": (
+        "the paper's anchors and each figure's shape claims: tier-1 judges "
+        "the tiny goldens with them, benchmarks/ a run at REPRO_SCALE, and "
+        "tests/bench/regen_golden.py renders EXPERIMENTS.md from them"),
     "repro.conformance.checkers:verdict_json": (
         "writes golden verdicts (tests/conformance/regen_golden.py)"),
     "repro.conformance.history:History.load": (

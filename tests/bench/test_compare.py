@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.compare import compare_files, compare_results
+from repro.bench.compare import compare_files, compare_flat, compare_results
 from repro.bench.harness import ExperimentResult, Series
 from repro.bench.report import dump_json
 
@@ -72,6 +72,13 @@ def test_lost_data_point_fails_the_gate(tmp_path, capsys):
     cand = dump_json(result([1.0]), tmp_path / "cand.json")
     assert main(["compare", str(base), str(cand)]) == 1
     assert "missing: s @ 1" in capsys.readouterr().out
+
+
+def test_nan_on_one_side_diverges():
+    nan = float("nan")
+    assert not compare_flat("x", {"a": 1.0}, {"a": nan}).ok
+    assert not compare_flat("x", {"a": nan}, {"a": 1.0}).ok
+    assert compare_flat("x", {"a": nan}, {"a": nan}).ok
 
 
 def test_mismatched_experiments_rejected():

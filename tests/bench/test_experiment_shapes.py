@@ -1,232 +1,53 @@
-"""End-to-end shape assertions: every figure's qualitative claims.
+"""Every figure's shape claims and paper anchors, judged at ``tiny``.
 
-These run the real experiment runners at the ``tiny`` scale and check
-the *shape* facts the paper reports — who wins, orderings, crossovers —
-with tolerances wide enough for the reduced scale.  EXPERIMENTS.md
-records the quantitative paper-vs-measured comparison at full scale.
+The claims and anchors live in :mod:`repro.bench.paper`.  This module
+makes one test per claim, and one per anchor whose points the ``tiny``
+sweep contains, and judges them on the tiny goldens, which
+``test_golden.py`` holds a fresh run to byte for byte.  The figure
+benchmark (``benchmarks/test_bench_figures.py``) judges the same table
+on a fresh run at ``REPRO_SCALE``.
 """
 
-import pytest
+from repro.bench.experiments import ALL_EXPERIMENTS
+from repro.bench.paper import ANCHORS, CLAIMS
+from repro.bench.report import load_json
+from repro.bench.scales import SMALL
 
-from repro.bench.experiments import (
-    fig2, fig3a, fig3b, fig3c, fig5, fig6a, fig6b, fig6c, table1,
-)
-from repro.bench.scales import TINY
+from tests.bench.test_golden import GOLDEN_DIR
 
+TINY = {name: load_json(GOLDEN_DIR / f"{name}.json") for name in ALL_EXPERIMENTS}
 
-@pytest.fixture(scope="module")
-def r_fig5():
-    return fig5(TINY)
 
+def _claim_test(exp_id, claim):
+    def test():
+        claim(TINY[exp_id])
+    return test
 
-@pytest.fixture(scope="module")
-def r_fig6a():
-    return fig6a(TINY)
 
+def _anchor_test(anchor):
+    def test():
+        anchor.check(anchor.measured(TINY[anchor.exp]))
+    return test
 
-@pytest.fixture(scope="module")
-def r_fig6b():
-    return fig6b(TINY)
 
+_NAMES = [claim.__name__ for _, claim in CLAIMS] + [a.name for a in ANCHORS]
+assert len(set(_NAMES)) == len(_NAMES), "two claims or anchors share a name"
+for _exp_id, _claim in CLAIMS:
+    globals()[f"test_{_claim.__name__}"] = _claim_test(_exp_id, _claim)
+for _anchor in ANCHORS:
+    if _anchor.applies(TINY[_anchor.exp]):
+        globals()[f"test_{_anchor.name}"] = _anchor_test(_anchor)
 
-# -- Figure 2 ----------------------------------------------------------------
 
+def test_every_experiment_has_a_claim():
+    assert {exp_id for exp_id, _ in CLAIMS} == set(ALL_EXPERIMENTS)
 
-def test_fig2_untar_hottest_phase():
-    r = fig2(TINY)
-    cpu = r.get("mds cpu")
-    assert cpu.at("untar") > cpu.at("configure")
-    assert cpu.at("untar") > cpu.at("make")
-    net = r.get("network MB/s")
-    assert net.at("untar") > net.at("configure")
 
-
-# -- Figure 3a ----------------------------------------------------------------
-
-
-def test_fig3a_orderings():
-    r = fig3a(TINY)
-    top = max(TINY.clients)
-    nojournal = r.get("no journal").at(top)
-    seg1 = r.get("segments=1").at(top)
-    seg10 = r.get("segments=10").at(top)
-    seg30 = r.get("segments=30").at(top)
-    seg40 = r.get("segments=40").at(top)
-    # journal off is the cheapest; dispatch 1 tracks it closely
-    assert nojournal <= seg1 <= seg40 * 1.05
-    # mid sizes are the worst, 30 at least as bad as 10 at scale
-    assert seg30 >= seg10 * 0.97
-    assert seg10 > seg1
-    assert seg30 > seg40
-
-
-def test_fig3a_slowdown_grows_with_clients():
-    r = fig3a(TINY)
-    s = r.get("segments=40")
-    assert s.y[-1] > s.y[0]
-
-
-def test_fig3a_one_client_journal_rate():
-    """segments=40 at 1 client ~= 654/520 slowdown (journal-on anchor)."""
-    r = fig3a(TINY)
-    assert r.get("segments=40").at(1) == pytest.approx(654 / 547, rel=0.05)
-
-
-# -- Figure 3b ----------------------------------------------------------------
-
-
-def test_fig3b_interference_slower_everywhere():
-    r = fig3b(TINY)
-    none_s = r.get("no interference")
-    allow_s = r.get("interference")
-    for n in TINY.clients:
-        assert allow_s.at(n) > none_s.at(n)
-
-
-# -- Figure 3c ----------------------------------------------------------------
-
-
-def test_fig3c_lookups_appear_after_interference():
-    r = fig3c(TINY)
-    lk = r.get("lookups/s (interference)")
-    third = len(lk.y) // 3
-    early, late = lk.y[:third], lk.y[third:]
-    assert sum(late) > sum(early)
-    # without interference, no remote lookups at all
-    assert sum(r.get("lookups/s (no interference)").y) == 0
-
-
-def test_fig3c_goodput_drops_after_interference():
-    r = fig3c(TINY)
-    creates = r.get("creates/s (interference)")
-    baseline = r.get("creates/s (no interference)")
-    tail = len(creates.y) * 2 // 3
-    mean_tail = sum(creates.y[tail:]) / len(creates.y[tail:])
-    mean_base = sum(baseline.y[tail:]) / len(baseline.y[tail:])
-    assert mean_tail < 0.8 * mean_base
-
-
-# -- Figure 5 -----------------------------------------------------------------
-
-
-def test_fig5_rpcs_slowdown(r_fig5):
-    s = r_fig5.get("overhead")
-    assert s.at("append_client_journal") == pytest.approx(1.0, abs=0.01)
-    assert s.at("rpcs") == pytest.approx(17, rel=0.1)  # paper: 17.9x
-
-
-def test_fig5_rpcs_vs_volatile_apply(r_fig5):
-    s = r_fig5.get("overhead")
-    assert s.at("rpcs") / s.at("volatile_apply") == pytest.approx(19.9, rel=0.1)
-
-
-def test_fig5_nonvolatile_apply_78x(r_fig5):
-    s = r_fig5.get("overhead")
-    assert s.at("nonvolatile_apply") == pytest.approx(78, rel=0.15)
-
-
-def test_fig5_stream_overhead(r_fig5):
-    s = r_fig5.get("overhead")
-    assert 1.8 < s.at("stream") < 4.5  # paper: 2.4x (approximated on-off)
-
-
-def test_fig5_global_persist_slightly_over_local(r_fig5):
-    s = r_fig5.get("overhead")
-    gap = s.at("global_persist") - s.at("local_persist")
-    assert 0.1 < gap < 0.4  # paper: "only 0.2x slower"
-    assert s.at("local_persist") < 1.5
-
-
-def test_fig5_system_compositions_ordering(r_fig5):
-    s = r_fig5.get("overhead")
-    # POSIX (strong/global) costs the most; DeltaFS < BatchFS (no merge)
-    assert s.at("POSIX") > s.at("BatchFS") > s.at("DeltaFS")
-    assert s.at("RAMDisk") < s.at("BatchFS")
-    assert s.at("POSIX") == pytest.approx(
-        s.at("rpcs") + s.at("stream"), rel=0.01
-    )
-
-
-# -- Figure 6a ----------------------------------------------------------------
-
-
-def test_fig6a_decoupled_create_scales_linearly(r_fig6a):
-    s = r_fig6a.get("decoupled: create")
-    top = max(TINY.clients)
-    assert s.at(top) == pytest.approx(top * s.at(1), rel=0.05)
-    # per-client speedup ~ 2500/549 = 4.6x over the RPC baseline
-    assert s.at(1) == pytest.approx(4.6, rel=0.1)
-
-
-def test_fig6a_rpc_flattens(r_fig6a):
-    s = r_fig6a.get("rpcs")
-    top = max(TINY.clients)
-    # sublinear: at 8 clients well below 8x
-    assert s.at(top) < 0.75 * top
-    assert s.at(top) <= 5.5  # paper: ~4.5x ceiling
-
-
-def test_fig6a_merge_between_rpc_and_pure_create(r_fig6a):
-    top = max(TINY.clients)
-    rpc = r_fig6a.get("rpcs").at(top)
-    merge = r_fig6a.get("decoupled: create+merge").at(top)
-    create = r_fig6a.get("decoupled: create").at(top)
-    assert rpc < merge < create
-    # paper: create+merge outperforms RPCs by ~3.37x at 20 clients; at
-    # the tiny scale the gap is smaller but must exceed 2x
-    assert merge / rpc > 2.0
-
-
-def test_fig6a_projected_91x_at_20_clients(r_fig6a):
-    """Linear extrapolation of the decoupled curve hits ~92x at 20."""
-    s = r_fig6a.get("decoupled: create")
-    per_client = s.at(max(TINY.clients)) / max(TINY.clients)
-    assert per_client * 20 == pytest.approx(91.7, rel=0.1)
-
-
-# -- Figure 6b ----------------------------------------------------------------
-
-
-def test_fig6b_block_tracks_no_interference(r_fig6b):
-    top = max(TINY.clients)
-    none_v = r_fig6b.get("no interference").at(top)
-    allow_v = r_fig6b.get("interference").at(top)
-    block_v = r_fig6b.get("block interference").at(top)
-    assert allow_v > none_v
-    assert abs(block_v - none_v) < 0.35 * (allow_v - none_v)
-
-
-def test_fig6b_variability_summary(r_fig6b):
-    sig_allow = r_fig6b.meta["sigma[interference]"]
-    sig_none = r_fig6b.meta["sigma[no interference]"]
-    assert sig_allow >= sig_none
-
-
-# -- Figure 6c ----------------------------------------------------------------
-
-
-def test_fig6c_u_shape():
-    r = fig6c(TINY)
-    s = r.get("overhead %")
-    assert s.at(1.0) == pytest.approx(9.0, abs=1.5)   # paper: ~9%
-    assert s.at(10.0) == pytest.approx(2.0, abs=1.0)  # paper: ~2% optimum
-    assert s.at(25.0) > s.at(10.0)
-    assert s.at(1.0) > s.at(10.0)
-
-
-# -- Table I ------------------------------------------------------------------
-
-
-def test_table1_monotone_costs():
-    r = table1(TINY)
-    s = r.get("relative cost")
-
-    def v(c, d):
-        return s.at(f"{c}/{d}")
-
-    for d in ("none", "local", "global"):
-        assert v("invisible", d) <= v("weak", d) <= v("strong", d)
-    for c in ("invisible", "weak"):
-        assert v(c, "none") <= v(c, "local") <= v(c, "global")
-    assert v("strong", "none") <= v("strong", "global")
-    assert v("invisible", "none") == pytest.approx(1.0)
+def test_every_anchor_reads_a_point_the_small_sweep_has():
+    """So the figure benchmark at ``small`` judges every anchor, and
+    EXPERIMENTS.md's headline table can render every row."""
+    for anchor in ANCHORS:
+        exp = ALL_EXPERIMENTS[anchor.exp]
+        for label, x in anchor.points():
+            assert label in exp.series, anchor.name
+            assert x in exp.x(SMALL, None), anchor.name

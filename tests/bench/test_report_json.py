@@ -79,6 +79,17 @@ def test_cli_unknown_experiment_does_not_create_json_dir(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_cli_unknown_scale_exits_2_and_creates_nothing(tmp_path,
+                                                       monkeypatch, capsys):
+    from repro.bench.__main__ import main
+
+    monkeypatch.setenv("REPRO_SCALE", "huge")
+    target = tmp_path / "artifacts"
+    assert main(["--json", str(target), "fig2"]) == 2
+    assert "unknown scale 'huge'" in capsys.readouterr().err
+    assert not target.exists()
+
+
 def test_cli_jobs_requires_integer(capsys):
     from repro.bench.__main__ import main
 
