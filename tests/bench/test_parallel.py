@@ -2,8 +2,9 @@
 
 The tentpole guarantee: ``--jobs N`` (process-pool fan-out) produces
 byte-identical JSON artifacts to a serial run.  These tests pin the
-fan-out primitive (`parallel_map`); ``test_golden.py`` holds a serial
-and a ``--jobs 2`` run of every experiment to the same golden bytes.
+fan-out primitive (`parallel_map`) and the CLI end-to-end;
+``test_golden.py`` also holds a serial and a ``--jobs 2`` run of every
+experiment to the same golden bytes.
 """
 
 import json
@@ -76,6 +77,46 @@ def test_default_jobs_resolution(monkeypatch):
     assert get_default_jobs() == 5
     set_default_jobs(0)  # clamped to serial
     assert get_default_jobs() == 1
+
+
+def _artifacts(dir_path):
+    """Experiment artifacts only: the wallclock record is host-timing
+    and legitimately differs between runs."""
+    return sorted(
+        p for p in dir_path.iterdir() if p.name != "BENCH_wallclock.json"
+    )
+
+
+def _run_cli(tmp_path, sub, extra):
+    from repro.bench.__main__ import main
+
+    out = tmp_path / sub
+    assert main(["--json", str(out), *extra]) == 0
+    return out
+
+
+@pytest.mark.parametrize("experiment", ["fig6c", "fig3a"])
+def test_cli_jobs_byte_identical_single(tmp_path, monkeypatch, capsys, experiment):
+    monkeypatch.setenv("REPRO_SCALE", "tiny")
+    serial = _run_cli(tmp_path, "serial", [experiment])
+    harness._default_jobs = None
+    pooled = _run_cli(tmp_path, "pooled", ["--jobs", "2", experiment])
+    s, p = _artifacts(serial), _artifacts(pooled)
+    assert [a.name for a in s] == [a.name for a in p] == [f"{experiment}.json"]
+    assert s[0].read_bytes() == p[0].read_bytes()
+
+
+@pytest.mark.bench
+def test_cli_jobs_byte_identical_full_suite(tmp_path, monkeypatch, capsys):
+    """Every experiment's artifact must be byte-identical under --jobs."""
+    monkeypatch.setenv("REPRO_SCALE", "tiny")
+    serial = _run_cli(tmp_path, "serial", [])
+    harness._default_jobs = None
+    pooled = _run_cli(tmp_path, "pooled", ["--jobs", "4"])
+    s, p = _artifacts(serial), _artifacts(pooled)
+    assert [a.name for a in s] == [a.name for a in p]
+    for a, b in zip(s, p):
+        assert a.read_bytes() == b.read_bytes(), f"{a.name} diverged"
 
 
 def test_cli_writes_wallclock_record(tmp_path, monkeypatch, capsys):
