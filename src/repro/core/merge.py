@@ -42,26 +42,28 @@ def resolve_conflicts(
     # store for pre-existing (interferer-written) entries.
     journal_creates = set()
     for ev in events:
-        if ev.op in (EventType.CREATE, EventType.MKDIR):
-            conflict = ev.path not in journal_creates and mdstore.exists(ev.path)
+        op = ev.op
+        if op is EventType.CREATE or op is EventType.MKDIR:
+            path = ev.path
+            conflict = path not in journal_creates and mdstore.exists(path)
             if conflict:
-                existing = mdstore.resolve(ev.path)
+                existing = mdstore.resolve(path)
                 if priority == "existing":
                     continue
-                if ev.op == EventType.CREATE and existing.is_file:
+                if op is EventType.CREATE and existing.is_file:
                     out.append(
                         JournalEvent(
-                            EventType.UNLINK, ev.path, client_id=ev.client_id
+                            EventType.UNLINK, path, client_id=ev.client_id
                         )
                     )
-                elif ev.op == EventType.MKDIR and existing.is_dir:
+                elif op is EventType.MKDIR and existing.is_dir:
                     # Directory already exists: keep it, skip the MKDIR.
-                    journal_creates.add(ev.path)
+                    journal_creates.add(path)
                     continue
                 else:
                     # Type mismatch: drop the conflicting journal event.
                     continue
-            journal_creates.add(ev.path)
+            journal_creates.add(path)
         out.append(ev)
     return out
 

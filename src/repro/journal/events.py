@@ -13,8 +13,7 @@ instead of the encoded length.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 __all__ = ["EventType", "JournalEvent", "WIRE_EVENT_BYTES"]
 
@@ -22,10 +21,6 @@ __all__ = ["EventType", "JournalEvent", "WIRE_EVENT_BYTES"]
 #: measures "about 2.5KB" of storage per journal update (Section V.A),
 #: hence 678 MB journals for ~278K updates in Figure 6c.
 WIRE_EVENT_BYTES = 2560
-
-
-_new = object.__new__
-_set = object.__setattr__  # the dataclass is frozen
 
 
 class EventType(enum.IntEnum):
@@ -44,9 +39,31 @@ class EventType(enum.IntEnum):
     EXPORT_COMMIT = 11  # migration: source released authority
 
 
-@dataclass(frozen=True, slots=True)
-class JournalEvent:
+class _Fields(NamedTuple):
+    op: EventType
+    path: str
+    ino: int = 0
+    mode: int = 0o644
+    uid: int = 0
+    gid: int = 0
+    mtime: float = 0.0
+    target_path: Optional[str] = None
+    seq: int = 0
+    client_id: int = 0
+
+
+_tuple_new = tuple.__new__
+
+
+class JournalEvent(_Fields):
     """A single serialized-able metadata update.
+
+    An immutable record backed by one tuple, so building it is one
+    allocation (docs/PERFORMANCE.md §11).  Two events are equal, and
+    hash alike, exactly when their fields are; being a tuple, an event
+    also compares equal to a plain tuple of the same fields and orders
+    like one, which no caller relies on.  ``_replace`` and ``_make``
+    skip validation, like :meth:`trusted`, and are not used.
 
     Attributes
     ----------
@@ -70,26 +87,32 @@ class JournalEvent:
         Originating client, used by merge-priority rules.
     """
 
-    op: EventType
-    path: str
-    ino: int = 0
-    mode: int = 0o644
-    uid: int = 0
-    gid: int = 0
-    mtime: float = 0.0
-    target_path: Optional[str] = None
-    seq: int = 0
-    client_id: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.op.__class__ is not EventType:
-            _set(self, "op", EventType(self.op))
-        if self.path[:1] != "/":
-            raise ValueError(f"event path must be absolute, got {self.path!r}")
-        if self.op is EventType.RENAME and not self.target_path:
+    def __new__(
+        cls,
+        op: EventType,
+        path: str,
+        ino: int = 0,
+        mode: int = 0o644,
+        uid: int = 0,
+        gid: int = 0,
+        mtime: float = 0.0,
+        target_path: Optional[str] = None,
+        seq: int = 0,
+        client_id: int = 0,
+    ) -> "JournalEvent":
+        if op.__class__ is not EventType:
+            op = EventType(op)
+        if path[:1] != "/":
+            raise ValueError(f"event path must be absolute, got {path!r}")
+        if op is EventType.RENAME and not target_path:
             raise ValueError("RENAME events require target_path")
-        if self.ino < 0:
+        if ino < 0:
             raise ValueError("inode numbers are non-negative")
+        return _tuple_new(cls, (
+            op, path, ino, mode, uid, gid, mtime, target_path, seq, client_id
+        ))
 
     @staticmethod
     def trusted(
@@ -107,25 +130,16 @@ class JournalEvent:
         """Build an event from fields that are already known to satisfy
         the constructor's checks (a validated event being re-stamped, or
         a frame the codec has checked); nothing is validated again."""
-        ev = _new(JournalEvent)
-        _set(ev, "op", op)
-        _set(ev, "path", path)
-        _set(ev, "ino", ino)
-        _set(ev, "mode", mode)
-        _set(ev, "uid", uid)
-        _set(ev, "gid", gid)
-        _set(ev, "mtime", mtime)
-        _set(ev, "target_path", target_path)
-        _set(ev, "seq", seq)
-        _set(ev, "client_id", client_id)
-        return ev
+        return _tuple_new(JournalEvent, (
+            op, path, ino, mode, uid, gid, mtime, target_path, seq, client_id
+        ))
 
     def with_seq(self, seq: int) -> "JournalEvent":
         """Copy of this event with its journal sequence number set."""
-        return JournalEvent.trusted(
-            self.op, self.path, self.ino, self.mode, self.uid, self.gid,
-            self.mtime, self.target_path, seq, self.client_id,
-        )
+        op, path, ino, mode, uid, gid, mtime, target_path, _, client_id = self
+        return _tuple_new(JournalEvent, (
+            op, path, ino, mode, uid, gid, mtime, target_path, seq, client_id
+        ))
 
     @property
     def is_mutation(self) -> bool:

@@ -131,16 +131,18 @@ class JournalCodec:
     # ---- single events --------------------------------------------------
     @staticmethod
     def encode_event(event: JournalEvent) -> bytes:
-        path_b = event.path.encode("utf-8")
+        # One unpack: a field read by name costs a descriptor call each.
+        # ``str.encode()`` is UTF-8 without parsing an encoding name.
+        op, path, ino, mode, uid, gid, mtime, target, seq, client_id = event
+        path_b = path.encode()
         path_len = len(path_b)
         if path_len > 0xFFFF:
             raise JournalFormatError(
                 f"path too long for wire format ({path_len} bytes > "
                 f"{0xFFFF})"
             )
-        target = event.target_path
         if target:
-            target_b = target.encode("utf-8")
+            target_b = target.encode()
             if len(target_b) > 0xFFFF:
                 raise JournalFormatError(
                     f"target_path too long for wire format ({len(target_b)} "
@@ -151,15 +153,7 @@ class JournalCodec:
             tail = _NO_TARGET
         try:
             head = _BODY_HEAD.pack(
-                event.op,
-                event.seq,
-                event.ino,
-                event.mode,
-                event.uid,
-                event.gid,
-                event.client_id,
-                event.mtime,
-                path_len,
+                op, seq, ino, mode, uid, gid, client_id, mtime, path_len
             )
         except (struct.error, OverflowError) as exc:
             raise JournalFormatError(_unencodable(event)) from exc

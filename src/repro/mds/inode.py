@@ -65,18 +65,24 @@ class Inode:
         return bool(self.mode & _S_IFREG)
 
     @classmethod
-    def directory(cls, ino: int, mode: int = 0o755, **kw) -> "Inode":
+    def directory(
+        cls, ino: int, mode: int = 0o755, uid: int = 0, gid: int = 0,
+        mtime: float = 0.0,
+    ) -> "Inode":
         mode = (mode & 0o7777) | _S_IFDIR
         if mode in _MODES:
             mode = _MODES[mode]
-        return cls(ino=ino, mode=mode, **kw)
+        return cls(ino, mode, uid, gid, 0, mtime)
 
     @classmethod
-    def regular(cls, ino: int, mode: int = 0o644, **kw) -> "Inode":
+    def regular(
+        cls, ino: int, mode: int = 0o644, uid: int = 0, gid: int = 0,
+        mtime: float = 0.0,
+    ) -> "Inode":
         mode = (mode & 0o7777) | _S_IFREG
         if mode in _MODES:
             mode = _MODES[mode]
-        return cls(ino=ino, mode=mode, **kw)
+        return cls(ino, mode, uid, gid, 0, mtime)
 
     @property
     def footprint_bytes(self) -> int:

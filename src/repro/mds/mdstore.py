@@ -32,6 +32,10 @@ class FsError(OSError):
         self.code = code
 
 
+#: The attributes :meth:`MetadataStore.setattr` accepts.
+_ATTRS = ("mode", "uid", "gid", "mtime", "size")
+
+
 def _split(path: str) -> List[str]:
     if not path.startswith("/"):
         raise FsError("EINVAL", f"path must be absolute: {path!r}")
@@ -125,7 +129,8 @@ class MetadataStore:
 
     # -- mutations ---------------------------------------------------------
     def mkdir(
-        self, path: str, mode: int = 0o755, ino: Optional[int] = None, **attrs
+        self, path: str, mode: int = 0o755, ino: Optional[int] = None,
+        uid: int = 0, gid: int = 0, mtime: float = 0.0,
     ) -> Inode:
         parent, name = self.resolve_parent(path)
         frag = self.dirfrags[parent.ino]
@@ -136,14 +141,15 @@ class MetadataStore:
             raise FsError("EEXIST", f"inode {new_ino} already in use")
         if ino is not None:
             self.inotable.note_external(new_ino)
-        inode = Inode.directory(new_ino, mode=mode, **attrs)
+        inode = Inode.directory(new_ino, mode, uid, gid, mtime)
         self.inodes[new_ino] = inode
         self.dirfrags[new_ino] = DirFragment(new_ino)
         frag.link(name, new_ino)
         return inode
 
     def create(
-        self, path: str, mode: int = 0o644, ino: Optional[int] = None, **attrs
+        self, path: str, mode: int = 0o644, ino: Optional[int] = None,
+        uid: int = 0, gid: int = 0, mtime: float = 0.0,
     ) -> Inode:
         parent, name = self.resolve_parent(path)
         frag = self.dirfrags[parent.ino]
@@ -154,7 +160,7 @@ class MetadataStore:
             raise FsError("EEXIST", f"inode {new_ino} already in use")
         if ino is not None:
             self.inotable.note_external(new_ino)
-        inode = Inode.regular(new_ino, mode=mode, **attrs)
+        inode = Inode.regular(new_ino, mode, uid, gid, mtime)
         self.inodes[new_ino] = inode
         frag.link(name, new_ino)
         return inode
@@ -211,15 +217,15 @@ class MetadataStore:
 
     def setattr(self, path: str, **attrs) -> Inode:
         inode = self.resolve(path)
-        for key in ("mode", "uid", "gid", "mtime", "size"):
+        unknown = set(attrs).difference(_ATTRS)
+        if unknown:  # refused before anything changes
+            raise FsError("EINVAL", f"unknown attributes {sorted(unknown)}")
+        for key in _ATTRS:
             if key in attrs:
                 if key == "mode":
                     inode.mode = (inode.mode & ~0o7777) | (attrs[key] & 0o7777)
                 else:
                     setattr(inode, key, attrs[key])
-        unknown = set(attrs) - {"mode", "uid", "gid", "mtime", "size"}
-        if unknown:
-            raise FsError("EINVAL", f"unknown attributes {sorted(unknown)}")
         return inode
 
     def listdir(self, path: str) -> List[str]:
@@ -237,38 +243,36 @@ class MetadataStore:
     # -- journal replay ---------------------------------------------------
     def apply_event(self, event: JournalEvent) -> None:
         """Replay one journal event (the journal tool's applier hook)."""
-        ino = event.ino if event.ino else None
-        if event.op == EventType.CREATE:
-            self.create(event.path, mode=event.mode, ino=ino,
-                        uid=event.uid, gid=event.gid, mtime=event.mtime)
-        elif event.op == EventType.MKDIR:
-            self.mkdir(event.path, mode=event.mode, ino=ino,
-                       uid=event.uid, gid=event.gid, mtime=event.mtime)
-        elif event.op == EventType.UNLINK:
-            self.unlink(event.path)
-        elif event.op == EventType.RMDIR:
-            self.rmdir(event.path)
-        elif event.op == EventType.RENAME:
-            assert event.target_path is not None
-            self.rename(event.path, event.target_path)
-        elif event.op == EventType.SETATTR:
-            self.setattr(event.path, mode=event.mode, uid=event.uid,
-                         gid=event.gid, mtime=event.mtime)
-        elif event.op == EventType.SUBTREE_POLICY:
-            self.set_policy(event.path, event.target_path)
-        elif event.op == EventType.NOOP:
+        # One unpack: a field read by name costs a descriptor call each.
+        op, path, ino, mode, uid, gid, mtime, target, _, _ = event
+        if op is EventType.CREATE:
+            self.create(path, mode, ino if ino else None, uid, gid, mtime)
+        elif op is EventType.MKDIR:
+            self.mkdir(path, mode, ino if ino else None, uid, gid, mtime)
+        elif op is EventType.UNLINK:
+            self.unlink(path)
+        elif op is EventType.RMDIR:
+            self.rmdir(path)
+        elif op is EventType.RENAME:
+            assert target is not None
+            self.rename(path, target)
+        elif op is EventType.SETATTR:
+            self.setattr(path, mode=mode, uid=uid, gid=gid, mtime=mtime)
+        elif op is EventType.SUBTREE_POLICY:
+            self.set_policy(path, target)
+        elif op is EventType.NOOP:
             return
-        elif event.op == EventType.IMPORT_COMMIT:
+        elif op is EventType.IMPORT_COMMIT:
             # Protocol marker, but it carries the exporter's allocation
             # cursor — restoring it on replay keeps recovery from
             # re-minting numbers the exporter burned before the handoff.
-            if event.ino:
-                self.inotable.reserve_floor(event.ino)
+            if ino:
+                self.inotable.reserve_floor(ino)
             return
-        elif event.op in (EventType.EXPORT_PREP, EventType.EXPORT_COMMIT):
+        elif op is EventType.EXPORT_PREP or op is EventType.EXPORT_COMMIT:
             return  # migration protocol markers; no namespace effect
         else:  # pragma: no cover - EventType is closed
-            raise FsError("EINVAL", f"unknown event {event.op}")
+            raise FsError("EINVAL", f"unknown event {op}")
         self.events_applied += 1
 
     # -- subtree migration --------------------------------------------------

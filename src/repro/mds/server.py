@@ -661,17 +661,16 @@ class MetadataServer:
             return Response(ok=True), self.journal.commit_latency_s()
         try:
             attrs = dict(request.payload or {})
-            self.mdstore.setattr(request.path, **attrs)
+            inode = self.mdstore.setattr(request.path, **attrs)
         except FsError as exc:
             return Response(ok=False, error=str(exc)), 0.0
+        # The record carries the inode's state, not the request: a field
+        # the request left out would otherwise replay as its default.
         events = [
             JournalEvent(
-                EventType.SETATTR,
-                request.path,
-                mtime=self.engine.now,
+                EventType.SETATTR, request.path, mode=inode.mode,
+                uid=inode.uid, gid=inode.gid, mtime=inode.mtime,
                 client_id=request.client_id,
-                **{k: v for k, v in (request.payload or {}).items()
-                   if k in ("mode", "uid", "gid")},
             )
         ]
         if self.tap is not None:
@@ -742,13 +741,15 @@ class MetadataServer:
         size = int(request.payload or 0)
         if self.config.materialize:
             try:
-                self.mdstore.setattr(request.path, size=size)
+                inode = self.mdstore.setattr(request.path, size=size)
             except FsError as exc:
                 return Response(ok=False, error=str(exc)), 0.0
+            # The inode's state, as in `_op_setattr`.
             yield from self.journal_events([
                 JournalEvent(
-                    EventType.SETATTR, request.path,
-                    mtime=self.engine.now, client_id=request.client_id,
+                    EventType.SETATTR, request.path, mode=inode.mode,
+                    uid=inode.uid, gid=inode.gid, mtime=inode.mtime,
+                    client_id=request.client_id,
                 )
             ])
         return Response(ok=True, value=size), self.journal.commit_latency_s()
@@ -921,12 +922,13 @@ class MetadataServer:
                     applied += 1
                     # Replaying a CREATE/MKDIR already consumed its
                     # inode, so the range lookup is the rare case.
+                    ino = ev.ino
                     if (
-                        ev.ino
-                        and not is_consumed(ev.ino)
-                        and inotable.owner_of(ev.ino) is not None
+                        ino
+                        and not is_consumed(ino)
+                        and inotable.owner_of(ino) is not None
                     ):
-                        inotable.mark_consumed(ev.ino)
+                        inotable.mark_consumed(ino)
                     if tap is not None:
                         tap.mark(
                             "visible", self.name, op=ev.op, path=ev.path,

@@ -11,23 +11,27 @@ event shares, a per-inode consumed mark) fails here, exactly, on any
 runner.
 
 Census on CPython 3.11, bytes resident per create after each phase
-(before → after the value objects were slimmed), to locate a
-regression:
+(before the value objects were slimmed → slotted dataclasses → the
+tuple-backed event, which is 16 B heavier: a 10-tuple lands in
+pymalloc's 128-byte size class, the slotted object in the 112-byte
+one), to locate a regression:
 
-===========================  ======  =====  ================================
-phase                        before  after  what is resident
-===========================  ======  =====  ================================
-append                          293    245  journal events (instance, path,
-                                            ``ino`` / ``seq`` ints)
-Global Persist                  371    323  + the durable image (bytes) and
-                                            the Local Persist list
-``crash(lose_disk=True)``        70     70  the durable image only
-recovery scan                   439    339  + the rebuilt events: instance,
-                                            path, ``ino`` / ``seq`` ints
-                                            (``mode`` / ``mtime`` shared)
-merge                         833.4  548.5  + inode, dentry name, two dict
-                                            slots (consumed marks: one run)
-===========================  ======  =====  ================================
+===========================  ======  =====  =====  ===========================
+phase                        before  slots  tuple  what is resident
+===========================  ======  =====  =====  ===========================
+append                          293    245    261  journal events (instance,
+                                                   path, ``ino`` / ``seq``)
+Global Persist                  371    323    339  + the durable image (bytes)
+                                                   and the Local Persist list
+``crash(lose_disk=True)``        70     70     70  the durable image only
+recovery scan                   439    339    355  + the rebuilt events:
+                                                   instance, path, ``ino`` /
+                                                   ``seq`` (``mode`` /
+                                                   ``mtime`` shared)
+merge                         833.4  548.4  564.4  + inode, dentry name, two
+                                                   dict slots (consumed
+                                                   marks: one run)
+===========================  ======  =====  =====  ===========================
 """
 
 import gc
@@ -40,9 +44,10 @@ from repro.mds.server import MDSConfig
 CREATES = 20000
 
 #: Resident bytes per create once the journal is merged.  Achieved:
-#: 548.5 on CPython 3.11 (833.4 with dict-backed events and inodes, a
-#: fresh ``mode`` / ``mtime`` per decoded event and a ``set`` of
-#: consumed inodes); the budget leaves ~10 % for interpreter differences.
+#: 564.4 on CPython 3.11 (548.4 with slotted dataclass events; 833.4
+#: with dict-backed events and inodes, a fresh ``mode`` / ``mtime`` per
+#: decoded event and a ``set`` of consumed inodes); the budget leaves
+#: ~6 % for interpreter differences.
 MERGED_BYTES_PER_CREATE_BUDGET = 600
 
 #: After the node is lost only the object store's copy may remain

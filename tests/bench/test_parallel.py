@@ -106,7 +106,6 @@ def test_cli_jobs_byte_identical_single(tmp_path, monkeypatch, capsys, experimen
     assert s[0].read_bytes() == p[0].read_bytes()
 
 
-@pytest.mark.bench
 def test_cli_jobs_byte_identical_full_suite(tmp_path, monkeypatch, capsys):
     """Every experiment's artifact must be byte-identical under --jobs."""
     monkeypatch.setenv("REPRO_SCALE", "tiny")

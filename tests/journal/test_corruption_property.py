@@ -18,7 +18,6 @@ invariants and hammered by Hypothesis:
   always a :class:`JournalFormatError`.
 """
 
-import dataclasses
 import struct
 import zlib
 
@@ -242,7 +241,7 @@ def test_property_arbitrary_bytes_never_raise(noise, after_header):
         assert scan.damage is not None and scan.damage_offset == len(header)
     # Whatever was salvaged passed the constructor's own checks.
     for event in scan.events:
-        assert JournalEvent(**dataclasses.asdict(event)) == event
+        assert JournalEvent(**event._asdict()) == event
 
 
 @settings(max_examples=60, deadline=None)

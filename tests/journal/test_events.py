@@ -1,11 +1,16 @@
 """Tests for journal event value objects."""
 
 import copy
+import dataclasses
 import pickle
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.journal.events import EventType, JournalEvent, WIRE_EVENT_BYTES
+from repro.journal.format import JournalCodec
 
 
 def test_wire_size_matches_paper():
@@ -95,3 +100,92 @@ def test_events_are_slot_backed_and_still_plain_values():
     ):
         assert clone == ev and hash(clone) == hash(ev)
         assert type(clone) is JournalEvent
+
+
+def test_every_builder_returns_exactly_a_journal_event():
+    ev = JournalEvent(EventType.CREATE, "/f", ino=5, mtime=1.5)
+    wire = JournalCodec.encode_event(ev.with_seq(4))
+    for built in (
+        JournalEvent.trusted(EventType.CREATE, "/f", 5, 0o644, 0, 0, 1.5,
+                             None, 4, 0),
+        ev.with_seq(4),
+        JournalCodec.decode_event(wire)[0],
+    ):
+        assert type(built) is JournalEvent
+        assert built == ev.with_seq(4)
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _Twin:
+    """The frozen, slotted dataclass ``JournalEvent`` used to be: the
+    reference its value semantics are held to."""
+
+    op: EventType
+    path: str
+    ino: int = 0
+    mode: int = 0o644
+    uid: int = 0
+    gid: int = 0
+    mtime: float = 0.0
+    target_path: Optional[str] = None
+    seq: int = 0
+    client_id: int = 0
+
+    def __post_init__(self) -> None:
+        if self.op.__class__ is not EventType:
+            object.__setattr__(self, "op", EventType(self.op))
+        if self.path[:1] != "/":
+            raise ValueError(f"event path must be absolute, got {self.path!r}")
+        if self.op is EventType.RENAME and not self.target_path:
+            raise ValueError("RENAME events require target_path")
+        if self.ino < 0:
+            raise ValueError("inode numbers are non-negative")
+
+
+_FIELDS = tuple(f.name for f in dataclasses.fields(_Twin))
+_INTS = st.integers(min_value=-2, max_value=2**40)
+_TEXT = st.text(alphabet="/ab\u00e9", max_size=5)
+
+_event_fields = st.fixed_dictionaries({
+    "op": st.one_of(st.sampled_from(EventType), st.integers(0, 12)),
+    "path": st.one_of(_TEXT, _TEXT.map(lambda s: "/" + s)),
+}, optional={
+    "ino": _INTS, "mode": _INTS, "uid": _INTS, "gid": _INTS,
+    "mtime": st.floats(allow_nan=False),
+    "target_path": st.one_of(st.none(), _TEXT),
+    "seq": _INTS, "client_id": _INTS,
+})
+
+
+def _build(cls, fields):
+    try:
+        return cls(**fields), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_event_fields, b=_event_fields, same=st.booleans())
+def test_event_matches_the_dataclass_it_replaced(a, b, same):
+    b = a if same else b
+    ev, err = _build(JournalEvent, a)
+    twin, twin_err = _build(_Twin, a)
+    assert err == twin_err  # ValueError exactly where the twin raises
+    if twin is None:
+        return
+    assert ev._fields == _FIELDS
+    assert tuple(ev) == tuple(getattr(twin, f) for f in _FIELDS)
+    assert hash(ev) == hash(twin)
+    assert repr(ev) == "JournalEvent" + repr(twin)[len("_Twin"):]
+    for clone, twin_clone in (
+        (pickle.loads(pickle.dumps(ev)), pickle.loads(pickle.dumps(twin))),
+        (copy.deepcopy(ev), copy.deepcopy(twin)),
+    ):
+        assert type(clone) is JournalEvent
+        assert clone == ev and twin_clone == twin
+        assert hash(clone) == hash(twin_clone)
+    other, _ = _build(JournalEvent, b)
+    other_twin, _ = _build(_Twin, b)
+    if other_twin is not None:
+        assert (ev == other) == (twin == other_twin)
+        assert (ev != other) == (twin != other_twin)

@@ -44,6 +44,19 @@ def test_inodes_are_slot_backed_and_still_plain_values():
     assert f != Inode.regular(12, uid=3, mtime=2.5)
 
 
+def test_constructors_take_ownership_and_mtime_by_position():
+    # The replay path (apply_event -> create / mkdir -> regular /
+    # directory) passes every field by position.
+    f = Inode.regular(11, 0o600, 3, 4, 2.5)
+    d = Inode.directory(12, 0o700, 5, 6, 7.5)
+    assert (f.ino, f.mode, f.uid, f.gid, f.mtime) == (11, 0o100600, 3, 4, 2.5)
+    assert (d.ino, d.mode, d.uid, d.gid, d.mtime) == (12, 0o040700, 5, 6, 7.5)
+    assert f.size == d.size == 0 and f.nlink == d.nlink == 1
+    assert f.policy_blob is d.policy_blob is None
+    with pytest.raises(TypeError):
+        Inode.regular(13, size=1)  # no keyword catch-all
+
+
 def test_minted_modes_are_shared_and_other_modes_kept():
     # Every default-mode inode points at one mode object; an unusual
     # mode is stored as given.

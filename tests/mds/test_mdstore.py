@@ -224,6 +224,18 @@ def test_setattr_unknown_attr(md):
         md.setattr("/f", bogus=1)
 
 
+def test_refused_setattr_changes_nothing(md):
+    # Regression: the known attributes were applied before the unknown
+    # one was refused, so a call reported as failed (and never
+    # journaled) still changed the live inode.
+    md.create("/f")
+    with pytest.raises(FsError) as e:
+        md.setattr("/f", mode=0o600, uid=7, colour="red")
+    assert e.value.code == "EINVAL"
+    inode = md.resolve("/f")
+    assert inode.mode == 0o100644 and inode.uid == 0
+
+
 def test_listdir(md):
     md.mkdir("/d")
     for n in ("c", "a", "b"):

@@ -76,6 +76,46 @@ def test_volatile_apply_updates_lost_unless_streamed():
         assert not cluster.mds.mdstore.exists(f"/sub/v{i}")
 
 
+def test_setattr_replay_restores_the_live_inode():
+    """Regression: a SETATTR record carried only the request's fields
+    and the event defaults for the rest, so a uid-only setattr replayed
+    mode 0o644 over an earlier chmod (and an mtime never set live)."""
+    cluster = Cluster(seed=0)
+    client = cluster.new_client()
+    cluster.run(client.mkdir("/a"))
+    cluster.run(client.create("/a/f"))
+    assert cluster.run(client.setattr("/a/f", mode=0o600)).ok
+    assert cluster.run(client.setattr("/a/f", uid=7)).ok
+    live = cluster.mds.mdstore.resolve("/a/f")
+    want = (live.mode, live.uid, live.gid, live.mtime)
+    assert want == (0o100600, 7, 0, 0.0)
+
+    cluster.run(cluster.mds.journal.flush())  # Stream
+    cluster.mds.crash()
+    cluster.run(cluster.mds.recover())
+    got = cluster.mds.mdstore.resolve("/a/f")
+    assert (got.mode, got.uid, got.gid, got.mtime) == want
+
+
+def test_close_write_replay_keeps_the_mode():
+    """The size flush of a closed write handle is journaled the same
+    way: its record restores the inode's attributes, not defaults."""
+    cluster = Cluster(seed=0)
+    client = cluster.new_client()
+    cluster.run(client.mkdir("/a"))
+    cluster.run(client.create("/a/f"))
+    assert cluster.run(client.setattr("/a/f", mode=0o600, uid=7)).ok
+    handle = cluster.run(client.open_write("/a/f"))
+    handle.write(4096)
+    assert cluster.run(client.close_write(handle)).ok
+
+    cluster.run(cluster.mds.journal.flush())
+    cluster.mds.crash()
+    cluster.run(cluster.mds.recover())
+    got = cluster.mds.mdstore.resolve("/a/f")
+    assert (got.mode, got.uid, got.mtime) == (0o100600, 7, 0.0)
+
+
 def test_crash_fails_pending_requests_with_mds_down():
     cluster = Cluster(seed=0)
     dones = [
