@@ -96,6 +96,7 @@ class Client:
         self.name = f"client{client_id}"
         self.cache = ClientCache(client_id)
         self.stats = StatsRegistry(engine, self.name)
+        self._rpcs_sent = self.stats.counter("rpcs_sent")
         self.retry = retry or RetryPolicy()
         self.up = True
         #: Observer tap (set by the Cluster; see ``repro.obs.tap``);
@@ -144,31 +145,6 @@ class Client:
             self.tap.mark("recover", self.name, mode="rpc")
 
     # -- plumbing -----------------------------------------------------------
-    def _exchange(
-        self, mds: MetadataServer, request: Request
-    ) -> Generator[Event, None, Response]:
-        """One attempt: request wire -> MDS -> reply wire."""
-        yield from self.network.send(self.name, mds.name, cal.RPC_MESSAGE_BYTES)
-        done = mds.submit(request)
-        if self.retry.reply_timeout_s is not None:
-            timer = Timeout(self.engine, self.retry.reply_timeout_s)
-            try:
-                idx, value = yield AnyOf(self.engine, [done, timer])
-            finally:
-                # Whatever won, the timer must not stay armed: every
-                # later drain would run the clock on to it.
-                timer.cancel()
-            if idx == 1:
-                raise RpcTimeout(
-                    f"{self.name}: no reply from {mds.name} within "
-                    f"{self.retry.reply_timeout_s}s"
-                )
-            response = value
-        else:
-            response = yield done
-        yield from self.network.send(mds.name, self.name, cal.RPC_MESSAGE_BYTES)
-        return response
-
     def _call(
         self, request: Request, op_count: int = 1
     ) -> Generator[Event, None, Response]:
@@ -192,11 +168,34 @@ class Client:
         response = None
         try:
             yield self.engine.sleep(op_count * cal.CLIENT_OP_OVERHEAD_S)
+            send = self.network.send
             attempt = 0
             backoff = self.retry.base_backoff_s
             while True:
+                # One attempt: request wire -> MDS -> reply wire.
                 try:
-                    response = yield from self._exchange(mds, request)
+                    yield from send(self.name, mds.name, cal.RPC_MESSAGE_BYTES)
+                    done = mds.submit(request)
+                    timeout_s = self.retry.reply_timeout_s
+                    if timeout_s is None:
+                        response = yield done
+                    else:
+                        timer = Timeout(self.engine, timeout_s)
+                        try:
+                            idx, response = yield AnyOf(
+                                self.engine, [done, timer]
+                            )
+                        finally:
+                            # Whatever won, the timer must not stay
+                            # armed: every later drain would run the
+                            # clock on to it.
+                            timer.cancel()
+                        if idx == 1:
+                            raise RpcTimeout(
+                                f"{self.name}: no reply from {mds.name} "
+                                f"within {timeout_s}s"
+                            )
+                    yield from send(mds.name, self.name, cal.RPC_MESSAGE_BYTES)
                 except TRANSIENT_ERRORS as exc:
                     self.stats.counter("rpc_failures").incr()
                     if attempt >= self.retry.max_retries:
@@ -228,7 +227,7 @@ class Client:
                         backoff * self.retry.multiplier, self.retry.max_backoff_s
                     )
                     mds = self._target(request.path)
-            self.stats.counter("rpcs_sent").incr(op_count * max(1, response.rpcs))
+            self._rpcs_sent.incr(op_count * max(1, response.rpcs))
             if response.rpcs > 1:
                 # The MDS made us look up remotely before each create; pay the
                 # client-side cost of those extra round trips.
@@ -272,29 +271,33 @@ class Client:
         """Create many files in ``dir_path``; returns the last response.
 
         ``names_or_count`` may be explicit names (materialized runs) or a
-        plain count (large performance runs).
+        plain count (large performance runs); it must name at least one
+        file, else :class:`ValueError` is raised before anything is sent.
         """
-        last: Optional[Response] = None
         if isinstance(names_or_count, int):
-            remaining = names_or_count
-            while remaining > 0:
-                take = min(batch, remaining)
-                remaining -= take
-                last = yield from self._call(
-                    Request("create", dir_path, self.client_id, count=take),
-                    op_count=take,
-                )
-                self.cache.note_reply(dir_path, last.cached, last.revoked)
+            names, total = None, names_or_count
         else:
             names = list(names_or_count)
-            for i in range(0, len(names), batch):
-                chunk = names[i : i + batch]
-                last = yield from self._call(
-                    Request("create", dir_path, self.client_id, names=chunk),
-                    op_count=len(chunk),
+            total = len(names)
+        if total < 1 or batch < 1:
+            raise ValueError(
+                "create_many needs at least one file and a positive batch, "
+                f"got {total} file(s) in batches of {batch}"
+            )
+        last: Optional[Response] = None
+        for start in range(0, total, batch):
+            if names is None:
+                request = Request(
+                    "create", dir_path, self.client_id,
+                    count=min(batch, total - start),
                 )
-                self.cache.note_reply(dir_path, last.cached, last.revoked)
-        assert last is not None, "create_many needs at least one op"
+            else:
+                request = Request(
+                    "create", dir_path, self.client_id,
+                    names=names[start : start + batch],
+                )
+            last = yield from self._call(request, op_count=request.count)
+            self.cache.note_reply(dir_path, last.cached, last.revoked)
         return last
 
     def rmdir(self, path: str) -> Generator[Event, None, Response]:

@@ -55,6 +55,10 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 __all__ = ["HistoryEvent", "History", "KINDS", "MUTATION_OPS"]
 
+#: The canonical line encoder, built once: ``json.dumps`` with
+#: non-default arguments builds a new encoder on every call.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 #: Every event kind a history may carry.
 KINDS = (
     "invoke",
@@ -151,9 +155,9 @@ class History:
         Identical runs must produce identical bytes; the golden-history
         tests and the serial-vs-parallel identity guard depend on it.
         """
+        encode = _CANONICAL_JSON.encode
         return "\n".join(
-            json.dumps(e.to_dict(), sort_keys=True, separators=(",", ":"))
-            for e in self.events
+            encode(e.to_dict()) for e in self.events
         ) + ("\n" if self.events else "")
 
     @classmethod

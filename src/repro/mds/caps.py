@@ -63,6 +63,13 @@ class AccessOutcome:
     state: CapState
 
 
+# The three outcomes a write can have, shared: an outcome is immutable,
+# so a write need not build one.
+_WRITE_CACHED = AccessOutcome(rpcs=1, revoked=False, state=CapState.EXCLUSIVE)
+_WRITE_REVOKED = AccessOutcome(rpcs=2, revoked=True, state=CapState.SHARED)
+_WRITE_SHARED = AccessOutcome(rpcs=2, revoked=False, state=CapState.SHARED)
+
+
 class CapTracker:
     """Per-MDS capability state machine."""
 
@@ -107,17 +114,17 @@ class CapTracker:
             caps.state = CapState.EXCLUSIVE
             caps.holder = client_id
             self.grants += 1
-            return AccessOutcome(rpcs=1, revoked=False, state=caps.state)
+            return _WRITE_CACHED
         if caps.state is CapState.EXCLUSIVE:
             if caps.holder == client_id:
-                return AccessOutcome(rpcs=1, revoked=False, state=caps.state)
+                return _WRITE_CACHED
             # Second writer: revoke the holder's cap; dir goes shared.
             caps.state = CapState.SHARED
             caps.holder = None
             self.revocations += 1
-            return AccessOutcome(rpcs=2, revoked=True, state=caps.state)
+            return _WRITE_REVOKED
         # SHARED: everyone pays the extra lookup.
-        return AccessOutcome(rpcs=2, revoked=False, state=caps.state)
+        return _WRITE_SHARED
 
     def read_access(self, dir_ino: int, client_id: int) -> AccessOutcome:
         """A read (stat/ls).  Reads never revoke; they cost 1 RPC unless

@@ -160,6 +160,9 @@ class MetadataServer:
             src=name,
         )
         self.stats = StatsRegistry(engine, name)
+        self._rpcs = self.stats.counter("rpcs")
+        self._lookups = self.stats.counter("lookups")
+        self._creates = self.stats.counter("creates")
         self.rng = RngStream(self.config.seed, f"{name}/service")
         self._queue: Store = Store(engine, name=f"{name}.queue")
         #: Resolves a path to the governing subtree policy (wired by the
@@ -258,7 +261,8 @@ class MetadataServer:
                     # event was already failed by crash(); the loop dies.
                     return
                 self._reply(done, response, commit_latency)
-                self._maybe_auto_checkpoint()
+                if self.config.checkpoint_every_segments:
+                    self._maybe_auto_checkpoint()
         except Interrupt:  # crash while idle on the queue
             return
 
@@ -368,7 +372,9 @@ class MetadataServer:
             except Exception:
                 self.mdstore = self._fresh_store()
         events = yield from self._recover_scan()
-        yield from self._cpu(len(events) * cal.VOLATILE_APPLY_S)
+        cpu = len(events) * cal.VOLATILE_APPLY_S
+        if cpu > 0:
+            yield self.engine.sleep(cpu)
         if self.config.materialize:
             JournalTool.apply(events, self.mdstore, skip_errors=True)
         self.up = True
@@ -385,9 +391,12 @@ class MetadataServer:
         return len(events)
 
     def _maybe_auto_checkpoint(self) -> None:
-        every = self.config.checkpoint_every_segments
-        if not every or self._ckpt_in_progress:
+        """Start a background checkpoint once another
+        ``checkpoint_every_segments`` segments were dispatched (the serve
+        loop calls this only when that is set)."""
+        if self._ckpt_in_progress:
             return
+        every = self.config.checkpoint_every_segments
         if self.journal.segments_dispatched - self._last_ckpt_segments < every:
             return
         self._ckpt_in_progress = True
@@ -422,7 +431,9 @@ class MetadataServer:
         replay it onto the in-memory store (Nonvolatile Apply's second
         half; also the recovery path).  Returns events replayed."""
         events = yield from self._recover_scan()
-        yield from self._cpu(len(events) * cal.VOLATILE_APPLY_S)
+        cpu = len(events) * cal.VOLATILE_APPLY_S
+        if cpu > 0:
+            yield self.engine.sleep(cpu)
         if self.config.materialize:
             JournalTool.apply(events, self.mdstore, skip_errors=True)
         if self.tap is not None:
@@ -468,17 +479,15 @@ class MetadataServer:
         miss_p = 1.0 - cache / size
         return ops * miss_p * cal.INODE_MISS_FETCH_S
 
-    def _cpu(self, seconds: float) -> Generator[Event, None, None]:
-        if seconds > 0:
-            yield self.engine.sleep(seconds)
-
     # ------------------------------------------------------------------
     # handlers
     # ------------------------------------------------------------------
     def _handle(self, request: Request):
         handler = getattr(self, f"_op_{request.op}", None)
         if handler is None:
-            yield from self._cpu(cal.MDS_SERVICE_S)
+            cpu = cal.MDS_SERVICE_S
+            if cpu > 0:
+                yield self.engine.sleep(cpu)
             return Response(ok=False, error=f"EINVAL: unknown op {request.op}"), 0.0
         if self.authority_resolver is not None and request.op != "export_prep":
             # Migration prologue.  First wait out any export freeze
@@ -494,7 +503,9 @@ class MetadataServer:
             target = self.authority_resolver(request.path)
             if target != self.rank:
                 self.stats.counter("redirects").incr(request.count)
-                yield from self._cpu(cal.REDIRECT_CPU_S)
+                cpu = cal.REDIRECT_CPU_S
+                if cpu > 0:
+                    yield self.engine.sleep(cpu)
                 return (
                     Response(
                         ok=False, error="EREDIRECT", rpcs=1, redirect=target
@@ -503,7 +514,9 @@ class MetadataServer:
                 )
         if request.op in _MUTATING_OPS and self._interfere_blocked(request):
             self.stats.counter("rejects").incr(request.count)
-            yield from self._cpu(cal.REJECT_CPU_S * request.count)
+            cpu = cal.REJECT_CPU_S * request.count
+            if cpu > 0:
+                yield self.engine.sleep(cpu)
             return Response(ok=False, error="EBUSY", rpcs=1), 0.0
         result = yield from handler(request)
         return result
@@ -551,28 +564,30 @@ class MetadataServer:
 
     # -- mutations --------------------------------------------------------
     def _op_create(self, request: Request):
-        return (yield from self._mutate_batch(request, EventType.CREATE))
+        return self._mutate_batch(request, EventType.CREATE)
 
     def _op_mkdir(self, request: Request):
-        return (yield from self._mutate_batch(request, EventType.MKDIR))
+        return self._mutate_batch(request, EventType.MKDIR)
 
     def _op_unlink(self, request: Request):
-        return (yield from self._mutate_batch(request, EventType.UNLINK))
+        return self._mutate_batch(request, EventType.UNLINK)
 
     def _op_rmdir(self, request: Request):
-        return (yield from self._mutate_batch(request, EventType.RMDIR))
+        return self._mutate_batch(request, EventType.RMDIR)
 
     def _mutate_batch(self, request: Request, op: EventType):
         try:
             dir_ino = self._dir_ino(request.path)
         except FsError as exc:
-            yield from self._cpu(cal.MDS_SERVICE_S)
+            cpu = cal.MDS_SERVICE_S
+            if cpu > 0:
+                yield self.engine.sleep(cpu)
             return Response(ok=False, error=str(exc)), 0.0
         outcome = self.caps.write_access(dir_ino, request.client_id)
-        self.stats.counter("rpcs").incr(request.count * outcome.rpcs)
+        self._rpcs.incr(request.count * outcome.rpcs)
         if outcome.rpcs > 1:
-            self.stats.counter("lookups").incr(request.count)
-        self.stats.counter("creates").incr(request.count)
+            self._lookups.incr(request.count)
+        self._creates.incr(request.count)
 
         cpu = self._service_time(request.count * outcome.rpcs)
         cpu += request.count * self.journal.management_cpu_s(self.queue_depth)
@@ -580,7 +595,8 @@ class MetadataServer:
         if outcome.revoked:
             self.stats.counter("revocations").incr()
             cpu += cal.REVOKE_CPU_S
-        yield from self._cpu(cpu)
+        if cpu > 0:
+            yield self.engine.sleep(cpu)
 
         created, errors = [], []
         tap = self.tap
@@ -656,7 +672,9 @@ class MetadataServer:
         )
 
     def _op_setattr(self, request: Request):
-        yield from self._cpu(self._service_time(1))
+        cpu = self._service_time(1)
+        if cpu > 0:
+            yield self.engine.sleep(cpu)
         if not self.config.materialize:
             return Response(ok=True), self.journal.commit_latency_s()
         try:
@@ -682,7 +700,9 @@ class MetadataServer:
         return Response(ok=True), self.journal.commit_latency_s()
 
     def _op_rename(self, request: Request):
-        yield from self._cpu(self._service_time(2))  # two directories touched
+        cpu = self._service_time(2)  # two directories touched
+        if cpu > 0:
+            yield self.engine.sleep(cpu)
         if not self.config.materialize:
             return Response(ok=True), self.journal.commit_latency_s()
         try:
@@ -715,7 +735,9 @@ class MetadataServer:
         current buffered size (the simulation's stand-in for the cap
         state held client-side).
         """
-        yield from self._cpu(self._service_time(1))
+        cpu = self._service_time(1)
+        if cpu > 0:
+            yield self.engine.sleep(cpu)
         if self.config.materialize and not self.mdstore.exists(request.path):
             try:
                 self.mdstore.create(request.path)
@@ -734,7 +756,9 @@ class MetadataServer:
 
         ``payload`` carries the final file size.
         """
-        yield from self._cpu(self._service_time(1))
+        cpu = self._service_time(1)
+        if cpu > 0:
+            yield self.engine.sleep(cpu)
         entry = self._open_writers.pop(request.path, None)
         if entry is None:
             return Response(ok=False, error="EBADF: not open for write"), 0.0
@@ -769,12 +793,14 @@ class MetadataServer:
 
     # -- reads -------------------------------------------------------------
     def _op_lookup(self, request: Request):
-        self.stats.counter("rpcs").incr(request.count)
-        self.stats.counter("lookups").incr(request.count)
-        yield from self._cpu(
+        self._rpcs.incr(request.count)
+        self._lookups.incr(request.count)
+        cpu = (
             self._service_time(request.count)
             + self._cache_miss_time(request.count)
         )
+        if cpu > 0:
+            yield self.engine.sleep(cpu)
         if not self.config.materialize:
             return Response(ok=True, value=True), 0.0
         exists = self.mdstore.exists(request.path)
@@ -785,11 +811,13 @@ class MetadataServer:
         # run) pay per-op service like the lookup path; a recall, when
         # one is needed, happens once per batch — every op in the batch
         # targets the same path.
-        self.stats.counter("rpcs").incr(request.count)
-        yield from self._cpu(
+        self._rpcs.incr(request.count)
+        cpu = (
             self._service_time(request.count)
             + self._cache_miss_time(request.count)
         )
+        if cpu > 0:
+            yield self.engine.sleep(cpu)
         latency = 0.0
         entry = self._open_writers.get(request.path)
         if entry is not None and entry[0] != request.client_id:
@@ -815,20 +843,22 @@ class MetadataServer:
         # ``count > 1`` is a coalesced run of identical listings: each
         # one walks the directory, so the per-entry cost scales with the
         # batch like the service time does.
-        self.stats.counter("rpcs").incr(request.count)
+        self._rpcs.incr(request.count)
         if self.config.materialize:
             try:
                 entries = self.mdstore.listdir(request.path)
             except FsError as exc:
-                yield from self._cpu(self._service_time(request.count))
+                cpu = self._service_time(request.count)
+                if cpu > 0:
+                    yield self.engine.sleep(cpu)
                 return Response(ok=False, error=str(exc)), 0.0
             n = len(entries)
         else:
             n = self._synthetic_sizes.get(self._dir_ino(request.path), 0)
             entries = n
-        yield from self._cpu(
-            self._service_time(request.count) + request.count * n * LS_ENTRY_S
-        )
+        cpu = self._service_time(request.count) + request.count * n * LS_ENTRY_S
+        if cpu > 0:
+            yield self.engine.sleep(cpu)
         return Response(ok=True, value=entries), 0.0
 
     # -- subtree migration ---------------------------------------------------
@@ -857,7 +887,9 @@ class MetadataServer:
         separate quiescence step.  Later requests under the subtree wait
         at the dispatch prologue until the coordinator unfreezes.
         """
-        yield from self._cpu(self._service_time(1))
+        cpu = self._service_time(1)
+        if cpu > 0:
+            yield self.engine.sleep(cpu)
         path = request.path
         if path in self._frozen:
             return Response(ok=False, error="EBUSY: subtree already frozen"), 0.0
@@ -870,7 +902,9 @@ class MetadataServer:
     # -- Cudele support ------------------------------------------------------
     def _op_provision(self, request: Request):
         """Reserve ``count`` inodes for a decoupled client."""
-        yield from self._cpu(self._service_time(1))
+        cpu = self._service_time(1)
+        if cpu > 0:
+            yield self.engine.sleep(cpu)
         rng = self.mdstore.inotable.provision(request.client_id, request.count)
         return Response(ok=True, value=rng), 0.0
 
@@ -892,7 +926,9 @@ class MetadataServer:
         else:
             events = list(payload)
             n = len(events)
-        yield from self._cpu(n * cal.VOLATILE_APPLY_S)
+        cpu = n * cal.VOLATILE_APPLY_S
+        if cpu > 0:
+            yield self.engine.sleep(cpu)
         tap = self.tap
         if tap is not None:
             tap.mark(

@@ -10,20 +10,44 @@ serialized on the link.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Generator, Set, Tuple
+from collections import deque
+from typing import Dict, FrozenSet, Generator, Optional, Set, Tuple
 
-from repro.sim.engine import Engine, Event
-from repro.sim.resources import Resource
+from repro.sim.engine import _PENDING, Engine, Event
 
-__all__ = ["Link", "Network", "PartitionError"]
+__all__ = ["Link", "LinkGrant", "Network", "PartitionError"]
 
 
 class PartitionError(ConnectionError):
     """Raised when a transfer hits a severed endpoint pair."""
 
 
+class LinkGrant(Event):
+    """Event returned by :meth:`Link.acquire` on a busy pipe; fires when
+    the pipe is handed to its waiter."""
+
+    __slots__ = ("link",)
+
+    def __init__(self, link: "Link"):
+        super().__init__(link.engine)
+        self.link = link
+
+    def _abandon(self) -> None:
+        # Queued: leave the queue.  Granted but not yet delivered: the
+        # pipe goes to the next waiter instead of leaking.
+        if self._state == _PENDING:
+            self.link._waiters.remove(self)
+        else:
+            self.link.release()
+
+
 class Link:
-    """A point-to-point link with fixed latency and shared bandwidth."""
+    """A point-to-point link with fixed latency and shared bandwidth.
+
+    The pipe is a busy flag and a FIFO of :class:`LinkGrant` waiters: a
+    free pipe is taken with no object and no event, a busy one is handed
+    over by one event at the instant its holder releases it.
+    """
 
     def __init__(
         self,
@@ -38,7 +62,8 @@ class Link:
         self.latency_s = latency_s
         self.bandwidth_bps = bandwidth_bps
         self.name = name
-        self._pipe = Resource(engine, capacity=1, name=f"{name}.pipe")
+        self._busy = False
+        self._waiters: deque[LinkGrant] = deque()
         self.bytes_sent = 0
         self.messages_sent = 0
 
@@ -46,26 +71,22 @@ class Link:
         """Unloaded time to move ``nbytes`` across this link."""
         return self.latency_s + nbytes / self.bandwidth_bps
 
-    def transmit(self, nbytes: int) -> Generator[Event, None, None]:
-        """Process body: occupy the link for the serialization portion.
+    def acquire(self) -> Optional[LinkGrant]:
+        """Take the pipe: None when it was free (it is held now), else
+        the grant to wait on."""
+        if not self._busy:
+            self._busy = True
+            return None
+        grant = LinkGrant(self)
+        self._waiters.append(grant)
+        return grant
 
-        Latency overlaps with other transfers (it models propagation and
-        protocol overhead), while the ``nbytes / bandwidth`` portion is
-        serialized on the pipe.  A zero-latency link (every client<->MDS
-        link, by calibration) has no propagation wait to schedule.
-        """
-        if nbytes < 0:
-            raise ValueError("cannot transmit a negative byte count")
-        self.messages_sent += 1
-        self.bytes_sent += nbytes
-        req = self._pipe.request()
-        yield req
-        try:
-            yield self.engine.sleep(nbytes / self.bandwidth_bps)
-        finally:
-            self._pipe.release(req)
-        if self.latency_s > 0:
-            yield self.engine.sleep(self.latency_s)
+    def release(self) -> None:
+        """Give the pipe up, straight to the oldest waiter if any."""
+        if self._waiters:
+            self._waiters.popleft().succeed()
+        else:
+            self._busy = False
 
 
 class Network:
@@ -114,6 +135,12 @@ class Network:
     def send(self, src: str, dst: str, nbytes: int) -> Generator[Event, None, None]:
         """Process body transferring ``nbytes`` from ``src`` to ``dst``.
 
+        Latency overlaps with other transfers (it models propagation and
+        protocol overhead), while the ``nbytes / bandwidth`` portion is
+        serialized on the link's pipe.  A zero-latency link (every
+        client<->MDS link, by calibration) has no propagation wait to
+        schedule.
+
         Raises :class:`PartitionError` when the pair is partitioned — the
         message is charged nothing and dropped (fail-fast; retry policy
         is the caller's concern, see ``repro.client.client.RetryPolicy``).
@@ -124,7 +151,19 @@ class Network:
             self.messages_dropped += 1
             raise PartitionError(f"network partition between {src} and {dst}")
         link = self._links.get((src, dst)) or self.link(src, dst)
-        yield from link.transmit(nbytes)
+        if nbytes < 0:
+            raise ValueError("cannot transmit a negative byte count")
+        link.messages_sent += 1
+        link.bytes_sent += nbytes
+        grant = link.acquire()
+        if grant is not None:
+            yield grant
+        try:
+            yield self.engine.sleep(nbytes / link.bandwidth_bps)
+        finally:
+            link.release()
+        if link.latency_s > 0:
+            yield self.engine.sleep(link.latency_s)
 
     @property
     def total_bytes(self) -> int:

@@ -129,6 +129,7 @@ KEEP: Dict[str, str] = {
     # -- journal checkpoint (ROADMAP item 5, carried)
     "repro.mds.server:MetadataServer.checkpoint": _CHECKPOINT,
     "repro.mds.server:MetadataServer._auto_checkpoint": _CHECKPOINT,
+    "repro.mds.server:MetadataServer._maybe_auto_checkpoint": _CHECKPOINT,
     "repro.mds.mdstore:MetadataStore.save_all": _CHECKPOINT,
     "repro.mds.mdstore:MetadataStore.save_dirfrag": _CHECKPOINT,
     "repro.mds.inode:DirFragment.encode": _CHECKPOINT,
@@ -155,6 +156,10 @@ KEEP: Dict[str, str] = {
         "interrupt of a process queued on a Resource (the crash paths)"),
     "repro.sim.resources:_Acquire._abandon": (
         "interrupt of a process parked on a Semaphore (the crash paths)"),
+    "repro.sim.network:LinkGrant": (
+        "a contended link pipe (two messages on one link at once), which "
+        "no shipped driver sends; tests/sim pins the FIFO hand-over and "
+        "both interrupt windows"),
     "repro.faults.injector:FaultInjector.inject": (
         "runs one fault inline so a test interleaves faults with its "
         "own steps; the drills schedule whole plans"),

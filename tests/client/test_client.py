@@ -3,7 +3,7 @@
 import pytest
 
 from repro import calibration as cal
-from repro.client.client import Client, RetryPolicy, RpcTimeout
+from repro.client.client import Client, RetryPolicy
 from repro.cluster import Cluster
 from repro.mds.server import MDSConfig, MetadataServer, Request
 from repro.sim.engine import SimulationError
@@ -195,9 +195,15 @@ def test_a_reply_slower_than_its_timeout_raises_and_retries():
     assert cluster.run(admin.mkdir("/busy")).ok
 
     # One attempt on its own: the reply is slower than the timeout.
-    hasty = cluster.new_client(retry=RetryPolicy(reply_timeout_s=1e-6))
-    with pytest.raises(RpcTimeout, match="no reply from mds0 within 1e-06s"):
-        cluster.run(hasty._exchange(cluster.mds, Request("stat", "/", 2)))
+    hasty = cluster.new_client(
+        retry=RetryPolicy(reply_timeout_s=1e-6, max_retries=0)
+    )
+    resp = cluster.run(hasty.stat("/"))
+    assert not resp.ok
+    assert resp.error == (
+        f"ETIMEDOUT: {hasty.name}: no reply from mds0 within 1e-06s"
+    )
+    assert hasty.stats.counters()["rpc_failures"] == 1
 
     # Through the retry loop: a 600-create batch holds the MDS for
     # ~0.2 s, so the first attempts time out and a later one succeeds.
@@ -223,3 +229,32 @@ def test_a_reply_slower_than_its_timeout_raises_and_retries():
     assert not resp.ok
     assert resp.error.startswith("ETIMEDOUT: ") and "no reply" in resp.error
     assert spent.stats.counters()["rpc_giveups"] == 1
+
+
+# -- input validation ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "names_or_count, batch",
+    [([], 100), ((), 100), (iter(()), 100), (0, 100), (-3, 100),
+     (["f"], 0), (5, -1)],
+    ids=["no-names", "empty-tuple", "empty-iterator", "zero", "negative",
+         "zero-batch", "negative-batch"],
+)
+def test_create_many_rejects_an_empty_request_before_any_wire_cost(
+    names_or_count, batch
+):
+    """Nothing to create used to trip a bare ``assert`` (and, under
+    ``python -O``, to return None for the caller's ``resp.ok`` to
+    trip on); it is a ValueError now, raised before a message is sent
+    or a simulated second passes."""
+    cluster = Cluster(seed=0)
+    client = cluster.new_client()
+    assert cluster.run(client.mkdir("/d")).ok
+    before = (cluster.network.total_messages, cluster.engine.now,
+              cluster.mds.stats.counter("creates").value)
+    with pytest.raises(ValueError, match="create_many needs at least one file"):
+        cluster.run(client.create_many("/d", names_or_count, batch=batch))
+    after = (cluster.network.total_messages, cluster.engine.now,
+             cluster.mds.stats.counter("creates").value)
+    assert after == before

@@ -17,7 +17,7 @@ from repro.cluster import Cluster
 from repro.mds.server import MDSConfig
 from repro.sim.disk import Disk
 from repro.sim.engine import Engine, Event, Interrupt, Process, Timeout
-from repro.sim.network import Link
+from repro.sim.network import LinkGrant, Network
 from repro.sim.resources import Request, Resource, StoreGet
 
 
@@ -32,7 +32,8 @@ def _traced(engine):
         waiters = [getattr(cb, "__self__", None) for cb in event.callbacks]
         names = [w.name for w in waiters if isinstance(w, Process)]
         kind = next(
-            (k for k in (Process, Request, StoreGet) if isinstance(event, k)),
+            (k for k in (Process, Request, LinkGrant, StoreGet)
+             if isinstance(event, k)),
             Event,
         )
         seen.append((t, kind, names))
@@ -118,17 +119,17 @@ def test_closed_loop_creates_stay_within_the_event_budget():
 # ---------------------------------------------------------------------------
 
 
-def _grants(seen):
-    return [(t, names) for t, kind, names in seen if kind is Request]
+def _grants(seen, grant=Request):
+    return [(t, names) for t, kind, names in seen if kind is grant]
 
 
 def test_two_transmits_on_one_link_still_serialize_with_one_grant():
     eng = Engine()
-    link = Link(eng, latency_s=1.0, bandwidth_bps=100.0)
+    net = Network(eng, latency_s=1.0, bandwidth_bps=100.0)
     done = []
 
     def sender(tag):
-        yield from link.transmit(200)  # 2 s on the pipe + 1 s latency
+        yield from net.send("x", "y", 200)  # 2 s on the pipe + 1 s latency
         done.append((tag, eng.now))
 
     seen = _traced(eng)
@@ -137,15 +138,15 @@ def test_two_transmits_on_one_link_still_serialize_with_one_grant():
     eng.run()
     assert done == [("a", 3.0), ("b", 5.0)]
     # `a` found the pipe free (no event); `b` was granted it when `a`
-    # released, by an event, at that instant.
-    assert _grants(seen) == [(2.0, ["b"])]
+    # released, by the link's own grant event, at that instant.
+    assert _grants(seen, LinkGrant) == [(2.0, ["b"])]
 
 
 def test_zero_latency_link_schedules_no_propagation_wait():
     eng = Engine()
-    link = Link(eng, latency_s=0.0, bandwidth_bps=100.0)
+    net = Network(eng, latency_s=0.0, bandwidth_bps=100.0)
     seen = _traced(eng)
-    proc = eng.process(link.transmit(200), name="tx")
+    proc = eng.process(net.send("x", "y", 200), name="tx")
     eng.run()
     assert proc.ok and eng.now == 2.0
     # start, the serialisation wait, completion

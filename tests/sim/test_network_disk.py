@@ -23,10 +23,11 @@ def test_link_validation():
 
 def test_link_single_transfer_duration():
     eng = Engine()
-    lk = Link(eng, latency_s=0.01, bandwidth_bps=100.0)
+    net = Network(eng, latency_s=0.01, bandwidth_bps=100.0)
+    lk = net.link("a", "b")
 
     def body():
-        yield from lk.transmit(50)
+        yield from net.send("a", "b", 50)
 
     p = eng.process(body())
     eng.run()
@@ -38,11 +39,11 @@ def test_link_single_transfer_duration():
 
 def test_link_serializes_bandwidth_overlaps_latency():
     eng = Engine()
-    lk = Link(eng, latency_s=0.01, bandwidth_bps=100.0)
+    net = Network(eng, latency_s=0.01, bandwidth_bps=100.0)
     done = []
 
     def body(tag):
-        yield from lk.transmit(100)  # 1s serialization each
+        yield from net.send("a", "b", 100)  # 1s serialization each
         done.append((tag, eng.now))
 
     eng.process(body("a"))
@@ -55,14 +56,15 @@ def test_link_serializes_bandwidth_overlaps_latency():
 
 def test_link_negative_bytes_rejected():
     eng = Engine()
-    lk = Link(eng)
+    net = Network(eng)
 
     def body():
-        yield from lk.transmit(-1)
+        yield from net.send("a", "b", -1)
 
     p = eng.process(body())
     eng.run()
     assert not p.ok and isinstance(p.value, ValueError)
+    assert net.total_messages == 0
 
 
 def test_network_link_identity_and_direction():
