@@ -10,8 +10,9 @@ and applies it.
 
 * :mod:`~repro.journal.events` — typed metadata update events.
 * :mod:`~repro.journal.format` — binary codec with per-event CRCs.
-* :mod:`~repro.journal.journaler` — buffered writer/reader over the
-  object store (striped) or a local disk.
+* :mod:`~repro.journal.journaler` — the client's buffered journal,
+  persisted to a local disk or striped into the object store (the MDS's
+  segmented journal is :class:`repro.mds.journal.MDSJournal`).
 * :mod:`~repro.journal.tool` — import / export / erase / apply.
 """
 
@@ -21,7 +22,7 @@ from repro.journal.format import (
     JournalCodec,
     JournalFormatError,
 )
-from repro.journal.journaler import Journaler, LocalJournal
+from repro.journal.journaler import LocalJournal
 from repro.journal.tool import JournalTool
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "JournalCodec",
     "JournalFormatError",
     "JOURNAL_MAGIC",
-    "Journaler",
     "LocalJournal",
     "JournalTool",
 ]

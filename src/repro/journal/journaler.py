@@ -1,33 +1,28 @@
-"""Buffered journal writers.
+"""The client's buffered journal writer.
 
-Two flavors mirror the paper's mechanisms:
+:class:`LocalJournal` is the client's in-memory journal (Append Client
+Journal).  Appending is a pure memory write at ~11K events/s; the
+journal can then be persisted to a local disk (Local Persist), pushed
+into the object store through a striper (Global Persist), or replayed
+(Volatile / Nonvolatile Apply).  The MDS's own segmented journal
+(Stream) is :class:`repro.mds.journal.MDSJournal`.
 
-* :class:`LocalJournal` — the client's in-memory journal (Append Client
-  Journal).  Appending is a pure memory write at ~11K events/s; the
-  journal can then be persisted to a local disk (Local Persist), pushed
-  into the object store (Global Persist, via :class:`Journaler`), or
-  replayed (Volatile / Nonvolatile Apply).
-
-* :class:`Journaler` — the striped object-store journal used by the MDS
-  (Stream) and by Global Persist.  It batches events into fixed-size
-  *segments* (groups of journal events); the MDS dispatches segments to
-  the object store and trims those that are no longer needed.
-
-Both charge simulated I/O at :data:`~repro.journal.events.WIRE_EVENT_BYTES`
-per event, while storing the compact real encoding.
+Persistence charges simulated I/O at
+:data:`~repro.journal.events.WIRE_EVENT_BYTES` per event, while storing
+the compact real encoding.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Generator, List
 
 from repro.journal.events import JournalEvent, WIRE_EVENT_BYTES
-from repro.journal.format import JournalCodec, JournalScan
+from repro.journal.format import JournalCodec
 from repro.rados.striper import Striper
 from repro.sim.disk import Disk
 from repro.sim.engine import Engine, Event
 
-__all__ = ["LocalJournal", "Journaler"]
+__all__ = ["LocalJournal"]
 
 
 class LocalJournal:
@@ -129,128 +124,3 @@ class LocalJournal:
         factor = self.wire_bytes / max(1, len(data))
         yield from striper.write(0, data, src=src, charge_factor=factor)
         return self.wire_bytes
-
-
-class Journaler:
-    """The MDS's striped object-store journal (Stream mechanism).
-
-    Events accumulate in an open segment; when a segment fills (or on
-    explicit flush) it is dispatched — appended to the striped journal in
-    the object store.  ``dispatch_size`` bounds how many segments may be
-    in flight at once (the paper's Figure 3a tunable).
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        striper: Striper,
-        segment_events: int = 1024,
-        src: str = "mds",
-    ):
-        if segment_events < 1:
-            raise ValueError("segment size must be >= 1 event")
-        self.engine = engine
-        self.striper = striper
-        self.segment_events = segment_events
-        self.src = src
-        self._open_segment: List[JournalEvent] = []
-        self._next_seq = 1
-        self._write_offset = 0
-        self._header_written = False
-        self._next_segment_seq = 1
-        self.events_journaled = 0
-        self.segments_dispatched = 0
-        self.expired_through_seq = 0
-
-    def append(self, event: JournalEvent) -> tuple[JournalEvent, bool]:
-        """Buffer an event; returns ``(stamped_event, segment_full)``."""
-        stamped = event.with_seq(self._next_seq)
-        self._next_seq += 1
-        self._open_segment.append(stamped)
-        self.events_journaled += 1
-        return stamped, len(self._open_segment) >= self.segment_events
-
-    @property
-    def open_events(self) -> int:
-        return len(self._open_segment)
-
-    def take_segment(self) -> List[JournalEvent]:
-        """Close the open segment and return its events."""
-        seg, self._open_segment = self._open_segment, []
-        return seg
-
-    def extract_open(self, predicate) -> List[JournalEvent]:
-        """Split the open segment: remove and return the events matching
-        ``predicate``, keeping the rest buffered (order and stamped
-        sequence numbers preserved).  Subtree migration uses this to lift
-        a subtree's undispatched events out of the source's journal."""
-        kept: List[JournalEvent] = []
-        removed: List[JournalEvent] = []
-        for ev in self._open_segment:
-            (removed if predicate(ev) else kept).append(ev)
-        self._open_segment = kept
-        self.events_journaled -= len(removed)
-        return removed
-
-    def dispatch_segment(
-        self, events: Optional[List[JournalEvent]] = None
-    ) -> Generator[Event, None, int]:
-        """Write one segment to the object store (process body).
-
-        Returns the number of events written.  Charged at the wire size.
-        """
-        seg = self.take_segment() if events is None else events
-        if not seg:
-            return 0
-        # Each dispatch is one checksummed wire segment; the first also
-        # carries the stream header.  Sequence numbers are claimed here,
-        # before yielding, so concurrent dispatches (the MDS dispatch
-        # window) number segments in the same order as their reserved
-        # byte offsets — recovery checks that order.
-        seg_seq = self._next_segment_seq
-        self._next_segment_seq += 1
-        if not self._header_written:
-            data = JournalCodec.encode_stream(seg, first_seq=seg_seq)
-            self._header_written = True
-        else:
-            data = JournalCodec.encode_segment(seg_seq, seg)
-        # Reserve the offset before yielding: concurrent dispatches must
-        # not write over each other.
-        offset = self._write_offset
-        self._write_offset += len(data)
-        factor = (len(seg) * WIRE_EVENT_BYTES) / max(1, len(data))
-        yield from self.striper.write(offset, data, src=self.src, charge_factor=factor)
-        self.segments_dispatched += 1
-        return len(seg)
-
-    def flush(self) -> Generator[Event, None, int]:
-        """Dispatch whatever is buffered."""
-        n = yield self.engine.process(self.dispatch_segment())
-        return n
-
-    def read_scan(self, dst: str = "client") -> Generator[Event, None, "JournalScan"]:
-        """Recovery read: fetch the striped journal and run the verifying
-        scan, returning the full :class:`JournalScan` (valid-prefix
-        events plus damage classification).
-
-        Journals written in counted-only mode (performance runs) carry
-        placeholder bytes, not decodable events; they scan as damaged
-        with no recoverable events.
-        """
-        data = yield self.engine.process(self.striper.read_all(dst=dst))
-        return JournalCodec.scan_stream(data)
-
-    def read_all(self, dst: str = "client") -> Generator[Event, None, List[JournalEvent]]:
-        """Recovery read returning only the checksummed-valid prefix."""
-        scan = yield self.engine.process(self.read_scan(dst=dst))
-        return scan.events
-
-    def trim(self, through_seq: int) -> None:
-        """Mark events up to ``through_seq`` expired (applied to the store).
-
-        The real implementation reclaims objects; we only track the
-        watermark, which is all the evaluation needs.
-        """
-        if through_seq < self.expired_through_seq:
-            raise ValueError("trim watermark cannot move backwards")
-        self.expired_through_seq = through_seq

@@ -1,10 +1,11 @@
 """MDS-side journaling: segments, the dispatch window, trimming.
 
-This is the Stream mechanism's engine-room.  Metadata updates buffer in
-the open segment; full segments are dispatched (written to the striped
-journal in the object store) subject to the *dispatch window* — at most
-``dispatch_size`` segments in flight at once, the tunable swept in
-Figure 3a.
+This is the Stream mechanism's engine-room.  Metadata updates are
+stamped with sequence numbers into the open segment; full segments are
+dispatched — appended to the MDS's striped journal in the object store
+— subject to the *dispatch window*: at most ``dispatch_size`` segments
+in flight at once, the tunable swept in Figure 3a.  Recovery reads the
+striped journal back through the verifying scan.
 
 The journaling cost model (constants in :mod:`repro.calibration`):
 
@@ -14,6 +15,9 @@ The journaling cost model (constants in :mod:`repro.calibration`):
   ``JCPU_UNIT_S * dispatch_factor(d) * queue_depth / JQUEUE_SCALE``;
 * when the window is full and a segment must go out, the MDS stalls
   until a slot frees.
+
+Segments are charged at :data:`~repro.journal.events.WIRE_EVENT_BYTES`
+per event while the compact real encoding is what is stored.
 """
 
 from __future__ import annotations
@@ -22,16 +26,21 @@ from typing import Generator, List, Optional
 
 from repro import calibration as cal
 from repro.journal.events import JournalEvent, WIRE_EVENT_BYTES
-from repro.journal.journaler import Journaler
+from repro.journal.format import JournalCodec, JournalScan
 from repro.rados.striper import Striper
 from repro.sim.engine import Engine, Event
-from repro.sim.resources import Semaphore
+from repro.sim.resources import Slots
 
 __all__ = ["MDSJournal"]
 
 
 class MDSJournal:
-    """Segmented, windowed journaling for the metadata server."""
+    """The MDS's segmented, windowed journal in the object store.
+
+    ``count`` logging (large-scale performance runs) keeps counted-only
+    events: they cost their full wire size when dispatched but are not
+    materialized, and their segments carry placeholder bytes.
+    """
 
     def __init__(
         self,
@@ -42,9 +51,10 @@ class MDSJournal:
         enabled: bool = True,
         src: str = "mds",
     ):
-        if dispatch_size < 1:
-            raise ValueError("dispatch size must be >= 1")
+        if segment_events < 1:
+            raise ValueError("segment size must be >= 1 event")
         self.engine = engine
+        self.striper = striper
         self.enabled = enabled
         self.dispatch_size = dispatch_size
         self.segment_events = segment_events
@@ -52,16 +62,20 @@ class MDSJournal:
         #: Observer tap (set by the Cluster; see ``repro.obs.tap``);
         #: None keeps dispatch unobserved.
         self.tap = None
-        self._journaler = Journaler(
-            engine, striper, segment_events=segment_events, src=src
-        )
-        self._window = Semaphore(engine, dispatch_size, name="journal.window")
+        self._window = Slots(engine, dispatch_size, "journal.window")
         self._factor = cal.dispatch_factor(dispatch_size)
+        self._open_segment: List[JournalEvent] = []
         self._pending_count = 0  # counted-only events (perf mode)
+        self._next_seq = 1
+        self._next_segment_seq = 1
+        self._write_offset = 0
+        #: Segment writes not yet known to have landed.
         self._inflight: list = []
         self.segments_in_flight = 0
+        self.segments_dispatched = 0
         self.stalls = 0
         self.events_logged = 0
+        self.expired_through_seq = 0
 
     # -- cost model -------------------------------------------------------
     def commit_latency_s(self) -> float:
@@ -84,100 +98,112 @@ class MDSJournal:
     ) -> Generator[Event, None, None]:
         """Record events (process body; may stall on a full window).
 
-        ``events`` carries real journal events (correctness paths);
-        ``count`` logs that many *counted-only* events (large-scale
-        performance runs, where per-event objects would swamp the
-        simulator's host memory without changing any simulated cost).
+        ``events`` carries real journal events (correctness paths), each
+        stamped with the next sequence number; ``count`` logs that many
+        *counted-only* events (large-scale performance runs, where
+        per-event objects would swamp the simulator's host memory
+        without changing any simulated cost).
         """
         if not self.enabled:
             return
         if events is not None:
             for ev in events:
-                _, full = self._journaler.append(ev)
+                self._open_segment.append(ev.with_seq(self._next_seq))
+                self._next_seq += 1
                 self.events_logged += 1
-                if full:
-                    yield from self._dispatch_real()
+                if len(self._open_segment) >= self.segment_events:
+                    yield from self._dispatch(self._take_segment())
         if count:
             self._pending_count += count
             self.events_logged += count
             while self._pending_count >= self.segment_events:
                 self._pending_count -= self.segment_events
-                yield from self._dispatch_counted(self.segment_events)
+                yield from self._dispatch(None, self.segment_events)
 
-    def _acquire_slot(self) -> Generator[Event, None, None]:
-        if self._window.tokens == 0:
+    def _take_segment(self) -> List[JournalEvent]:
+        seg, self._open_segment = self._open_segment, []
+        return seg
+
+    def _dispatch(
+        self, segment: Optional[List[JournalEvent]], count: int = 0
+    ) -> Generator[Event, None, None]:
+        """Send one closed segment — ``segment``'s real events, or
+        ``count`` counted-only ones — once a window slot is free."""
+        grant = self._window.acquire()
+        if grant is not None:
             self.stalls += 1
-        yield self._window.acquire()
-
-    def _dispatch_real(self) -> Generator[Event, None, None]:
-        segment = self._journaler.take_segment()
-        yield from self._acquire_slot()
+            yield grant
         self.segments_in_flight += 1
-        self._track(
-            self.engine.process(self._flush_real(segment), name="mds-journal-flush")
-        )
-
-    def _flush_real(self, segment) -> Generator[Event, None, None]:
-        tap = self.tap
-        section = None
-        if tap is not None:
-            section = tap.begin("journal.dispatch", self.src, "stream")
-        try:
-            yield self.engine.process(self._journaler.dispatch_segment(segment))
-        finally:
-            self.segments_in_flight -= 1
-            self._window.release()
-            if section is not None:
-                tap.end(section)
-
-    def _dispatch_counted(self, n: int) -> Generator[Event, None, None]:
-        yield from self._acquire_slot()
-        self.segments_in_flight += 1
-        self._track(
-            self.engine.process(self._flush_counted(n), name="mds-journal-flush")
-        )
-
-    def _track(self, proc) -> None:
         self._inflight = [p for p in self._inflight if not p.triggered]
-        self._inflight.append(proc)
+        self._inflight.append(
+            self.engine.process(
+                self._flush_segment(segment, count), name="mds-journal-flush"
+            )
+        )
 
-    def _flush_counted(self, n: int) -> Generator[Event, None, None]:
+    def _flush_segment(
+        self, segment: Optional[List[JournalEvent]], count: int
+    ) -> Generator[Event, None, None]:
         tap = self.tap
         section = None
         if tap is not None:
             section = tap.begin("journal.dispatch", self.src, "stream")
         try:
-            # One placeholder byte carries the full simulated wire cost.
-            yield self.engine.process(
-                self._journaler.striper.append(
-                    b"\x00",
-                    src=self._journaler.src,
-                    charge_factor=float(n * WIRE_EVENT_BYTES),
-                )
-            )
-            self._journaler.segments_dispatched += 1
+            yield self.engine.process(self._write_segment(segment, count))
         finally:
             self.segments_in_flight -= 1
             self._window.release()
             if section is not None:
                 tap.end(section)
+
+    def _write_segment(
+        self, segment: Optional[List[JournalEvent]], count: int
+    ) -> Generator[Event, None, None]:
+        """Append one segment to the striped journal (process body),
+        charged at the wire size."""
+        if segment is None:
+            # One placeholder byte carries the full simulated wire cost.
+            yield from self.striper.append(
+                b"\x00", src=self.src,
+                charge_factor=float(count * WIRE_EVENT_BYTES),
+            )
+        else:
+            # One checksummed wire segment; the first also carries the
+            # stream header.  The segment number and the byte offset are
+            # claimed before yielding, so concurrent writes (the window)
+            # number segments in the order of their offsets — recovery
+            # checks that order — and never write over each other.
+            seg_seq = self._next_segment_seq
+            self._next_segment_seq += 1
+            if seg_seq == 1:
+                data = JournalCodec.encode_stream(segment, first_seq=seg_seq)
+            else:
+                data = JournalCodec.encode_segment(seg_seq, segment)
+            offset = self._write_offset
+            self._write_offset += len(data)
+            factor = (len(segment) * WIRE_EVENT_BYTES) / max(1, len(data))
+            yield from self.striper.write(
+                offset, data, src=self.src, charge_factor=factor
+            )
+        self.segments_dispatched += 1
 
     def flush(self) -> Generator[Event, None, None]:
         """Flush any partial segment and wait for every in-flight
         segment write to land (shutdown / policy transition / the Stream
         mechanism's completion point — durability is only guaranteed
-        once the journal is safe in the object store)."""
+        once the journal is safe in the object store).  Writes another
+        flusher started stay visible here until they land, so every
+        concurrent flusher waits for them."""
         if not self.enabled:
             return
-        if self._journaler.open_events:
-            yield from self._dispatch_real()
+        if self._open_segment:
+            yield from self._dispatch(self._take_segment())
         if self._pending_count:
             n, self._pending_count = self._pending_count, 0
-            yield from self._dispatch_counted(n)
-        pending = [p for p in self._inflight if not p.triggered]
-        self._inflight = []
-        if pending:
-            yield self.engine.all_of(pending)
+            yield from self._dispatch(None, n)
+        self._inflight = [p for p in self._inflight if not p.triggered]
+        if self._inflight:
+            yield self.engine.all_of(self._inflight)
 
     def crash(self) -> int:
         """Drop volatile journaling state on an MDS crash.
@@ -188,8 +214,7 @@ class MDSJournal:
         object store before the crash and are allowed to land — recovery
         replays whatever the striped journal holds.
         """
-        lost = self._journaler.open_events + self._pending_count
-        self._journaler.take_segment()
+        lost = len(self._take_segment()) + self._pending_count
         self._pending_count = 0
         self.events_logged -= lost
         return lost
@@ -197,7 +222,8 @@ class MDSJournal:
     def extract_open(self, subtree: str) -> List[JournalEvent]:
         """Remove and return the open segment's undispatched events that
         touch ``subtree`` (a subtree migration lifts them out of the
-        source's journal; the destination re-journals them).  Dispatched
+        source's journal; the destination re-journals them), keeping the
+        rest buffered in order with their sequence numbers.  Dispatched
         segments are not touched — their events are already durable on
         the source's striped journal and stay there."""
         if not self.enabled:
@@ -216,7 +242,11 @@ class MDSJournal:
                 tgt and (tgt == subtree or tgt.startswith(prefix))
             )
 
-        removed = self._journaler.extract_open(_touches)
+        kept: List[JournalEvent] = []
+        removed: List[JournalEvent] = []
+        for ev in self._open_segment:
+            (removed if _touches(ev) else kept).append(ev)
+        self._open_segment = kept
         self.events_logged -= len(removed)
         return removed
 
@@ -226,23 +256,29 @@ class MDSJournal:
         — journaled but not yet handed to the object store.  Counted-only
         events are excluded; the conformance recorder uses this to tell
         which journaled updates a landed segment write made durable."""
-        return self._journaler.open_events
-
-    # -- recovery / inspection ----------------------------------------------
-    def read_all(self, dst: str = "mds") -> Generator[Event, None, list]:
-        events = yield self.engine.process(self._journaler.read_all(dst=dst))
-        return events
-
-    def read_scan(self, dst: str = "mds"):
-        """Verifying read-back: the full :class:`~repro.journal.format.
-        JournalScan` (events plus damage classification), for recovery
-        paths that must distinguish a clean journal from a damaged one."""
-        scan = yield self.engine.process(self._journaler.read_scan(dst=dst))
-        return scan
+        return len(self._open_segment)
 
     @property
-    def segments_dispatched(self) -> int:
-        return self._journaler.segments_dispatched
+    def last_seq(self) -> int:
+        """The sequence number stamped last (0 before any event).  It
+        keeps counting across events a crash or a migration took out."""
+        return self._next_seq - 1
+
+    # -- recovery / trimming -------------------------------------------------
+    def read_scan(self, dst: str = "mds") -> Generator[Event, None, JournalScan]:
+        """Verifying read-back (process body): fetch the striped journal
+        and scan it, returning the full :class:`~repro.journal.format.
+        JournalScan` (the valid-prefix events plus the damage
+        classification) so recovery can tell a clean journal from a
+        damaged one.  A journal written in counted-only mode holds
+        placeholder bytes and scans as damaged with no events."""
+        data = yield self.engine.process(self.striper.read_all(dst=dst))
+        return JournalCodec.scan_stream(data)
 
     def trim(self, through_seq: int) -> None:
-        self._journaler.trim(through_seq)
+        """Mark events up to ``through_seq`` expired (applied to the
+        store).  The real implementation reclaims objects; only the
+        watermark is tracked, which is all the evaluation needs."""
+        if through_seq < self.expired_through_seq:
+            raise ValueError("trim watermark cannot move backwards")
+        self.expired_through_seq = through_seq

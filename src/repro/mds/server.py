@@ -335,6 +335,22 @@ class MetadataServer:
             )
         return {"journal_events_lost": lost_open, "requests_failed": failed}
 
+    def _replay_journal(self) -> Generator[Event, None, int]:
+        """Read the streamed journal back and replay it onto the
+        in-memory store — the tail :meth:`recover` and :meth:`restart`
+        share.  Returns events replayed."""
+        events = yield self.engine.process(self._recover_scan())
+        cpu = len(events) * cal.VOLATILE_APPLY_S
+        if cpu > 0:
+            yield self.engine.sleep(cpu)
+        if self.config.materialize:
+            JournalTool.apply(events, self.mdstore, skip_errors=True)
+        if self.tap is not None:
+            self.tap.mark(
+                "recover", self.name, mode="journal-replay", events=events
+            )
+        return len(events)
+
     def _recover_scan(self) -> Generator[Event, None, list]:
         """Read the streamed journal back through the verifying scan
         (process body).  Returns the salvaged events — the
@@ -371,12 +387,7 @@ class MetadataServer:
                     self.mdstore.inotable.reserve_floor(self.config.ino_base)
             except Exception:
                 self.mdstore = self._fresh_store()
-        events = yield from self._recover_scan()
-        cpu = len(events) * cal.VOLATILE_APPLY_S
-        if cpu > 0:
-            yield self.engine.sleep(cpu)
-        if self.config.materialize:
-            JournalTool.apply(events, self.mdstore, skip_errors=True)
+        replayed = yield from self._replay_journal()
         self.up = True
         self._queue = Store(self.engine, name=f"{self.name}.queue")
         self._loop = self.engine.process(
@@ -384,11 +395,7 @@ class MetadataServer:
         )
         self.running = True
         self.stats.counter("recoveries").incr()
-        if self.tap is not None:
-            self.tap.mark(
-                "recover", self.name, mode="journal-replay", events=events
-            )
-        return len(events)
+        return replayed
 
     def _maybe_auto_checkpoint(self) -> None:
         """Start a background checkpoint once another
@@ -422,7 +429,7 @@ class MetadataServer:
         frags = yield self.engine.process(
             self.mdstore.save_all(self.objstore, src=self.name)
         )
-        self.journal.trim(self.journal.events_logged)
+        self.journal.trim(self.journal.last_seq)
         self.stats.counter("checkpoints").incr()
         return frags
 
@@ -430,23 +437,14 @@ class MetadataServer:
         """MDS restart: re-read the journal from the object store and
         replay it onto the in-memory store (Nonvolatile Apply's second
         half; also the recovery path).  Returns events replayed."""
-        events = yield from self._recover_scan()
-        cpu = len(events) * cal.VOLATILE_APPLY_S
-        if cpu > 0:
-            yield self.engine.sleep(cpu)
-        if self.config.materialize:
-            JournalTool.apply(events, self.mdstore, skip_errors=True)
-        if self.tap is not None:
-            self.tap.mark(
-                "recover", self.name, mode="journal-replay", events=events
-            )
+        replayed = yield from self._replay_journal()
         self.up = True
         if not self.running:
             self._loop = self.engine.process(
                 self._serve_loop(), name=f"{self.name}.loop"
             )
             self.running = True
-        return len(events)
+        return replayed
 
     # ------------------------------------------------------------------
     # cost helpers

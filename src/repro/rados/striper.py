@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Generator, List, Tuple
 
 from repro.sim.engine import AllOf, Engine, Event
-from repro.sim.resources import Resource
+from repro.sim.resources import Slots
 from repro.rados.cluster import ObjectStore
 
 __all__ = ["Striper"]
@@ -38,7 +38,7 @@ class Striper:
         # Concurrent writes touching the same stripe object are
         # read-modify-write; serialize them per object (RADOS likewise
         # orders ops per object).
-        self._object_locks: dict[str, Resource] = {}
+        self._object_locks: dict[str, Slots] = {}
 
     def object_name(self, index: int) -> str:
         return f"{self.prefix}.{index:08x}"
@@ -92,10 +92,11 @@ class Striper:
     ) -> Generator[Event, None, None]:
         lock = self._object_locks.get(name)
         if lock is None:
-            lock = Resource(self.engine, capacity=1, name=f"stripe-lock:{name}")
+            lock = Slots(self.engine, 1, f"stripe-lock:{name}")
             self._object_locks[name] = lock
-        req = lock.request()
-        yield req
+        grant = lock.acquire()
+        if grant is not None:
+            yield grant
         try:
             existing = b""
             if self.store.exists(self.pool, name):
@@ -111,7 +112,7 @@ class Striper:
                 charge_bytes=max(1, int(len(chunk) * charge_factor)),
             )
         finally:
-            lock.release(req)
+            lock.release()
 
     def append(
         self, data: bytes, src: str = "client", charge_factor: float = 1.0

@@ -7,8 +7,9 @@ style of SimPy, written from scratch:
 * :class:`~repro.sim.engine.Engine` — the event loop and virtual clock.
 * :class:`~repro.sim.engine.Process` — generator-based simulated
   processes that ``yield`` events.
-* :mod:`~repro.sim.resources` — contended resources (server CPU slots),
-  FIFO stores and semaphores.
+* :mod:`~repro.sim.resources` — contended resources: FIFO slots (disk
+  queues, stripe locks, link pipes, the MDS dispatch window) and FIFO
+  stores.
 * :mod:`~repro.sim.network` — latency/bandwidth links between daemons.
 * :mod:`~repro.sim.disk` — a simple bandwidth/seek disk model.
 * :mod:`~repro.sim.stats` — counter and utilization recorders used by
@@ -20,7 +21,7 @@ paper's normalized slowdowns/speedups are ratios of simulated durations.
 """
 
 from repro.sim.engine import Engine, Process, Timeout, Event, Interrupt, AllOf, AnyOf
-from repro.sim.resources import Resource, Store, Semaphore
+from repro.sim.resources import Slots, Store
 from repro.sim.network import Network, Link
 from repro.sim.disk import Disk
 from repro.sim.stats import Counter, UtilizationTracker, StatsRegistry
@@ -34,9 +35,8 @@ __all__ = [
     "Interrupt",
     "AllOf",
     "AnyOf",
-    "Resource",
+    "Slots",
     "Store",
-    "Semaphore",
     "Network",
     "Link",
     "Disk",

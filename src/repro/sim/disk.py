@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.sim.engine import Engine, Event
-from repro.sim.resources import Resource
+from repro.sim.resources import Slots
 
 __all__ = ["Disk", "NVRam"]
 
@@ -36,7 +36,12 @@ class Disk:
         self.bandwidth_bps = bandwidth_bps
         self.seek_s = seek_s
         self.name = name
-        self._queue = Resource(engine, capacity=1, name=f"{name}.queue")
+        self._queue = Slots(engine, 1, f"{name}.queue")
+        # Busy integral for utilization (Fig. 2).  It is advanced when a
+        # free slot is taken, on every release and on every read, and
+        # at no other instant: each one is a float rounding step.
+        self._busy_time = 0.0
+        self._last_change = 0.0
         self.bytes_written = 0
         self.bytes_read = 0
         self.requests = 0
@@ -49,12 +54,24 @@ class Disk:
         if nbytes < 0:
             raise ValueError("negative I/O size")
         self.requests += 1
-        req = self._queue.request()
-        yield req
+        queue = self._queue
+        grant = queue.acquire()
+        if grant is None:
+            self._account(queue.held - 1)
+        else:
+            yield grant
         try:
             yield self.engine.sleep(self.io_time(nbytes) + extra_s)
         finally:
-            self._queue.release(req)
+            self._account(queue.held)
+            queue.release()
+
+    def _account(self, held: int) -> None:
+        """Close the busy integral's interval since the last change, in
+        which ``held`` slots were busy."""
+        now = self.engine._now
+        self._busy_time += held * (now - self._last_change)
+        self._last_change = now
 
     def write(self, nbytes: int) -> Generator[Event, None, None]:
         """Process body for a write of ``nbytes``."""
@@ -68,7 +85,8 @@ class Disk:
 
     def busy_seconds(self) -> float:
         """Cumulative busy integral (for windowed utilization deltas)."""
-        return self._queue.busy_seconds()
+        self._account(self._queue.held)
+        return self._busy_time
 
 
 class NVRam(Disk):

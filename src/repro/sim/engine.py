@@ -25,9 +25,9 @@ Design notes
   docs/PERFORMANCE.md).
 * An engine event exists only where simulated time passes or another
   process hands something over.  A wait that is already satisfied when
-  it is issued (``Resource.request`` with a free slot, ``Store.get``
-  with an item queued, ``Semaphore.acquire`` with a token left) comes
-  back *already processed*, and a process that yields a processed event
+  it is issued creates none: ``Slots.acquire`` with a free slot returns
+  no event at all, ``Store.get`` with an item queued returns its event
+  *already processed*, and a process that yields a processed event
   continues inline, in a loop, without a dispatch.
 * The host is not a process: a body driven from the host
   (:meth:`Engine._drive`, behind ``Cluster.run``) starts inline when its
@@ -186,10 +186,9 @@ class Event:
     def _abandon(self) -> None:
         """The process waiting on this event was interrupted before the
         event reached it.  Events that reserve something for their
-        waiter — a resource slot, a store item, a semaphore token —
-        override this to hand it back, whether the event is still
-        pending or already triggered but not yet dispatched; a plain
-        event reserves nothing."""
+        waiter — a slot or a store item — override this to hand it
+        back, whether the event is still pending or already triggered
+        but not yet dispatched; a plain event reserves nothing."""
 
     # -- engine internals ----------------------------------------------
     def _process_callbacks(self) -> None:

@@ -10,43 +10,24 @@ serialized on the link.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, FrozenSet, Generator, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Generator, Set, Tuple
 
-from repro.sim.engine import _PENDING, Engine, Event
+from repro.sim.engine import Engine, Event
+from repro.sim.resources import Slots
 
-__all__ = ["Link", "LinkGrant", "Network", "PartitionError"]
+__all__ = ["Link", "Network", "PartitionError"]
 
 
 class PartitionError(ConnectionError):
     """Raised when a transfer hits a severed endpoint pair."""
 
 
-class LinkGrant(Event):
-    """Event returned by :meth:`Link.acquire` on a busy pipe; fires when
-    the pipe is handed to its waiter."""
-
-    __slots__ = ("link",)
-
-    def __init__(self, link: "Link"):
-        super().__init__(link.engine)
-        self.link = link
-
-    def _abandon(self) -> None:
-        # Queued: leave the queue.  Granted but not yet delivered: the
-        # pipe goes to the next waiter instead of leaking.
-        if self._state == _PENDING:
-            self.link._waiters.remove(self)
-        else:
-            self.link.release()
-
-
 class Link:
     """A point-to-point link with fixed latency and shared bandwidth.
 
-    The pipe is a busy flag and a FIFO of :class:`LinkGrant` waiters: a
-    free pipe is taken with no object and no event, a busy one is handed
-    over by one event at the instant its holder releases it.
+    The pipe is one :class:`~repro.sim.resources.Slots` slot: a free
+    pipe is taken with no object and no event, a busy one is handed over
+    by one event at the instant its holder releases it.
     """
 
     def __init__(
@@ -62,31 +43,13 @@ class Link:
         self.latency_s = latency_s
         self.bandwidth_bps = bandwidth_bps
         self.name = name
-        self._busy = False
-        self._waiters: deque[LinkGrant] = deque()
+        self.pipe = Slots(engine, 1, f"{name}.pipe")
         self.bytes_sent = 0
         self.messages_sent = 0
 
     def transfer_time(self, nbytes: int) -> float:
         """Unloaded time to move ``nbytes`` across this link."""
         return self.latency_s + nbytes / self.bandwidth_bps
-
-    def acquire(self) -> Optional[LinkGrant]:
-        """Take the pipe: None when it was free (it is held now), else
-        the grant to wait on."""
-        if not self._busy:
-            self._busy = True
-            return None
-        grant = LinkGrant(self)
-        self._waiters.append(grant)
-        return grant
-
-    def release(self) -> None:
-        """Give the pipe up, straight to the oldest waiter if any."""
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        else:
-            self._busy = False
 
 
 class Network:
@@ -155,13 +118,14 @@ class Network:
             raise ValueError("cannot transmit a negative byte count")
         link.messages_sent += 1
         link.bytes_sent += nbytes
-        grant = link.acquire()
+        pipe = link.pipe
+        grant = pipe.acquire()
         if grant is not None:
             yield grant
         try:
             yield self.engine.sleep(nbytes / link.bandwidth_bps)
         finally:
-            link.release()
+            pipe.release()
         if link.latency_s > 0:
             yield self.engine.sleep(link.latency_s)
 

@@ -1,12 +1,12 @@
 """Contended resources for the DES kernel.
 
-Three primitives cover everything the stack needs:
+Two primitives cover everything the stack needs:
 
-* :class:`Resource` — a fixed number of slots with a FIFO wait queue.
-  Models server CPU threads, disk queues, and the MDS dispatch window.
+* :class:`Slots` — a fixed number of slots with a FIFO wait queue.
+  Models disk queues, stripe-object locks, link pipes and the MDS
+  dispatch window.
 * :class:`Store` — an unbounded FIFO of items with blocking ``get``.
   Models message queues between daemons.
-* :class:`Semaphore` — a counting semaphore; models segment quotas.
 """
 
 from __future__ import annotations
@@ -16,92 +16,72 @@ from typing import Any, Optional
 
 from repro.sim.engine import _PENDING, Engine, Event, SimulationError
 
-__all__ = ["Resource", "Store", "StoreGet", "Semaphore", "Request"]
+__all__ = ["SlotGrant", "Slots", "Store", "StoreGet"]
 
 
-class Request(Event):
-    """Event returned by :meth:`Resource.request`; fires on acquisition
-    (already processed when a slot was free)."""
+class SlotGrant(Event):
+    """Event returned by :meth:`Slots.acquire` when every slot is held;
+    fires when a holder hands its slot over."""
 
-    __slots__ = ("resource",)
+    __slots__ = ("slots",)
 
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.engine)
-        self.resource = resource
+    def __init__(self, slots: "Slots"):
+        super().__init__(slots.engine)
+        self.slots = slots
 
     def _abandon(self) -> None:
         # Queued: leave the queue.  Granted but not yet delivered: the
         # slot goes to the next waiter instead of leaking.
-        self.resource.release(self)
+        if self._state == _PENDING:
+            self.slots._waiters.remove(self)
+        else:
+            self.slots.release()
 
 
-class Resource:
-    """``capacity`` interchangeable slots with FIFO queueing.
+class Slots:
+    """``capacity`` interchangeable slots with FIFO hand-over.
 
-    Usage inside a process::
+    A free slot is taken with no object and no event; a waiter gets one
+    :class:`SlotGrant`, fired at the instant a holder releases.  Usage
+    inside a process::
 
-        req = resource.request()
-        yield req
+        grant = slots.acquire()
+        if grant is not None:
+            yield grant
         try:
-            yield Timeout(engine, service_time)
+            yield engine.sleep(service_time)
         finally:
-            resource.release(req)
+            slots.release()
     """
 
-    def __init__(self, engine: Engine, capacity: int = 1, name: str = "resource"):
+    def __init__(self, engine: Engine, capacity: int = 1, name: str = "slots"):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.engine = engine
         self.capacity = capacity
         self.name = name
-        self._in_use = 0
-        self._queue: deque[Request] = deque()
-        # Cumulative busy integral for utilization reporting.
-        self._busy_time = 0.0
-        self._last_change = 0.0
+        #: Slots held now (a hand-over keeps the count).
+        self.held = 0
+        self._waiters: deque[SlotGrant] = deque()
 
-    # -- accounting -----------------------------------------------------
-    def _account(self) -> None:
-        now = self.engine._now
-        self._busy_time += self._in_use * (now - self._last_change)
-        self._last_change = now
+    def acquire(self) -> Optional[SlotGrant]:
+        """Take a slot: None when one was free (it is held now), else
+        the grant to wait on."""
+        if self.held < self.capacity:
+            self.held += 1
+            return None
+        grant = SlotGrant(self)
+        self._waiters.append(grant)
+        return grant
 
-    def busy_seconds(self) -> float:
-        """Cumulative slot-busy integral since the start of the run.
-
-        Windowed utilization is a delta of this quantity divided by the
-        window length and the capacity.
-        """
-        self._account()
-        return self._busy_time
-
-    # -- acquire / release ------------------------------------------------
-    def request(self) -> Request:
-        req = Request(self)
-        if self._in_use < self.capacity:
-            self._account()
-            self._in_use += 1
-            req._satisfy(self)
+    def release(self) -> None:
+        """Give a slot up, straight to the oldest waiter if any."""
+        if self._waiters:
+            self._waiters.popleft().succeed()
+        elif self.held:
+            self.held -= 1
         else:
-            self._queue.append(req)
-        return req
-
-    def release(self, req: Request) -> None:
-        if req._state == _PENDING:
-            # Cancelled while still queued.
-            try:
-                self._queue.remove(req)
-            except ValueError:
-                raise SimulationError("releasing a request not held or queued")
-            return
-        self._account()
-        self._in_use -= 1
-        if self._in_use < 0:
-            raise SimulationError(f"double release on resource {self.name}")
-        while self._queue and self._in_use < self.capacity:
-            nxt = self._queue.popleft()
-            self._in_use += 1
-            nxt.succeed(self)
+            raise SimulationError(f"release of {self.name} with no slot held")
 
 
 class StoreGet(Event):
@@ -175,51 +155,3 @@ class Store:
             self._getters.remove(getter)
         except ValueError:
             pass
-
-
-class _Acquire(Event):
-    """Event returned by :meth:`Semaphore.acquire`; fires with a token
-    (already processed when one was left)."""
-
-    __slots__ = ("semaphore",)
-
-    def __init__(self, semaphore: "Semaphore"):
-        super().__init__(semaphore.engine)
-        self.semaphore = semaphore
-
-    def _abandon(self) -> None:
-        if self.triggered:  # token granted but not yet delivered
-            self.semaphore.release()
-        else:
-            self.semaphore._waiters.remove(self)
-
-
-class Semaphore:
-    """Counting semaphore with FIFO wakeup order."""
-
-    def __init__(self, engine: Engine, tokens: int, name: str = "semaphore"):
-        if tokens < 0:
-            raise ValueError("token count must be >= 0")
-        self.engine = engine
-        self.name = name
-        self._tokens = tokens
-        self._waiters: deque[Event] = deque()
-
-    @property
-    def tokens(self) -> int:
-        return self._tokens
-
-    def acquire(self) -> Event:
-        ev = _Acquire(self)
-        if self._tokens > 0:
-            self._tokens -= 1
-            ev._satisfy()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        else:
-            self._tokens += 1

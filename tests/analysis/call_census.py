@@ -137,8 +137,7 @@ KEEP: Dict[str, str] = {
     "repro.mds.inode:DirFragment.serialized_bytes": _CHECKPOINT,
     "repro.mds.inode:Inode.footprint_bytes": _CHECKPOINT,
     "repro.mds.journal:MDSJournal.trim": _CHECKPOINT,
-    "repro.journal.journaler:Journaler.trim": _CHECKPOINT,
-    "repro.journal.journaler:Journaler.flush": _CHECKPOINT,
+    "repro.mds.journal:MDSJournal.last_seq": _CHECKPOINT,
     # -- crash, abort and fault paths
     "repro.mds.migrate:migrate_subtree.<locals>._abort": _CRASH,
     "repro.mds.migrate:migrate_subtree.<locals>._reinstall_src": _CRASH,
@@ -146,20 +145,12 @@ KEEP: Dict[str, str] = {
     "repro.rados.osd:OSD.crash": _CRASH,
     "repro.rados.osd:OSD.fail": _CRASH,
     "repro.rados.osd:OSD.recover": _CRASH,
-    "repro.mds.journal:MDSJournal.read_all": _CRASH,
-    "repro.journal.journaler:Journaler.read_all": _CRASH,
     "repro.sim.engine:_HostProcess.fail": (
         "a host-driven body that raises; shipped drivers do not"),
     "repro.sim.engine:Event._abandon": (
         "interrupt of a process parked on an event (the crash paths)"),
-    "repro.sim.resources:Request._abandon": (
-        "interrupt of a process queued on a Resource (the crash paths)"),
-    "repro.sim.resources:_Acquire._abandon": (
-        "interrupt of a process parked on a Semaphore (the crash paths)"),
-    "repro.sim.network:LinkGrant": (
-        "a contended link pipe (two messages on one link at once), which "
-        "no shipped driver sends; tests/sim pins the FIFO hand-over and "
-        "both interrupt windows"),
+    "repro.sim.resources:SlotGrant._abandon": (
+        "interrupt of a process waiting for a slot (the crash paths)"),
     "repro.faults.injector:FaultInjector.inject": (
         "runs one fault inline so a test interleaves faults with its "
         "own steps; the drills schedule whole plans"),

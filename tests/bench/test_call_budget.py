@@ -37,7 +37,8 @@ pytestmark = pytest.mark.skipif(
 CREATES = 2000
 
 #: Calls (Python functions and builtins) per create, end to end.
-#: Achieved: 37.54 on CPython 3.11 (37.56 while each wire message
+#: Achieved: 37.51 on CPython 3.11 (37.54 while a free disk-queue slot
+#: still built a ``Request`` event, 37.56 while each wire message
 #: built a ``Resource`` pipe request; 110.7 before the one-pass journal
 #: path).  While ``JournalEvent`` was a dataclass the same calls read
 #: 36.56: its generated ``__init__`` and ``Inode``'s share the ``pstats``
@@ -48,8 +49,9 @@ CALLS_PER_CREATE_BUDGET = 38
 RPC_CLIENTS = 4
 RPC_ROUNDS = 200
 
-#: Calls per RPC op (create or ls), end to end.  Achieved: 146.5 on
-#: CPython 3.11 (187.5 while each wire message built and accounted a
+#: Calls per RPC op (create or ls), end to end.  Achieved: 146.0 on
+#: CPython 3.11 (146.5 while a free disk-queue or window slot still
+#: built an event, 187.5 while each wire message built and accounted a
 #: ``Resource`` pipe request and passed through three wrapper frames,
 #: 221.0 with numpy-dispatched draws and a two-frame resume path, 247.5
 #: when each interleaved request walked from ``/``); the budget leaves
@@ -83,7 +85,7 @@ LADDER_SPEC = {
 }
 
 #: Calls per open-loop op, end to end (after one warm-up run, so lazy
-#: imports do not count).  Achieved: 178.5 on CPython 3.11 (219.7 with a
+#: imports do not count).  Achieved: 178.55 on CPython 3.11 (219.7 with a
 #: ``Resource`` pipe request per wire message, 275.1 with
 #: numpy-dispatched scalar draws and a two-frame resume path); the
 #: budget leaves 10 %.

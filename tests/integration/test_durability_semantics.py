@@ -134,7 +134,7 @@ def test_checkpoint_persists_dirfrags_and_trims():
     cluster.run(client.create_many("/data", [f"f{i}" for i in range(5)]))
     frags = cluster.run(cluster.mds.checkpoint())
     assert frags == 2  # root and /data
-    assert cluster.mds.journal._journaler.expired_through_seq >= 6
+    assert cluster.mds.journal.expired_through_seq >= 6
     # the /data fragment is now an object in the metadata pool
     frag = cluster.mds.mdstore.dirfrags[
         cluster.mds.mdstore.resolve("/data").ino
@@ -204,4 +204,4 @@ def test_auto_checkpoint_applies_journal_periodically():
         cluster.mds.mdstore.resolve("/bulk").ino
     ]
     assert cluster.objstore.exists("metadata", frag.object_name())
-    assert cluster.mds.journal._journaler.expired_through_seq > 0
+    assert cluster.mds.journal.expired_through_seq > 0

@@ -1,9 +1,10 @@
-"""Tests for LocalJournal and the striped MDS Journaler."""
+"""Tests for LocalJournal and the MDS's striped journal (MDSJournal)."""
 
 import pytest
 
 from repro.journal.events import EventType, JournalEvent, WIRE_EVENT_BYTES
-from repro.journal.journaler import Journaler, LocalJournal
+from repro.journal.journaler import LocalJournal
+from repro.mds.journal import MDSJournal
 from repro.rados.cluster import ObjectStore
 from repro.rados.striper import Striper
 from repro.sim.disk import Disk
@@ -131,99 +132,87 @@ def test_global_persist_uses_aggregate_bandwidth():
     assert fast < slow
 
 
-# ---- Journaler (MDS stream) ----------------------------------------------
+# ---- the MDS's striped journal (Stream) -----------------------------------
+
+
+def mds_journal(store, prefix="j", **kw):
+    return MDSJournal(store.engine, Striper(store, "metadata", prefix), **kw)
 
 
 def test_journaler_segment_fills():
     eng, store = make_env()
-    striper = Striper(store, "metadata", "mds0-journal")
-    jr = Journaler(eng, striper, segment_events=3)
-    full_flags = [jr.append(ev(f"/f{i}"))[1] for i in range(3)]
-    assert full_flags == [False, False, True]
-    assert jr.open_events == 3
+    jr = mds_journal(store, "mds0-journal", segment_events=3)
+    drive(eng, jr.log_events(events=[ev("/f0"), ev("/f1")]))
+    assert (jr.open_real_events, jr.segments_dispatched) == (2, 0)
+    drive(eng, jr.log_events(events=[ev("/f2")]))  # fills the segment
+    assert (jr.open_real_events, jr.segments_dispatched) == (0, 1)
 
 
 def test_journaler_validation():
     eng, store = make_env()
-    striper = Striper(store, "metadata", "j")
     with pytest.raises(ValueError):
-        Journaler(eng, striper, segment_events=0)
+        mds_journal(store, segment_events=0)
 
 
 def test_journaler_dispatch_and_readback():
     eng, store = make_env()
-    striper = Striper(store, "metadata", "mds0-journal")
-    jr = Journaler(eng, striper, segment_events=4)
-    for i in range(4):
-        jr.append(ev(f"/f{i}"))
-    n = drive(eng, jr.dispatch_segment())
-    assert n == 4
+    jr = mds_journal(store, "mds0-journal", segment_events=4)
+    drive(eng, jr.log_events(events=[ev(f"/f{i}") for i in range(4)]))
     assert jr.segments_dispatched == 1
-    events = drive(eng, jr.read_all())
+    events = drive(eng, jr.read_scan()).events
     assert [e.path for e in events] == [f"/f{i}" for i in range(4)]
     assert [e.seq for e in events] == [1, 2, 3, 4]
 
 
 def test_journaler_multiple_segments_concatenate():
     eng, store = make_env()
-    striper = Striper(store, "metadata", "mds0-journal")
-    jr = Journaler(eng, striper, segment_events=2)
-    for i in range(6):
-        ev_, full = jr.append(ev(f"/f{i}"))
-        if full:
-            drive(eng, jr.dispatch_segment())
-    events = drive(eng, jr.read_all())
+    jr = mds_journal(store, "mds0-journal", segment_events=2)
+    drive(eng, jr.log_events(events=[ev(f"/f{i}") for i in range(6)]))
+    events = drive(eng, jr.read_scan()).events
     assert len(events) == 6
     assert jr.segments_dispatched == 3
 
 
 def test_journaler_read_scan_verifies_every_dispatched_segment():
     # MDS recovery reads back one wire segment per dispatch; the scan
-    # must verify each in place (see test_format's segmentation test).
+    # must verify each in place (see test_format's segmentation test),
+    # also when the window had 40 segment writes in flight at once.
     eng, store = make_env()
-    striper = Striper(store, "metadata", "mds0-journal")
-    jr = Journaler(eng, striper, segment_events=64)
-    stamped = []
-    for i in range(64 * 40 + 5):
-        ev_, full = jr.append(ev(f"/d/f{i}", ino=i + 1))
-        stamped.append(ev_)
-        if full:
-            drive(eng, jr.dispatch_segment())
+    jr = mds_journal(store, "mds0-journal", segment_events=64)
+    events = [ev(f"/d/f{i}", ino=i + 1) for i in range(64 * 40 + 5)]
+    drive(eng, jr.log_events(events=events))
     drive(eng, jr.flush())
     scan = drive(eng, jr.read_scan())
     assert scan.ok and scan.valid_segments == 41
-    assert scan.events == stamped
+    assert scan.events == [e.with_seq(i) for i, e in enumerate(events, 1)]
 
 
 def test_journaler_flush_partial_segment():
     eng, store = make_env()
-    striper = Striper(store, "metadata", "j")
-    jr = Journaler(eng, striper, segment_events=100)
-    jr.append(ev("/only"))
-    n = drive(eng, jr.flush())
-    assert n == 1
-    assert drive(eng, jr.read_all())[0].path == "/only"
+    jr = mds_journal(store, segment_events=100)
+    drive(eng, jr.log_events(events=[ev("/only")]))
+    drive(eng, jr.flush())
+    assert jr.segments_dispatched == 1
+    assert drive(eng, jr.read_scan()).events[0].path == "/only"
 
 
 def test_journaler_empty_dispatch_noop():
     eng, store = make_env()
-    striper = Striper(store, "metadata", "j")
-    jr = Journaler(eng, striper)
-    assert drive(eng, jr.dispatch_segment()) == 0
+    jr = mds_journal(store)
+    drive(eng, jr.flush())
     assert jr.segments_dispatched == 0
+    assert jr.striper.size() == 0
 
 
 def test_journaler_read_empty():
     eng, store = make_env()
-    striper = Striper(store, "metadata", "j")
-    jr = Journaler(eng, striper)
-    assert drive(eng, jr.read_all()) == []
+    jr = mds_journal(store)
+    assert drive(eng, jr.read_scan()).events == []
 
 
 def test_journaler_trim_watermark():
     eng, store = make_env()
-    striper = Striper(store, "metadata", "j")
-    jr = Journaler(eng, striper)
+    jr = mds_journal(store)
     jr.trim(10)
     assert jr.expired_through_seq == 10
     with pytest.raises(ValueError):
@@ -232,8 +221,6 @@ def test_journaler_trim_watermark():
 
 def test_journaler_events_counted():
     eng, store = make_env()
-    striper = Striper(store, "metadata", "j")
-    jr = Journaler(eng, striper, segment_events=2)
-    for i in range(5):
-        jr.append(ev(f"/f{i}"))
-    assert jr.events_journaled == 5
+    jr = mds_journal(store, segment_events=2)
+    drive(eng, jr.log_events(events=[ev(f"/f{i}") for i in range(5)]))
+    assert jr.events_logged == 5 and jr.last_seq == 5

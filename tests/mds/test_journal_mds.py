@@ -6,6 +6,7 @@ from repro import calibration as cal
 from repro.journal.events import EventType, JournalEvent
 from repro.mds.journal import MDSJournal
 from repro.rados.striper import Striper
+from repro.sim.engine import SimulationError
 
 from tests.conftest import drive
 
@@ -68,7 +69,7 @@ def test_real_events_dispatch_on_segment_fill(engine, objstore):
     drive(engine, j.flush())
     engine.run()
     assert j.segments_dispatched == 3
-    events = drive(engine, j.read_all())
+    events = drive(engine, j.read_scan()).events
     assert len(events) == 9
 
 
@@ -106,3 +107,34 @@ def test_mixed_real_and_counted(engine, objstore):
     j = make_journal(engine, objstore, segment_events=10)
     drive(engine, j.log_events(events=[ev("/a")], count=3))
     assert j.events_logged == 4
+
+
+def test_concurrent_flushers_both_wait_for_the_write_to_land(engine, objstore):
+    # Regression: the first flusher took the in-flight list with it, so
+    # a second one started at the same instant found nothing to wait
+    # for and returned before the segment was in the object store.
+    j = make_journal(engine, objstore)
+    drive(engine, j.log_events(events=[ev(f"/f{i}") for i in range(10)]))
+    returned = {}
+
+    def flusher(tag):
+        yield from j.flush()
+        returned[tag] = (engine.now, j.segments_dispatched)
+
+    engine.process(flusher("first"))
+    engine.process(flusher("second"))
+    engine.run()
+    assert returned["first"][0] > 0.0
+    assert returned["second"] == returned["first"]
+    assert returned["second"][1] == 1
+
+
+def test_a_double_release_of_the_dispatch_window_raises(engine, objstore):
+    # The window never widens past dispatch_size: a release with no
+    # segment in flight is a bug, not a spare slot.
+    j = make_journal(engine, objstore, segment_events=1, dispatch_size=1)
+    drive(engine, j.log_events(count=1))
+    engine.run()
+    assert j.segments_dispatched == 1 and j.segments_in_flight == 0
+    with pytest.raises(SimulationError):
+        j._window.release()

@@ -28,9 +28,9 @@ def test_recovery_replays_only_dispatched_segments():
     cluster.run(client.create_many("/d", [f"f{i}" for i in range(20)]))
     # 21 events, segment_events=8: two full segments (16 events) were
     # dispatched; 5 events sit in the open segment — MDS memory only.
-    journaler = cluster.mds.journal._journaler
-    assert journaler.segments_dispatched == 2
-    assert journaler.open_events == 5
+    journal = cluster.mds.journal
+    assert journal.segments_dispatched == 2
+    assert journal.open_real_events == 5
 
     summary = cluster.mds.crash()
     assert summary["journal_events_lost"] == 5
@@ -246,6 +246,22 @@ def test_recovery_uses_checkpointed_fragments_and_journal_tail():
     cluster.run(cluster.mds.recover())
     assert cluster.mds.mdstore.exists("/d/a")
     assert cluster.mds.mdstore.exists("/d/t7")
+
+
+def test_checkpoint_after_a_crash_trims_through_the_last_sequence_number():
+    # Regression: checkpoint trimmed through ``events_logged``, which
+    # drops by the events a crash loses while sequence numbers keep
+    # counting, so the watermark fell short of what had been applied.
+    cluster = Cluster(mds_config=MDSConfig(segment_events=16), seed=0)
+    client = cluster.new_client()
+    cluster.run(client.create_many("/", [f"a{i}" for i in range(10)]))
+    assert cluster.mds.crash()["journal_events_lost"] == 10
+    cluster.run(cluster.mds.recover())
+    cluster.run(client.create_many("/", [f"b{i}" for i in range(5)]))
+    cluster.run(cluster.mds.checkpoint())
+    journal = cluster.mds.journal
+    assert journal.expired_through_seq == 15
+    assert journal.last_seq == 15
 
 
 def test_crash_is_idempotent():

@@ -424,36 +424,33 @@ def test_nested_processes_complete_in_order():
 
 
 def test_interrupt_cancels_queued_resource_request():
-    """A process interrupted while queued on a resource must not leak
-    the slot when it would later have been granted."""
-    from repro.sim.resources import Resource
+    """A process interrupted while queued on a slot must not leak the
+    slot when it would later have been granted."""
+    from repro.sim.resources import Slots
 
     eng = Engine()
-    res = Resource(eng, capacity=1)
+    slots = Slots(eng, capacity=1)
     order = []
 
     def holder():
-        req = res.request()
-        yield req
+        assert slots.acquire() is None
         yield Timeout(eng, 10)
-        res.release(req)
+        slots.release()
         order.append("holder-done")
 
     def waiter():
-        req = res.request()
         try:
-            yield req
+            yield slots.acquire()
             order.append("waiter-granted")
-            res.release(req)
+            slots.release()
         except Interrupt:
             order.append("waiter-interrupted")
 
     def late():
         yield Timeout(eng, 20)
-        req = res.request()
-        yield req
+        assert slots.acquire() is None
         order.append("late-granted")
-        res.release(req)
+        slots.release()
 
     eng.process(holder())
     w = eng.process(waiter())
@@ -466,28 +463,27 @@ def test_interrupt_cancels_queued_resource_request():
     eng.process(interrupter())
     eng.run()
     assert order == ["waiter-interrupted", "holder-done", "late-granted"]
-    assert res._in_use == 0
-    assert len(res._queue) == 0
+    assert slots.held == 0
+    assert len(slots._waiters) == 0
 
 
 def test_interrupt_while_holding_resource_is_callers_problem():
     """Interrupting a slot *holder* does not auto-release; the process
     body's finally block must do it (documented behaviour)."""
-    from repro.sim.resources import Resource
+    from repro.sim.resources import Slots
 
     eng = Engine()
-    res = Resource(eng, capacity=1)
+    slots = Slots(eng, capacity=1)
     log = []
 
     def holder():
-        req = res.request()
-        yield req
+        assert slots.acquire() is None
         try:
             yield Timeout(eng, 100)
         except Interrupt:
             log.append("interrupted")
         finally:
-            res.release(req)
+            slots.release()
 
     p = eng.process(holder())
 
@@ -498,7 +494,7 @@ def test_interrupt_while_holding_resource_is_callers_problem():
     eng.process(interrupter())
     eng.run()
     assert log == ["interrupted"]
-    assert res._in_use == 0
+    assert slots.held == 0
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from repro.cluster import Cluster
 from repro.mds.server import MDSConfig
 from repro.sim.disk import Disk
 from repro.sim.engine import Engine, Event, Interrupt, Process, Timeout
-from repro.sim.network import LinkGrant, Network
-from repro.sim.resources import Request, Resource, StoreGet
+from repro.sim.network import Network
+from repro.sim.resources import SlotGrant, StoreGet
 
 
 def _traced(engine):
@@ -32,7 +32,7 @@ def _traced(engine):
         waiters = [getattr(cb, "__self__", None) for cb in event.callbacks]
         names = [w.name for w in waiters if isinstance(w, Process)]
         kind = next(
-            (k for k in (Process, Request, LinkGrant, StoreGet)
+            (k for k in (Process, SlotGrant, StoreGet)
              if isinstance(event, k)),
             Event,
         )
@@ -119,8 +119,8 @@ def test_closed_loop_creates_stay_within_the_event_budget():
 # ---------------------------------------------------------------------------
 
 
-def _grants(seen, grant=Request):
-    return [(t, names) for t, kind, names in seen if kind is grant]
+def _grants(seen):
+    return [(t, names) for t, kind, names in seen if kind is SlotGrant]
 
 
 def test_two_transmits_on_one_link_still_serialize_with_one_grant():
@@ -138,8 +138,8 @@ def test_two_transmits_on_one_link_still_serialize_with_one_grant():
     eng.run()
     assert done == [("a", 3.0), ("b", 5.0)]
     # `a` found the pipe free (no event); `b` was granted it when `a`
-    # released, by the link's own grant event, at that instant.
-    assert _grants(seen, LinkGrant) == [(2.0, ["b"])]
+    # released, by the pipe's grant event, at that instant.
+    assert _grants(seen) == [(2.0, ["b"])]
 
 
 def test_zero_latency_link_schedules_no_propagation_wait():
@@ -173,24 +173,18 @@ def test_disk_holders_beyond_capacity_complete_fifo_with_grant_events():
 
 def test_interrupt_while_holding_an_inline_slot_releases_it():
     eng = Engine()
-    res = Resource(eng, capacity=1)
+    disk = Disk(eng, bandwidth_bps=100.0, seek_s=0.0)
     log = []
 
     def holder():
-        req = res.request()
-        yield req  # free slot: continues inline, now holding
         try:
-            yield Timeout(eng, 100)
+            yield from disk.write(10_000)  # free queue: taken inline; 100 s
         except Interrupt:
             log.append(("interrupted", eng.now))
-        finally:
-            res.release(req)
 
     def waiter():
-        req = res.request()
-        yield req
-        log.append(("granted", eng.now))
-        res.release(req)
+        yield from disk.write(100)  # 1 s once the queue is handed over
+        log.append(("written", eng.now))
 
     held = eng.process(holder())
     eng.process(waiter())
@@ -201,5 +195,5 @@ def test_interrupt_while_holding_an_inline_slot_releases_it():
 
     eng.process(interrupter())
     eng.run()
-    assert log == [("interrupted", 1), ("granted", 1)]
-    assert res._in_use == 0 and res.busy_seconds() == 1.0
+    assert log == [("interrupted", 1), ("written", 2)]
+    assert disk.busy_seconds() == 2.0

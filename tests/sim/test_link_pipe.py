@@ -69,6 +69,8 @@ def test_an_interrupted_queued_sender_leaves_the_queue():
         ("b", "interrupted", 0.5), ("a", "done", 1.0),
         ("c", "done", 2.0), ("d", "done", 4.0),
     ]
+    pipe = net.link("a", "b").pipe
+    assert pipe.held == 0 and not pipe._waiters
 
 
 def test_a_sender_interrupted_between_grant_and_delivery_hands_the_pipe_on():

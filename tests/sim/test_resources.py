@@ -1,31 +1,40 @@
-"""Tests for Resource / Store / Semaphore queueing semantics."""
+"""Tests for Slots / Store queueing semantics."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim.disk import Disk
 from repro.sim.engine import Engine, Interrupt, SimulationError, Timeout
-from repro.sim.resources import Request, Resource, Semaphore, Store
+from repro.sim.resources import SlotGrant, Slots, Store
+
+
+def _hold(slots, eng, hold, log=None, tag=None):
+    """Process body: take a slot, keep it ``hold`` seconds, give it up."""
+    grant = slots.acquire()
+    if grant is not None:
+        yield grant
+    if log is not None:
+        log.append((tag, eng.now))
+    try:
+        yield Timeout(eng, hold)
+    finally:
+        slots.release()
 
 
 def test_resource_capacity_validation():
     eng = Engine()
     with pytest.raises(ValueError):
-        Resource(eng, capacity=0)
+        Slots(eng, capacity=0)
 
 
 def test_resource_serializes_beyond_capacity():
     eng = Engine()
-    res = Resource(eng, capacity=1)
+    slots = Slots(eng, capacity=1)
     finish = []
 
     def worker(tag):
-        req = res.request()
-        yield req
-        try:
-            yield Timeout(eng, 2.0)
-        finally:
-            res.release(req)
+        yield from _hold(slots, eng, 2.0)
         finish.append((tag, eng.now))
 
     for t in ("a", "b", "c"):
@@ -36,16 +45,11 @@ def test_resource_serializes_beyond_capacity():
 
 def test_resource_parallel_within_capacity():
     eng = Engine()
-    res = Resource(eng, capacity=3)
+    slots = Slots(eng, capacity=3)
     finish = []
 
     def worker(tag):
-        req = res.request()
-        yield req
-        try:
-            yield Timeout(eng, 2.0)
-        finally:
-            res.release(req)
+        yield from _hold(slots, eng, 2.0)
         finish.append((tag, eng.now))
 
     for t in "abc":
@@ -57,85 +61,68 @@ def test_resource_parallel_within_capacity():
 
 def test_resource_fifo_order():
     eng = Engine()
-    res = Resource(eng, capacity=1)
+    slots = Slots(eng, capacity=1)
     order = []
 
     def worker(tag, arrive):
         yield Timeout(eng, arrive)
-        req = res.request()
-        yield req
-        order.append(tag)
-        yield Timeout(eng, 5)
-        res.release(req)
+        yield from _hold(slots, eng, 5, order, tag)
 
     eng.process(worker("first", 0.0))
     eng.process(worker("second", 0.1))
     eng.process(worker("third", 0.2))
     eng.run()
-    assert order == ["first", "second", "third"]
+    assert [tag for tag, _ in order] == ["first", "second", "third"]
 
 
 def test_resource_queue_length_and_in_use():
     eng = Engine()
-    res = Resource(eng, capacity=1)
-
-    def holder():
-        req = res.request()
-        yield req
-        yield Timeout(eng, 10)
-        res.release(req)
-
-    def waiter():
-        req = res.request()
-        yield req
-        res.release(req)
-
-    eng.process(holder())
-    eng.process(waiter())
+    slots = Slots(eng, capacity=1)
+    eng.process(_hold(slots, eng, 10))
+    eng.process(_hold(slots, eng, 0))
     eng.run(until=5)
-    assert res._in_use == 1
-    assert len(res._queue) == 1
+    assert slots.held == 1
+    assert len(slots._waiters) == 1
     eng.run()
-    assert res._in_use == 0
-    assert len(res._queue) == 0
+    assert slots.held == 0
+    assert len(slots._waiters) == 0
 
 
 def test_resource_utilization_integral():
+    # The busy integral lives on the disk, the one reader of it.
     eng = Engine()
-    res = Resource(eng, capacity=1)
+    disk = Disk(eng, bandwidth_bps=100.0, seek_s=0.0)
 
-    def holder():
-        req = res.request()
-        yield req
-        yield Timeout(eng, 4)
-        res.release(req)
+    def body():
+        yield from disk.write(400)  # 4 s busy
         yield Timeout(eng, 6)  # idle tail
 
-    eng.process(holder())
+    eng.process(body())
     eng.run()
     assert eng.now == pytest.approx(10)
-    assert res.busy_seconds() / eng.now == pytest.approx(0.4)
+    assert disk.busy_seconds() / eng.now == pytest.approx(0.4)
 
 
 def test_release_unrequested_raises():
     eng = Engine()
-    res = Resource(eng, capacity=1)
-    req = res.request()  # immediately granted
-    res.release(req)
+    slots = Slots(eng, capacity=1)
+    assert slots.acquire() is None  # free: taken inline
+    slots.release()
     with pytest.raises(SimulationError):
-        res.release(req)
+        slots.release()
+    assert slots.held == 0
 
 
 def test_release_queued_request_cancels():
     eng = Engine()
-    res = Resource(eng, capacity=1)
-    first = res.request()
-    queued = res.request()
-    assert not queued.triggered
-    res.release(queued)  # cancel while waiting
-    assert len(res._queue) == 0
-    res.release(first)
-    assert res._in_use == 0
+    slots = Slots(eng, capacity=1)
+    assert slots.acquire() is None
+    queued = slots.acquire()
+    assert isinstance(queued, SlotGrant) and not queued.triggered
+    queued._abandon()  # its waiter was interrupted while queued
+    assert len(slots._waiters) == 0
+    slots.release()
+    assert slots.held == 0
 
 
 def test_store_put_then_get():
@@ -205,18 +192,12 @@ def test_store_try_get():
 
 
 def test_semaphore_tokens_and_blocking():
+    # A window of two (the MDS dispatch window's shape).
     eng = Engine()
-    sem = Semaphore(eng, tokens=2)
+    window = Slots(eng, capacity=2, name="window")
     order = []
-
-    def worker(tag):
-        yield sem.acquire()
-        order.append((tag, eng.now))
-        yield Timeout(eng, 1)
-        sem.release()
-
     for t in "abc":
-        eng.process(worker(t))
+        eng.process(_hold(window, eng, 1, order, t))
     eng.run()
     assert order == [("a", 0.0), ("b", 0.0), ("c", 1.0)]
 
@@ -224,20 +205,16 @@ def test_semaphore_tokens_and_blocking():
 def test_semaphore_negative_tokens_rejected():
     eng = Engine()
     with pytest.raises(ValueError):
-        Semaphore(eng, tokens=-1)
+        Slots(eng, capacity=-1)
 
 
 def test_semaphore_release_restores_token():
     eng = Engine()
-    sem = Semaphore(eng, tokens=1)
-
-    def body():
-        yield sem.acquire()
-        sem.release()
-
-    eng.process(body())
+    window = Slots(eng, capacity=1)
+    eng.process(_hold(window, eng, 0))
     eng.run()
-    assert sem.tokens == 1
+    assert window.held == 0
+    assert window.acquire() is None
 
 
 # ---------------------------------------------------------------------------
@@ -246,30 +223,30 @@ def test_semaphore_release_restores_token():
 
 
 def test_interrupt_between_grant_and_delivery_passes_the_slot_on():
-    """``release`` grants the slot to the next waiter by scheduling its
-    request event; a waiter interrupted before that event is dispatched
-    must not keep the slot (regression: ``in_use`` stayed 1 for good and
-    every later requester parked forever)."""
+    """``release`` hands the slot to the next waiter by scheduling its
+    grant event; a waiter interrupted before that event is dispatched
+    must not keep the slot (regression: the slot stayed held for good
+    and every later acquirer parked forever)."""
     eng = Engine()
-    res = Resource(eng, capacity=1)
+    slots = Slots(eng, capacity=1)
     log = []
 
     def holder():
-        req = res.request()
-        yield req
+        assert slots.acquire() is None
         yield Timeout(eng, 1.0)
-        res.release(req)  # grants the slot to `doomed` ...
+        slots.release()  # grants the slot to `doomed` ...
         doomed.interrupt("revoked")  # ... who dies before the grant lands
 
     def waiter(tag):
-        req = res.request()
+        grant = slots.acquire()
         try:
-            yield req
+            if grant is not None:
+                yield grant
         except Interrupt:
             log.append((tag, "interrupted", eng.now))
             return
         log.append((tag, "granted", eng.now))
-        res.release(req)
+        slots.release()
 
     def late():
         yield Timeout(eng, 2.0)
@@ -285,7 +262,7 @@ def test_interrupt_between_grant_and_delivery_passes_the_slot_on():
         ("doomed", "interrupted", 1.0),
         ("late", "granted", 2.0),
     ]
-    assert res._in_use == 0 and len(res._queue) == 0
+    assert slots.held == 0 and len(slots._waiters) == 0
 
 
 def test_interrupt_between_put_and_delivery_returns_the_item():
@@ -347,25 +324,27 @@ def test_abandoned_store_item_goes_to_the_next_parked_getter():
 def test_interrupted_semaphore_waiter_returns_its_token():
     """Both halves of the window: a waiter interrupted while parked
     leaves the wait queue, and one interrupted after ``release`` handed
-    it the token (but before delivery) puts the token back (regression:
-    either way the token went to a dead process and ``tokens`` stayed 0)."""
+    it the slot (but before delivery) passes the slot on (regression:
+    either way the slot went to a dead process and stayed held)."""
     eng = Engine()
-    sem = Semaphore(eng, tokens=1)
+    window = Slots(eng, capacity=1)
     log = []
 
     def waiter(tag):
         try:
-            yield sem.acquire()
+            grant = window.acquire()
+            if grant is not None:
+                yield grant
         except Interrupt:
             log.append((tag, "interrupted", eng.now))
             return
         log.append((tag, "acquired", eng.now))
 
     def holder():
-        yield sem.acquire()
+        assert window.acquire() is None
         yield Timeout(eng, 1.0)
         parked.interrupt("crash")  # still queued
-        sem.release()  # hands the token to `granted` ...
+        window.release()  # hands the slot to `granted` ...
         granted.interrupt("crash")  # ... who dies before it lands
 
     eng.process(holder())
@@ -383,7 +362,8 @@ def test_interrupted_semaphore_waiter_returns_its_token():
         ("granted", "interrupted", 1.0),
         ("late", "acquired", 2.0),
     ]
-    assert sem.tokens == 0  # `late` holds the only token
+    assert window.held == 1  # `late` holds the only slot
+    assert len(window._waiters) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -391,39 +371,34 @@ def test_interrupted_semaphore_waiter_returns_its_token():
 # ---------------------------------------------------------------------------
 
 
-class GrantEventResource(Resource):
+class GrantEventSlots(Slots):
     """The reference model: every acquisition, contended or not, is
-    delivered by a zero-delay grant event (what ``request`` did before a
-    free slot continued inline)."""
+    delivered by a zero-delay grant event."""
 
-    def request(self):
-        req = Request(self)
-        if self._in_use < self.capacity:
-            self._account()
-            self._in_use += 1
-            req.succeed(self)  # same slot, same instant, delivered later
-        else:
-            self._queue.append(req)
-        return req
+    def acquire(self):
+        if self.held < self.capacity:
+            self.held += 1
+            return SlotGrant(self).succeed()  # same slot, delivered later
+        return super().acquire()
 
 
-def _run_script(resource_cls, capacity, script):
+def _run_script(slots_cls, capacity, script):
     """Play ``script`` — per process ``(arrive, hold, interrupt_at)`` —
-    over one resource; returns per-process finish times and the busy
-    integral."""
+    over one set of slots; returns per-process finish times."""
     eng = Engine()
-    res = resource_cls(eng, capacity=capacity)
+    slots = slots_cls(eng, capacity=capacity)
     finished = {}
 
     def body(pid, arrive, hold):
         try:
             yield Timeout(eng, arrive)
-            req = res.request()
-            yield req
+            grant = slots.acquire()
+            if grant is not None:
+                yield grant
             try:
                 yield Timeout(eng, hold)
             finally:
-                res.release(req)
+                slots.release()
         except Interrupt:
             pass
         finished[pid] = eng.now
@@ -438,8 +413,8 @@ def _run_script(resource_cls, capacity, script):
         if interrupt_at is not None:
             eng.process(interrupter(proc, interrupt_at))
     eng.run()
-    assert res._in_use == 0 and len(res._queue) == 0
-    return finished, res.busy_seconds()
+    assert slots.held == 0 and len(slots._waiters) == 0
+    return finished
 
 
 @settings(max_examples=150, deadline=None)
@@ -459,6 +434,6 @@ def test_inline_grant_matches_the_grant_event_model(capacity, script):
     """Integer instants on purpose: arrivals, releases and interrupts
     pile up at the same simulated time, which is where eliding the grant
     event could change who gets the slot."""
-    assert _run_script(Resource, capacity, script) == _run_script(
-        GrantEventResource, capacity, script
+    assert _run_script(Slots, capacity, script) == _run_script(
+        GrantEventSlots, capacity, script
     )
