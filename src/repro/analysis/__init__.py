@@ -13,8 +13,7 @@ machine-checked (see ``docs/ANALYSIS.md``):
   crash/recover branch per persist-relevant step) of a bounded
   workload is replayed through :mod:`repro.sim` under
   :class:`repro.analysis.schedule.ScheduleController` and judged by
-  the conformance checkers, with a vector-clock DPOR-lite reduction
-  from :mod:`repro.analysis.causality`.
+  the conformance checkers.
 
 CLI: ``python -m repro.analysis src/`` (lint),
 ``python -m repro.analysis check ...`` (compositions / policy sets)
@@ -33,7 +32,6 @@ from repro.analysis.checker import (
     parse_policy_set,
     policy_set_warnings,
 )
-from repro.analysis.causality import CausalityTracker, VectorClock
 from repro.analysis.findings import Finding, Suppression
 from repro.analysis.model import (
     MUTATIONS,
@@ -52,7 +50,6 @@ from repro.analysis.simlint import LintReport, lint_paths, lint_source
 
 __all__ = [
     "Alternative",
-    "CausalityTracker",
     "CheckError",
     "CompositionError",
     "Decision",
@@ -67,7 +64,6 @@ __all__ = [
     "RunResult",
     "ScheduleController",
     "Suppression",
-    "VectorClock",
     "check_inotable",
     "check_plan",
     "check_policy_set",

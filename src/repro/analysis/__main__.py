@@ -7,8 +7,7 @@ Usage::
     python -m repro.analysis check --composition "a+b||c" ...
     python -m repro.analysis check --policies policies.cudele ...
     python -m repro.analysis model [--cell C,D]... [--depth N] \\
-        [--budget M] [--mutation NAME] [--no-reduction] \\
-        [--out FILE] [--json]
+        [--budget M] [--mutation NAME] [--out FILE] [--json]
     python -m repro.analysis rules
 
 ``lint`` (the default when the first argument is a path) runs simlint
@@ -239,7 +238,7 @@ def _check(argv: List[str]) -> int:
 
 def _model(argv: List[str]) -> int:
     from repro.analysis.model import (
-        MUTATIONS, explore_matrix, model_report_json,
+        MAX_DEPTH, MUTATIONS, explore_matrix, model_report_json,
     )
     from repro.conformance.driver import CELLS, CONSISTENCIES, DURABILITIES
 
@@ -247,7 +246,6 @@ def _model(argv: List[str]) -> int:
     depth = 4
     budget = 400
     mutation = None
-    reduction = True
     out_path: Optional[str] = None
     as_json = False
     it = iter(argv)
@@ -268,8 +266,12 @@ def _model(argv: List[str]) -> int:
             cells.append((c, d))
         elif arg in ("--depth", "--budget"):
             value = next(it, None)
-            if value is None or not value.isdigit():
-                print(f"{arg} requires a positive integer", file=sys.stderr)
+            top = MAX_DEPTH if arg == "--depth" else sys.maxsize
+            if value is None or not value.isdigit() \
+                    or not 1 <= int(value) <= top:
+                want = (f"an integer in 1..{MAX_DEPTH}" if arg == "--depth"
+                        else "a positive integer")
+                print(f"{arg} requires {want}", file=sys.stderr)
                 return 2
             if arg == "--depth":
                 depth = int(value)
@@ -284,8 +286,6 @@ def _model(argv: List[str]) -> int:
                 )
                 return 2
             mutation = MUTATIONS[value]
-        elif arg == "--no-reduction":
-            reduction = False
         elif arg == "--out":
             out_path = next(it, None)
             if out_path is None:
@@ -298,7 +298,7 @@ def _model(argv: List[str]) -> int:
             return 2
     report = explore_matrix(
         cells or CELLS, depth=depth, budget=budget,
-        mutation=mutation, reduction=reduction,
+        mutation=mutation,
     )
     text = model_report_json(report)
     if out_path is not None:
@@ -311,7 +311,7 @@ def _model(argv: List[str]) -> int:
             tail = "exhausted" if cell["exhausted"] else "budget-capped"
             print(
                 f"{cell['cell']}: {status} runs={cell['runs']} "
-                f"states={cell['distinct_states']} pruned={cell['pruned']} "
+                f"states={cell['distinct_states']} "
                 f"({tail})"
             )
             ce = cell["counterexample"]

@@ -24,14 +24,9 @@ tries them all:
   merges and flushes), and canonically fingerprinted so distinct
   schedules reaching the same final state dedup.
 
-Reduction: a DPOR-lite sleep-set approximation.  At each decision the
-controller records per-alternative metadata (client tag, declared op
-target, RPC flag, vector-clock stamp from the shared
-:mod:`repro.analysis.causality` core); an alternative that provably
-commutes with everything scheduled before it is pruned
-(:meth:`~repro.analysis.schedule.Decision.prunable`).  ``--no-reduction``
-disables it; the test suite holds the reduced and unreduced runs to the
-same fingerprint set.
+There is no partial-order reduction: the scope bound (only ties that
+span two declared clients are decisions) keeps the full schedule space
+small, so every alternative at every decision is run.
 
 Mutation mode seeds a known bug and demands the checker catch it:
 ``merge-priority-flip`` makes conflict resolution prefer existing
@@ -53,7 +48,6 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.causality import CausalityTracker
 from repro.analysis.schedule import Decision, ScheduleController
 from repro.cluster import Cluster
 from repro.conformance.checkers import check_history
@@ -302,7 +296,6 @@ def run_schedule(
     if mutation is not None and mutation.arm is not None:
         mutation.arm(cluster)
     recorder = HistoryRecorder.attach(cluster)
-    tracker = CausalityTracker(cluster.engine).attach()
     controller: Optional[ScheduleController] = None
     try:
         cudele = Cudele(cluster)
@@ -323,7 +316,7 @@ def run_schedule(
         intf_paths = _INTF_DECOUPLED if decoupled else _INTF_STRONG
 
         controller = ScheduleController(
-            cluster.engine, schedule, tracker=tracker, expose=expose
+            cluster.engine, schedule, expose=expose
         ).attach()
 
         def owner_prog():
@@ -403,7 +396,6 @@ def run_schedule(
     finally:
         if controller is not None:
             controller.detach()
-        tracker.detach()
         recorder.detach()
 
 
@@ -473,20 +465,19 @@ def explore_cell(
     depth: int = 4,
     budget: int = 400,
     mutation: Optional[Mutation] = None,
-    reduction: bool = True,
 ) -> Dict:
     """DFS over the schedule space of one Table I cell.
 
     Every crash variant starts from the empty schedule (the default
     order) and each run's decision points spawn sibling schedules for
     every untaken alternative; ``budget`` caps total runs across
-    variants.  Stops at the first violation, shrinks it, and reports
-    the minimal counterexample.
+    variants, and a cell is ``exhausted`` only when every variant's
+    schedule space was run to the end.  Stops at the first violation,
+    shrinks it, and reports the minimal counterexample.
     """
     depth = max(1, min(depth, MAX_DEPTH))
     variants = crash_variants(consistency, durability, depth)
     runs = 0
-    pruned = 0
     fingerprints = set()
     counterexample: Optional[Dict] = None
     shrink_runs = 0
@@ -496,6 +487,9 @@ def explore_cell(
     with (mutation.active() if mutation is not None
           else contextlib.nullcontext()):
         for crash in variants:
+            if runs >= budget:
+                exhausted = False
+                break
             explored_variants.append(variant_name(crash))
             stack: List[Tuple[int, ...]] = [()]
             while stack:
@@ -525,14 +519,10 @@ def explore_cell(
                     exhausted = False
                     break
                 for j in range(len(sched), len(res.decisions)):
-                    d = res.decisions[j]
                     base = tuple(res.taken[:j])
-                    for a in range(1, d.size):
-                        if reduction and d.prunable(a):
-                            pruned += 1
-                            continue
+                    for a in range(1, res.decisions[j].size):
                         stack.append(base + (a,))
-            if counterexample is not None or runs >= budget:
+            if counterexample is not None:
                 break
 
     return {
@@ -541,14 +531,12 @@ def explore_cell(
         "durability": durability,
         "depth": depth,
         "budget": budget,
-        "reduction": reduction,
         "mutation": mutation.name if mutation is not None else None,
         "crash_variants": explored_variants,
         "runs": runs,
         "shrink_runs": shrink_runs,
         "distinct_states": len(fingerprints),
         "fingerprints": sorted(fingerprints),
-        "pruned": pruned,
         "exhausted": exhausted,
         "ok": counterexample is None,
         "counterexample": counterexample,
@@ -560,7 +548,7 @@ def explore_matrix(
     depth: int = 4,
     budget: int = 400,
     mutation: Optional[Mutation] = None,
-    reduction: bool = True,
+    reduction: bool = False,
 ) -> Dict:
     """Explore every requested cell; ``ok`` means zero counterexamples.
 
@@ -568,18 +556,19 @@ def explore_matrix(
     was narrowed explicitly — exhausting unrelated cells against a bug
     they cannot observe is wasted budget.
     """
+    # Accepted only because perf/workloads.py still passes reduction=False.
+    if reduction:
+        raise ValueError("explore_matrix has no reduction; pass False")
     if mutation is not None and tuple(cells) == tuple(CELLS):
         cells = [mutation.drill_cell]
     reports = [
-        explore_cell(c, d, depth=depth, budget=budget,
-                     mutation=mutation, reduction=reduction)
+        explore_cell(c, d, depth=depth, budget=budget, mutation=mutation)
         for (c, d) in cells
     ]
     return {
         "subtree": SUBTREE,
         "depth": depth,
         "budget": budget,
-        "reduction": reduction,
         "mutation": mutation.name if mutation is not None else None,
         "ok": all(r["ok"] for r in reports),
         "cells": reports,

@@ -12,9 +12,9 @@ simulation with systematically extended schedules to visit every other
 interleaving.
 
 Each decision records the full ready set with per-alternative metadata
-(client tag, declared op target, RPC flag, vector-clock stamp) so the
-explorer can both render human-readable traces and apply its
-commutativity reduction without re-running anything.
+(client tag, declared op target, RPC flag) so the explorer can extend
+any prefix and render a human-readable counterexample without
+re-running anything.
 
 Tags and targets are *declared* by the workload programs:
 ``tag_process`` names a process tree (children spawned while a tagged
@@ -26,24 +26,11 @@ the engine itself has no idea what a pending event means.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.causality import CausalityTracker, VectorClock
 from repro.sim.engine import Engine, Event, Process
 
 __all__ = ["Alternative", "Decision", "ScheduleController"]
-
-
-def _path_independent(a: Optional[str], b: Optional[str]) -> bool:
-    """True when two op targets cannot touch the same namespace entry.
-
-    Requires both declared, distinct, and neither a directory ancestor
-    of the other (creating ``/job/d`` and ``/job/d/x`` do not commute).
-    """
-    if a is None or b is None or a == b:
-        return False
-    return not a.startswith(b.rstrip("/") + "/") and \
-        not b.startswith(a.rstrip("/") + "/")
 
 
 @dataclass(frozen=True)
@@ -54,32 +41,6 @@ class Alternative:
     tag: Optional[str]
     path: Optional[str]
     rpc: bool
-    clock: Optional[VectorClock]
-
-    def independent(self, other: "Alternative") -> bool:
-        """Conservative commutativity test used by the DPOR-lite pruner.
-
-        Two ready events may be reordered without exploring both orders
-        only when *every* check passes: they belong to different
-        declared clients, their declared targets are disjoint
-        non-ancestor paths, and their trigger stamps are causally
-        concurrent.  Any missing metadata fails the test — unknown
-        means dependent, which only costs exploration, never soundness.
-
-        Two RPCs on disjoint paths *are* treated as independent even
-        though they serialize on the shared MDS inode table: the only
-        state the swap perturbs is inode numbering, which no checked
-        property (and no state fingerprint) observes.  The empirical
-        soundness gate — reduced and unreduced exploration must reach
-        identical fingerprint sets — holds this assumption to account.
-        """
-        if self.tag is None or other.tag is None or self.tag == other.tag:
-            return False
-        if not _path_independent(self.path, other.path):
-            return False
-        if self.clock is None or other.clock is None:
-            return False
-        return self.clock.concurrent(other.clock)
 
 
 @dataclass
@@ -91,19 +52,6 @@ class Decision:
     size: int
     chosen: int
     alts: List[Alternative] = field(default_factory=list)
-
-    def prunable(self, a: int) -> bool:
-        """Would choosing ``a`` here reach an already-covered state?
-
-        Choosing alternative ``a`` first (instead of in its default
-        position) only reorders it against the alternatives before it;
-        if it commutes with *all* of them the resulting interleaving is
-        equivalent to one the DFS reaches through other prefixes.
-        """
-        if a <= 0 or a >= len(self.alts):
-            return False
-        alt = self.alts[a]
-        return all(alt.independent(self.alts[i]) for i in range(a))
 
     def render(self) -> str:
         parts = []
@@ -131,14 +79,12 @@ class ScheduleController:
         self,
         engine: Engine,
         schedule: Sequence[int] = (),
-        tracker: Optional[CausalityTracker] = None,
         expose: str = "tagged",
     ):
         if expose not in ("tagged", "all"):
             raise ValueError(f"expose must be 'tagged' or 'all', got {expose!r}")
         self.engine = engine
         self.schedule: Tuple[int, ...] = tuple(schedule)
-        self.tracker = tracker
         #: Which ties become decision points.  ``"tagged"`` (the model
         #: checker's scope bound) records a decision only when the
         #: ready set spans at least two *distinct declared clients*;
@@ -154,7 +100,7 @@ class ScheduleController:
         self.decisions: List[Decision] = []
         #: Process -> workload tag ("owner"/"intf"/...).  A side table
         #: because Process defines ``__slots__``; identity-keyed strong
-        #: refs, same pattern as the causality tracker's clock maps.
+        #: refs.
         self._tags: Dict[Process, str] = {}
         #: tag -> (declared op path, is-RPC) for the *next* action.
         self._targets: Dict[str, Tuple[Optional[str], bool]] = {}
@@ -222,10 +168,8 @@ class ScheduleController:
         name = proc.name if proc is not None else type(event).__name__
         path, rpc = self._targets.get(tag, (None, False)) \
             if tag is not None else (None, False)
-        clock = self.tracker.event_clock(event) if self.tracker else None
         return Alternative(
             label=f"{tag or '-'}:{name}", tag=tag, path=path, rpc=rpc,
-            clock=clock,
         )
 
     def __call__(self, events: List[Event]) -> int:

@@ -146,9 +146,7 @@ class Event:
     def _trigger(self, value: Any, ok: bool, delay: float) -> "Event":
         """Trigger at default priority: the one scheduling rule behind
         :meth:`succeed`, :meth:`fail` and :meth:`Engine.sleep` (see
-        :meth:`Engine._schedule` for other priorities).  Analysis tools
-        that stamp every trigger wrap this method
-        (:class:`repro.analysis.causality.CausalityTracker`)."""
+        :meth:`Engine._schedule` for other priorities)."""
         if self._state != _PENDING:
             raise SimulationError("event already triggered")
         if not ok and not isinstance(value, BaseException):
@@ -267,9 +265,8 @@ class _PooledTimeout(Event):
     later re-initialized for a new sleep, so steady-state hot loops pay
     zero event allocations.  Contract: the caller ``yield``s it exactly
     once and never retains a reference (see docs/PERFORMANCE.md).
-    Recycling is suppressed while a trace hook is attached or pooling is
-    disabled (``Engine.pool_limit = 0``, e.g. by the causality tracker,
-    whose stamps are keyed by event identity across instants).
+    Recycling is suppressed while a trace hook is attached, and the free
+    list holds at most ``Engine.POOL_LIMIT`` timeouts.
     """
 
     __slots__ = ()
@@ -278,7 +275,7 @@ class _PooledTimeout(Event):
         Event._process_callbacks(self)
         engine = self.engine
         pool = engine._timeout_pool
-        if engine.trace is None and len(pool) < engine.pool_limit:
+        if engine.trace is None and len(pool) < Engine.POOL_LIMIT:
             self._value = None
             pool.append(self)
 
@@ -291,8 +288,8 @@ class Process(Event):
     each other simply by yielding them.
     """
 
-    __slots__ = ("generator", "name", "_waiting_on", "last_resumed_by",
-                 "_bound_resume", "obs_span")
+    __slots__ = ("generator", "name", "_waiting_on", "_bound_resume",
+                 "obs_span")
 
     def __init__(
         self,
@@ -306,9 +303,6 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Optional[Event] = None
-        #: The event whose firing most recently resumed this process;
-        #: the causality tracker merges its stamp on an inline resume.
-        self.last_resumed_by: Optional[Event] = None
         # One bound method reused for every wait registration (a fresh
         # bound-method object per step would be allocation churn).
         self._bound_resume = self._resume
@@ -370,7 +364,6 @@ class Process(Event):
         generator = self.generator
         try:
             while True:
-                self.last_resumed_by = event
                 try:
                     if event._ok:
                         target = generator.send(event._value)
@@ -509,8 +502,8 @@ class Engine:
         assert eng.now == 3.0 and p.value == "done"
     """
 
-    #: Default cap on the pooled-timeout free list (per engine).
-    DEFAULT_POOL_LIMIT = 64
+    #: Cap on the pooled-timeout free list (per engine).
+    POOL_LIMIT = 64
 
     def __init__(self):
         self._now = 0.0
@@ -526,14 +519,11 @@ class Engine:
         #: in host-driver context).  Maintained by Process._resume.
         self._active: Optional[Process] = None
         #: Optional ``hook(t, event)`` called as each event is processed
-        #: (:class:`repro.analysis.causality.CausalityTracker` sets
-        #: it); None keeps the hot loop branch-predictable and cheap.
+        #: (event counters set it); None keeps the hot loop
+        #: branch-predictable and cheap.
         self.trace = None
-        #: Free list for :meth:`sleep`; instrumentation that inspects
-        #: events after dispatch (e.g. the causality tracker) sets
-        #: ``pool_limit = 0`` to disable recycling.
+        #: Free list for :meth:`sleep` (at most :attr:`POOL_LIMIT`).
         self._timeout_pool: list[_PooledTimeout] = []
-        self.pool_limit = self.DEFAULT_POOL_LIMIT
         #: Observability span for host-driver context (the analogue of
         #: ``Process.obs_span`` when no process is active); processes
         #: spawned from the host inherit it.  None unless a tracer set it.

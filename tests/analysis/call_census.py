@@ -227,7 +227,6 @@ KEEP: Dict[str, str] = {
         "workload-phase mechanism: completion_stages skips it, only a "
         "direct run_mechanism call runs the no-op"),
     # -- state queries the tests observe through
-    "repro.analysis.causality:VectorClock.get": _query("component read"),
     "repro.cluster:Cluster.num_mds": _query("rank count"),
     "repro.client.cache:ClientCache.can_cache": _query("cap mirror"),
     "repro.conformance.history:History.of_kind": _query("history filter"),

@@ -3,7 +3,10 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.__main__ import main as cli_main
+from repro.analysis.model import MAX_DEPTH
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -139,3 +142,16 @@ def test_model_usage_errors(capsys):
     assert cli_main(["model", "--depth", "nope"]) == 2
     assert cli_main(["model", "--mutation", "no-such"]) == 2
     assert cli_main(["model", "--frobnicate"]) == 2
+    assert cli_main(["model", "--no-reduction"]) == 2
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--budget", "0"),
+    ("--depth", "0"),
+    ("--depth", str(MAX_DEPTH + 1)),
+])
+def test_model_rejects_a_bound_it_cannot_honour(capsys, option, value):
+    assert cli_main(["model", "--cell", "weak,local", option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{option} requires" in captured.err

@@ -1,4 +1,4 @@
-"""Model checker: trunk exhaustion, mutation drills, reduction soundness."""
+"""Model checker: trunk exhaustion, budget caps, mutation drills."""
 
 import json
 
@@ -58,6 +58,21 @@ def test_distinct_crash_variants_fingerprint_differently():
 # -- trunk exhaustion -------------------------------------------------------
 
 
+#: Depth-4 reach of every cell: (runs, distinct final states).  Every
+#: cross-client tie is explored, so these are the whole schedule space.
+_DEPTH4_REACH = {
+    ("invisible", "none"): (20, 1),
+    ("invisible", "local"): (20, 1),
+    ("invisible", "global"): (20, 1),
+    ("weak", "none"): (20, 4),
+    ("weak", "local"): (20, 1),
+    ("weak", "global"): (20, 1),
+    ("strong", "none"): (16, 1),
+    ("strong", "local"): (16, 1),
+    ("strong", "global"): (32, 2),
+}
+
+
 @pytest.mark.parametrize("cell", CELLS, ids=lambda c: f"{c[0]}-{c[1]}")
 def test_trunk_cell_exhausts_with_zero_violations(cell):
     consistency, durability = cell
@@ -65,13 +80,28 @@ def test_trunk_cell_exhausts_with_zero_violations(cell):
     assert report["ok"], report["counterexample"]
     assert report["exhausted"]
     assert report["counterexample"] is None
-    assert report["runs"] >= 1
-    assert report["distinct_states"] >= 1
+    assert (report["runs"], report["distinct_states"]) == _DEPTH4_REACH[cell]
     # Every declared crash branch was actually explored.
     assert report["crash_variants"] == [
         variant_name(v)
         for v in crash_variants(consistency, durability, 4)
     ]
+
+
+# -- budget caps ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("budget,variants,exhausted", [
+    # 16 runs is exactly the first four variants' schedule spaces: the
+    # budget runs out as a stack empties and owner-crash@op4 never runs.
+    (16, 4, False),
+    (20, 5, True),
+])
+def test_exhausted_means_every_crash_variant_ran(budget, variants, exhausted):
+    report = explore_cell("invisible", "none", depth=4, budget=budget)
+    assert report["runs"] == budget
+    assert len(report["crash_variants"]) == variants
+    assert report["exhausted"] is exhausted
 
 
 # -- mutation drills --------------------------------------------------------
@@ -118,20 +148,7 @@ def test_explore_matrix_narrows_to_the_drill_cell():
     assert not report["ok"]
 
 
-# -- reduction soundness ----------------------------------------------------
-
-
-def test_reduction_preserves_reachable_states():
-    reduced = explore_cell("strong", "none", depth=3, budget=2000)
-    full = explore_cell("strong", "none", depth=3, budget=2000,
-                        reduction=False)
-    assert reduced["exhausted"] and full["exhausted"]
-    assert reduced["ok"] and full["ok"]
-    # The pruner must only skip interleavings equivalent to explored
-    # ones: both explorations reach exactly the same state set.
-    assert reduced["fingerprints"] == full["fingerprints"]
-    assert reduced["pruned"] > 0
-    assert reduced["runs"] < full["runs"]
+# -- scope bound -----------------------------------------------------------
 
 
 def test_tagged_scope_bound_preserves_reachable_states():
@@ -169,3 +186,8 @@ def test_model_report_json_round_trips():
     assert doc["subtree"] == report["subtree"]
     assert doc["cells"][0]["cell"] == "invisible/none"
     assert text.endswith("\n")
+
+
+def test_explore_matrix_refuses_a_reduction():
+    with pytest.raises(ValueError):
+        explore_matrix(cells=[("invisible", "none")], depth=1, reduction=True)

@@ -1,8 +1,7 @@
-"""ScheduleController: replay, clamping, expose modes, independence."""
+"""ScheduleController: replay, clamping, expose modes, rendering."""
 
 import pytest
 
-from repro.analysis.causality import CausalityTracker, VectorClock
 from repro.analysis.schedule import (
     Alternative,
     Decision,
@@ -143,72 +142,21 @@ def test_detach_restores_engine():
     assert eng.process == orig_process
 
 
-# -- independence / pruning -------------------------------------------------
+# -- rendering --------------------------------------------------------------
 
 
-def _alt(tag, path, rpc=False, clock=None):
-    return Alternative(label=f"{tag}:x", tag=tag, path=path, rpc=rpc,
-                       clock=clock)
-
-
-def test_independent_requires_tags_paths_and_concurrency():
-    ca = VectorClock().tick(1)
-    cb = VectorClock().tick(2)
-    a = _alt("a", "/job/x", clock=ca)
-    b = _alt("b", "/job/y", clock=cb)
-    assert a.independent(b) and b.independent(a)
-    # Same tag: dependent.
-    assert not a.independent(_alt("a", "/job/y", clock=cb))
-    # Same path: dependent.
-    assert not a.independent(_alt("b", "/job/x", clock=cb))
-    # Ancestor path: dependent.
-    assert not _alt("a", "/job/d", clock=ca).independent(
-        _alt("b", "/job/d/f", clock=cb))
-    # Missing metadata: dependent (unknown means dependent).
-    assert not a.independent(_alt("b", None, clock=cb))
-    assert not a.independent(_alt("b", "/job/y", clock=None))
-    # Causally ordered stamps: dependent.
-    assert not a.independent(_alt("b", "/job/y", clock=ca.tick(2)))
-
-
-def test_prunable_requires_commuting_with_every_earlier_alt():
-    ca = VectorClock().tick(1)
-    cb = VectorClock().tick(2)
-    cc = VectorClock().tick(3)
-    dec = Decision(index=0, t=1.0, size=3, chosen=0, alts=[
-        _alt("a", "/job/x", clock=ca),
-        _alt("b", "/job/y", clock=cb),
-        _alt("c", "/job/x", clock=cc),   # collides with alt 0
+def test_decision_render_prints_declared_targets():
+    # Every counterexample carries these lines, so their bytes are pinned.
+    dec = Decision(index=2, t=0.5, size=3, chosen=1, alts=[
+        Alternative(label="owner:model-owner", tag="owner",
+                    path="/job/x", rpc=False),
+        Alternative(label="intf:model-intf", tag="intf",
+                    path="/job/i0", rpc=True),
+        Alternative(label="-:Event", tag=None, path=None, rpc=False),
     ])
-    assert not dec.prunable(0)           # default order is never pruned
-    assert dec.prunable(1)               # commutes with alt 0
-    assert not dec.prunable(2)           # path collision with alt 0
-    assert not dec.prunable(9)           # out of range
-
-
-def test_tracker_clocks_feed_alternatives():
-    eng = Engine()
-    tracker = CausalityTracker(eng).attach()
-    ctl = ScheduleController(eng, tracker=tracker)
-    done = []
-
-    def prog(tag):
-        yield Timeout(eng, 1.0)
-        done.append(tag)
-
-    pa = eng.process(prog("a"), name="a")
-    pb = eng.process(prog("b"), name="b")
-    ctl.tag_process(pa, "a")
-    ctl.tag_process(pb, "b")
-    ctl.attach()
-    eng.run()
-    ctl.detach()
-    tracker.detach()
-    # The first decision is the t=0 kick-start tie (host-stamped empty
-    # clocks); the t=1.0 timeout tie is the last one and carries each
-    # client's own stamp.
-    dec = ctl.decisions[-1]
-    assert dec.t == 1.0
-    clocks = [alt.clock for alt in dec.alts if alt.clock is not None]
-    assert len(clocks) >= 2
-    assert clocks[0].concurrent(clocks[1])
+    assert dec.render() == (
+        "decision 2 at t=0.500000000 (3 ready):\n"
+        "   [0] owner:model-owner (op /job/x)\n"
+        "  *[1] intf:model-intf (rpc /job/i0)\n"
+        "   [2] -:Event (op ?)"
+    )

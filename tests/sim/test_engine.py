@@ -227,7 +227,6 @@ def test_yielding_processed_events_continues_iteratively():
     eng.run()
     assert proc.ok and proc.value == 10_000
     assert seen == ["v"] * 10_000
-    assert proc.last_resumed_by is fired
     assert len(dispatched) == 2  # the process's start and completion
 
 
@@ -557,8 +556,7 @@ def test_interrupt_still_lands_while_waiting_on_timeout():
 
 def test_interrupt_delivers_its_cause_object_through_a_failed_wake():
     """The Interrupt carries the very ``cause`` object passed to
-    ``interrupt``, and the process's ``last_resumed_by`` is the wake
-    event: a failed event whose value is the Interrupt it caught."""
+    ``interrupt``, and the abandoned wait never resumes the process."""
     eng = Engine()
     cause = object()
     seen = {}
@@ -568,7 +566,6 @@ def test_interrupt_delivers_its_cause_object_through_a_failed_wake():
             yield Timeout(eng, 10.0)
         except Interrupt as exc:
             seen["exc"] = exc
-            seen["wake"] = eng.active_process.last_resumed_by
         yield Timeout(eng, 1.0)
         return "finished"
 
@@ -581,10 +578,6 @@ def test_interrupt_delivers_its_cause_object_through_a_failed_wake():
     eng.process(killer())
     eng.run()
     assert seen["exc"].cause is cause
-    wake = seen["wake"]
-    assert isinstance(wake, Event) and not isinstance(wake, Timeout)
-    assert wake.processed and not wake.ok
-    assert wake.value is seen["exc"]
     # The abandoned 10 s timeout did not resume it a second time.
     assert proc.value == "finished" and eng.now == 10.0
 

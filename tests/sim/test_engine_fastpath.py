@@ -8,7 +8,6 @@ observable consequences; docs/PERFORMANCE.md explains the argument.
 
 import pytest
 
-from repro.analysis.causality import CausalityTracker
 from repro.sim.engine import Engine, Event, SimulationError, Timeout
 
 
@@ -131,21 +130,16 @@ def test_sleep_recycles_timeouts():
     assert len(eng._timeout_pool) == 2  # both back on the free list at the end
 
 
-def test_pool_limit_zero_disables_recycling():
+def test_free_list_is_capped_at_pool_limit():
     eng = Engine()
-    eng.pool_limit = 0
-    seen = []
 
     def proc():
-        for _ in range(3):
-            t = eng.sleep(0.1)
-            seen.append(t)  # hold the object so id() cannot be reused
-            yield t
+        yield eng.sleep(0.1)
 
-    eng.process(proc())
+    for _ in range(Engine.POOL_LIMIT + 5):
+        eng.process(proc())
     eng.run()
-    assert len({id(t) for t in seen}) == 3
-    assert eng._timeout_pool == []
+    assert len(eng._timeout_pool) == Engine.POOL_LIMIT
 
 
 def test_trace_hook_suppresses_recycling_and_sees_fastpath_events():
@@ -168,44 +162,6 @@ def test_trace_hook_suppresses_recycling_and_sees_fastpath_events():
     # The trace saw the fast-path (now-queue) events too, not just
     # heap-dispatched ones: process init + two sleeps at minimum.
     assert len(traced) >= 3
-
-
-def test_causality_tracker_disables_pooling():
-    eng = Engine()
-
-    def proc():
-        yield eng.sleep(0.1)
-        yield eng.sleep(0.1)
-
-    eng.process(proc())
-    eng.run()
-    assert eng.pool_limit > 0 and eng._timeout_pool != []
-    # Attaching drains the warm pool and stops further recycling, so a
-    # stamp keyed by event identity never aliases across instants.
-    tracker = CausalityTracker(eng).attach()
-    assert eng.pool_limit == 0
-    assert eng._timeout_pool == []
-
-    eng.process(proc())
-    eng.run()
-    tracker.detach()
-    assert eng._timeout_pool == []
-
-
-def test_pooled_timeout_keeps_causality_breadcrumbs_until_reuse():
-    eng = Engine()
-    resumed_by = []
-
-    def proc():
-        yield eng.sleep(0.1)
-
-    p = eng.process(proc())
-    eng.run()
-    resumed_by.append(p.last_resumed_by)
-    # The recycled event is back on the free list; the process
-    # breadcrumb still points at that event object.
-    assert resumed_by[0] is not None
-    assert resumed_by[0] in eng._timeout_pool
 
 
 def test_mixed_delay_workload_is_deterministic():
