@@ -52,6 +52,7 @@ from repro.analysis.schedule import Decision, ScheduleController
 from repro.cluster import Cluster
 from repro.conformance.checkers import check_history
 from repro.conformance.driver import CELLS, SEGMENT_EVENTS, SUBTREE
+from repro.conformance.history import History
 from repro.conformance.recorder import HistoryRecorder
 from repro.core.mechanisms import MechanismContext, run_mechanism
 from repro.core.namespace_api import Cudele
@@ -183,11 +184,17 @@ class RunResult:
     fingerprint: str
     decisions: List[Decision]
     taken: List[int]
-    history_text: str
+    history: History
 
     @property
     def ok(self) -> bool:
         return bool(self.verdict["ok"])
+
+    @property
+    def history_text(self) -> str:
+        """The run's canonical history, rendered on demand: only a
+        counterexample reads it."""
+        return self.history.canonical()
 
 
 def variant_name(crash: Optional[Tuple]) -> str:
@@ -391,7 +398,7 @@ def run_schedule(
             fingerprint=state_fingerprint(recorder.history),
             decisions=decisions,
             taken=taken,
-            history_text=recorder.history.canonical(),
+            history=recorder.history,
         )
     finally:
         if controller is not None:

@@ -51,6 +51,9 @@ class HistoryRecorder:
         self.cluster = cluster
         self.engine = cluster.engine
         self.history = History()
+        #: Events are built in one constructor call and appended
+        #: straight to the history's list.
+        self._append = self.history.events.append
         self._next_op_id = 1
         self._attached = False
         #: Highest journal seq already recorded as persisted, per
@@ -96,9 +99,6 @@ class HistoryRecorder:
         self._attached = False
         self.cluster.detach_observer(self)
 
-    def _emit(self, **kw) -> HistoryEvent:
-        return self.history.append(HistoryEvent(t=self.engine.now, **kw))
-
     # ------------------------------------------------------------------
     # sections: client operations (invocations and completions)
     # ------------------------------------------------------------------
@@ -117,16 +117,15 @@ class HistoryRecorder:
             else:
                 paths = [request.path]
         op = fields["op"]
-        op_ids = []
-        for path in paths:
-            op_id = self._next_op_id
-            self._next_op_id += 1
-            self._emit(
-                kind="invoke", actor=daemon, op=op, path=path,
+        now, append = self.engine.now, self._append
+        first = self._next_op_id
+        self._next_op_id = first + len(paths)
+        for op_id, path in enumerate(paths, first):
+            append(HistoryEvent(
+                now, "invoke", daemon, op=op, path=path,
                 op_id=op_id, client=client_id,
-            )
-            op_ids.append(op_id)
-        return daemon, op_ids
+            ))
+        return daemon, range(first, self._next_op_id)
 
     def end(self, token, result: dict) -> None:
         """The operation was acknowledged (``ok`` in the result; a
@@ -138,36 +137,38 @@ class HistoryRecorder:
             return
         actor, op_ids = token
         ok, error = result["ok"], result.get("error")
-        events = result.get("events")
+        events = result.get("events") or ()
+        now, append = self.engine.now, self._append
         for i, op_id in enumerate(op_ids):
-            extra = {}
-            if events is not None and i < len(events):
-                extra = {"seq": events[i].seq, "ino": events[i].ino or None}
-            self._emit(
-                kind="complete", actor=actor, op_id=op_id,
-                ok=ok, error=error, **extra,
-            )
+            seq = ino = None
+            if i < len(events):
+                ev = events[i]
+                seq, ino = ev.seq, ev.ino or None
+            append(HistoryEvent(
+                now, "complete", actor, ino=ino, seq=seq, op_id=op_id,
+                ok=ok, error=error,
+            ))
 
     # ------------------------------------------------------------------
     # marks: MDS side (visibility, merges, journal mirror, migration)
     # ------------------------------------------------------------------
     def _on_visible(self, actor: str, d: dict) -> None:
-        self._emit(
-            kind="visible", actor=actor,
+        self._append(HistoryEvent(
+            self.engine.now, "visible", actor,
             op=_OP_NAMES[d["op"]], path=d["path"],
             ino=d.get("ino") or None, client=d["client"],
             target=d.get("target"),
-        )
+        ))
 
     def _on_merge(self, actor: str, d: dict) -> None:
         if d["phase"] == "begin":
             detail = {"count": d["count"]}
         else:
             detail = {"applied": d["applied"], "conflicts": d["conflicts"]}
-        self._emit(
-            kind=f"merge_{d['phase']}", actor=actor, path=d["subtree"],
-            client=d["client"], detail=detail,
-        )
+        self._append(HistoryEvent(
+            self.engine.now, f"merge_{d['phase']}", actor,
+            path=d["subtree"], client=d["client"], detail=detail,
+        ))
 
     def _on_journaled(self, actor: str, d: dict) -> None:
         """The MDS appended real events to its (segmented) journal; they
@@ -212,13 +213,17 @@ class HistoryRecorder:
         (the handoff unwound; the source keeps authority)."""
         detail = dict(d, src=actor)
         subtree = detail.pop("subtree")
-        self._emit(kind="migrate", actor=actor, path=subtree, detail=detail)
+        self._append(HistoryEvent(
+            self.engine.now, "migrate", actor, path=subtree, detail=detail,
+        ))
 
     # ------------------------------------------------------------------
     # marks: crash / recovery (repro.faults drives these paths)
     # ------------------------------------------------------------------
     def _on_crash(self, actor: str, d: dict) -> None:
-        self._emit(kind="crash", actor=actor, detail=dict(d))
+        self._append(HistoryEvent(
+            self.engine.now, "crash", actor, detail=dict(d),
+        ))
         # An MDS crash drops its open (undispatched) segment: trim the
         # same events off the journal mirror's tail so a later segment
         # land never claims the lost events were persisted.  In-flight
@@ -238,7 +243,9 @@ class HistoryRecorder:
         restores nothing."""
         events = d.get("events")
         if events is None:
-            self._emit(kind="recover", actor=actor, detail=dict(d))
+            self._append(HistoryEvent(
+                self.engine.now, "recover", actor, detail=dict(d),
+            ))
             return
         if "client" in d:
             numbered = [(ev.seq, d["client"], ev) for ev in events]
@@ -247,17 +254,18 @@ class HistoryRecorder:
             numbered = [
                 (i, ev.client_id, ev) for i, ev in enumerate(mutations, 1)
             ]
+        now, append = self.engine.now, self._append
         for seq, client_id, ev in numbered:
-            self._emit(
-                kind="recovered", actor=actor,
+            append(HistoryEvent(
+                now, "recovered", actor,
                 op=_OP_NAMES[ev.op], path=ev.path,
                 ino=ev.ino or None, seq=seq, client=client_id,
                 target=ev.target_path,
-            )
-        self._emit(
-            kind="recover", actor=actor,
+            ))
+        append(HistoryEvent(
+            now, "recover", actor,
             detail={"mode": d["mode"], "restored": len(events)},
-        )
+        ))
 
     # ------------------------------------------------------------------
     # marks: persistence
@@ -274,14 +282,15 @@ class HistoryRecorder:
         scope: str,
     ) -> None:
         mark = self._persist_marks.get((actor, scope), 0)
+        now, append = self.engine.now, self._append
         for ev in events:
             if ev.seq <= mark:
                 continue
-            self._emit(
-                kind="persisted", actor=actor, scope=scope,
+            append(HistoryEvent(
+                now, "persisted", actor, scope=scope,
                 op=_OP_NAMES[ev.op], path=ev.path,
                 ino=ev.ino or None, seq=ev.seq, client=client_id,
-            )
+            ))
             mark = ev.seq
         self._persist_marks[(actor, scope)] = mark
 
@@ -293,8 +302,8 @@ class HistoryRecorder:
         scope, scan = d["scope"], d["scan"]
         events = scan.events
         valid_seq = events[-1].seq if events else 0
-        self._emit(
-            kind="persist_fault", actor=actor, scope=scope,
+        self._append(HistoryEvent(
+            self.engine.now, "persist_fault", actor, scope=scope,
             client=d["client"],
             detail={
                 "damage": scan.damage,
@@ -302,7 +311,7 @@ class HistoryRecorder:
                 "valid_events": len(events),
                 "valid_seq": valid_seq,
             },
-        )
+        ))
         mark = self._persist_marks.get((actor, scope), 0)
         if valid_seq < mark:
             self._persist_marks[(actor, scope)] = valid_seq
@@ -343,16 +352,17 @@ class HistoryRecorder:
         # the numbering journal-replay recovery uses — migration protocol
         # markers are journaled but carry no namespace update.
         mut_seq = self._mds_persisted_muts.get(mds.name, 0)
+        now, append = self.engine.now, self._append
         for idx in range(done, durable):
             ev = journaled[idx]
             if not ev.is_mutation:
                 continue
             mut_seq += 1
-            self._emit(
-                kind="persisted", actor=mds.name, scope="global",
+            append(HistoryEvent(
+                now, "persisted", mds.name, scope="global",
                 op=_OP_NAMES[ev.op], path=ev.path,
                 ino=ev.ino or None, seq=mut_seq, client=ev.client_id,
-            )
+            ))
         self._mds_persisted[mds.name] = durable
         self._mds_persisted_muts[mds.name] = mut_seq
 
@@ -376,7 +386,7 @@ class HistoryRecorder:
                         continue
                     kind = "dir" if mds.mdstore.inodes[child].is_dir else "file"
                     entries.append(f"{path}:{kind}")
-        self._emit(
-            kind="snapshot", actor=mds.name, path=subtree,
+        self._append(HistoryEvent(
+            self.engine.now, "snapshot", mds.name, path=subtree,
             detail={"entries": sorted(entries)},
-        )
+        ))

@@ -39,6 +39,7 @@ spec into the artifact for provenance.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -65,6 +66,11 @@ class ScenarioError(ValueError):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ScenarioError(message)
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -209,7 +215,10 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         _require(bool(self.name), "scenario name must be non-empty")
-        _require(self.duration_s > 0, "duration_s must be positive")
+        _require(
+            0 < self.duration_s < math.inf,
+            "duration_s must be positive and finite",
+        )
         _require(self.sessions >= 1, "sessions must be >= 1")
         _require(self.seeds >= 1, "seeds must be >= 1")
         _require(bool(self.subtrees), "at least one subtree is required")
@@ -268,15 +277,25 @@ class ScenarioSpec:
             # Unknown field names inside a section surface as TypeError
             # from the dataclass constructor; rewrap with context.
             raise ScenarioError(f"bad scenario section: {exc}") from exc
+        duration_s = raw["duration_s"]
+        _require(
+            _is_int(duration_s) or isinstance(duration_s, float),
+            f"duration_s must be a number, not {duration_s!r}",
+        )
+        sessions, seeds = raw.get("sessions", 8), raw.get("seeds", 3)
+        _require(
+            _is_int(sessions), f"sessions must be an integer, not {sessions!r}"
+        )
+        _require(_is_int(seeds), f"seeds must be an integer, not {seeds!r}")
         return cls(
             name=raw["name"],
-            duration_s=float(raw["duration_s"]),
+            duration_s=float(duration_s),
             population=population,
             mix=mix,
             subtrees=subtrees,
             cluster=cluster,
-            sessions=int(raw.get("sessions", 8)),
-            seeds=int(raw.get("seeds", 3)),
+            sessions=sessions,
+            seeds=seeds,
             auto_migrate=auto_migrate,
         )
 

@@ -15,7 +15,11 @@ directories, so an MDS that walks from ``/`` per request again (or
 sorts ``(name, ino)`` pairs to list) fails here too.  The third bounds
 the calls per op of the open-loop scenario path (``run_seed``: arrival
 sampling, session workers, RPCs), so a numpy call back on a per-op draw
-or a second frame back on the engine's resume path fails here.
+or a second frame back on the engine's resume path fails here.  The
+fourth bounds the calls per recorded history event of a conformance
+pass — recording, ``History.canonical()`` and ``check_history`` over the
+seed-0 matrix and corruption drill — so a per-event dict, keyword
+bundle or encoder call back on the recorder or the renderer fails here.
 """
 
 import cProfile
@@ -25,6 +29,7 @@ import sys
 import pytest
 
 from repro.cluster import Cluster
+from repro.conformance.driver import run_corruption_drill, run_matrix
 from repro.core import Cudele, MechanismContext, SubtreePolicy, run_mechanism
 from repro.mds.server import MDSConfig
 from repro.scenario.runner import run_seed
@@ -90,6 +95,14 @@ LADDER_SPEC = {
 #: numpy-dispatched scalar draws and a two-frame resume path); the
 #: budget leaves 10 %.
 CALLS_PER_OPENLOOP_OP_BUDGET = 196
+
+#: Calls per recorded history event over the seed-0 conformance matrix
+#: and corruption drill (the whole pass: simulation, recording,
+#: rendering and checking), after one warm-up pass.  Achieved: 67.62 on
+#: CPython 3.11 (87.01 while each event went through a keyword bundle
+#: and ``History.append`` and each line through a dict and
+#: ``JSONEncoder.encode``); the budget leaves 10 %.
+CALLS_PER_HISTORY_EVENT_BUDGET = 74
 
 
 def test_decoupled_path_stays_within_its_call_budget():
@@ -168,3 +181,25 @@ def test_open_loop_path_stays_within_its_call_budget():
     assert not any(result["errors"].values())
     calls_per_op = pstats.Stats(profile).total_calls / ops
     assert calls_per_op <= CALLS_PER_OPENLOOP_OP_BUDGET, calls_per_op
+
+
+def _conformance_pass():
+    return [run_matrix(0, jobs=1), run_corruption_drill(0, jobs=1)]
+
+
+def test_conformance_pass_stays_within_its_call_budget():
+    _conformance_pass()  # warm-up: imports and first-use caches
+
+    profile = cProfile.Profile()
+    profile.enable()
+    reports = _conformance_pass()
+    profile.disable()
+
+    assert all(report["ok"] for report in reports)
+    events = sum(
+        text.count("\n")
+        for report in reports for text in report["histories"].values()
+    )
+    assert events == 1432
+    calls_per_event = pstats.Stats(profile).total_calls / events
+    assert calls_per_event <= CALLS_PER_HISTORY_EVENT_BUDGET, calls_per_event

@@ -21,7 +21,7 @@ migration violation or a bare durability code.
 import pytest
 
 from repro.cluster import Cluster
-from repro.conformance import History, HistoryEvent, check_history
+from repro.conformance import History, check_history
 from repro.conformance.recorder import HistoryRecorder
 from repro.core.mechanisms import MechanismContext, run_mechanism
 from repro.core.namespace_api import Cudele
@@ -173,17 +173,16 @@ def test_corrupt_recovery_codes_survive_migration_histories():
         # Injected negative: drop the recovered event at the damaged
         # image's valid watermark -> the corruption code, not a
         # migration code.
-        dicts = [e.to_dict() for e in rec.history.events]
-        fault = next(d for d in dicts if d["kind"] == "persist_fault")
-        valid_seq = fault["detail"]["valid_seq"]
+        events = rec.history.events
+        fault = next(e for e in events if e.kind == "persist_fault")
+        valid_seq = fault.detail["valid_seq"]
         assert valid_seq >= 1, "torn fault salvaged nothing?"
-        dicts = [
-            d for d in dicts
-            if not (d["kind"] == "recovered" and d.get("seq") == valid_seq)
+        kept = [
+            e for e in events
+            if not (e.kind == "recovered" and e.seq == valid_seq)
         ]
         verdict = check_history(
-            History(HistoryEvent.from_dict(d) for d in dicts),
-            "invisible", "local", subtree=SUBTREE, owner=owner,
+            History(kept), "invisible", "local", subtree=SUBTREE, owner=owner,
         )
         codes = {v["code"] for v in verdict["violations"]}
         assert "corrupt-recovery-lost" in codes

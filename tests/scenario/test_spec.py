@@ -178,3 +178,26 @@ def test_checked_in_scenarios_validate():
     drift = load_spec(scenario_dir / "hotspot_drift.json")
     assert drift.auto_migrate is not None
     assert drift.cluster.num_mds >= 2
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"duration_s": float("inf")}, "finite"),
+    ({"duration_s": "30"}, "duration_s must be a number"),
+    ({"duration_s": True}, "duration_s must be a number"),
+    ({"seeds": "three"}, "seeds must be an integer"),
+    ({"seeds": True}, "seeds must be an integer"),
+    ({"sessions": 2.5}, "sessions must be an integer"),
+], ids=["inf-duration", "string-duration", "bool-duration",
+        "string-seeds", "bool-seeds", "fractional-sessions"])
+def test_top_level_numbers_are_typed_not_coerced(overrides, message):
+    with pytest.raises(ScenarioError, match=message):
+        ScenarioSpec.from_dict(_minimal_raw(**overrides))
+
+
+def test_infinite_duration_in_a_json_file_is_rejected(tmp_path):
+    path = tmp_path / "forever.json"
+    path.write_text(
+        json.dumps(_minimal_raw()).replace("5.0", "Infinity", 1)
+    )
+    with pytest.raises(ScenarioError, match="forever.json.*finite"):
+        load_spec(path)
