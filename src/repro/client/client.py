@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Generator, Optional, Sequence, Union
 
 from repro import calibration as cal
-from repro.client.cache import ClientCache
 from repro.mds.server import MDSDownError, MetadataServer, Request, Response
 from repro.rados.osd import OSDCrashError, OSDDownError
 from repro.sim.engine import AnyOf, Engine, Event, Timeout
@@ -94,7 +93,6 @@ class Client:
         self.mds = mds
         self.network = network
         self.name = f"client{client_id}"
-        self.cache = ClientCache(client_id)
         self.stats = StatsRegistry(engine, self.name)
         self._rpcs_sent = self.stats.counter("rpcs_sent")
         self.retry = retry or RetryPolicy()
@@ -124,14 +122,13 @@ class Client:
 
     # -- fault injection ----------------------------------------------------
     def crash(self) -> None:
-        """Client crash: cached capabilities/lookups are gone.
+        """Client crash.
 
         The RPC client is synchronous — every acknowledged op already
         reached the MDS — so unlike the decoupled client nothing queued
-        is lost; only its soft state resets.
+        is lost.
         """
         self.up = False
-        self.cache = ClientCache(self.client_id)
         self.stats.counter("crashes").incr()
         if self.tap is not None:
             self.tap.mark("crash", self.name)
@@ -233,9 +230,6 @@ class Client:
                 # client-side cost of those extra round trips.
                 extra = op_count * (response.rpcs - 1)
                 yield self.engine.sleep(extra * cal.CLIENT_OP_OVERHEAD_S)
-                self.cache.note_lookup(local=False)
-            else:
-                self.cache.note_lookup(local=True)
             return response
         except BaseException:
             response = None  # unwound, maybe mid-retry: nothing was acked
@@ -297,7 +291,6 @@ class Client:
                     names=names[start : start + batch],
                 )
             last = yield from self._call(request, op_count=request.count)
-            self.cache.note_reply(dir_path, last.cached, last.revoked)
         return last
 
     def rmdir(self, path: str) -> Generator[Event, None, Response]:

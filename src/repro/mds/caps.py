@@ -7,7 +7,9 @@ can do metadata writes (e.g., create) with a single RPC.  If the client
 is not caching the directory inode then it must do an extra RPC to
 determine if the file exists." (paper Section II-B)
 
-The tracker keeps a per-directory capability state:
+The MDS alone holds this state; a client learns what a write cost from
+the reply's ``rpcs``.  The tracker keeps a per-directory capability
+state:
 
 * ``EXCLUSIVE`` — one client holds the read-caching/write-buffering cap
   and can resolve lookups locally: a create costs **1 RPC**.
@@ -15,17 +17,16 @@ The tracker keeps a per-directory capability state:
   revoked, every writer must ``lookup()`` remotely first: **2 RPCs**
   per create, plus revocation work on the MDS.
 
-Once a directory has gone ``SHARED`` it stays shared while both clients
-keep writing (CephFS re-issues caps only after quiescence; the paper's
-interference runs never quiesce, matching the sticky behaviour here —
-:meth:`CapTracker.quiesce` models the idle re-grant for completeness).
+Once a directory has gone ``SHARED`` it stays shared (CephFS re-issues
+caps only after quiescence, and the paper's interference runs never
+quiesce).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 __all__ = ["CapState", "DirCaps", "CapTracker"]
 
@@ -45,7 +46,6 @@ class DirCaps:
     dir_ino: int
     state: CapState = CapState.UNHELD
     holder: Optional[int] = None
-    writers: Set[int] = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,13 @@ class AccessOutcome:
 
     rpcs: int
     revoked: bool
-    state: CapState
 
 
 # The three outcomes a write can have, shared: an outcome is immutable,
 # so a write need not build one.
-_WRITE_CACHED = AccessOutcome(rpcs=1, revoked=False, state=CapState.EXCLUSIVE)
-_WRITE_REVOKED = AccessOutcome(rpcs=2, revoked=True, state=CapState.SHARED)
-_WRITE_SHARED = AccessOutcome(rpcs=2, revoked=False, state=CapState.SHARED)
+_WRITE_CACHED = AccessOutcome(rpcs=1, revoked=False)
+_WRITE_REVOKED = AccessOutcome(rpcs=2, revoked=True)
+_WRITE_SHARED = AccessOutcome(rpcs=2, revoked=False)
 
 
 class CapTracker:
@@ -78,13 +77,6 @@ class CapTracker:
         self.revocations = 0
         self.grants = 0
 
-    def _caps(self, dir_ino: int) -> DirCaps:
-        caps = self._dirs.get(dir_ino)
-        if caps is None:
-            caps = DirCaps(dir_ino)
-            self._dirs[dir_ino] = caps
-        return caps
-
     def state_of(self, dir_ino: int) -> CapState:
         caps = self._dirs.get(dir_ino)
         return caps.state if caps else CapState.UNHELD
@@ -93,23 +85,15 @@ class CapTracker:
         caps = self._dirs.get(dir_ino)
         return caps.holder if caps else None
 
-    def can_cache(self, dir_ino: int, client_id: int) -> bool:
-        """Whether ``client_id`` may resolve lookups in this dir locally."""
-        caps = self._dirs.get(dir_ino)
-        return (
-            caps is not None
-            and caps.state is CapState.EXCLUSIVE
-            and caps.holder == client_id
-        )
-
     def write_access(self, dir_ino: int, client_id: int) -> AccessOutcome:
         """Record a write (create/unlink) by ``client_id`` in ``dir_ino``.
 
         Returns the RPC count the operation costs and whether it caused
         a revocation.
         """
-        caps = self._caps(dir_ino)
-        caps.writers.add(client_id)
+        caps = self._dirs.get(dir_ino)
+        if caps is None:
+            caps = self._dirs[dir_ino] = DirCaps(dir_ino)
         if caps.state is CapState.UNHELD:
             caps.state = CapState.EXCLUSIVE
             caps.holder = client_id
@@ -125,37 +109,6 @@ class CapTracker:
             return _WRITE_REVOKED
         # SHARED: everyone pays the extra lookup.
         return _WRITE_SHARED
-
-    def read_access(self, dir_ino: int, client_id: int) -> AccessOutcome:
-        """A read (stat/ls).  Reads never revoke; they cost 1 RPC unless
-        the client can serve from its own cache (exclusive holder)."""
-        if self.can_cache(dir_ino, client_id):
-            return AccessOutcome(rpcs=0, revoked=False, state=CapState.EXCLUSIVE)
-        return AccessOutcome(rpcs=1, revoked=False, state=self.state_of(dir_ino))
-
-    def release(self, dir_ino: int, client_id: int) -> None:
-        """Client drops its interest (file closed / unmount)."""
-        caps = self._dirs.get(dir_ino)
-        if caps is None:
-            return
-        caps.writers.discard(client_id)
-        if caps.holder == client_id:
-            caps.holder = None
-            caps.state = CapState.UNHELD if not caps.writers else CapState.SHARED
-
-    def quiesce(self, dir_ino: int) -> None:
-        """Idle re-grant: writers have gone away; if one remains it may
-        regain the exclusive cap."""
-        caps = self._dirs.get(dir_ino)
-        if caps is None:
-            return
-        if len(caps.writers) == 1:
-            caps.holder = next(iter(caps.writers))
-            caps.state = CapState.EXCLUSIVE
-            self.grants += 1
-        elif not caps.writers:
-            caps.holder = None
-            caps.state = CapState.UNHELD
 
     # -- migration ---------------------------------------------------------
     def export_dirs(self, dir_inos) -> Dict[int, DirCaps]:

@@ -49,10 +49,21 @@ class MDSDownError(ConnectionError):
 #: "notoriously heavy-weight" (§V-B3) and scales with directory size.
 LS_ENTRY_S = 2e-6
 
-#: The ops an ``interfere: block`` subtree policy can refuse.
-_MUTATING_OPS = frozenset(
-    ("create", "mkdir", "unlink", "rmdir", "setattr", "rename")
-)
+#: The ops that mutate the namespace, which an ``interfere: block``
+#: subtree refuses to every client but its owner.
+_MUTATING_OPS = frozenset((
+    "create", "mkdir", "unlink", "rmdir", "setattr", "rename",
+    "open_write", "close_write",
+))
+
+#: The batched name ops: each name's journal record type and the store
+#: method that applies it, read by ``_mutate_batch`` from ``request.op``.
+_NAME_OPS = {
+    "create": (EventType.CREATE, MetadataStore.create),
+    "mkdir": (EventType.MKDIR, MetadataStore.mkdir),
+    "unlink": (EventType.UNLINK, MetadataStore.unlink),
+    "rmdir": (EventType.RMDIR, MetadataStore.rmdir),
+}
 
 
 @dataclass
@@ -115,7 +126,6 @@ class Response:
     error: Optional[str] = None
     rpcs: int = 1
     revoked: bool = False
-    cached: bool = False  # client may serve lookups locally afterwards
     #: Set on an ``EREDIRECT`` reply: the MDS rank now authoritative for
     #: the request's path (the subtree migrated away from this rank).
     redirect: Optional[int] = None
@@ -561,19 +571,10 @@ class MetadataServer:
         yield from self.journal.log_events(events=events)
 
     # -- mutations --------------------------------------------------------
-    def _op_create(self, request: Request):
-        return self._mutate_batch(request, EventType.CREATE)
-
-    def _op_mkdir(self, request: Request):
-        return self._mutate_batch(request, EventType.MKDIR)
-
-    def _op_unlink(self, request: Request):
-        return self._mutate_batch(request, EventType.UNLINK)
-
-    def _op_rmdir(self, request: Request):
-        return self._mutate_batch(request, EventType.RMDIR)
-
-    def _mutate_batch(self, request: Request, op: EventType):
+    def _mutate_batch(self, request: Request):
+        """Apply one name op (a :data:`_NAME_OPS` row) to every name in
+        the request's directory, journaling a record per name applied."""
+        op, apply = _NAME_OPS[request.op]
         try:
             dir_ino = self._dir_ino(request.path)
         except FsError as exc:
@@ -607,37 +608,16 @@ class MetadataServer:
         events: Optional[List[JournalEvent]] = None
         if self.config.materialize and request.names is not None:
             events = []
+            store = self.mdstore
             for name in request.names:
                 path = request.path.rstrip("/") + "/" + name
                 try:
-                    if op == EventType.CREATE:
-                        inode = self.mdstore.create(path)
-                    elif op == EventType.MKDIR:
-                        inode = self.mdstore.mkdir(path)
-                    elif op == EventType.RMDIR:
-                        self.mdstore.rmdir(path)
-                        inode = None
-                    else:
-                        self.mdstore.unlink(path)
-                        inode = None
-                    created.append(name)
-                    events.append(
-                        JournalEvent(
-                            op,
-                            path,
-                            ino=inode.ino if inode else 0,
-                            mtime=self.engine.now,
-                            client_id=request.client_id,
-                        )
-                    )
-                    if tap is not None:
-                        tap.mark(
-                            "visible", self.name, op=op, path=path,
-                            ino=inode.ino if inode else 0,
-                            client=request.client_id,
-                        )
+                    inode = apply(store, path)
                 except FsError as exc:
                     errors.append(f"{name}: {exc}")
+                    continue
+                created.append(name)
+                events.append(self._record(op, path, request.client_id, inode))
         else:
             self._synthetic_sizes[dir_ino] = (
                 self._synthetic_sizes.get(dir_ino, 0) + request.count
@@ -656,74 +636,88 @@ class MetadataServer:
                 tap.end(section)
 
         latency = request.count * self.journal.commit_latency_s()
-        ok = not errors
         return (
             Response(
-                ok=ok,
+                ok=not errors,
                 value=created if request.names is not None else request.count,
                 error="; ".join(errors) if errors else None,
                 rpcs=outcome.rpcs,
                 revoked=outcome.revoked,
-                cached=self.caps.can_cache(dir_ino, request.client_id),
             ),
             latency,
         )
+
+    # Aliases, not wrappers: dispatch stays ``getattr(self, f"_op_{op}")``,
+    # so a handler patched on the class or the instance still takes effect.
+    _op_create = _op_mkdir = _op_unlink = _op_rmdir = _mutate_batch
+
+    def _record(
+        self, op: EventType, path: str, client: int, inode=None,
+        target: Optional[str] = None, visible: bool = True,
+    ) -> JournalEvent:
+        """The journal record of ``op`` just applied at ``path``, marked
+        visible to observers first when ``visible``."""
+        if op is EventType.SETATTR:
+            # The record carries the inode's state, not the request: a
+            # field the request left out would otherwise replay as its
+            # default.
+            event = JournalEvent(
+                op, path, mode=inode.mode, uid=inode.uid, gid=inode.gid,
+                mtime=inode.mtime, client_id=client,
+            )
+        else:
+            event = JournalEvent(
+                op, path, ino=inode.ino if inode else 0,
+                mtime=self.engine.now, target_path=target, client_id=client,
+            )
+        if visible and self.tap is not None:
+            self.tap.mark(
+                "visible", self.name, op=op, path=path, ino=event.ino,
+                client=client, target=target,
+            )
+        return event
+
+    def _commit(
+        self, request: Request, op: EventType, change=None,
+        target: Optional[str] = None, visible: bool = True, value: Any = None,
+    ):
+        """Apply one change at ``request.path`` and journal its
+        :meth:`_record` (process body); the reply carries ``value``.
+        ``change()`` applies the change to the store and returns the
+        inode it touched, if any; nothing is journaled when the store
+        refuses it or is not materialized."""
+        inode = None
+        if change is not None:
+            if not self.config.materialize:
+                return Response(ok=True, value=value), self.journal.commit_latency_s()
+            try:
+                inode = change()
+            except FsError as exc:
+                return Response(ok=False, error=str(exc)), 0.0
+        yield from self.journal_events([self._record(
+            op, request.path, request.client_id, inode, target, visible
+        )])
+        return Response(ok=True, value=value), self.journal.commit_latency_s()
 
     def _op_setattr(self, request: Request):
         cpu = self._service_time(1)
         if cpu > 0:
             yield self.engine.sleep(cpu)
-        if not self.config.materialize:
-            return Response(ok=True), self.journal.commit_latency_s()
-        try:
-            attrs = dict(request.payload or {})
-            inode = self.mdstore.setattr(request.path, **attrs)
-        except FsError as exc:
-            return Response(ok=False, error=str(exc)), 0.0
-        # The record carries the inode's state, not the request: a field
-        # the request left out would otherwise replay as its default.
-        events = [
-            JournalEvent(
-                EventType.SETATTR, request.path, mode=inode.mode,
-                uid=inode.uid, gid=inode.gid, mtime=inode.mtime,
-                client_id=request.client_id,
-            )
-        ]
-        if self.tap is not None:
-            self.tap.mark(
-                "visible", self.name, op=EventType.SETATTR,
-                path=request.path, client=request.client_id,
-            )
-        yield from self.journal_events(events)
-        return Response(ok=True), self.journal.commit_latency_s()
+        attrs = dict(request.payload or {})
+        return (yield from self._commit(
+            request, EventType.SETATTR,
+            lambda: self.mdstore.setattr(request.path, **attrs),
+        ))
 
     def _op_rename(self, request: Request):
         cpu = self._service_time(2)  # two directories touched
         if cpu > 0:
             yield self.engine.sleep(cpu)
-        if not self.config.materialize:
-            return Response(ok=True), self.journal.commit_latency_s()
-        try:
-            self.mdstore.rename(request.path, request.payload)
-        except FsError as exc:
-            return Response(ok=False, error=str(exc)), 0.0
-        events = [
-            JournalEvent(
-                EventType.RENAME,
-                request.path,
-                target_path=request.payload,
-                mtime=self.engine.now,
-                client_id=request.client_id,
-            )
-        ]
-        if self.tap is not None:
-            self.tap.mark(
-                "visible", self.name, op=EventType.RENAME,
-                path=request.path, client=request.client_id,
-                target=request.payload,
-            )
-        yield from self.journal_events(events)
-        return Response(ok=True), self.journal.commit_latency_s()
+        return (yield from self._commit(
+            request, EventType.RENAME,
+            lambda: self.mdstore.rename(request.path, request.payload),
+            target=request.payload,
+        ))
 
     # -- write-buffering capabilities (open files) -------------------------
     def _op_open_write(self, request: Request):
@@ -731,23 +725,28 @@ class MetadataServer:
 
         ``payload`` is a zero-argument callable returning the writer's
         current buffered size (the simulation's stand-in for the cap
-        state held client-side).
+        state held client-side).  On a materialized store, opening a
+        missing file creates it: journaled and visible like a one-name
+        ``create``, and the reply waits for that record's commit.
         """
         cpu = self._service_time(1)
         if cpu > 0:
             yield self.engine.sleep(cpu)
+        latency = 0.0
         if self.config.materialize and not self.mdstore.exists(request.path):
-            try:
-                self.mdstore.create(request.path)
-            except FsError as exc:
-                return Response(ok=False, error=str(exc)), 0.0
+            response, latency = yield from self._commit(
+                request, EventType.CREATE,
+                lambda: self.mdstore.create(request.path),
+            )
+            if not response.ok:
+                return response, latency
         if request.path in self._open_writers:
             holder, _ = self._open_writers[request.path]
             if holder != request.client_id:
                 return Response(ok=False, error="EBUSY: file open for write"), 0.0
         self._open_writers[request.path] = (request.client_id, request.payload)
         self.stats.counter("wb_caps_granted").incr()
-        return Response(ok=True, cached=True), 0.0
+        return Response(ok=True), latency
 
     def _op_close_write(self, request: Request):
         """Flush and drop a write-buffering capability.
@@ -761,20 +760,11 @@ class MetadataServer:
         if entry is None:
             return Response(ok=False, error="EBADF: not open for write"), 0.0
         size = int(request.payload or 0)
-        if self.config.materialize:
-            try:
-                inode = self.mdstore.setattr(request.path, size=size)
-            except FsError as exc:
-                return Response(ok=False, error=str(exc)), 0.0
-            # The inode's state, as in `_op_setattr`.
-            yield from self.journal_events([
-                JournalEvent(
-                    EventType.SETATTR, request.path, mode=inode.mode,
-                    uid=inode.uid, gid=inode.gid, mtime=inode.mtime,
-                    client_id=request.client_id,
-                )
-            ])
-        return Response(ok=True, value=size), self.journal.commit_latency_s()
+        return (yield from self._commit(
+            request, EventType.SETATTR,
+            lambda: self.mdstore.setattr(request.path, size=size),
+            visible=False, value=size,
+        ))
 
     def _recall_writer(self, path: str):
         """Recall the writer's buffering cap: one round trip, then the
@@ -892,10 +882,9 @@ class MetadataServer:
         if path in self._frozen:
             return Response(ok=False, error="EBUSY: subtree already frozen"), 0.0
         self._frozen[path] = self.engine.event()
-        yield from self.journal_events([
-            JournalEvent(EventType.EXPORT_PREP, path, mtime=self.engine.now)
-        ])
-        return Response(ok=True), self.journal.commit_latency_s()
+        return (yield from self._commit(
+            request, EventType.EXPORT_PREP, visible=False
+        ))
 
     # -- Cudele support ------------------------------------------------------
     def _op_provision(self, request: Request):
@@ -909,21 +898,14 @@ class MetadataServer:
     def _op_volatile_apply(self, request: Request):
         """Replay a client journal onto the in-memory metadata store.
 
-        ``payload`` is either a list of JournalEvents, encoded journal
-        bytes, or an int count (non-materialized bulk merges).
+        ``payload`` is either a list of JournalEvents or an int count
+        (non-materialized bulk merges).
         ``names=None``; conflict handling per the subtree's merge
         priority is the caller's concern (see repro.core.merge).
         """
         payload = request.payload
-        if isinstance(payload, int):
-            n = payload
-            events = None
-        elif isinstance(payload, (bytes, bytearray)):
-            events = JournalTool.inspect(bytes(payload))
-            n = len(events)
-        else:
-            events = list(payload)
-            n = len(events)
+        events = None if isinstance(payload, int) else list(payload)
+        n = payload if events is None else len(events)
         cpu = n * cal.VOLATILE_APPLY_S
         if cpu > 0:
             yield self.engine.sleep(cpu)

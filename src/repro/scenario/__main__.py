@@ -7,6 +7,8 @@
   artifacts of the same scenario; exits 1 on divergence.
 * ``validate FILE ...`` — load + validate scenario files without
   running them (the CI lint for checked-in scenarios).
+
+A malformed option or argument exits 2 with one line on stderr.
 """
 
 from __future__ import annotations
@@ -22,22 +24,37 @@ from repro.scenario.runner import run_scenario
 from repro.scenario.spec import ScenarioError, load_spec
 
 
-def _pop_option(argv, flag):
+class _UsageError(Exception):
+    """A malformed command line: one stderr line, exit status 2."""
+
+
+def _parsed(text, parse, flag, noun):
+    """``parse(text)``, or a :class:`_UsageError` saying ``flag`` wants
+    ``noun``."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise _UsageError(f"{flag} must be {noun}, got {text!r}") from None
+
+
+def _pop_option(argv, flag, parse=str, noun=None):
+    """Remove ``flag VALUE`` from ``argv``; returns ``parse(VALUE)``."""
     if flag not in argv:
         return None
     idx = argv.index(flag)
-    try:
-        value = argv[idx + 1]
-    except IndexError:
-        raise SystemExit(f"{flag} requires an argument")
+    if idx + 1 == len(argv):
+        raise _UsageError(f"{flag} requires an argument")
+    text = argv[idx + 1]
     del argv[idx : idx + 2]
-    return value
+    return _parsed(text, parse, flag, noun)
 
 
 def _run(argv) -> int:
-    seeds = _pop_option(argv, "--seeds")
-    jobs = _pop_option(argv, "--jobs")
+    seeds = _pop_option(argv, "--seeds", int, "an integer")
+    jobs = _pop_option(argv, "--jobs", int, "an integer")
     out = _pop_option(argv, "--out")
+    if seeds is not None and seeds < 1:
+        raise _UsageError(f"--seeds must be at least 1, got {seeds}")
     if len(argv) != 1:
         print("usage: run FILE [--seeds N] [--jobs N] [--out FILE]",
               file=sys.stderr)
@@ -47,11 +64,7 @@ def _run(argv) -> int:
     except (OSError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    artifact = run_scenario(
-        spec,
-        seeds=int(seeds) if seeds is not None else None,
-        jobs=int(jobs) if jobs is not None else None,
-    )
+    artifact = run_scenario(spec, seeds=seeds, jobs=jobs)
     print(format_report(artifact))
     if out is not None:
         dump_artifact(artifact, out)
@@ -64,7 +77,9 @@ def _compare(argv) -> int:
         print("usage: compare BASE.json CAND.json [tolerance]",
               file=sys.stderr)
         return 2
-    tolerance = float(argv[2]) if len(argv) == 3 else 0.05
+    tolerance = 0.05
+    if len(argv) == 3:
+        tolerance = _parsed(argv[2], float, "tolerance", "a number")
     try:
         report = compare_files(argv[0], argv[1], tolerance)
     except (OSError, ValueError) as exc:
@@ -97,14 +112,15 @@ def main(argv=None) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     command, rest = argv[0], argv[1:]
-    if command == "run":
-        return _run(rest)
-    if command == "compare":
-        return _compare(rest)
-    if command == "validate":
-        return _validate(rest)
-    print(f"unknown command {command!r}", file=sys.stderr)
-    return 2
+    handlers = {"run": _run, "compare": _compare, "validate": _validate}
+    if command not in handlers:
+        print(f"unknown command {command!r}", file=sys.stderr)
+        return 2
+    try:
+        return handlers[command](rest)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -118,7 +118,6 @@ KEEP: Dict[str, str] = {
     "repro.mds.mdstore:MetadataStore.rmdir": _POSIX,
     "repro.mds.mdstore:MetadataStore.setattr": _POSIX,
     "repro.mds.server:MetadataServer._op_rename": _POSIX,
-    "repro.mds.server:MetadataServer._op_rmdir": _POSIX,
     "repro.mds.server:MetadataServer._op_setattr": _POSIX,
     "repro.conformance.model:ReferenceModel": (
         _POSIX + "; item 2 also gives the model its own merge rule"),
@@ -228,7 +227,6 @@ KEEP: Dict[str, str] = {
         "direct run_mechanism call runs the no-op"),
     # -- state queries the tests observe through
     "repro.cluster:Cluster.num_mds": _query("rank count"),
-    "repro.client.cache:ClientCache.can_cache": _query("cap mirror"),
     "repro.conformance.history:History.of_kind": _query("history filter"),
     "repro.core.dsl:CompositionPlan.canonical": _query("plan spelling"),
     "repro.faults.plan:FaultPlan.__len__": _query("fault count"),
@@ -236,8 +234,7 @@ KEEP: Dict[str, str] = {
     "repro.journal.events:JournalEvent.parent_path": _query("parent path"),
     "repro.journal.format:JournalScan.ok": _query("scan verdict"),
     "repro.mds.caps:CapTracker": _query(
-        "holder / state / read access, and the idle release / re-grant "
-        "transitions"),
+        "directory cap holder / state / tracked-directory count"),
     "repro.mds.inode:DirFragment.__len__": _query("fragment size"),
     "repro.mds.inotable:InoRange.__contains__": _query("range membership"),
     "repro.mds.inotable:InoTable.mark_consumed": _query("consumed-inode record"),

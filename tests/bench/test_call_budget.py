@@ -54,13 +54,15 @@ CALLS_PER_CREATE_BUDGET = 38
 RPC_CLIENTS = 4
 RPC_ROUNDS = 200
 
-#: Calls per RPC op (create or ls), end to end.  Achieved: 146.0 on
-#: CPython 3.11 (146.5 while a free disk-queue or window slot still
-#: built an event, 187.5 while each wire message built and accounted a
+#: Calls per RPC op (create or ls), end to end.  Achieved: 142.0 on
+#: CPython 3.11 (146.0 while each reply also updated a client-side cap
+#: mirror and each create passed through an ``_op_create`` wrapper
+#: call, 146.5 while a free disk-queue or window slot still built an
+#: event, 187.5 while each wire message built and accounted a
 #: ``Resource`` pipe request and passed through three wrapper frames,
 #: 221.0 with numpy-dispatched draws and a two-frame resume path, 247.5
 #: when each interleaved request walked from ``/``); the budget leaves
-#: 10 %.
+#: 10 % over the 146.0.
 CALLS_PER_RPC_OP_BUDGET = 161
 
 USERS = 1_000_000
@@ -90,10 +92,10 @@ LADDER_SPEC = {
 }
 
 #: Calls per open-loop op, end to end (after one warm-up run, so lazy
-#: imports do not count).  Achieved: 178.55 on CPython 3.11 (219.7 with a
-#: ``Resource`` pipe request per wire message, 275.1 with
-#: numpy-dispatched scalar draws and a two-frame resume path); the
-#: budget leaves 10 %.
+#: imports do not count).  Achieved: 175.71 on CPython 3.11 (178.55 with
+#: the client-side cap mirror, 219.7 with a ``Resource`` pipe request
+#: per wire message, 275.1 with numpy-dispatched scalar draws and a
+#: two-frame resume path); the budget leaves 10 % over the 178.55.
 CALLS_PER_OPENLOOP_OP_BUDGET = 196
 
 #: Calls per recorded history event over the seed-0 conformance matrix

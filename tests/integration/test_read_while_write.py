@@ -14,6 +14,7 @@ import pytest
 
 from repro import calibration as cal
 from repro.cluster import Cluster
+from repro.conformance.recorder import HistoryRecorder
 from repro.core.namespace_api import Cudele
 from repro.core.policy import SubtreePolicy
 
@@ -110,6 +111,45 @@ def test_writers_own_stat_never_recalls():
     st = cluster.run(writer.stat("/data/mine"))
     assert st.ok
     assert cluster.mds.stats.counter("wb_recalls").value == 0
+
+
+def test_open_write_cannot_create_under_a_foreign_block():
+    """Opening a missing file creates it, so an ``interfere: block``
+    subtree refuses it to every client but its owner, like a create."""
+    cluster = Cluster()
+    cluster.run(Cudele(cluster).decouple(
+        "/job",
+        SubtreePolicy(
+            consistency="append_client_journal", durability="none",
+            interfere="block",
+        ),
+    ))
+    intruder = cluster.new_client()
+    with pytest.raises(OSError, match="EBUSY"):
+        cluster.run(intruder.open_write("/job/intruder.log"))
+    assert not cluster.mds.mdstore.exists("/job/intruder.log")
+
+
+def test_file_created_by_open_survives_an_mds_crash():
+    """The create an open makes is journaled and visible: once the
+    journal is flushed, a crash and replay keep the file."""
+    cluster = Cluster()
+    writer = cluster.new_client()
+    assert cluster.run(writer.mkdir("/data")).ok
+    recorder = HistoryRecorder.attach(cluster)
+    handle = cluster.run(writer.open_write("/data/out.log"))
+    handle.write(4096)
+    assert cluster.run(writer.close_write(handle)).ok
+    mds = cluster.mds
+    cluster.run(mds.journal.flush())
+    mds.crash()
+    cluster.run(mds.recover())
+    assert mds.mdstore.exists("/data/out.log")
+    visible = [
+        (e.op, e.client) for e in recorder.history.of_kind("visible")
+        if e.path == "/data/out.log"
+    ]
+    assert visible == [("create", writer.client_id)]
 
 
 def test_policy_file_read_lazy_key():

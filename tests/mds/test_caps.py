@@ -47,62 +47,13 @@ def test_shared_is_sticky_while_writers_remain():
         assert t.write_access(10, 1).rpcs == 2
 
 
-def test_can_cache_only_exclusive_holder():
+def test_only_the_exclusive_writer_holds_the_cap():
     t = CapTracker()
     t.write_access(10, 1)
-    assert t.can_cache(10, 1)
-    assert not t.can_cache(10, 2)
-    t.write_access(10, 2)
-    assert not t.can_cache(10, 1)
-
-
-def test_read_access_cached_is_free():
-    t = CapTracker()
-    t.write_access(10, 1)
-    assert t.read_access(10, 1).rpcs == 0
-    assert t.read_access(10, 2).rpcs == 1
-
-
-def test_read_access_never_revokes():
-    t = CapTracker()
-    t.write_access(10, 1)
-    out = t.read_access(10, 2)
-    assert not out.revoked
-    assert t.state_of(10) is CapState.EXCLUSIVE
-
-
-def test_release_holder_unhelds_or_shares():
-    t = CapTracker()
-    t.write_access(10, 1)
-    t.release(10, 1)
-    assert t.state_of(10) is CapState.UNHELD
-    # next writer becomes exclusive again
-    assert t.write_access(10, 2).rpcs == 1
-
-
-def test_release_unknown_dir_noop():
-    t = CapTracker()
-    t.release(99, 1)  # no error
-
-
-def test_quiesce_regrants_to_lone_writer():
-    t = CapTracker()
-    t.write_access(10, 1)
-    t.write_access(10, 2)  # shared now
-    t.release(10, 2)
-    t.quiesce(10)
-    assert t.state_of(10) is CapState.EXCLUSIVE
     assert t.holder_of(10) == 1
-    assert t.write_access(10, 1).rpcs == 1
-
-
-def test_quiesce_empty_dir_unhelds():
-    t = CapTracker()
-    t.write_access(10, 1)
-    t.release(10, 1)
-    t.quiesce(10)
-    assert t.state_of(10) is CapState.UNHELD
-    t.quiesce(99)  # unknown: noop
+    t.write_access(10, 2)
+    assert t.holder_of(10) is None
+    assert t.state_of(10) is CapState.SHARED
 
 
 def test_tracked_dirs_counts():

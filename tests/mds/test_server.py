@@ -4,7 +4,7 @@ import pytest
 
 from repro import calibration as cal
 from repro.journal.events import EventType, JournalEvent
-from repro.mds.server import MDSConfig, MetadataServer, Request
+from repro.mds.server import _MUTATING_OPS, MDSConfig, MetadataServer, Request
 
 from tests.conftest import drive
 
@@ -79,19 +79,29 @@ def test_setattr(engine, mds):
 def test_cap_single_rpc_for_sole_writer(engine, mds):
     submit(engine, mds, Request("mkdir", "/", 1, names=["d"]))
     resp = submit(engine, mds, Request("create", "/d", 1, names=["a"]))
-    assert resp.rpcs == 1 and resp.cached
+    assert resp.rpcs == 1 and not resp.revoked
 
 
 def test_cap_revocation_on_second_writer(engine, mds):
     submit(engine, mds, Request("mkdir", "/", 1, names=["d"]))
     submit(engine, mds, Request("create", "/d", 1, names=["a"]))
     resp = submit(engine, mds, Request("create", "/d", 2, names=["b"]))
-    assert resp.rpcs == 2 and resp.revoked and not resp.cached
+    assert resp.rpcs == 2 and resp.revoked
     assert mds.stats.counter("revocations").value == 1
     # the original writer now also pays lookups
     resp = submit(engine, mds, Request("create", "/d", 1, names=["c"]))
     assert resp.rpcs == 2
     assert mds.stats.counter("lookups").value >= 2
+
+
+def test_reads_never_revoke_a_dir_cap(engine, mds):
+    submit(engine, mds, Request("mkdir", "/", 1, names=["d"]))
+    submit(engine, mds, Request("create", "/d", 1, names=["a"]))
+    for op, path in (("lookup", "/d/a"), ("stat", "/d/a"), ("ls", "/d")):
+        assert submit(engine, mds, Request(op, path, 2)).ok
+    assert mds.caps.holder_of(mds.mdstore.resolve("/d").ino) == 1
+    assert submit(engine, mds, Request("create", "/d", 1, names=["b"])).rpcs == 1
+    assert mds.stats.counter("revocations").value == 0
 
 
 def test_journal_event_count_exact(engine, objstore, network):
@@ -183,6 +193,87 @@ def test_interfere_allow_does_not_reject(engine, mds):
     assert resp.ok
 
 
+#: Every op the server dispatches (``_op_<name>`` handlers).
+SERVED_OPS = sorted(
+    name[len("_op_"):] for name in dir(MetadataServer) if name.startswith("_op_")
+)
+
+OWNER, FOREIGN = 1, 2
+
+
+def _blocked_request(op, client):
+    """One request per served op, all under the ``/blk`` subtree."""
+    return {
+        "create": Request("create", "/blk", client, names=["new"]),
+        "mkdir": Request("mkdir", "/blk", client, names=["newdir"]),
+        "unlink": Request("unlink", "/blk", client, names=["f"]),
+        "rmdir": Request("rmdir", "/blk", client, names=["d"]),
+        "setattr": Request("setattr", "/blk/f", client, payload={"mode": 0o600}),
+        "rename": Request("rename", "/blk/f", client, payload="/blk/g"),
+        "open_write": Request(
+            "open_write", "/blk/new", client, payload=lambda: 0
+        ),
+        "close_write": Request("close_write", "/blk/f", client, payload=7),
+        "lookup": Request("lookup", "/blk/f", client),
+        "stat": Request("stat", "/blk/f", client),
+        "ls": Request("ls", "/blk", client),
+        "export_prep": Request("export_prep", "/blk", client),
+        "provision": Request("provision", "/blk", client, count=4),
+        "volatile_apply": Request("volatile_apply", "/blk", client, payload=[
+            JournalEvent(EventType.CREATE, f"/blk/m{client}", client_id=client)
+        ]),
+    }[op]
+
+
+def _namespace(mds):
+    store = mds.mdstore
+    return (
+        {ino: repr(inode) for ino, inode in store.inodes.items()},
+        {ino: dict(frag.entries) for ino, frag in store.dirfrags.items()},
+    )
+
+
+@pytest.mark.parametrize("op", SERVED_OPS)
+def test_block_refuses_exactly_the_ops_that_mutate(op, engine, mds):
+    """``_MUTATING_OPS`` is the one list the ``interfere: block`` check
+    reads: a foreign client gets EBUSY iff the op is on it, and the ops
+    on it are the ones that change the namespace, each leaving one
+    journal record when the owner issues it."""
+    class Policy:
+        interfere = "block"
+        owner_client = OWNER
+
+    submit(engine, mds, Request("mkdir", "/", OWNER, names=["blk"]))
+    submit(engine, mds, Request("create", "/blk", OWNER, names=["f"]))
+    submit(engine, mds, Request("mkdir", "/blk", OWNER, names=["d"]))
+    mds.policy_resolver = (
+        lambda path: Policy() if path.startswith("/blk") else None
+    )
+
+    foreign = submit(engine, mds, _blocked_request(op, FOREIGN))
+    assert (foreign.error == "EBUSY") == (op in _MUTATING_OPS), foreign
+    mds.unfreeze_subtree("/blk")  # a foreign export_prep froze it
+
+    if op == "close_write":
+        opened = Request("open_write", "/blk/f", OWNER, payload=lambda: 7)
+        assert submit(engine, mds, opened).ok
+    before, logged = _namespace(mds), mds.journal.events_logged
+    owned = submit(engine, mds, _blocked_request(op, OWNER))
+    assert owned.ok, owned
+    changed = _namespace(mds) != before
+    if op in _MUTATING_OPS:
+        assert changed
+        assert mds.journal.events_logged - logged == 1
+    else:
+        # Only the merge, which replays the owner's own client journal,
+        # changes the namespace without being a mutating op.
+        assert changed == (op == "volatile_apply")
+
+
+def test_mutating_ops_are_served_ops():
+    assert _MUTATING_OPS <= set(SERVED_OPS)
+
+
 def test_provision_returns_range(engine, mds):
     resp = submit(engine, mds, Request("provision", "/", 5, count=100))
     assert resp.ok and resp.value.count == 100
@@ -200,18 +291,6 @@ def test_volatile_apply_events(engine, mds):
     assert resp.ok and resp.value["applied"] == 3
     assert mds.mdstore.exists("/sub/f0")
     assert mds.mdstore.inotable.is_consumed(rng.start)
-
-
-def test_volatile_apply_bytes_payload(engine, mds):
-    from repro.journal.tool import JournalTool
-
-    submit(engine, mds, Request("mkdir", "/", 1, names=["sub"]))
-    data = JournalTool.export(
-        [JournalEvent(EventType.CREATE, "/sub/x", ino=3_000_000)]
-    )
-    resp = submit(engine, mds, Request("volatile_apply", "/sub", 5, payload=data))
-    assert resp.ok and resp.value["applied"] == 1
-    assert mds.mdstore.exists("/sub/x")
 
 
 def test_volatile_apply_counts_conflicts(engine, mds):

@@ -1,6 +1,12 @@
 """The ``python -m repro.scenario`` command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from repro.scenario.__main__ import main
 from repro.scenario.report import load_artifact
@@ -83,3 +89,30 @@ def test_usage_errors(capsys):
     assert main(["run"]) == 2
     assert main(["compare", "one.json"]) == 2
     capsys.readouterr()
+
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "SPEC", "--seeds", "abc"],
+    ["run", "SPEC", "--seeds", "0"],
+    ["run", "SPEC", "--seeds"],
+    ["run", "SPEC", "--jobs", "x"],
+    ["compare", "A.json", "B.json", "x"],
+], ids=["seeds-abc", "seeds-0", "seeds-missing", "jobs-x", "tolerance-x"])
+def test_malformed_arguments_exit_2_with_one_line(args, tmp_path):
+    """A malformed number or a missing option value is a usage error:
+    exit status 2 and one line on stderr, never a traceback."""
+    spec_file = str(_tiny_spec_file(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.scenario",
+         *[spec_file if arg == "SPEC" else arg for arg in args]],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stdout == ""
