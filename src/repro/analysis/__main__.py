@@ -4,15 +4,16 @@ Usage::
 
     python -m repro.analysis [lint] [--rules a,b] [--stats] \\
         [--json | --format github] PATH...
-    python -m repro.analysis check --composition "a+b||c" ...
-    python -m repro.analysis check --policies policies.cudele ...
+    python -m repro.analysis check [--json | --format github] \\
+        --composition "a+b||c" ...
     python -m repro.analysis model [--cell C,D]... [--depth N] \\
         [--budget M] [--mutation NAME] [--out FILE] [--json]
     python -m repro.analysis rules
 
 ``lint`` (the default when the first argument is a path) runs simlint
 and exits 0 only when every finding is fixed or suppressed; ``check``
-statically validates compositions and versioned policy sets; ``model``
+runs the runtime's composition gate (``repro.core.policy.check_plan``)
+and lists advisory pairings as warnings that do not fail it; ``model``
 runs the explicit-state model checker over Table I cells (exit 1 on
 any counterexample — which is the *expected* outcome under
 ``--mutation``); ``rules`` prints the rule catalog.  ``--json`` emits
@@ -28,15 +29,9 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.analysis.checker import (
-    PolicySetError,
-    check_plan,
-    check_policy_set,
-    parse_policy_set,
-    policy_set_warnings,
-)
 from repro.analysis.rules import rule_catalog
 from repro.analysis.simlint import LintReport, lint_paths
+from repro.core.policy import check_plan, composition_warnings
 
 USAGE = __doc__ or ""
 
@@ -151,7 +146,6 @@ def _check(argv: List[str]) -> int:
     if fmt is None:
         return 2
     compositions: List[str] = []
-    policy_files: List[str] = []
     it = iter(argv)
     for arg in it:
         if arg == "--composition":
@@ -160,50 +154,21 @@ def _check(argv: List[str]) -> int:
                 print("--composition requires an expression", file=sys.stderr)
                 return 2
             compositions.append(value)
-        elif arg == "--policies":
-            value = next(it, None)
-            if value is None:
-                print("--policies requires a file path", file=sys.stderr)
-                return 2
-            policy_files.append(value)
         else:
             print(f"unknown check argument {arg!r}", file=sys.stderr)
             return 2
-    if not compositions and not policy_files:
-        print("check requires --composition and/or --policies", file=sys.stderr)
+    if not compositions:
+        print("check requires --composition", file=sys.stderr)
         return 2
     results: List[Dict] = []
     for text in compositions:
         errors = check_plan(text)
+        parsed = not any(err.code == "parse-error" for err in errors)
         results.append({
             "kind": "composition", "target": text,
             "ok": not errors,
             "errors": [err.render() for err in errors],
-            "warnings": [],
-        })
-    for path in policy_files:
-        try:
-            source = Path(path).read_text()
-        except OSError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        try:
-            ps = parse_policy_set(source)
-        except PolicySetError as exc:
-            results.append({
-                "kind": "policies", "target": path, "ok": False,
-                "errors": [err.render() for err in exc.errors],
-                "warnings": [],
-            })
-            continue
-        errors = check_policy_set(ps)
-        results.append({
-            "kind": "policies", "target": path,
-            "ok": not errors,
-            "errors": [err.render() for err in errors],
-            "warnings": list(policy_set_warnings(ps)),
-            "subtrees": len(ps.subtrees),
-            "version": ps.version,
+            "warnings": composition_warnings(text) if parsed else [],
         })
     failed = any(not r["ok"] for r in results)
     if fmt == "json":
@@ -212,27 +177,19 @@ def _check(argv: List[str]) -> int:
     elif fmt == "github":
         for r in results:
             for err in r["errors"]:
-                where = (f"file={r['target']}," if r["kind"] == "policies"
-                         else "")
                 sys.stdout.write(
-                    f"::error {where}title=repro.analysis check::"
+                    "::error title=repro.analysis check::"
                     f"{_github_escape(err)}\n"
                 )
     else:
         for r in results:
+            label = f"composition {r['target']!r}"
             if r["ok"]:
-                if r["kind"] == "policies":
-                    print(f"{r['target']}: ok ({r['subtrees']} subtree(s), "
-                          f"version {r['version']})")
-                else:
-                    print(f"composition {r['target']!r}: ok")
-            else:
-                label = (r["target"] if r["kind"] == "policies"
-                         else f"composition {r['target']!r}")
-                for err in r["errors"]:
-                    print(f"{label}: {err}")
-            for warning in r.get("warnings", []):
-                print(f"{r['target']}: warning: {warning}")
+                print(f"{label}: ok")
+            for err in r["errors"]:
+                print(f"{label}: {err}")
+            for warning in r["warnings"]:
+                print(f"{label}: warning: {warning}")
     return 1 if failed else 0
 
 

@@ -9,9 +9,9 @@ This package is the paper's primary contribution:
   Local/Global Persist).
 * :mod:`~repro.core.dsl` — the composition language: ``+`` sequences
   mechanisms, ``||`` runs them in parallel.
-* :mod:`~repro.core.policy` — subtree policies and Table I (the
+* :mod:`~repro.core.policy` — subtree policies, Table I (the
   semantics matrix mapping each (consistency, durability) cell to a
-  mechanism composition).
+  mechanism composition) and the composition gate ``check_plan``.
 * :mod:`~repro.core.policyfile` — the ``policies.yml`` format.
 * :mod:`~repro.core.namespace_api` — the user-facing API: decouple a
   path with a policies file, retarget semantics dynamically.
@@ -23,9 +23,11 @@ This package is the paper's primary contribution:
 from repro.core.semantics import Consistency, Durability
 from repro.core.dsl import CompositionPlan, DslError, parse_composition
 from repro.core.policy import (
+    CompositionError,
     SubtreePolicy,
     TABLE_I,
     SYSTEM_POLICIES,
+    check_plan,
     composition_for,
     composition_warnings,
 )
@@ -44,6 +46,8 @@ __all__ = [
     "SubtreePolicy",
     "TABLE_I",
     "SYSTEM_POLICIES",
+    "CompositionError",
+    "check_plan",
     "composition_for",
     "composition_warnings",
     "PolicyFileError",

@@ -19,7 +19,7 @@ from typing import Generator, Optional, Sequence, Union
 from repro.client.decoupled import DecoupledClient
 from repro.cluster import Cluster
 from repro.core.mechanisms import MechanismContext
-from repro.core.policy import SubtreePolicy
+from repro.core.policy import SubtreePolicy, check_plan
 from repro.core.policyfile import parse_policies
 from repro.core.semantics import Consistency, Durability
 from repro.mds.mdstore import FsError
@@ -212,8 +212,6 @@ class Cudele:
         # Static gate: reject compositions whose mechanism dependencies
         # cannot hold (e.g. nonvolatile_apply with no journal upstream)
         # before any simulated work happens.
-        from repro.analysis.checker import check_plan
-
         check_plan(policy.plan, raise_on_error=True)
         if policy.mds_rank is not None and len(self.cluster.mds_list) > 1:
             yield from self._place(path, policy.mds_rank)
@@ -264,9 +262,11 @@ class Cudele:
         subtree is POSIX IO-compliant but relaxes durability
         constraints, so it can reside under a POSIX IO subtree."
 
-        The maintained guarantee is *consistency*: a child may relax
-        durability (the RAMDisk example) but may not weaken the
-        parent's consistency; violations raise :class:`EmbeddingError`.
+        The maintained guarantees are *consistency* and *exclusive
+        access*: a child may relax durability (the RAMDisk example) but
+        may not weaken the parent's consistency, nor open an
+        ``interfere: block`` parent to other clients with ``allow``;
+        violations raise :class:`EmbeddingError`.
         """
         if isinstance(policy, str):
             policy = parse_policies(policy)
@@ -282,6 +282,12 @@ class Cudele:
                 f"child consistency {child_c.value!r} weakens the parent's "
                 f"{parent_c.value!r}; embedded subtrees must maintain the "
                 "parent's consistency guarantee"
+            )
+        if parent.policy.interfere == "block" and policy.interfere == "allow":
+            raise EmbeddingError(
+                f"{path!r} sets interfere=allow inside {parent.path!r}, "
+                "which blocks interference; the parent promised its client "
+                "exclusive access"
             )
         ns = yield self.cluster.engine.process(
             self.decouple(path, policy, dclient=dclient,
@@ -300,8 +306,6 @@ class Cudele:
         """
         if isinstance(new_policy, str):
             new_policy = parse_policies(new_policy)
-        from repro.analysis.checker import check_plan
-
         check_plan(new_policy.plan, raise_on_error=True)
         old_c, old_d = _policy_semantics(ns.policy)
         new_c, new_d = _policy_semantics(new_policy)

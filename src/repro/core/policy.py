@@ -1,4 +1,4 @@
-"""Subtree policies and the Table I semantics matrix.
+"""Subtree policies, the Table I semantics matrix and the composition gate.
 
 A :class:`SubtreePolicy` is what the policies file (and the monitor's
 policy map) carries for one subtree: a consistency composition, a
@@ -6,20 +6,32 @@ durability composition, the Allocated Inodes contract and the interfere
 policy.  :data:`TABLE_I` reproduces the paper's Table I exactly: the
 canonical mechanism composition for every (consistency, durability)
 cell.
+
+:func:`check_plan` is the gate ``Cudele.decouple`` and ``retarget`` run
+before any simulated work: a composition is only meaningful when the
+mechanism dependencies of :data:`MECHANISM_DEPENDENCIES` hold and no
+hard pair of :data:`MECHANISM_PAIRS` shares it (e.g.
+``nonvolatile_apply`` without a client journal to replay is nonsense
+the runtime would otherwise discover mid-run).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.dsl import parse_composition
+from repro.core.dsl import CompositionPlan, DslError, parse_composition
 from repro.core.semantics import Consistency, Durability, PersistBackend
 
 __all__ = [
     "SubtreePolicy",
     "TABLE_I",
     "SYSTEM_POLICIES",
+    "MECHANISM_DEPENDENCIES",
+    "MECHANISM_PAIRS",
+    "CheckError",
+    "CompositionError",
+    "check_plan",
     "composition_for",
     "composition_warnings",
     "DEFAULT_ALLOCATED_INODES",
@@ -70,36 +82,169 @@ def composition_for(
     return TABLE_I[(consistency, durability)]
 
 
-def composition_warnings(text: str) -> List[str]:
-    """Flag compositions the paper calls out as making 'little sense'.
+#: Workload-phase producers act for the whole job, so they satisfy a
+#: dependency from any position in the composition.  Not
+#: ``dsl.WORKLOAD_PHASE``: that set also holds ``stream``, which no
+#: dependency consumes, and it decides what ``finalize()`` runs.
+_WORKLOAD_PRODUCERS = {"rpcs", "append_client_journal"}
 
-    "it makes little sense to do append client journal+RPCs since both
-    mechanisms do the same thing or stream+local persist since 'global'
-    durability is stronger and has more overhead than 'local'" (§III-B).
-    All permutations remain *legal* — these are advisory.
+#: mechanism -> (set of acceptable upstream providers, why it needs one).
+MECHANISM_DEPENDENCIES: Dict[str, Tuple[frozenset, str]] = {
+    "volatile_apply": (
+        frozenset({"append_client_journal"}),
+        "it replays the client journal onto the MDS's in-memory store",
+    ),
+    "nonvolatile_apply": (
+        frozenset({"append_client_journal"}),
+        "it replays the client journal through the object store",
+    ),
+    "local_persist": (
+        frozenset({"append_client_journal", "rpcs"}),
+        "it writes recorded updates to the client's disk",
+    ),
+    "global_persist": (
+        frozenset({"append_client_journal", "rpcs"}),
+        "it pushes recorded updates into the object store",
+    ),
+    "stream": (
+        frozenset({"rpcs", "volatile_apply"}),
+        "it streams the MDS journal, so updates must reach the MDS",
+    ),
+}
+
+#: Every rule about a pair of mechanisms, as ``(a, b, hard, why)``.  A
+#: hard pair cannot share a composition (:func:`check_plan` rejects
+#: it).  An advisory pair stays legal, but the paper says it makes
+#: "little sense ... since both mechanisms do the same thing or ...
+#: since 'global' durability is stronger and has more overhead than
+#: 'local'" (§III-B); :func:`composition_warnings` reports it.
+MECHANISM_PAIRS: List[Tuple[str, str, bool, str]] = [
+    (
+        "stream", "append_client_journal", True,
+        "stream persists the MDS journal but append_client_journal "
+        "diverts updates into the decoupled client journal; the streamed "
+        "journal would never contain them",
+    ),
+    (
+        "append_client_journal", "rpcs", False,
+        "both mechanisms record the same updates; pick one",
+    ),
+    (
+        "stream", "local_persist", False,
+        "stream already provides global durability, which is stronger "
+        "than local",
+    ),
+    ("stream", "global_persist", False, "both persist the journal globally"),
+    ("volatile_apply", "nonvolatile_apply", False,
+     "both merge the same journal"),
+]
+
+
+@dataclass(frozen=True)
+class CheckError:
+    """One composition-check diagnostic with its location."""
+
+    code: str
+    where: str  # e.g. "stage 2 (volatile_apply)"
+    message: str
+
+    def render(self) -> str:
+        return f"{self.where}: {self.code}: {self.message}"
+
+
+class CompositionError(ValueError):
+    """A composition failed :func:`check_plan`."""
+
+    def __init__(self, errors: List[CheckError]):
+        self.errors = errors
+        super().__init__(
+            "; ".join(e.render() for e in errors) or "composition check failed"
+        )
+
+
+def check_plan(
+    plan: Union[CompositionPlan, str], raise_on_error: bool = False
+) -> List[CheckError]:
+    """Validate one composition against the mechanism dependency DAG.
+
+    Checks, per the paper's mechanism semantics (§III-A):
+
+    * journal-consuming mechanisms need an upstream producer
+      (``append_client_journal`` for the apply mechanisms; a recording
+      mechanism for the persists; an MDS-routing one for ``stream``),
+    * no hard pair of :data:`MECHANISM_PAIRS` shares the composition,
+    * a stage may not repeat a mechanism (running one mechanism twice in
+      parallel against the same journal is never meaningful).
     """
-    plan = parse_composition(text)
+    if isinstance(plan, str):
+        try:
+            plan = parse_composition(plan)
+        except DslError as exc:
+            errors = [CheckError("parse-error", "composition", str(exc))]
+            if raise_on_error:
+                raise CompositionError(errors) from exc
+            return errors
+    errors: List[CheckError] = []
+    positions: Dict[str, int] = {}
+    for idx, stage in enumerate(plan.stages):
+        seen_in_stage = set()
+        for mech in stage:
+            if mech in seen_in_stage:
+                errors.append(
+                    CheckError(
+                        "duplicate-mechanism",
+                        f"stage {idx + 1} ({'||'.join(stage)})",
+                        f"mechanism {mech!r} appears twice in one parallel "
+                        "group; it would run against the same journal twice",
+                    )
+                )
+            seen_in_stage.add(mech)
+            positions.setdefault(mech, idx)
+    for mech, (providers, why) in MECHANISM_DEPENDENCIES.items():
+        if mech not in positions:
+            continue
+        satisfied = any(
+            p in positions
+            and (p in _WORKLOAD_PRODUCERS or positions[p] < positions[mech])
+            for p in providers
+        )
+        if not satisfied:
+            errors.append(
+                CheckError(
+                    "missing-dependency",
+                    f"stage {positions[mech] + 1} ({mech})",
+                    f"{mech} requires one of "
+                    f"{sorted(providers)} upstream: {why}",
+                )
+            )
+    for a, b, hard, why in MECHANISM_PAIRS:
+        if hard and a in positions and b in positions:
+            errors.append(
+                CheckError(
+                    "conflicting-mechanisms",
+                    f"stage {positions[a] + 1} ({a}) vs "
+                    f"stage {positions[b] + 1} ({b})",
+                    why,
+                )
+            )
+    if raise_on_error and errors:
+        raise CompositionError(errors)
+    return errors
+
+
+def composition_warnings(plan: Union[CompositionPlan, str]) -> List[str]:
+    """The advisory pairs of :data:`MECHANISM_PAIRS` in ``plan``.
+
+    All permutations remain *legal*: these are warnings, not errors.
+    """
+    if isinstance(plan, str):
+        plan = parse_composition(plan)
     mechs = set(plan.mechanisms)
-    warnings = []
-    if {"append_client_journal", "rpcs"} <= mechs:
-        warnings.append(
-            "append_client_journal+rpcs: both mechanisms record the same "
-            "updates; pick one"
-        )
-    if "stream" in mechs and "local_persist" in mechs:
-        warnings.append(
-            "stream+local_persist: stream already provides global "
-            "durability, which is stronger than local"
-        )
-    if "stream" in mechs and "global_persist" in mechs:
-        warnings.append(
-            "stream+global_persist: both persist the journal globally"
-        )
-    if "volatile_apply" in mechs and "nonvolatile_apply" in mechs:
-        warnings.append(
-            "volatile_apply+nonvolatile_apply: both merge the same journal"
-        )
-    return warnings
+    return [
+        f"{a}+{b}: {why}"
+        for a, b, hard, why in MECHANISM_PAIRS
+        if not hard and a in mechs and b in mechs
+    ]
 
 
 @dataclass
@@ -178,9 +323,6 @@ class SubtreePolicy:
     @property
     def is_decoupled(self) -> bool:
         return self.workload_mode == "decoupled"
-
-    def warnings(self) -> List[str]:
-        return composition_warnings(self.combined_composition)
 
     @classmethod
     def from_semantics(

@@ -26,17 +26,6 @@ _KEYS = {
     "read_lazy": bool,
 }
 
-#: Accepted aliases (the paper capitalizes mechanism names in prose).
-_ALIASES = {
-    "rpcs": "rpcs",
-    "stream": "stream",
-    "append client journal": "append_client_journal",
-    "volatile apply": "volatile_apply",
-    "nonvolatile apply": "nonvolatile_apply",
-    "local persist": "local_persist",
-    "global persist": "global_persist",
-}
-
 
 class PolicyFileError(ValueError):
     """Malformed policies file."""
@@ -50,14 +39,13 @@ def _unquote(value: str) -> str:
 
 
 def _normalize_composition(value: str) -> str:
-    """Lowercase, map prose aliases, tighten separators."""
+    """Lowercase, map prose names ("Append Client Journal", as the paper
+    writes them) to identifiers, tighten separators."""
     out_stages = []
     for stage in value.split("+"):
         groups = []
         for mech in stage.split("||"):
-            name = mech.strip().lower()
-            name = _ALIASES.get(name, name.replace(" ", "_"))
-            groups.append(name)
+            groups.append(mech.strip().lower().replace(" ", "_"))
         out_stages.append("||".join(groups))
     return "+".join(out_stages)
 

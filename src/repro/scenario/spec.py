@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from repro.core.semantics import Consistency, Durability
 from repro.workloads.generators import OpMix
 
 __all__ = [
@@ -154,6 +155,10 @@ class ClusterSpec:
         _require(self.num_osds >= 1, "cluster.num_osds must be >= 1")
 
 
+#: A subtree policy's keys and the spectrum each names a point on.
+_POLICY_AXES = {"consistency": Consistency, "durability": Durability}
+
+
 @dataclass(frozen=True)
 class SubtreeSpec:
     """One policy-carrying subtree and its initial MDS rank."""
@@ -170,11 +175,32 @@ class SubtreeSpec:
             f"subtree path must be absolute and not the root: {self.path!r}",
         )
         _require(self.rank >= 0, "subtree rank must be >= 0")
-        if self.policy is not None:
+        if self.policy is None:
+            return
+        _require(
+            isinstance(self.policy, dict),
+            f"subtree {self.path}: policy must be an object, "
+            f"not {self.policy!r}",
+        )
+        unknown = sorted(k for k in self.policy if k not in _POLICY_AXES)
+        _require(
+            not unknown, f"subtree {self.path}: unknown policy key(s): {unknown}"
+        )
+        _require(
+            "consistency" in self.policy and "durability" in self.policy,
+            f"subtree {self.path}: policy needs consistency + durability",
+        )
+        for key, spectrum in _POLICY_AXES.items():
+            value = self.policy[key]
             _require(
-                "consistency" in self.policy and "durability" in self.policy,
-                f"subtree {self.path}: policy needs consistency + durability",
+                isinstance(value, str),
+                f"subtree {self.path}: policy {key} must be a string, "
+                f"not {value!r}",
             )
+            try:
+                spectrum.parse(value)
+            except ValueError as exc:
+                raise ScenarioError(f"subtree {self.path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -79,14 +79,9 @@ KEEP: Dict[str, str] = {
     "repro.analysis.findings:Finding.render": (
         "renders a lint finding; src/ lints clean, so only the rule "
         "tests produce one"),
-    "repro.analysis.checker": (
-        "the policy-set `check --policies` verb, the composition-error "
-        "paths and `check_inotable` (docs/ANALYSIS.md); the census "
-        "checks valid compositions only"),
-    "repro.core.policy:SubtreePolicy.warnings": (
-        "advisory composition warnings, surfaced by the policy-set check"),
-    "repro.core.policy:composition_warnings": (
-        "advisory composition warnings, surfaced by the policy-set check"),
+    "repro.core.policy:CompositionError": (
+        "the composition gate's rejection in Cudele.decouple / retarget; "
+        "no shipped driver installs a composition check_plan rejects"),
     "repro.journal.tool": (
         "cephfs-journal-tool analogue (§IV-B): the inspect / export / "
         "import / erase verbs and the EventApplier protocol stub"),
@@ -358,6 +353,8 @@ def _cli(out: Path) -> None:
         "check", "--composition", "append_client_journal+volatile_apply",
         "--composition", "rpcs+stream",
     ]))
+    _expect("check reject", 1,
+            analysis(["check", "--composition", "nonvolatile_apply"]))
     scenarios = sorted(str(p) for p in (ROOT / "scenarios").glob("*.json"))
     _expect("scenario validate", 0, scenario(["validate", *scenarios]))
     for path in scenarios:

@@ -78,6 +78,26 @@ def test_check_json_composition(capsys):
     assert result["ok"] is True
 
 
+def test_check_json_carries_advisory_warnings(capsys):
+    rc = cli_main(
+        ["check", "--json", "--composition", "rpcs+stream+local_persist"]
+    )
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    (result,) = doc["results"]
+    assert result["ok"] is True
+    assert result["errors"] == []
+    assert result["warnings"] == [
+        "stream+local_persist: stream already provides global durability, "
+        "which is stronger than local"
+    ]
+
+
+def test_check_has_no_policy_set_verb(capsys):
+    assert cli_main(["check", "--policies", "policies.conf"]) == 2
+    assert "unknown check argument '--policies'" in capsys.readouterr().err
+
+
 def test_check_json_reports_errors(capsys):
     rc = cli_main(["check", "--json", "--composition", "no_such_mechanism"])
     doc = json.loads(capsys.readouterr().out)

@@ -91,3 +91,25 @@ def test_embed_accepts_policy_text(cluster, cudele, posix_home):
         )
     )
     assert ns.policy.durability == "none"
+
+
+def test_allow_child_cannot_open_a_block_parent(cluster, cudele):
+    """§VII: the child keeps the parent's guarantee of exclusive access."""
+    weak_local = dict(
+        consistency="append_client_journal+volatile_apply",
+        durability="local_persist",
+    )
+    parent = cluster.run(
+        cudele.decouple("/p", SubtreePolicy(interfere="block", **weak_local))
+    )
+    with pytest.raises(EmbeddingError, match="interfere=allow"):
+        cluster.run(cudele.embed(parent, "/p/c", SubtreePolicy(**weak_local)))
+    assert cudele.policy_of("/p/c/x") is parent.policy
+    foreign = cluster.new_client()
+    assert cluster.run(foreign.create("/p/c/x")).error == "EBUSY"
+    child = cluster.run(
+        cudele.embed(
+            parent, "/p/d", SubtreePolicy(interfere="block", **weak_local)
+        )
+    )
+    assert child.policy.interfere == "block"

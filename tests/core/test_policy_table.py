@@ -126,8 +126,3 @@ def test_warnings_for_nonsensical_compositions():
     assert composition_warnings("volatile_apply+nonvolatile_apply")
     assert composition_warnings("rpcs+stream") == []
     assert composition_warnings("append_client_journal+volatile_apply") == []
-
-
-def test_policy_warnings_method():
-    p = SubtreePolicy(consistency="append_client_journal+rpcs")
-    assert p.warnings()

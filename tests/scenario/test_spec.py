@@ -77,6 +77,24 @@ def test_value_validation():
         AutoMigrateSpec(check_interval_s=0.0)
 
 
+@pytest.mark.parametrize("policy, message", [
+    ({"consistency": "bogus", "durability": "none"},
+     "unknown consistency 'bogus'"),
+    ({"consistency": "weak", "durability": "forever"},
+     "unknown durability 'forever'"),
+    ({"consistency": 3, "durability": "none"},
+     "policy consistency must be a string"),
+    ({"consistency": "strong", "durability": "global", "interfere": "block"},
+     r"unknown policy key\(s\): \['interfere'\]"),
+    ("strong/global", "policy must be an object"),
+], ids=["bad-consistency", "bad-durability", "int-consistency",
+        "unknown-key", "not-an-object"])
+def test_subtree_policy_is_validated_at_load(policy, message):
+    raw = _minimal_raw(subtrees=[{"path": "/scn/sub0", "policy": policy}])
+    with pytest.raises(ScenarioError, match=f"subtree /scn/sub0: {message}"):
+        ScenarioSpec.from_dict(raw)
+
+
 def test_subtree_rank_must_exist():
     raw = _minimal_raw(subtrees=[{"path": "/scn/sub0", "rank": 1}])
     with pytest.raises(ScenarioError, match="rank 1"):
