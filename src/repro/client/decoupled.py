@@ -133,7 +133,11 @@ class DecoupledClient:
         if isinstance(names_or_count, int):
             n, paths = names_or_count, None
         else:
+            # Every path of the batch starts with the directory's: it is
+            # validated here, once, not per event.
             base = dir_path.rstrip("/")
+            if base[:1] not in ("", "/"):
+                raise ValueError(f"event path must be absolute, got {base!r}")
             paths = [f"{base}/{name}" for name in names_or_count]
             n = len(paths)
         tap = self.tap
@@ -149,18 +153,9 @@ class DecoupledClient:
             if paths is None:
                 self.counted_ops += n
             else:
-                # Built with their sequence numbers in place, so the
-                # journal takes them without a stamping copy.
-                now, client_id = self.engine.now, self.client_id
-                appended = self.journal.extend([
-                    JournalEvent(
-                        EventType.CREATE, path, ino=ino, mtime=now, seq=seq,
-                        client_id=client_id,
-                    )
-                    for seq, (path, ino) in enumerate(
-                        zip(paths, self._take_inos(n)), self.journal.next_seq
-                    )
-                ])
+                appended = self.journal.extend_creates(
+                    paths, self._take_inos(n), self.engine.now
+                )
                 if len(appended) < n:
                     raise self._range_exhausted()
             if self.persist_each:

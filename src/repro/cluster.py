@@ -20,6 +20,7 @@ from typing import List, Optional
 from repro import calibration as cal
 from repro.client.client import Client
 from repro.client.decoupled import DecoupledClient
+from repro.mds.inotable import INO_SPACE
 from repro.mds.server import MDSConfig, MetadataServer
 from repro.mon.monitor import Monitor
 from repro.rados.cluster import ObjectStore
@@ -94,9 +95,9 @@ class Cluster:
             return cfg
         clone = MDSConfig(**vars(cfg))
         clone.seed = cfg.seed + 7919 * rank  # independent jitter streams
-        # Disjoint per-rank inode bases: a migrated InoTable range can
+        # Disjoint per-rank inode spaces: a migrated InoTable range can
         # never overlap the destination's own allocations.
-        clone.ino_base = (1 << 20) + rank * (1 << 40)
+        clone.ino_base = (1 << 20) + rank * INO_SPACE
         return clone
 
     # -- MDS rank access -------------------------------------------------

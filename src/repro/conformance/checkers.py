@@ -674,9 +674,10 @@ def _check_model(
     migrate records replay exactly as before.
     """
     model = ReferenceModel()
-    # The subtree root is usually admin-created (Cudele._ensure_path,
-    # which is invisible to the history); seed it unless the history
-    # itself records its mkdir.
+    # The subtree root is usually admin-created
+    # (MetadataServer.ensure_dirs: its MKDIR records are never marked
+    # visible, though they appear as persisted once flushed); seed it
+    # unless the history itself records a visible mkdir of it.
     if not any(
         e.kind == "visible" and e.op == "mkdir" and e.path == subtree
         for e in history

@@ -169,8 +169,8 @@ class ReferenceModel:
 
     def ensure_dirs(self, path: str) -> None:
         """Create every missing ancestor of ``path`` plus ``path`` itself
-        (mirrors ``Cudele._ensure_path``, which is administration-side
-        and free)."""
+        (mirrors ``MetadataServer.ensure_dirs``, which is
+        administration-side and free)."""
         cur = ""
         for part in [p for p in _norm(path).split("/") if p]:
             cur += "/" + part

@@ -33,38 +33,44 @@ def resolve_conflicts(
       dropped.
 
     Only CREATE/MKDIR conflicts need resolution; other ops fail loudly
-    at replay if inconsistent.
+    at replay if inconsistent.  A CREATE/MKDIR conflicts only with an
+    entry the journal found in place: a path the journal itself already
+    created or removed (UNLINK/RMDIR) is the journal's own doing.
+    ``mdstore`` is read through ``exists`` and ``resolve`` alone.
     """
     if priority not in ("decoupled", "existing"):
         raise ValueError(f"unknown merge priority {priority!r}")
+    keep_existing = priority == "existing"
+    create, mkdir = EventType.CREATE, EventType.MKDIR
+    unlink, rmdir = EventType.UNLINK, EventType.RMDIR
+    exists, resolve = mdstore.exists, mdstore.resolve
     out: List[JournalEvent] = []
-    # Track paths the journal itself creates so we only consult the
-    # store for pre-existing (interferer-written) entries.
-    journal_creates = set()
+    append = out.append
+    # Paths the journal created over a store entry or removed: their
+    # state at replay is the journal's, so they are never judged
+    # against the store again.  (A path the journal created where the
+    # store had nothing needs no entry: the store still has nothing.)
+    settled = set()
     for ev in events:
-        op = ev.op
-        if op is EventType.CREATE or op is EventType.MKDIR:
-            path = ev.path
-            conflict = path not in journal_creates and mdstore.exists(path)
-            if conflict:
-                existing = mdstore.resolve(path)
-                if priority == "existing":
+        op = ev[0]
+        if op is create or op is mkdir:
+            path = ev[1]
+            if path not in settled and exists(path):
+                if keep_existing:
                     continue
-                if op is EventType.CREATE and existing.is_file:
-                    out.append(
-                        JournalEvent(
-                            EventType.UNLINK, path, client_id=ev.client_id
-                        )
-                    )
-                elif op is EventType.MKDIR and existing.is_dir:
-                    # Directory already exists: keep it, skip the MKDIR.
-                    journal_creates.add(path)
-                    continue
-                else:
+                existing = resolve(path)
+                if op is create and existing.is_file:
+                    append(JournalEvent(unlink, path, client_id=ev[9]))
+                elif not (op is mkdir and existing.is_dir):
                     # Type mismatch: drop the conflicting journal event.
                     continue
-            journal_creates.add(path)
-        out.append(ev)
+                settled.add(path)
+                if op is mkdir:
+                    # Directory already exists: keep it, skip the MKDIR.
+                    continue
+        elif op is unlink or op is rmdir:
+            settled.add(ev[1])
+        append(ev)
     return out
 
 

@@ -141,22 +141,6 @@ class Cudele:
             self._rpc_clients[ns.path] = client
         return client
 
-    def _ensure_path(self, path: str) -> None:
-        """Create the subtree root (administration-side, zero cost)."""
-        mds = self.cluster.mds_for(path)
-        if not mds.config.materialize:
-            return
-        md = mds.mdstore
-        parts = [p for p in path.split("/") if p]
-        cur = ""
-        for part in parts:
-            cur += "/" + part
-            try:
-                md.mkdir(cur)
-            except FsError as exc:
-                if exc.code != "EEXIST":
-                    raise
-
     def _place(self, path: str, rank: int) -> Generator[Event, None, None]:
         """Honor a policy's ``mds_rank`` placement hint (process body).
 
@@ -215,7 +199,10 @@ class Cudele:
         check_plan(policy.plan, raise_on_error=True)
         if policy.mds_rank is not None and len(self.cluster.mds_list) > 1:
             yield from self._place(path, policy.mds_rank)
-        self._ensure_path(path)
+        mds = self.cluster.mds_for(path)
+        made = mds.ensure_dirs(path)
+        if made:
+            yield from mds.journal_events(made)
         if policy.is_decoupled and dclient is None:
             dclient = self.cluster.new_decoupled_client(
                 persist_each=persist_each,

@@ -14,9 +14,10 @@ the compact real encoding.
 
 from __future__ import annotations
 
-from typing import Generator, List
+from itertools import count
+from typing import Generator, List, Sequence
 
-from repro.journal.events import JournalEvent, WIRE_EVENT_BYTES
+from repro.journal.events import EventType, JournalEvent, WIRE_EVENT_BYTES
 from repro.journal.format import JournalCodec
 from repro.rados.striper import Striper
 from repro.sim.disk import Disk
@@ -50,22 +51,23 @@ class LocalJournal:
         self.events.append(stamped)
         return stamped
 
-    @property
-    def next_seq(self) -> int:
-        """The sequence number the next appended event will carry."""
-        return self._next_seq
-
-    def extend(self, events) -> List[JournalEvent]:
-        """Append many events; returns them as stamped.  Events built
-        with their numbers already in place (counting up from
-        :attr:`next_seq`) are taken as they are."""
-        stamped = [
-            ev if ev.seq == seq else ev.with_seq(seq)
-            for seq, ev in enumerate(events, self._next_seq)
+    def extend_creates(
+        self, paths: Sequence[str], inos: Sequence[int], mtime: float
+    ) -> List[JournalEvent]:
+        """Append one CREATE per path, each with the inode number at its
+        position (as many as both sequences hold), built with its
+        sequence number in place; returns them.  The caller vouches for
+        the fields (absolute paths, non-negative inode numbers): nothing
+        is validated per event."""
+        trusted, client_id = JournalEvent.trusted, self.client_id
+        create = EventType.CREATE
+        batch = [
+            trusted(create, path, ino, 0o644, 0, 0, mtime, None, seq, client_id)
+            for seq, path, ino in zip(count(self._next_seq), paths, inos)
         ]
-        self.events.extend(stamped)
-        self._next_seq += len(stamped)
-        return stamped
+        self.events += batch
+        self._next_seq += len(batch)
+        return batch
 
     def clear(self) -> None:
         self.events.clear()

@@ -14,7 +14,10 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
-__all__ = ["Inode", "DirFragment", "INODE_BYTES", "ROOT_INO"]
+__all__ = [
+    "Inode", "DirFragment", "INODE_BYTES", "ROOT_INO", "S_IFDIR", "S_IFREG",
+    "typed_mode",
+]
 
 #: Approximate in-memory/serialized size of one CephFS inode (paper §IV-C,
 #: citing the Ceph Jewel documentation).  Used for cache sizing and for
@@ -24,13 +27,23 @@ INODE_BYTES = 1400
 #: The root directory's inode number (CephFS uses 1 for the root).
 ROOT_INO = 1
 
-_S_IFDIR = 0o040000
-_S_IFREG = 0o100000
+#: Type bits of a directory's and a regular file's mode.
+S_IFDIR = 0o040000
+S_IFREG = 0o100000
 
 #: The typed modes this code base itself mints (file and directory
 #: defaults): an inode takes the shared object, not one ``int`` each.
 #: A literal, never written to.
 _MODES = {0o100644: 0o100644, 0o040755: 0o040755}
+
+
+def typed_mode(mode: int, kind: int) -> int:
+    """The stored mode of an inode of type ``kind`` (:data:`S_IFDIR` or
+    :data:`S_IFREG`) with the permission bits of ``mode``."""
+    mode = (mode & 0o7777) | kind
+    if mode in _MODES:
+        return _MODES[mode]
+    return mode
 
 
 @dataclass(slots=True)
@@ -44,7 +57,7 @@ class Inode:
     """
 
     ino: int
-    mode: int = 0o644 | _S_IFREG
+    mode: int = 0o644 | S_IFREG
     uid: int = 0
     gid: int = 0
     size: int = 0
@@ -58,31 +71,25 @@ class Inode:
 
     @property
     def is_dir(self) -> bool:
-        return bool(self.mode & _S_IFDIR)
+        return bool(self.mode & S_IFDIR)
 
     @property
     def is_file(self) -> bool:
-        return bool(self.mode & _S_IFREG)
+        return bool(self.mode & S_IFREG)
 
     @classmethod
     def directory(
         cls, ino: int, mode: int = 0o755, uid: int = 0, gid: int = 0,
         mtime: float = 0.0,
     ) -> "Inode":
-        mode = (mode & 0o7777) | _S_IFDIR
-        if mode in _MODES:
-            mode = _MODES[mode]
-        return cls(ino, mode, uid, gid, 0, mtime)
+        return cls(ino, typed_mode(mode, S_IFDIR), uid, gid, 0, mtime)
 
     @classmethod
     def regular(
         cls, ino: int, mode: int = 0o644, uid: int = 0, gid: int = 0,
         mtime: float = 0.0,
     ) -> "Inode":
-        mode = (mode & 0o7777) | _S_IFREG
-        if mode in _MODES:
-            mode = _MODES[mode]
-        return cls(ino, mode, uid, gid, 0, mtime)
+        return cls(ino, typed_mode(mode, S_IFREG), uid, gid, 0, mtime)
 
     @property
     def footprint_bytes(self) -> int:

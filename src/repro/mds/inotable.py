@@ -13,9 +13,14 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["InoRange", "InoTable"]
+__all__ = ["InoRange", "InoTable", "INO_SPACE"]
 
 _NO_LIMIT = float("inf")
+
+#: How many numbers one table owns from its first free number on.  The
+#: ranks of a cluster start their tables this far apart
+#: (``Cluster._rank_config``), so each mints from a space of its own.
+INO_SPACE = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -103,12 +108,19 @@ class _Runs:
 
 
 class InoTable:
-    """Allocates inode numbers; supports client range provisioning."""
+    """Allocates inode numbers; supports client range provisioning.
+
+    The table mints from its own space, ``[first_free, first_free +
+    INO_SPACE)``.  A number from outside it (another rank's, arriving
+    with a migrated subtree) is marked consumed and never moves the
+    allocation cursor: were it to, two ranks would mint from one space.
+    """
 
     def __init__(self, first_free: int = 1 << 20):
         if first_free <= 1:
             raise ValueError("first_free must leave room for system inodes")
         self._next = first_free
+        self._space_end = first_free + INO_SPACE
         self._ranges: Dict[int, List[InoRange]] = {}
         #: ``(starts, [(end, client_id), ...])`` over every provisioned
         #: range, sorted by start (ranges never overlap); built on demand
@@ -117,13 +129,6 @@ class InoTable:
             Tuple[List[int], List[Tuple[int, int]]]
         ] = None
         self._consumed = _Runs()
-
-    def reserve_floor(self, first_free: int) -> None:
-        """Raise the allocation floor (never lowers it).  Multi-rank
-        clusters give each rank a disjoint base so tables can migrate
-        ranges between ranks without collisions."""
-        if first_free > self._next:
-            self._next = first_free
 
     # -- direct allocation (MDS-side create path) -----------------------
     def allocate(self) -> int:
@@ -192,14 +197,19 @@ class InoTable:
             return True
         return ino in runs
 
-    def note_external(self, ino: int) -> None:
-        """Record an inode minted elsewhere (journal replay, recovery).
+    def note_external(self, ino: int, end: int = 0) -> None:
+        """Record an inode minted elsewhere (journal replay, recovery,
+        migration): ``ino``, or the run ``[ino, end)`` when ``end`` is
+        given.
 
-        Keeps future allocations clear of replayed numbers; idempotent.
+        Keeps future allocations clear of the numbers; idempotent.
         """
-        self._consumed.add(ino, ino + 1)
-        if ino >= self._next:
-            self._next = ino + 1
+        if end <= ino:
+            end = ino + 1
+        self._consumed.add(ino, end)
+        space_end = self._space_end
+        if end > self._next and ino < space_end:
+            self._next = end if end <= space_end else space_end
 
     def release_unused(self, client_id: int) -> int:
         """Return a client's unconsumed provisioned inodes; count reclaimed.
@@ -263,8 +273,10 @@ class InoTable:
             self._owner_index = None
         for start, end in bundle["consumed"]:
             self._consumed.add(start, end)
+        # The ranges' top raises the cursor only inside this table's own
+        # space: a top at the space's end or past it is another rank's.
         top = max((rng.end for rng in incoming), default=0)
-        if top > self._next:
+        if self._next < top < self._space_end:
             self._next = top
 
     @property

@@ -13,10 +13,10 @@ fragments to/from object-store objects (Nonvolatile Apply, recovery).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.journal.events import EventType, JournalEvent
-from repro.mds.inode import DirFragment, Inode, ROOT_INO
+from repro.mds.inode import DirFragment, Inode, ROOT_INO, S_IFREG, typed_mode
 from repro.mds.inotable import InoTable
 from repro.rados.cluster import ObjectStore
 from repro.sim.engine import Event
@@ -262,18 +262,113 @@ class MetadataStore:
             self.set_policy(path, target)
         elif op is EventType.NOOP:
             return
-        elif op is EventType.IMPORT_COMMIT:
-            # Protocol marker, but it carries the exporter's allocation
-            # cursor — restoring it on replay keeps recovery from
-            # re-minting numbers the exporter burned before the handoff.
-            if ino:
-                self.inotable.reserve_floor(ino)
-            return
-        elif op is EventType.EXPORT_PREP or op is EventType.EXPORT_COMMIT:
+        elif (
+            op is EventType.IMPORT_COMMIT or op is EventType.EXPORT_PREP
+            or op is EventType.EXPORT_COMMIT
+        ):
             return  # migration protocol markers; no namespace effect
         else:  # pragma: no cover - EventType is closed
             raise FsError("EINVAL", f"unknown event {op}")
         self.events_applied += 1
+
+    def apply_events(
+        self,
+        events: Sequence[JournalEvent],
+        applied: Optional[List[JournalEvent]] = None,
+    ) -> int:
+        """Replay a client journal in order (Volatile Apply); returns how
+        many events the store refused.
+
+        Each event gets :meth:`apply_event`'s outcome, and a refused
+        event (an :class:`FsError`) is skipped.  ``applied``, when
+        given, receives every event that applied, in order.  An applied
+        event naming a provisioned inode it did not consume (an unlink
+        of one, say) marks that inode consumed.  Runs of CREATEs go
+        through :meth:`_create_run`.
+        """
+        create = EventType.CREATE
+        inotable = self.inotable
+        apply_event = self.apply_event
+        refused = 0
+        i, n = 0, len(events)
+        while i < n:
+            ev = events[i]
+            if ev[0] is create and ev[2]:
+                j = self._create_run(events, i)
+                if j > i:
+                    if applied is not None:
+                        applied += events[i:j]
+                    i = j
+                    continue
+            try:
+                apply_event(ev)
+            except FsError:
+                refused += 1
+            else:
+                ino = ev[2]
+                if (
+                    ino
+                    and not inotable.is_consumed(ino)
+                    and inotable.owner_of(ino) is not None
+                ):
+                    inotable.mark_consumed(ino)
+                if applied is not None:
+                    applied.append(ev)
+            i += 1
+        return refused
+
+    def _create_run(self, events: Sequence[JournalEvent], i: int) -> int:
+        """Apply the run of CREATEs from ``events[i]`` on that name their
+        inodes, into ``events[i]``'s directory, in one pass; returns the
+        index after the run.
+
+        The directory is resolved once; each create is two dict probes
+        (name, inode) and an :class:`Inode`; the run's inodes are noted
+        as runs of consecutive numbers.  The run ends before the first
+        event it cannot take that way (another op or directory, or a
+        refusal), which :meth:`apply_event` then judges; so does a
+        first event whose directory does not resolve (``i`` returned).
+        """
+        path = events[i][1]
+        cut = path.rfind("/") + 1
+        head = path[:cut]
+        parent = self._dirs.get(head)
+        if parent is None:
+            try:
+                parent = self.resolve_parent(path)[0]
+            except FsError:
+                return i
+        create = EventType.CREATE
+        inodes, inotable = self.inodes, self.inotable
+        frag = self.dirfrags[parent.ino]
+        entries = frag.entries
+        raw = typed = None
+        start = end = 0
+        j, n = i, len(events)
+        while j < n:
+            op, path, ino, mode, uid, gid, mtime, _, _, _ = events[j]
+            name = path[cut:]
+            if (
+                op is not create or not ino
+                or path[:cut] != head or not name or "/" in name
+                or name in entries or ino in inodes
+            ):
+                break
+            if mode != raw:
+                raw, typed = mode, typed_mode(mode, S_IFREG)
+            inodes[ino] = Inode(ino, typed, uid, gid, 0, mtime)
+            entries[name] = ino
+            if ino != end:
+                if end:
+                    inotable.note_external(start, end)
+                start = ino
+            end = ino + 1
+            j += 1
+        if j > i:
+            inotable.note_external(start, end)
+            frag.version += j - i
+            self.events_applied += j - i
+        return j
 
     # -- subtree migration --------------------------------------------------
     def export_subtree(self, subtree: str) -> List[Tuple[str, Inode]]:

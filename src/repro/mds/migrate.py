@@ -19,8 +19,9 @@ Protocol (two-phase, journaled on both ranks)
    ranges and the open segment's subtree events are detached from the
    source and shipped ``src -> dst`` over the simulated network.
 3. **IMPORT_COMMIT** — the destination installs the bundles and
-   journals the imported rows, the moved events and the IMPORT_COMMIT
-   marker.  From this record on, the destination's own recovery replay
+   journals, in one write, the MKDIRs of the subtree root's ancestors
+   it had to make, the imported rows, the moved events and the
+   IMPORT_COMMIT marker.  From this record on, the destination's own recovery replay
    rebuilds the subtree; the handoff survives a source crash.
 4. **IMPORT_ACK + authority flip** — the destination acks, and the
    monitor's MDS authority map retargets the subtree (epoch bump,
@@ -94,20 +95,6 @@ def _normalize(path: str) -> str:
     if not path.startswith("/"):
         raise ValueError(f"subtree paths must be absolute: {path!r}")
     return "/" + "/".join(p for p in path.split("/") if p)
-
-
-def _ensure_ancestors(store, subtree: str) -> None:
-    """Create the subtree root's ancestor chain (import-side, zero cost
-    — mirrors ``Cudele._ensure_path``'s administration bookkeeping)."""
-    parts = [p for p in subtree.split("/") if p]
-    cur = ""
-    for part in parts[:-1]:
-        cur += "/" + part
-        try:
-            store.mkdir(cur)
-        except FsError as exc:
-            if exc.code != "EEXIST":
-                raise
 
 
 def _synthesize_rows(
@@ -225,11 +212,6 @@ def migrate_subtree(
         src.mdstore.inotable.extract_client(owner) if owner is not None
         else None
     )
-    # The exporter's allocation cursor rides along: the importer must
-    # never mint a number the source already handed out, including
-    # burned ones (allocated then unlinked — no surviving row re-marks
-    # them consumed on import).
-    ino_floor = src.mdstore.inotable.next_free
     moved = src.journal.extract_open(subtree)
     if tap is not None:
         tap.mark("exported", src.name, events=moved)
@@ -274,16 +256,18 @@ def migrate_subtree(
         return _abort("dst-crashed-before-import")
     if ino_bundle is not None:
         dst.mdstore.inotable.install_client(ino_bundle)
-    dst.mdstore.inotable.reserve_floor(ino_floor)
+    made: List[JournalEvent] = []
     if rows:
-        _ensure_ancestors(dst.mdstore, subtree)
+        # The subtree root's missing ancestors: their MKDIR records go
+        # out first in the one journal write below.
+        made = dst.ensure_dirs(subtree.rsplit("/", 1)[0])
         dst.mdstore.import_subtree(rows)
     if caps_bundle:
         dst.caps.import_dirs(caps_bundle)
-    import_events = _synthesize_rows(rows, dst.engine.now) + list(moved) + [
-        JournalEvent(EventType.IMPORT_COMMIT, subtree, ino=ino_floor,
-                     mtime=dst.engine.now)
-    ]
+    import_events = (
+        made + _synthesize_rows(rows, dst.engine.now) + list(moved)
+        + [JournalEvent(EventType.IMPORT_COMMIT, subtree, mtime=dst.engine.now)]
+    )
     yield from dst.journal_events(import_events)
 
     # -- phase 4: IMPORT_ACK + authority flip ----------------------------

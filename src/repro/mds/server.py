@@ -27,6 +27,7 @@ from repro.journal.events import EventType, JournalEvent
 from repro.journal.tool import JournalTool
 from repro.mds.caps import CapTracker
 from repro.mds.inode import ROOT_INO
+from repro.mds.inotable import InoTable
 from repro.mds.journal import MDSJournal
 from repro.mds.mdstore import FsError, MetadataStore
 from repro.rados.cluster import ObjectStore
@@ -89,9 +90,11 @@ class MDSConfig:
     #: store (paper §VI: "for random workloads larger than the cache
     #: extra RPCs hurt performance").
     inode_cache_entries: int = cal.INODE_CACHE_DEFAULT
-    #: First inode number this rank's table may mint.  Multi-rank
-    #: clusters give each rank a disjoint base so subtree migration can
-    #: never collide allocations; None keeps the table default.
+    #: First inode number this rank's table may mint; the table mints
+    #: only from its own space, ``INO_SPACE`` numbers up from here.
+    #: Multi-rank clusters give each rank a disjoint space so subtree
+    #: migration can never collide allocations; None keeps the table
+    #: default.
     ino_base: Optional[int] = None
 
 
@@ -224,11 +227,13 @@ class MetadataServer:
     def queue_depth(self) -> int:
         return len(self._queue)
 
+    def _fresh_table(self) -> InoTable:
+        """An empty inode table minting from this rank's own space."""
+        base = self.config.ino_base
+        return InoTable() if base is None else InoTable(base)
+
     def _fresh_store(self) -> MetadataStore:
-        store = MetadataStore()
-        if self.config.ino_base is not None:
-            store.inotable.reserve_floor(self.config.ino_base)
-        return store
+        return MetadataStore(self._fresh_table())
 
     # ------------------------------------------------------------------
     # request loop
@@ -393,8 +398,7 @@ class MetadataServer:
                 self.mdstore = yield self.engine.process(
                     MetadataStore.load_all(self.objstore, dst=self.name)
                 )
-                if self.config.ino_base is not None:
-                    self.mdstore.inotable.reserve_floor(self.config.ino_base)
+                self.mdstore.inotable = self._fresh_table()
             except Exception:
                 self.mdstore = self._fresh_store()
         replayed = yield from self._replay_journal()
@@ -569,6 +573,31 @@ class MetadataServer:
         if self.tap is not None and self.journal.enabled:
             self.tap.mark("journaled", self.name, events=events)
         yield from self.journal.log_events(events=events)
+
+    def ensure_dirs(self, path: str) -> List[JournalEvent]:
+        """Create every missing directory on ``path``, ``path`` included
+        (administration-side, so no CPU is charged); returns a MKDIR
+        record for each one made, for the caller to journal so that a
+        crash and a journal replay rebuild them.  The records are not
+        marked visible: no client asked for these directories."""
+        made: List[JournalEvent] = []
+        if not self.config.materialize:
+            return made
+        cur = ""
+        for part in path.split("/"):
+            if not part:
+                continue
+            cur += "/" + part
+            try:
+                inode = self.mdstore.mkdir(cur)
+            except FsError as exc:
+                if exc.code != "EEXIST":
+                    raise
+                continue
+            made.append(
+                self._record(EventType.MKDIR, cur, 0, inode, visible=False)
+            )
+        return made
 
     # -- mutations --------------------------------------------------------
     def _mutate_batch(self, request: Request):
@@ -928,31 +957,16 @@ class MetadataServer:
             except FsError:
                 pass
         if events is not None and self.config.materialize:
-            applied = 0
-            apply_event = self.mdstore.apply_event
-            inotable = self.mdstore.inotable
-            is_consumed = inotable.is_consumed
-            for ev in events:
-                try:
-                    apply_event(ev)
-                    applied += 1
-                    # Replaying a CREATE/MKDIR already consumed its
-                    # inode, so the range lookup is the rare case.
-                    ino = ev.ino
-                    if (
-                        ino
-                        and not is_consumed(ino)
-                        and inotable.owner_of(ino) is not None
-                    ):
-                        inotable.mark_consumed(ino)
-                    if tap is not None:
-                        tap.mark(
-                            "visible", self.name, op=ev.op, path=ev.path,
-                            ino=ev.ino, client=ev.client_id,
-                            target=ev.target_path,
-                        )
-                except FsError:
-                    conflicts += 1
+            visible = None if tap is None else []
+            conflicts = self.mdstore.apply_events(events, visible)
+            applied = n - conflicts
+            if visible:
+                name = self.name
+                for op, path, ino, _, _, _, _, target, _, client in visible:
+                    tap.mark(
+                        "visible", name, op=op, path=path, ino=ino,
+                        client=client, target=target,
+                    )
         self.stats.counter("merged_events").incr(n)
         if tap is not None:
             tap.mark(

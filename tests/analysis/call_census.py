@@ -232,8 +232,14 @@ KEEP: Dict[str, str] = {
         "directory cap holder / state / tracked-directory count"),
     "repro.mds.inode:DirFragment.__len__": _query("fragment size"),
     "repro.mds.inotable:InoRange.__contains__": _query("range membership"),
-    "repro.mds.inotable:InoTable.mark_consumed": _query("consumed-inode record"),
-    "repro.mds.inotable:InoTable.owner_of": _query("range owner lookup"),
+    "repro.mds.inotable:InoTable.mark_consumed": (
+        "MetadataStore.apply_events marks a provisioned inode an applied "
+        "non-create event names (no decoupled client journals one)"),
+    "repro.mds.inotable:InoTable.owner_of": (
+        "MetadataStore.apply_events' owner probe for a provisioned inode "
+        "an applied non-create event names (no decoupled client journals "
+        "one)"),
+    "repro.mds.inotable:InoTable.next_free": _query("allocation cursor"),
     "repro.mds.inotable:InoTable.ranges_for": _query("per-client ranges"),
     "repro.mds.inotable:_Runs.__contains__": _query("consumed-run membership"),
     "repro.mon.monitor:Monitor.exact": _query("exact policy lookup"),

@@ -42,20 +42,26 @@ pytestmark = pytest.mark.skipif(
 CREATES = 2000
 
 #: Calls (Python functions and builtins) per create, end to end.
-#: Achieved: 37.51 on CPython 3.11 (37.54 while a free disk-queue slot
-#: still built a ``Request`` event, 37.56 while each wire message
-#: built a ``Resource`` pipe request; 110.7 before the one-pass journal
-#: path).  While ``JournalEvent`` was a dataclass the same calls read
-#: 36.56: its generated ``__init__`` and ``Inode``'s share the ``pstats``
-#: key ``('<string>', 2, '__init__')``, so one hid the other
-#: (docs/PERFORMANCE.md §11).
-CALLS_PER_CREATE_BUDGET = 38
+#: Achieved: 26.52 on CPython 3.11 (37.51 while each append went
+#: through ``JournalEvent``'s keyword constructor and a sequence-number
+#: re-check, and each merged create through ``apply_event -> create ->
+#: resolve_parent -> link -> note_external -> Inode.regular`` plus an
+#: ``is_consumed`` probe; 37.54 while a free disk-queue slot still
+#: built a ``Request`` event, 37.56 while each wire message built a
+#: ``Resource`` pipe request; 110.7 before the one-pass journal path).
+#: While ``JournalEvent`` was a dataclass the same calls read 36.56: its
+#: generated ``__init__`` and ``Inode``'s share the ``pstats`` key
+#: ``('<string>', 2, '__init__')``, so one hid the other
+#: (docs/PERFORMANCE.md §11).  The budget leaves ~4 %.
+CALLS_PER_CREATE_BUDGET = 27.5
 
 RPC_CLIENTS = 4
 RPC_ROUNDS = 200
 
-#: Calls per RPC op (create or ls), end to end.  Achieved: 142.0 on
-#: CPython 3.11 (146.0 while each reply also updated a client-side cap
+#: Calls per RPC op (create or ls), end to end.  Achieved: 142.5 on
+#: CPython 3.11 (142.0 while ``Inode.regular`` typed its mode inline
+#: rather than through ``typed_mode``, which the batched merge shares;
+#: 146.0 while each reply also updated a client-side cap
 #: mirror and each create passed through an ``_op_create`` wrapper
 #: call, 146.5 while a free disk-queue or window slot still built an
 #: event, 187.5 while each wire message built and accounted a
@@ -100,10 +106,11 @@ CALLS_PER_OPENLOOP_OP_BUDGET = 196
 
 #: Calls per recorded history event over the seed-0 conformance matrix
 #: and corruption drill (the whole pass: simulation, recording,
-#: rendering and checking), after one warm-up pass.  Achieved: 67.62 on
-#: CPython 3.11 (87.01 while each event went through a keyword bundle
-#: and ``History.append`` and each line through a dict and
-#: ``JSONEncoder.encode``); the budget leaves 10 %.
+#: rendering and checking), after one warm-up pass.  Achieved: 66.63 on
+#: CPython 3.11 (67.07 while each merged event went through
+#: ``apply_event``'s call chain, 87.01 while each event went through a
+#: keyword bundle and ``History.append`` and each line through a dict
+#: and ``JSONEncoder.encode``); the budget leaves 10 %.
 CALLS_PER_HISTORY_EVENT_BUDGET = 74
 
 

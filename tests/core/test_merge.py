@@ -4,6 +4,8 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.core.merge import merge_journal, resolve_conflicts
+from repro.core.namespace_api import Cudele
+from repro.core.policy import SubtreePolicy
 from repro.journal.events import EventType, JournalEvent
 from repro.mds.mdstore import MetadataStore
 
@@ -98,3 +100,29 @@ def test_merge_journal_needs_input():
     cluster = Cluster()
     with pytest.raises(ValueError):
         cluster.run(merge_journal(cluster.mds, "/sub", 5))
+
+
+@pytest.mark.parametrize("priority", ["decoupled", "existing"])
+def test_a_path_the_journal_removed_is_not_judged_against_the_store(priority):
+    """The journal unlinks an entry the admin made, then re-creates the
+    name: the create is the journal's own doing, not a conflict."""
+    cluster = Cluster()
+    cudele = Cudele(cluster)
+    admin = cluster.new_client()
+    assert cluster.run(admin.mkdir("/job")).ok
+    assert cluster.run(admin.create_many("/job", ["x"])).ok
+    ns = cluster.run(cudele.decouple(
+        "/job", SubtreePolicy.from_semantics("weak", "none",
+                                             allocated_inodes=10),
+    ))
+    dclient = ns.dclient
+    cluster.run(dclient.unlink("/job/x"))
+    cluster.run(dclient.create_many("/job", ["x"]))
+    created = dclient.journal.events[-1]
+    result = cluster.run(merge_journal(
+        cluster.mds, "/job", dclient.client_id,
+        events=list(dclient.journal.events), priority=priority,
+    ))
+    assert result == {"applied": 2, "conflicts": 0}
+    assert cluster.mds.mdstore.listdir("/job") == ["x"]
+    assert cluster.mds.mdstore.resolve("/job/x").ino == created.ino

@@ -309,3 +309,21 @@ def test_nvram_local_persist_pays_one_flush_barrier_per_write():
     assert client.crash() == 1000
     assert cluster.run(client.recover_local()) == 1000
     assert len(client.journal) == 1000
+
+
+def test_admin_created_subtree_root_survives_an_mds_crash_and_replay(
+    cluster, cudele
+):
+    """``decouple`` makes the missing ``/a`` and ``/a/b`` itself; with no
+    checkpoint, only their journal records can rebuild them, and every
+    create replayed under them needs them."""
+    cluster.run(cudele.decouple(
+        "/a/b", SubtreePolicy.from_semantics("strong", "global")
+    ))
+    client = cluster.new_client()
+    assert cluster.run(client.create_many("/a/b", ["x", "y"])).ok
+    mds = cluster.mds
+    cluster.run(mds.journal.flush())
+    mds.crash()
+    cluster.run(mds.recover())
+    assert mds.mdstore.listdir("/a/b") == ["x", "y"]

@@ -54,8 +54,12 @@ def test_local_append_never_validates():
 def test_local_extend_and_clear():
     eng = Engine()
     j = LocalJournal(eng)
-    j.extend([ev("/a"), ev("/b")])
-    assert len(j) == 2
+    batch = j.extend_creates(["/a", "/b"], [7, 8], 1.5)
+    assert len(j) == 2 and j.events == batch
+    assert [(e.op, e.path, e.ino, e.seq, e.mtime) for e in batch] == [
+        (EventType.CREATE, "/a", 7, 1, 1.5),
+        (EventType.CREATE, "/b", 8, 2, 1.5),
+    ]
     j.clear()
     assert len(j) == 0
 

@@ -266,3 +266,43 @@ def test_round_trip_never_reallocates_burned_inodes():
     result = cluster.run(migrate_subtree(cluster, SUBTREE, 1))
     assert result.status == "done"
     cluster.run(story())
+
+
+def test_imported_subtree_ancestors_survive_a_crash_of_the_importer():
+    """The importer makes the subtree's missing parent ``/a`` itself; a
+    crash and journal replay on the importer must rebuild it, or the
+    imported rows, and every later create under them, are lost."""
+    cluster = Cluster(num_mds=2, seed=0)
+    client = cluster.new_client()
+    for path in ("/a", "/a/b"):
+        assert cluster.run(client.mkdir(path)).ok
+    assert cluster.run(client.create_many("/a/b", ["x"])).ok
+    assert cluster.run(migrate_subtree(cluster, "/a/b", 1)).status == "done"
+    assert cluster.run(client.create_many("/a/b", ["y"])).ok
+    dst = cluster.mds_list[1]
+    cluster.run(dst.journal.flush())
+    dst.crash()
+    cluster.run(dst.recover())
+    assert dst.mdstore.listdir("/a/b") == ["x", "y"]
+    assert cluster.run(client.create_many("/a/b", ["z"])).ok
+
+
+def test_round_trip_keeps_each_rank_minting_from_its_own_space():
+    """An import must not move the importer's allocation cursor into
+    the exporter's number space: after ``/a`` goes to rank 1 and back,
+    rank 0 and rank 1 would otherwise mint the same next number."""
+    cluster = Cluster(num_mds=2, seed=0)
+    client = cluster.new_client()
+    for path in ("/a", "/b"):
+        assert cluster.run(client.mkdir(path)).ok
+    for path in ("/b", "/a"):
+        assert cluster.run(migrate_subtree(cluster, path, 1)).status == "done"
+    assert cluster.run(client.create_many("/a", ["x"])).ok
+    assert cluster.run(migrate_subtree(cluster, "/a", 0)).status == "done"
+    assert cluster.run(client.create_many("/a", ["y"])).ok
+    assert cluster.run(client.create_many("/b", ["z"])).ok
+    rank0, rank1 = cluster.mds_list
+    y = rank0.mdstore.resolve("/a/y").ino
+    z = rank1.mdstore.resolve("/b/z").ino
+    assert y != z
+    assert y < rank1.config.ino_base <= z
