@@ -28,7 +28,7 @@ from repro.core.namespace_api import Cudele
 from repro.core.policy import SubtreePolicy
 from repro.core.semantics import Consistency, Durability
 from repro.core.sync import synced_workload
-from repro.mds.server import MDSConfig
+from repro.mds.server import MDSConfig, Response
 from repro.workloads.compile_wl import run_compile
 from repro.workloads.createheavy import (
     parallel_creates_decoupled,
@@ -99,6 +99,13 @@ class Experiment:
             self.exp_id, self.title, self.x_label, self.y_label,
             series=series, notes=[self.note], meta=meta,
         )
+
+
+def _ok(resp: Response) -> None:
+    """Raise on a refused request, as the workload drivers do, so a
+    failed reply is never timed as work."""
+    if not resp.ok:
+        raise RuntimeError(resp.error)
 
 
 def _cluster(
@@ -355,14 +362,14 @@ def _fig5_seed(task: Tuple[int, Scale]) -> List[float]:
     cluster = _cluster(seed, journal=False)
     c = cluster.new_client()
     t0 = cluster.now
-    cluster.run(c.create_many("/sub", ops, batch=scale.batch))
+    _ok(cluster.run(c.create_many("/sub", ops, batch=scale.batch)))
     times["rpcs"] = cluster.now - t0
 
     # Stream: the paper's approximation, journal-on minus journal-off.
     cluster = _cluster(seed, journal=True)
     c = cluster.new_client()
     t0 = cluster.now
-    cluster.run(c.create_many("/sub", ops, batch=scale.batch))
+    _ok(cluster.run(c.create_many("/sub", ops, batch=scale.batch)))
     times["stream"] = (cluster.now - t0) - times["rpcs"]
 
     # Completion mechanisms run over a prepared client journal.
@@ -590,12 +597,10 @@ def _migrate_seed(task: Tuple[int, Scale]) -> Tuple[List[List[float]], Dict]:
     handoff: Dict = {}
 
     def driver():
-        resp = yield cluster.engine.process(client.mkdir("/hot"))
-        assert resp.ok
+        _ok((yield cluster.engine.process(client.mkdir("/hot"))))
         for i in range(ops):
             t0 = cluster.engine.now
-            resp = yield cluster.engine.process(client.create(f"/hot/f{i}"))
-            assert resp.ok, resp.error
+            _ok((yield cluster.engine.process(client.create(f"/hot/f{i}"))))
             samples.append((t0, cluster.engine.now))
 
     def migrator():

@@ -262,7 +262,10 @@ class Client:
         names_or_count: Union[int, Sequence[str]],
         batch: int = 100,
     ) -> Generator[Event, None, Response]:
-        """Create many files in ``dir_path``; returns the last response.
+        """Create many files in ``dir_path``, in batches of ``batch``.
+
+        Every batch is sent; the result is the first failed batch's
+        response, or the last response when none failed.
 
         ``names_or_count`` may be explicit names (materialized runs) or a
         plain count (large performance runs); it must name at least one
@@ -278,7 +281,7 @@ class Client:
                 "create_many needs at least one file and a positive batch, "
                 f"got {total} file(s) in batches of {batch}"
             )
-        last: Optional[Response] = None
+        failed: Optional[Response] = None
         for start in range(0, total, batch):
             if names is None:
                 request = Request(
@@ -290,8 +293,10 @@ class Client:
                     "create", dir_path, self.client_id,
                     names=names[start : start + batch],
                 )
-            last = yield from self._call(request, op_count=request.count)
-        return last
+            resp = yield from self._call(request, op_count=request.count)
+            if failed is None and not resp.ok:
+                failed = resp
+        return resp if failed is None else failed
 
     def rmdir(self, path: str) -> Generator[Event, None, Response]:
         name = path.rstrip("/").rsplit("/", 1)[-1]

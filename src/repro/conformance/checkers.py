@@ -728,10 +728,11 @@ def _check_model(
             else:
                 model = ReferenceModel()
         elif e.kind == "recovered" and e.actor in mds_actors:
-            # Journal replay runs in the tool's skip-errors recovery
-            # mode; the model replays under the same rule.  A rank's
-            # replayed copy of a subtree that migrated away is stale
-            # and unobservable (requests redirect) — skip it.
+            # Journal replay (MetadataStore.apply_events) skips each
+            # event the store refuses; the model replays under the same
+            # rule.  A rank's replayed copy of a subtree that migrated
+            # away is stale and unobservable (requests redirect) — skip
+            # it.
             if migrated and _foreign_to(e.path, e.actor, authority):
                 continue
             model.apply(e.op, e.path, ino=e.ino or 0, target=e.target)

@@ -210,17 +210,12 @@ class Cudele:
             )
         if dclient is not None:
             policy.owner_client = dclient.client_id
-        version = yield self.cluster.engine.process(
+        # The monitor's versioned map is where the policy lives; the MDS
+        # enforces it from there.
+        yield self.cluster.engine.process(
             self.cluster.mon.set_subtree(path, policy)
         )
         mds = self.cluster.mds_for(path)
-        # Record the policy in the subtree root's large inode (§IV-C).
-        if mds.config.materialize:
-            mds.mdstore.set_policy(
-                path,
-                f"v{version}:consistency={policy.consistency};"
-                f"durability={policy.durability};interfere={policy.interfere}",
-            )
         # Provision the Allocated Inodes contract.
         if dclient is not None and policy.allocated_inodes > 0:
             resp = yield mds.submit(

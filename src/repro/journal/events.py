@@ -32,7 +32,7 @@ class EventType(enum.IntEnum):
     RMDIR = 4        # remove an (empty) directory
     RENAME = 5       # move path -> target_path
     SETATTR = 6      # chmod/chown/utimes
-    SUBTREE_POLICY = 7  # record a Cudele policy assignment on a subtree
+    # 7 is retired: op numbers are wire values and are not reused.
     NOOP = 8         # padding/heartbeat entry (journal segment headers)
     EXPORT_PREP = 9     # migration: source froze the subtree for export
     IMPORT_COMMIT = 10  # migration: destination imported the subtree
@@ -80,7 +80,7 @@ class JournalEvent(_Fields):
     mtime:
         Modification timestamp in simulated seconds.
     target_path:
-        Destination path for RENAME; payload string for SUBTREE_POLICY.
+        Destination path for RENAME.
     seq:
         Sequence number, assigned by the journaler at append time.
     client_id:
@@ -146,7 +146,6 @@ class JournalEvent(_Fields):
         """Whether replaying this event changes the namespace."""
         return self.op not in (
             EventType.NOOP,
-            EventType.SUBTREE_POLICY,
             EventType.EXPORT_PREP,
             EventType.IMPORT_COMMIT,
             EventType.EXPORT_COMMIT,

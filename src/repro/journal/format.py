@@ -425,38 +425,3 @@ class JournalCodec:
             offset = payload_end
             scan.valid_bytes = offset
         return scan
-
-    @classmethod
-    def decode_stream(
-        cls, data: bytes, tolerate_truncation: bool = False
-    ) -> List[JournalEvent]:
-        """Decode a full stream.
-
-        With ``tolerate_truncation`` decoding returns the checksummed
-        valid prefix and stops cleanly at the first damage (journal
-        recovery semantics); otherwise damage raises
-        :class:`JournalFormatError`.
-        """
-        if not tolerate_truncation:
-            # Strict mode keeps the hard errors (bad magic / version /
-            # truncation) the validation tests and tools rely on.
-            if len(data) < _HEADER.size:
-                raise JournalFormatError("stream shorter than header")
-            magic, version, _ = _HEADER.unpack_from(data, 0)
-            if magic != JOURNAL_MAGIC:
-                raise JournalFormatError(f"bad magic {magic!r}")
-            if version != JOURNAL_VERSION:
-                raise JournalFormatError(
-                    f"unsupported journal version {version}"
-                )
-        scan = cls.scan_stream(data)
-        if scan.damage is not None and not tolerate_truncation:
-            raise JournalFormatError(
-                f"damaged journal stream: {scan.damage} at byte "
-                f"{scan.damage_offset}"
-            )
-        return scan.events
-
-    @staticmethod
-    def header_size() -> int:
-        return _HEADER.size

@@ -98,7 +98,7 @@ class LocalJournal:
         cls, engine: Engine, data: bytes, client_id: int = 0
     ) -> "LocalJournal":
         journal = cls(engine, client_id=client_id)
-        events = JournalCodec.decode_stream(data, tolerate_truncation=True)
+        events = JournalCodec.scan_stream(data).events
         journal.events = list(events)
         journal._next_seq = (events[-1].seq + 1) if events else 1
         return journal

@@ -3,9 +3,11 @@
 CephFS inodes are "about 1400 bytes" (paper Section IV-C) and are
 *large*: beyond POSIX attributes they embed policies — striping layout,
 load-balancing hints, and (in Cudele) the subtree's consistency and
-durability policy.  Directory entries live in directory fragments that
-are serialized together with their inodes into object-store objects "to
-improve the performance of scans".
+durability policy.  Here the size is modelled by :data:`INODE_BYTES`
+alone; the policy lives in the monitor's versioned subtree map, which
+is what the MDS enforces.  Directory entries live in directory
+fragments that are serialized together with their inodes into
+object-store objects "to improve the performance of scans".
 """
 
 from __future__ import annotations
@@ -48,13 +50,7 @@ def typed_mode(mode: int, kind: int) -> int:
 
 @dataclass(slots=True)
 class Inode:
-    """One file or directory.
-
-    ``policy_blob`` is Cudele's "large inode" extension: the serialized
-    policy (or an identifier for it) stored inside the inode via the
-    Malacology File Type interface, telling clients how to access the
-    subtree beneath it.
-    """
+    """One file or directory."""
 
     ino: int
     mode: int = 0o644 | S_IFREG
@@ -63,7 +59,6 @@ class Inode:
     size: int = 0
     mtime: float = 0.0
     nlink: int = 1
-    policy_blob: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.ino <= 0:
@@ -91,12 +86,6 @@ class Inode:
     ) -> "Inode":
         return cls(ino, typed_mode(mode, S_IFREG), uid, gid, 0, mtime)
 
-    @property
-    def footprint_bytes(self) -> int:
-        """Simulated memory/storage footprint of this inode."""
-        extra = len(self.policy_blob.encode()) if self.policy_blob else 0
-        return INODE_BYTES + extra
-
 
 class DirFragment:
     """A directory's dentry map (one fragment per directory here).
@@ -108,7 +97,8 @@ class DirFragment:
 
     __slots__ = ("dir_ino", "frag_id", "entries", "version")
 
-    _ENTRY_FIXED = struct.Struct("<QIH")  # ino, mode, name length
+    # ino, mode, uid, gid, size, mtime, nlink, name length
+    _ENTRY_FIXED = struct.Struct("<QIIIQdIH")
 
     def __init__(self, dir_ino: int, frag_id: int = 0):
         self.dir_ino = dir_ino
@@ -153,23 +143,25 @@ class DirFragment:
         """Name of the RADOS object housing this fragment (CephFS style)."""
         return f"{self.dir_ino:x}.{self.frag_id:08x}"
 
-    def serialized_bytes(self, inodes: Dict[int, "Inode"]) -> int:
-        """Simulated on-disk size: dentries plus their embedded inodes."""
+    def serialized_bytes(self) -> int:
+        """Simulated on-disk size: dentries plus their embedded inodes,
+        :data:`INODE_BYTES` each."""
         total = 64  # fragment header
-        for name, ino in self.entries.items():
-            inode = inodes.get(ino)
-            total += len(name.encode()) + (
-                inode.footprint_bytes if inode else INODE_BYTES
-            )
+        for name in self.entries:
+            total += len(name.encode()) + INODE_BYTES
         return total
 
     def encode(self, inodes: Dict[int, "Inode"]) -> bytes:
-        """Real compact encoding of the fragment (dentries + inode cores)."""
+        """Real compact encoding of the fragment: its dentries, each with
+        its inode's every field."""
         parts = [struct.pack("<QIH", self.dir_ino, self.frag_id, 0)]
         for name, ino in sorted(self.entries.items()):
             inode = inodes[ino]
             name_b = name.encode("utf-8")
-            parts.append(self._ENTRY_FIXED.pack(ino, inode.mode, len(name_b)))
+            parts.append(self._ENTRY_FIXED.pack(
+                ino, inode.mode, inode.uid, inode.gid, inode.size,
+                inode.mtime, inode.nlink, len(name_b),
+            ))
             parts.append(name_b)
         return b"".join(parts)
 
@@ -181,10 +173,12 @@ class DirFragment:
         inodes: Dict[int, Inode] = {}
         pos = struct.calcsize("<QIH")
         while pos < len(data):
-            ino, mode, name_len = cls._ENTRY_FIXED.unpack_from(data, pos)
+            ino, mode, uid, gid, size, mtime, nlink, name_len = (
+                cls._ENTRY_FIXED.unpack_from(data, pos)
+            )
             pos += cls._ENTRY_FIXED.size
             name = data[pos : pos + name_len].decode("utf-8")
             pos += name_len
             frag.entries[name] = ino
-            inodes[ino] = Inode(ino=ino, mode=mode)
+            inodes[ino] = Inode(ino, mode, uid, gid, size, mtime, nlink)
         return frag, inodes

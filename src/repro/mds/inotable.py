@@ -211,6 +211,13 @@ class InoTable:
         if end > self._next and ino < space_end:
             self._next = end if end <= space_end else space_end
 
+    def skip_to(self, ino: int) -> None:
+        """Move the allocation cursor up to ``ino`` (a checkpointed
+        table's next free number), inside this table's own space; a
+        number at or below the cursor leaves it where it is."""
+        if self._next < ino <= self._space_end:
+            self._next = ino
+
     def release_unused(self, client_id: int) -> int:
         """Return a client's unconsumed provisioned inodes; count reclaimed.
 

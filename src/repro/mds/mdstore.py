@@ -6,9 +6,10 @@ memory ... and as objects in the object store."  (paper Section IV-A)
 
 :class:`MetadataStore` is the in-memory form: inodes plus directory
 fragments, with POSIX-shaped mutation methods and strict validation.
-It also implements ``apply_event`` so the journal tool can replay client
-journals onto it (Volatile Apply), and it can serialize directory
-fragments to/from object-store objects (Nonvolatile Apply, recovery).
+Its one replay loop, :meth:`MetadataStore.apply_events`, applies client
+journals (Volatile Apply) and the MDS's own journal (recovery) alike,
+and it can serialize directory fragments to/from object-store objects
+(Nonvolatile Apply, checkpoints).
 """
 
 from __future__ import annotations
@@ -234,15 +235,9 @@ class MetadataStore:
             raise FsError("ENOTDIR", path)
         return sorted(self.dirfrags[inode.ino].entries)
 
-    def set_policy(self, path: str, policy_blob: Optional[str]) -> Inode:
-        """Store a Cudele policy in the subtree root's (large) inode."""
-        inode = self.resolve(path)
-        inode.policy_blob = policy_blob
-        return inode
-
     # -- journal replay ---------------------------------------------------
     def apply_event(self, event: JournalEvent) -> None:
-        """Replay one journal event (the journal tool's applier hook)."""
+        """Replay one journal event; a refusal raises :class:`FsError`."""
         # One unpack: a field read by name costs a descriptor call each.
         op, path, ino, mode, uid, gid, mtime, target, _, _ = event
         if op is EventType.CREATE:
@@ -258,8 +253,6 @@ class MetadataStore:
             self.rename(path, target)
         elif op is EventType.SETATTR:
             self.setattr(path, mode=mode, uid=uid, gid=gid, mtime=mtime)
-        elif op is EventType.SUBTREE_POLICY:
-            self.set_policy(path, target)
         elif op is EventType.NOOP:
             return
         elif (
@@ -407,7 +400,7 @@ class MetadataStore:
         """Install rows detached by :meth:`export_subtree` (parent-first).
 
         The original :class:`Inode` objects are installed verbatim
-        (sizes, ownership and policy blobs survive the move) and every
+        (sizes and ownership survive the move) and every
         inode number is recorded in this store's :class:`InoTable` so
         local allocation can never collide with an imported number.
         Raises EEXIST rather than silently double-installing.
@@ -429,39 +422,49 @@ class MetadataStore:
     # -- object-store serialization -------------------------------------------
     def save_dirfrag(
         self, store: ObjectStore, dir_ino: int, pool: str = "metadata",
-        src: str = "mds",
+        src: str = "mds", prefix: str = "",
     ) -> Generator[Event, None, None]:
-        """Write one directory fragment (and its inodes) as an object."""
+        """Write one directory fragment (and its inodes) as the object
+        ``prefix`` + its object name."""
         frag = self.dirfrags[dir_ino]
         data = frag.encode(self.inodes)
-        charge = frag.serialized_bytes(self.inodes)
-        yield from store.put(pool, frag.object_name(), data, src=src,
-                             charge_bytes=max(1, charge))
+        charge = frag.serialized_bytes()
+        yield from store.put(pool, prefix + frag.object_name(), data,
+                             src=src, charge_bytes=max(1, charge))
 
     def save_all(
-        self, store: ObjectStore, pool: str = "metadata", src: str = "mds"
+        self, store: ObjectStore, pool: str = "metadata", src: str = "mds",
+        prefix: str = "",
     ) -> Generator[Event, None, int]:
-        """Persist every directory fragment; returns fragment count."""
+        """Persist every directory fragment under ``prefix`` (each rank
+        keeps its own: every rank's store has a root of its own);
+        returns fragment count."""
         count = 0
         for dir_ino in sorted(self.dirfrags):
-            yield from self.save_dirfrag(store, dir_ino, pool=pool, src=src)
+            yield from self.save_dirfrag(
+                store, dir_ino, pool=pool, src=src, prefix=prefix
+            )
             count += 1
         return count
 
     @classmethod
     def load_all(
-        cls, store: ObjectStore, pool: str = "metadata", dst: str = "mds"
+        cls, store: ObjectStore, inotable: InoTable, pool: str = "metadata",
+        dst: str = "mds", prefix: str = "",
     ) -> Generator[Event, None, "MetadataStore"]:
-        """Rebuild a store from directory objects (recovery read path).
+        """Rebuild a store on ``inotable`` from the directory objects
+        :meth:`save_all` wrote under ``prefix`` (the recovery read path).
 
-        Inode attributes beyond mode are not embedded in the compact
-        fragment encoding; recovery restores structure + modes, which is
-        all the evaluation workloads observe.
+        A checkpoint restores the tree: every dentry and every field of
+        each inode (number, mode, uid, gid, size, mtime, nlink).  Every
+        loaded inode is noted in ``inotable``, so the table never mints
+        a number the tree holds; the numbers the tree no longer holds
+        are kept clear by the cursor the MDS checkpoints beside it.
         """
-        md = cls()
+        md = cls(inotable)
         names = store.list_objects(pool)
         for name in names:
-            if "." not in name:
+            if not name.startswith(prefix) or "." not in name[len(prefix):]:
                 continue
             data = yield store.engine.process(store.get(pool, name, dst=dst))
             try:
@@ -471,6 +474,7 @@ class MetadataStore:
             md.dirfrags[frag.dir_ino] = frag
             for ino, inode in inodes.items():
                 md.inodes.setdefault(ino, inode)
+                inotable.note_external(ino)
                 if inode.is_dir and ino not in md.dirfrags:
                     md.dirfrags[ino] = DirFragment(ino)
         return md

@@ -49,7 +49,7 @@ least-loaded rank.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro import calibration as cal
 from repro.journal.events import EventType, JournalEvent, WIRE_EVENT_BYTES
@@ -95,23 +95,6 @@ def _normalize(path: str) -> str:
     if not path.startswith("/"):
         raise ValueError(f"subtree paths must be absolute: {path!r}")
     return "/" + "/".join(p for p in path.split("/") if p)
-
-
-def _synthesize_rows(
-    rows: Sequence[Tuple[str, object]], now: float
-) -> List[JournalEvent]:
-    """Journal events that rebuild the imported rows on replay
-    (parent-first, matching the export walk)."""
-    events: List[JournalEvent] = []
-    for path, inode in rows:
-        op = EventType.MKDIR if inode.is_dir else EventType.CREATE
-        events.append(
-            JournalEvent(
-                op, path, ino=inode.ino, mode=inode.mode,
-                uid=inode.uid, gid=inode.gid, mtime=now,
-            )
-        )
-    return events
 
 
 def migrate_subtree(
@@ -264,10 +247,17 @@ def migrate_subtree(
         dst.mdstore.import_subtree(rows)
     if caps_bundle:
         dst.caps.import_dirs(caps_bundle)
-    import_events = (
-        made + _synthesize_rows(rows, dst.engine.now) + list(moved)
-        + [JournalEvent(EventType.IMPORT_COMMIT, subtree, mtime=dst.engine.now)]
-    )
+    # Each imported row is journaled from its inode, parent-first like
+    # the export walk, so replay rebuilds it as it arrived.
+    import_events = made + [
+        dst._record(
+            EventType.MKDIR if inode.is_dir else EventType.CREATE,
+            path, 0, inode, visible=False,
+        )
+        for path, inode in rows
+    ] + list(moved) + [
+        JournalEvent(EventType.IMPORT_COMMIT, subtree, mtime=dst.engine.now)
+    ]
     yield from dst.journal_events(import_events)
 
     # -- phase 4: IMPORT_ACK + authority flip ----------------------------

@@ -19,12 +19,12 @@ Cost model per request (constants in :mod:`repro.calibration`):
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro import calibration as cal
 from repro.journal.events import EventType, JournalEvent
-from repro.journal.tool import JournalTool
 from repro.mds.caps import CapTracker
 from repro.mds.inode import ROOT_INO
 from repro.mds.inotable import InoTable
@@ -65,6 +65,9 @@ _NAME_OPS = {
     "unlink": (EventType.UNLINK, MetadataStore.unlink),
     "rmdir": (EventType.RMDIR, MetadataStore.rmdir),
 }
+
+#: The checkpointed inode table: the next number it would mint.
+_CURSOR = struct.Struct("<Q")
 
 
 @dataclass
@@ -235,6 +238,18 @@ class MetadataServer:
     def _fresh_store(self) -> MetadataStore:
         return MetadataStore(self._fresh_table())
 
+    @property
+    def _checkpoint_prefix(self) -> str:
+        """What this rank's checkpointed fragment objects are named by:
+        the ranks share the metadata pool, and each has a root."""
+        return f"{self.name}."
+
+    @property
+    def _inotable_object(self) -> str:
+        """The metadata-pool object a checkpoint keeps the inode table's
+        allocation cursor in (CephFS's ``mds0_inotable``)."""
+        return f"{self.name}_inotable"
+
     # ------------------------------------------------------------------
     # request loop
     # ------------------------------------------------------------------
@@ -350,16 +365,23 @@ class MetadataServer:
             )
         return {"journal_events_lost": lost_open, "requests_failed": failed}
 
-    def _replay_journal(self) -> Generator[Event, None, int]:
-        """Read the streamed journal back and replay it onto the
-        in-memory store — the tail :meth:`recover` and :meth:`restart`
-        share.  Returns events replayed."""
+    def _replay_journal(
+        self, after_seq: int = 0
+    ) -> Generator[Event, None, int]:
+        """Read the streamed journal back and replay the events stamped
+        after ``after_seq`` onto the in-memory store — the tail
+        :meth:`recover` and :meth:`restart` share.  The replay is
+        Volatile Apply's own loop, :meth:`MetadataStore.apply_events`:
+        an event the store refuses (an :class:`FsError`) is skipped.
+        Returns events replayed."""
         events = yield self.engine.process(self._recover_scan())
+        if after_seq:
+            events = [ev for ev in events if ev.seq > after_seq]
         cpu = len(events) * cal.VOLATILE_APPLY_S
         if cpu > 0:
             yield self.engine.sleep(cpu)
         if self.config.materialize:
-            JournalTool.apply(events, self.mdstore, skip_errors=True)
+            self.mdstore.apply_events(events)
         if self.tap is not None:
             self.tap.mark(
                 "recover", self.name, mode="journal-replay", events=events
@@ -393,15 +415,29 @@ class MetadataServer:
         """
         if self.up:
             raise RuntimeError(f"{self.name} is not crashed")
+        # The checkpointed fragments and inode table already hold every
+        # event through the journal's trim watermark (the expire
+        # position a real MDS keeps in its journal header); replaying
+        # those again on top of the loaded tree would apply them twice.
+        applied = 0
         if self.config.materialize:
             try:
+                table = self._fresh_table()
                 self.mdstore = yield self.engine.process(
-                    MetadataStore.load_all(self.objstore, dst=self.name)
+                    MetadataStore.load_all(
+                        self.objstore, table, dst=self.name,
+                        prefix=self._checkpoint_prefix,
+                    )
                 )
-                self.mdstore.inotable = self._fresh_table()
+                if self.objstore.exists("metadata", self._inotable_object):
+                    data = yield self.engine.process(self.objstore.get(
+                        "metadata", self._inotable_object, dst=self.name
+                    ))
+                    table.skip_to(_CURSOR.unpack(data)[0])
+                applied = self.journal.expired_through_seq
             except Exception:
                 self.mdstore = self._fresh_store()
-        replayed = yield from self._replay_journal()
+        replayed = yield from self._replay_journal(applied)
         self.up = True
         self._queue = Store(self.engine, name=f"{self.name}.queue")
         self._loop = self.engine.process(
@@ -435,15 +471,25 @@ class MetadataServer:
 
         "The metadata server applies the updates in the journal to the
         metadata store when the journal reaches a certain size" (§II-A):
-        flush the journal, write every directory fragment as an object,
-        and trim the journal up to the applied watermark.  Returns the
-        number of fragments persisted.
+        flush the journal, write every directory fragment and the inode
+        table's allocation cursor as objects, and trim the journal up to
+        the applied watermark.  Returns the number of fragments
+        persisted.
         """
         yield from self.journal.flush()
+        # Trim only through what the objects are written from: events
+        # stamped while they are being written may be missing from them.
+        through = self.journal.last_seq
+        cursor = _CURSOR.pack(self.mdstore.inotable.next_free)
         frags = yield self.engine.process(
-            self.mdstore.save_all(self.objstore, src=self.name)
+            self.mdstore.save_all(
+                self.objstore, src=self.name, prefix=self._checkpoint_prefix
+            )
         )
-        self.journal.trim(self.journal.last_seq)
+        yield from self.objstore.put(
+            "metadata", self._inotable_object, cursor, src=self.name
+        )
+        self.journal.trim(through)
         self.stats.counter("checkpoints").incr()
         return frags
 
@@ -685,19 +731,20 @@ class MetadataServer:
         target: Optional[str] = None, visible: bool = True,
     ) -> JournalEvent:
         """The journal record of ``op`` just applied at ``path``, marked
-        visible to observers first when ``visible``."""
-        if op is EventType.SETATTR:
-            # The record carries the inode's state, not the request: a
-            # field the request left out would otherwise replay as its
-            # default.
+        visible to observers first when ``visible``.
+
+        A record that names an inode carries that inode's state (ino,
+        mode, uid, gid, mtime), not the request's, so replay rebuilds
+        exactly what the live store holds; one that names none carries
+        only the path, target and client."""
+        if inode is None:
             event = JournalEvent(
-                op, path, mode=inode.mode, uid=inode.uid, gid=inode.gid,
-                mtime=inode.mtime, client_id=client,
+                op, path, target_path=target, client_id=client
             )
         else:
             event = JournalEvent(
-                op, path, ino=inode.ino if inode else 0,
-                mtime=self.engine.now, target_path=target, client_id=client,
+                op, path, inode.ino, inode.mode, inode.uid, inode.gid,
+                inode.mtime, target, client_id=client,
             )
         if visible and self.tap is not None:
             self.tap.mark(

@@ -23,7 +23,7 @@ as production.  A function is *production* when pass 1 reached it,
 
 ``KEEP`` gives each test-only or never-run function that stays a
 one-line reason.  A key names one function, or every function under a
-class, module or function prefix (``repro.journal.tool`` covers the
+class, module or function prefix (``repro.bench.paper`` covers the
 module; ``repro.mds.server:MetadataServer.checkpoint`` also covers its
 nested defs).  ``--check`` exits 1 when a test-only or never-run
 function has no reason, when a reason covers nothing that is test-only
@@ -82,11 +82,6 @@ KEEP: Dict[str, str] = {
     "repro.core.policy:CompositionError": (
         "the composition gate's rejection in Cudele.decouple / retarget; "
         "no shipped driver installs a composition check_plan rejects"),
-    "repro.journal.tool": (
-        "cephfs-journal-tool analogue (§IV-B): the inspect / export / "
-        "import / erase verbs and the EventApplier protocol stub"),
-    "repro.journal.format:JournalCodec.header_size": (
-        "the journal tool's header check"),
     "repro.bench.compare:Divergence": (
         "renders a divergence; the census compares an artifact with itself"),
     "repro.bench.harness:set_default_jobs": (
@@ -129,9 +124,9 @@ KEEP: Dict[str, str] = {
     "repro.mds.inode:DirFragment.encode": _CHECKPOINT,
     "repro.mds.inode:DirFragment.object_name": _CHECKPOINT,
     "repro.mds.inode:DirFragment.serialized_bytes": _CHECKPOINT,
-    "repro.mds.inode:Inode.footprint_bytes": _CHECKPOINT,
     "repro.mds.journal:MDSJournal.trim": _CHECKPOINT,
     "repro.mds.journal:MDSJournal.last_seq": _CHECKPOINT,
+    "repro.mds.inotable:InoTable.skip_to": _CHECKPOINT,
     # -- crash, abort and fault paths
     "repro.mds.migrate:migrate_subtree.<locals>._abort": _CRASH,
     "repro.mds.migrate:migrate_subtree.<locals>._reinstall_src": _CRASH,

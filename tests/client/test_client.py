@@ -32,6 +32,16 @@ def test_create_many_names(engine, client):
     assert drive(engine, client.ls("/d")).value == sorted(f"f{i}" for i in range(25))
 
 
+def test_create_many_reports_a_failed_earlier_batch(engine, client):
+    # Regression: only the last batch's response came back, so a failed
+    # first batch read as success.  Every batch is still sent.
+    drive(engine, client.mkdir("/d"))
+    resp = drive(engine, client.create_many("/d", ["a", "a", "b"], batch=2))
+    assert not resp.ok
+    assert resp.value == ["a"] and "EEXIST" in resp.error
+    assert drive(engine, client.ls("/d")).value == ["a", "b"]
+
+
 def test_create_many_count_mode(engine, objstore, network):
     mds = MetadataServer(engine, objstore, network, MDSConfig(materialize=False))
     c = Client(engine, 1, mds, network)

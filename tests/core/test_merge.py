@@ -28,9 +28,7 @@ def test_decoupled_priority_unlinks_existing_file():
     out = resolve_conflicts(md, [ev("/f", ino=2_000_000)])
     assert [e.op for e in out] == [EventType.UNLINK, EventType.CREATE]
     # and replaying it yields the decoupled client's inode
-    from repro.journal.tool import JournalTool
-
-    JournalTool.apply(out, md)
+    assert md.apply_events(out) == 0
     assert md.resolve("/f").ino == 2_000_000
 
 

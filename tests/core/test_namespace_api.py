@@ -67,12 +67,6 @@ def test_decoupled_updates_invisible_until_finalize(cluster, cudele):
     assert "volatile_apply" in timings and "local_persist" in timings
 
 
-def test_policy_recorded_in_large_inode(cluster, cudele):
-    cluster.run(cudele.decouple("/sub", SubtreePolicy()))
-    blob = cluster.mds.mdstore.resolve("/sub").policy_blob
-    assert blob and "consistency=rpcs" in blob
-
-
 def test_owner_client_set_on_decoupled_policy(cluster, cudele):
     ns = cluster.run(
         cudele.decouple(

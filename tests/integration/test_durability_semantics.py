@@ -12,6 +12,7 @@ from repro.core.mechanisms import MechanismContext, run_mechanism
 from repro.core.namespace_api import Cudele
 from repro.core.policy import SubtreePolicy
 from repro.journal.journaler import LocalJournal
+from repro.mds.inotable import InoTable
 from repro.mds.mdstore import MetadataStore
 
 
@@ -77,9 +78,7 @@ def test_global_durability_survives_mds_loss():
     assert len(recovered) == 20
     # Replay onto the fresh MDS (the subtree root must be recreated).
     cluster.mds.mdstore.mkdir("/job")
-    from repro.journal.tool import JournalTool
-
-    JournalTool.apply(recovered.events, cluster.mds.mdstore)
+    assert cluster.mds.mdstore.apply_events(recovered.events) == 0
     assert cluster.mds.mdstore.exists("/job/f0")
 
 
@@ -139,7 +138,7 @@ def test_checkpoint_persists_dirfrags_and_trims():
     frag = cluster.mds.mdstore.dirfrags[
         cluster.mds.mdstore.resolve("/data").ino
     ]
-    assert cluster.objstore.exists("metadata", frag.object_name())
+    assert cluster.objstore.exists("metadata", "mds0." + frag.object_name())
 
 
 def test_recovery_from_checkpointed_metadata_store():
@@ -149,7 +148,7 @@ def test_recovery_from_checkpointed_metadata_store():
     cluster.run(client.mkdir("/data"))
     cluster.run(client.create_many("/data", ["a", "b"]))
     cluster.run(cluster.mds.checkpoint())
-    loaded = cluster.run(MetadataStore.load_all(cluster.objstore))
+    loaded = cluster.run(MetadataStore.load_all(cluster.objstore, InoTable()))
     assert loaded.exists("/data/a")
     assert loaded.exists("/data/b")
     assert loaded.resolve("/data/a").ino == cluster.mds.mdstore.resolve(
@@ -203,5 +202,5 @@ def test_auto_checkpoint_applies_journal_periodically():
     frag = cluster.mds.mdstore.dirfrags[
         cluster.mds.mdstore.resolve("/bulk").ino
     ]
-    assert cluster.objstore.exists("metadata", frag.object_name())
+    assert cluster.objstore.exists("metadata", "mds0." + frag.object_name())
     assert cluster.mds.journal.expired_through_seq > 0

@@ -51,7 +51,7 @@ def test_is_mutation_flags():
     assert JournalEvent(EventType.CREATE, "/f").is_mutation
     assert JournalEvent(EventType.RENAME, "/f", target_path="/g").is_mutation
     assert not JournalEvent(EventType.NOOP, "/").is_mutation
-    assert not JournalEvent(EventType.SUBTREE_POLICY, "/sub").is_mutation
+    assert not JournalEvent(EventType.IMPORT_COMMIT, "/sub").is_mutation
 
 
 def test_parent_path_and_name():

@@ -29,55 +29,85 @@ def test_rename_round_trip():
     assert decoded.target_path == "/b/c"
 
 
+def _clean(data):
+    """The events of a stream the verifying scan finds undamaged."""
+    scan = JournalCodec.scan_stream(data)
+    assert scan.ok, (scan.damage, scan.damage_offset)
+    return scan.events
+
+
 def test_stream_round_trip_many():
     events = [ev(f"/d/f{i}", ino=i, seq=i + 1) for i in range(50)]
     data = JournalCodec.encode_stream(events)
     assert data.startswith(JOURNAL_MAGIC)
-    assert JournalCodec.decode_stream(data) == events
+    assert _clean(data) == events
 
 
 def test_empty_stream():
     data = JournalCodec.encode_stream([])
-    assert JournalCodec.decode_stream(data) == []
+    assert _clean(data) == []
 
 
 def test_bad_magic_rejected():
     data = b"NOTMAGIC" + b"\x00" * 16
-    with pytest.raises(JournalFormatError):
-        JournalCodec.decode_stream(data)
+    scan = JournalCodec.scan_stream(data)
+    assert (scan.damage, scan.damage_offset) == ("segment-corrupt", 0)
+    assert scan.events == [] and scan.version == 0
 
 
 def test_short_stream_rejected():
-    with pytest.raises(JournalFormatError):
-        JournalCodec.decode_stream(b"xx")
+    scan = JournalCodec.scan_stream(b"xx")
+    assert (scan.damage, scan.damage_offset) == ("torn-tail", 0)
+    assert scan.events == []
 
 
 @pytest.mark.parametrize("version", [99, 1])  # 1: the retired bare-frame format
 def test_bad_version_rejected(version):
     data = bytearray(JournalCodec.encode_stream([ev("/f")]))
     data[8] = version  # version field
-    with pytest.raises(JournalFormatError,
-                       match=f"unsupported journal version {version}"):
-        JournalCodec.decode_stream(bytes(data))
     scan = JournalCodec.scan_stream(bytes(data))
     assert (scan.damage, scan.damage_offset) == ("segment-corrupt", 0)
-    assert scan.events == []
-
-
-def test_truncated_tail_strict_raises():
-    events = [ev(f"/f{i}") for i in range(3)]
-    data = JournalCodec.encode_stream(events)
-    cut = data[:-5]
-    with pytest.raises(JournalFormatError):
-        JournalCodec.decode_stream(cut)
+    assert scan.events == [] and scan.version == version
 
 
 def test_truncated_tail_recovery_returns_prefix():
     events = [ev(f"/f{i}", seq=i) for i in range(3)]
     data = JournalCodec.encode_stream(events)
-    cut = data[:-5]
-    recovered = JournalCodec.decode_stream(cut, tolerate_truncation=True)
-    assert recovered == events[:2]
+    scan = JournalCodec.scan_stream(data[:-5])
+    assert scan.damage == "torn-tail"
+    assert scan.events == events[:2]
+
+
+def test_torn_tail_is_reported_where_the_valid_prefix_ends():
+    events = [ev(f"/f{i}", seq=i) for i in range(3)]
+    data = JournalCodec.encode_stream(events, segment_events=2)
+    scan = JournalCodec.scan_stream(data[:-5])
+    assert scan.damage == "torn-tail"
+    assert scan.valid_segments == 1
+    whole = JournalCodec.encode_stream(events[:2], segment_events=2)
+    assert scan.valid_bytes == scan.damage_offset == len(whole)
+
+
+def test_scan_keeps_whole_segments_before_a_corrupt_one():
+    events = [ev(f"/f{i}", seq=i) for i in range(4)]
+    data = bytearray(JournalCodec.encode_stream(events, segment_events=2))
+    data[data.find(b"/f3") + 2] ^= 0xFF
+    scan = JournalCodec.scan_stream(bytes(data))
+    assert scan.damage == "segment-corrupt"
+    assert scan.valid_segments == 1
+    assert [e.path for e in scan.events] == ["/f0", "/f1", "/f2"]
+
+
+def test_segment_magic_damage_is_corrupt_at_that_segment():
+    assert JournalCodec.scan_stream(JournalCodec.encode_stream([])).ok
+    events = [ev(f"/f{i}", seq=i) for i in range(4)]
+    data = bytearray(JournalCodec.encode_stream(events, segment_events=2))
+    second = JournalCodec.segment_spans(bytes(data))[1][0]
+    data[second] ^= 0xFF
+    scan = JournalCodec.scan_stream(bytes(data))
+    assert (scan.damage, scan.damage_offset) == ("segment-corrupt", second)
+    assert scan.valid_segments == 1
+    assert scan.events[:2] == events[:2]
 
 
 def test_corrupt_body_detected_by_crc():
@@ -86,10 +116,9 @@ def test_corrupt_body_detected_by_crc():
     # Flip a byte inside the second event's path.
     idx = data.find(b"/bad")
     data[idx + 1] ^= 0xFF
-    with pytest.raises(JournalFormatError):
-        JournalCodec.decode_stream(bytes(data))
-    recovered = JournalCodec.decode_stream(bytes(data), tolerate_truncation=True)
-    assert [e.path for e in recovered] == ["/good"]
+    scan = JournalCodec.scan_stream(bytes(data))
+    assert scan.damage == "segment-corrupt"
+    assert [e.path for e in scan.events] == ["/good"]
 
 
 def test_overlong_path_rejected():
@@ -129,7 +158,7 @@ def test_property_stream_round_trip(ops):
         JournalEvent(op, path, ino=ino, mode=mode, mtime=mtime, seq=i)
         for i, (op, path, ino, mode, mtime) in enumerate(ops)
     ]
-    assert JournalCodec.decode_stream(JournalCodec.encode_stream(events)) == events
+    assert _clean(JournalCodec.encode_stream(events)) == events
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,8 +167,8 @@ def test_property_any_truncation_recovers_prefix(cut, n):
     """Truncating anywhere yields a clean prefix of the original events."""
     events = [ev(f"/f{i}", seq=i) for i in range(n)]
     data = JournalCodec.encode_stream(events)
-    cut_at = max(JournalCodec.header_size(), len(data) - cut)
-    recovered = JournalCodec.decode_stream(data[:cut_at], tolerate_truncation=True)
+    cut_at = max(len(JOURNAL_MAGIC) + 4, len(data) - cut)  # keep the header
+    recovered = JournalCodec.scan_stream(data[:cut_at]).events
     assert recovered == events[: len(recovered)]
 
 
@@ -151,22 +180,21 @@ def test_property_garbage_tail_never_corrupts_prefix(garbage, n):
     guards each event)."""
     events = [ev(f"/f{i}", seq=i) for i in range(n)]
     data = JournalCodec.encode_stream(events) + garbage
-    recovered = JournalCodec.decode_stream(data, tolerate_truncation=True)
+    recovered = JournalCodec.scan_stream(data).events
     assert recovered[: len(events)] == events
 
 
 @settings(max_examples=40, deadline=None)
 @given(noise=st.binary(min_size=12, max_size=80))
 def test_property_random_bytes_never_crash_decoder(noise):
-    """Random input either raises JournalFormatError (strict) or decodes
-    to a (possibly empty) event list (tolerant) — never anything else."""
-    try:
-        JournalCodec.decode_stream(noise)
-    except JournalFormatError:
-        pass
-    data = JOURNAL_MAGIC + b"\x01\x00\x00\x00" + noise
-    events = JournalCodec.decode_stream(data, tolerate_truncation=True)
-    assert isinstance(events, list)
+    """Random input, bare or behind a valid header, scans to a
+    (possibly empty) event list and a damage class — never raises."""
+    for data in (noise, JOURNAL_MAGIC + b"\x02\x00\x00\x00" + noise):
+        scan = JournalCodec.scan_stream(data)
+        assert isinstance(scan.events, list)
+        assert scan.damage in (
+            None, "torn-tail", "segment-corrupt", "segment-reordered"
+        )
 
 
 def test_path_length_boundary_at_u16_max():
@@ -232,7 +260,7 @@ def test_decoded_events_share_mode_and_batch_mtime():
     batch = [ev(f"/d/f{i}", ino=i + 1, seq=i + 1, mtime=12.25)
              for i in range(50)]
     later = [ev("/d/g", ino=99, seq=51, mtime=13.5, mode=0o755)]
-    decoded = JournalCodec.decode_stream(
+    decoded = _clean(
         JournalCodec.encode_stream(batch + later, segment_events=16)
     )
     assert decoded == batch + later  # equal to events built one by one
@@ -246,7 +274,7 @@ def test_shared_mtime_keeps_the_sign_of_zero():
     events = [ev("/a", seq=1, mtime=0.0), ev("/b", seq=2, mtime=-0.0),
               ev("/c", seq=3, mtime=0.0)]
     data = JournalCodec.encode_stream(events)
-    assert JournalCodec.encode_stream(JournalCodec.decode_stream(data)) == data
+    assert JournalCodec.encode_stream(_clean(data)) == data
 
 
 def test_mode_table_is_fixed_whatever_a_journal_carries():
@@ -254,7 +282,7 @@ def test_mode_table_is_fixed_whatever_a_journal_carries():
 
     before = dict(codec._MODES)
     events = [ev(f"/m/f{i}", seq=i + 1, mode=1000 + i) for i in range(10_000)]
-    decoded = JournalCodec.decode_stream(JournalCodec.encode_stream(events))
+    decoded = _clean(JournalCodec.encode_stream(events))
     assert [e.mode for e in decoded] == [1000 + i for i in range(10_000)]
     assert codec._MODES == before and len(before) == 2
 

@@ -94,6 +94,27 @@ def test_local_serialize_round_trip():
     assert j2.append(ev("/z")).seq == 3
 
 
+def test_local_deserialize_round_trips_every_field():
+    eng = Engine()
+    j = LocalJournal(eng, client_id=4)
+    j.append(JournalEvent(EventType.MKDIR, "/d", ino=10, mode=0o40700,
+                          uid=7, gid=8, mtime=2.5, client_id=4))
+    j.append(JournalEvent(EventType.RENAME, "/d", target_path="/e",
+                          client_id=4))
+    j2 = LocalJournal.deserialize(eng, j.serialize(), client_id=4)
+    assert j2.events == j.events
+
+
+def test_local_deserialize_keeps_valid_prefix_of_damaged_stream():
+    eng = Engine()
+    j = LocalJournal(eng)
+    j.append(ev("/a"))
+    j.append(ev("/b"))
+    j2 = LocalJournal.deserialize(eng, j.serialize()[:-3])
+    assert [e.path for e in j2.events] == ["/a"]
+    assert j2.append(ev("/c")).seq == 2
+
+
 def test_local_persist_local_charges_wire_size():
     eng = Engine()
     disk = Disk(eng, bandwidth_bps=100e6, seek_s=0.0)

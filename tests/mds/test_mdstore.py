@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.journal.events import EventType, JournalEvent
-from repro.journal.tool import JournalTool
 from repro.mds.inode import ROOT_INO
 from repro.mds.mdstore import FsError, MetadataStore
 
@@ -246,12 +245,6 @@ def test_listdir(md):
         md.listdir("/f")
 
 
-def test_set_policy_stored_in_inode(md):
-    md.mkdir("/sub")
-    md.set_policy("/sub", "consistency=invisible")
-    assert md.resolve("/sub").policy_blob == "consistency=invisible"
-
-
 def test_path_of_reverse_lookup(md):
     md.mkdir("/a")
     md.mkdir("/a/b")
@@ -288,17 +281,49 @@ def test_apply_event_full_lifecycle(md):
         JournalEvent(EventType.UNLINK, "/d/b"),
         JournalEvent(EventType.RMDIR, "/d"),
     ]
-    n = JournalTool.apply(events, md)
-    assert n == 6
+    assert md.apply_events(events) == 0
+    assert md.events_applied == 6
     assert not md.exists("/d")
 
 
-def test_apply_event_policy(md):
-    md.mkdir("/sub")
-    md.apply_event(
-        JournalEvent(EventType.SUBTREE_POLICY, "/sub", target_path="c=weak")
-    )
-    assert md.resolve("/sub").policy_blob == "c=weak"
+def test_apply_events_in_order(md):
+    events = [
+        JournalEvent(EventType.MKDIR, "/d", ino=2_000_000),
+        JournalEvent(EventType.CREATE, "/d/f", ino=2_000_001),
+        JournalEvent(EventType.RENAME, "/d/f", target_path="/d/g"),
+        JournalEvent(EventType.CREATE, "/d/f", ino=2_000_002),
+    ]
+    applied = []
+    assert md.apply_events(events, applied) == 0
+    assert applied == events
+    assert md.listdir("/d") == ["f", "g"]
+    assert md.resolve("/d/g").ino == 2_000_001
+
+
+def test_apply_events_skips_markers(md):
+    events = [
+        JournalEvent(EventType.CREATE, "/1", ino=2_000_000),
+        JournalEvent(EventType.NOOP, "/"),
+        JournalEvent(EventType.IMPORT_COMMIT, "/"),
+        JournalEvent(EventType.CREATE, "/2", ino=2_000_001),
+    ]
+    assert md.apply_events(events) == 0
+    assert md.events_applied == 2
+    assert md.listdir("/") == ["1", "2"]
+
+
+def test_apply_events_skips_refusals_and_continues(md):
+    md.create("/dup")
+    applied = []
+    events = [
+        JournalEvent(EventType.CREATE, "/ok", ino=2_000_000),
+        JournalEvent(EventType.CREATE, "/dup", ino=2_000_001),
+        JournalEvent(EventType.UNLINK, "/missing"),
+        JournalEvent(EventType.CREATE, "/after", ino=2_000_002),
+    ]
+    assert md.apply_events(events, applied) == 2
+    assert [e.path for e in applied] == ["/ok", "/after"]
+    assert md.listdir("/") == ["after", "dup", "ok"]
 
 
 def test_apply_event_noop(md):
@@ -310,12 +335,28 @@ def test_apply_event_noop(md):
 def test_replay_conflict_raises_without_skip(md):
     md.create("/f")
     with pytest.raises(FsError):
-        JournalTool.apply([JournalEvent(EventType.CREATE, "/f")], md)
-    # and is skipped with skip_errors
-    n = JournalTool.apply(
-        [JournalEvent(EventType.CREATE, "/f")], md, skip_errors=True
-    )
-    assert n == 0
+        md.apply_event(JournalEvent(EventType.CREATE, "/f"))
+    # and is skipped, and counted, by the replay loop
+    before = md.events_applied
+    assert md.apply_events([JournalEvent(EventType.CREATE, "/f")]) == 1
+    assert md.events_applied == before
+
+
+def test_apply_event_refusal_leaves_the_store_unchanged(md):
+    md.mkdir("/d")
+    md.create("/d/f")
+    before = (dict(md.inodes), md.listdir("/d"), md.events_applied)
+    for event in (
+        JournalEvent(EventType.CREATE, "/d/f", ino=2_000_000),
+        JournalEvent(EventType.MKDIR, "/d", ino=2_000_001),
+        JournalEvent(EventType.RENAME, "/missing", target_path="/d/g"),
+        JournalEvent(EventType.RMDIR, "/d"),
+        JournalEvent(EventType.SETATTR, "/nope", mode=0o600),
+    ):
+        with pytest.raises(FsError):
+            md.apply_event(event)
+    assert (dict(md.inodes), md.listdir("/d"), md.events_applied) == before
+    assert not md.inotable.is_consumed(2_000_000)
 
 
 @settings(max_examples=30, deadline=None)
@@ -338,7 +379,7 @@ def test_property_journal_replay_rebuilds_namespace(names):
         events.append(JournalEvent(EventType.CREATE, f"/dir/{name}", ino=ino))
 
     replayed = MetadataStore()
-    JournalTool.apply(events, replayed)
+    assert replayed.apply_events(events) == 0
     assert replayed.listdir("/dir") == direct.listdir("/dir")
     assert {
         n: replayed.resolve(f"/dir/{n}").ino for n in names

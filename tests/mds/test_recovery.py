@@ -116,6 +116,96 @@ def test_close_write_replay_keeps_the_mode():
     assert (got.mode, got.uid, got.mtime) == (0o100600, 7, 0.0)
 
 
+def test_replayed_directory_keeps_its_mode():
+    """Regression: MKDIR / CREATE records carried no mode, so replay
+    rebuilt every directory at the event default, 0o40644."""
+    cluster = Cluster(seed=0)
+    client = cluster.new_client()
+    assert cluster.run(client.mkdir("/d")).ok
+    assert cluster.mds.mdstore.resolve("/d").mode == 0o40755
+    cluster.run(cluster.mds.journal.flush())
+    cluster.mds.crash()
+    cluster.run(cluster.mds.recover())
+    assert cluster.mds.mdstore.resolve("/d").mode == 0o40755
+
+
+def test_recovery_after_a_checkpoint_mints_unused_inodes():
+    """Regression: recovery loaded the checkpoint into a store and then
+    swapped in an inode table that knew none of the loaded inodes, so
+    the next create minted a number the tree already held (EEXIST)."""
+    cluster = Cluster(seed=0)
+    client = cluster.new_client()
+    assert cluster.run(client.mkdir("/d")).ok
+    assert cluster.run(client.create_many("/d", ["a", "b"])).ok
+    before = set(cluster.mds.mdstore.inodes)
+    cluster.run(cluster.mds.checkpoint())
+    cluster.mds.crash()
+    cluster.run(cluster.mds.recover())
+    assert set(cluster.mds.mdstore.inodes) == before
+    resp = cluster.run(client.create_many("/d", ["c"]))
+    assert resp.ok, resp.error
+    assert cluster.mds.mdstore.resolve("/d/c").ino not in before
+
+
+def test_recovery_does_not_replay_what_the_checkpoint_holds():
+    """Regression: recovery replayed the whole journal onto the loaded
+    checkpoint, so a rename recorded before it moved the successor of
+    its source over its target, and the checkpoint's fragments kept only
+    number and mode, so a setattr before it came back as defaults."""
+    cluster = Cluster(seed=0)
+    client = cluster.new_client()
+
+    def image():
+        md = cluster.mds.mdstore  # recover builds a new store
+        return {path: md.resolve(path) for path in ("/a", "/b")}
+
+    assert cluster.run(client.create("/a")).ok
+    assert cluster.run(client.setattr("/a", uid=7, mtime=2.5)).ok
+    assert cluster.run(client.rename("/a", "/b")).ok
+    assert cluster.run(client.create("/a")).ok
+    before = image()
+    cluster.run(cluster.mds.checkpoint())
+    cluster.mds.crash()
+    assert cluster.run(cluster.mds.recover()) == 0
+    assert image() == before
+    assert (before["/b"].uid, before["/b"].mtime) == (7, 2.5)
+
+
+def test_recovery_after_a_checkpoint_never_remints_a_trimmed_inode():
+    """The checkpoint persists the inode table's cursor: a number minted
+    and freed before it, whose record the trim retired, stays used."""
+    cluster = Cluster(seed=0)
+    client = cluster.new_client()
+    assert cluster.run(client.create("/gone")).ok
+    gone = cluster.mds.mdstore.resolve("/gone").ino
+    assert cluster.run(client.unlink("/gone")).ok
+    cluster.run(cluster.mds.checkpoint())
+    cluster.mds.crash()
+    cluster.run(cluster.mds.recover())
+    assert cluster.run(client.create("/new")).ok
+    assert cluster.mds.mdstore.resolve("/new").ino > gone
+
+
+def test_each_rank_recovers_from_its_own_checkpoint():
+    """Every rank's store has a root of its own, so the ranks' checkpoints
+    must not share fragment objects: rank 1's empty root once overwrote
+    rank 0's, and rank 0 recovered without its directories."""
+    cluster = Cluster(num_mds=2, seed=0)
+    rank0, rank1 = cluster.mds_list
+    cluster.assign_subtree_mds("/r1", 1)
+    rank1.ensure_dirs("/r1")
+    client = cluster.new_client()
+    assert cluster.run(client.mkdir("/r0")).ok
+    assert cluster.run(client.mkdir("/r1/d")).ok
+    before = (rank0.mdstore.listdir("/"), rank1.mdstore.listdir("/r1"))
+    cluster.run(rank0.checkpoint())
+    cluster.run(rank1.checkpoint())
+    for rank in (rank0, rank1):
+        rank.crash()
+        cluster.run(rank.recover())
+    assert (rank0.mdstore.listdir("/"), rank1.mdstore.listdir("/r1")) == before
+
+
 def test_crash_fails_pending_requests_with_mds_down():
     cluster = Cluster(seed=0)
     dones = [
