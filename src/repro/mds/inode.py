@@ -6,13 +6,14 @@ load-balancing hints, and (in Cudele) the subtree's consistency and
 durability policy.  Here the size is modelled by :data:`INODE_BYTES`
 alone; the policy lives in the monitor's versioned subtree map, which
 is what the MDS enforces.  Directory entries live in directory
-fragments that are serialized together with their inodes into
-object-store objects "to improve the performance of scans".
+fragments, which CephFS serializes together with their inodes into
+object-store objects "to improve the performance of scans"; here a
+checkpoint writes them all, each entry with its inode, as one image
+object per rank (:meth:`repro.mds.mdstore.MetadataStore.encode_image`).
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -88,23 +89,12 @@ class Inode:
 
 
 class DirFragment:
-    """A directory's dentry map (one fragment per directory here).
+    """A directory's dentry map (one fragment per directory here)."""
 
-    CephFS fragments directories for load balancing; a single fragment
-    suffices for the paper's single-MDS evaluation, but the class keeps
-    the fragment identity so multi-frag support can be layered on.
-    """
+    __slots__ = ("entries",)
 
-    __slots__ = ("dir_ino", "frag_id", "entries", "version")
-
-    # ino, mode, uid, gid, size, mtime, nlink, name length
-    _ENTRY_FIXED = struct.Struct("<QIIIQdIH")
-
-    def __init__(self, dir_ino: int, frag_id: int = 0):
-        self.dir_ino = dir_ino
-        self.frag_id = frag_id
+    def __init__(self):
         self.entries: Dict[str, int] = {}
-        self.version = 1
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -119,16 +109,13 @@ class DirFragment:
         if name in self.entries:
             raise FileExistsError(name)
         self.entries[name] = ino
-        self.version += 1
 
     def unlink(self, name: str) -> int:
         """Remove a dentry, returning the inode it pointed to."""
         try:
-            ino = self.entries.pop(name)
+            return self.entries.pop(name)
         except KeyError:
             raise FileNotFoundError(name) from None
-        self.version += 1
-        return ino
 
     def lookup(self, name: str) -> Optional[int]:
         return self.entries.get(name)
@@ -138,11 +125,6 @@ class DirFragment:
         entries = self.entries
         return ((name, entries[name]) for name in sorted(entries))
 
-    # -- object-store representation ----------------------------------------
-    def object_name(self) -> str:
-        """Name of the RADOS object housing this fragment (CephFS style)."""
-        return f"{self.dir_ino:x}.{self.frag_id:08x}"
-
     def serialized_bytes(self) -> int:
         """Simulated on-disk size: dentries plus their embedded inodes,
         :data:`INODE_BYTES` each."""
@@ -150,35 +132,3 @@ class DirFragment:
         for name in self.entries:
             total += len(name.encode()) + INODE_BYTES
         return total
-
-    def encode(self, inodes: Dict[int, "Inode"]) -> bytes:
-        """Real compact encoding of the fragment: its dentries, each with
-        its inode's every field."""
-        parts = [struct.pack("<QIH", self.dir_ino, self.frag_id, 0)]
-        for name, ino in sorted(self.entries.items()):
-            inode = inodes[ino]
-            name_b = name.encode("utf-8")
-            parts.append(self._ENTRY_FIXED.pack(
-                ino, inode.mode, inode.uid, inode.gid, inode.size,
-                inode.mtime, inode.nlink, len(name_b),
-            ))
-            parts.append(name_b)
-        return b"".join(parts)
-
-    @classmethod
-    def decode(cls, data: bytes) -> Tuple["DirFragment", Dict[int, "Inode"]]:
-        """Inverse of :meth:`encode`; returns the fragment and its inodes."""
-        dir_ino, frag_id, _ = struct.unpack_from("<QIH", data, 0)
-        frag = cls(dir_ino, frag_id)
-        inodes: Dict[int, Inode] = {}
-        pos = struct.calcsize("<QIH")
-        while pos < len(data):
-            ino, mode, uid, gid, size, mtime, nlink, name_len = (
-                cls._ENTRY_FIXED.unpack_from(data, pos)
-            )
-            pos += cls._ENTRY_FIXED.size
-            name = data[pos : pos + name_len].decode("utf-8")
-            pos += name_len
-            frag.entries[name] = ino
-            inodes[ino] = Inode(ino, mode, uid, gid, size, mtime, nlink)
-        return frag, inodes

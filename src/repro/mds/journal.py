@@ -1,4 +1,4 @@
-"""MDS-side journaling: segments, the dispatch window, trimming.
+"""MDS-side journaling: segments, the dispatch window, read-back.
 
 This is the Stream mechanism's engine-room.  Metadata updates are
 stamped with sequence numbers into the open segment; full segments are
@@ -75,7 +75,6 @@ class MDSJournal:
         self.segments_dispatched = 0
         self.stalls = 0
         self.events_logged = 0
-        self.expired_through_seq = 0
 
     # -- cost model -------------------------------------------------------
     def commit_latency_s(self) -> float:
@@ -264,7 +263,7 @@ class MDSJournal:
         keeps counting across events a crash or a migration took out."""
         return self._next_seq - 1
 
-    # -- recovery / trimming -------------------------------------------------
+    # -- recovery -----------------------------------------------------------
     def read_scan(self, dst: str = "mds") -> Generator[Event, None, JournalScan]:
         """Verifying read-back (process body): fetch the striped journal
         and scan it, returning the full :class:`~repro.journal.format.
@@ -274,11 +273,3 @@ class MDSJournal:
         placeholder bytes and scans as damaged with no events."""
         data = yield self.engine.process(self.striper.read_all(dst=dst))
         return JournalCodec.scan_stream(data)
-
-    def trim(self, through_seq: int) -> None:
-        """Mark events up to ``through_seq`` expired (applied to the
-        store).  The real implementation reclaims objects; only the
-        watermark is tracked, which is all the evaluation needs."""
-        if through_seq < self.expired_through_seq:
-            raise ValueError("trim watermark cannot move backwards")
-        self.expired_through_seq = through_seq

@@ -8,19 +8,18 @@ memory ... and as objects in the object store."  (paper Section IV-A)
 fragments, with POSIX-shaped mutation methods and strict validation.
 Its one replay loop, :meth:`MetadataStore.apply_events`, applies client
 journals (Volatile Apply) and the MDS's own journal (recovery) alike,
-and it can serialize directory fragments to/from object-store objects
-(Nonvolatile Apply, checkpoints).
+and it encodes the whole tree as one checkpoint image and rebuilds a
+store from one (:meth:`MetadataStore.encode_image`, the MDS checkpoint).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+import struct
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.journal.events import EventType, JournalEvent
 from repro.mds.inode import DirFragment, Inode, ROOT_INO, S_IFREG, typed_mode
 from repro.mds.inotable import InoTable
-from repro.rados.cluster import ObjectStore
-from repro.sim.engine import Event
 
 __all__ = ["MetadataStore", "FsError"]
 
@@ -32,6 +31,14 @@ class FsError(OSError):
         super().__init__(f"{code}: {message}")
         self.code = code
 
+
+#: A checkpoint image's header: magic, the journal sequence number it
+#: holds every event through, the inode table's next free number and the
+#: row count; then its rows: parent, ino, mode, uid, gid, size, mtime,
+#: nlink and the name's length, followed by the name.
+_IMAGE_MAGIC = b"CDLMDSI1"
+_IMAGE_HEAD = struct.Struct("<8sQQQ")
+_IMAGE_ROW = struct.Struct("<QQIIIQdIH")
 
 #: The attributes :meth:`MetadataStore.setattr` accepts.
 _ATTRS = ("mode", "uid", "gid", "mtime", "size")
@@ -52,7 +59,7 @@ class MetadataStore:
         self.inotable = inotable or InoTable()
         root = Inode.directory(ROOT_INO)
         self.inodes[ROOT_INO] = root
-        self.dirfrags[ROOT_INO] = DirFragment(ROOT_INO)
+        self.dirfrags[ROOT_INO] = DirFragment()
         self.events_applied = 0
         #: Directory map: head spelling (a path's text up to and
         #: including its last ``/``) -> the directory inode it resolved
@@ -144,7 +151,7 @@ class MetadataStore:
             self.inotable.note_external(new_ino)
         inode = Inode.directory(new_ino, mode, uid, gid, mtime)
         self.inodes[new_ino] = inode
-        self.dirfrags[new_ino] = DirFragment(new_ino)
+        self.dirfrags[new_ino] = DirFragment()
         frag.link(name, new_ino)
         return inode
 
@@ -359,7 +366,6 @@ class MetadataStore:
             j += 1
         if j > i:
             inotable.note_external(start, end)
-            frag.version += j - i
             self.events_applied += j - i
         return j
 
@@ -414,70 +420,87 @@ class MetadataStore:
                 raise FsError("EEXIST", f"inode {inode.ino} already in use")
             self.inodes[inode.ino] = inode
             if inode.is_dir:
-                self.dirfrags.setdefault(inode.ino, DirFragment(inode.ino))
+                self.dirfrags.setdefault(inode.ino, DirFragment())
             frag.link(name, inode.ino)
             self.inotable.note_external(inode.ino)
         return len(rows)
 
-    # -- object-store serialization -------------------------------------------
-    def save_dirfrag(
-        self, store: ObjectStore, dir_ino: int, pool: str = "metadata",
-        src: str = "mds", prefix: str = "",
-    ) -> Generator[Event, None, None]:
-        """Write one directory fragment (and its inodes) as the object
-        ``prefix`` + its object name."""
-        frag = self.dirfrags[dir_ino]
-        data = frag.encode(self.inodes)
-        charge = frag.serialized_bytes()
-        yield from store.put(pool, prefix + frag.object_name(), data,
-                             src=src, charge_bytes=max(1, charge))
+    # -- checkpoint image ------------------------------------------------------
+    def encode_image(self, through_seq: int) -> bytes:
+        """The checkpoint image of this store (one object per rank).
 
-    def save_all(
-        self, store: ObjectStore, pool: str = "metadata", src: str = "mds",
-        prefix: str = "",
-    ) -> Generator[Event, None, int]:
-        """Persist every directory fragment under ``prefix`` (each rank
-        keeps its own: every rank's store has a root of its own);
-        returns fragment count."""
-        count = 0
-        for dir_ino in sorted(self.dirfrags):
-            yield from self.save_dirfrag(
-                store, dir_ino, pool=pool, src=src, prefix=prefix
-            )
-            count += 1
-        return count
+        In order: :data:`_IMAGE_MAGIC`; ``through_seq``, the journal
+        sequence number the store holds every event through; the inode
+        table's next free number; the row count; then one row per inode
+        reachable from ``/``, parent first — the root's (parent 0, no
+        name), then one per dentry — with every :class:`Inode` field and
+        the name.  Built without yielding, so it is the store at one
+        instant.
+        """
+        rows = []
+        stack = [(0, "", ROOT_INO)]
+        while stack:
+            parent, name, ino = stack.pop()
+            inode = self.inodes[ino]
+            name_b = name.encode("utf-8")
+            rows.append(_IMAGE_ROW.pack(
+                parent, ino, inode.mode, inode.uid, inode.gid, inode.size,
+                inode.mtime, inode.nlink, len(name_b),
+            ) + name_b)
+            if inode.is_dir:
+                stack.extend(
+                    (ino, child_name, child)
+                    for child_name, child in self.dirfrags[ino].items()
+                )
+        head = _IMAGE_HEAD.pack(
+            _IMAGE_MAGIC, through_seq, self.inotable.next_free, len(rows)
+        )
+        return head + b"".join(rows)
 
     @classmethod
-    def load_all(
-        cls, store: ObjectStore, inotable: InoTable, pool: str = "metadata",
-        dst: str = "mds", prefix: str = "",
-    ) -> Generator[Event, None, "MetadataStore"]:
-        """Rebuild a store on ``inotable`` from the directory objects
-        :meth:`save_all` wrote under ``prefix`` (the recovery read path).
+    def decode_image(
+        cls, data: bytes, inotable: InoTable
+    ) -> Tuple["MetadataStore", int]:
+        """Rebuild a store on ``inotable`` from :meth:`encode_image`'s
+        bytes; returns it and the image's journal watermark.
 
-        A checkpoint restores the tree: every dentry and every field of
-        each inode (number, mode, uid, gid, size, mtime, nlink).  Every
-        loaded inode is noted in ``inotable``, so the table never mints
-        a number the tree holds; the numbers the tree no longer holds
-        are kept clear by the cursor the MDS checkpoints beside it.
+        Every loaded inode is noted in ``inotable`` and its cursor moves
+        to the image's next free number, so the table never mints a
+        number the checkpointed table had.  Bytes that are not a whole
+        image (a wrong magic, too few or too many bytes, a row that does
+        not link) raise :class:`ValueError`, :class:`OSError` or
+        :class:`KeyError`.
         """
+        if len(data) < _IMAGE_HEAD.size:
+            raise ValueError("checkpoint image shorter than its header")
+        magic, through_seq, next_free, count = _IMAGE_HEAD.unpack_from(data)
+        if magic != _IMAGE_MAGIC:
+            raise ValueError(f"not a checkpoint image: magic {magic!r}")
         md = cls(inotable)
-        names = store.list_objects(pool)
-        for name in names:
-            if not name.startswith(prefix) or "." not in name[len(prefix):]:
-                continue
-            data = yield store.engine.process(store.get(pool, name, dst=dst))
-            try:
-                frag, inodes = DirFragment.decode(data)
-            except Exception:
-                continue  # not a dirfrag object (journals share the pool)
-            md.dirfrags[frag.dir_ino] = frag
-            for ino, inode in inodes.items():
-                md.inodes.setdefault(ino, inode)
+        inodes, dirfrags = md.inodes, md.dirfrags
+        pos, end = _IMAGE_HEAD.size, len(data)
+        for _ in range(count):
+            if pos + _IMAGE_ROW.size > end:
+                raise ValueError("checkpoint image truncated")
+            parent, ino, mode, uid, gid, size, mtime, nlink, name_len = (
+                _IMAGE_ROW.unpack_from(data, pos)
+            )
+            pos += _IMAGE_ROW.size + name_len
+            if pos > end:
+                raise ValueError("checkpoint image truncated")
+            inode = Inode(ino, mode, uid, gid, size, mtime, nlink)
+            if parent:
+                dirfrags[parent].link(
+                    data[pos - name_len : pos].decode("utf-8"), ino
+                )
                 inotable.note_external(ino)
-                if inode.is_dir and ino not in md.dirfrags:
-                    md.dirfrags[ino] = DirFragment(ino)
-        return md
+            inodes[ino] = inode
+            if inode.is_dir:
+                dirfrags[ino] = DirFragment()
+        if pos != end:
+            raise ValueError("checkpoint image has trailing bytes")
+        inotable.skip_to(next_free)
+        return md, through_seq
 
     # -- stats ------------------------------------------------------------------
     @property

@@ -19,7 +19,6 @@ Cost model per request (constants in :mod:`repro.calibration`):
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional
 
@@ -65,9 +64,6 @@ _NAME_OPS = {
     "unlink": (EventType.UNLINK, MetadataStore.unlink),
     "rmdir": (EventType.RMDIR, MetadataStore.rmdir),
 }
-
-#: The checkpointed inode table: the next number it would mint.
-_CURSOR = struct.Struct("<Q")
 
 
 @dataclass
@@ -239,16 +235,10 @@ class MetadataServer:
         return MetadataStore(self._fresh_table())
 
     @property
-    def _checkpoint_prefix(self) -> str:
-        """What this rank's checkpointed fragment objects are named by:
-        the ranks share the metadata pool, and each has a root."""
-        return f"{self.name}."
-
-    @property
-    def _inotable_object(self) -> str:
-        """The metadata-pool object a checkpoint keeps the inode table's
-        allocation cursor in (CephFS's ``mds0_inotable``)."""
-        return f"{self.name}_inotable"
+    def _image_object(self) -> str:
+        """The metadata-pool object holding this rank's checkpoint image
+        (the ranks share the pool, and each has a root of its own)."""
+        return f"{self.name}_checkpoint"
 
     # ------------------------------------------------------------------
     # request loop
@@ -318,9 +308,9 @@ class MetadataServer:
         That is: the in-memory metadata store, the capability tracker,
         the journal's open segment, and every queued/in-flight request
         (their reply events fail with :class:`MDSDownError`).  Durable
-        state — streamed journal segments and checkpointed directory
-        fragments in the object store — survives and is what
-        :meth:`recover` rebuilds from.  Returns a summary of the losses.
+        state — streamed journal segments and the rank's checkpoint
+        image in the object store — survives and is what :meth:`recover`
+        rebuilds from.  Returns a summary of the losses.
         """
         if not self.up:
             return {"journal_events_lost": 0, "requests_failed": 0}
@@ -406,36 +396,31 @@ class MetadataServer:
     def recover(self) -> Generator[Event, None, int]:
         """Crash recovery from durable state only (process body).
 
-        Loads checkpointed directory fragments from the object store (if
-        any were written), then replays the streamed journal segments on
-        top — exactly the updates that were dispatched before the crash.
-        Updates that only ever lived in memory (the open segment, or
-        Volatile Apply merges that were never streamed) do not come
-        back.  Restarts the serve loop; returns events replayed.
+        Loads the rank's checkpoint image from the object store (if one
+        was written), then replays the streamed journal segments past the
+        image's watermark on top — exactly the updates that were
+        dispatched before the crash.  Updates that only ever lived in
+        memory (the open segment, or Volatile Apply merges that were
+        never streamed) do not come back.  Restarts the serve loop;
+        returns events replayed.
         """
         if self.up:
             raise RuntimeError(f"{self.name} is not crashed")
-        # The checkpointed fragments and inode table already hold every
-        # event through the journal's trim watermark (the expire
-        # position a real MDS keeps in its journal header); replaying
-        # those again on top of the loaded tree would apply them twice.
+        # The image holds every event through its own watermark;
+        # replaying those again on top of the loaded tree would apply
+        # them twice.  An image that cannot be read leaves the whole
+        # journal to replay, which is still complete: nothing trims it.
         applied = 0
         if self.config.materialize:
             try:
-                table = self._fresh_table()
-                self.mdstore = yield self.engine.process(
-                    MetadataStore.load_all(
-                        self.objstore, table, dst=self.name,
-                        prefix=self._checkpoint_prefix,
-                    )
-                )
-                if self.objstore.exists("metadata", self._inotable_object):
+                if self.objstore.exists("metadata", self._image_object):
                     data = yield self.engine.process(self.objstore.get(
-                        "metadata", self._inotable_object, dst=self.name
+                        "metadata", self._image_object, dst=self.name
                     ))
-                    table.skip_to(_CURSOR.unpack(data)[0])
-                applied = self.journal.expired_through_seq
-            except Exception:
+                    self.mdstore, applied = MetadataStore.decode_image(
+                        data, self._fresh_table()
+                    )
+            except (OSError, KeyError, ValueError):  # lost or damaged
                 self.mdstore = self._fresh_store()
         replayed = yield from self._replay_journal(applied)
         self.up = True
@@ -471,27 +456,22 @@ class MetadataServer:
 
         "The metadata server applies the updates in the journal to the
         metadata store when the journal reaches a certain size" (§II-A):
-        flush the journal, write every directory fragment and the inode
-        table's allocation cursor as objects, and trim the journal up to
-        the applied watermark.  Returns the number of fragments
-        persisted.
+        flush the journal, then write the store as this rank's one image
+        object, with the last sequence number stamped as its watermark.
+        The image is encoded without yielding, so it is the store at
+        that one instant; it is charged as the directory fragments it
+        holds.  Returns the number of fragments it holds.
         """
         yield from self.journal.flush()
-        # Trim only through what the objects are written from: events
-        # stamped while they are being written may be missing from them.
-        through = self.journal.last_seq
-        cursor = _CURSOR.pack(self.mdstore.inotable.next_free)
-        frags = yield self.engine.process(
-            self.mdstore.save_all(
-                self.objstore, src=self.name, prefix=self._checkpoint_prefix
-            )
-        )
+        frags = list(self.mdstore.dirfrags.values())
+        data = self.mdstore.encode_image(self.journal.last_seq)
+        charge = sum(frag.serialized_bytes() for frag in frags)
         yield from self.objstore.put(
-            "metadata", self._inotable_object, cursor, src=self.name
+            "metadata", self._image_object, data, src=self.name,
+            charge_bytes=charge,
         )
-        self.journal.trim(through)
         self.stats.counter("checkpoints").incr()
-        return frags
+        return len(frags)
 
     def restart(self) -> Generator[Event, None, int]:
         """MDS restart: re-read the journal from the object store and

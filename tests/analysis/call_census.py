@@ -53,8 +53,8 @@ PACKAGE = SRC / "repro"
 
 _POSIX = ("the rest of POSIX: ROADMAP item 2 makes the conformance burst "
           "and the model checker issue and judge rename / rmdir / setattr")
-_CHECKPOINT = ("journal checkpoint + trim (§II-A); ROADMAP item 5 wires "
-               "checkpoint_every_segments into the replay drill")
+_CHECKPOINT = ("the MDS checkpoint image (§II-A); ROADMAP item 13 (b) wires "
+               "checkpoint_every_segments into the drills")
 _READ_WHILE_WRITE = ("open-for-write / close of read-while-writing "
                      "(`read_lazy`, Fig. 1's HDFS subtree); no shipped "
                      "driver opens a file for writing")
@@ -115,16 +115,13 @@ KEEP: Dict[str, str] = {
     "repro.client.client:Client.close_write": _READ_WHILE_WRITE,
     "repro.mds.server:MetadataServer._op_close_write": _READ_WHILE_WRITE,
     "repro.mds.server:MetadataServer._recall_writer": _READ_WHILE_WRITE,
-    # -- journal checkpoint (ROADMAP item 5, carried)
+    # -- the checkpoint image (ROADMAP item 13 (b))
     "repro.mds.server:MetadataServer.checkpoint": _CHECKPOINT,
     "repro.mds.server:MetadataServer._auto_checkpoint": _CHECKPOINT,
     "repro.mds.server:MetadataServer._maybe_auto_checkpoint": _CHECKPOINT,
-    "repro.mds.mdstore:MetadataStore.save_all": _CHECKPOINT,
-    "repro.mds.mdstore:MetadataStore.save_dirfrag": _CHECKPOINT,
-    "repro.mds.inode:DirFragment.encode": _CHECKPOINT,
-    "repro.mds.inode:DirFragment.object_name": _CHECKPOINT,
+    "repro.mds.mdstore:MetadataStore.encode_image": _CHECKPOINT,
+    "repro.mds.mdstore:MetadataStore.decode_image": _CHECKPOINT,
     "repro.mds.inode:DirFragment.serialized_bytes": _CHECKPOINT,
-    "repro.mds.journal:MDSJournal.trim": _CHECKPOINT,
     "repro.mds.journal:MDSJournal.last_seq": _CHECKPOINT,
     "repro.mds.inotable:InoTable.skip_to": _CHECKPOINT,
     # -- crash, abort and fault paths

@@ -126,29 +126,38 @@ def test_no_journal_rpc_updates_lost_on_mds_wipe():
     assert not cluster.mds.mdstore.exists("/only")
 
 
+def _image(cluster):
+    """The rank-0 checkpoint image, decoded: (store, watermark)."""
+    data = cluster.objstore.peek("metadata", "mds0_checkpoint")
+    return MetadataStore.decode_image(data, InoTable())
+
+
 def test_checkpoint_persists_dirfrags_and_trims():
     cluster = Cluster()
     client = cluster.new_client()
     cluster.run(client.mkdir("/data"))
     cluster.run(client.create_many("/data", [f"f{i}" for i in range(5)]))
+    cluster.run(cluster.mds.journal.flush())
+    before = set(cluster.objstore.list_objects("metadata"))
     frags = cluster.run(cluster.mds.checkpoint())
     assert frags == 2  # root and /data
-    assert cluster.mds.journal.expired_through_seq >= 6
-    # the /data fragment is now an object in the metadata pool
-    frag = cluster.mds.mdstore.dirfrags[
-        cluster.mds.mdstore.resolve("/data").ino
-    ]
-    assert cluster.objstore.exists("metadata", "mds0." + frag.object_name())
+    # one new object in the metadata pool holds both fragments, and its
+    # watermark covers every event journaled before the checkpoint
+    after = set(cluster.objstore.list_objects("metadata"))
+    assert after - before == {"mds0_checkpoint"}
+    loaded, through = _image(cluster)
+    assert through == cluster.mds.journal.last_seq == 6
+    assert loaded.listdir("/data") == [f"f{i}" for i in range(5)]
 
 
 def test_recovery_from_checkpointed_metadata_store():
-    """Full recovery path: checkpoint -> wipe -> load from objects."""
+    """Full recovery path: checkpoint -> wipe -> load from the image."""
     cluster = Cluster()
     client = cluster.new_client()
     cluster.run(client.mkdir("/data"))
     cluster.run(client.create_many("/data", ["a", "b"]))
     cluster.run(cluster.mds.checkpoint())
-    loaded = cluster.run(MetadataStore.load_all(cluster.objstore, InoTable()))
+    loaded, _ = _image(cluster)
     assert loaded.exists("/data/a")
     assert loaded.exists("/data/b")
     assert loaded.resolve("/data/a").ino == cluster.mds.mdstore.resolve(
@@ -185,8 +194,8 @@ def test_volatile_apply_crash_window():
 
 
 def test_auto_checkpoint_applies_journal_periodically():
-    """With checkpoint_every_segments set, the MDS persists directory
-    fragments on its own as the journal grows."""
+    """With checkpoint_every_segments set, the MDS writes its checkpoint
+    image on its own as the journal grows."""
     from repro.mds.server import MDSConfig
 
     cluster = Cluster(
@@ -199,8 +208,6 @@ def test_auto_checkpoint_applies_journal_periodically():
     cluster.run(client.create_many("/bulk", [f"f{i}" for i in range(400)]))
     cluster.run()  # drain background checkpoints
     assert cluster.mds.stats.counter("checkpoints").value >= 1
-    frag = cluster.mds.mdstore.dirfrags[
-        cluster.mds.mdstore.resolve("/bulk").ino
-    ]
-    assert cluster.objstore.exists("metadata", "mds0." + frag.object_name())
-    assert cluster.mds.journal.expired_through_seq > 0
+    loaded, through = _image(cluster)
+    assert through > 0
+    assert loaded.exists("/bulk/f0")

@@ -235,15 +235,6 @@ def test_journaler_read_empty():
     assert drive(eng, jr.read_scan()).events == []
 
 
-def test_journaler_trim_watermark():
-    eng, store = make_env()
-    jr = mds_journal(store)
-    jr.trim(10)
-    assert jr.expired_through_seq == 10
-    with pytest.raises(ValueError):
-        jr.trim(5)
-
-
 def test_journaler_events_counted():
     eng, store = make_env()
     jr = mds_journal(store, segment_events=2)

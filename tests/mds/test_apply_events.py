@@ -134,7 +134,7 @@ def _per_event_loop(store, events, marks):
 def _state(store):
     return (
         dict(store.inodes),
-        {ino: (dict(f.entries), f.version) for ino, f in store.dirfrags.items()},
+        {ino: dict(f.entries) for ino, f in store.dirfrags.items()},
         store.events_applied,
         list(store.inotable._consumed.bounds),
         store.inotable.next_free,

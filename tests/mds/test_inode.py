@@ -6,6 +6,8 @@ import pickle
 import pytest
 
 from repro.mds.inode import INODE_BYTES, DirFragment, Inode
+from repro.mds.inotable import InoTable
+from repro.mds.mdstore import MetadataStore
 
 
 def test_inode_positive_ino():
@@ -70,14 +72,14 @@ def test_footprint_is_about_1400_bytes():
     # "inodes in CephFS are about 1400 bytes" (§IV-C): a fragment object
     # charges that much per entry, whatever the inode holds.
     assert INODE_BYTES == 1400
-    frag = DirFragment(1)
+    frag = DirFragment()
     frag.link("f", 5)
     frag.link("d", 6)
     assert frag.serialized_bytes() == 64 + 2 * (1 + INODE_BYTES)
 
 
 def test_dirfrag_link_lookup_unlink():
-    frag = DirFragment(1)
+    frag = DirFragment()
     frag.link("a", 10)
     frag.link("b", 11)
     assert len(frag) == 2
@@ -89,49 +91,35 @@ def test_dirfrag_link_lookup_unlink():
 
 
 def test_dirfrag_duplicate_link_rejected():
-    frag = DirFragment(1)
+    frag = DirFragment()
     frag.link("a", 10)
     with pytest.raises(FileExistsError):
         frag.link("a", 99)
 
 
 def test_dirfrag_unlink_missing_rejected():
-    frag = DirFragment(1)
+    frag = DirFragment()
     with pytest.raises(FileNotFoundError):
         frag.unlink("nope")
 
 
 def test_dirfrag_invalid_names():
-    frag = DirFragment(1)
+    frag = DirFragment()
     with pytest.raises(ValueError):
         frag.link("", 1)
     with pytest.raises(ValueError):
         frag.link("a/b", 1)
 
 
-def test_dirfrag_version_bumps():
-    frag = DirFragment(1)
-    v0 = frag.version
-    frag.link("a", 10)
-    assert frag.version == v0 + 1
-    frag.unlink("a")
-    assert frag.version == v0 + 2
-
-
 def test_dirfrag_items_sorted():
-    frag = DirFragment(1)
+    frag = DirFragment()
     for name, ino in [("z", 3), ("a", 1), ("m", 2)]:
         frag.link(name, ino)
     assert list(frag.items()) == [("a", 1), ("m", 2), ("z", 3)]
 
 
-def test_dirfrag_object_name_matches_cephfs_convention():
-    frag = DirFragment(0x123, frag_id=0)
-    assert frag.object_name() == "123.00000000"
-
-
 def test_dirfrag_serialized_bytes_scales_with_entries():
-    frag = DirFragment(1)
+    frag = DirFragment()
     empty = frag.serialized_bytes()
     for i in range(10, 20):
         frag.link(f"f{i}", i)
@@ -139,23 +127,45 @@ def test_dirfrag_serialized_bytes_scales_with_entries():
     assert full > empty + 10 * INODE_BYTES
 
 
+def _image_store():
+    md = MetadataStore()
+    md.mkdir("/d", mode=0o700, uid=3, gid=4, mtime=1.5)
+    md.create("/d/f", mode=0o640, uid=7, gid=8, mtime=2.5)
+    md.setattr("/d/f", size=4096)
+    md.resolve("/d/f").nlink = 2
+    md.mkdir("/d/e")
+    md.setattr("/", mode=0o711, uid=9)
+    return md
+
+
 def test_dirfrag_encode_decode_round_trip():
-    inodes = {10: Inode.regular(10, mode=0o640), 11: Inode.directory(11)}
-    frag = DirFragment(7, frag_id=2)
-    frag.link("file", 10)
-    frag.link("dir", 11)
-    data = frag.encode(inodes)
-    decoded, dec_inodes = DirFragment.decode(data)
-    assert decoded.dir_ino == 7
-    assert decoded.frag_id == 2
-    assert decoded.entries == {"file": 10, "dir": 11}
-    assert dec_inodes[10].is_file
-    assert dec_inodes[11].is_dir
+    md = _image_store()
+    loaded, through = MetadataStore.decode_image(md.encode_image(42), InoTable())
+    assert through == 42
+    assert {ino: frag.entries for ino, frag in loaded.dirfrags.items()} == {
+        ino: frag.entries for ino, frag in md.dirfrags.items()
+    }
+    assert loaded.resolve("/d/f").is_file
+    assert loaded.resolve("/d/e").is_dir
 
 
 def test_dirfrag_encoding_keeps_every_inode_field():
-    inode = Inode(10, 0o100600, uid=7, gid=8, size=4096, mtime=2.5, nlink=2)
-    frag = DirFragment(7)
-    frag.link("file", 10)
-    _, dec_inodes = DirFragment.decode(frag.encode({10: inode}))
-    assert dec_inodes[10] == inode
+    md = _image_store()
+    loaded, _ = MetadataStore.decode_image(md.encode_image(42), InoTable())
+    assert loaded.inodes == md.inodes  # root included
+    assert loaded.inotable.next_free == md.inotable.next_free
+
+
+def test_image_holds_only_what_the_root_reaches():
+    md = _image_store()
+    md.inodes[99] = Inode.regular(99)  # in the map, linked nowhere
+    loaded, _ = MetadataStore.decode_image(md.encode_image(0), InoTable())
+    assert 99 not in loaded.inodes
+    assert set(loaded.inodes) == set(md.inodes) - {99}
+
+
+def test_image_with_a_byte_missing_or_added_does_not_decode():
+    data = _image_store().encode_image(7)
+    for bad in [data[:n] for n in range(len(data))] + [data + b"\0"]:
+        with pytest.raises(ValueError):
+            MetadataStore.decode_image(bad, InoTable())

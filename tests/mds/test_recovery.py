@@ -2,8 +2,8 @@
 
 The MDS's memory (mdstore, caps, the journal's *open* segment) is lost
 on a fail-stop crash; recovery replays exactly the segments that were
-dispatched to the object store before the crash (plus any checkpointed
-directory fragments).  Volatile Apply merges that were never streamed
+dispatched to the object store before the crash (plus the rank's
+checkpoint image, if it wrote one).  Volatile Apply merges that were never streamed
 are gone — that is the paper's 'memory' durability gap (§III-B).
 """
 
@@ -12,7 +12,11 @@ import pytest
 from repro.client.client import RetryPolicy
 from repro.cluster import Cluster
 from repro.core.mechanisms import MechanismContext, run_mechanism
+from repro.mds.inode import ROOT_INO
+from repro.mds.inotable import InoTable
+from repro.mds.mdstore import MetadataStore
 from repro.mds.server import MDSConfig, MDSDownError, Request
+from tests.mds.test_recovery_identity import _image
 
 
 def small_segment_cluster(**kwargs):
@@ -186,6 +190,20 @@ def test_recovery_after_a_checkpoint_never_remints_a_trimmed_inode():
     assert cluster.mds.mdstore.resolve("/new").ino > gone
 
 
+def test_a_checkpoint_keeps_the_root_inode():
+    """Regression: no checkpoint object held the root's own inode, and
+    its SETATTR record sat under the watermark, so recovery rebuilt the
+    root with default attributes."""
+    cluster = Cluster(seed=0)
+    client = cluster.new_client()
+    assert cluster.run(client.setattr("/", mode=0o700, uid=7)).ok
+    cluster.run(cluster.mds.checkpoint())
+    cluster.mds.crash()
+    assert cluster.run(cluster.mds.recover()) == 0
+    root = cluster.mds.mdstore.resolve("/")
+    assert (root.mode, root.uid) == (0o40700, 7)
+
+
 def test_each_rank_recovers_from_its_own_checkpoint():
     """Every rank's store has a root of its own, so the ranks' checkpoints
     must not share fragment objects: rank 1's empty root once overwrote
@@ -324,7 +342,7 @@ def test_mds_serves_again_after_recovery():
 
 
 def test_recovery_uses_checkpointed_fragments_and_journal_tail():
-    """Checkpoint + stream compose: fragments load first, then the
+    """Checkpoint + stream compose: the image loads first, then the
     journal tail replays on top."""
     cluster = small_segment_cluster()
     client = cluster.new_client()
@@ -338,8 +356,14 @@ def test_recovery_uses_checkpointed_fragments_and_journal_tail():
     assert cluster.mds.mdstore.exists("/d/t7")
 
 
-def test_checkpoint_after_a_crash_trims_through_the_last_sequence_number():
-    # Regression: checkpoint trimmed through ``events_logged``, which
+def _watermark(cluster, rank="mds0"):
+    """The journal watermark of ``rank``'s checkpoint image."""
+    data = cluster.objstore.peek("metadata", f"{rank}_checkpoint")
+    return MetadataStore.decode_image(data, InoTable())[1]
+
+
+def test_checkpoint_after_a_crash_holds_through_the_last_sequence_number():
+    # Regression: checkpoint's watermark was ``events_logged``, which
     # drops by the events a crash loses while sequence numbers keep
     # counting, so the watermark fell short of what had been applied.
     cluster = Cluster(mds_config=MDSConfig(segment_events=16), seed=0)
@@ -349,9 +373,92 @@ def test_checkpoint_after_a_crash_trims_through_the_last_sequence_number():
     cluster.run(cluster.mds.recover())
     cluster.run(client.create_many("/", [f"b{i}" for i in range(5)]))
     cluster.run(cluster.mds.checkpoint())
-    journal = cluster.mds.journal
-    assert journal.expired_through_seq == 15
-    assert journal.last_seq == 15
+    assert _watermark(cluster) == 15
+    assert cluster.mds.journal.last_seq == 15
+
+
+def test_a_removed_directory_does_not_come_back_from_an_older_checkpoint():
+    """Regression: recovery loaded every fragment object in the pool,
+    including one a directory removed since an earlier checkpoint left
+    behind, so its file came back unreachable and still counted."""
+    cluster = Cluster(seed=0)
+    client = cluster.new_client()
+    mds = cluster.mds
+    assert cluster.run(client.mkdir("/d")).ok
+    assert cluster.run(client.create("/d/f")).ok
+    cluster.run(mds.checkpoint())
+    assert cluster.run(client.unlink("/d/f")).ok
+    assert cluster.run(client.rmdir("/d")).ok
+    cluster.run(mds.checkpoint())
+    live = mds.namespace_size()
+    mds.crash()
+    cluster.run(mds.recover())
+    assert set(mds.mdstore.inodes) == {ROOT_INO}
+    assert mds.namespace_size() == live
+
+
+@pytest.mark.parametrize("delay", [0.0, 1e-5, 1e-4, 3e-4])
+def test_a_rename_during_a_checkpoint_is_linked_once(delay):
+    """Regression: a checkpoint wrote one fragment object at a time
+    while requests ran, so a rename landing between the source's and
+    the target's writes left the file in both; the replayed rename was
+    then refused and the file stayed linked twice."""
+    cluster = Cluster(seed=0)
+    client = cluster.new_client()
+    mds, engine = cluster.mds, cluster.engine
+    assert cluster.run(client.mkdir("/a")).ok
+    assert cluster.run(client.mkdir("/b")).ok
+    siblings = [f"s{i}" for i in range(200)]
+    assert cluster.run(client.create_many("/a", ["x"] + siblings)).ok
+    ckpt = engine.process(mds.checkpoint())
+
+    def rename_later():
+        yield engine.timeout(delay)
+        resp = yield engine.process(client.rename("/a/x", "/b/x"))
+        assert resp.ok, resp.error
+
+    renamed = engine.process(rename_later())
+    cluster.run()
+    assert ckpt.ok and renamed.ok
+    cluster.run(mds.journal.flush())
+    mds.crash()
+    cluster.run(mds.recover())
+    md = mds.mdstore
+    x = md.resolve("/b/x").ino
+    links = [
+        (dir_ino, name)
+        for dir_ino, frag in md.dirfrags.items()
+        for name, ino in frag.entries.items()
+        if ino == x
+    ]
+    assert links == [(md.resolve("/b").ino, "x")]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "wrong_magic"])
+def test_an_unreadable_image_falls_back_to_full_journal_replay(damage):
+    """A checkpoint image that does not decode is ignored: recovery
+    replays the whole journal, which nothing trimmed, and rebuilds the
+    live tree (size aside: the journal record has no size field)."""
+    cluster = Cluster(seed=0)
+    client = cluster.new_client()
+    mds = cluster.mds
+    assert cluster.run(client.mkdir("/d")).ok
+    assert cluster.run(client.create_many("/d", ["a", "b", "c"])).ok
+    assert cluster.run(client.setattr("/d/a", mode=0o600, uid=7)).ok
+    assert cluster.run(client.rename("/d/b", "/e")).ok
+    cluster.run(mds.checkpoint())
+    assert cluster.run(client.unlink("/d/c")).ok
+    cluster.run(mds.journal.flush())
+    live = _image(mds.mdstore)
+    image = cluster.objstore.peek("metadata", "mds0_checkpoint")
+    if damage == "truncated":
+        bad = image[: len(image) // 2]
+    else:
+        bad = b"NOTANIMG" + image[8:]
+    cluster.run(cluster.objstore.put("metadata", "mds0_checkpoint", bad))
+    mds.crash()
+    assert cluster.run(mds.recover()) == mds.journal.last_seq
+    assert _image(mds.mdstore) == live
 
 
 def test_crash_is_idempotent():
