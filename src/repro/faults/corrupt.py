@@ -45,7 +45,8 @@ PERSIST_FAULT_MODES = ("torn", "reorder", "partial", "bitflip")
 def corrupt_stream(data: bytes, mode: str, seed: int) -> bytes:
     """Return ``data`` damaged per ``mode``, deterministically in ``seed``.
 
-    ``data`` must be a clean version-2 journal stream; streams with no
+    ``data`` must be a clean journal stream of the current version
+    (:data:`repro.journal.format.JOURNAL_VERSION`); streams with no
     segments (header-only or empty) are returned unchanged — there is
     nothing physically there to damage.
     """

@@ -50,6 +50,7 @@ class _Fields(NamedTuple):
     target_path: Optional[str] = None
     seq: int = 0
     client_id: int = 0
+    size: int = 0
 
 
 _tuple_new = tuple.__new__
@@ -85,6 +86,10 @@ class JournalEvent(_Fields):
         Sequence number, assigned by the journaler at append time.
     client_id:
         Originating client, used by merge-priority rules.
+    size:
+        File size in bytes: the named inode's, carried so that replay
+        rebuilds it; 0 when not applicable.  Last, so positional reads
+        of the fields before it keep their indices.
     """
 
     __slots__ = ()
@@ -101,6 +106,7 @@ class JournalEvent(_Fields):
         target_path: Optional[str] = None,
         seq: int = 0,
         client_id: int = 0,
+        size: int = 0,
     ) -> "JournalEvent":
         if op.__class__ is not EventType:
             op = EventType(op)
@@ -111,7 +117,8 @@ class JournalEvent(_Fields):
         if ino < 0:
             raise ValueError("inode numbers are non-negative")
         return _tuple_new(cls, (
-            op, path, ino, mode, uid, gid, mtime, target_path, seq, client_id
+            op, path, ino, mode, uid, gid, mtime, target_path, seq, client_id,
+            size,
         ))
 
     @staticmethod
@@ -126,19 +133,22 @@ class JournalEvent(_Fields):
         target_path: Optional[str],
         seq: int,
         client_id: int,
+        size: int,
     ) -> "JournalEvent":
         """Build an event from fields that are already known to satisfy
         the constructor's checks (a validated event being re-stamped, or
         a frame the codec has checked); nothing is validated again."""
         return _tuple_new(JournalEvent, (
-            op, path, ino, mode, uid, gid, mtime, target_path, seq, client_id
+            op, path, ino, mode, uid, gid, mtime, target_path, seq, client_id,
+            size,
         ))
 
     def with_seq(self, seq: int) -> "JournalEvent":
         """Copy of this event with its journal sequence number set."""
-        op, path, ino, mode, uid, gid, mtime, target_path, _, client_id = self
+        op, path, ino, mode, uid, gid, mtime, target_path, _, client_id, size = self
         return _tuple_new(JournalEvent, (
-            op, path, ino, mode, uid, gid, mtime, target_path, seq, client_id
+            op, path, ino, mode, uid, gid, mtime, target_path, seq, client_id,
+            size,
         ))
 
     @property

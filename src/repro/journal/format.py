@@ -1,6 +1,6 @@
 """Binary journal codec: checksummed segments over framed events.
 
-Version 2 layout::
+Version 3 layout::
 
     stream  := header segment*
     header  := magic(8) version(u16) flags(u16)
@@ -9,9 +9,12 @@ Version 2 layout::
     payload := event*          -- `count` events, `length` bytes,
                                -- crc32(payload) == pcrc
     event   := elen(u32) ecrc(u32) body
-    body    := op(u8) seq(u64) ino(u64) mode(u32) uid(u32) gid(u32)
-               client(u32) mtime(f64) path_len(u16) path
+    body    := op(u8) seq(u64) client(u32) inode path_len(u16) path
                target_len(u16) target
+    inode   := ino(u64) mode(u32) uid(u32) gid(u32) size(u64) mtime(f64)
+
+``inode`` is :data:`INODE_FIELDS`, the inode's durable fields; a
+checkpoint image row carries the same fields (:data:`IMAGE_ROW`).
 
 All integers little-endian.  ``hcrc`` covers the five header fields
 before it, so a damaged segment *header* is detected independently of a
@@ -40,6 +43,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from repro.journal.events import EventType, JournalEvent
 
 __all__ = [
+    "IMAGE_ROW",
+    "INODE_FIELDS",
     "JOURNAL_MAGIC",
     "SEGMENT_MAGIC",
     "JournalFormatError",
@@ -49,14 +54,25 @@ __all__ = [
 
 JOURNAL_MAGIC = b"CUDELEJ\x00"
 SEGMENT_MAGIC = b"CSEG"
-JOURNAL_VERSION = 2
+JOURNAL_VERSION = 3
+
+#: An inode's durable fields in wire order, each with its ``struct``
+#: code: the one list both durable layouts are built from.
+INODE_FIELDS = (
+    ("ino", "Q"), ("mode", "I"), ("uid", "I"), ("gid", "I"),
+    ("size", "Q"), ("mtime", "d"),
+)
+_INODE = "".join(code for _, code in INODE_FIELDS)
 
 _HEADER = struct.Struct("<8sHH")
 _SEGMENT = struct.Struct("<4sIIII")  # smagic seq count length pcrc (hcrc follows)
 _SEGMENT_HCRC = struct.Struct("<I")
 _EVENT_PREFIX = struct.Struct("<II")  # length, crc32 of body
-# op seq ino mode uid gid client mtime path_len
-_BODY_HEAD = struct.Struct("<BQQIIIIdH")
+# op seq client, the inode fields, path_len
+_BODY_HEAD = struct.Struct("<BQI" + _INODE + "H")
+#: A checkpoint image row: the parent's inode number, the inode fields
+#: and the name's length (the name follows).
+IMAGE_ROW = struct.Struct("<Q" + _INODE + "H")
 _U16 = struct.Struct("<H")
 _NO_TARGET = _U16.pack(0)
 _PREFIX_SIZE = _EVENT_PREFIX.size
@@ -66,11 +82,11 @@ _EVENT_TYPES = {int(op): op for op in EventType}
 #: a decoded event takes the shared object, not one ``int`` per frame.
 #: A literal, never written to — a journal cannot grow it.
 _MODES = {0o644: 0o644, 0o755: 0o755}
-#: ``_BODY_HEAD`` integer fields and their widths, for naming the one
-#: that does not fit.
-_FIELD_BITS = (
-    ("seq", 64), ("ino", 64), ("mode", 32), ("uid", 32), ("gid", 32),
-    ("client_id", 32),
+#: ``_BODY_HEAD`` integer fields, in wire order, and their widths, for
+#: naming the one that does not fit.
+_FIELD_BITS = (("seq", 64), ("client_id", 32)) + tuple(
+    (name, 8 * struct.calcsize("<" + code))
+    for name, code in INODE_FIELDS if code != "d"
 )
 _crc32 = zlib.crc32
 
@@ -133,7 +149,7 @@ class JournalCodec:
     def encode_event(event: JournalEvent) -> bytes:
         # One unpack: a field read by name costs a descriptor call each.
         # ``str.encode()`` is UTF-8 without parsing an encoding name.
-        op, path, ino, mode, uid, gid, mtime, target, seq, client_id = event
+        op, path, ino, mode, uid, gid, mtime, target, seq, client_id, size = event
         path_b = path.encode()
         path_len = len(path_b)
         if path_len > 0xFFFF:
@@ -153,7 +169,7 @@ class JournalCodec:
             tail = _NO_TARGET
         try:
             head = _BODY_HEAD.pack(
-                op, seq, ino, mode, uid, gid, client_id, mtime, path_len
+                op, seq, client_id, ino, mode, uid, gid, size, mtime, path_len
             )
         except (struct.error, OverflowError) as exc:
             raise JournalFormatError(_unencodable(event)) from exc
@@ -189,7 +205,7 @@ class JournalCodec:
         path_start = body_start + _BODY_HEAD_SIZE
         if path_start > body_end:
             raise JournalFormatError("malformed event body: fixed fields cut")
-        op, seq, ino, mode, uid, gid, client, mtime, path_len = (
+        op, seq, client, ino, mode, uid, gid, size, mtime, path_len = (
             _BODY_HEAD.unpack_from(data, body_start)
         )
         target_start = path_start + path_len + 2
@@ -227,7 +243,8 @@ class JournalCodec:
             mtime = last_mtime
         return (
             JournalEvent.trusted(
-                op, path, ino, mode, uid, gid, mtime, target, seq, client
+                op, path, ino, mode, uid, gid, mtime, target, seq, client,
+                size,
             ),
             body_end,
         )
@@ -300,8 +317,9 @@ class JournalCodec:
     @classmethod
     def segment_spans(cls, data: bytes) -> List[Tuple[int, int]]:
         """Byte spans ``[(start, end), ...]`` of the valid segments of a
-        version-2 stream (fault injection uses these to aim damage at
-        physically meaningful boundaries).  Stops at the first damage."""
+        stream of the current version (fault injection uses these to aim
+        damage at physically meaningful boundaries).  Stops at the first
+        damage."""
         spans: List[Tuple[int, int]] = []
         if len(data) < _HEADER.size:
             return spans

@@ -62,7 +62,7 @@ class LocalJournal:
         trusted, client_id = JournalEvent.trusted, self.client_id
         create = EventType.CREATE
         batch = [
-            trusted(create, path, ino, 0o644, 0, 0, mtime, None, seq, client_id)
+            trusted(create, path, ino, 0o644, 0, 0, mtime, None, seq, client_id, 0)
             for seq, path, ino in zip(count(self._next_seq), paths, inos)
         ]
         self.events += batch

@@ -59,7 +59,6 @@ class Inode:
     gid: int = 0
     size: int = 0
     mtime: float = 0.0
-    nlink: int = 1
 
     def __post_init__(self) -> None:
         if self.ino <= 0:
@@ -76,16 +75,16 @@ class Inode:
     @classmethod
     def directory(
         cls, ino: int, mode: int = 0o755, uid: int = 0, gid: int = 0,
-        mtime: float = 0.0,
+        mtime: float = 0.0, size: int = 0,
     ) -> "Inode":
-        return cls(ino, typed_mode(mode, S_IFDIR), uid, gid, 0, mtime)
+        return cls(ino, typed_mode(mode, S_IFDIR), uid, gid, size, mtime)
 
     @classmethod
     def regular(
         cls, ino: int, mode: int = 0o644, uid: int = 0, gid: int = 0,
-        mtime: float = 0.0,
+        mtime: float = 0.0, size: int = 0,
     ) -> "Inode":
-        return cls(ino, typed_mode(mode, S_IFREG), uid, gid, 0, mtime)
+        return cls(ino, typed_mode(mode, S_IFREG), uid, gid, size, mtime)
 
 
 class DirFragment:

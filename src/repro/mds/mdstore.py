@@ -18,6 +18,7 @@ import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.journal.events import EventType, JournalEvent
+from repro.journal.format import IMAGE_ROW
 from repro.mds.inode import DirFragment, Inode, ROOT_INO, S_IFREG, typed_mode
 from repro.mds.inotable import InoTable
 
@@ -34,11 +35,10 @@ class FsError(OSError):
 
 #: A checkpoint image's header: magic, the journal sequence number it
 #: holds every event through, the inode table's next free number and the
-#: row count; then its rows: parent, ino, mode, uid, gid, size, mtime,
-#: nlink and the name's length, followed by the name.
-_IMAGE_MAGIC = b"CDLMDSI1"
+#: row count; then its rows (:data:`repro.journal.format.IMAGE_ROW`,
+#: each followed by its name).
+_IMAGE_MAGIC = b"CDLMDSI2"
 _IMAGE_HEAD = struct.Struct("<8sQQQ")
-_IMAGE_ROW = struct.Struct("<QQIIIQdIH")
 
 #: The attributes :meth:`MetadataStore.setattr` accepts.
 _ATTRS = ("mode", "uid", "gid", "mtime", "size")
@@ -138,7 +138,7 @@ class MetadataStore:
     # -- mutations ---------------------------------------------------------
     def mkdir(
         self, path: str, mode: int = 0o755, ino: Optional[int] = None,
-        uid: int = 0, gid: int = 0, mtime: float = 0.0,
+        uid: int = 0, gid: int = 0, mtime: float = 0.0, size: int = 0,
     ) -> Inode:
         parent, name = self.resolve_parent(path)
         frag = self.dirfrags[parent.ino]
@@ -149,7 +149,7 @@ class MetadataStore:
             raise FsError("EEXIST", f"inode {new_ino} already in use")
         if ino is not None:
             self.inotable.note_external(new_ino)
-        inode = Inode.directory(new_ino, mode, uid, gid, mtime)
+        inode = Inode.directory(new_ino, mode, uid, gid, mtime, size)
         self.inodes[new_ino] = inode
         self.dirfrags[new_ino] = DirFragment()
         frag.link(name, new_ino)
@@ -157,7 +157,7 @@ class MetadataStore:
 
     def create(
         self, path: str, mode: int = 0o644, ino: Optional[int] = None,
-        uid: int = 0, gid: int = 0, mtime: float = 0.0,
+        uid: int = 0, gid: int = 0, mtime: float = 0.0, size: int = 0,
     ) -> Inode:
         parent, name = self.resolve_parent(path)
         frag = self.dirfrags[parent.ino]
@@ -168,7 +168,7 @@ class MetadataStore:
             raise FsError("EEXIST", f"inode {new_ino} already in use")
         if ino is not None:
             self.inotable.note_external(new_ino)
-        inode = Inode.regular(new_ino, mode, uid, gid, mtime)
+        inode = Inode.regular(new_ino, mode, uid, gid, mtime, size)
         self.inodes[new_ino] = inode
         frag.link(name, new_ino)
         return inode
@@ -246,11 +246,11 @@ class MetadataStore:
     def apply_event(self, event: JournalEvent) -> None:
         """Replay one journal event; a refusal raises :class:`FsError`."""
         # One unpack: a field read by name costs a descriptor call each.
-        op, path, ino, mode, uid, gid, mtime, target, _, _ = event
+        op, path, ino, mode, uid, gid, mtime, target, _, _, size = event
         if op is EventType.CREATE:
-            self.create(path, mode, ino if ino else None, uid, gid, mtime)
+            self.create(path, mode, ino if ino else None, uid, gid, mtime, size)
         elif op is EventType.MKDIR:
-            self.mkdir(path, mode, ino if ino else None, uid, gid, mtime)
+            self.mkdir(path, mode, ino if ino else None, uid, gid, mtime, size)
         elif op is EventType.UNLINK:
             self.unlink(path)
         elif op is EventType.RMDIR:
@@ -259,7 +259,9 @@ class MetadataStore:
             assert target is not None
             self.rename(path, target)
         elif op is EventType.SETATTR:
-            self.setattr(path, mode=mode, uid=uid, gid=gid, mtime=mtime)
+            self.setattr(
+                path, mode=mode, uid=uid, gid=gid, mtime=mtime, size=size
+            )
         elif op is EventType.NOOP:
             return
         elif (
@@ -346,7 +348,7 @@ class MetadataStore:
         start = end = 0
         j, n = i, len(events)
         while j < n:
-            op, path, ino, mode, uid, gid, mtime, _, _, _ = events[j]
+            op, path, ino, mode, uid, gid, mtime, _, _, _, size = events[j]
             name = path[cut:]
             if (
                 op is not create or not ino
@@ -356,7 +358,7 @@ class MetadataStore:
                 break
             if mode != raw:
                 raw, typed = mode, typed_mode(mode, S_IFREG)
-            inodes[ino] = Inode(ino, typed, uid, gid, 0, mtime)
+            inodes[ino] = Inode(ino, typed, uid, gid, size, mtime)
             entries[name] = ino
             if ino != end:
                 if end:
@@ -443,9 +445,9 @@ class MetadataStore:
             parent, name, ino = stack.pop()
             inode = self.inodes[ino]
             name_b = name.encode("utf-8")
-            rows.append(_IMAGE_ROW.pack(
+            rows.append(IMAGE_ROW.pack(
                 parent, ino, inode.mode, inode.uid, inode.gid, inode.size,
-                inode.mtime, inode.nlink, len(name_b),
+                inode.mtime, len(name_b),
             ) + name_b)
             if inode.is_dir:
                 stack.extend(
@@ -480,15 +482,15 @@ class MetadataStore:
         inodes, dirfrags = md.inodes, md.dirfrags
         pos, end = _IMAGE_HEAD.size, len(data)
         for _ in range(count):
-            if pos + _IMAGE_ROW.size > end:
+            if pos + IMAGE_ROW.size > end:
                 raise ValueError("checkpoint image truncated")
-            parent, ino, mode, uid, gid, size, mtime, nlink, name_len = (
-                _IMAGE_ROW.unpack_from(data, pos)
+            parent, ino, mode, uid, gid, size, mtime, name_len = (
+                IMAGE_ROW.unpack_from(data, pos)
             )
-            pos += _IMAGE_ROW.size + name_len
+            pos += IMAGE_ROW.size + name_len
             if pos > end:
                 raise ValueError("checkpoint image truncated")
-            inode = Inode(ino, mode, uid, gid, size, mtime, nlink)
+            inode = Inode(ino, mode, uid, gid, size, mtime)
             if parent:
                 dirfrags[parent].link(
                     data[pos - name_len : pos].decode("utf-8"), ino

@@ -714,7 +714,7 @@ class MetadataServer:
         visible to observers first when ``visible``.
 
         A record that names an inode carries that inode's state (ino,
-        mode, uid, gid, mtime), not the request's, so replay rebuilds
+        mode, uid, gid, mtime, size), not the request's, so replay rebuilds
         exactly what the live store holds; one that names none carries
         only the path, target and client."""
         if inode is None:
@@ -724,7 +724,7 @@ class MetadataServer:
         else:
             event = JournalEvent(
                 op, path, inode.ino, inode.mode, inode.uid, inode.gid,
-                inode.mtime, target, client_id=client,
+                inode.mtime, target, 0, client, inode.size,
             )
         if visible and self.tap is not None:
             self.tap.mark(
@@ -823,17 +823,22 @@ class MetadataServer:
         ))
 
     def _recall_writer(self, path: str):
-        """Recall the writer's buffering cap: one round trip, then the
-        flushed size is visible.  Returns (latency, size)."""
+        """Recall the writer's buffering cap (process body): one round
+        trip, then the flushed size is visible, and journaled as the
+        writer's SETATTR so that a crash and replay keep it.  Returns the
+        reply latency."""
         client_id, getter = self._open_writers[path]
         size = int(getter()) if callable(getter) else 0
+        self.stats.counter("wb_recalls").incr()
         if self.config.materialize:
             try:
-                self.mdstore.setattr(path, size=size)
+                inode = self.mdstore.setattr(path, size=size)
             except FsError:
-                pass
-        self.stats.counter("wb_recalls").incr()
-        return cal.CAP_RECALL_S, size
+                return cal.CAP_RECALL_S
+            yield from self.journal_events([self._record(
+                EventType.SETATTR, path, client_id, inode, visible=False
+            )])
+        return cal.CAP_RECALL_S
 
     # -- reads -------------------------------------------------------------
     def _op_lookup(self, request: Request):
@@ -874,7 +879,7 @@ class MetadataServer:
             if policy is not None and getattr(policy, "read_lazy", False):
                 self.stats.counter("lazy_reads").incr()
             else:
-                latency, _ = self._recall_writer(request.path)
+                latency = yield from self._recall_writer(request.path)
         if not self.config.materialize:
             return Response(ok=True, value=None), latency
         try:
@@ -989,7 +994,7 @@ class MetadataServer:
             applied = n - conflicts
             if visible:
                 name = self.name
-                for op, path, ino, _, _, _, _, target, _, client in visible:
+                for op, path, ino, _, _, _, _, target, _, client, _ in visible:
                     tap.mark(
                         "visible", name, op=op, path=path, ino=ino,
                         client=client, target=target,

@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -74,6 +75,47 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number: a finite ``float``, or an integer that one
+    can hold."""
+    if _is_int(value):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float) and math.isfinite(value)
+
+
+#: What a field of each declared type must hold, and how to say so.
+_FIELD_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a finite number"),
+    "bool": (lambda value: isinstance(value, bool), "a boolean"),
+    "str": (lambda value: isinstance(value, str), "a string"),
+}
+
+
+def _require_types(spec, prefix: str) -> None:
+    """Require every ``int`` / ``float`` / ``bool`` / ``str`` field of
+    the dataclass ``spec`` to hold that JSON type (``prefix`` names the
+    section in the message), before any field is compared."""
+    for f in fields(spec):
+        check = _FIELD_TYPES.get(f.type)
+        if check is not None:
+            value = getattr(spec, f.name)
+            _require(
+                check[0](value),
+                f"{prefix}{f.name} must be {check[1]}, not {value!r}",
+            )
+
+
+def _require_object(value, what: str) -> None:
+    _require(isinstance(value, dict), f"{what} must be an object, not {value!r}")
+
+
+def _require_objects(value, what: str) -> None:
+    _require(isinstance(value, list), f"{what} must be a list, not {value!r}")
+    for item in value:
+        _require_object(item, f"each of {what}")
+
+
 @dataclass(frozen=True)
 class DiurnalSpec:
     """Sinusoidal day/night rate modulation."""
@@ -82,6 +124,7 @@ class DiurnalSpec:
     amplitude: float
 
     def __post_init__(self) -> None:
+        _require_types(self, "diurnal.")
         _require(self.period_s > 0, "diurnal.period_s must be positive")
         _require(
             0 <= self.amplitude < 1,
@@ -98,6 +141,7 @@ class BurstSpec:
     multiplier: float
 
     def __post_init__(self) -> None:
+        _require_types(self, "burst.")
         _require(self.at_s >= 0, "burst.at_s must be >= 0")
         _require(self.duration_s > 0, "burst.duration_s must be positive")
         _require(self.multiplier > 0, "burst.multiplier must be positive")
@@ -112,6 +156,7 @@ class DriftSpec:
     stride: int = 0
 
     def __post_init__(self) -> None:
+        _require_types(self, "drift.")
         _require(self.period_s > 0, "drift.period_s must be positive")
         _require(self.stride >= 0, "drift.stride must be >= 0")
 
@@ -129,6 +174,7 @@ class PopulationSpec:
     drift: Optional[DriftSpec] = None
 
     def __post_init__(self) -> None:
+        _require_types(self, "population.")
         _require(self.users >= 1, "population.users must be >= 1")
         _require(
             self.rate_per_user_hz > 0,
@@ -151,6 +197,7 @@ class ClusterSpec:
     journal: bool = True
 
     def __post_init__(self) -> None:
+        _require_types(self, "cluster.")
         _require(self.num_mds >= 1, "cluster.num_mds must be >= 1")
         _require(self.num_osds >= 1, "cluster.num_osds must be >= 1")
 
@@ -170,6 +217,7 @@ class SubtreeSpec:
     policy: Optional[Dict[str, str]] = None
 
     def __post_init__(self) -> None:
+        _require_types(self, "subtree ")
         _require(
             self.path.startswith("/") and self.path != "/",
             f"subtree path must be absolute and not the root: {self.path!r}",
@@ -212,6 +260,7 @@ class AutoMigrateSpec:
     max_migrations: int = 4
 
     def __post_init__(self) -> None:
+        _require_types(self, "auto_migrate.")
         _require(
             self.check_interval_s > 0,
             "auto_migrate.check_interval_s must be positive",
@@ -240,11 +289,9 @@ class ScenarioSpec:
     auto_migrate: Optional[AutoMigrateSpec] = None
 
     def __post_init__(self) -> None:
+        _require_types(self, "")
         _require(bool(self.name), "scenario name must be non-empty")
-        _require(
-            0 < self.duration_s < math.inf,
-            "duration_s must be positive and finite",
-        )
+        _require(self.duration_s > 0, "duration_s must be positive")
         _require(self.sessions >= 1, "sessions must be >= 1")
         _require(self.seeds >= 1, "seeds must be >= 1")
         _require(bool(self.subtrees), "at least one subtree is required")
@@ -283,10 +330,32 @@ class ScenarioSpec:
         for key in ("name", "duration_s", "population", "mix", "subtrees"):
             _require(key in raw, f"scenario is missing required key {key!r}")
 
+        _require_object(raw["population"], "population")
         pop_raw = dict(raw["population"])
         diurnal = pop_raw.pop("diurnal", None)
         bursts = pop_raw.pop("bursts", [])
         drift = pop_raw.pop("drift", None)
+        for key, value in (("diurnal", diurnal), ("drift", drift)):
+            if value is not None:
+                _require_object(value, f"population.{key}")
+        _require_objects(bursts, "population.bursts")
+        mix_raw = raw["mix"]
+        _require_object(mix_raw, "mix")
+        for key, weight in mix_raw.items():
+            _require(
+                _is_number(weight) and weight >= 0,
+                f"mix.{key} must be a non-negative number, not {weight!r}",
+            )
+        # ``OpMix``'s own total check, made here: create defaults to 1.
+        _require(
+            any(mix_raw.values()) or "create" not in mix_raw,
+            "mix needs a positive op weight",
+        )
+        _require_object(raw.get("cluster", {}), "cluster")
+        _require_objects(raw["subtrees"], "subtrees")
+        auto = raw.get("auto_migrate")
+        if auto is not None:
+            _require_object(auto, "auto_migrate")
         try:
             population = PopulationSpec(
                 diurnal=DiurnalSpec(**diurnal) if diurnal else None,
@@ -294,10 +363,9 @@ class ScenarioSpec:
                 drift=DriftSpec(**drift) if drift else None,
                 **pop_raw,
             )
-            mix = OpMix(**raw["mix"])
+            mix = OpMix(**mix_raw)
             cluster = ClusterSpec(**raw.get("cluster", {}))
             subtrees = [SubtreeSpec(**s) for s in raw["subtrees"]]
-            auto = raw.get("auto_migrate")
             auto_migrate = AutoMigrateSpec(**auto) if auto else None
         except TypeError as exc:
             # Unknown field names inside a section surface as TypeError
@@ -308,11 +376,10 @@ class ScenarioSpec:
             _is_int(duration_s) or isinstance(duration_s, float),
             f"duration_s must be a number, not {duration_s!r}",
         )
-        sessions, seeds = raw.get("sessions", 8), raw.get("seeds", 3)
         _require(
-            _is_int(sessions), f"sessions must be an integer, not {sessions!r}"
+            _is_number(duration_s),
+            f"duration_s must be finite, not {duration_s!r}",
         )
-        _require(_is_int(seeds), f"seeds must be an integer, not {seeds!r}")
         return cls(
             name=raw["name"],
             duration_s=float(duration_s),
@@ -320,8 +387,8 @@ class ScenarioSpec:
             mix=mix,
             subtrees=subtrees,
             cluster=cluster,
-            sessions=sessions,
-            seeds=seeds,
+            sessions=raw.get("sessions", 8),
+            seeds=raw.get("seeds", 3),
             auto_migrate=auto_migrate,
         )
 
@@ -392,7 +459,10 @@ def load_spec(path: Union[str, Path]) -> ScenarioSpec:
                 f"{path}: TOML scenarios need Python 3.11+ (tomllib); "
                 "use the JSON form"
             ) from exc
-        raw = tomllib.loads(text)
+        try:
+            raw = tomllib.loads(text)
+        except tomllib.TOMLDecodeError as exc:
+            raise ScenarioError(f"{path}: invalid TOML: {exc}") from exc
     else:
         try:
             raw = json.loads(text)

@@ -51,7 +51,7 @@ CREATES = 20000
 MERGED_BYTES_PER_CREATE_BUDGET = 600
 
 #: After the node is lost only the object store's copy may remain
-#: (~70 B of encoded frame per create).
+#: (~78 B of encoded frame per create).
 NODE_LOSS_BYTES_PER_CREATE_BUDGET = 80
 
 

@@ -260,7 +260,7 @@ def test_property_every_frame_prefix_is_a_format_error(path, target):
     assert JournalCodec.decode_event(frame)[1] == len(frame)
 
 
-_INT_FIELDS = ("ino", "mode", "uid", "gid", "seq", "client_id")
+_INT_FIELDS = ("ino", "mode", "uid", "gid", "seq", "client_id", "size")
 _any_int = st.one_of(
     st.integers(min_value=0, max_value=2**32 - 1),  # fits every field
     st.integers(),
@@ -277,12 +277,12 @@ def test_property_any_integer_field_round_trips_or_is_a_format_error(values):
     event = JournalEvent.trusted(
         EventType.CREATE, "/p/f", fields["ino"], fields["mode"],
         fields["uid"], fields["gid"], 1.5, None, fields["seq"],
-        fields["client_id"],
+        fields["client_id"], fields["size"],
     )
     try:
         frame = JournalCodec.encode_event(event)
     except JournalFormatError as exc:
-        widths = {"ino": 64, "seq": 64}
+        widths = {"ino": 64, "seq": 64, "size": 64}
         misfits = [
             name for name in _INT_FIELDS
             if not 0 <= fields[name] < 1 << widths.get(name, 32)

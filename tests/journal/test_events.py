@@ -80,7 +80,7 @@ def test_events_are_slot_backed_and_still_plain_values():
     # No per-instance __dict__ (the bulk of an event's weight), and the
     # change of representation shows nowhere else.
     ev = JournalEvent(EventType.RENAME, "/a", ino=7, target_path="/b",
-                      mtime=1.5, seq=3, client_id=2)
+                      mtime=1.5, seq=3, client_id=2, size=4096)
     assert not hasattr(ev, "__dict__")
     with pytest.raises((AttributeError, TypeError)):
         ev.scratch = 1  # type: ignore[attr-defined]
@@ -88,7 +88,8 @@ def test_events_are_slot_backed_and_still_plain_values():
         ev.seq = 9  # type: ignore[misc]
     assert repr(ev) == (
         "JournalEvent(op=<EventType.RENAME: 5>, path='/a', ino=7, mode=420, "
-        "uid=0, gid=0, mtime=1.5, target_path='/b', seq=3, client_id=2)"
+        "uid=0, gid=0, mtime=1.5, target_path='/b', seq=3, client_id=2, "
+        "size=4096)"
     )
     for clone in (
         pickle.loads(pickle.dumps(ev)),  # results cross processes (--jobs)
@@ -96,18 +97,18 @@ def test_events_are_slot_backed_and_still_plain_values():
         copy.copy(ev),
         ev.with_seq(3),
         JournalEvent.trusted(EventType.RENAME, "/a", 7, 0o644, 0, 0, 1.5,
-                             "/b", 3, 2),
+                             "/b", 3, 2, 4096),
     ):
         assert clone == ev and hash(clone) == hash(ev)
         assert type(clone) is JournalEvent
 
 
 def test_every_builder_returns_exactly_a_journal_event():
-    ev = JournalEvent(EventType.CREATE, "/f", ino=5, mtime=1.5)
+    ev = JournalEvent(EventType.CREATE, "/f", ino=5, mtime=1.5, size=9)
     wire = JournalCodec.encode_event(ev.with_seq(4))
     for built in (
         JournalEvent.trusted(EventType.CREATE, "/f", 5, 0o644, 0, 0, 1.5,
-                             None, 4, 0),
+                             None, 4, 0, 9),
         ev.with_seq(4),
         JournalCodec.decode_event(wire)[0],
     ):
@@ -130,6 +131,7 @@ class _Twin:
     target_path: Optional[str] = None
     seq: int = 0
     client_id: int = 0
+    size: int = 0
 
     def __post_init__(self) -> None:
         if self.op.__class__ is not EventType:
@@ -153,7 +155,7 @@ _event_fields = st.fixed_dictionaries({
     "ino": _INTS, "mode": _INTS, "uid": _INTS, "gid": _INTS,
     "mtime": st.floats(allow_nan=False),
     "target_path": st.one_of(st.none(), _TEXT),
-    "seq": _INTS, "client_id": _INTS,
+    "seq": _INTS, "client_id": _INTS, "size": _INTS,
 })
 
 

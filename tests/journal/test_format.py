@@ -16,7 +16,7 @@ def ev(path="/f", op=EventType.CREATE, **kw):
 
 def test_single_event_round_trip():
     e = ev("/dir/file", ino=42, mode=0o755, uid=1000, gid=100, mtime=12.5,
-           seq=7, client_id=3)
+           seq=7, client_id=3, size=4096)
     data = JournalCodec.encode_event(e)
     decoded, nxt = JournalCodec.decode_event(data)
     assert decoded == e
@@ -61,7 +61,8 @@ def test_short_stream_rejected():
     assert scan.events == []
 
 
-@pytest.mark.parametrize("version", [99, 1])  # 1: the retired bare-frame format
+# 2: the retired record without a size; 1: the retired bare-frame format
+@pytest.mark.parametrize("version", [99, 2, 1])
 def test_bad_version_rejected(version):
     data = bytearray(JournalCodec.encode_stream([ev("/f")]))
     data[8] = version  # version field
@@ -235,6 +236,8 @@ def test_multibyte_path_overflow_reports_encoded_bytes():
         ("ino", 2**64),
         ("seq", -5),
         ("client_id", 2**40),
+        ("size", -1),
+        ("size", 2**64),
     ],
 )
 def test_out_of_range_field_is_a_typed_error_naming_the_field(field, value):
@@ -249,7 +252,8 @@ def test_out_of_range_field_is_a_typed_error_naming_the_field(field, value):
 
 def test_widest_values_of_every_field_still_round_trip():
     e = ev("/a", ino=2**64 - 1, mode=2**32 - 1, uid=2**32 - 1,
-           gid=2**32 - 1, seq=2**64 - 1, client_id=2**32 - 1)
+           gid=2**32 - 1, seq=2**64 - 1, client_id=2**32 - 1,
+           size=2**64 - 1)
     decoded, _ = JournalCodec.decode_event(JournalCodec.encode_event(e))
     assert decoded == e
 

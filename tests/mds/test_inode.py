@@ -38,8 +38,7 @@ def test_inodes_are_slot_backed_and_still_plain_values():
         f.scratch = 1
     f.size = 4096  # fields stay assignable: setattr / close update in place
     assert repr(f) == (
-        "Inode(ino=11, mode=33188, uid=3, gid=0, size=4096, mtime=2.5, "
-        "nlink=1)"
+        "Inode(ino=11, mode=33188, uid=3, gid=0, size=4096, mtime=2.5)"
     )
     for clone in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
         assert clone == f and clone is not f
@@ -53,9 +52,12 @@ def test_constructors_take_ownership_and_mtime_by_position():
     d = Inode.directory(12, 0o700, 5, 6, 7.5)
     assert (f.ino, f.mode, f.uid, f.gid, f.mtime) == (11, 0o100600, 3, 4, 2.5)
     assert (d.ino, d.mode, d.uid, d.gid, d.mtime) == (12, 0o040700, 5, 6, 7.5)
-    assert f.size == d.size == 0 and f.nlink == d.nlink == 1
+    assert f.size == d.size == 0
+    # ... and the record's size last, after mtime.
+    assert Inode.regular(13, 0o600, 3, 4, 2.5, 4096).size == 4096
+    assert Inode.directory(14, 0o700, 5, 6, 7.5, 512).size == 512
     with pytest.raises(TypeError):
-        Inode.regular(13, size=1)  # no keyword catch-all
+        Inode.regular(15, nlink=1)  # no keyword catch-all
 
 
 def test_minted_modes_are_shared_and_other_modes_kept():
@@ -132,7 +134,6 @@ def _image_store():
     md.mkdir("/d", mode=0o700, uid=3, gid=4, mtime=1.5)
     md.create("/d/f", mode=0o640, uid=7, gid=8, mtime=2.5)
     md.setattr("/d/f", size=4096)
-    md.resolve("/d/f").nlink = 2
     md.mkdir("/d/e")
     md.setattr("/", mode=0o711, uid=9)
     return md

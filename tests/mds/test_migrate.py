@@ -290,13 +290,14 @@ def test_imported_subtree_ancestors_survive_a_crash_of_the_importer():
 def test_imported_rows_replay_as_the_inodes_that_arrived():
     """Regression: the importer journaled each row with the import's
     time as its mtime, so a crash and replay on the importer rebuilt a
-    file with an mtime it never had."""
+    file with an mtime it never had; and with no size, so the file came
+    back empty."""
     cluster = Cluster(num_mds=2, seed=0)
     client = cluster.new_client()
     assert cluster.run(client.mkdir("/a")).ok
     assert cluster.run(client.create_many("/a", ["f"])).ok
     assert cluster.run(
-        client.setattr("/a/f", mode=0o600, uid=7, gid=8, mtime=5.0)
+        client.setattr("/a/f", mode=0o600, uid=7, gid=8, mtime=5.0, size=4096)
     ).ok
     # Dispatched at the source, the SETATTR does not move with the
     # subtree: on the importer, only the row's own record rebuilds it.
@@ -304,13 +305,13 @@ def test_imported_rows_replay_as_the_inodes_that_arrived():
     cluster.run(src.journal.flush())
     assert cluster.run(migrate_subtree(cluster, "/a", 1)).status == "done"
     live = dst.mdstore.resolve("/a/f")
-    want = (live.ino, live.mode, live.uid, live.gid, live.mtime)
-    assert want[1:] == (0o100600, 7, 8, 5.0)
+    want = (live.ino, live.mode, live.uid, live.gid, live.size, live.mtime)
+    assert want[1:] == (0o100600, 7, 8, 4096, 5.0)
     cluster.run(dst.journal.flush())
     dst.crash()
     cluster.run(dst.recover())
     got = dst.mdstore.resolve("/a/f")
-    assert (got.ino, got.mode, got.uid, got.gid, got.mtime) == want
+    assert (got.ino, got.mode, got.uid, got.gid, got.size, got.mtime) == want
 
 
 def test_round_trip_keeps_each_rank_minting_from_its_own_space():

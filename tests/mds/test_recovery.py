@@ -120,6 +120,22 @@ def test_close_write_replay_keeps_the_mode():
     assert (got.mode, got.uid, got.mtime) == (0o100600, 7, 0.0)
 
 
+def test_a_recalled_size_survives_replay():
+    """Regression: a stat that recalls another client's write cap set
+    the writer's buffered size in the store and journaled nothing, so
+    a crash and replay brought the file back at size 0."""
+    cluster = Cluster(seed=0)
+    writer, reader = cluster.new_client(), cluster.new_client()
+    handle = cluster.run(writer.open_write("/f"))
+    handle.write(4096)
+    resp = cluster.run(reader.stat("/f"))
+    assert resp.ok and resp.value.size == 4096
+    cluster.run(cluster.mds.journal.flush())
+    cluster.mds.crash()
+    cluster.run(cluster.mds.recover())
+    assert cluster.mds.mdstore.resolve("/f").size == 4096
+
+
 def test_replayed_directory_keeps_its_mode():
     """Regression: MKDIR / CREATE records carried no mode, so replay
     rebuilt every directory at the event default, 0o40644."""
@@ -438,13 +454,16 @@ def test_a_rename_during_a_checkpoint_is_linked_once(delay):
 def test_an_unreadable_image_falls_back_to_full_journal_replay(damage):
     """A checkpoint image that does not decode is ignored: recovery
     replays the whole journal, which nothing trimmed, and rebuilds the
-    live tree (size aside: the journal record has no size field)."""
+    live tree, every inode field included."""
     cluster = Cluster(seed=0)
     client = cluster.new_client()
     mds = cluster.mds
     assert cluster.run(client.mkdir("/d")).ok
     assert cluster.run(client.create_many("/d", ["a", "b", "c"])).ok
     assert cluster.run(client.setattr("/d/a", mode=0o600, uid=7)).ok
+    handle = cluster.run(client.open_write("/d/a"))
+    handle.write(512)
+    assert cluster.run(client.close_write(handle)).ok
     assert cluster.run(client.rename("/d/b", "/e")).ok
     cluster.run(mds.checkpoint())
     assert cluster.run(client.unlink("/d/c")).ok

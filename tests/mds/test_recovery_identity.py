@@ -1,23 +1,20 @@
 """Recovery is the identity: a crash and recovery rebuild the live store.
 
 Hypothesis drives random RPC sequences (mkdir, create, unlink, rmdir,
-rename, setattr, open/close-write) against one materialized MDS rank,
-with journal flushes, checkpoints (between requests, or with one
-request racing them) and crashes mixed in.  The oracle is the live
-store itself, so it is stated independently of the replay code: at each
-durable point (a flush or a checkpoint, both of which wait for every
-journal write to land) the machine snapshots every path's inode and the
-inode table.  After a crash and recovery it checks four things:
+rename, setattr, open/close-write, and a second client's stat of a
+file open for writing, which recalls the writer's size) against one
+materialized MDS rank, with journal flushes, checkpoints (between
+requests, or with one request racing them) and crashes mixed in.  The
+oracle is the live store itself, so it is stated independently of the
+replay code: at each durable point (a flush or a checkpoint, both of
+which wait for every journal write to land) the machine snapshots every
+path's inode and the inode table.  After a crash and recovery it checks four things:
 
 * every path resolves to an inode equal, field by field (ino, mode,
-  uid, gid, mtime, nlink), to the snapshot's;
+  uid, gid, size, mtime), to the snapshot's;
 * the store holds no inode but those reachable from ``/``;
 * the next create succeeds;
 * it mints a number the snapshot's inode table had not consumed.
-
-Size is the one field left out: a checkpoint image carries it, but the
-journal record has no size field, so a size is lost when recovery
-replays the journal past it (DESIGN.md §7).
 
 A second property writes hostile, checksum-valid event frames into the
 MDS's journal: recovery replays them through the store's one replay
@@ -48,8 +45,8 @@ def _image(md):
         path, ino = stack.pop()
         inode = md.inodes[ino]
         image[path or "/"] = (
-            inode.ino, inode.mode, inode.uid, inode.gid, inode.mtime,
-            inode.nlink,
+            inode.ino, inode.mode, inode.uid, inode.gid, inode.size,
+            inode.mtime,
         )
         if inode.is_dir:
             for name, child in md.dirfrags[ino].items():
@@ -63,6 +60,7 @@ class RecoveryIdentityMachine(RuleBasedStateMachine):
         self.cluster = Cluster(seed=0)
         self.mds = self.cluster.mds
         self.client = self.cluster.new_client()
+        self.reader = self.cluster.new_client()
         self.fresh = 0
         self._durable()
 
@@ -113,6 +111,20 @@ class RecoveryIdentityMachine(RuleBasedStateMachine):
         except OSError:
             return
         handle.write(size)
+        self._run(self.client.close_write(handle))
+
+    @rule(path=paths, size=st.integers(1, 8192), grown=st.integers(0, 64))
+    def stat_while_writing(self, path, size, grown):
+        """The writer buffers ``size`` bytes, the reader's stat recalls
+        them, then the writer closes at ``size + grown``."""
+        try:
+            handle = self._run(self.client.open_write(path))
+        except OSError:
+            return
+        handle.write(size)
+        resp = self._run(self.reader.stat(path))
+        assert resp.ok and resp.value.size == size, resp
+        handle.write(grown)
         self._run(self.client.close_write(handle))
 
     @rule()
@@ -201,6 +213,12 @@ def test_a_rename_anywhere_in_a_checkpoint_is_recovered_once():
         )
 
 
+def test_a_closed_file_keeps_its_size_through_journal_replay():
+    """Pinned: the journal record had no size field, so replaying a
+    close's SETATTR rebuilt the file at size 0."""
+    _replay(("open_close_write", "/a", 1), ("crash_and_recover", True))
+
+
 # -- hostile journal bytes ---------------------------------------------------
 
 _BASE = 1 << 20  # a single rank's first inode number
@@ -210,9 +228,9 @@ hostile_paths = st.builds(
     _parts, st.booleans(),
 )
 hostile_events = st.builds(
-    lambda op, path, target, ino, mode, uid: JournalEvent.trusted(
+    lambda op, path, target, ino, mode, uid, size: JournalEvent.trusted(
         op, path, ino, mode, uid, uid, 0.0,
-        target if op is EventType.RENAME else None, 0, 0,
+        target if op is EventType.RENAME else None, 0, 0, size,
     ),
     st.sampled_from(list(EventType)),
     hostile_paths,
@@ -220,6 +238,7 @@ hostile_events = st.builds(
     st.sampled_from([0, 1, _BASE, _BASE + 1, (1 << 64) - 1]),
     st.integers(0, (1 << 32) - 1),
     st.sampled_from([0, 7, (1 << 32) - 1]),
+    st.sampled_from([0, 1, 1 << 63, (1 << 64) - 1]),
 )
 
 

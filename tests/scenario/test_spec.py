@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scenario.spec import (
     AutoMigrateSpec,
@@ -205,8 +207,14 @@ def test_checked_in_scenarios_validate():
     ({"seeds": "three"}, "seeds must be an integer"),
     ({"seeds": True}, "seeds must be an integer"),
     ({"sessions": 2.5}, "sessions must be an integer"),
+    ({"population": 5}, "population must be an object, not 5"),
+    ({"subtrees": [{"path": 5}]}, "subtree path must be a string, not 5"),
+    ({"population": {"users": 1.5, "rate_per_user_hz": 0.01}},
+     "population.users must be an integer, not 1.5"),
+    ({"name": 5}, "name must be a string, not 5"),
 ], ids=["inf-duration", "string-duration", "bool-duration",
-        "string-seeds", "bool-seeds", "fractional-sessions"])
+        "string-seeds", "bool-seeds", "fractional-sessions",
+        "int-population", "int-subtree-path", "fractional-users", "int-name"])
 def test_top_level_numbers_are_typed_not_coerced(overrides, message):
     with pytest.raises(ScenarioError, match=message):
         ScenarioSpec.from_dict(_minimal_raw(**overrides))
@@ -219,3 +227,59 @@ def test_infinite_duration_in_a_json_file_is_rejected(tmp_path):
     )
     with pytest.raises(ScenarioError, match="forever.json.*finite"):
         load_spec(path)
+
+
+def test_load_spec_bad_toml_names_file(tmp_path):
+    pytest.importorskip("tomllib")
+    path = tmp_path / "bad.toml"
+    path.write_text("name = = 1\n")
+    with pytest.raises(ScenarioError, match="bad.toml: invalid TOML"):
+        load_spec(path)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+#: Each section's keys, so that a drawn object also reaches the fields.
+_SECTION_KEYS = {
+    "name": None, "duration_s": None, "sessions": None, "seeds": None,
+    "population": ["users", "rate_per_user_hz", "zipf_s", "dirs_per_subtree",
+                   "diurnal", "bursts", "drift"],
+    "mix": ["create", "lookup", "stat", "ls"],
+    "cluster": ["num_mds", "num_osds", "materialize", "journal"],
+    "subtrees": ["path", "rank", "policy"],
+    "auto_migrate": ["check_interval_s", "threshold_ops", "max_migrations"],
+}
+
+
+@st.composite
+def _hostile_raw(draw):
+    """A valid spec with one section replaced by an arbitrary JSON value,
+    or with some of that section's fields so replaced."""
+    raw = _minimal_raw(cluster={"num_mds": 2, "materialize": True})
+    key = draw(st.sampled_from(sorted(_SECTION_KEYS)))
+    names = _SECTION_KEYS[key]
+    if names is None or draw(st.booleans()):
+        raw[key] = draw(_json)
+        return raw
+    fields = draw(st.dictionaries(
+        st.sampled_from(names), _json, min_size=1, max_size=2
+    ))
+    if key == "subtrees":
+        raw[key] = [{**raw[key][0], **fields}]
+    else:
+        raw[key] = {**(raw.get(key) or {}), **fields}
+    return raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=_hostile_raw())
+def test_arbitrary_json_in_a_section_is_a_scenario_error_or_a_valid_spec(raw):
+    try:
+        spec = ScenarioSpec.from_dict(raw)
+    except ScenarioError:
+        return
+    assert ScenarioSpec.from_dict(spec.to_dict()) == spec
