@@ -7,10 +7,12 @@ history events:
 
 * the ``client.rpc`` / ``client.append`` / ``client.append_op``
   sections become operation invocations and completions;
+* the ``journal.dispatch`` section hands over each MDS journal segment
+  as it goes out to the object store;
 * clients and the MDS mark crashes, recoveries, local persists and
   persist faults; the MDS marks the moment a mutation becomes globally
-  visible (its authoritative store changed), merge windows (Volatile
-  Apply), what it journaled and what a migration lifted back out;
+  visible (its authoritative store changed) and merge windows
+  (Volatile Apply);
 * each OSD marks bytes landing in an object, which the recorder
   interprets into *global* persistence events for client and MDS
   journals.
@@ -29,7 +31,6 @@ from repro.journal.events import EventType, JournalEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster import Cluster
-    from repro.mds.server import MetadataServer
 
 __all__ = ["HistoryRecorder"]
 
@@ -44,8 +45,10 @@ class HistoryRecorder:
     """Builds a :class:`~repro.conformance.history.History` from what
     the cluster's daemons report through the observer tap."""
 
-    #: The tap sections that are client operations.
-    tap_sections = ("client.rpc", "client.append", "client.append_op")
+    #: The tap sections: client operations and MDS segment dispatch.
+    tap_sections = (
+        "client.rpc", "client.append", "client.append_op", "journal.dispatch"
+    )
 
     def __init__(self, cluster: "Cluster"):
         self.cluster = cluster
@@ -60,18 +63,14 @@ class HistoryRecorder:
         #: (owner name, scope) — persists are idempotent snapshots, the
         #: history wants each update persisted once per scope.
         self._persist_marks: Dict[tuple, int] = {}
-        #: Real (materialized) events the MDS has journaled, per MDS
-        #: name, in log order; object-store journal writes are resolved
-        #: against it to emit global-persist records.
-        self._mds_journaled: Dict[str, List[JournalEvent]] = {}
-        self._mds_persisted: Dict[str, int] = {}
+        #: Per MDS, the real segments it dispatched that no write to its
+        #: journal objects has claimed yet, in dispatch order.
+        self._mds_dispatched: Dict[str, List[List[JournalEvent]]] = {}
         #: Mutation-only persisted seq per MDS (protocol markers ride in
         #: the journal but carry no namespace update to persist).
         self._mds_persisted_muts: Dict[str, int] = {}
         self.tap_marks = {
             "visible": self._on_visible,
-            "journaled": self._on_journaled,
-            "exported": self._on_exported,
             "persisted": self._on_persisted,
             "persist-fault": self._on_persist_fault,
             "object-written": self._on_object_written,
@@ -105,7 +104,17 @@ class HistoryRecorder:
     def begin(self, name: str, daemon: str, mechanism: str, fields: dict):
         """An operation was invoked: one ``invoke`` per affected path
         (an RPC names them through its request; counted appends name
-        none).  Returns the actor and the op ids :meth:`end` completes."""
+        none).  Returns the actor and the op ids :meth:`end` completes.
+
+        A ``journal.dispatch`` begin is an MDS segment going out: it
+        waits for the next write to the rank's journal objects (a
+        counted segment carries None and is not kept); its end, like an
+        unwound section's, carries no ``ok``."""
+        if name == "journal.dispatch":
+            segment = fields["events"]
+            if segment is not None:
+                self._mds_dispatched.setdefault(daemon, []).append(segment)
+            return None
         request = fields.get("request")
         if request is None:
             paths, client_id = fields["paths"] or (), fields["client"]
@@ -150,7 +159,7 @@ class HistoryRecorder:
             ))
 
     # ------------------------------------------------------------------
-    # marks: MDS side (visibility, merges, journal mirror, migration)
+    # marks: MDS side (visibility, merges, migration)
     # ------------------------------------------------------------------
     def _on_visible(self, actor: str, d: dict) -> None:
         self._append(HistoryEvent(
@@ -170,42 +179,6 @@ class HistoryRecorder:
             path=d["subtree"], client=d["client"], detail=detail,
         ))
 
-    def _on_journaled(self, actor: str, d: dict) -> None:
-        """The MDS appended real events to its (segmented) journal; they
-        become *globally persisted* when their segment's object write
-        lands (seen through the OSD's ``object-written`` mark)."""
-        self._mds_journaled.setdefault(actor, []).extend(d["events"])
-
-    def _on_exported(self, actor: str, d: dict) -> None:
-        """A subtree migration lifted undispatched events out of the
-        MDS's open segment; drop their mirror entries.  Extraction
-        only ever touches the open segment, which is the tail of the
-        mirrored list — always beyond the persisted prefix, so earlier
-        ``persisted`` records never referenced these entries."""
-        pending = list(d["events"])
-        if not pending:
-            return
-        journaled = self._mds_journaled.get(actor, [])
-        idx = len(journaled) - 1
-        while pending and idx >= 0:
-            ev = journaled[idx]
-            cand = pending[-1]
-            if (
-                ev.op == cand.op
-                and ev.path == cand.path
-                and ev.target_path == cand.target_path
-                and ev.ino == cand.ino
-                and ev.client_id == cand.client_id
-            ):
-                journaled.pop(idx)
-                pending.pop()
-            idx -= 1
-        if pending:
-            raise RuntimeError(
-                f"{actor}: {len(pending)} exported journal events have "
-                "no mirror entry; persist accounting would desynchronize"
-            )
-
     def _on_migrate(self, actor: str, d: dict) -> None:
         """One phase transition of a live subtree migration, marked by
         the source rank: ``begin`` (source froze the subtree),
@@ -224,14 +197,6 @@ class HistoryRecorder:
         self._append(HistoryEvent(
             self.engine.now, "crash", actor, detail=dict(d),
         ))
-        # An MDS crash drops its open (undispatched) segment: trim the
-        # same events off the journal mirror's tail so a later segment
-        # land never claims the lost events were persisted.  In-flight
-        # segments sit earlier in the mirror and are allowed to land.
-        lost = d.get("journal_events_lost", 0)
-        journaled = self._mds_journaled.get(actor)
-        if journaled is not None and lost:
-            del journaled[max(0, len(journaled) - lost):]
 
     def _on_recover(self, actor: str, d: dict) -> None:
         """A daemon finished recovery.  ``events`` is what came back: a
@@ -322,49 +287,38 @@ class HistoryRecorder:
         Journal objects are interpreted into per-update global-persist
         records; everything else is ignored (data-pool traffic carries
         no metadata semantics).  Every replica's OSD marks its own
-        write; the per-owner watermark keeps records unique.
+        write; the per-owner watermark keeps records unique.  A write to
+        an MDS's journal objects claims every segment the MDS dispatched
+        before it, numbered over *mutations* only as journal replay
+        numbers them (protocol markers carry no namespace update).
         """
         match = _JOURNAL_OBJECT.match(d["obj"])
         if match is None:
             return
         owner = match.group("owner")
-        for dclient in self.cluster._dclients:
-            if dclient.name == owner:
-                self._record_journal_persist(
-                    owner, dclient.journal.events, dclient.client_id,
-                    scope="global",
-                )
-                return
-        for mds in self.cluster.mds_list:
-            if mds.name == owner:
-                self._record_mds_global_persist(mds)
-                return
-
-    def _record_mds_global_persist(self, mds: "MetadataServer") -> None:
-        """A segment of the MDS journal landed in the object store: the
-        journaled prefix minus the still-open segment is now durable."""
-        journaled = self._mds_journaled.get(mds.name, [])
-        durable = len(journaled) - mds.journal.open_real_events
-        done = self._mds_persisted.get(mds.name, 0)
-        if durable <= done:
+        segments = self._mds_dispatched.get(owner)
+        if segments is None:
+            for dclient in self.cluster._dclients:
+                if dclient.name == owner:
+                    self._record_journal_persist(
+                        owner, dclient.journal.events, dclient.client_id,
+                        scope="global",
+                    )
+                    break
             return
-        # Persisted records are numbered over *mutations* only, matching
-        # the numbering journal-replay recovery uses — migration protocol
-        # markers are journaled but carry no namespace update.
-        mut_seq = self._mds_persisted_muts.get(mds.name, 0)
+        seq = self._mds_persisted_muts.get(owner, 0)
         now, append = self.engine.now, self._append
-        for idx in range(done, durable):
-            ev = journaled[idx]
-            if not ev.is_mutation:
-                continue
-            mut_seq += 1
-            append(HistoryEvent(
-                now, "persisted", mds.name, scope="global",
-                op=_OP_NAMES[ev.op], path=ev.path,
-                ino=ev.ino or None, seq=mut_seq, client=ev.client_id,
-            ))
-        self._mds_persisted[mds.name] = durable
-        self._mds_persisted_muts[mds.name] = mut_seq
+        for segment in segments:
+            for ev in segment:
+                if ev.is_mutation:
+                    seq += 1
+                    append(HistoryEvent(
+                        now, "persisted", owner, scope="global",
+                        op=_OP_NAMES[ev.op], path=ev.path,
+                        ino=ev.ino or None, seq=seq, client=ev.client_id,
+                    ))
+        segments.clear()
+        self._mds_persisted_muts[owner] = seq
 
     # ------------------------------------------------------------------
     # snapshots

@@ -202,7 +202,7 @@ class Cudele:
         mds = self.cluster.mds_for(path)
         made = mds.ensure_dirs(path)
         if made:
-            yield from mds.journal_events(made)
+            yield from mds.journal.log_events(events=made)
         if policy.is_decoupled and dclient is None:
             dclient = self.cluster.new_decoupled_client(
                 persist_each=persist_each,

@@ -71,6 +71,10 @@ class MDSJournal:
         self._write_offset = 0
         #: Segment writes not yet known to have landed.
         self._inflight: list = []
+        #: Events in closed segments still waiting for a window slot:
+        #: they live only in MDS memory, so a crash loses them.
+        self._stalled_events = 0
+        self._crashes = 0
         self.segments_in_flight = 0
         self.segments_dispatched = 0
         self.stalls = 0
@@ -131,7 +135,17 @@ class MDSJournal:
         grant = self._window.acquire()
         if grant is not None:
             self.stalls += 1
+            held = count if segment is None else len(segment)
+            crashes = self._crashes
+            self._stalled_events += held
             yield grant
+            if self._crashes != crashes:
+                # A crash took the segment (and counted it lost) while
+                # it waited; a waiter the crash did not stop hands its
+                # slot on and sends nothing.
+                self._window.release()
+                return
+            self._stalled_events -= held
         self.segments_in_flight += 1
         self._inflight = [p for p in self._inflight if not p.triggered]
         self._inflight.append(
@@ -146,7 +160,9 @@ class MDSJournal:
         tap = self.tap
         section = None
         if tap is not None:
-            section = tap.begin("journal.dispatch", self.src, "stream")
+            section = tap.begin(
+                "journal.dispatch", self.src, "stream", events=segment
+            )
         try:
             yield self.engine.process(self._write_segment(segment, count))
         finally:
@@ -207,14 +223,19 @@ class MDSJournal:
     def crash(self) -> int:
         """Drop volatile journaling state on an MDS crash.
 
-        The open (not yet dispatched) segment and any counted-only
-        pending events lived in MDS memory and are lost; returns how
-        many.  Segment writes already in flight were submitted to the
-        object store before the crash and are allowed to land — recovery
-        replays whatever the striped journal holds.
+        The open (not yet dispatched) segment, closed segments still
+        waiting for a window slot and any counted-only pending events
+        lived in MDS memory and are lost; returns how many.  Segment
+        writes already in flight were submitted to the object store
+        before the crash and are allowed to land — recovery replays
+        whatever the striped journal holds.
         """
-        lost = len(self._take_segment()) + self._pending_count
-        self._pending_count = 0
+        lost = (
+            len(self._take_segment()) + self._pending_count
+            + self._stalled_events
+        )
+        self._pending_count = self._stalled_events = 0
+        self._crashes += 1
         self.events_logged -= lost
         return lost
 
@@ -248,14 +269,6 @@ class MDSJournal:
         self._open_segment = kept
         self.events_logged -= len(removed)
         return removed
-
-    @property
-    def open_real_events(self) -> int:
-        """Real (materialized) events still buffered in the open segment
-        — journaled but not yet handed to the object store.  Counted-only
-        events are excluded; the conformance recorder uses this to tell
-        which journaled updates a landed segment write made durable."""
-        return len(self._open_segment)
 
     @property
     def last_seq(self) -> int:

@@ -196,8 +196,6 @@ def migrate_subtree(
         else None
     )
     moved = src.journal.extract_open(subtree)
-    if tap is not None:
-        tap.mark("exported", src.name, events=moved)
     result.rows = len(rows)
     result.caps = len(caps_bundle)
     result.ino_ranges = len(ino_bundle["ranges"]) if ino_bundle else 0
@@ -224,7 +222,7 @@ def migrate_subtree(
     except PartitionError:
         if src.up:
             _reinstall_src()
-            yield from src.journal_events(moved)
+            yield from src.journal.log_events(events=moved)
             src.unfreeze_subtree(subtree)
         return _abort("partitioned-in-transfer")
 
@@ -234,7 +232,7 @@ def migrate_subtree(
     if not dst.up:
         if src.up:
             _reinstall_src()
-            yield from src.journal_events(moved)
+            yield from src.journal.log_events(events=moved)
             src.unfreeze_subtree(subtree)
         return _abort("dst-crashed-before-import")
     if ino_bundle is not None:
@@ -258,7 +256,7 @@ def migrate_subtree(
     ] + list(moved) + [
         JournalEvent(EventType.IMPORT_COMMIT, subtree, mtime=dst.engine.now)
     ]
-    yield from dst.journal_events(import_events)
+    yield from dst.journal.log_events(events=import_events)
 
     # -- phase 4: IMPORT_ACK + authority flip ----------------------------
     if phase_hook is not None:
@@ -270,7 +268,7 @@ def migrate_subtree(
         # and is rebuilt foreign on its recovery).
         if src.up:
             _reinstall_src()
-            yield from src.journal_events(moved)
+            yield from src.journal.log_events(events=moved)
             src.unfreeze_subtree(subtree)
         return _abort("dst-crashed-before-flip")
     try:
@@ -288,10 +286,9 @@ def migrate_subtree(
     if phase_hook is not None:
         phase_hook("commit")
     if src.up:
-        yield from src.journal_events(
-            [JournalEvent(EventType.EXPORT_COMMIT, subtree,
-                          mtime=src.engine.now)]
-        )
+        yield from src.journal.log_events(events=[JournalEvent(
+            EventType.EXPORT_COMMIT, subtree, mtime=src.engine.now
+        )])
         src.unfreeze_subtree(subtree)
     return _finish("done")
 

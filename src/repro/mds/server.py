@@ -590,16 +590,6 @@ class MetadataServer:
             ino = inos[path] = ROOT_INO + 1 + len(inos)
         return ino
 
-    def journal_events(
-        self, events: List[JournalEvent]
-    ) -> Generator[Event, None, None]:
-        """Journal real ``events`` (process body), marking them for
-        observers first — the recorder's persist accounting mirrors
-        every real event that enters the journal."""
-        if self.tap is not None and self.journal.enabled:
-            self.tap.mark("journaled", self.name, events=events)
-        yield from self.journal.log_events(events=events)
-
     def ensure_dirs(self, path: str) -> List[JournalEvent]:
         """Create every missing directory on ``path``, ``path`` included
         (administration-side, so no CPU is charged); returns a MKDIR
@@ -683,7 +673,7 @@ class MetadataServer:
             section = tap.begin("mds.journal.append", self.name, "stream")
         try:
             if events is not None:
-                yield from self.journal_events(events)
+                yield from self.journal.log_events(events=events)
             else:
                 yield from self.journal.log_events(count=request.count)
         finally:
@@ -750,7 +740,7 @@ class MetadataServer:
                 inode = change()
             except FsError as exc:
                 return Response(ok=False, error=str(exc)), 0.0
-        yield from self.journal_events([self._record(
+        yield from self.journal.log_events(events=[self._record(
             op, request.path, request.client_id, inode, target, visible
         )])
         return Response(ok=True, value=value), self.journal.commit_latency_s()
@@ -783,19 +773,23 @@ class MetadataServer:
         current buffered size (the simulation's stand-in for the cap
         state held client-side).  On a materialized store, opening a
         missing file creates it: journaled and visible like a one-name
-        ``create``, and the reply waits for that record's commit.
+        ``create``, and the reply waits for that record's commit; a
+        directory is refused with ``EISDIR``.
         """
         cpu = self._service_time(1)
         if cpu > 0:
             yield self.engine.sleep(cpu)
         latency = 0.0
-        if self.config.materialize and not self.mdstore.exists(request.path):
-            response, latency = yield from self._commit(
-                request, EventType.CREATE,
-                lambda: self.mdstore.create(request.path),
-            )
-            if not response.ok:
-                return response, latency
+        if self.config.materialize:
+            if not self.mdstore.exists(request.path):
+                response, latency = yield from self._commit(
+                    request, EventType.CREATE,
+                    lambda: self.mdstore.create(request.path),
+                )
+                if not response.ok:
+                    return response, latency
+            elif self.mdstore.resolve(request.path).is_dir:
+                return Response(ok=False, error=f"EISDIR: {request.path}"), 0.0
         if request.path in self._open_writers:
             holder, _ = self._open_writers[request.path]
             if holder != request.client_id:
@@ -835,7 +829,7 @@ class MetadataServer:
                 inode = self.mdstore.setattr(path, size=size)
             except FsError:
                 return cal.CAP_RECALL_S
-            yield from self.journal_events([self._record(
+            yield from self.journal.log_events(events=[self._record(
                 EventType.SETATTR, path, client_id, inode, visible=False
             )])
         return cal.CAP_RECALL_S

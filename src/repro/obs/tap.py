@@ -22,7 +22,7 @@ changes; :class:`~repro.obs.core.Observability`,
 
 Vocabulary
 ----------
-Two kinds of record, with fixed names (:data:`SECTIONS`,
+Two kinds of record, with fixed names (12 :data:`SECTIONS`, 9
 :data:`MARKS`); the fields each carries, the metrics a section feeds
 and the history ``kind`` a mark becomes are tabulated once, in
 ``docs/OBSERVABILITY.md`` ("How observers attach").
@@ -65,9 +65,8 @@ SECTIONS: Tuple[str, ...] = (
 
 #: Every mark kind a daemon may emit.
 MARKS: Tuple[str, ...] = (
-    "submit", "visible", "journaled", "exported", "persisted",
-    "persist-fault", "object-written", "crash", "recover", "merge",
-    "migrate",
+    "submit", "visible", "persisted", "persist-fault", "object-written",
+    "crash", "recover", "merge", "migrate",
 )
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -394,57 +394,7 @@ class ScenarioSpec:
 
     def to_dict(self) -> Dict:
         """Canonical JSON-ready form (embedded in artifacts verbatim)."""
-        pop = self.population
-        out: Dict = {
-            "name": self.name,
-            "duration_s": self.duration_s,
-            "sessions": self.sessions,
-            "seeds": self.seeds,
-            "population": {
-                "users": pop.users,
-                "rate_per_user_hz": pop.rate_per_user_hz,
-                "zipf_s": pop.zipf_s,
-                "dirs_per_subtree": pop.dirs_per_subtree,
-                "diurnal": (
-                    {"period_s": pop.diurnal.period_s,
-                     "amplitude": pop.diurnal.amplitude}
-                    if pop.diurnal is not None else None
-                ),
-                "bursts": [
-                    {"at_s": b.at_s, "duration_s": b.duration_s,
-                     "multiplier": b.multiplier}
-                    for b in pop.bursts
-                ],
-                "drift": (
-                    {"period_s": pop.drift.period_s,
-                     "stride": pop.drift.stride}
-                    if pop.drift is not None else None
-                ),
-            },
-            "mix": {
-                "create": self.mix.create,
-                "lookup": self.mix.lookup,
-                "stat": self.mix.stat,
-                "ls": self.mix.ls,
-            },
-            "cluster": {
-                "num_mds": self.cluster.num_mds,
-                "num_osds": self.cluster.num_osds,
-                "materialize": self.cluster.materialize,
-                "journal": self.cluster.journal,
-            },
-            "subtrees": [
-                {"path": s.path, "rank": s.rank, "policy": s.policy}
-                for s in self.subtrees
-            ],
-            "auto_migrate": (
-                {"check_interval_s": self.auto_migrate.check_interval_s,
-                 "threshold_ops": self.auto_migrate.threshold_ops,
-                 "max_migrations": self.auto_migrate.max_migrations}
-                if self.auto_migrate is not None else None
-            ),
-        }
-        return out
+        return asdict(self)
 
 
 def load_spec(path: Union[str, Path]) -> ScenarioSpec:

@@ -61,6 +61,24 @@ def test_reopen_by_same_client_allowed():
     assert h2.size == 0
 
 
+def test_open_write_on_a_directory_is_refused_and_leaves_it_alone():
+    from repro.client.client import WriteHandle
+
+    cluster, writer, _ = make(read_lazy=False)
+    cluster.run(writer.mkdir("/data/d"))
+    before = cluster.mds.mdstore.resolve("/data/d")
+    state = (before.ino, before.mode, before.size, before.mtime)
+    with pytest.raises(OSError, match="EISDIR"):
+        cluster.run(writer.open_write("/data/d"))
+    # No write cap was granted, so a close cannot size the directory.
+    handle = WriteHandle("/data/d")
+    handle.write(100)
+    resp = cluster.run(writer.close_write(handle))
+    assert not resp.ok and "EBADF" in resp.error
+    after = cluster.mds.mdstore.resolve("/data/d")
+    assert (after.ino, after.mode, after.size, after.mtime) == state
+
+
 def test_close_unopened_rejected():
     from repro.client.client import WriteHandle
 
