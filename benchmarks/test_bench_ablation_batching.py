@@ -9,7 +9,7 @@ behaviour.
 
 from repro.bench.report import format_table
 from repro.cluster import Cluster
-from repro.core.merge import merge_journal
+from repro.core.mechanisms import merge_journal
 from repro.journal.events import WIRE_EVENT_BYTES
 from repro.mds.server import MDSConfig
 

@@ -57,6 +57,8 @@ from repro.conformance.recorder import HistoryRecorder
 from repro.core.mechanisms import MechanismContext, run_mechanism
 from repro.core.namespace_api import Cudele
 from repro.core.policy import SubtreePolicy
+from repro.journal.events import EventType
+from repro.mds.mdstore import MetadataStore
 from repro.mds.server import MDSConfig
 from repro.rados.striper import Striper
 
@@ -122,17 +124,26 @@ class Mutation:
 
 
 def _patch_merge_priority_flip() -> Callable[[], None]:
-    import repro.core.merge as merge_mod
+    orig = MetadataStore.resolve_conflicts
 
-    orig = merge_mod.resolve_conflicts
+    def keep_existing(store, events):
+        """The store wins: drop a journal CREATE / MKDIR whose path the
+        store holds, unless the journal itself removed it first."""
+        out, settled = [], set()
+        for ev in events:
+            op, path = ev[0], ev[1]
+            if op is EventType.CREATE or op is EventType.MKDIR:
+                if path not in settled and store.exists(path):
+                    continue
+            elif op is EventType.UNLINK or op is EventType.RMDIR:
+                settled.add(path)
+            out.append(ev)
+        return out
 
-    def flipped(mdstore, events, priority="decoupled"):
-        return orig(mdstore, events, "existing")
-
-    merge_mod.resolve_conflicts = flipped
+    MetadataStore.resolve_conflicts = keep_existing
 
     def undo():
-        merge_mod.resolve_conflicts = orig
+        MetadataStore.resolve_conflicts = orig
 
     return undo
 

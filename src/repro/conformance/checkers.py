@@ -440,11 +440,11 @@ def _check_strict_merge(
     Every acknowledged owner create/mkdir still in the journal when a
     merge window closes must have become *visible* with the owner's
     client id — the count bookkeeping in :func:`_check_weak` cannot see
-    updates that conflict resolution silently dropped before shipping
-    (a flipped ``core.merge`` priority passes it), so the strict tier
-    holds the merge to the actual journal contents.  Crashes clear the
-    tracked journal exactly as they clear the real one, so losing
-    unpersisted updates to a crash stays legal.
+    updates that conflict resolution silently dropped before applying
+    (the ``merge-priority-flip`` mutant's keep-existing rule passes
+    it), so the strict tier holds the merge to the actual journal
+    contents.  Crashes clear the tracked journal exactly as they clear
+    the real one, so losing unpersisted updates to a crash stays legal.
 
     Scenario caveat (why this is opt-in): conflict resolution may
     legitimately satisfy an owner MKDIR by keeping an existing

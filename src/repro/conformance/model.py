@@ -5,11 +5,10 @@ setattr/stat/readdir *mean*, independent of the simulated MDS: the
 conformance checkers replay recorded histories against it and the
 stateful tests drive it in lock-step with a live cluster.
 
-Journal merges reuse the ordering rules of
-:func:`repro.core.merge.resolve_conflicts` verbatim — the model duck-
-types the two methods that function needs (``exists``/``resolve``), so
-the spec and the implementation cannot drift apart on conflict
-priority.
+Journal merges follow the paper's conflict priority (the decoupled
+namespace wins, §III-C), stated in :meth:`ReferenceModel.merge` itself
+rather than borrowed from the MDS, so the spec can disagree with the
+implementation it judges.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.merge import resolve_conflicts
 from repro.journal.events import EventType, JournalEvent
 
 __all__ = ["ModelNode", "ModelError", "ReferenceModel"]
@@ -62,10 +60,6 @@ class ReferenceModel:
             "/": ModelNode(ino=1, is_dir=True, mode=0o755)
         }
         self.used_inos: Set[int] = set()
-
-    # -- duck-typed surface for repro.core.merge.resolve_conflicts --------
-    def exists(self, path: str) -> bool:
-        return _norm(path) in self.nodes
 
     def resolve(self, path: str) -> ModelNode:
         node = self.nodes.get(_norm(path))
@@ -225,26 +219,35 @@ class ReferenceModel:
             op, event.path, ino=event.ino, target=event.target_path
         )
 
-    def merge(
-        self, events: List[JournalEvent], priority: str = "decoupled"
-    ) -> Dict[str, int]:
-        """Merge a client journal under the paper's conflict priority.
+    def merge(self, events: List[JournalEvent]) -> Dict[str, int]:
+        """Merge a client journal; the decoupled namespace wins (§III-C).
 
-        Delegates conflict resolution to
-        :func:`repro.core.merge.resolve_conflicts` (the model satisfies
-        its ``exists``/``resolve`` surface), then applies the resolved
-        sequence, skipping events that still fail — exactly what the
-        MDS's Volatile Apply handler does.  Returns
+        A journal CREATE over a model file replaces it (an applied
+        unlink, then the create); a CREATE over a directory, or a MKDIR
+        over a file, is dropped; a MKDIR over a directory is skipped.  A
+        path the journal itself created or removed is never judged
+        against the model.  Every other event applies or, when the model
+        refuses it, counts as a conflict.  Returns
         ``{"applied": n, "conflicts": m}``.
         """
-        resolved = resolve_conflicts(self, events, priority)
         applied = conflicts = 0
-        for ev in resolved:
-            ok, _ = self.apply_journal_event(ev)
-            if ok:
+        own: Set[str] = set()
+        for ev in events:
+            op, path = EventType(ev.op), _norm(ev.path)
+            node = None if path in own else self.nodes.get(path)
+            if node is not None and op in (EventType.CREATE, EventType.MKDIR):
+                if op is EventType.MKDIR and node.is_dir:
+                    own.add(path)  # the directory is already there
+                if node.is_dir or op is EventType.MKDIR:
+                    continue  # skipped, or dropped on a type mismatch
+                del self.nodes[path]  # replaced: an applied unlink
                 applied += 1
-            else:
-                conflicts += 1
+            if op in (EventType.CREATE, EventType.MKDIR, EventType.UNLINK,
+                      EventType.RMDIR):
+                own.add(path)
+            ok, _ = self.apply_journal_event(ev)
+            applied += ok
+            conflicts += not ok
         return {"applied": applied, "conflicts": conflicts}
 
     # -- comparison views -------------------------------------------------

@@ -15,7 +15,6 @@ This package is the paper's primary contribution:
 * :mod:`~repro.core.policyfile` — the ``policies.yml`` format.
 * :mod:`~repro.core.namespace_api` — the user-facing API: decouple a
   path with a policies file, retarget semantics dynamically.
-* :mod:`~repro.core.merge` — merge machinery with interference priority.
 * :mod:`~repro.core.sync` — namespace sync (partial updates for
   read-while-writing).
 """
@@ -34,7 +33,6 @@ from repro.core.policy import (
 from repro.core.policyfile import PolicyFileError, parse_policies
 from repro.core.mechanisms import MechanismContext, MECHANISMS, run_mechanism
 from repro.core.namespace_api import Cudele, DecoupledNamespace, EmbeddingError
-from repro.core.merge import resolve_conflicts, merge_journal
 from repro.core.sync import NamespaceSyncStats, synced_workload
 
 __all__ = [
@@ -58,8 +56,6 @@ __all__ = [
     "Cudele",
     "DecoupledNamespace",
     "EmbeddingError",
-    "resolve_conflicts",
-    "merge_journal",
     "NamespaceSyncStats",
     "synced_workload",
 ]

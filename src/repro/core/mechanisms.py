@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional
 
 from repro import calibration as cal
-from repro.core.merge import merge_journal
 from repro.journal.events import JournalEvent, WIRE_EVENT_BYTES
+from repro.mds.server import MetadataServer, Request
 from repro.rados.striper import Striper
 from repro.sim.engine import Event, Timeout
 
@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.client.decoupled import DecoupledClient
     from repro.cluster import Cluster
 
-__all__ = ["MechanismContext", "MECHANISMS", "run_mechanism"]
+__all__ = ["MechanismContext", "MECHANISMS", "run_mechanism", "merge_journal"]
 
 #: Nonvolatile Apply does real per-event object round trips up to this
 #: many events; longer journals extrapolate from a measured prefix (the
@@ -51,7 +51,6 @@ class MechanismContext:
     cluster: "Cluster"
     subtree: str
     dclient: Optional["DecoupledClient"] = None
-    merge_priority: str = "decoupled"
 
     @property
     def engine(self):
@@ -131,6 +130,30 @@ def mech_stream(ctx: MechanismContext) -> Generator[Event, None, None]:
 # --------------------------------------------------------------------------
 
 
+def merge_journal(
+    mds: MetadataServer,
+    subtree: str,
+    client_id: int,
+    events: Optional[List[JournalEvent]] = None,
+    count: Optional[int] = None,
+) -> Generator[Event, None, dict]:
+    """Merge a client journal at the MDS (process body).
+
+    Submits the events, or the count, as one Volatile Apply request; the
+    MDS resolves conflicts where it applies them.  Returns the server's
+    ``{applied, conflicts}`` summary and raises on a refused reply.
+    """
+    payload = events if events is not None else count
+    if payload is None:
+        raise ValueError("merge_journal needs events or a count")
+    response = yield mds.submit(
+        Request("volatile_apply", subtree, client_id, payload=payload)
+    )
+    if not response.ok:
+        raise RuntimeError(f"merge failed: {response.error}")
+    return response.value
+
+
 def mech_volatile_apply(ctx: MechanismContext) -> Generator[Event, None, None]:
     """Ship the client journal to the MDS and replay it onto the
     in-memory metadata store.  No durability until something persists."""
@@ -142,8 +165,7 @@ def mech_volatile_apply(ctx: MechanismContext) -> Generator[Event, None, None]:
     events = ctx.events
     if events is not None:
         yield from merge_journal(
-            ctx.mds, ctx.subtree, ctx.client_id, events=events,
-            priority=ctx.merge_priority,
+            ctx.mds, ctx.subtree, ctx.client_id, events=events
         )
     if ctx.counted:
         yield from merge_journal(

@@ -106,7 +106,6 @@ class DecoupledNamespace:
             cluster=self.cluster,
             subtree=self.path,
             dclient=self.dclient,
-            merge_priority="decoupled",
         )
         timings = yield self.cluster.engine.process(
             self.policy.plan.execute(ctx)

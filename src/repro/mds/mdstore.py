@@ -273,6 +273,45 @@ class MetadataStore:
             raise FsError("EINVAL", f"unknown event {op}")
         self.events_applied += 1
 
+    def resolve_conflicts(
+        self, events: Sequence[JournalEvent]
+    ) -> List[JournalEvent]:
+        """Rewrite a client journal so the decoupled namespace wins over
+        this store at merge time (the paper's ``allow`` rule, §III-C).
+
+        A CREATE over a file unlinks the file first; a MKDIR over a
+        directory keeps it and is dropped; a CREATE or MKDIR over an
+        entry of the other type is dropped.  Other ops are left to
+        replay.  A path the journal itself created over an entry or
+        removed (UNLINK / RMDIR) is the journal's own doing and is never
+        judged against the store again.
+        """
+        create, mkdir = EventType.CREATE, EventType.MKDIR
+        unlink, rmdir = EventType.UNLINK, EventType.RMDIR
+        exists, resolve = self.exists, self.resolve
+        out: List[JournalEvent] = []
+        append = out.append
+        # A path the journal created where the store had nothing needs
+        # no entry here: the store still has nothing.
+        settled = set()
+        for ev in events:
+            op = ev[0]
+            if op is create or op is mkdir:
+                path = ev[1]
+                if path not in settled and exists(path):
+                    existing = resolve(path)
+                    if op is create and existing.is_file:
+                        append(JournalEvent(unlink, path, client_id=ev[9]))
+                    elif not (op is mkdir and existing.is_dir):
+                        continue
+                    settled.add(path)
+                    if op is mkdir:
+                        continue
+            elif op is unlink or op is rmdir:
+                settled.add(ev[1])
+            append(ev)
+        return out
+
     def apply_events(
         self,
         events: Sequence[JournalEvent],

@@ -954,12 +954,19 @@ class MetadataServer:
         """Replay a client journal onto the in-memory metadata store.
 
         ``payload`` is either a list of JournalEvents or an int count
-        (non-materialized bulk merges).
-        ``names=None``; conflict handling per the subtree's merge
-        priority is the caller's concern (see repro.core.merge).
+        (non-materialized bulk merges).  A materialized store resolves
+        the journal's conflicts here, at dequeue and before the CPU
+        charge (:meth:`MetadataStore.resolve_conflicts`, the decoupled
+        namespace wins): the serve loop runs one request at a time, so
+        the resolution sees the state the journal lands on.
         """
         payload = request.payload
-        events = None if isinstance(payload, int) else list(payload)
+        if isinstance(payload, int):
+            events = None
+        elif self.config.materialize:
+            events = self.mdstore.resolve_conflicts(payload)
+        else:
+            events = list(payload)
         n = payload if events is None else len(events)
         cpu = n * cal.VOLATILE_APPLY_S
         if cpu > 0:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Generator, List
 
 from repro.cluster import Cluster
+from repro.core.mechanisms import merge_journal
 from repro.sim.engine import Event
 
 __all__ = ["CreateHeavyResult", "parallel_creates_rpc", "parallel_creates_decoupled"]
@@ -90,8 +91,6 @@ def parallel_creates_decoupled(
     the same time — the paper's pessimistic "decoupled: create+merge"
     scenario (Figure 6a).
     """
-    from repro.core.merge import merge_journal
-
     result = CreateHeavyResult(clients=clients, ops_per_client=ops_per_client)
     start = cluster.engine.now
     dclients = [

@@ -109,8 +109,7 @@ KEEP: Dict[str, str] = {
     "repro.mds.mdstore:MetadataStore.setattr": _POSIX,
     "repro.mds.server:MetadataServer._op_rename": _POSIX,
     "repro.mds.server:MetadataServer._op_setattr": _POSIX,
-    "repro.conformance.model:ReferenceModel": (
-        _POSIX + "; item 2 also gives the model its own merge rule"),
+    "repro.conformance.model:ReferenceModel": _POSIX,
     "repro.conformance.model:ModelNode.is_file": _POSIX,
     "repro.client.client:Client.close_write": _READ_WHILE_WRITE,
     "repro.mds.server:MetadataServer._op_close_write": _READ_WHILE_WRITE,

@@ -3,11 +3,14 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.core.merge import merge_journal, resolve_conflicts
+from repro.conformance.checkers import check_history
+from repro.conformance.recorder import HistoryRecorder
+from repro.core.mechanisms import merge_journal
 from repro.core.namespace_api import Cudele
 from repro.core.policy import SubtreePolicy
 from repro.journal.events import EventType, JournalEvent
 from repro.mds.mdstore import MetadataStore
+from repro.sim.engine import Timeout
 
 
 def ev(path, op=EventType.CREATE, **kw):
@@ -17,7 +20,7 @@ def ev(path, op=EventType.CREATE, **kw):
 def test_no_conflicts_passthrough():
     md = MetadataStore()
     events = [ev("/a"), ev("/b")]
-    assert resolve_conflicts(md, events) == events
+    assert md.resolve_conflicts(events) == events
 
 
 def test_decoupled_priority_unlinks_existing_file():
@@ -25,26 +28,17 @@ def test_decoupled_priority_unlinks_existing_file():
     at merge time' (§III-C)."""
     md = MetadataStore()
     md.create("/f")  # written by an interfering client
-    out = resolve_conflicts(md, [ev("/f", ino=2_000_000)])
+    out = md.resolve_conflicts([ev("/f", ino=2_000_000)])
     assert [e.op for e in out] == [EventType.UNLINK, EventType.CREATE]
     # and replaying it yields the decoupled client's inode
     assert md.apply_events(out) == 0
     assert md.resolve("/f").ino == 2_000_000
 
 
-def test_existing_priority_drops_journal_event():
-    md = MetadataStore()
-    md.create("/f")
-    before = md.resolve("/f").ino
-    out = resolve_conflicts(md, [ev("/f", ino=2_000_000)], priority="existing")
-    assert out == []
-    assert md.resolve("/f").ino == before
-
-
 def test_mkdir_conflict_with_existing_dir_is_skipped():
     md = MetadataStore()
     md.mkdir("/d")
-    out = resolve_conflicts(md, [ev("/d", op=EventType.MKDIR), ev("/d/f")])
+    out = md.resolve_conflicts([ev("/d", op=EventType.MKDIR), ev("/d/f")])
     # the MKDIR is dropped (dir already there) but the create survives
     assert [e.op for e in out] == [EventType.CREATE]
 
@@ -52,7 +46,7 @@ def test_mkdir_conflict_with_existing_dir_is_skipped():
 def test_type_mismatch_conflict_dropped():
     md = MetadataStore()
     md.mkdir("/x")
-    out = resolve_conflicts(md, [ev("/x")])  # CREATE over a directory
+    out = md.resolve_conflicts([ev("/x")])  # CREATE over a directory
     assert out == []
 
 
@@ -60,13 +54,7 @@ def test_journal_internal_duplicates_not_treated_as_conflicts():
     """Paths the journal itself creates must not trigger store lookups."""
     md = MetadataStore()
     events = [ev("/d", op=EventType.MKDIR), ev("/d/f")]
-    assert resolve_conflicts(md, events) == events
-
-
-def test_unknown_priority_rejected():
-    md = MetadataStore()
-    with pytest.raises(ValueError):
-        resolve_conflicts(md, [], priority="coinflip")
+    assert md.resolve_conflicts(events) == events
 
 
 def test_merge_journal_end_to_end():
@@ -84,7 +72,7 @@ def test_merge_journal_with_conflict_overwrites():
     cluster.mds.mdstore.create("/sub/f")
     events = [ev("/sub/f", ino=2_000_000)]
     result = cluster.run(merge_journal(cluster.mds, "/sub", 5, events=events))
-    assert result["conflicts"] == 0  # pre-resolved by priority rules
+    assert result["conflicts"] == 0  # the MDS resolved it: the journal wins
     assert cluster.mds.mdstore.resolve("/sub/f").ino == 2_000_000
 
 
@@ -100,8 +88,7 @@ def test_merge_journal_needs_input():
         cluster.run(merge_journal(cluster.mds, "/sub", 5))
 
 
-@pytest.mark.parametrize("priority", ["decoupled", "existing"])
-def test_a_path_the_journal_removed_is_not_judged_against_the_store(priority):
+def test_a_path_the_journal_removed_is_not_judged_against_the_store():
     """The journal unlinks an entry the admin made, then re-creates the
     name: the create is the journal's own doing, not a conflict."""
     cluster = Cluster()
@@ -119,8 +106,49 @@ def test_a_path_the_journal_removed_is_not_judged_against_the_store(priority):
     created = dclient.journal.events[-1]
     result = cluster.run(merge_journal(
         cluster.mds, "/job", dclient.client_id,
-        events=list(dclient.journal.events), priority=priority,
+        events=list(dclient.journal.events),
     ))
     assert result == {"applied": 2, "conflicts": 0}
     assert cluster.mds.mdstore.listdir("/job") == ["x"]
     assert cluster.mds.mdstore.resolve("/job/x").ino == created.ino
+
+
+@pytest.mark.parametrize("lead_ms", [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6])
+def test_a_decoupled_create_wins_over_an_interferer_queued_ahead_of_the_merge(
+    lead_ms,
+):
+    """An RPC client's create of the owner's journaled name starts, and
+    the merge starts ``lead_ms`` later.  At leads 1.2-1.4 ms the
+    interferer's request is still queued at the MDS when the merge is
+    sent; it applies first, and the decoupled create must still win."""
+    cluster = Cluster(seed=0)
+    recorder = HistoryRecorder.attach(cluster)
+    admin = cluster.new_client()
+    assert cluster.run(admin.mkdir("/job")).ok
+    ns = cluster.run(Cudele(cluster).decouple(
+        "/job", SubtreePolicy.from_semantics("weak", "none",
+                                             allocated_inodes=10),
+    ))
+    owner = ns.dclient
+    cluster.run(owner.create_many("/job", ["x"]))
+    created = owner.journal.events[-1]
+    engine = cluster.engine
+    engine.process(cluster.new_client().create_many("/job", ["x"]))
+
+    def merge():
+        yield Timeout(engine, lead_ms / 1e3)
+        yield engine.process(ns.finalize())
+
+    cluster.run(merge())
+    history = recorder.history
+    assert cluster.mds.mdstore.resolve("/job/x").ino == created.ino
+    assert any(
+        e.kind == "visible" and e.client == owner.client_id
+        and e.path == "/job/x" and e.ino == created.ino
+        for e in history
+    )
+    verdict = check_history(
+        history, "weak", "none", subtree="/job", owner=owner.name,
+        strict=True,
+    )
+    assert verdict["ok"], verdict["violations"]

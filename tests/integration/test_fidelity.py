@@ -59,7 +59,7 @@ def test_counted_mode_matches_materialized_time():
 
 
 def test_counted_merge_matches_materialized_merge_time():
-    from repro.core.merge import merge_journal
+    from repro.core.mechanisms import merge_journal
 
     n = 300
 

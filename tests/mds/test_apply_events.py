@@ -3,8 +3,9 @@
 ``MetadataStore.apply_events`` replays a run of CREATEs into one
 directory in one pass.  Every generated journal runs two ways — through
 the server's ``_op_volatile_apply`` and through the plain per-event loop
-below (``apply_event`` per event, then the provisioned-inode probe and
-the ``visible`` mark) — and the two must agree on the summary, the
+below over the journal as ``MetadataStore.resolve_conflicts`` rewrites
+it (``apply_event`` per event, then the provisioned-inode probe and the
+``visible`` mark) — and the two must agree on the summary, the
 namespace, the fragment versions, the inode table and the marks.
 """
 
@@ -157,8 +158,11 @@ def test_batch_apply_equals_the_per_event_loop(events):
     assert resp.ok
 
     reference, _ = _cluster()
+    store = reference.mds.mdstore
     expected_marks = []
-    summary = _per_event_loop(reference.mds.mdstore, events, expected_marks)
+    summary = _per_event_loop(
+        store, store.resolve_conflicts(events), expected_marks
+    )
 
     assert resp.value == summary
     assert marks.seen == expected_marks

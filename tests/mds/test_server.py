@@ -294,10 +294,22 @@ def test_volatile_apply_events(engine, mds):
 
 
 def test_volatile_apply_counts_conflicts(engine, mds):
+    """The MDS resolves a raw journal where it applies it: a CREATE over
+    a file replaces the file (an unlink, then the create).  An event the
+    store still refuses counts as a conflict."""
     submit(engine, mds, Request("create", "/", 1, names=["f"]))
-    events = [JournalEvent(EventType.CREATE, "/f", client_id=5)]
+    rng = submit(engine, mds, Request("provision", "/", 5, count=10)).value
+    events = [JournalEvent(EventType.CREATE, "/f", ino=rng.start, client_id=5)]
     resp = submit(engine, mds, Request("volatile_apply", "/", 5, payload=events))
-    assert resp.value == {"applied": 0, "conflicts": 1}
+    assert resp.value == {"applied": 2, "conflicts": 0}
+    assert mds.mdstore.resolve("/f").ino == rng.start
+    events = [
+        JournalEvent(EventType.CREATE, "/missing/g", ino=rng.start + 1,
+                     client_id=5),
+    ]
+    resp = submit(engine, mds, Request("volatile_apply", "/", 5, payload=events))
+    assert resp.value == {"applied": 0, "conflicts": 1}  # ENOENT
+    assert not mds.mdstore.exists("/missing/g")
 
 
 def test_volatile_apply_count_only(engine, mds):
