@@ -597,10 +597,10 @@ def _migrate_seed(task: Tuple[int, Scale]) -> Tuple[List[List[float]], Dict]:
     handoff: Dict = {}
 
     def driver():
-        _ok((yield cluster.engine.process(client.mkdir("/hot"))))
+        _ok((yield from client.mkdir("/hot")))
         for i in range(ops):
             t0 = cluster.engine.now
-            _ok((yield cluster.engine.process(client.create(f"/hot/f{i}"))))
+            _ok((yield from client.create(f"/hot/f{i}")))
             samples.append((t0, cluster.engine.now))
 
     def migrator():
@@ -610,9 +610,7 @@ def _migrate_seed(task: Tuple[int, Scale]) -> Tuple[List[List[float]], Dict]:
         while len(samples) < ops // 3:
             yield cluster.engine.sleep(1e-3)
         handoff["t_start"] = cluster.engine.now
-        result = yield cluster.engine.process(
-            migrate_subtree(cluster, "/hot", 1)
-        )
+        result = yield from migrate_subtree(cluster, "/hot", 1)
         assert result.status == "done", result.reason
         handoff["t_end"] = cluster.engine.now
         handoff["frozen_s"] = result.frozen_s

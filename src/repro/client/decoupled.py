@@ -353,7 +353,7 @@ class DecoupledClient:
         The read-back bytes go through the verifying scan: a corrupted
         object yields only its checksummed-valid prefix.
         """
-        data = yield self.engine.process(striper.read_all(dst=self.name))
+        data = yield from striper.read_all(dst=self.name)
         scan = self._scan_image(data, source="object-store")
         recovered = LocalJournal(self.engine, client_id=self.client_id)
         recovered.restore(scan.events)

@@ -88,13 +88,9 @@ class CompositionPlan:
         timings: dict = {}
         for stage in self.completion_stages:
             start = ctx.engine.now
-            procs = [
-                ctx.engine.process(
-                    run_mechanism(mech, ctx), name=f"mech:{mech}"
-                )
-                for mech in stage
-            ]
-            yield ctx.engine.all_of(procs)
+            yield from ctx.engine.gather(
+                (run_mechanism(mech, ctx), f"mech:{mech}") for mech in stage
+            )
             for mech in stage:
                 timings[mech] = ctx.engine.now - start
         return timings

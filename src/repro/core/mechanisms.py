@@ -216,7 +216,7 @@ def mech_nonvolatile_apply(ctx: MechanismContext) -> Generator[Event, None, None
     yield from ctx.mds.journal.flush()
     done = ctx.mds.shutdown()
     yield done
-    yield ctx.engine.process(ctx.mds.restart())
+    yield from ctx.mds.restart()
 
 
 # --------------------------------------------------------------------------

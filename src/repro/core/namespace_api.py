@@ -82,14 +82,9 @@ class DecoupledNamespace:
         target = self.path.rstrip("/") + ("/" + subdir.strip("/") if subdir else "")
         if self.policy.is_decoupled:
             assert self.dclient is not None
-            n = yield self.cluster.engine.process(
-                self.dclient.create_many(target, names_or_count)
-            )
-            return n
+            return (yield from self.dclient.create_many(target, names_or_count))
         client = self.cudele.rpc_client_for(self)
-        resp = yield self.cluster.engine.process(
-            client.create_many(target, names_or_count)
-        )
+        resp = yield from client.create_many(target, names_or_count)
         if not resp.ok:
             raise OSError(resp.error)
         return resp.value if isinstance(resp.value, int) else len(resp.value)
@@ -107,9 +102,7 @@ class DecoupledNamespace:
             subtree=self.path,
             dclient=self.dclient,
         )
-        timings = yield self.cluster.engine.process(
-            self.policy.plan.execute(ctx)
-        )
+        timings = yield from self.policy.plan.execute(ctx)
         if self.dclient is not None:
             merged = {"volatile_apply", "nonvolatile_apply"} & set(
                 self.policy.plan.mechanisms
@@ -163,9 +156,7 @@ class Cudele:
         if not populated:
             yield from cluster.mon.set_authority(path, rank, src="cudele")
             return
-        result = yield cluster.engine.process(
-            migrate_subtree(cluster, path, rank)
-        )
+        result = yield from migrate_subtree(cluster, path, rank)
         if not result.ok:
             raise RuntimeError(
                 f"placement migration of {path} to rank {rank} failed: "
@@ -211,9 +202,7 @@ class Cudele:
             policy.owner_client = dclient.client_id
         # The monitor's versioned map is where the policy lives; the MDS
         # enforces it from there.
-        yield self.cluster.engine.process(
-            self.cluster.mon.set_subtree(path, policy)
-        )
+        yield from self.cluster.mon.set_subtree(path, policy)
         mds = self.cluster.mds_for(path)
         # Provision the Allocated Inodes contract.
         if dclient is not None and policy.allocated_inodes > 0:
@@ -270,11 +259,9 @@ class Cudele:
                 "which blocks interference; the parent promised its client "
                 "exclusive access"
             )
-        ns = yield self.cluster.engine.process(
-            self.decouple(path, policy, dclient=dclient,
-                          persist_each=persist_each)
-        )
-        return ns
+        return (yield from self.decouple(
+            path, policy, dclient=dclient, persist_each=persist_each
+        ))
 
     def retarget(
         self, ns: DecoupledNamespace, new_policy: Union[SubtreePolicy, str]
@@ -297,9 +284,7 @@ class Cudele:
             from repro.core.mechanisms import run_mechanism
 
             if new_c > old_c or new_c is Consistency.STRONG:
-                yield self.cluster.engine.process(
-                    run_mechanism("volatile_apply", ctx)
-                )
+                yield from run_mechanism("volatile_apply", ctx)
                 ns.dclient.journal.clear()
                 ns.dclient.counted_ops = 0
             elif new_d > old_d:
@@ -308,7 +293,7 @@ class Cudele:
                     if new_d is Durability.GLOBAL
                     else "local_persist"
                 )
-                yield self.cluster.engine.process(run_mechanism(mech, ctx))
+                yield from run_mechanism(mech, ctx)
         if new_policy.is_decoupled:
             new_policy.owner_client = (
                 ns.dclient.client_id if ns.dclient else None
@@ -317,17 +302,13 @@ class Cudele:
             # Placement retarget: move the live subtree to the rank the
             # new policy names before the policy itself lands there.
             yield from self._place(ns.path, new_policy.mds_rank)
-        yield self.cluster.engine.process(
-            self.cluster.mon.set_subtree(ns.path, new_policy)
-        )
+        yield from self.cluster.mon.set_subtree(ns.path, new_policy)
         return DecoupledNamespace(self, ns.path, new_policy, ns.dclient)
 
     def recouple(self, ns: DecoupledNamespace) -> Generator[Event, None, dict]:
         """Finalize the subtree and remove its policy (back to inherited)."""
-        timings = yield self.cluster.engine.process(ns.finalize())
-        yield self.cluster.engine.process(
-            self.cluster.mon.clear_subtree(ns.path)
-        )
+        timings = yield from ns.finalize()
+        yield from self.cluster.mon.clear_subtree(ns.path)
         if ns.dclient is not None:
             self.cluster.mds_for(ns.path).mdstore.inotable.release_unused(
                 ns.dclient.client_id

@@ -102,7 +102,7 @@ def synced_workload(
     background: List[Event] = []
     while done < total_updates:
         batch = min(per_batch, total_updates - done)
-        yield engine.process(dclient.create_many(subtree, batch))
+        yield from dclient.create_many(subtree, batch)
         done += batch
         if interval_s is not None and done < total_updates:
             stats.syncs += 1

@@ -201,7 +201,7 @@ class FaultInjector:
             component.recover()
             return "osd up"
         if kind == "MetadataServer":
-            replayed = yield self.engine.process(component.recover())
+            replayed = yield from component.recover()
             return f"replayed={replayed}"
         if kind == "DecoupledClient":
             mode = fault.params.get("mode", "local")
@@ -214,11 +214,9 @@ class FaultInjector:
                         self.cluster.objstore, "metadata",
                         f"{component.name}.journal",
                     )
-                restored = yield self.engine.process(
-                    component.recover_global(striper)
-                )
+                restored = yield from component.recover_global(striper)
             else:
-                restored = yield self.engine.process(component.recover_local())
+                restored = yield from component.recover_local()
             return f"mode={mode} restored={restored}"
         component.recover()  # rpc Client
         return "client up"

@@ -178,7 +178,11 @@ class JournalCodec:
 
     @staticmethod
     def _decode_frame(
-        data: bytes, offset: int, end: int, last_mtime: float = 0.0
+        data: bytes,
+        offset: int,
+        end: int,
+        last_mtime: float = 0.0,
+        last_client: int = 0,
     ) -> Tuple[JournalEvent, int]:
         """Decode the event frame at ``offset``, reading in place and
         never past ``end``; returns ``(event, next_offset)``.
@@ -188,8 +192,10 @@ class JournalCodec:
         UTF-8, an unknown op, a relative path, a RENAME without target)
         and builds the event without validating anything twice.
 
-        ``last_mtime`` is the previous frame's timestamp: an equal one
-        is reused, so the events of one batch share one ``float``.
+        ``last_mtime`` and ``last_client`` are the previous frame's
+        timestamp and client id: an equal one is reused, so the events
+        of one batch share one ``float`` and one ``int`` client id
+        (decoupled ids start at 1001, past CPython's small-int cache).
         """
         body_start = offset + _PREFIX_SIZE
         if body_start > end:
@@ -241,6 +247,8 @@ class JournalCodec:
         # Not for zero: 0.0 == -0.0, and the sign bit must survive.
         if mtime == last_mtime and mtime:
             mtime = last_mtime
+        if client == last_client:
+            client = last_client
         return (
             JournalEvent.trusted(
                 op, path, ino, mode, uid, gid, mtime, target, seq, client,
@@ -278,12 +286,14 @@ class JournalCodec:
         append = events.append
         decode = JournalCodec._decode_frame
         mtime = 0.0
+        client = 0
         try:
             # `limit=None` never equals a length: the scan runs to `end`.
             while offset < end and len(events) != limit:
-                event, offset = decode(data, offset, end, mtime)
+                event, offset = decode(data, offset, end, mtime, client)
                 append(event)
                 mtime = event.mtime
+                client = event.client_id
         except JournalFormatError:
             pass
         return events, offset

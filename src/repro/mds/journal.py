@@ -164,7 +164,7 @@ class MDSJournal:
                 "journal.dispatch", self.src, "stream", events=segment
             )
         try:
-            yield self.engine.process(self._write_segment(segment, count))
+            yield from self._write_segment(segment, count)
         finally:
             self.segments_in_flight -= 1
             self._window.release()
@@ -284,5 +284,5 @@ class MDSJournal:
         classification) so recovery can tell a clean journal from a
         damaged one.  A journal written in counted-only mode holds
         placeholder bytes and scans as damaged with no events."""
-        data = yield self.engine.process(self.striper.read_all(dst=dst))
+        data = yield from self.striper.read_all(dst=dst)
         return JournalCodec.scan_stream(data)

@@ -364,7 +364,7 @@ class MetadataServer:
         Volatile Apply's own loop, :meth:`MetadataStore.apply_events`:
         an event the store refuses (an :class:`FsError`) is skipped.
         Returns events replayed."""
-        events = yield self.engine.process(self._recover_scan())
+        events = yield from self._recover_scan()
         if after_seq:
             events = [ev for ev in events if ev.seq > after_seq]
         cpu = len(events) * cal.VOLATILE_APPLY_S
@@ -388,7 +388,7 @@ class MetadataServer:
             section = tap.begin(
                 "recover.scan", self.name, "recovery", source="mds-journal"
             )
-        scan = yield self.engine.process(self.journal.read_scan(dst=self.name))
+        scan = yield from self.journal.read_scan(dst=self.name)
         if section is not None:
             tap.end(section, events=len(scan.events), damage=scan.damage)
         return scan.events
@@ -414,9 +414,9 @@ class MetadataServer:
         if self.config.materialize:
             try:
                 if self.objstore.exists("metadata", self._image_object):
-                    data = yield self.engine.process(self.objstore.get(
+                    data = yield from self.objstore.get(
                         "metadata", self._image_object, dst=self.name
-                    ))
+                    )
                     self.mdstore, applied = MetadataStore.decode_image(
                         data, self._fresh_table()
                     )
@@ -447,7 +447,7 @@ class MetadataServer:
 
     def _auto_checkpoint(self) -> Generator[Event, None, None]:
         try:
-            yield self.engine.process(self.checkpoint())
+            yield from self.checkpoint()
         finally:
             self._ckpt_in_progress = False
 

@@ -108,15 +108,13 @@ class Monitor:
         return self.version
 
     def _distribute(self) -> Generator[Event, None, None]:
-        sends = [
-            self.engine.process(
+        yield from self.engine.gather(
+            (
                 self.network.send(self.name, daemon, POLICY_UPDATE_BYTES),
-                name=f"policy-update:{daemon}",
+                f"policy-update:{daemon}",
             )
             for daemon in self.subscribers
-        ]
-        if sends:
-            yield self.engine.all_of(sends)
+        )
 
     # -- MDS authority map -----------------------------------------------
     def assign_authority(self, path: str, rank: int) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Generator, List, Optional
 
-from repro.sim.engine import AllOf, Engine, Event
+from repro.sim.engine import Engine, Event
 from repro.sim.network import Network
 from repro.rados.osd import OSD
 
@@ -147,14 +147,13 @@ class ObjectStore:
         # Client -> primary network transfer.
         yield from self.network.send(src, replicas[0].name, cost)
         # Primary fans out to replicas; all disks write in parallel.
-        writes = [
-            self.engine.process(
+        yield from self.engine.gather(
+            (
                 osd.write_object(obj_name, data, append=append, charge_bytes=cost),
-                name=f"put:{obj_name}@{osd.name}",
+                f"put:{obj_name}@{osd.name}",
             )
             for osd in replicas
-        ]
-        yield AllOf(self.engine, writes)
+        )
 
     def append(
         self,
@@ -185,9 +184,8 @@ class ObjectStore:
         first replica that has the object.
         """
         primary = self._serving_replica(pool_name, obj_name)
-        data = yield self.engine.process(
-            primary.read_object(obj_name, offset, length, charge_bytes=charge_bytes),
-            name=f"get:{obj_name}@{primary.name}",
+        data = yield from primary.read_object(
+            obj_name, offset, length, charge_bytes=charge_bytes
         )
         yield from self.network.send(
             primary.name, dst, len(data) if charge_bytes is None else charge_bytes

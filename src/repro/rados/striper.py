@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Generator, List, Tuple
 
-from repro.sim.engine import AllOf, Engine, Event
+from repro.sim.engine import Engine, Event
 from repro.sim.resources import Slots
 from repro.rados.cluster import ObjectStore
 
@@ -78,14 +78,11 @@ class Striper:
             chunk = data[consumed : consumed + length]
             consumed += length
             name = self.object_name(idx)
-            writers.append(
-                self.engine.process(
-                    self._write_piece(name, obj_off, chunk, src, charge_factor),
-                    name=f"stripe:{name}",
-                )
-            )
-        if writers:
-            yield AllOf(self.engine, writers)
+            writers.append((
+                self._write_piece(name, obj_off, chunk, src, charge_factor),
+                f"stripe:{name}",
+            ))
+        yield from self.engine.gather(writers)
 
     def _write_piece(
         self, name: str, obj_off: int, chunk: bytes, src: str, charge_factor: float
@@ -135,11 +132,8 @@ class Striper:
         for idx, obj_off, take in self.layout(offset, max(0, end - offset)):
             name = self.object_name(idx)
             if self.store.exists(self.pool, name):
-                chunk = yield self.engine.process(
-                    self.store.get(
-                        self.pool, name, dst=dst, offset=obj_off, length=take
-                    ),
-                    name=f"unstripe:{name}",
+                chunk = yield from self.store.get(
+                    self.pool, name, dst=dst, offset=obj_off, length=take
                 )
             else:
                 chunk = b""
@@ -150,8 +144,7 @@ class Striper:
 
     def read_all(self, dst: str = "client") -> Generator[Event, None, bytes]:
         size = self.size()
-        data = yield self.engine.process(self.read(0, size, dst=dst))
-        return data
+        return (yield from self.read(0, size, dst=dst))
 
     def _existing_indices(self) -> List[int]:
         pref = self.prefix + "."

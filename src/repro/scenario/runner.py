@@ -109,9 +109,9 @@ def _scenario_body(
             policy = SubtreePolicy.from_semantics(
                 sub.policy["consistency"], sub.policy["durability"]
             )
-            yield engine.process(cluster.mon.set_subtree(sub.path, policy))
+            yield from cluster.mon.set_subtree(sub.path, policy)
     for path in _setup_paths(spec):
-        yield engine.process(admin.mkdir(path))
+        yield from admin.mkdir(path)
 
     sessions = [cluster.new_client() for _ in range(spec.sessions)]
 
@@ -176,10 +176,8 @@ def _scenario_body(
             proposal = detector.propose()
             if proposal is None:
                 continue
-            result = yield engine.process(
-                migrate_subtree(
-                    cluster, proposal["subtree"], proposal["dst_rank"]
-                )
+            result = yield from migrate_subtree(
+                cluster, proposal["subtree"], proposal["dst_rank"]
             )
             migrations.append(
                 {

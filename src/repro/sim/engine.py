@@ -33,10 +33,17 @@ Design notes
   (:meth:`Engine._drive`, behind ``Cluster.run``) starts inline when its
   start would be the next dispatch anyway and finishes without a
   completion event, since nothing but the driver can be waiting on it.
+* A process exists only where its body runs concurrently with its
+  spawner or must survive an interrupt of it.  A body its spawner
+  awaits at once runs inline, with ``yield from``: as a process it
+  would cost a start and a completion dispatch and buy nothing.
+  :meth:`Engine.gather` applies the rule to a fan-out: a lone body
+  runs inline, two or more run as processes joined by :class:`AllOf`.
 * Events may have multiple waiters (processes and derived events), each
   notified in subscription order.
-* :class:`Interrupt` supports SimPy-style process interruption, used by
-  the capability-revocation paths in the MDS model.
+* :class:`Interrupt` supports SimPy-style process interruption, used
+  when an MDS rank crashes: its serve loop is the one process the model
+  ever interrupts.
 * :meth:`Engine.sleep` hands out pooled one-shot timeouts for hot paths
   that ``yield`` them directly and never retain a reference.
 """
@@ -590,6 +597,25 @@ class Engine:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
+
+    def gather(
+        self, bodies: Iterable[tuple[Generator[Event, Any, Any], str]]
+    ) -> Generator[Event, Any, list]:
+        """Run ``(body, name)`` pairs concurrently and return their
+        values in order (process body).
+
+        A lone body runs inline, so it costs no start or completion
+        dispatch; two or more run as named processes joined by
+        :class:`AllOf`, which fails with the first failure.  Either way
+        a failing body raises its exception here.
+        """
+        bodies = list(bodies)
+        if len(bodies) == 1:
+            return [(yield from bodies[0][0])]
+        if not bodies:
+            return []
+        procs = [self.process(body, name=name) for body, name in bodies]
+        return (yield AllOf(self, procs))
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

@@ -109,10 +109,8 @@ def run_compile(
         span = max(1, dirs // UNTAR_STREAMS)
         per_dir = max(1, per_stream // span)
         for d in range(span):
-            resp = yield engine.process(
-                client.create_many(
-                    f"/src/dir{start_dir + d}", per_dir, batch=batch
-                )
+            resp = yield from client.create_many(
+                f"/src/dir{start_dir + d}", per_dir, batch=batch
             )
             if not resp.ok:
                 raise RuntimeError(resp.error)
@@ -121,7 +119,7 @@ def run_compile(
         [engine.process(untar_stream(i), name=f"untar{i}")
          for i in range(UNTAR_STREAMS)]
     )
-    yield engine.process(cluster.mds.journal.flush())
+    yield from cluster.mds.journal.flush()
     measure("untar", per_stream * UNTAR_STREAMS, t0, net0, disk0)
 
     # -- configure: paced existence probes --------------------------------
@@ -131,11 +129,9 @@ def run_compile(
     ops = 0
     for i in range(probes):
         yield Timeout(engine, CONFIGURE_THINK_S)
-        yield engine.process(
-            probe_client.lookup(f"/src/dir{i % dirs}")
-        )
+        yield from probe_client.lookup(f"/src/dir{i % dirs}")
         ops += 1
-    yield engine.process(probe_client.create_many("/src", 5, batch=5))
+    yield from probe_client.create_many("/src", 5, batch=5)
     ops += 5
     measure("configure", ops, t0, net0, disk0)
 
@@ -151,11 +147,9 @@ def run_compile(
         while done < per_make:
             take = min(batch, per_make - done)
             yield Timeout(engine, MAKE_THINK_S)
-            yield engine.process(
-                client.lookup(f"/src/dir{(idx + done) % dirs}")
-            )
-            resp = yield engine.process(
-                client.create_many(f"/obj/dir{idx}", take, batch=batch)
+            yield from client.lookup(f"/src/dir{(idx + done) % dirs}")
+            resp = yield from client.create_many(
+                f"/obj/dir{idx}", take, batch=batch
             )
             if not resp.ok:
                 raise RuntimeError(resp.error)
@@ -166,6 +160,6 @@ def run_compile(
         [engine.process(make_stream(i), name=f"make{i}")
          for i in range(MAKE_STREAMS)]
     )
-    yield engine.process(cluster.mds.journal.flush())
+    yield from cluster.mds.journal.flush()
     measure("make", make_ops[0], t0, net0, disk0)
     return result

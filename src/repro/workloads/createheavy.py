@@ -61,8 +61,8 @@ def parallel_creates_rpc(
     def worker(idx: int):
         client = cluster.new_client()
         t0 = cluster.engine.now
-        resp = yield cluster.engine.process(
-            client.create_many(f"/dirs/dir{idx}", ops_per_client, batch=batch)
+        resp = yield from client.create_many(
+            f"/dirs/dir{idx}", ops_per_client, batch=batch
         )
         if not resp.ok:
             raise RuntimeError(resp.error)
@@ -100,9 +100,7 @@ def parallel_creates_decoupled(
 
     def worker(idx: int):
         t0 = cluster.engine.now
-        yield cluster.engine.process(
-            dclients[idx].create_many(f"/dirs/dir{idx}", ops_per_client)
-        )
+        yield from dclients[idx].create_many(f"/dirs/dir{idx}", ops_per_client)
         result.client_times.append(cluster.engine.now - t0)
 
     procs = [

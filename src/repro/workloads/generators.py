@@ -145,9 +145,9 @@ def replay_trace(
         if pending and (entry != pending[0] or len(pending) >= batch):
             gen = flush()
             if gen is not None:
-                yield client.engine.process(gen)
+                yield from gen
         pending.append(entry)
     gen = flush()
     if gen is not None:
-        yield client.engine.process(gen)
+        yield from gen
     return counts

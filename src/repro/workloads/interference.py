@@ -77,9 +77,7 @@ def run_interference(
         for i, owner in enumerate(owners):
             policy = SubtreePolicy(interfere="block",
                                    owner_client=owner.client_id)
-            yield engine.process(
-                cluster.mon.set_subtree(f"/dirs/dir{i}", policy)
-            )
+            yield from cluster.mon.set_subtree(f"/dirs/dir{i}", policy)
 
     start = engine.now
     # Expected solo duration at the journal-on single-client rate.
@@ -88,8 +86,8 @@ def run_interference(
 
     def owner_worker(idx: int):
         t0 = engine.now
-        resp = yield engine.process(
-            owners[idx].create_many(f"/dirs/dir{idx}", ops_per_client, batch=batch)
+        resp = yield from owners[idx].create_many(
+            f"/dirs/dir{idx}", ops_per_client, batch=batch
         )
         if not resp.ok:
             raise RuntimeError(resp.error)
@@ -102,8 +100,8 @@ def run_interference(
         dirs = list(range(clients))
         RngStream(cluster.seed, "interferer").shuffle(dirs)
         for d in dirs:
-            resp = yield engine.process(
-                client.create_many(f"/dirs/dir{d}", interfere_ops, batch=batch)
+            resp = yield from client.create_many(
+                f"/dirs/dir{d}", interfere_ops, batch=batch
             )
             if not resp.ok:
                 result.interferer_errors += 1

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.__main__ import main as cli_main
 from repro.analysis.simlint import lint_paths
 
@@ -18,18 +20,23 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
 
 
-def test_src_tree_has_zero_unsuppressed_findings():
-    report = lint_paths([str(SRC)])
-    assert report.ok, "\n" + report.render()
-    assert report.files_checked > 50
+@pytest.fixture(scope="module")
+def src_report():
+    """One in-process lint of ``src/``, shared by the tests that read
+    its report; the CLI tests below still run the CLI."""
+    return lint_paths([str(SRC)])
 
 
-def test_every_suppression_in_src_is_used():
+def test_src_tree_has_zero_unsuppressed_findings(src_report):
+    assert src_report.ok, "\n" + src_report.render()
+    assert src_report.files_checked > 50
+
+
+def test_every_suppression_in_src_is_used(src_report):
     # lint_paths already folds unused suppressions into findings; this
     # asserts the stronger property that the ones present each waive
     # exactly what they claim.
-    report = lint_paths([str(SRC)])
-    for s in report.suppressions:
+    for s in src_report.suppressions:
         assert s.matched > 0, f"stale suppression at {s.path}:{s.comment_line}"
         assert set(s.matched_rules) <= set(s.rules) or "*" in s.rules
 

@@ -14,24 +14,30 @@ Census on CPython 3.11, bytes resident per create after each phase
 (before the value objects were slimmed → slotted dataclasses → the
 tuple-backed event, which is 16 B heavier: a 10-tuple lands in
 pymalloc's 128-byte size class, the slotted object in the 112-byte
-one), to locate a regression:
+one → journal v3, whose events carry ``size`` → the decoder sharing
+one client id across frames), to locate a regression:
 
-===========================  ======  =====  =====  ===========================
-phase                        before  slots  tuple  what is resident
-===========================  ======  =====  =====  ===========================
-append                          293    245    261  journal events (instance,
-                                                   path, ``ino`` / ``seq``)
-Global Persist                  371    323    339  + the durable image (bytes)
-                                                   and the Local Persist list
-``crash(lose_disk=True)``        70     70     70  the durable image only
-recovery scan                   439    339    355  + the rebuilt events:
-                                                   instance, path, ``ino`` /
-                                                   ``seq`` (``mode`` /
-                                                   ``mtime`` shared)
-merge                         833.4  548.4  564.4  + inode, dentry name, two
-                                                   dict slots (consumed
-                                                   marks: one run)
-===========================  ======  =====  =====  ===========================
+=====================  ======  =====  =====  =====  ======  =====================
+phase                  before  slots  tuple     v3  client  what is resident
+=====================  ======  =====  =====  =====  ======  =====================
+append                    293    245    261    269     269  journal events
+                                                            (instance, path,
+                                                            ``ino`` / ``seq``)
+Global Persist            371    323    339    355     355  + the durable image
+                                                            (bytes) and the
+                                                            Local Persist list
+``crash(lose_disk)``       70     70     70     78      78  the durable image
+recovery scan             439    339    355    371     343  + the rebuilt events:
+                                                            instance, path,
+                                                            ``ino`` / ``seq``
+                                                            (``mode`` /
+                                                            ``mtime`` / client
+                                                            id shared)
+merge                   833.4  548.4  564.4  563.8   535.8  + inode, dentry name,
+                                                            two dict slots
+                                                            (consumed marks:
+                                                            one run)
+=====================  ======  =====  =====  =====  ======  =====================
 """
 
 import gc
@@ -44,10 +50,11 @@ from repro.mds.server import MDSConfig
 CREATES = 20000
 
 #: Resident bytes per create once the journal is merged.  Achieved:
-#: 564.4 on CPython 3.11 (548.4 with slotted dataclass events; 833.4
-#: with dict-backed events and inodes, a fresh ``mode`` / ``mtime`` per
+#: 535.8 on CPython 3.11 (563.8 with a fresh client-id ``int`` per
+#: decoded event; 548.4 with slotted dataclass events; 833.4 with
+#: dict-backed events and inodes, a fresh ``mode`` / ``mtime`` per
 #: decoded event and a ``set`` of consumed inodes); the budget leaves
-#: ~6 % for interpreter differences.
+#: ~12 % for interpreter differences.
 MERGED_BYTES_PER_CREATE_BUDGET = 600
 
 #: After the node is lost only the object store's copy may remain

@@ -296,6 +296,50 @@ def test_allof_fails_on_first_child_failure():
     assert p.value == pytest.approx(1)
 
 
+def test_gather_runs_a_lone_body_inline_and_several_as_processes():
+    eng = Engine()
+
+    def leg(delay, value):
+        yield Timeout(eng, delay)
+        return value
+
+    def body():
+        lone = yield from eng.gather([(leg(2, "a"), "lone")])
+        started = eng.processes_started
+        both = yield from eng.gather([(leg(3, "b"), "x"), (leg(1, "c"), "y")])
+        none = yield from eng.gather([])
+        return lone, started, both, none, eng.processes_started
+
+    lone, started, both, none, after = eng._drive(body())
+    assert (lone, both, none) == (["a"], ["b", "c"], [])
+    # Only the two-member fan-out started processes (the host's body
+    # counts as one).
+    assert (started, after) == (1, 3)
+    assert eng.now == pytest.approx(5)
+
+
+@pytest.mark.parametrize("members", [1, 2])
+def test_gather_fails_with_the_first_failure(members):
+    eng = Engine()
+
+    def failing():
+        yield Timeout(eng, 1)
+        raise KeyError("boom")
+
+    def slow():
+        yield Timeout(eng, 10)
+
+    bodies = [(failing(), "f"), (slow(), "s")][:members]
+
+    def body():
+        try:
+            yield from eng.gather(bodies)
+        except KeyError:
+            return eng.now
+
+    assert eng._drive(body()) == pytest.approx(1)
+
+
 def test_anyof_returns_first_index_and_value():
     eng = Engine()
 

@@ -197,3 +197,118 @@ def test_interrupt_while_holding_an_inline_slot_releases_it():
     eng.run()
     assert log == [("interrupted", 1), ("written", 2)]
     assert disk.busy_seconds() == 2.0
+
+
+# ---------------------------------------------------------------------------
+# (iv) the Cudele path on an idle cluster: a body awaited at once is no
+# process (repro.sim.engine design notes), so it costs no start and no
+# completion dispatch; every wait keeps its timestamp
+# ---------------------------------------------------------------------------
+
+T_SUBMIT_DONE = 3.2768e-06  # client -> monitor: serialisation
+T_SUBMIT_ON_WIRE = 5.3276800000000005e-05  # ... and propagation
+T_UPDATE_SERIALISED = 5.655360000000001e-05
+T_UPDATE_ON_WIRE = 0.00010655360000000001
+T_PROVISIONED = 0.0004441915310289044
+T_PERSIST_FORMAT = 0.001046918803756177
+T_PERSIST_SENT = 0.001053062803756177
+T_PERSIST_ON_WIRE = 0.001103062803756177
+T_REPLICAS_WRITTEN = 0.0012184228037561769
+T_READ = 0.0013188968037561768
+T_READ_SENT = 0.0013190864037561768
+T_READ_ON_WIRE = 0.0013690864037561768
+
+_SUBSCRIBERS = ("mds0", "osd.0", "osd.1", "osd.2")
+
+
+def _decoupled_namespace():
+    """An idle materialised cluster and one traced ``Cudele.decouple``
+    of ``/job`` (weak / global); returns ``(cluster, ns, dispatches)``."""
+    from repro.core import Cudele, SubtreePolicy
+
+    cluster = Cluster(seed=0, mds_config=MDSConfig(materialize=True))
+    seen = _traced(cluster.engine)
+    ns = cluster.run(Cudele(cluster).decouple(
+        "/job",
+        SubtreePolicy.from_semantics("weak", "global", allocated_inodes=8),
+    ))
+    cluster.engine.trace = None
+    return cluster, ns, seen
+
+
+def test_one_decouple_on_an_idle_cluster_is_twenty_four_events():
+    _, ns, seen = _decoupled_namespace()
+    assert ns.dclient.client_id == 1001
+
+    # 26 while the monitor's set_subtree ran as a process: its start and
+    # its completion.  The map distribution fans out to four
+    # subscribers, so those stay processes joined by one AllOf.
+    def each_subscriber(t):
+        return [(t, Event, [f"policy-update:{d}"]) for d in _SUBSCRIBERS]
+
+    assert len(seen) == 24
+    assert seen == [
+        (0.0, Event, ["mds0.loop"]),  # serve loop start (first call)
+        (0.0, Event, ["decouple"]),  # the driven body's start
+        (T_SUBMIT_DONE, Event, ["decouple"]),
+        (T_SUBMIT_ON_WIRE, Event, ["decouple"]),
+        *each_subscriber(T_SUBMIT_ON_WIRE),  # distribution starts
+        *each_subscriber(T_UPDATE_SERIALISED),
+        *each_subscriber(T_UPDATE_ON_WIRE),
+        *[(T_UPDATE_ON_WIRE, Process, [])] * 4,  # completions -> AllOf
+        (T_UPDATE_ON_WIRE, Event, ["decouple"]),  # the AllOf
+        (T_UPDATE_ON_WIRE, StoreGet, ["mds0.loop"]),  # provision request
+        (T_PROVISIONED, Event, ["mds0.loop"]),  # MDS CPU
+        (T_PROVISIONED, Event, ["decouple"]),  # reply
+    ]
+
+
+def _one_stripe_persist():
+    from repro.core import MechanismContext, run_mechanism
+
+    cluster, ns, _ = _decoupled_namespace()
+    dclient = ns.dclient
+    cluster.run(dclient.create_many(ns.path, ["a", "b", "c"]))
+    ctx = MechanismContext(cluster, ns.path, dclient)
+    striper = ctx.persist_striper()
+    seen = _traced(cluster.engine)
+    cluster.run(run_mechanism("global_persist", ctx))
+    cluster.engine.trace = None
+    assert striper.layout(0, striper.size()) == [(0, 0, striper.size())]
+    return cluster, dclient, striper, seen
+
+
+def test_one_stripe_global_persist_is_thirteen_events():
+    _, _, _, seen = _one_stripe_persist()
+    puts = [f"put:dclient1001.journal.00000000@osd.{i}" for i in (2, 0, 1)]
+
+    # 16 while the lone stripe was a process joined by an AllOf: its
+    # start, its completion and the AllOf.  The three replicas still
+    # write in parallel.
+    assert len(seen) == 13
+    assert seen == [
+        (T_PERSIST_FORMAT, Event, ["run_mechanism"]),  # format cost
+        (T_PERSIST_SENT, Event, ["run_mechanism"]),  # to the primary
+        (T_PERSIST_ON_WIRE, Event, ["run_mechanism"]),
+        *[(T_PERSIST_ON_WIRE, Event, [p]) for p in puts],  # replica starts
+        *[(T_REPLICAS_WRITTEN, Event, [p]) for p in puts],  # disk writes
+        *[(T_REPLICAS_WRITTEN, Process, [])] * 3,  # completions -> AllOf
+        (T_REPLICAS_WRITTEN, Event, ["run_mechanism"]),  # the AllOf
+    ]
+
+
+def test_recover_global_is_three_events():
+    cluster, dclient, striper, _ = _one_stripe_persist()
+    dclient.crash(lose_disk=True)
+    seen = _traced(cluster.engine)
+    restored = cluster.run(dclient.recover_global(striper))
+    cluster.engine.trace = None
+    assert restored == 3
+
+    # 11 while read_all, read, the stripe get and the OSD read were
+    # four nested processes, each awaited at once.
+    assert seen == [
+        (T_READ, Event, ["recover_global"]),  # OSD read
+        (T_READ_SENT, Event, ["recover_global"]),  # back to the client
+        (T_READ_ON_WIRE, Event, ["recover_global"]),
+    ]
