@@ -274,9 +274,8 @@ def state_fingerprint(history) -> str:
 def _owner_crash_recover(cluster, ns, worker, durability: str):
     """Persist what the cell allows, crash the owner, recover it."""
     if durability != "none":
-        mech = "local_persist" if durability == "local" else "global_persist"
         yield from run_mechanism(
-            mech, MechanismContext(cluster, SUBTREE, ns.dclient)
+            ns.policy.durability, MechanismContext(cluster, SUBTREE, ns.dclient)
         )
     worker.crash(lose_disk=(durability == "global"))
     if durability == "global":
@@ -380,20 +379,11 @@ def run_schedule(
             # The crash branches already persisted inline before the
             # crash; straight-line runs persist here like the driver.
             if decoupled and durability != "none":
-                mech = ("local_persist" if durability == "local"
-                        else "global_persist")
                 cluster.run(run_mechanism(
-                    mech, MechanismContext(cluster, SUBTREE, ns.dclient)
+                    ns.policy.durability,
+                    MechanismContext(cluster, SUBTREE, ns.dclient),
                 ))
         cluster.run(ns.finalize())
-        if not decoupled and durability == "global":
-            # Stream's completion point: strong+global is only
-            # guaranteed once the MDS journal is safe in the object
-            # store, and with small bounded workloads nothing fills a
-            # segment mid-run — flush explicitly before judging.
-            cluster.run(run_mechanism(
-                "stream", MechanismContext(cluster, SUBTREE, None)
-            ))
         if crash is not None and crash[0] == "mds":
             from repro.conformance.driver import _crash_recover
 

@@ -88,9 +88,8 @@ def _run_persist(cluster, ns, durability: str) -> None:
     """Make burst-one durable per the cell's scope (decoupled rows)."""
     if ns.dclient is None or durability == "none":
         return
-    mech = "local_persist" if durability == "local" else "global_persist"
     ctx = MechanismContext(cluster, SUBTREE, ns.dclient)
-    cluster.run(run_mechanism(mech, ctx))
+    cluster.run(run_mechanism(ns.policy.durability, ctx))
 
 
 def _crash_recover(cluster, target: str, mode: str,

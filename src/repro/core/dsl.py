@@ -20,19 +20,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, List
+from typing import Generator, List
 
+from repro.core.mechanisms import MECHANISMS, MechanismContext, run_mechanism
+from repro.core.semantics import Consistency
 from repro.sim.engine import Event
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.mechanisms import MechanismContext
 
 __all__ = ["DslError", "CompositionPlan", "parse_composition"]
 
 _NAME_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
-
-#: Mechanisms that act while the workload runs rather than at completion.
-WORKLOAD_PHASE = {"rpcs", "append_client_journal", "stream"}
 
 
 class DslError(ValueError):
@@ -57,34 +53,36 @@ class CompositionPlan:
 
     @property
     def completion_stages(self) -> List[List[str]]:
-        """Stages left to run at job completion (workload-phase
-        mechanisms like RPCs/Append Client Journal removed)."""
+        """Stages left to run at job completion: the mechanisms with a
+        completion body (RPCs and Append Client Journal have none)."""
         out = []
         for stage in self.stages:
-            remaining = [m for m in stage if m not in WORKLOAD_PHASE]
+            remaining = [m for m in stage if MECHANISMS[m].complete]
             if remaining:
                 out.append(remaining)
         return out
 
     @property
     def workload_mode(self) -> str:
-        """How operations are performed during the job: ``rpc`` when the
-        composition includes RPCs, else ``decoupled``."""
-        return "rpc" if "rpcs" in self.mechanisms else "decoupled"
+        """How operations are performed during the job: ``rpc`` when a
+        mechanism gives the composition strong consistency, else
+        ``decoupled``."""
+        strong = any(
+            MECHANISMS[m].level is Consistency.STRONG for m in self.mechanisms
+        )
+        return "rpc" if strong else "decoupled"
 
     def canonical(self) -> str:
         return "+".join("||".join(stage) for stage in self.stages)
 
     def execute(
-        self, ctx: "MechanismContext"
+        self, ctx: MechanismContext
     ) -> Generator[Event, None, dict]:
         """Run the completion stages against ``ctx`` (process body).
 
         Mechanisms within a stage run in parallel (wall time = max);
         stages run serially.  Returns per-mechanism durations.
         """
-        from repro.core.mechanisms import run_mechanism
-
         timings: dict = {}
         for stage in self.completion_stages:
             start = ctx.engine.now
@@ -102,8 +100,6 @@ def parse_composition(text: str, known: set | None = None) -> CompositionPlan:
     ``known`` defaults to the registered mechanism set.
     """
     if known is None:
-        from repro.core.mechanisms import MECHANISMS
-
         known = set(MECHANISMS)
     if not text or not text.strip():
         raise DslError("empty composition")

@@ -1,32 +1,22 @@
 """The Cudele mechanisms (paper Figure 4 / Section III-A).
 
-Each mechanism is a process body ``mech(ctx)`` operating on a
-:class:`MechanismContext`.  Workload-phase mechanisms (RPCs, Append
-Client Journal, Stream) shape how operations execute while the job runs
-and are no-ops at completion time; the others move or merge the client's
-journal when invoked.
-
-===================  ======================================================
-rpcs                 per-op client->MDS round trips (strong consistency)
-append_client_journal  updates buffered in the client's in-memory journal
-volatile_apply       replay the client journal onto the MDS's in-memory
-                     metadata store
-nonvolatile_apply    replay the client journal through the object store
-                     (pull/update/push of affected dir objects), then
-                     restart the MDS so it re-reads the journal
-stream               MDS streams its metadata journal into the object
-                     store (flushes any open segment here)
-local_persist        write the serialized journal to the client's disk
-global_persist       push the serialized journal into the object store
-===================  ======================================================
+:data:`MECHANISMS` is the paper's mechanism table: each entry is one
+:class:`Mechanism` record stating its role (consistency or durability),
+the Table I level it lands a policy in, whether it acts while the
+workload runs, the process body it runs at completion and the upstream
+mechanisms it needs.  The DSL, the composition gate, the policy cell
+inference and the namespace API all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional
+from typing import (
+    TYPE_CHECKING, Callable, Dict, FrozenSet, Generator, List, Optional, Union,
+)
 
 from repro import calibration as cal
+from repro.core.semantics import Consistency, Durability
 from repro.journal.events import JournalEvent, WIRE_EVENT_BYTES
 from repro.mds.server import MetadataServer, Request
 from repro.rados.striper import Striper
@@ -36,7 +26,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.client.decoupled import DecoupledClient
     from repro.cluster import Cluster
 
-__all__ = ["MechanismContext", "MECHANISMS", "run_mechanism", "merge_journal"]
+__all__ = [
+    "Mechanism", "MechanismContext", "MECHANISMS", "run_mechanism",
+    "merge_journal",
+]
 
 #: Nonvolatile Apply does real per-event object round trips up to this
 #: many events; longer journals extrapolate from a measured prefix (the
@@ -95,23 +88,8 @@ class MechanismContext:
 
 
 # --------------------------------------------------------------------------
-# workload-phase markers
+# stream
 # --------------------------------------------------------------------------
-
-
-def mech_rpcs(ctx: MechanismContext) -> Generator[Event, None, None]:
-    """Strong consistency: operations already went through the MDS
-    during the workload; nothing to do at completion."""
-    return
-    yield  # pragma: no cover - makes this a generator
-
-
-def mech_append_client_journal(
-    ctx: MechanismContext,
-) -> Generator[Event, None, None]:
-    """Updates were appended to the client journal during the workload."""
-    return
-    yield  # pragma: no cover
 
 
 def mech_stream(ctx: MechanismContext) -> Generator[Event, None, None]:
@@ -266,14 +244,61 @@ def mech_global_persist(ctx: MechanismContext) -> Generator[Event, None, None]:
 # registry
 # --------------------------------------------------------------------------
 
-MECHANISMS: Dict[str, Callable[[MechanismContext], Generator]] = {
-    "rpcs": mech_rpcs,
-    "append_client_journal": mech_append_client_journal,
-    "stream": mech_stream,
-    "volatile_apply": mech_volatile_apply,
-    "nonvolatile_apply": mech_nonvolatile_apply,
-    "local_persist": mech_local_persist,
-    "global_persist": mech_global_persist,
+@dataclass(frozen=True)
+class Mechanism:
+    """One row of the mechanism table."""
+
+    #: The Table I level a policy holding this mechanism reaches; its
+    #: type is the mechanism's role.
+    level: Union[Consistency, Durability]
+    #: Acts while the workload runs (as opposed to only at completion).
+    workload: bool = False
+    #: Process body run when the policy completes; ``None`` when the
+    #: mechanism's work is all done during the workload.
+    complete: Optional[Callable[[MechanismContext], Generator]] = None
+    #: Upstream providers, any one of which satisfies the mechanism,
+    #: and why it needs one.
+    needs: FrozenSet[str] = frozenset()
+    why: str = ""
+
+    @property
+    def role(self) -> str:
+        return "consistency" if isinstance(self.level, Consistency) else "durability"
+
+
+#: The mechanism table, in the order the composition gate reports.
+MECHANISMS: Dict[str, Mechanism] = {
+    # Per-op client->MDS round trips.
+    "rpcs": Mechanism(Consistency.STRONG, workload=True),
+    # Updates buffered in the client's in-memory journal.
+    "append_client_journal": Mechanism(Consistency.INVISIBLE, workload=True),
+    "volatile_apply": Mechanism(
+        Consistency.WEAK, complete=mech_volatile_apply,
+        needs=frozenset({"append_client_journal"}),
+        why="it replays the client journal onto the MDS's in-memory store",
+    ),
+    "nonvolatile_apply": Mechanism(
+        Consistency.WEAK, complete=mech_nonvolatile_apply,
+        needs=frozenset({"append_client_journal"}),
+        why="it replays the client journal through the object store",
+    ),
+    "local_persist": Mechanism(
+        Durability.LOCAL, complete=mech_local_persist,
+        needs=frozenset({"append_client_journal", "rpcs"}),
+        why="it writes recorded updates to the client's disk",
+    ),
+    "global_persist": Mechanism(
+        Durability.GLOBAL, complete=mech_global_persist,
+        needs=frozenset({"append_client_journal", "rpcs"}),
+        why="it pushes recorded updates into the object store",
+    ),
+    # The MDS streams journal segments as they fill; completion flushes
+    # the open one.
+    "stream": Mechanism(
+        Durability.GLOBAL, workload=True, complete=mech_stream,
+        needs=frozenset({"rpcs", "volatile_apply"}),
+        why="it streams the MDS journal, so updates must reach the MDS",
+    ),
 }
 
 
@@ -289,7 +314,7 @@ def run_mechanism(
     them all.
     """
     try:
-        impl = MECHANISMS[name]
+        impl = MECHANISMS[name].complete
     except KeyError:
         raise KeyError(
             f"unknown mechanism {name!r}; known: {sorted(MECHANISMS)}"
@@ -299,7 +324,8 @@ def run_mechanism(
     if tap is not None:
         section = tap.begin("mech", "cudele", name, subtree=ctx.subtree)
     try:
-        yield from impl(ctx)
+        if impl is not None:
+            yield from impl(ctx)
     finally:
         if section is not None:
             tap.end(section)

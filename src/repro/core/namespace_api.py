@@ -18,7 +18,7 @@ from typing import Generator, Optional, Sequence, Union
 
 from repro.client.decoupled import DecoupledClient
 from repro.cluster import Cluster
-from repro.core.mechanisms import MechanismContext
+from repro.core.mechanisms import MECHANISMS, MechanismContext, run_mechanism
 from repro.core.policy import SubtreePolicy, check_plan
 from repro.core.policyfile import parse_policies
 from repro.core.semantics import Consistency, Durability
@@ -35,21 +35,15 @@ class EmbeddingError(ValueError):
 
 
 def _policy_semantics(policy: SubtreePolicy) -> tuple:
-    """Infer the (Consistency, Durability) cell a policy lands in."""
-    mechs = set(policy.plan.mechanisms)
-    if "rpcs" in mechs:
-        consistency = Consistency.STRONG
-    elif {"volatile_apply", "nonvolatile_apply"} & mechs:
-        consistency = Consistency.WEAK
-    else:
-        consistency = Consistency.INVISIBLE
-    if {"stream", "global_persist"} & mechs:
-        durability = Durability.GLOBAL
-    elif "local_persist" in mechs:
-        durability = Durability.LOCAL
-    else:
-        durability = Durability.NONE
-    return consistency, durability
+    """The (Consistency, Durability) cell a policy lands in: the highest
+    level its mechanisms reach in each role."""
+    levels = [MECHANISMS[m].level for m in policy.plan.mechanisms]
+    return (
+        max((v for v in levels if isinstance(v, Consistency)),
+            default=Consistency.INVISIBLE),
+        max((v for v in levels if isinstance(v, Durability)),
+            default=Durability.NONE),
+    )
 
 
 class DecoupledNamespace:
@@ -103,13 +97,12 @@ class DecoupledNamespace:
             dclient=self.dclient,
         )
         timings = yield from self.policy.plan.execute(ctx)
-        if self.dclient is not None:
-            merged = {"volatile_apply", "nonvolatile_apply"} & set(
-                self.policy.plan.mechanisms
-            )
-            if merged:
-                self.dclient.journal.clear()
-                self.dclient.counted_ops = 0
+        # A consistency mechanism that ran at completion merged the
+        # journal into the namespace.
+        merged = any(MECHANISMS[m].role == "consistency" for m in timings)
+        if self.dclient is not None and merged:
+            self.dclient.journal.clear()
+            self.dclient.counted_ops = 0
         self.finalized = True
         self.last_timings = timings
         return timings
@@ -281,17 +274,16 @@ class Cudele:
             cluster=self.cluster, subtree=ns.path, dclient=ns.dclient
         )
         if ns.dclient is not None and ns.pending_updates():
-            from repro.core.mechanisms import run_mechanism
-
             if new_c > old_c or new_c is Consistency.STRONG:
                 yield from run_mechanism("volatile_apply", ctx)
                 ns.dclient.journal.clear()
                 ns.dclient.counted_ops = 0
             elif new_d > old_d:
-                mech = (
-                    "global_persist"
-                    if new_d is Durability.GLOBAL
-                    else "local_persist"
+                # Persist with the completion-only mechanism of the new
+                # level (Stream persists the MDS journal, not this one).
+                mech = next(
+                    name for name, spec in MECHANISMS.items()
+                    if spec.level is new_d and not spec.workload
                 )
                 yield from run_mechanism(mech, ctx)
         if new_policy.is_decoupled:

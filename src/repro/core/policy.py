@@ -8,9 +8,9 @@ canonical mechanism composition for every (consistency, durability)
 cell.
 
 :func:`check_plan` is the gate ``Cudele.decouple`` and ``retarget`` run
-before any simulated work: a composition is only meaningful when the
-mechanism dependencies of :data:`MECHANISM_DEPENDENCIES` hold and no
-hard pair of :data:`MECHANISM_PAIRS` shares it (e.g.
+before any simulated work: a composition is only meaningful when every
+mechanism's upstream needs (:data:`~repro.core.mechanisms.MECHANISMS`)
+hold and no hard pair of :data:`MECHANISM_PAIRS` shares it (e.g.
 ``nonvolatile_apply`` without a client journal to replay is nonsense
 the runtime would otherwise discover mid-run).
 """
@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.dsl import CompositionPlan, DslError, parse_composition
+from repro.core.mechanisms import MECHANISMS
 from repro.core.semantics import Consistency, Durability, PersistBackend
 
 __all__ = [
     "SubtreePolicy",
     "TABLE_I",
     "SYSTEM_POLICIES",
-    "MECHANISM_DEPENDENCIES",
     "MECHANISM_PAIRS",
     "CheckError",
     "CompositionError",
@@ -81,36 +81,6 @@ def composition_for(
         durability = Durability.parse(durability)
     return TABLE_I[(consistency, durability)]
 
-
-#: Workload-phase producers act for the whole job, so they satisfy a
-#: dependency from any position in the composition.  Not
-#: ``dsl.WORKLOAD_PHASE``: that set also holds ``stream``, which no
-#: dependency consumes, and it decides what ``finalize()`` runs.
-_WORKLOAD_PRODUCERS = {"rpcs", "append_client_journal"}
-
-#: mechanism -> (set of acceptable upstream providers, why it needs one).
-MECHANISM_DEPENDENCIES: Dict[str, Tuple[frozenset, str]] = {
-    "volatile_apply": (
-        frozenset({"append_client_journal"}),
-        "it replays the client journal onto the MDS's in-memory store",
-    ),
-    "nonvolatile_apply": (
-        frozenset({"append_client_journal"}),
-        "it replays the client journal through the object store",
-    ),
-    "local_persist": (
-        frozenset({"append_client_journal", "rpcs"}),
-        "it writes recorded updates to the client's disk",
-    ),
-    "global_persist": (
-        frozenset({"append_client_journal", "rpcs"}),
-        "it pushes recorded updates into the object store",
-    ),
-    "stream": (
-        frozenset({"rpcs", "volatile_apply"}),
-        "it streams the MDS journal, so updates must reach the MDS",
-    ),
-}
 
 #: Every rule about a pair of mechanisms, as ``(a, b, hard, why)``.  A
 #: hard pair cannot share a composition (:func:`check_plan` rejects
@@ -200,13 +170,16 @@ def check_plan(
                 )
             seen_in_stage.add(mech)
             positions.setdefault(mech, idx)
-    for mech, (providers, why) in MECHANISM_DEPENDENCIES.items():
-        if mech not in positions:
+    # A provider that acts during the workload satisfies a need from any
+    # position; one that acts only at completion must run in an earlier
+    # stage.
+    for mech, spec in MECHANISMS.items():
+        if mech not in positions or not spec.needs:
             continue
         satisfied = any(
             p in positions
-            and (p in _WORKLOAD_PRODUCERS or positions[p] < positions[mech])
-            for p in providers
+            and (MECHANISMS[p].workload or positions[p] < positions[mech])
+            for p in spec.needs
         )
         if not satisfied:
             errors.append(
@@ -214,7 +187,7 @@ def check_plan(
                     "missing-dependency",
                     f"stage {positions[mech] + 1} ({mech})",
                     f"{mech} requires one of "
-                    f"{sorted(providers)} upstream: {why}",
+                    f"{sorted(spec.needs)} upstream: {spec.why}",
                 )
             )
     for a, b, hard, why in MECHANISM_PAIRS:
@@ -333,10 +306,10 @@ class SubtreePolicy:
     ) -> "SubtreePolicy":
         """Build the Table I policy for a semantics cell."""
         comp = composition_for(consistency, durability)
-        # Split the canonical composition into its consistency-ish and
-        # durability-ish halves for the policy file's two fields.
+        # Split the canonical composition by mechanism role for the
+        # policy file's two fields.
         mechs = comp.split("+")
-        dur = [m for m in mechs if m in ("local_persist", "global_persist", "stream")]
+        dur = [m for m in mechs if MECHANISMS[m].role == "durability"]
         con = [m for m in mechs if m not in dur]
         return cls(
             consistency="+".join(con) if con else "rpcs",

@@ -205,12 +205,6 @@ KEEP: Dict[str, str] = {
     "repro.obs.metrics:MetricsHub.gauge": "the hub's gauge metric kind",
     "repro.obs.metrics:MetricsHub.get": (
         "metric lookup the obs tests read values through"),
-    "repro.core.mechanisms:mech_rpcs": (
-        "workload-phase mechanism: completion_stages skips it, only a "
-        "direct run_mechanism call runs the no-op"),
-    "repro.core.mechanisms:mech_append_client_journal": (
-        "workload-phase mechanism: completion_stages skips it, only a "
-        "direct run_mechanism call runs the no-op"),
     # -- state queries the tests observe through
     "repro.cluster:Cluster.num_mds": _query("rank count"),
     "repro.conformance.history:History.of_kind": _query("history filter"),

@@ -209,6 +209,6 @@ def test_conformance_pass_stays_within_its_call_budget():
         text.count("\n")
         for report in reports for text in report["histories"].values()
     )
-    assert events == 1432
+    assert events == 1454
     calls_per_event = pstats.Stats(profile).total_calls / events
     assert calls_per_event <= CALLS_PER_HISTORY_EVENT_BUDGET, calls_per_event

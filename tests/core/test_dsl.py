@@ -70,11 +70,13 @@ def test_invalid_name_rejected():
         parse_composition("123bad")
 
 
-def test_completion_stages_drop_workload_phase():
+def test_completion_stages_keep_stream_completion():
+    # RPCs and Append Client Journal finish with the workload; Stream
+    # also acts then, and still flushes at completion.
     plan = parse_composition("append_client_journal+local_persist+volatile_apply")
     assert plan.completion_stages == [["local_persist"], ["volatile_apply"]]
     plan = parse_composition("rpcs+stream")
-    assert plan.completion_stages == []
+    assert plan.completion_stages == [["stream"]]
 
 
 def test_completion_stages_keep_parallel_structure():

@@ -321,3 +321,19 @@ def test_admin_created_subtree_root_survives_an_mds_crash_and_replay(
     mds.crash()
     cluster.run(mds.recover())
     assert mds.mdstore.listdir("/a/b") == ["x", "y"]
+
+
+def test_strong_global_finalize_flushes_the_stream(cluster, cudele):
+    """rpcs+stream is only global once Stream flushes its open segment."""
+    ns = cluster.run(
+        cudele.decouple("/job", SubtreePolicy.from_semantics("strong", "global"))
+    )
+    cluster.run(ns.create_many(["a", "b", "c"]))
+    timings = cluster.run(ns.finalize())
+    journal = cluster.mds.journal
+    assert "stream" in timings
+    assert journal._open_segment == []
+    assert journal.segments_dispatched > 0
+    scan = cluster.run(journal.read_scan())
+    creates = [e.path for e in scan.events if e.op.name == "CREATE"]
+    assert creates == ["/job/a", "/job/b", "/job/c"]
