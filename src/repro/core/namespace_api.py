@@ -273,6 +273,12 @@ class Cudele:
         ctx = MechanismContext(
             cluster=self.cluster, subtree=ns.path, dclient=ns.dclient
         )
+        # A durability the old policy carried during the workload (Stream)
+        # completes before the new policy lands: nothing later runs it.
+        for mech in ns.policy.plan.mechanisms:
+            spec = MECHANISMS[mech]
+            if spec.workload and spec.complete and spec.role == "durability":
+                yield from run_mechanism(mech, ctx)
         if ns.dclient is not None and ns.pending_updates():
             if new_c > old_c or new_c is Consistency.STRONG:
                 yield from run_mechanism("volatile_apply", ctx)

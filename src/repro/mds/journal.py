@@ -217,7 +217,9 @@ class MDSJournal:
             n, self._pending_count = self._pending_count, 0
             yield from self._dispatch(None, n)
         self._inflight = [p for p in self._inflight if not p.triggered]
-        if self._inflight:
+        if len(self._inflight) == 1:
+            yield self._inflight[0]
+        elif self._inflight:
             yield self.engine.all_of(self._inflight)
 
     def crash(self) -> int:

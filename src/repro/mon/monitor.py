@@ -108,12 +108,10 @@ class Monitor:
         return self.version
 
     def _distribute(self) -> Generator[Event, None, None]:
-        yield from self.engine.gather(
-            (
-                self.network.send(self.name, daemon, POLICY_UPDATE_BYTES),
-                f"policy-update:{daemon}",
-            )
-            for daemon in self.subscribers
+        """Send the update to every subscriber at once and wait for the
+        last arrival: one reservation per link, one wake in all."""
+        yield from self.network.send_all(
+            self.name, self.subscribers, POLICY_UPDATE_BYTES
         )
 
     # -- MDS authority map -----------------------------------------------

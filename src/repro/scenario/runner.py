@@ -133,9 +133,8 @@ def _scenario_body(
     def source():
         for t, op, path in model.arrivals(arrivals_rng):
             due = t_start + t
-            now = engine.now
-            if due > now:
-                yield engine.sleep(due - now)
+            if due > engine.now:
+                yield engine.sleep_until(due)
             backlog.append((due, op, path))
             offered[op] += 1
             if len(backlog) > peak_backlog[0]:

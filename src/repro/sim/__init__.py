@@ -8,9 +8,9 @@ style of SimPy, written from scratch:
 * :class:`~repro.sim.engine.Process` — generator-based simulated
   processes that ``yield`` events.
 * :mod:`~repro.sim.resources` — contended resources: FIFO slots (disk
-  queues, stripe locks, link pipes, the MDS dispatch window) and FIFO
-  stores.
-* :mod:`~repro.sim.network` — latency/bandwidth links between daemons.
+  queues, stripe locks, the MDS dispatch window) and FIFO stores.
+* :mod:`~repro.sim.network` — latency/bandwidth links between daemons,
+  each a FIFO whose departures are computed when a message is sent.
 * :mod:`~repro.sim.disk` — a simple bandwidth/seek disk model.
 * :mod:`~repro.sim.stats` — counter and utilization recorders used by
   the benchmark harness.

@@ -39,6 +39,11 @@ Design notes
   would cost a start and a completion dispatch and buy nothing.
   :meth:`Engine.gather` applies the rule to a fan-out: a lone body
   runs inline, two or more run as processes joined by :class:`AllOf`.
+* A wait whose end is known when it is issued is one event at that
+  absolute time: :meth:`Event._trigger` takes ``when``, not a delay, so
+  a network transfer is scheduled at its computed arrival
+  (:mod:`repro.sim.network`), :meth:`Engine.sleep_until` at its
+  argument and :meth:`Engine.sleep` at ``now + delay``.
 * Events may have multiple waiters (processes and derived events), each
   notified in subscription order.
 * :class:`Interrupt` supports SimPy-style process interruption, used
@@ -144,15 +149,17 @@ class Event:
     # -- triggering ----------------------------------------------------
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         """Schedule this event to fire successfully after ``delay``."""
-        return self._trigger(value, True, delay)
+        return self._trigger(value, True, self.engine._now + delay)
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
         """Schedule this event to fire as a failure carrying ``exc``."""
-        return self._trigger(exc, False, delay)
+        return self._trigger(exc, False, self.engine._now + delay)
 
-    def _trigger(self, value: Any, ok: bool, delay: float) -> "Event":
-        """Trigger at default priority: the one scheduling rule behind
-        :meth:`succeed`, :meth:`fail` and :meth:`Engine.sleep` (see
+    def _trigger(self, value: Any, ok: bool, when: float) -> "Event":
+        """Trigger at default priority, to fire at the absolute time
+        ``when``: the one scheduling rule behind :meth:`succeed`,
+        :meth:`fail`, :meth:`Engine.sleep` (each passes ``now + delay``)
+        and a network transfer's computed arrival (see
         :meth:`Engine._schedule` for other priorities)."""
         if self._state != _PENDING:
             raise SimulationError("event already triggered")
@@ -163,21 +170,22 @@ class Event:
         self._ok = ok
         engine = self.engine
         heap = engine._heap
-        if delay == 0.0:
+        now = engine._now
+        if when == now:
             # Due now: the event may jump the heap only if nothing on
             # the heap is also due now — a new event always holds the
             # largest seq, so anything already heaped at this instant
             # (at default-or-better priority) sorts first.
-            if not heap or heap[0][0] > engine._now or (
-                heap[0][0] == engine._now and heap[0][1] > _DEFAULT_PRIORITY
+            if not heap or heap[0][0] > now or (
+                heap[0][0] == now and heap[0][1] > _DEFAULT_PRIORITY
             ):
                 engine._now_queue.append(self)
                 return self
-        elif delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(
-            heap, (engine._now + delay, _DEFAULT_PRIORITY, next(engine._seq), self)
-        )
+        elif when < now:
+            raise SimulationError(
+                f"cannot schedule into the past (at {when}, now={now})"
+            )
+        heapq.heappush(heap, (when, _DEFAULT_PRIORITY, next(engine._seq), self))
         return self
 
     def _satisfy(self, value: Any = None) -> None:
@@ -584,7 +592,27 @@ class Engine:
             ev._state = _PENDING
         else:
             ev = _PooledTimeout(self)
-        return ev._trigger(value, True, delay)
+        return ev._trigger(value, True, self._now + delay)
+
+    def sleep_until(self, when: float, value: Any = None) -> Event:
+        """:meth:`sleep` until the absolute time ``when``: the wake is
+        due at ``when`` itself, not at ``now + (when - now)``, for a
+        caller that computes a time rather than a delay.  The
+        ``sleep_hook`` sees ``when - now``."""
+        delay = when - self._now
+        if delay < 0:
+            raise ValueError(
+                f"sleep until {when!r} is in the past (now={self._now!r})"
+            )
+        if self.sleep_hook is not None:
+            self.sleep_hook(delay)
+        pool = self._timeout_pool
+        if pool:
+            ev = pool.pop()
+            ev._state = _PENDING
+        else:
+            ev = _PooledTimeout(self)
+        return ev._trigger(value, True, when)
 
     def event(self) -> Event:
         return Event(self)

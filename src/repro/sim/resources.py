@@ -3,8 +3,9 @@
 Two primitives cover everything the stack needs:
 
 * :class:`Slots` — a fixed number of slots with a FIFO wait queue.
-  Models disk queues, stripe-object locks, link pipes and the MDS
-  dispatch window.
+  Models disk queues, stripe-object locks and the MDS dispatch window.
+  (A network link is no slot: it computes its FIFO departures when a
+  message is sent, see :mod:`repro.sim.network`.)
 * :class:`Store` — an unbounded FIFO of items with blocking ``get``.
   Models message queues between daemons.
 """

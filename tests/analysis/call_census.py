@@ -59,6 +59,9 @@ _READ_WHILE_WRITE = ("open-for-write / close of read-while-writing "
                      "(`read_lazy`, Fig. 1's HDFS subtree); no shipped "
                      "driver opens a file for writing")
 _CRASH = "crash / recovery path the fault matrices in tests/faults reach"
+_SENDER_INTERRUPT = ("interrupt of a process waiting on a network "
+                     "transfer; the one process src/ interrupts, the MDS "
+                     "serve loop, never waits on one")
 _PARTITION = ("network partition faults; FaultPlan accepts them, no "
               "shipped drill partitions the network")
 _DEBUG_REPR = "debug repr"
@@ -136,6 +139,8 @@ KEEP: Dict[str, str] = {
         "interrupt of a process parked on an event (the crash paths)"),
     "repro.sim.resources:SlotGrant._abandon": (
         "interrupt of a process waiting for a slot (the crash paths)"),
+    "repro.sim.network:Transfer._abandon": _SENDER_INTERRUPT,
+    "repro.sim.network:Link._give_back": _SENDER_INTERRUPT,
     "repro.faults.injector:FaultInjector.inject": (
         "runs one fault inline so a test interleaves faults with its "
         "own steps; the drills schedule whole plans"),

@@ -42,7 +42,11 @@ pytestmark = pytest.mark.skipif(
 CREATES = 2000
 
 #: Calls (Python functions and builtins) per create, end to end.
-#: Achieved: 26.52 on CPython 3.11 (37.51 while each append went
+#: Achieved: 25.44 on CPython 3.11, or 26.44 in a run where the
+#: ``pstats`` key shared by generated ``__init__``s (below) keeps a
+#: 2 000-call entry (25.48 / 26.48 while each wire message held a
+#: ``Slots`` pipe and slept once per wait, 26.52 at an earlier count;
+#: 37.51 while each append went
 #: through ``JournalEvent``'s keyword constructor and a sequence-number
 #: re-check, and each merged create through ``apply_event -> create ->
 #: resolve_parent -> link -> note_external -> Inode.regular`` plus an
@@ -58,8 +62,10 @@ CALLS_PER_CREATE_BUDGET = 27.5
 RPC_CLIENTS = 4
 RPC_ROUNDS = 200
 
-#: Calls per RPC op (create or ls), end to end.  Achieved: 142.5 on
-#: CPython 3.11 (142.0 while ``Inode.regular`` typed its mode inline
+#: Calls per RPC op (create or ls), end to end.  Achieved: 137.53 on
+#: CPython 3.11 (141.54 while each wire message acquired and released
+#: a ``Slots`` pipe around a pooled sleep; 142.5 at an earlier count,
+#: 142.0 while ``Inode.regular`` typed its mode inline
 #: rather than through ``typed_mode``, which the batched merge shares;
 #: 146.0 while each reply also updated a client-side cap
 #: mirror and each create passed through an ``_op_create`` wrapper
@@ -98,7 +104,8 @@ LADDER_SPEC = {
 }
 
 #: Calls per open-loop op, end to end (after one warm-up run, so lazy
-#: imports do not count).  Achieved: 175.71 on CPython 3.11 (178.55 with
+#: imports do not count).  Achieved: 171.37 on CPython 3.11 (175.73
+#: while each wire message held a ``Slots`` pipe; 178.55 with
 #: the client-side cap mirror, 219.7 with a ``Resource`` pipe request
 #: per wire message, 275.1 with numpy-dispatched scalar draws and a
 #: two-frame resume path); the budget leaves 10 % over the 178.55.
@@ -106,8 +113,10 @@ CALLS_PER_OPENLOOP_OP_BUDGET = 196
 
 #: Calls per recorded history event over the seed-0 conformance matrix
 #: and corruption drill (the whole pass: simulation, recording,
-#: rendering and checking), after one warm-up pass.  Achieved: 66.63 on
-#: CPython 3.11 (67.07 while each merged event went through
+#: rendering and checking), after one warm-up pass.  Achieved: 60.85 on
+#: CPython 3.11 (64.52 while the monitor fanned each map update out as
+#: one process per subscriber and each message held a ``Slots`` pipe;
+#: 66.63 at an earlier count, 67.07 while each merged event went through
 #: ``apply_event``'s call chain, 87.01 while each event went through a
 #: keyword bundle and ``History.append`` and each line through a dict
 #: and ``JSONEncoder.encode``); the budget leaves 10 %.

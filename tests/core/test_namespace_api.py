@@ -337,3 +337,24 @@ def test_strong_global_finalize_flushes_the_stream(cluster, cudele):
     scan = cluster.run(journal.read_scan())
     creates = [e.path for e in scan.events if e.op.name == "CREATE"]
     assert creates == ["/job/a", "/job/b", "/job/c"]
+
+
+def test_retarget_from_strong_global_flushes_the_stream_first(cluster, cudele):
+    """The old policy's Stream completes before a retarget lands: the
+    new policy's completion (volatile_apply, global_persist) would not
+    flush the MDS journal's open segment."""
+    ns = cluster.run(
+        cudele.decouple("/s", SubtreePolicy.from_semantics("strong", "global"))
+    )
+    cluster.run(ns.create_many(["a", "b", "c"]))
+    journal = cluster.mds.journal
+    assert journal._open_segment and journal.segments_dispatched == 0
+    ns2 = cluster.run(
+        cudele.retarget(ns, SubtreePolicy.from_semantics("weak", "global"))
+    )
+    assert journal._open_segment == []
+    assert journal.segments_dispatched > 0
+    cluster.run(ns2.finalize())
+    scan = cluster.run(journal.read_scan())
+    creates = [e.path for e in scan.events if e.op.name == "CREATE"]
+    assert creates == ["/s/a", "/s/b", "/s/c"]

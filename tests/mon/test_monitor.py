@@ -104,6 +104,53 @@ def test_distribution_reaches_subscribers(engine, mon, network):
     assert mon.subscribers == ["mds0"]
 
 
+def test_distribution_waits_once_for_the_latest_arrival(engine, mon, network):
+    """Each subscriber's link is reserved at once; the update is done when
+    the last one arrives, here behind a transfer already on its link."""
+    from repro.mon.monitor import POLICY_UPDATE_BYTES
+
+    for daemon in ("a", "b"):
+        mon.subscribe(daemon)
+    seen = []
+    engine.trace = lambda t, event: seen.append(t)
+    busy = engine.process(network.send(mon.name, "b", 10**6))
+    drive(engine, mon.set_subtree("/x", "p"))
+    engine.trace = None
+    assert busy.ok
+    lat, bw = network.default_latency_s, network.default_bandwidth_bps
+    submitted = POLICY_UPDATE_BYTES / bw + lat
+    behind = 10**6 / bw + POLICY_UPDATE_BYTES / bw + lat
+    assert engine.now == max(submitted + POLICY_UPDATE_BYTES / bw + lat, behind)
+    # two starts, the submission, the busy transfer and its completion,
+    # one wake for both updates (no process per subscriber) and the
+    # driven body's completion
+    assert len(seen) == 7 and seen[-2] == seen[-1] == engine.now
+
+
+def test_a_partitioned_subscriber_fails_the_distribution(engine, mon, network):
+    """The partitioned pair raises at the instant the update is sent,
+    after every other subscriber's link was charged."""
+    from repro.sim.network import PartitionError
+
+    for daemon in ("a", "b", "c"):
+        mon.subscribe(daemon)
+    network.partition(mon.name, "b")
+    failed_at = []
+
+    def body():
+        try:
+            yield from mon.set_subtree("/x", "p")
+        except PartitionError:
+            failed_at.append(engine.now)
+
+    drive(engine, body())
+    lat, bw = network.default_latency_s, network.default_bandwidth_bps
+    assert failed_at == [4096 / bw + lat]
+    assert network.messages_dropped == 1
+    assert [network.link(mon.name, d).messages_sent for d in "ac"] == [1, 1]
+    assert network.link(mon.name, "c").free_at > failed_at[0]
+
+
 def test_subtree_paths(engine, mon):
     drive(engine, mon.set_subtree("/b", "p"))
     drive(engine, mon.set_subtree("/a", "p"))

@@ -296,6 +296,28 @@ def test_allof_fails_on_first_child_failure():
     assert p.value == pytest.approx(1)
 
 
+def test_sleep_until_wakes_at_the_time_itself():
+    """``now + (when - now)`` can miss ``when`` by an ulp; the absolute
+    wake cannot.  The sleep hook still sees the delay."""
+    eng = Engine()
+    now, when = 139.33426363553548, 983.1712701954763
+    assert now + (when - now) != when
+    hooked, woke = [], []
+    eng.sleep_hook = hooked.append
+
+    def body():
+        yield eng.sleep(now)
+        yield eng.sleep_until(when)
+        woke.append(eng.now)
+        with pytest.raises(ValueError):
+            eng.sleep_until(when - 1.0)
+
+    proc = eng.process(body())
+    eng.run()
+    assert proc.ok and woke == [when]
+    assert hooked == [now, when - now]
+
+
 def test_gather_runs_a_lone_body_inline_and_several_as_processes():
     eng = Engine()
 

@@ -115,7 +115,9 @@ def test_closed_loop_creates_stay_within_the_event_budget():
 
 
 # ---------------------------------------------------------------------------
-# (iii) contention is unchanged: the loser still waits for a grant event
+# (iii) contention: a disk queue's loser still waits for a grant event; a
+# link's loser is given its departure time when it sends, so it waits
+# once, with no grant (repro.sim.network)
 # ---------------------------------------------------------------------------
 
 
@@ -123,7 +125,7 @@ def _grants(seen):
     return [(t, names) for t, kind, names in seen if kind is SlotGrant]
 
 
-def test_two_transmits_on_one_link_still_serialize_with_one_grant():
+def test_two_transmits_on_one_link_serialize_without_a_grant():
     eng = Engine()
     net = Network(eng, latency_s=1.0, bandwidth_bps=100.0)
     done = []
@@ -137,9 +139,12 @@ def test_two_transmits_on_one_link_still_serialize_with_one_grant():
     eng.process(sender("b"), name="b")
     eng.run()
     assert done == [("a", 3.0), ("b", 5.0)]
-    # `a` found the pipe free (no event); `b` was granted it when `a`
-    # released, by the pipe's grant event, at that instant.
-    assert _grants(seen) == [(2.0, ["b"])]
+    # `b` reserved the link behind `a` when it sent: it leaves at 4 s
+    # and arrives at 5 s, woken once, with no grant at 2 s.
+    assert _grants(seen) == []
+    assert [(t, names) for t, _, names in seen if names] == [
+        (0.0, ["a"]), (0.0, ["b"]), (3.0, ["a"]), (5.0, ["b"]),
+    ]
 
 
 def test_zero_latency_link_schedules_no_propagation_wait():
@@ -202,24 +207,18 @@ def test_interrupt_while_holding_an_inline_slot_releases_it():
 # ---------------------------------------------------------------------------
 # (iv) the Cudele path on an idle cluster: a body awaited at once is no
 # process (repro.sim.engine design notes), so it costs no start and no
-# completion dispatch; every wait keeps its timestamp
+# completion dispatch, and a transfer is one wake at its computed
+# arrival (repro.sim.network); every wait keeps its timestamp
 # ---------------------------------------------------------------------------
 
-T_SUBMIT_DONE = 3.2768e-06  # client -> monitor: serialisation
-T_SUBMIT_ON_WIRE = 5.3276800000000005e-05  # ... and propagation
-T_UPDATE_SERIALISED = 5.655360000000001e-05
-T_UPDATE_ON_WIRE = 0.00010655360000000001
+T_SUBMIT_ON_WIRE = 5.3276800000000005e-05  # client -> monitor
+T_UPDATE_ON_WIRE = 0.00010655360000000001  # monitor -> every subscriber
 T_PROVISIONED = 0.0004441915310289044
 T_PERSIST_FORMAT = 0.001046918803756177
-T_PERSIST_SENT = 0.001053062803756177
 T_PERSIST_ON_WIRE = 0.001103062803756177
 T_REPLICAS_WRITTEN = 0.0012184228037561769
 T_READ = 0.0013188968037561768
-T_READ_SENT = 0.0013190864037561768
 T_READ_ON_WIRE = 0.0013690864037561768
-
-_SUBSCRIBERS = ("mds0", "osd.0", "osd.1", "osd.2")
-
 
 def _decoupled_namespace():
     """An idle materialised cluster and one traced ``Cudele.decouple``
@@ -236,27 +235,20 @@ def _decoupled_namespace():
     return cluster, ns, seen
 
 
-def test_one_decouple_on_an_idle_cluster_is_twenty_four_events():
+def test_one_decouple_on_an_idle_cluster_is_seven_events():
     _, ns, seen = _decoupled_namespace()
     assert ns.dclient.client_id == 1001
 
-    # 26 while the monitor's set_subtree ran as a process: its start and
-    # its completion.  The map distribution fans out to four
-    # subscribers, so those stay processes joined by one AllOf.
-    def each_subscriber(t):
-        return [(t, Event, [f"policy-update:{d}"]) for d in _SUBSCRIBERS]
-
-    assert len(seen) == 24
+    # 24 while the map distribution ran one process per subscriber
+    # (start, transmit, latency, completion; four of them) joined by
+    # an AllOf, and each message slept twice: 26 before that, while the
+    # monitor's set_subtree was a process too.
+    assert len(seen) == 7
     assert seen == [
         (0.0, Event, ["mds0.loop"]),  # serve loop start (first call)
         (0.0, Event, ["decouple"]),  # the driven body's start
-        (T_SUBMIT_DONE, Event, ["decouple"]),
-        (T_SUBMIT_ON_WIRE, Event, ["decouple"]),
-        *each_subscriber(T_SUBMIT_ON_WIRE),  # distribution starts
-        *each_subscriber(T_UPDATE_SERIALISED),
-        *each_subscriber(T_UPDATE_ON_WIRE),
-        *[(T_UPDATE_ON_WIRE, Process, [])] * 4,  # completions -> AllOf
-        (T_UPDATE_ON_WIRE, Event, ["decouple"]),  # the AllOf
+        (T_SUBMIT_ON_WIRE, Event, ["decouple"]),  # submission arrives
+        (T_UPDATE_ON_WIRE, Event, ["decouple"]),  # all four updates in
         (T_UPDATE_ON_WIRE, StoreGet, ["mds0.loop"]),  # provision request
         (T_PROVISIONED, Event, ["mds0.loop"]),  # MDS CPU
         (T_PROVISIONED, Event, ["decouple"]),  # reply
@@ -278,18 +270,17 @@ def _one_stripe_persist():
     return cluster, dclient, striper, seen
 
 
-def test_one_stripe_global_persist_is_thirteen_events():
+def test_one_stripe_global_persist_is_twelve_events():
     _, _, _, seen = _one_stripe_persist()
     puts = [f"put:dclient1001.journal.00000000@osd.{i}" for i in (2, 0, 1)]
 
-    # 16 while the lone stripe was a process joined by an AllOf: its
-    # start, its completion and the AllOf.  The three replicas still
-    # write in parallel.
-    assert len(seen) == 13
+    # 13 while the message to the primary slept twice (transmit, then
+    # latency); 16 while the lone stripe was a process joined by an
+    # AllOf.  The three replicas still write in parallel.
+    assert len(seen) == 12
     assert seen == [
         (T_PERSIST_FORMAT, Event, ["run_mechanism"]),  # format cost
-        (T_PERSIST_SENT, Event, ["run_mechanism"]),  # to the primary
-        (T_PERSIST_ON_WIRE, Event, ["run_mechanism"]),
+        (T_PERSIST_ON_WIRE, Event, ["run_mechanism"]),  # at the primary
         *[(T_PERSIST_ON_WIRE, Event, [p]) for p in puts],  # replica starts
         *[(T_REPLICAS_WRITTEN, Event, [p]) for p in puts],  # disk writes
         *[(T_REPLICAS_WRITTEN, Process, [])] * 3,  # completions -> AllOf
@@ -297,7 +288,7 @@ def test_one_stripe_global_persist_is_thirteen_events():
     ]
 
 
-def test_recover_global_is_three_events():
+def test_recover_global_is_two_events():
     cluster, dclient, striper, _ = _one_stripe_persist()
     dclient.crash(lose_disk=True)
     seen = _traced(cluster.engine)
@@ -305,10 +296,10 @@ def test_recover_global_is_three_events():
     cluster.engine.trace = None
     assert restored == 3
 
-    # 11 while read_all, read, the stripe get and the OSD read were
-    # four nested processes, each awaited at once.
+    # 3 while the reply slept twice (transmit, then latency); 11 while
+    # read_all, read, the stripe get and the OSD read were four nested
+    # processes, each awaited at once.
     assert seen == [
         (T_READ, Event, ["recover_global"]),  # OSD read
-        (T_READ_SENT, Event, ["recover_global"]),  # back to the client
-        (T_READ_ON_WIRE, Event, ["recover_global"]),
+        (T_READ_ON_WIRE, Event, ["recover_global"]),  # back at the client
     ]
