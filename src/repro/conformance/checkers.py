@@ -342,11 +342,6 @@ def _check_durability(
         elif e.kind == "recovered":
             recovered.setdefault(e.actor, []).append(e)
         elif e.kind == "recover":
-            if e.actor not in crashed:
-                # Plain restart (e.g. Nonvolatile Apply's MDS bounce):
-                # nothing was lost, nothing to hold recovery to.
-                recovered.pop(e.actor, None)
-                continue
             got = {ev.seq: ev.path or "" for ev in recovered.get(e.actor, [])}
             if e.actor in mds_actors:
                 _compare_recovery(

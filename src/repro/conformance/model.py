@@ -225,26 +225,35 @@ class ReferenceModel:
         A journal CREATE over a model file replaces it (an applied
         unlink, then the create); a CREATE over a directory, or a MKDIR
         over a file, is dropped; a MKDIR over a directory is skipped.  A
-        path the journal itself created or removed is never judged
-        against the model.  Every other event applies or, when the model
-        refuses it, counts as a conflict.  Returns
-        ``{"applied": n, "conflicts": m}``.
+        RENAME onto a model file replaces it the same way; a RENAME onto
+        a directory is dropped.  A path the journal itself created,
+        renamed or removed is never judged against the model.  Every
+        other event applies or, when the model refuses it, counts as a
+        conflict.  Returns ``{"applied": n, "conflicts": m}``.
         """
         applied = conflicts = 0
         own: Set[str] = set()
         for ev in events:
             op, path = EventType(ev.op), _norm(ev.path)
-            node = None if path in own else self.nodes.get(path)
-            if node is not None and op in (EventType.CREATE, EventType.MKDIR):
+            # The entry the event lands on, which the journal may replace.
+            landing = None
+            if op in (EventType.CREATE, EventType.MKDIR):
+                landing = path
+            elif op is EventType.RENAME and ev.target_path:
+                landing = _norm(ev.target_path)
+            node = None if landing in own else self.nodes.get(landing)
+            if node is not None:
                 if op is EventType.MKDIR and node.is_dir:
                     own.add(path)  # the directory is already there
                 if node.is_dir or op is EventType.MKDIR:
                     continue  # skipped, or dropped on a type mismatch
-                del self.nodes[path]  # replaced: an applied unlink
+                del self.nodes[landing]  # replaced: an applied unlink
                 applied += 1
             if op in (EventType.CREATE, EventType.MKDIR, EventType.UNLINK,
-                      EventType.RMDIR):
+                      EventType.RMDIR, EventType.RENAME):
                 own.add(path)
+            if landing is not None:
+                own.add(landing)
             ok, _ = self.apply_journal_event(ev)
             applied += ok
             conflicts += not ok

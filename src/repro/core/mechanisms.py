@@ -92,14 +92,18 @@ class MechanismContext:
 # --------------------------------------------------------------------------
 
 
+def _require_journal(ctx: MechanismContext, mechanism: str) -> None:
+    if not ctx.mds.journal.enabled:
+        raise RuntimeError(
+            f"policy requires the {mechanism} mechanism but the MDS journal "
+            "is disabled (MDSConfig.journal_enabled=False)"
+        )
+
+
 def mech_stream(ctx: MechanismContext) -> Generator[Event, None, None]:
     """Stream runs continuously on the MDS; flush the open segment so
     'global durability' holds at the completion point."""
-    if not ctx.mds.journal.enabled:
-        raise RuntimeError(
-            "policy requires the Stream mechanism but the MDS journal is "
-            "disabled (MDSConfig.journal_enabled=False)"
-        )
+    _require_journal(ctx, "Stream")
     yield from ctx.mds.journal.flush()
 
 
@@ -114,22 +118,34 @@ def merge_journal(
     client_id: int,
     events: Optional[List[JournalEvent]] = None,
     count: Optional[int] = None,
+    op: str = "volatile_apply",
 ) -> Generator[Event, None, dict]:
     """Merge a client journal at the MDS (process body).
 
-    Submits the events, or the count, as one Volatile Apply request; the
-    MDS resolves conflicts where it applies them.  Returns the server's
-    ``{applied, conflicts}`` summary and raises on a refused reply.
+    Submits the events, or the count, as one Volatile or Nonvolatile
+    Apply request (``op``); the MDS resolves conflicts where it applies
+    them.  Returns ``{applied, conflicts}``; raises on a refused reply.
     """
     payload = events if events is not None else count
     if payload is None:
         raise ValueError("merge_journal needs events or a count")
     response = yield mds.submit(
-        Request("volatile_apply", subtree, client_id, payload=payload)
+        Request(op, subtree, client_id, payload=payload)
     )
     if not response.ok:
         raise RuntimeError(f"merge failed: {response.error}")
     return response.value
+
+
+def _merge_client_journal(
+    ctx: MechanismContext, op: str
+) -> Generator[Event, None, None]:
+    """Submit the client journal as ``op`` requests (process body)."""
+    mds, subtree, client, events = ctx.mds, ctx.subtree, ctx.client_id, ctx.events
+    if events is not None:
+        yield from merge_journal(mds, subtree, client, events=events, op=op)
+    if ctx.counted:
+        yield from merge_journal(mds, subtree, client, count=ctx.counted, op=op)
 
 
 def mech_volatile_apply(ctx: MechanismContext) -> Generator[Event, None, None]:
@@ -140,15 +156,7 @@ def mech_volatile_apply(ctx: MechanismContext) -> Generator[Event, None, None]:
         return
     src = ctx.dclient.name if ctx.dclient else "client"
     yield from ctx.network.send(src, ctx.mds.name, n * WIRE_EVENT_BYTES)
-    events = ctx.events
-    if events is not None:
-        yield from merge_journal(
-            ctx.mds, ctx.subtree, ctx.client_id, events=events
-        )
-    if ctx.counted:
-        yield from merge_journal(
-            ctx.mds, ctx.subtree, ctx.client_id, count=ctx.counted,
-        )
+    yield from _merge_client_journal(ctx, "volatile_apply")
 
 
 def mech_nonvolatile_apply(ctx: MechanismContext) -> Generator[Event, None, None]:
@@ -158,7 +166,9 @@ def mech_nonvolatile_apply(ctx: MechanismContext) -> Generator[Event, None, None
     all objects that may be affected ... two objects are repeatedly
     pulled, updated, and pushed: the object that houses the experiment
     directory and the object that contains the root directory." (§V-A)
+    The restart rebuilds the store from the journal, so it needs one.
     """
+    _require_journal(ctx, "Nonvolatile Apply")
     n = ctx.n_events
     if n == 0:
         return
@@ -183,17 +193,8 @@ def mech_nonvolatile_apply(ctx: MechanismContext) -> Generator[Event, None, None
         per_event = (ctx.engine.now - sample_start) / max(1, real)
         yield Timeout(ctx.engine, per_event * (n - real))
 
-    # The metadata-store objects now reflect the journal; the MDS must
-    # restart to notice them.  Persist the journal where the recovering
-    # MDS will read it, then restart.
-    events = ctx.events
-    if events is not None:
-        yield from ctx.mds.journal.log_events(events=events)
-    if ctx.counted:
-        yield from ctx.mds.journal.log_events(count=ctx.counted)
-    yield from ctx.mds.journal.flush()
-    done = ctx.mds.shutdown()
-    yield done
+    # The MDS merges under the one rule, then restarts from durable state.
+    yield from _merge_client_journal(ctx, "nonvolatile_apply")
     yield from ctx.mds.restart()
 
 

@@ -281,13 +281,16 @@ class MetadataStore:
 
         A CREATE over a file unlinks the file first; a MKDIR over a
         directory keeps it and is dropped; a CREATE or MKDIR over an
-        entry of the other type is dropped.  Other ops are left to
-        replay.  A path the journal itself created over an entry or
-        removed (UNLINK / RMDIR) is the journal's own doing and is never
-        judged against the store again.
+        entry of the other type is dropped.  A RENAME onto a file
+        unlinks the file first; a RENAME onto a directory is dropped.
+        Other ops are left to replay.  A path the journal itself created
+        over an entry, renamed onto or away from, or removed (UNLINK /
+        RMDIR) is the journal's own doing and is never judged against
+        the store again.
         """
         create, mkdir = EventType.CREATE, EventType.MKDIR
         unlink, rmdir = EventType.UNLINK, EventType.RMDIR
+        rename = EventType.RENAME
         exists, resolve = self.exists, self.resolve
         out: List[JournalEvent] = []
         append = out.append
@@ -307,6 +310,14 @@ class MetadataStore:
                     settled.add(path)
                     if op is mkdir:
                         continue
+            elif op is rename:
+                target = ev[7]
+                if target not in settled and exists(target):
+                    if resolve(target).is_dir:
+                        continue
+                    append(JournalEvent(unlink, target, client_id=ev[9]))
+                settled.add(ev[1])
+                settled.add(target)
             elif op is unlink or op is rmdir:
                 settled.add(ev[1])
             append(ev)

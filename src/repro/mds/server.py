@@ -355,44 +355,6 @@ class MetadataServer:
             )
         return {"journal_events_lost": lost_open, "requests_failed": failed}
 
-    def _replay_journal(
-        self, after_seq: int = 0
-    ) -> Generator[Event, None, int]:
-        """Read the streamed journal back and replay the events stamped
-        after ``after_seq`` onto the in-memory store — the tail
-        :meth:`recover` and :meth:`restart` share.  The replay is
-        Volatile Apply's own loop, :meth:`MetadataStore.apply_events`:
-        an event the store refuses (an :class:`FsError`) is skipped.
-        Returns events replayed."""
-        events = yield from self._recover_scan()
-        if after_seq:
-            events = [ev for ev in events if ev.seq > after_seq]
-        cpu = len(events) * cal.VOLATILE_APPLY_S
-        if cpu > 0:
-            yield self.engine.sleep(cpu)
-        if self.config.materialize:
-            self.mdstore.apply_events(events)
-        if self.tap is not None:
-            self.tap.mark(
-                "recover", self.name, mode="journal-replay", events=events
-            )
-        return len(events)
-
-    def _recover_scan(self) -> Generator[Event, None, list]:
-        """Read the streamed journal back through the verifying scan
-        (process body).  Returns the salvaged events — the
-        checksummed-valid prefix of what is in the object store."""
-        tap = self.tap
-        section = None
-        if tap is not None:
-            section = tap.begin(
-                "recover.scan", self.name, "recovery", source="mds-journal"
-            )
-        scan = yield from self.journal.read_scan(dst=self.name)
-        if section is not None:
-            tap.end(section, events=len(scan.events), damage=scan.damage)
-        return scan.events
-
     def recover(self) -> Generator[Event, None, int]:
         """Crash recovery from durable state only (process body).
 
@@ -401,7 +363,9 @@ class MetadataServer:
         image's watermark on top — exactly the updates that were
         dispatched before the crash.  Updates that only ever lived in
         memory (the open segment, or Volatile Apply merges that were
-        never streamed) do not come back.  Restarts the serve loop;
+        never streamed) do not come back.  This is the one journal
+        replay: Volatile Apply's loop, :meth:`MetadataStore.apply_events`,
+        which skips what the store refuses.  Restarts the serve loop;
         returns events replayed.
         """
         if self.up:
@@ -422,7 +386,26 @@ class MetadataServer:
                     )
             except (OSError, KeyError, ValueError):  # lost or damaged
                 self.mdstore = self._fresh_store()
-        replayed = yield from self._replay_journal(applied)
+        # The verifying scan salvages the checksummed-valid prefix.
+        tap = self.tap
+        section = None
+        if tap is not None:
+            section = tap.begin(
+                "recover.scan", self.name, "recovery", source="mds-journal"
+            )
+        scan = yield from self.journal.read_scan(dst=self.name)
+        events = scan.events
+        if section is not None:
+            tap.end(section, events=len(events), damage=scan.damage)
+        if applied:
+            events = [ev for ev in events if ev.seq > applied]
+        cpu = len(events) * cal.VOLATILE_APPLY_S
+        if cpu > 0:
+            yield self.engine.sleep(cpu)
+        if self.config.materialize:
+            self.mdstore.apply_events(events)
+        if tap is not None:
+            tap.mark("recover", self.name, mode="journal-replay", events=events)
         self.up = True
         self._queue = Store(self.engine, name=f"{self.name}.queue")
         self._loop = self.engine.process(
@@ -430,7 +413,7 @@ class MetadataServer:
         )
         self.running = True
         self.stats.counter("recoveries").incr()
-        return replayed
+        return len(events)
 
     def _maybe_auto_checkpoint(self) -> None:
         """Start a background checkpoint once another
@@ -474,16 +457,23 @@ class MetadataServer:
         return len(frags)
 
     def restart(self) -> Generator[Event, None, int]:
-        """MDS restart: re-read the journal from the object store and
-        replay it onto the in-memory store (Nonvolatile Apply's second
-        half; also the recovery path).  Returns events replayed."""
-        replayed = yield from self._replay_journal()
-        self.up = True
-        if not self.running:
-            self._loop = self.engine.process(
-                self._serve_loop(), name=f"{self.name}.loop"
-            )
-            self.running = True
+        """MDS restart (Nonvolatile Apply's second half): a drain (a
+        request submitted after it fails with :class:`MDSDownError`), a
+        journal flush, :meth:`crash` and :meth:`recover`.  What clients
+        hold outlives it, as CephFS's InoTable, session map and client
+        reconnect keep it: the inode table with its provisioned ranges,
+        the caps, the write-buffering caps, and the counted sizes, which
+        a counted journal's placeholders cannot replay."""
+        if self.running:
+            yield self.shutdown()
+        yield from self.journal.flush()
+        table, caps = self.mdstore.inotable, self.caps
+        writers, sizes = self._open_writers.copy(), self._synthetic_sizes.copy()
+        self.crash()
+        replayed = yield from self.recover()
+        self.mdstore.inotable, self.caps = table, caps
+        self._open_writers.update(writers)
+        self._synthetic_sizes.update(sizes)
         return replayed
 
     # ------------------------------------------------------------------
@@ -959,6 +949,9 @@ class MetadataServer:
         charge (:meth:`MetadataStore.resolve_conflicts`, the decoupled
         namespace wins): the serve loop runs one request at a time, so
         the resolution sees the state the journal lands on.
+
+        Nonvolatile Apply is this handler too: its object-store loop
+        prices it, so no CPU is charged, and it journals what applied.
         """
         payload = request.payload
         if isinstance(payload, int):
@@ -968,7 +961,8 @@ class MetadataServer:
         else:
             events = list(payload)
         n = payload if events is None else len(events)
-        cpu = n * cal.VOLATILE_APPLY_S
+        nonvolatile = request.op == "nonvolatile_apply"
+        cpu = 0.0 if nonvolatile else n * cal.VOLATILE_APPLY_S
         if cpu > 0:
             yield self.engine.sleep(cpu)
         tap = self.tap
@@ -979,7 +973,9 @@ class MetadataServer:
             )
         applied = n
         conflicts = 0
-        if events is None or not self.config.materialize:
+        merged = None
+        counted = events is None or not self.config.materialize
+        if counted:
             # Counted merges still grow the (synthetic) directory so that
             # progress checks (ls) observe partial results.
             try:
@@ -989,17 +985,19 @@ class MetadataServer:
                 )
             except FsError:
                 pass
-        if events is not None and self.config.materialize:
-            visible = None if tap is None else []
-            conflicts = self.mdstore.apply_events(events, visible)
+        else:
+            merged = [] if tap is not None or nonvolatile else None
+            conflicts = self.mdstore.apply_events(events, merged)
             applied = n - conflicts
-            if visible:
+            if tap is not None:
                 name = self.name
-                for op, path, ino, _, _, _, _, target, _, client, _ in visible:
+                for op, path, ino, _, _, _, _, target, _, client, _ in merged:
                     tap.mark(
                         "visible", name, op=op, path=path, ino=ino,
                         client=client, target=target,
                     )
+        if nonvolatile:  # what applied, or the count
+            yield from self.journal.log_events(merged, n if counted else 0)
         self.stats.counter("merged_events").incr(n)
         if tap is not None:
             tap.mark(
@@ -1008,6 +1006,8 @@ class MetadataServer:
                 conflicts=conflicts,
             )
         return Response(ok=True, value={"applied": applied, "conflicts": conflicts}), 0.0
+
+    _op_nonvolatile_apply = _op_volatile_apply  # reads ``request.op``
 
     # ------------------------------------------------------------------
     def cpu_utilization(self, t0: float, t1: float) -> float:

@@ -8,10 +8,13 @@ checker.  A parallel (``--jobs``) matrix run must be byte-identical to
 the serial one.
 """
 
+import json
+
 import pytest
 
-from repro.conformance import CELLS, run_matrix, verdict_json
+from repro.conformance import CELLS, driver, run_matrix, verdict_json
 from repro.conformance.driver import report_json
+from repro.core.policy import SubtreePolicy
 
 pytestmark = pytest.mark.conformance
 
@@ -54,3 +57,37 @@ def test_verdict_json_is_canonical():
     text = verdict_json(report["cells"][0])
     assert text.endswith("\n")
     assert verdict_json(report["cells"][0]) == text  # stable
+
+
+class _NonvolatilePolicy(SubtreePolicy):
+    """Table I's policies, with Nonvolatile Apply as the weak cells'
+    merge in place of Volatile Apply."""
+
+    @classmethod
+    def from_semantics(cls, consistency, durability, **kw):
+        policy = SubtreePolicy.from_semantics(consistency, durability, **kw)
+        policy.consistency = policy.consistency.replace(
+            "+volatile_apply", "+nonvolatile_apply"
+        )
+        return policy
+
+
+@pytest.mark.parametrize("migrate", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_weak_cells_conform_with_nonvolatile_apply(
+    monkeypatch, seed, migrate,
+):
+    """Nonvolatile Apply merges through the MDS's one merge path and its
+    restart is a crash and recovery, so the oracle judges it as it
+    judges Volatile Apply, with no special case."""
+    monkeypatch.setattr(driver, "SubtreePolicy", _NonvolatilePolicy)
+    for durability in ("none", "local", "global"):
+        result = driver.run_cell(("weak", durability, seed, False, migrate))
+        verdict = result["verdict"]
+        assert verdict["ok"], (durability, verdict["violations"])
+        # The merge's MDS restart left its crash mark.
+        events = [json.loads(line) for line in result["history"].splitlines()]
+        assert any(
+            e["kind"] == "crash" and e["actor"].startswith("mds")
+            for e in events
+        )

@@ -14,7 +14,10 @@ def make_ctx(materialize=True, names=None, count=None, subtree="/sub",
     cluster = Cluster(mds_config=mds_config or MDSConfig(materialize=materialize))
     dclient = cluster.new_decoupled_client(persist_each=persist_each)
     if materialize:
-        cluster.mds.mdstore.mkdir(subtree)
+        # Journaled, as an admin's directories are: a restart rebuilds
+        # the MDS from durable state only.
+        mds = cluster.mds
+        cluster.run(mds.journal.log_events(events=mds.ensure_dirs(subtree)))
         rng = cluster.mds.mdstore.inotable.provision(dclient.client_id, 100_000)
         dclient.assign_inodes(rng)
     if names:
@@ -142,6 +145,68 @@ def test_nonvolatile_apply_restarts_mds_and_materializes():
     assert cluster.mds.running
     assert cluster.mds.mdstore.exists("/sub/a")
     assert cluster.mds.mdstore.exists("/sub/b")
+
+
+def test_nonvolatile_apply_requires_journal_enabled():
+    """Its restart rebuilds the store from the journal: with none, the
+    merge and every earlier update would be lost, so it is refused
+    before any work."""
+    cluster, ctx = make_ctx(
+        names=["a"],
+        mds_config=MDSConfig(journal_enabled=False, materialize=True),
+    )
+    with pytest.raises(RuntimeError, match="journal_enabled=False"):
+        cluster.run(run_mechanism("nonvolatile_apply", ctx))
+    assert cluster.mds.stats.counter("crashes").value == 0
+    assert cluster.mds.mdstore.exists("/sub")
+
+
+def test_a_counted_nonvolatile_apply_keeps_every_directory_size():
+    """A counted journal's placeholders cannot replay directory sizes,
+    so the restart hands them over: an RPC client's and the merge's."""
+    n = 10
+    cluster, ctx = make_ctx(materialize=False, count=n)
+    rpc = cluster.new_client()
+    assert cluster.run(rpc.create_many("/d", 100)).ok
+    cluster.run(run_mechanism("nonvolatile_apply", ctx))
+    assert cluster.mds.stats.counter("crashes").value == 1
+    assert cluster.run(rpc.ls("/d")).value == 100
+    assert cluster.run(rpc.ls("/sub")).value == n
+    assert cluster.mds.namespace_size() == 100 + n
+
+
+def test_a_nonvolatile_apply_keeps_what_other_clients_hold():
+    """Finalizing ``/a`` restarts the MDS.  ``/b``'s provisioned range
+    survives it, so ``/c``'s range stays clear of it and ``/b``'s merge
+    applies whole; an open write-buffering cap survives it too."""
+    from repro.core.namespace_api import Cudele
+    from repro.core.policy import SubtreePolicy
+
+    cluster = Cluster(seed=0)
+    cudele = Cudele(cluster)
+    weak = SubtreePolicy.from_semantics("weak", "none", allocated_inodes=10)
+    a = cluster.run(cudele.decouple("/a", SubtreePolicy(
+        consistency="append_client_journal+nonvolatile_apply",
+        durability="none", allocated_inodes=10,
+    )))
+    b = cluster.run(cudele.decouple("/b", weak))
+    writer = cluster.new_client()
+    assert cluster.run(writer.mkdir("/w")).ok
+    handle = cluster.run(writer.open_write("/w/f"))
+    cluster.run(a.dclient.create_many("/a", ["x"]))
+    cluster.run(b.dclient.create_many("/b", ["y", "z"]))
+    cluster.run(a.finalize())
+    assert cluster.mds.stats.counter("crashes").value == 1
+    c = cluster.run(cudele.decouple("/c", weak))
+    held, fresh = b.dclient.ino_range, c.dclient.ino_range
+    assert fresh.start >= held.end or held.start >= fresh.end
+    cluster.run(b.finalize())
+    assert [
+        cluster.mds.mdstore.resolve(f"/b/{name}").ino for name in "yz"
+    ] == [held.start, held.start + 1]
+    handle.write(4096)
+    assert cluster.run(writer.close_write(handle)).ok
+    assert cluster.mds.mdstore.resolve("/w/f").size == 4096
 
 
 def test_plan_execute_runs_stages_and_times_them():

@@ -113,22 +113,33 @@ def test_a_path_the_journal_removed_is_not_judged_against_the_store():
     assert cluster.mds.mdstore.resolve("/job/x").ino == created.ino
 
 
-@pytest.mark.parametrize("lead_ms", [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6])
+@pytest.mark.parametrize("lead_ms,apply", [
+    # The Volatile Apply rows keep the ids they had before the apply
+    # was a parameter.
+    pytest.param(lead_ms, apply, id=(
+        str(lead_ms) if apply == "volatile_apply" else f"{lead_ms}-{apply}"
+    ))
+    for apply in ("volatile_apply", "nonvolatile_apply")
+    for lead_ms in (1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6)
+])
 def test_a_decoupled_create_wins_over_an_interferer_queued_ahead_of_the_merge(
-    lead_ms,
+    lead_ms, apply,
 ):
     """An RPC client's create of the owner's journaled name starts, and
     the merge starts ``lead_ms`` later.  At leads 1.2-1.4 ms the
-    interferer's request is still queued at the MDS when the merge is
-    sent; it applies first, and the decoupled create must still win."""
+    interferer's request is still queued at the MDS when a Volatile
+    Apply is sent; it applies first, and the decoupled create must
+    still win.  Nonvolatile Apply submits after its object-store loop,
+    so the interferer has always applied first; the same rule holds,
+    through the MDS restart that follows."""
     cluster = Cluster(seed=0)
     recorder = HistoryRecorder.attach(cluster)
     admin = cluster.new_client()
     assert cluster.run(admin.mkdir("/job")).ok
-    ns = cluster.run(Cudele(cluster).decouple(
-        "/job", SubtreePolicy.from_semantics("weak", "none",
-                                             allocated_inodes=10),
-    ))
+    ns = cluster.run(Cudele(cluster).decouple("/job", SubtreePolicy(
+        consistency=f"append_client_journal+{apply}", durability="none",
+        allocated_inodes=10,
+    )))
     owner = ns.dclient
     cluster.run(owner.create_many("/job", ["x"]))
     created = owner.journal.events[-1]
@@ -152,3 +163,96 @@ def test_a_decoupled_create_wins_over_an_interferer_queued_ahead_of_the_merge(
         strict=True,
     )
     assert verdict["ok"], verdict["violations"]
+
+
+def test_a_decoupled_rename_wins_over_an_interferers_create():
+    """The owner journals ``create /job/a`` and ``rename /job/a
+    /job/b``; an RPC client's ``create /job/b`` is acknowledged first.
+    The rename lands on the interferer's file, so the merge unlinks that
+    file first: ``/job`` holds only ``b``, with the owner's inode."""
+    cluster = Cluster(seed=0)
+    recorder = HistoryRecorder.attach(cluster)
+    admin = cluster.new_client()
+    assert cluster.run(admin.mkdir("/job")).ok
+    ns = cluster.run(Cudele(cluster).decouple(
+        "/job", SubtreePolicy.from_semantics("weak", "none",
+                                             allocated_inodes=10),
+    ))
+    owner = ns.dclient
+    cluster.run(owner.create_many("/job", ["a"]))
+    created = owner.journal.events[-1]
+    cluster.run(owner.rename("/job/a", "/job/b"))
+    assert cluster.run(cluster.new_client().create_many("/job", ["b"])).ok
+    cluster.run(ns.finalize())
+    assert cluster.mds.mdstore.listdir("/job") == ["b"]
+    assert cluster.mds.mdstore.resolve("/job/b").ino == created.ino
+    for strict in (False, True):
+        verdict = check_history(
+            recorder.history, "weak", "none", subtree="/job",
+            owner=owner.name, strict=strict,
+        )
+        assert verdict["ok"], verdict["violations"]
+
+
+def test_a_rename_onto_a_directory_is_dropped():
+    md = MetadataStore()
+    md.mkdir("/d")
+    md.create("/f")
+    out = md.resolve_conflicts(
+        [ev("/f", op=EventType.RENAME, target_path="/d")]
+    )
+    assert out == []
+
+
+def test_a_rename_onto_a_path_the_journal_settled_is_not_judged_again():
+    """The journal replaced the store's ``/b`` itself, so a later rename
+    onto ``/b`` is the journal's own conflict, left to replay."""
+    md = MetadataStore()
+    md.create("/b")
+    out = md.resolve_conflicts([
+        ev("/b", ino=2_000_000),
+        ev("/a", op=EventType.RENAME, target_path="/b"),
+    ])
+    assert [e.op for e in out] == [
+        EventType.UNLINK, EventType.CREATE, EventType.RENAME,
+    ]
+
+
+_A, _B = 2_000_000, 2_000_001
+
+
+@pytest.mark.parametrize("store_b,journal,want", [
+    # A rename onto the store's file replaces it.
+    ("file", [ev("/a", ino=_A), ev("/a", op=EventType.RENAME,
+                                   target_path="/b")],
+     {"/b": _A}),
+    # A rename onto the store's directory is dropped.
+    ("dir", [ev("/a", ino=_A), ev("/a", op=EventType.RENAME,
+                                  target_path="/b")],
+     {"/a": _A, "/b": "dir"}),
+    # The journal already replaced /b: its own rename onto it is refused.
+    ("file", [ev("/b", ino=_B), ev("/a", ino=_A),
+              ev("/a", op=EventType.RENAME, target_path="/b")],
+     {"/a": _A, "/b": _B}),
+])
+def test_the_model_states_the_stores_rename_rule(store_b, journal, want):
+    """``ReferenceModel.merge`` states the merge rule on its own; on a
+    rename it must agree with ``MetadataStore.resolve_conflicts``."""
+    from repro.conformance.model import ReferenceModel
+
+    md, model = MetadataStore(), ReferenceModel()
+    (md.mkdir if store_b == "dir" else md.create)("/b")
+    (model.mkdir if store_b == "dir" else model.create)("/b")
+    resolved = md.resolve_conflicts(journal)
+    refused = md.apply_events(resolved)
+    assert model.merge(journal) == {
+        "applied": len(resolved) - refused, "conflicts": refused,
+    }
+    for path in ("/a", "/b"):
+        node = model.nodes.get(path)
+        got = None
+        if md.exists(path):
+            inode = md.resolve(path)
+            got = "dir" if inode.is_dir else inode.ino
+        assert got == want.get(path)
+        assert (node and ("dir" if node.is_dir else node.ino)) == got

@@ -107,20 +107,19 @@ def test_stream_makes_rpc_updates_survive_mds_restart():
     done = cluster.mds.shutdown()
     cluster.run()
     assert done.triggered
-    cluster.mds.mdstore = MetadataStore()  # lose all MDS memory
     replayed = cluster.run(cluster.mds.restart())
     assert replayed == 11
     assert cluster.mds.mdstore.exists("/precious/f9")
 
 
 def test_no_journal_rpc_updates_lost_on_mds_wipe():
-    """With journaling off (strong/none), MDS memory is the only copy."""
+    """With journaling off (strong/none), MDS memory is the only copy:
+    a restart drops it."""
     from repro.mds.server import MDSConfig
 
     cluster = Cluster(mds_config=MDSConfig(journal_enabled=False))
     client = cluster.new_client()
     cluster.run(client.create_many("/", ["only"]))
-    cluster.mds.mdstore = MetadataStore()
     replayed = cluster.run(cluster.mds.restart())
     assert replayed == 0
     assert not cluster.mds.mdstore.exists("/only")
@@ -182,13 +181,12 @@ def test_interrupted_global_persist_leaves_no_guarantee():
 
 def test_volatile_apply_crash_window():
     """Volatile Apply alone gives no durability: updates merged into MDS
-    memory vanish if the MDS is wiped before any persist runs."""
+    memory vanish if the MDS restarts before any persist runs."""
     cluster = Cluster()
     ns = make_ns(cluster, "append_client_journal+volatile_apply", "none")
     cluster.run(ns.create_many(["x"]))
     cluster.run(ns.finalize())
     assert cluster.mds.mdstore.exists("/job/x")
-    cluster.mds.mdstore = MetadataStore()
     cluster.run(cluster.mds.restart())
     assert not cluster.mds.mdstore.exists("/job/x")
 

@@ -222,6 +222,11 @@ def _blocked_request(op, client):
         "volatile_apply": Request("volatile_apply", "/blk", client, payload=[
             JournalEvent(EventType.CREATE, f"/blk/m{client}", client_id=client)
         ]),
+        "nonvolatile_apply": Request(
+            "nonvolatile_apply", "/blk", client, payload=[JournalEvent(
+                EventType.CREATE, f"/blk/n{client}", client_id=client
+            )],
+        ),
     }[op]
 
 
@@ -265,9 +270,9 @@ def test_block_refuses_exactly_the_ops_that_mutate(op, engine, mds):
         assert changed
         assert mds.journal.events_logged - logged == 1
     else:
-        # Only the merge, which replays the owner's own client journal,
-        # changes the namespace without being a mutating op.
-        assert changed == (op == "volatile_apply")
+        # Only the merges, which replay the owner's own client journal,
+        # change the namespace without being mutating ops.
+        assert changed == (op in ("volatile_apply", "nonvolatile_apply"))
 
 
 def test_mutating_ops_are_served_ops():
@@ -327,16 +332,35 @@ def test_shutdown_and_restart_replays_journal(engine, mds):
     done = mds.shutdown()
     engine.run()
     assert done.triggered and not mds.running
-    # wipe the in-memory store, then restart: journal replay rebuilds it
-    from repro.mds.mdstore import MetadataStore
-
-    mds.mdstore = MetadataStore()
+    # The restart drops memory and rebuilds from the journal.
+    store = mds.mdstore
     replayed = drive(engine, mds.restart())
     assert replayed == 3
-    assert mds.running
+    assert mds.running and mds.mdstore is not store
     assert mds.mdstore.exists("/d/a")
     resp = submit(engine, mds, Request("create", "/d", 1, names=["c"]))
     assert resp.ok
+
+
+@pytest.mark.parametrize("at_ms", [0.0, 0.1, 0.3])
+def test_a_request_submitted_during_a_restart_fails_fast(engine, mds, at_ms):
+    """Once the restart has drained the queue, a new request is refused
+    with ``MDSDownError``: it is neither served by the stopped loop nor
+    left waiting on a queue the recovery replaces.  The restart takes
+    ~0.4 ms here: a flush up to ~0.15 ms, then the recovery."""
+    from repro.mds.server import MDSDownError
+
+    submit(engine, mds, Request("mkdir", "/", 1, names=["d"]))
+    restart = engine.process(mds.restart())
+    engine.run(until=engine.now + at_ms / 1e3)
+    assert not restart.triggered and not mds.running
+    late = mds.submit(Request("create", "/d", 1, names=["x"]))
+    engine.run()
+    assert restart.ok and mds.running
+    assert late.triggered and not late.ok
+    assert isinstance(late.value, MDSDownError)
+    assert not mds.mdstore.exists("/d/x")
+    assert submit(engine, mds, Request("create", "/d", 1, names=["y"])).ok
 
 
 def test_cpu_utilization_tracked(engine, mds):
