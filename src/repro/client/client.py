@@ -41,7 +41,9 @@ class RetryPolicy:
     starting at ``base_backoff_s``, doubling by ``multiplier`` up to
     ``max_backoff_s``, at most ``max_retries`` retries.  When
     ``reply_timeout_s`` is set, a reply slower than that counts as a
-    failure too (covers a peer that silently stops responding).  After
+    failure too (covers a peer that silently stops responding); a reply
+    is in time once the MDS has issued it, before the timer fires, even
+    if it arrives after.  After
     the budget is exhausted the op completes with an ``ETIMEDOUT``
     error response — workloads degrade instead of deadlocking.
     """
@@ -147,6 +149,10 @@ class Client:
     ) -> Generator[Event, None, Response]:
         """One RPC exchange covering ``op_count`` synchronous operations.
 
+        The client sends the request and waits once more, for the reply
+        to arrive: the MDS puts it on the wire itself when its journal
+        commit is done (:meth:`~repro.sim.network.Network.reply`).
+
         Transient failures (dead MDS, network partition, reply timeout)
         are retried with bounded exponential backoff; once the budget is
         spent the call resolves to an error :class:`Response` so the
@@ -172,15 +178,15 @@ class Client:
                 # One attempt: request wire -> MDS -> reply wire.
                 try:
                     yield from send(self.name, mds.name, cal.RPC_MESSAGE_BYTES)
-                    done = mds.submit(request)
+                    reply = mds.submit(request, self.name)
                     timeout_s = self.retry.reply_timeout_s
                     if timeout_s is None:
-                        response = yield done
+                        response = yield reply
                     else:
                         timer = Timeout(self.engine, timeout_s)
                         try:
                             idx, response = yield AnyOf(
-                                self.engine, [done, timer]
+                                self.engine, [reply, timer]
                             )
                         finally:
                             # Whatever won, the timer must not stay
@@ -188,11 +194,14 @@ class Client:
                             # clock on to it.
                             timer.cancel()
                         if idx == 1:
-                            raise RpcTimeout(
-                                f"{self.name}: no reply from {mds.name} "
-                                f"within {timeout_s}s"
-                            )
-                    yield from send(mds.name, self.name, cal.RPC_MESSAGE_BYTES)
+                            if reply.withdraw():
+                                raise RpcTimeout(
+                                    f"{self.name}: no reply from "
+                                    f"{mds.name} within {timeout_s}s"
+                                )
+                            # Issued before the timer fired: in time.
+                            response = yield reply
+                    reply.received()
                 except TRANSIENT_ERRORS as exc:
                     self.stats.counter("rpc_failures").incr()
                     if attempt >= self.retry.max_retries:

@@ -32,7 +32,7 @@ from repro.mds.mdstore import FsError, MetadataStore
 from repro.rados.cluster import ObjectStore
 from repro.rados.striper import Striper
 from repro.sim.engine import Engine, Event, Interrupt
-from repro.sim.network import Network
+from repro.sim.network import Network, Reply
 from repro.sim.resources import Store
 from repro.sim.rng import RngStream
 from repro.sim.stats import StatsRegistry
@@ -205,15 +205,26 @@ class MetadataServer:
     # ------------------------------------------------------------------
     # client entry point
     # ------------------------------------------------------------------
-    def submit(self, request: Request) -> Event:
+    def submit(self, request: Request, reply_to: Optional[str] = None) -> Event:
         """Queue a request; returns the event that fires with a Response.
+
+        With ``reply_to`` (a client's network name) the reply crosses
+        the wire: the event is a :class:`~repro.sim.network.Reply`, due
+        when the reply arrives at ``reply_to``.  Without it the
+        submitter runs in process and the event fires when the reply is
+        issued.
 
         Submitting to a crashed MDS fails the event immediately with
         :class:`MDSDownError` (the connection-refused path) — callers
         with a :class:`~repro.client.client.RetryPolicy` back off and
         retry instead of deadlocking.
         """
-        done = Event(self.engine)
+        if reply_to is None:
+            done = Event(self.engine)
+        else:
+            done = Reply(
+                self.network, self.name, reply_to, cal.RPC_MESSAGE_BYTES
+            )
         if not self.up:
             done.fail(MDSDownError(f"{self.name} is down"))
             return done
@@ -290,8 +301,12 @@ class MetadataServer:
         if done.triggered:  # crashed and already failed by crash()
             return
         # The journal-commit latency is pipelined (it delays the reply,
-        # not the CPU), so it is the reply event's own delay.
-        done.succeed(response, delay=latency)
+        # not the CPU): the reply is issued when the commit is done.
+        due = self.engine._now + latency
+        if done.__class__ is Reply:
+            self.network.reply(done, response, due)
+        else:
+            done._trigger(response, True, due)
 
     def shutdown(self) -> Event:
         """Stop the serve loop after the queue drains."""

@@ -60,8 +60,8 @@ _READ_WHILE_WRITE = ("open-for-write / close of read-while-writing "
                      "driver opens a file for writing")
 _CRASH = "crash / recovery path the fault matrices in tests/faults reach"
 _SENDER_INTERRUPT = ("interrupt of a process waiting on a network "
-                     "transfer; the one process src/ interrupts, the MDS "
-                     "serve loop, never waits on one")
+                     "transfer or reply; the one process src/ interrupts, "
+                     "the MDS serve loop, never waits on one")
 _PARTITION = ("network partition faults; FaultPlan accepts them, no "
               "shipped drill partitions the network")
 _DEBUG_REPR = "debug repr"
@@ -140,7 +140,22 @@ KEEP: Dict[str, str] = {
     "repro.sim.resources:SlotGrant._abandon": (
         "interrupt of a process waiting for a slot (the crash paths)"),
     "repro.sim.network:Transfer._abandon": _SENDER_INTERRUPT,
+    "repro.sim.network:Reply._abandon": _SENDER_INTERRUPT,
     "repro.sim.network:Link._give_back": _SENDER_INTERRUPT,
+    "repro.sim.network:Link._retime": (
+        "re-times a link's queue after an interrupt, a withdrawn reply "
+        "or an out-of-order issue; no shipped run makes any of them"),
+    "repro.sim.network:Link._insert": (
+        "a reply issued ahead of one its link already holds: one client "
+        "with two requests in flight whose issue instants invert the "
+        "serve order, which no shipped driver makes"),
+    "repro.sim.network:Network._unissue": (
+        "takes back a reply not yet issued, for a reply timer or a "
+        "partition / heal before its issue instant; no shipped driver "
+        "sets the one or partitions the network"),
+    "repro.sim.network:Reply.withdraw": (
+        "a reply timer firing (RetryPolicy.reply_timeout_s), which no "
+        "shipped driver sets"),
     "repro.faults.injector:FaultInjector.inject": (
         "runs one fault inline so a test interleaves faults with its "
         "own steps; the drills schedule whole plans"),

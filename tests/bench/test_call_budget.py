@@ -70,8 +70,9 @@ CALLS_PER_CREATE_BUDGET = 27.5
 RPC_CLIENTS = 4
 RPC_ROUNDS = 200
 
-#: Calls per RPC op (create or ls), end to end.  Achieved: 139.535 on
-#: CPython 3.11 (141.54 while each wire message acquired and released
+#: Calls per RPC op (create or ls), end to end.  Achieved: 130.035 on
+#: CPython 3.11 (139.535 while the client woke at the reply's issue to
+#: send it itself, 141.54 while each wire message acquired and released
 #: a ``Slots`` pipe around a pooled sleep; 142.5 at an earlier count,
 #: 142.0 while ``Inode.regular`` typed its mode inline
 #: rather than through ``typed_mode``, which the batched merge shares;
@@ -112,8 +113,9 @@ LADDER_SPEC = {
 }
 
 #: Calls per open-loop op, end to end (after one warm-up run, so lazy
-#: imports do not count).  Achieved: 173.44 on CPython 3.11 (175.73
-#: while each wire message held a ``Slots`` pipe; 178.55 with
+#: imports do not count).  Achieved: 164.04 on CPython 3.11 (173.44
+#: while the client sent each reply itself, 175.73 while each wire
+#: message held a ``Slots`` pipe; 178.55 with
 #: the client-side cap mirror, 219.7 with a ``Resource`` pipe request
 #: per wire message, 275.1 with numpy-dispatched scalar draws and a
 #: two-frame resume path); the budget leaves 10 % over the 178.55.
@@ -121,8 +123,9 @@ CALLS_PER_OPENLOOP_OP_BUDGET = 196
 
 #: Calls per recorded history event over the seed-0 conformance matrix
 #: and corruption drill (the whole pass: simulation, recording,
-#: rendering and checking), after one warm-up pass.  Achieved: 61.46 on
-#: CPython 3.11 (64.52 while the monitor fanned each map update out as
+#: rendering and checking), after one warm-up pass.  Achieved: 60.83 on
+#: CPython 3.11 (61.46 while the client sent each reply itself, 64.52
+#: while the monitor fanned each map update out as
 #: one process per subscriber and each message held a ``Slots`` pipe;
 #: 66.63 at an earlier count, 67.07 while each merged event went through
 #: ``apply_event``'s call chain, 87.01 while each event went through a

@@ -324,8 +324,8 @@ def test_client_retries_a_request_lost_in_the_handoff_window(monkeypatch):
     cluster.run(cluster.mds.journal.flush())
     mds, submit = cluster.mds, cluster.mds.submit
 
-    def submit_then_crash(request):
-        done = submit(request)
+    def submit_then_crash(request, reply_to=None):
+        done = submit(request, reply_to)
         if not mds.stats.counter("crashes").value:
             mds.crash()  # first attempt only; retries go through
             cluster.engine.process(recover_later())
